@@ -59,6 +59,9 @@ def _report_exit(rep: CheckReport, fmt: str) -> int:
 
 def _gen(args) -> int:
     T = args.trunc
+    if T < 0:
+        print(f"--trunc must be at least 0, got {T}", file=sys.stderr)
+        return 2
     kind = args.kind
     size = args.size
     preset = args.preset
@@ -110,47 +113,57 @@ def _gen(args) -> int:
 # check
 
 
-_CHECKS = {}
+def _wrong_shape(P, shapes, what: str) -> bool:
+    """Say so on stderr when P has none of the given pjson shapes."""
+    shape = pjson.shape_of(P)
+    if shapes is None or shape in shapes:
+        return False
+    print(f"{what} needs {' or '.join(shapes)} input, got {shape}", file=sys.stderr)
+    return True
 
 
-def _register_checks():
-    _CHECKS.update({
-        "validate": lambda P, a: validate(P),
-        "segal": lambda P, a: fibrations.is_segal(P),
-        "2segal": lambda P, a: fibrations.is_2segal(P, a.side),
-        "lfib": lambda P, a: fibrations.is_left_fibration(P),
-        "rfib": lambda P, a: fibrations.is_right_fibration(P),
-        "culf": lambda P, a: fibrations.is_culf(P),
-        "stable": lambda P, a: fibrations.stability(P, a.side),
-        "double-segal": lambda P, a: fibrations.is_double_segal(P),
-        "reduced-stable": lambda P, a: fibrations.reduced_stability(P),
-        "star": lambda P, a: cfg.condition_star(P),
-        "unit-iso": lambda P, a: cfg.unit_iso(P),
-        "bicomodule": lambda P, a: cfg.is_bicomodule_config(P),
-        "invertible-abacus": lambda P, a: cfg.has_invertible_abacus(P),
-        "boors": lambda P, a: cfg.boors_axioms(P, half=a.half),
-        "ts-compat": lambda P, a: cfg.ts_compat(P),
-        "rel-upper-2segal": lambda P, a: cfg.is_rel_upper_2segal(P),
-        "rigid": lambda P, a: decalage.is_rigid(P),
-        "coalgebra": lambda P, a: decalage.validate_coalgebra(P),
-        "local-initial": lambda P, a: decalage.is_local_initial(P),
-        "local-terminal": lambda P, a: decalage.is_local_terminal(P),
-    })
+SSET, SMAP, DSET, GRID = ("sset",), ("smap",), ("dset",), ("bisset", "dset")
+
+# check name: (the input shapes it accepts, None for any; the checker)
+_CHECKS = {
+    "validate": (None, lambda P, a: validate(P)),
+    "segal": (SSET, lambda P, a: fibrations.is_segal(P)),
+    "2segal": (SSET, lambda P, a: fibrations.is_2segal(P, a.side)),
+    "lfib": (SMAP, lambda P, a: fibrations.is_left_fibration(P)),
+    "rfib": (SMAP, lambda P, a: fibrations.is_right_fibration(P)),
+    "culf": (SMAP, lambda P, a: fibrations.is_culf(P)),
+    "stable": (GRID, lambda P, a: fibrations.stability(P, a.side)),
+    "double-segal": (GRID, lambda P, a: fibrations.is_double_segal(P)),
+    "reduced-stable": (GRID, lambda P, a: fibrations.reduced_stability(P)),
+    "star": (DSET, lambda P, a: cfg.condition_star(P)),
+    "unit-iso": (DSET, lambda P, a: cfg.unit_iso(P)),
+    "bicomodule": (DSET, lambda P, a: cfg.is_bicomodule_config(P)),
+    "invertible-abacus": (DSET, lambda P, a: cfg.has_invertible_abacus(P)),
+    "boors": (("sigmaset",), lambda P, a: cfg.boors_axioms(P, half=a.half)),
+    "ts-compat": (DSET, lambda P, a: cfg.ts_compat(P)),
+    "rel-upper-2segal": (SMAP, lambda P, a: cfg.is_rel_upper_2segal(P)),
+    "rigid": (("split",), lambda P, a: decalage.is_rigid(P)),
+    "coalgebra": (("split",), lambda P, a: decalage.validate_coalgebra(P)),
+    "local-initial": (("pointed",), lambda P, a: decalage.is_local_initial(P)),
+    "local-terminal": (("pointed",), lambda P, a: decalage.is_local_terminal(P)),
+}
 
 
 def _check(args) -> int:
-    _register_checks()
     try:
         P = pjson.load(_resolve(args.file))
     except (OSError, KeyError, ValueError) as exc:
         print(f"cannot read {args.file}: {exc}", file=sys.stderr)
+        return 2
+    shapes, checker = _CHECKS[args.check]
+    if _wrong_shape(P, shapes, f"check {args.check}"):
         return 2
     base = validate(P)
     if args.check != "validate" and not base.passed:
         _emit({"name": args.check, "verdict": "invalid-input",
                "witnesses": [w.to_dict() for w in base.witnesses[:10]]}, args.format)
         return 2
-    rep = _CHECKS[args.check](P, args)
+    rep = checker(P, args)
     return _report_exit(rep, args.format)
 
 
@@ -166,9 +179,13 @@ def _load_or_none(path: str):
         return None
 
 
+_CONSTRUCT_SHAPES = {"qstar": SMAP, "tot": SSET, "rtot": SSET, "boors-tot": SSET,
+                     "extend": ("sigmaset",), "M": ("smap", "dset")}
+
+
 def _construct(args) -> int:
     P = _load_or_none(args.infile)
-    if P is None:
+    if P is None or _wrong_shape(P, _CONSTRUCT_SHAPES[args.op], f"construct {args.op}"):
         return 2
     if not validate(P).passed:
         print("input does not validate", file=sys.stderr)
@@ -187,13 +204,10 @@ def _construct(args) -> int:
         if out is None:
             _emit(rep.to_dict(), args.format)
             return 2
-    elif op == "M":
+    else:  # M
         B = cfg.q_lower_star(P) if isinstance(P, SMap) else P
         M, proj = cfg.build_M(B)
         out = proj
-    else:
-        print(f"unknown construction {op!r}", file=sys.stderr)
-        return 2
     rep = validate(out)
     pjson.dump(out, args.out)
     _emit({"wrote": args.out, "validates": rep.passed}, args.format)
@@ -204,9 +218,12 @@ def _construct(args) -> int:
 # roundtrip
 
 
+_ROUNDTRIP_SHAPES = {"boors": SSET, "star": SMAP, "M": ("smap", "dset")}
+
+
 def _roundtrip(args) -> int:
     P = _load_or_none(args.file)
-    if P is None:
+    if P is None or _wrong_shape(P, _ROUNDTRIP_SHAPES[args.kind], f"roundtrip {args.kind}"):
         return 2
     if args.trunc is not None and isinstance(P, TruncSSet):
         from .presheaf import sub_trunc
@@ -226,7 +243,7 @@ def _roundtrip(args) -> int:
             "unit": cfg.unit_iso(B),
             "restriction_recovers_map": CheckReport("restriction_recovers_map", agree, [], 1),
         }
-    elif args.kind == "M":
+    else:  # M
         B = cfg.q_lower_star(P) if isinstance(P, SMap) else P
         M, proj = cfg.build_M(B)
         fib = cfg.extract_from_M(M, proj)
@@ -238,9 +255,6 @@ def _roundtrip(args) -> int:
             "projection_validates": validate(proj),
             "extraction_identity": CheckReport("extraction_identity", ok, [], len(B.levels)),
         }
-    else:
-        print(f"unknown roundtrip {args.kind!r}", file=sys.stderr)
-        return 2
     payload = {k: r.to_dict() for k, r in reports.items()}
     payload["depth"] = getattr(P, "trunc", None)
     _emit(payload, args.format)
@@ -296,7 +310,6 @@ def _run_suite(args) -> int:
         kwargs["bound"] = args.bound
     else:
         kwargs["trunc"] = args.trunc
-        kwargs["jobs"] = args.jobs
         if args.name == "cheatsheet":
             kwargs["max_size"] = args.max_size
             kwargs["seed"] = args.seed
@@ -362,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--bound", type=int, default=4)
     s.add_argument("--max-size", type=int, default=4)
     s.add_argument("--seed", type=int)
-    s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--format", choices=["json", "text"], default="json")
     s.set_defaults(fn=_run_suite)
 

@@ -25,6 +25,7 @@ from .fibrations import (
     stability,
 )
 from .presheaf import (
+    BULK_KINDS,
     BiSSet,
     CheckReport,
     DSet,
@@ -33,10 +34,12 @@ from .presheaf import (
     TruncSSet,
     Witness,
     _sorted_ids,
+    action_target,
     col_sset,
     dset_action_ranges,
     dset_levels,
-    idkey,
+    fmt_id,
+    restrict_actions,
     row_sset,
     sub_trunc,
     validate,
@@ -98,8 +101,7 @@ def q_lower_star(F: SMap) -> DSet:
                 for y in Y.level(i + 1 + j)
                 if F.at(i, x) == Y.act(inc, y)
             )
-    e, t, d, s, f, ssub = {}, {}, {}, {}, {}, {}
-    stores = {"e": e, "t": t, "d": d, "s": s, "f": f, "ssub": ssub}
+    actions = {}
     for lvl in levels:
         for kind, k, tgt in dset_action_ranges(lvl[0], lvl[1], T):
             g = bead_of_generator(kind, k, DObject(*tgt))
@@ -111,11 +113,8 @@ def q_lower_star(F: SMap) -> DSet:
                 nx = X.act(g.top_part(), xp) if tgt[0] >= 0 else None
                 ny = Y.act(g.carrier, yp)
                 table[elem] = _pack(tgt, nx, ny)
-            if kind in ("f", "ssub"):
-                stores[kind][lvl] = table
-            else:
-                stores[kind][(lvl, k)] = table
-    return DSet(T, levels, e, t, d, s, f, ssub)
+            actions[kind, k, lvl] = table
+    return DSet(T, levels, actions)
 
 
 def r_star(X: TruncSSet) -> DSet:
@@ -123,17 +122,12 @@ def r_star(X: TruncSSet) -> DSet:
     (i, j) is X_{i+1+j} and every generator acts through its carrier."""
     T = X.trunc
     levels = {lvl: X.level(lvl[0] + 1 + lvl[1]) for lvl in dset_levels(T)}
-    e, t, d, s, f, ssub = {}, {}, {}, {}, {}, {}
-    stores = {"e": e, "t": t, "d": d, "s": s, "f": f, "ssub": ssub}
+    actions = {}
     for lvl in levels:
         for kind, k, tgt in dset_action_ranges(lvl[0], lvl[1], T):
             g = bead_of_generator(kind, k, DObject(*tgt))
-            table = {x: X.act(g.carrier, x) for x in levels[lvl]}
-            if kind in ("f", "ssub"):
-                stores[kind][lvl] = table
-            else:
-                stores[kind][(lvl, k)] = table
-    return DSet(T, levels, e, t, d, s, f, ssub)
+            actions[kind, k, lvl] = {x: X.act(g.carrier, x) for x in levels[lvl]}
+    return DSet(T, levels, actions)
 
 
 def q_upper_star(B: DSet) -> SMap:
@@ -166,7 +160,8 @@ def abacus_row_map(B: DSet, i: int) -> SMap | None:
     if lower is None or upper.trunc < 0:
         return None
     T = min(upper.trunc, lower.trunc)
-    levels = {n: {x: B.f[(i + 1, n)][x] for x in B.level(i + 1, n)} for n in range(T + 1)}
+    levels = {n: {x: B.actions["f", None, (i + 1, n)][x] for x in B.level(i + 1, n)}
+              for n in range(T + 1)}
     return SMap(sub_trunc(upper, T), sub_trunc(lower, T), levels)
 
 
@@ -176,7 +171,8 @@ def abacus_col_map(B: DSet, j: int) -> SMap:
     src = dec(col_sset(B, j), "top")
     tgt = col_sset(B, j + 1)
     T = min(src.trunc, tgt.trunc)
-    levels = {n: {x: B.f[(n + 1, j)][x] for x in B.level(n + 1, j)} for n in range(T + 1)}
+    levels = {n: {x: B.actions["f", None, (n + 1, j)][x] for x in B.level(n + 1, j)}
+              for n in range(T + 1)}
     return SMap(sub_trunc(src, T), sub_trunc(tgt, T), levels)
 
 
@@ -237,7 +233,7 @@ def unit_iso(B: DSet) -> CheckReport:
             elif im in seen:
                 witnesses.append(Witness(f"unit@({i},{j})", "unit not injective", (seen[im], b)))
             seen[im] = b
-        for im in sorted(want - set(seen), key=idkey):
+        for im in sorted(want - set(seen), key=fmt_id):
             witnesses.append(Witness(f"unit@({i},{j})", "unit not surjective", im))
     return CheckReport.from_witnesses("unit_iso", witnesses, checked)
 
@@ -251,7 +247,7 @@ def aug_row_map(B: DSet) -> SMap:
     upper = row_sset(B, 0)
     lower = row_sset(B, -1)
     T = min(upper.trunc, lower.trunc)
-    levels = {n: {x: B.e[((0, n), 0)][x] for x in B.level(0, n)} for n in range(T + 1)}
+    levels = {n: {x: B.actions["e", 0, (0, n)][x] for x in B.level(0, n)} for n in range(T + 1)}
     return SMap(sub_trunc(upper, T), sub_trunc(lower, T), levels)
 
 
@@ -259,7 +255,7 @@ def aug_col_map(B: DSet) -> SMap:
     upper = col_sset(B, 0)
     lower = col_sset(B, -1)
     T = min(upper.trunc, lower.trunc)
-    levels = {n: {x: B.d[((n, 0), 0)][x] for x in B.level(n, 0)} for n in range(T + 1)}
+    levels = {n: {x: B.actions["d", 0, (n, 0)][x] for x in B.level(n, 0)} for n in range(T + 1)}
     return SMap(sub_trunc(upper, T), sub_trunc(lower, T), levels)
 
 
@@ -314,9 +310,8 @@ def has_invertible_abacus(B: DSet) -> CheckReport:
     """Every stored abacus action is a bijection onto its target level."""
     witnesses = []
     checked = 0
-    for lvl in sorted(B.f, key=lambda lv: (lv[0] + 1 + lv[1], lv)):
-        table = B.f[lvl]
-        tgt = B.level(lvl[0] - 1, lvl[1] + 1)
+    for lvl, table in B.abacus_tables("f"):
+        tgt = B.level(*action_target("f", lvl))
         checked += 1
         seen = {}
         for x, y in table.items():
@@ -333,9 +328,6 @@ def has_invertible_abacus(B: DSet) -> CheckReport:
 # Pointed bisimplicial sets: restriction, axioms, total decalage
 
 
-_BULK_STEP = {"e": (-1, 0), "t": (1, 0), "d": (0, -1), "s": (0, 1)}
-
-
 def j_upper_star(B: DSet) -> SigmaSet:
     """Forget down to the pointing shape: keep the bulk, point with the
     zeroth augmentation-column level via its splitting."""
@@ -345,14 +337,8 @@ def j_upper_star(B: DSet) -> SigmaSet:
         for lv in B.levels
         if lv[0] >= 0 and lv[1] >= 0 and lv[0] + lv[1] <= Tb
     }
-    stores = {"e": {}, "t": {}, "d": {}, "s": {}}
-    for kind, (di, dj) in _BULK_STEP.items():
-        for (lv, k), table in getattr(B, kind).items():
-            tgt = (lv[0] + di, lv[1] + dj)
-            if lv in levels and tgt in levels:
-                stores[kind][(lv, k)] = table
-    bulk = BiSSet(Tb, levels, stores["e"], stores["t"], stores["d"], stores["s"])
-    return SigmaSet(bulk, B.level(0, -1), dict(B.ssub[(0, -1)]))
+    bulk = BiSSet(Tb, levels, restrict_actions(B.actions, levels, BULK_KINDS))
+    return SigmaSet(bulk, B.level(0, -1), dict(B.actions["ssub", None, (0, -1)]))
 
 
 def p_star_tot(X: TruncSSet) -> SigmaSet:
@@ -422,10 +408,10 @@ def _row0_splittings(A: SigmaSet):
             for b2 in bulk.level(0, j + 1):
                 cur = b2
                 for m in range(j + 1, 0, -1):
-                    cur = bulk.d[((0, m), m)][cur]
+                    cur = bulk.actions["d", m, (0, m)][cur]
                 if cur != A.pointing[c]:
                     continue
-                key = bulk.d[((0, j + 1), 0)][b2]
+                key = bulk.actions["d", 0, (0, j + 1)][b2]
                 if key in inv:
                     return None, None, False
                 inv[key] = (c, b2)
@@ -448,10 +434,10 @@ def _col0_tsplittings(A: SigmaSet):
             for b2 in bulk.level(i + 1, 0):
                 cur = b2
                 for m in range(i + 1, 0, -1):
-                    cur = bulk.e[((m, 0), 0)][cur]
+                    cur = bulk.actions["e", 0, (m, 0)][cur]
                 if cur != A.pointing[c]:
                     continue
-                key = bulk.e[((i + 1, 0), i + 1)][b2]
+                key = bulk.actions["e", i + 1, (i + 1, 0)][b2]
                 if key in inv:
                     return None, False
                 inv[key] = b2
@@ -488,12 +474,12 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
         srow[i] = {}
         for j in range(Tb - i):
             lookup = {
-                (bulk.d[((i, j + 1), 0)][z], bulk.e[((i, j + 1), 0)][z]): z
+                (bulk.actions["d", 0, (i, j + 1)][z], bulk.actions["e", 0, (i, j + 1)][z]): z
                 for z in bulk.level(i, j + 1)
             }
             table = {}
             for b in bulk.level(i, j):
-                key = (b, srow[i - 1][j][bulk.e[((i, j), 0)][b]])
+                key = (b, srow[i - 1][j][bulk.actions["e", 0, (i, j)][b]])
                 if key not in lookup:
                     return None, CheckReport.precondition_failure(
                         "extend_sigma_to_d", f"splitting lift failed at ({i},{j})"
@@ -513,12 +499,13 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
             tcol[j] = {}
             for i in range(Tb - j):
                 lookup = {
-                    (bulk.e[((i + 1, j), i + 1)][z], bulk.d[((i + 1, j), j)][z]): z
+                    (bulk.actions["e", i + 1, (i + 1, j)][z],
+                     bulk.actions["d", j, (i + 1, j)][z]): z
                     for z in bulk.level(i + 1, j)
                 }
                 table = {}
                 for b in bulk.level(i, j):
-                    key = (b, tcol[j - 1][i][bulk.d[((i, j), j)][b]])
+                    key = (b, tcol[j - 1][i][bulk.actions["d", j, (i, j)][b]])
                     if key not in lookup:
                         return None, CheckReport.precondition_failure(
                             "extend_sigma_to_d", f"top splitting lift failed at ({i},{j})"
@@ -539,14 +526,14 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
             return x
 
         for z in bulk.level(i, 1):
-            a0, a1 = find(bulk.d[((i, 1), 0)][z]), find(bulk.d[((i, 1), 1)][z])
+            a0, a1 = find(bulk.actions["d", 0, (i, 1)][z]), find(bulk.actions["d", 1, (i, 1)][z])
             if a0 != a1:
-                lo, hi = sorted((a0, a1), key=idkey)
+                lo, hi = sorted((a0, a1), key=fmt_id)
                 parent[hi] = lo
         members = {}
         for b in bulk.level(i, 0):
             members.setdefault(find(b), []).append(b)
-        reps = {root: min(ms, key=idkey) for root, ms in members.items()}
+        reps = {root: min(ms, key=fmt_id) for root, ms in members.items()}
         col_classes[i] = _sorted_ids(reps.values())
         col_quot[i] = {b: reps[find(b)] for b in bulk.level(i, 0)}
 
@@ -566,14 +553,15 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
                 return x
 
             for z in bulk.level(1, j):
-                a0, a1 = findr(bulk.e[((1, j), 0)][z]), findr(bulk.e[((1, j), 1)][z])
+                a0 = findr(bulk.actions["e", 0, (1, j)][z])
+                a1 = findr(bulk.actions["e", 1, (1, j)][z])
                 if a0 != a1:
-                    lo, hi = sorted((a0, a1), key=idkey)
+                    lo, hi = sorted((a0, a1), key=fmt_id)
                     parent[hi] = lo
             members = {}
             for b in bulk.level(0, j):
                 members.setdefault(findr(b), []).append(b)
-            reps = {root: min(ms, key=idkey) for root, ms in members.items()}
+            reps = {root: min(ms, key=fmt_id) for root, ms in members.items()}
             row_classes[j] = _sorted_ids(reps.values())
             row_quot[j] = {b: reps[findr(b)] for b in bulk.level(0, j)}
 
@@ -587,80 +575,60 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
         else:
             levels[lvl] = bulk.level(i, j)
 
-    e, t, d, s, f, ssub = {}, {}, {}, {}, {}, {}
-
     def bulk_f(i, j):
         # e_top after the splitting, levelwise
         if i >= 1:
-            return {b: bulk.e[((i, j + 1), i)][srow[i][j][b]] for b in bulk.level(i, j)}
+            return {b: bulk.actions["e", i, (i, j + 1)][srow[i][j][b]] for b in bulk.level(i, j)}
         return {b: row_quot[j + 1][srow[0][j][b]] for b in bulk.level(0, j)}
 
     def saug(i, z):
         # the splitting section of the augmentation column
         if i == 0:
             return A.pointing[z]
-        return bulk.d[((i, 1), 1)][srow[i][0][rep_col(i, z)]]
+        return bulk.actions["d", 1, (i, 1)][srow[i][0][rep_col(i, z)]]
 
-    for lvl in levels:
+    def table(kind, k, lvl, tgt):
         i, j = lvl
-        for kind, k, tgt in dset_action_ranges(i, j, TD):
-            if half and tgt[0] == -1:
-                continue
-            if i >= 0 and j >= 0:  # bulk sources
-                if kind == "f":
-                    f[lvl] = bulk_f(i, j)
-                elif kind == "ssub":
-                    ssub[lvl] = dict(srow[i][j])
-                elif kind == "e" and tgt[0] == -1:
-                    e[(lvl, k)] = {b: row_quot[j][b] for b in bulk.level(i, j)}
-                elif kind == "d" and tgt[1] == -1:
-                    d[(lvl, k)] = {b: col_quot[i][b] for b in bulk.level(i, j)}
-                else:
-                    store = {"e": e, "t": t, "d": d, "s": s}[kind]
-                    store[(lvl, k)] = dict(getattr(bulk, kind)[(lvl, k)])
-            elif j == -1:  # augmentation column sources
-                if kind == "e":
-                    table = {}
-                    for z in levels[lvl]:
-                        img = bulk.e[((i, 0), k)][rep_col(i, z)]
-                        table[z] = col_quot[i - 1][img] if i >= 2 else d0aug0[img]
-                    e[(lvl, k)] = table
-                elif kind == "t":
-                    t[(lvl, k)] = {
-                        z: col_quot[i + 1][bulk.t[((i, 0), k)][rep_col(i, z)]]
-                        for z in levels[lvl]
-                    }
-                elif kind == "ssub":
-                    ssub[lvl] = {z: saug(i, z) for z in levels[lvl]}
-                elif kind == "f":
-                    if i == 0:
-                        f[lvl] = {c: row_quot[0][A.pointing[c]] for c in levels[lvl]}
-                    else:
-                        f[lvl] = {
-                            z: bulk.e[((i, 0), i)][saug(i, z)] for z in levels[lvl]
-                        }
-            else:  # augmentation row sources
-                if kind == "d":
-                    d[(lvl, k)] = {
-                        z: row_quot[j - 1][bulk.d[((0, j), k)][z]] for z in levels[lvl]
-                    }
-                elif kind == "s":
-                    s[(lvl, k)] = {
-                        z: row_quot[j + 1][bulk.s[((0, j), k)][z]] for z in levels[lvl]
-                    }
+        if i >= 0 and j >= 0:  # bulk sources
+            if kind == "f":
+                return bulk_f(i, j)
+            if kind == "ssub":
+                return dict(srow[i][j])
+            if kind == "e" and tgt[0] == -1:
+                return {b: row_quot[j][b] for b in bulk.level(i, j)}
+            if kind == "d" and tgt[1] == -1:
+                return {b: col_quot[i][b] for b in bulk.level(i, j)}
+            return dict(bulk.actions[kind, k, lvl])
+        if j == -1:  # augmentation column sources
+            if kind in ("e", "t"):
+                return {z: col_quot[tgt[0]][bulk.actions[kind, k, (i, 0)][rep_col(i, z)]]
+                        for z in levels[lvl]}
+            if kind == "ssub":
+                return {z: saug(i, z) for z in levels[lvl]}
+            if i == 0:  # f
+                return {c: row_quot[0][A.pointing[c]] for c in levels[lvl]}
+            return {z: bulk.actions["e", i, (i, 0)][saug(i, z)] for z in levels[lvl]}
+        # augmentation row sources: d and s
+        return {z: row_quot[tgt[1]][bulk.actions[kind, k, (0, j)][z]] for z in levels[lvl]}
+
+    actions = {}
+    for lvl in levels:
+        for kind, k, tgt in dset_action_ranges(lvl[0], lvl[1], TD):
+            if not (half and tgt[0] == -1):
+                actions[kind, k, lvl] = table(kind, k, lvl, tgt)
 
     t_split = {}
     if tcol is not None:
         for j in sorted(tcol):
             for i in sorted(tcol[j]):
-                if (i, j) in levels and (i + 1, j) in levels:
+                if (i, j) in levels and action_target("t", (i, j)) in levels:
                     t_split[(i, j)] = dict(tcol[j][i])
         for j in range(TD + 1):
             t_split[(-1, j)] = {
-                z: bulk.e[((1, j), 0)][tcol[j][0][z]] for z in row_classes[j]
+                z: bulk.actions["e", 0, (1, j)][tcol[j][0][z]] for z in row_classes[j]
             }
 
-    B = DSet(TD, levels, e, t, d, s, f, ssub, t_split=t_split)
+    B = DSet(TD, levels, actions, t_split=t_split)
     rep = validate(B, "extension")
     return B, rep
 
@@ -674,16 +642,17 @@ def ts_compat(B: DSet) -> CheckReport:
     t_split = B.t_split or _derived_t_split(B)
     if t_split is None:
         return CheckReport.precondition_failure("ts_compat", "no top splittings available")
-    for (i, j) in sorted(B.ssub, key=lambda lv: (lv[0] + 1 + lv[1], lv)):
+    for (i, j), ssub in B.abacus_tables("ssub"):
         if i < 0:
             continue
-        mid = (i, j + 1)
-        if mid not in t_split or ((mid, i) not in B.t):
+        mid = action_target("ssub", (i, j))
+        t_top = B.actions.get(("t", i, mid))
+        if mid not in t_split or t_top is None:
             continue
         for b in B.level(i, j):
             checked += 1
-            sb = B.ssub[(i, j)][b]
-            if B.t[(mid, i)][sb] != t_split[mid][sb]:
+            sb = ssub[b]
+            if t_top[sb] != t_split[mid][sb]:
                 witnesses.append(Witness(f"ts@({i},{j})", "t_top s# = t# s#", (b,)))
     return CheckReport.from_witnesses("ts_compat", witnesses, checked)
 
@@ -692,20 +661,14 @@ def _derived_t_split(B: DSet):
     """Top splittings t# = f^{-1} s_0 from inverted abacus maps."""
     if not has_invertible_abacus(B).passed:
         return None
-    inv = {lvl: {v: k for k, v in tab.items()} for lvl, tab in B.f.items()}
+    inv = {lvl: {v: k for k, v in tab.items()} for lvl, tab in B.abacus_tables("f")}
     out = {}
-    for (i, j) in B.levels:
-        up = (i + 1, j)
-        if up not in inv:
-            continue
-        if j >= 0:
-            s0 = B.s.get(((i, j), 0))
-            if s0 is not None:
-                out[(i, j)] = {b: inv[up][s0[b]] for b in B.level(i, j)}
-        else:
-            sec = B.ssub.get((i, j))
-            if sec is not None:
-                out[(i, j)] = {b: inv[up][sec[b]] for b in B.level(i, j)}
+    for lvl in B.levels:
+        up = action_target("t", lvl)
+        # s_0 on the bulk, the splitting s# on the augmentation column
+        sec = B.actions.get(("s", 0, lvl) if lvl[1] >= 0 else ("ssub", None, lvl))
+        if up in inv and sec is not None:
+            out[lvl] = {b: inv[up][sec[b]] for b in B.level(*lvl)}
     return out
 
 
@@ -716,12 +679,12 @@ def invertibility_pair_check(B: DSet) -> CheckReport:
     t_split = B.t_split or _derived_t_split(B)
     if not t_split:
         return CheckReport.precondition_failure("invertibility_pair", "no top splittings")
-    for (i, j), ftab in sorted(B.f.items(), key=lambda kv: (kv[0][0] + 1 + kv[0][1], kv[0])):
-        tgt = (i - 1, j + 1)
-        d_key = ((i, j + 1), 0)
-        if tgt not in t_split or d_key not in B.d:
+    for (i, j), ftab in B.abacus_tables("f"):
+        tgt = action_target("f", (i, j))
+        d_bot = B.actions.get(("d", 0, action_target("t", tgt)))
+        if tgt not in t_split or d_bot is None:
             continue
-        g = {y: B.d[d_key][t_split[tgt][y]] for y in B.level(*tgt)}
+        g = {y: d_bot[t_split[tgt][y]] for y in B.level(*tgt)}
         for b in B.level(i, j):
             checked += 1
             if g[ftab[b]] != b:
@@ -843,8 +806,8 @@ def dset_iso_report(B1: DSet, B2: DSet, maps: dict, name: str = "dset_iso") -> C
         m = maps.get(lvl)
         checked += 1
         if m is None or set(m) != set(B1.level(*lvl)) or sorted(
-            map(idkey, m.values())
-        ) != sorted(map(idkey, B2.level(*lvl))):
+            map(fmt_id, m.values())
+        ) != sorted(map(fmt_id, B2.level(*lvl))):
             witnesses.append(Witness(f"level@{lvl}", "not a bijection", (lvl,)))
     if witnesses:
         return CheckReport.from_witnesses(name, witnesses, checked)
@@ -871,46 +834,26 @@ def sigmaset_equal(A1: SigmaSet, A2: SigmaSet) -> bool:
             return False
     if A1.point_set != A2.point_set or A1.pointing != A2.pointing:
         return False
-    for kind in ("e", "t", "d", "s"):
-        t1, t2 = getattr(A1.bulk, kind), getattr(A2.bulk, kind)
-        for key, table in t1.items():
-            (i, j), k = key
-            if i + j <= T - (1 if kind in ("t", "s") else 0) and key in t2:
-                if table != t2[key]:
-                    return False
+    t2 = A2.bulk.actions
+    for key, table in A1.bulk.actions.items():
+        kind, _, lvl = key
+        if sum(lvl) <= T and sum(action_target(kind, lvl)) <= T and key in t2:
+            if table != t2[key]:
+                return False
     return True
 
 
 def collapse_aug_row(B: DSet, point="*") -> DSet:
     """A validated abacus presheaf failing the cartesian-abacus condition:
     the augmentation row is collapsed to a point."""
-    levels = dict(B.levels)
-    e = dict(B.e)
-    t = dict(B.t)
-    d = dict(B.d)
-    s = dict(B.s)
-    f = dict(B.f)
-    ssub = dict(B.ssub)
-    for lvl in list(levels):
-        i, j = lvl
-        if i == -1:
-            levels[lvl] = (point,)
-    for key in list(d):
-        (lvl, k) = key
-        if lvl[0] == -1:
-            d[key] = {point: point}
-    for key in list(s):
-        (lvl, k) = key
-        if lvl[0] == -1:
-            s[key] = {point: point}
-    for key in list(e):
-        (lvl, k) = key
-        if lvl[0] == 0:
-            e[key] = {x: point for x in B.level(*lvl)}
-    for lvl in list(f):
-        if lvl[0] == 0:
-            f[lvl] = {x: point for x in B.level(*lvl)}
-    return DSet(B.trunc, levels, e, t, d, s, f, ssub)
+    levels = {lvl: (point,) if lvl[0] == -1 else xs for lvl, xs in B.levels.items()}
+    # every action landing in the augmentation row becomes constant
+    actions = {
+        (kind, k, lvl): {x: point for x in levels[lvl]}
+        if action_target(kind, lvl)[0] == -1 else table
+        for (kind, k, lvl), table in B.actions.items()
+    }
+    return DSet(B.trunc, levels, actions)
 
 
 def restrict(functor, P):
@@ -937,22 +880,15 @@ def restrict(functor, P):
     if tag == "h":
         return h_upper(P)
     if tag == "bulk":
-        return {"levels": dict(P.levels), "e": dict(P.e), "t": dict(P.t),
-                "d": dict(P.d), "s": dict(P.s)}
+        return {"levels": dict(P.levels),
+                "actions": {key: v for key, v in P.actions.items() if key[0] in BULK_KINDS}}
     raise ValueError(f"unknown functor tag {tag!r}")
 
 
 def drop_aug_row(B: DSet) -> DSet:
     """The restriction away from the augmentation row."""
     levels = {lv: xs for lv, xs in B.levels.items() if lv[0] >= 0}
-    e = {key: v for key, v in B.e.items() if key[0][0] >= 1}
-    t = {key: v for key, v in B.t.items() if key[0][0] >= 0}
-    d = {key: v for key, v in B.d.items() if key[0][0] >= 0}
-    s = {key: v for key, v in B.s.items() if key[0][0] >= 0}
-    f = {lv: v for lv, v in B.f.items() if lv[0] >= 1}
-    ssub = {lv: v for lv, v in B.ssub.items() if lv[0] >= 0}
-    tsp = {lv: v for lv, v in (B.t_split or {}).items() if lv[0] >= 0}
-    return DSet(B.trunc, levels, e, t, d, s, f, ssub, t_split=tsp)
+    return _restrict_dset(B, B.trunc, levels)
 
 
 def tot_roundtrip_iso(X: TruncSSet, B_ext: DSet) -> dict:
@@ -1030,7 +966,7 @@ def half_roundtrip(F: SMap) -> dict:
     out["extension_valid"] = rep
     if Bh is None:
         return out
-    recovered = sigmaset_equal(j_upper_star_no_row(Bh), A)
+    recovered = sigmaset_equal(j_upper_star(Bh), A)
     out["pointing_restriction"] = CheckReport(
         "pointing_restriction", recovered,
         [] if recovered else [Witness("restrict", "restriction differs from input", ())],
@@ -1042,24 +978,18 @@ def half_roundtrip(F: SMap) -> dict:
         if j >= 0 or i == 0:
             maps[(i, j)] = {x: x for x in Bh.level(i, j)}
         else:
-            maps[(i, -1)] = {z: B.d[((i, 0), 0)][z] for z in Bh.level(i, -1)}
+            maps[(i, -1)] = {z: B.actions["d", 0, (i, 0)][z] for z in Bh.level(i, -1)}
     out["iso_with_kan"] = dset_iso_report(Bh, Q, maps, "iso_with_kan")
     return out
 
 
-def j_upper_star_no_row(B: DSet) -> SigmaSet:
-    """The pointing restriction of a presheaf without an augmentation row."""
-    return j_upper_star(B)
-
-
 def sub_trunc_dset(B: DSet, T: int) -> DSet:
     keep = set(dset_levels(T, with_aug_row=B.has_aug_row()))
-    levels = {lv: xs for lv, xs in B.levels.items() if lv in keep}
-    e = {key: v for key, v in B.e.items() if key[0] in keep and (key[0][0] - 1, key[0][1]) in keep}
-    t = {key: v for key, v in B.t.items() if key[0] in keep and (key[0][0] + 1, key[0][1]) in keep}
-    d = {key: v for key, v in B.d.items() if key[0] in keep and (key[0][0], key[0][1] - 1) in keep}
-    s = {key: v for key, v in B.s.items() if key[0] in keep and (key[0][0], key[0][1] + 1) in keep}
-    f = {lv: v for lv, v in B.f.items() if lv in keep and (lv[0] - 1, lv[1] + 1) in keep}
-    ssub = {lv: v for lv, v in B.ssub.items() if lv in keep and (lv[0], lv[1] + 1) in keep}
-    tsp = {lv: v for lv, v in (B.t_split or {}).items() if lv in keep and (lv[0] + 1, lv[1]) in keep}
-    return DSet(T, levels, e, t, d, s, f, ssub, t_split=tsp)
+    return _restrict_dset(B, T, {lv: xs for lv, xs in B.levels.items() if lv in keep})
+
+
+def _restrict_dset(B: DSet, T: int, levels: dict) -> DSet:
+    """B on the given levels, with the actions and top splittings between them."""
+    t_split = {lv: v for lv, v in B.t_split.items()
+               if lv in levels and action_target("t", lv) in levels}
+    return DSet(T, levels, restrict_actions(B.actions, levels), t_split=t_split)

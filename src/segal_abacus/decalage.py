@@ -106,29 +106,22 @@ def alpha_aug(X: TruncSSet, side: str = "bottom") -> SMap:
 
 def tot(X: TruncSSet):
     """The total decalage as a bisimplicial set of truncation T - 1."""
-    from .presheaf import BiSSet
+    from .presheaf import BiSSet, bisset_action_ranges
 
     if X.trunc < 1:
         raise ValueError("total decalage needs trunc >= 1")
     T = X.trunc - 1
     levels = {}
-    e, t, d, s = {}, {}, {}, {}
+    actions = {}
     for i in range(T + 1):
         for j in range(T + 1 - i):
             levels[(i, j)] = X.level(i + 1 + j)
             n = i + 1 + j
-            if i >= 1:
-                for k in range(i + 1):
-                    e[((i, j), k)] = X.faces[(n, k)]
-            if j >= 1:
-                for k in range(j + 1):
-                    d[((i, j), k)] = X.faces[(n, i + 1 + k)]
-            if i + j < T:
-                for k in range(i + 1):
-                    t[((i, j), k)] = X.degens[(n, k)]
-                for k in range(j + 1):
-                    s[((i, j), k)] = X.degens[(n, i + 1 + k)]
-    return BiSSet(T, levels, e, t, d, s)
+            # vertical generators act by the first i + 1 indices, horizontal by the rest
+            for kind, k, _ in bisset_action_ranges(i, j, T):
+                table = X.faces if kind in ("e", "d") else X.degens
+                actions[kind, k, (i, j)] = table[(n, k if kind in ("e", "t") else i + 1 + k)]
+    return BiSSet(T, levels, actions)
 
 
 def sd(X: TruncSSet) -> TruncSSet:

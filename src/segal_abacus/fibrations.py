@@ -15,10 +15,12 @@ from .presheaf import (
     SMap,
     Square,
     TruncSSet,
+    action_target,
     cartesian_on,
     col_sset,
     is_pullback,
     row_sset,
+    sub_trunc,
 )
 
 __all__ = [
@@ -81,12 +83,12 @@ def is_2segal(X: TruncSSet, side: str = "both", name: str | None = None) -> Chec
 
 
 def _bulk_square(B, i, j, vk, hk, name) -> Square:
-    src = B.level(i, j)
+    A = B.actions
     return Square(
         name,
-        src, B.level(i, j - 1), B.level(i - 1, j),
-        B.d[((i, j), hk)], B.e[((i, j), vk)],
-        B.e[((i, j - 1), vk)], B.d[((i - 1, j), hk)],
+        B.level(i, j), B.level(i, j - 1), B.level(i - 1, j),
+        A["d", hk, (i, j)], A["e", vk, (i, j)],
+        A["e", vk, (i, j - 1)], A["d", hk, (i - 1, j)],
     )
 
 
@@ -149,19 +151,17 @@ def vertical_active_row_maps(B):
     for i in rows:
         if i >= 1 and i in rows and (i - 1) in rows:
             for k in range(1, i):
-                out.append((f"e{k}:row{i}->row{i-1}", _row_op_map(B, i, i - 1, "e", k)))
+                out.append((f"e{k}:row{i}->row{i-1}", _row_op_map(B, i, "e", k)))
         if (i + 1) in rows:
             for k in range(i + 1):
-                out.append((f"t{k}:row{i}->row{i+1}", _row_op_map(B, i, i + 1, "t", k)))
+                out.append((f"t{k}:row{i}->row{i+1}", _row_op_map(B, i, "t", k)))
     return out
 
 
-def _row_op_map(B, i_src, i_tgt, kind, k) -> SMap:
-    src = row_sset(B, i_src)
-    tgt = row_sset(B, i_tgt)
+def _row_op_map(B, i, kind, k) -> SMap:
+    """The vertical generator ``kind`` k as a map from row i to the row it lands in."""
+    src = row_sset(B, i)
+    tgt = row_sset(B, action_target(kind, (i, 0))[0])
     T = min(src.trunc, tgt.trunc)
-    table = getattr(B, kind)
-    levels = {n: {x: table[((i_src, n), k)][x] for x in src.level(n)} for n in range(T + 1)}
-    from .presheaf import sub_trunc
-
+    levels = {n: {x: B.actions[kind, k, (i, n)][x] for x in src.level(n)} for n in range(T + 1)}
     return SMap(sub_trunc(src, T), sub_trunc(tgt, T), levels)

@@ -10,7 +10,17 @@ from __future__ import annotations
 import json
 
 from .decalage import BottomSplitSSet, PointedSSet
-from .presheaf import BiSSet, DSet, SMap, SigmaSet, TruncSSet, fmt_id
+from .presheaf import (
+    BULK_KINDS,
+    STEP,
+    BiSSet,
+    DSet,
+    SMap,
+    SigmaSet,
+    TruncSSet,
+    action_label,
+    fmt_id,
+)
 
 
 def _table(d: dict) -> dict:
@@ -68,19 +78,6 @@ def smap_from_dict(data: dict) -> SMap:
     )
 
 
-def _grid_actions(B, kinds) -> dict:
-    out = {}
-    for kind in kinds:
-        store = getattr(B, kind)
-        if kind in ("f", "ssub"):
-            for lvl in sorted(store):
-                out[f"{kind}@{_lvl_key(lvl)}"] = _table(store[lvl])
-        else:
-            for (lvl, k) in sorted(store):
-                out[f"{kind}{k}@{_lvl_key(lvl)}"] = _table(store[(lvl, k)])
-    return out
-
-
 def _grid_levels(B) -> dict:
     return {
         _lvl_key(lvl): [fmt_id(x) for x in B.levels[lvl]]
@@ -88,47 +85,43 @@ def _grid_levels(B) -> dict:
     }
 
 
+def _grid_to_dict(B, shape: str) -> dict:
+    return {
+        "shape": shape,
+        "trunc": B.trunc,
+        "levels": _grid_levels(B),
+        "actions": {action_label(*key): _table(table) for key, table in B.actions.items()},
+    }
+
+
 def _parse_grid(data, kinds):
+    """Levels and actions of a grid form; action keys name a kind in ``kinds``."""
     levels = {_parse_lvl(key): tuple(xs) for key, xs in data["levels"].items()}
-    stores = {kind: {} for kind in kinds}
+    actions = {}
     for key, table in data["actions"].items():
         head, at = key.split("@")
-        lvl = _parse_lvl(at)
-        if head in ("f", "ssub"):
-            stores[head][lvl] = dict(table)
-        else:
-            kind, k = head[0], int(head[1:])
-            stores[kind][(lvl, k)] = dict(table)
-    return levels, stores
+        kind = head.rstrip("0123456789")
+        if kind not in kinds:
+            raise KeyError(key)
+        k = int(head[len(kind):]) if head != kind else None
+        actions[kind, k, _parse_lvl(at)] = dict(table)
+    return levels, actions
 
 
 def bisset_to_dict(B: BiSSet) -> dict:
-    return {
-        "shape": "bisset",
-        "trunc": B.trunc,
-        "levels": _grid_levels(B),
-        "actions": _grid_actions(B, ("e", "t", "d", "s")),
-    }
+    return _grid_to_dict(B, "bisset")
 
 
 def bisset_from_dict(data: dict) -> BiSSet:
-    levels, st = _parse_grid(data, ("e", "t", "d", "s"))
-    return BiSSet(data["trunc"], levels, st["e"], st["t"], st["d"], st["s"])
+    return BiSSet(data["trunc"], *_parse_grid(data, BULK_KINDS))
 
 
 def dset_to_dict(B: DSet) -> dict:
-    return {
-        "shape": "dset",
-        "trunc": B.trunc,
-        "levels": _grid_levels(B),
-        "actions": _grid_actions(B, ("e", "t", "d", "s", "f", "ssub")),
-    }
+    return _grid_to_dict(B, "dset")
 
 
 def dset_from_dict(data: dict) -> DSet:
-    levels, st = _parse_grid(data, ("e", "t", "d", "s", "f", "ssub"))
-    return DSet(data["trunc"], levels, st["e"], st["t"], st["d"], st["s"],
-                st["f"], st["ssub"])
+    return DSet(data["trunc"], *_parse_grid(data, STEP))
 
 
 def sigmaset_to_dict(A: SigmaSet) -> dict:
@@ -184,35 +177,32 @@ def split_from_dict(data: dict) -> BottomSplitSSet:
     )
 
 
-_TO = {
-    TruncSSet: sset_to_dict,
-    SMap: smap_to_dict,
-    BiSSet: bisset_to_dict,
-    DSet: dset_to_dict,
-    SigmaSet: sigmaset_to_dict,
-    PointedSSet: pointed_to_dict,
-    BottomSplitSSet: split_to_dict,
-}
-_FROM = {
-    "sset": sset_from_dict,
-    "smap": smap_from_dict,
-    "bisset": bisset_from_dict,
-    "dset": dset_from_dict,
-    "sigmaset": sigmaset_from_dict,
-    "pointed": pointed_from_dict,
-    "split": split_from_dict,
+# shape tag: (class, writer, reader)
+_SHAPES = {
+    "sset": (TruncSSet, sset_to_dict, sset_from_dict),
+    "smap": (SMap, smap_to_dict, smap_from_dict),
+    "bisset": (BiSSet, bisset_to_dict, bisset_from_dict),
+    "dset": (DSet, dset_to_dict, dset_from_dict),
+    "sigmaset": (SigmaSet, sigmaset_to_dict, sigmaset_from_dict),
+    "pointed": (PointedSSet, pointed_to_dict, pointed_from_dict),
+    "split": (BottomSplitSSet, split_to_dict, split_from_dict),
 }
 
 
-def to_dict(P) -> dict:
-    for cls, fn in _TO.items():
+def shape_of(P) -> str:
+    """The shape tag P is written with."""
+    for shape, (cls, _, _) in _SHAPES.items():
         if isinstance(P, cls):
-            return fn(P)
+            return shape
     raise TypeError(f"cannot serialize {type(P).__name__}")
 
 
+def to_dict(P) -> dict:
+    return _SHAPES[shape_of(P)][1](P)
+
+
 def from_dict(data: dict):
-    return _FROM[data["shape"]](data)
+    return _SHAPES[data["shape"]][2](data)
 
 
 def dump(P, path: str):

@@ -2,6 +2,9 @@
 
 Levels hold opaque element ids (strings, or tuples for constructed sets)
 and actions are stored as dicts, one per generator per source level.
+Bisimplicial sets and abacus presheaves keep every generator in one
+``actions`` dict keyed ``(kind, k, (i, j))``; the step table ``STEP`` is
+the one place that says which level each generator lands in.
 Presheaves are immutable by convention after construction: nothing here
 mutates them, and all checkers are read-only.
 
@@ -25,12 +28,8 @@ def fmt_id(x) -> str:
     return str(x)
 
 
-def idkey(x) -> str:
-    return fmt_id(x)
-
-
 def _sorted_ids(xs) -> tuple:
-    return tuple(sorted(xs, key=idkey))
+    return tuple(sorted(xs, key=fmt_id))
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +110,6 @@ def constant_sset(elements, trunc: int) -> TruncSSet:
 
 def identity_smap(X: TruncSSet) -> SMap:
     return SMap(X, X, {n: {x: x for x in X.level(n)} for n in X.levels})
-
-
-def constant_smap_to(X: TruncSSet, C: TruncSSet, point_map: dict) -> SMap:
-    """The map to a constant simplicial set determined degreewise."""
-    return SMap(X, C, point_map)
 
 
 def sub_trunc(X: TruncSSet, T: int) -> TruncSSet:
@@ -264,7 +258,7 @@ def is_pullback(sq: Square) -> CheckReport:
         if im in seen:
             witnesses.append(Witness(sq.name, "comparison not injective", (seen[im], p)))
         seen[im] = p
-    for ab in sorted(want - set(seen), key=idkey):
+    for ab in sorted(want - set(seen), key=fmt_id):
         witnesses.append(Witness(sq.name, "comparison not surjective", ab))
     return CheckReport.from_witnesses("is_pullback", witnesses, checked or 1)
 
@@ -382,64 +376,93 @@ def colimit0(X: TruncSSet):
     for e in X.level(1):
         a, b = find(X.face(1, 0, e)), find(X.face(1, 1, e))
         if a != b:
-            lo, hi = sorted((a, b), key=idkey)
+            lo, hi = sorted((a, b), key=fmt_id)
             parent[hi] = lo
     members: dict = {}
     for x in X.level(0):
         members.setdefault(find(x), []).append(x)
-    reps = {root: min(ms, key=idkey) for root, ms in members.items()}
+    reps = {root: min(ms, key=fmt_id) for root, ms in members.items()}
     aug = {x: reps[find(x)] for x in X.level(0)}
     classes = _sorted_ids(reps.values())
     return classes, aug
 
 
 # ---------------------------------------------------------------------------
-# Bisimplicial sets
+# Bisimplicial sets and abacus presheaves
+
+# The step (di, dj) from the source level of each generator to the level
+# it lands in: ``e``/``t`` act vertically (first index), ``d``/``s``
+# horizontally, ``f`` is the abacus map and ``ssub`` the splitting s#.
+STEP = {"e": (-1, 0), "t": (1, 0), "d": (0, -1), "s": (0, 1), "f": (-1, 1), "ssub": (0, 1)}
+BULK_KINDS = ("e", "t", "d", "s")
 
 
-class BiSSet:
-    """A bisimplicial set truncated at total degree i + j <= T.
+def action_target(kind: str, lvl: tuple) -> tuple:
+    di, dj = STEP[kind]
+    return lvl[0] + di, lvl[1] + dj
 
-    ``e``/``t`` act vertically (first index), ``d``/``s`` horizontally.
-    Action tables are keyed ``((i, j), k)`` by source level.
+
+def action_label(kind: str, k, lvl: tuple) -> str:
+    """The name of one action table: ``e0@(1,1)``, ``f@(0,0)``."""
+    return f"{kind}{'' if k is None else k}@({lvl[0]},{lvl[1]})"
+
+
+def restrict_actions(actions: dict, keep, kinds=tuple(STEP)) -> dict:
+    """The actions of the given kinds whose source and target are in ``keep``."""
+    return {
+        key: table for key, table in actions.items()
+        if key[0] in kinds and key[2] in keep and action_target(key[0], key[2]) in keep
+    }
+
+
+class _Grid:
+    """Levels indexed by (i, j) and one action table.
+
+    ``actions[(kind, k, (i, j))]`` is the table of generator ``kind`` with
+    index ``k`` (None for ``f`` and ``ssub``) out of source level (i, j);
+    it lands in ``action_target(kind, (i, j))``.
     """
 
-    def __init__(self, trunc: int, levels: dict, e: dict, t: dict, d: dict, s: dict):
+    def __init__(self, trunc: int, levels: dict, actions: dict):
         self.trunc = trunc
         self.levels = {lv: _sorted_ids(xs) for lv, xs in levels.items()}
-        self.e, self.t, self.d, self.s = e, t, d, s
+        self.actions = actions
 
     def level(self, i: int, j: int) -> tuple:
         return self.levels.get((i, j), ())
 
-    def bulk_levels(self):
-        return sorted(self.levels, key=lambda ij: (ij[0] + ij[1], ij))
+    def act(self, kind: str, k, lvl: tuple, x):
+        """Apply one generator action from source level ``lvl``; returns
+        (target_level, image)."""
+        return action_target(kind, lvl), self.actions[kind, k, lvl][x]
 
     def __repr__(self):
-        return f"BiSSet(T={self.trunc}, levels={len(self.levels)})"
+        return f"{type(self).__name__}(T={self.trunc}, levels={len(self.levels)})"
+
+
+class BiSSet(_Grid):
+    """A bisimplicial set truncated at total degree i + j <= T, with the
+    actions of ``BULK_KINDS`` in its ``actions`` table."""
 
 
 def bisset_action_ranges(i: int, j: int, trunc: int):
-    """Yield (kind, k, target) for the actions out of bulk level (i, j)."""
+    """(kind, k, target) for the actions out of bulk level (i, j)."""
+    gens = []
     if i >= 1:
-        for k in range(i + 1):
-            yield ("e", k, (i - 1, j))
+        gens += [("e", k) for k in range(i + 1)]
     if j >= 1:
-        for k in range(j + 1):
-            yield ("d", k, (i, j - 1))
+        gens += [("d", k) for k in range(j + 1)]
     if i + j < trunc:
-        for k in range(i + 1):
-            yield ("t", k, (i + 1, j))
-        for k in range(j + 1):
-            yield ("s", k, (i, j + 1))
+        gens += [("t", k) for k in range(i + 1)] + [("s", k) for k in range(j + 1)]
+    return [(kind, k, action_target(kind, (i, j))) for kind, k in gens]
 
 
 def row_sset(B, i: int) -> TruncSSet:
     """Bulk row i as a simplicial set (horizontal structure)."""
     T = _row_trunc(B, i)
     levels = {n: B.level(i, n) for n in range(T + 1)}
-    faces = {(n, k): B.d[((i, n), k)] for n in range(1, T + 1) for k in range(n + 1)}
-    degens = {(n, k): B.s[((i, n), k)] for n in range(T) for k in range(n + 1)}
+    faces = {(n, k): B.actions["d", k, (i, n)] for n in range(1, T + 1) for k in range(n + 1)}
+    degens = {(n, k): B.actions["s", k, (i, n)] for n in range(T) for k in range(n + 1)}
     return TruncSSet(T, levels, faces, degens)
 
 
@@ -447,8 +470,8 @@ def col_sset(B, j: int) -> TruncSSet:
     """Bulk column j as a simplicial set (vertical structure)."""
     T = _col_trunc(B, j)
     levels = {n: B.level(n, j) for n in range(T + 1)}
-    faces = {(n, k): B.e[((n, j), k)] for n in range(1, T + 1) for k in range(n + 1)}
-    degens = {(n, k): B.t[((n, j), k)] for n in range(T) for k in range(n + 1)}
+    faces = {(n, k): B.actions["e", k, (n, j)] for n in range(1, T + 1) for k in range(n + 1)}
+    degens = {(n, k): B.actions["t", k, (n, j)] for n in range(T) for k in range(n + 1)}
     return TruncSSet(T, levels, faces, degens)
 
 
@@ -467,10 +490,11 @@ def _col_trunc(B, j: int) -> int:
 def validate_bisset(B: BiSSet, name: str = "bisset") -> CheckReport:
     witnesses = []
     checked = 0
+    A = B.actions
     for (i, j), xs in sorted(B.levels.items(), key=lambda kv: kv[0]):
         for kind, k, tgt in bisset_action_ranges(i, j, B.trunc):
-            table = getattr(B, kind).get(((i, j), k))
-            checked += _check_total(table, xs, B.level(*tgt), f"{kind}{k}@({i},{j})", witnesses)
+            checked += _check_total(A.get((kind, k, (i, j))), xs, B.level(*tgt),
+                                    action_label(kind, k, (i, j)), witnesses)
     if witnesses:
         return CheckReport.from_witnesses(name, witnesses, checked)
     for i in range(B.trunc + 1):
@@ -483,22 +507,22 @@ def validate_bisset(B: BiSSet, name: str = "bisset") -> CheckReport:
         witnesses += [Witness(f"col{j}:{w.site}", w.equation, w.offenders) for w in rep.witnesses]
     # vertical operators commute with horizontal ones
     for (i, j), xs in sorted(B.levels.items(), key=lambda kv: kv[0]):
-        for vkind, vk, vtgt in bisset_action_ranges(i, j, B.trunc):
+        ranges = bisset_action_ranges(i, j, B.trunc)
+        for vkind, vk, vtgt in ranges:
             if vkind not in ("e", "t"):
                 continue
-            for hkind, hk, htgt in bisset_action_ranges(i, j, B.trunc):
+            for hkind, hk, htgt in ranges:
                 if hkind not in ("d", "s"):
                     continue
-                corner = (vtgt[0], htgt[1])
-                if corner not in B.levels or (vtgt[0] + htgt[1]) > B.trunc:
+                corner = action_target(hkind, vtgt)
+                if corner not in B.levels or sum(corner) > B.trunc:
                     continue
-                vt = getattr(B, vkind)
-                ht = getattr(B, hkind)
-                if ((vtgt), hk) not in ht or ((htgt), vk) not in vt:
+                if (hkind, hk, vtgt) not in A or (vkind, vk, htgt) not in A:
                     continue
                 for x in xs:
                     checked += 1
-                    if ht[(vtgt, hk)][vt[((i, j), vk)][x]] != vt[(htgt, vk)][ht[((i, j), hk)][x]]:
+                    vh = A[hkind, hk, vtgt][A[vkind, vk, (i, j)][x]]
+                    if vh != A[vkind, vk, htgt][A[hkind, hk, (i, j)][x]]:
                         witnesses.append(
                             Witness(f"{vkind}{vk}.{hkind}{hk}@({i},{j})", "directions commute", (x,))
                         )
@@ -509,49 +533,28 @@ def validate_bisset(B: BiSSet, name: str = "bisset") -> CheckReport:
 # Presheaves on the abacus category
 
 
-class DSet:
+class DSet(_Grid):
     """A presheaf on the abacus category, truncated at i + 1 + j <= T.
 
     Levels exist for i, j >= -1 (not both).  Besides the bisimplicial
-    actions it stores the abacus actions ``f : B(i,j) -> B(i-1,j+1)`` and
-    the splittings ``ssub : B(i,j) -> B(i,j+1)`` for i >= 0, keyed by
-    source level.
+    actions its ``actions`` table holds the abacus actions
+    ``f : B(i,j) -> B(i-1,j+1)`` and the splittings
+    ``ssub : B(i,j) -> B(i,j+1)`` for i >= 0, keyed with ``k`` None.
     """
 
-    def __init__(self, trunc, levels, e, t, d, s, f, ssub, t_split=None):
-        self.trunc = trunc
-        self.levels = {lv: _sorted_ids(xs) for lv, xs in levels.items()}
-        self.e, self.t, self.d, self.s = e, t, d, s
-        self.f, self.ssub = f, ssub
+    def __init__(self, trunc: int, levels: dict, actions: dict, t_split=None):
+        super().__init__(trunc, levels, actions)
         # vertical top splittings, populated by constructions that have them
         self.t_split = t_split or {}
-
-    def level(self, i: int, j: int) -> tuple:
-        return self.levels.get((i, j), ())
 
     def has_aug_row(self) -> bool:
         return any(i == -1 for (i, j) in self.levels)
 
-    def act(self, kind: str, k, lvl: tuple, x):
-        """Apply one generator action from source level ``lvl``; returns
-        (target_level, image)."""
-        i, j = lvl
-        if kind == "e":
-            return (i - 1, j), self.e[(lvl, k)][x]
-        if kind == "t":
-            return (i + 1, j), self.t[(lvl, k)][x]
-        if kind == "d":
-            return (i, j - 1), self.d[(lvl, k)][x]
-        if kind == "s":
-            return (i, j + 1), self.s[(lvl, k)][x]
-        if kind == "f":
-            return (i - 1, j + 1), self.f[lvl][x]
-        if kind == "ssub":
-            return (i, j + 1), self.ssub[lvl][x]
-        raise ValueError(kind)
-
-    def __repr__(self):
-        return f"DSet(T={self.trunc}, levels={len(self.levels)})"
+    def abacus_tables(self, kind: str) -> list:
+        """(source level, table) of every ``f`` or ``ssub`` action, by
+        degree then level."""
+        return sorted(((lvl, tab) for (kd, _, lvl), tab in self.actions.items() if kd == kind),
+                      key=lambda kv: (kv[0][0] + 1 + kv[0][1], kv[0]))
 
 
 def dset_levels(trunc: int, with_aug_row: bool = True):
@@ -565,33 +568,22 @@ def dset_levels(trunc: int, with_aug_row: bool = True):
 
 
 def dset_action_ranges(i: int, j: int, trunc: int):
-    """Yield (kind, k, target) for every action required out of level (i, j)."""
-    deg = i + 1 + j
-    if i >= 0 and not (i - 1 == -1 and j == -1):
-        for k in range(i + 1):
-            yield ("e", k, (i - 1, j))
-    if j >= 0 and not (i == -1 and j - 1 == -1):
-        for k in range(j + 1):
-            yield ("d", k, (i, j - 1))
-    if deg < trunc:
+    """(kind, k, target) for every action required out of level (i, j)."""
+    gens = []
+    if i >= 0 and (i, j) != (0, -1):
+        gens += [("e", k) for k in range(i + 1)]
+    if j >= 0 and (i, j) != (-1, 0):
+        gens += [("d", k) for k in range(j + 1)]
+    if i + 1 + j < trunc:
         if i >= 0:
-            for k in range(i + 1):
-                yield ("t", k, (i + 1, j))
+            gens += [("t", k) for k in range(i + 1)]
         if j >= 0:
-            for k in range(j + 1):
-                yield ("s", k, (i, j + 1))
+            gens += [("s", k) for k in range(j + 1)]
         if i >= 0:
-            yield ("ssub", None, (i, j + 1))
+            gens.append(("ssub", None))
     if i >= 0:
-        yield ("f", None, (i - 1, j + 1))
-
-
-def _action_table(B: DSet, kind: str, k, lvl):
-    if kind == "f":
-        return B.f.get(lvl)
-    if kind == "ssub":
-        return B.ssub.get(lvl)
-    return getattr(B, kind).get((lvl, k))
+        gens.append(("f", None))
+    return [(kind, k, action_target(kind, (i, j))) for kind, k in gens]
 
 
 def validate_dset(B: DSet, name: str = "dset") -> CheckReport:
@@ -605,13 +597,11 @@ def validate_dset(B: DSet, name: str = "dset") -> CheckReport:
         if lvl not in B.levels:
             witnesses.append(Witness(f"level@{lvl}", "level missing", ()))
     for lvl in sorted(B.levels, key=lambda ij: (ij[0] + 1 + ij[1], ij)):
-        i, j = lvl
-        for kind, k, tgt in dset_action_ranges(i, j, B.trunc):
+        for kind, k, tgt in dset_action_ranges(lvl[0], lvl[1], B.trunc):
             if not with_aug and tgt[0] == -1:
                 continue
-            table = _action_table(B, kind, k, lvl)
-            label = f"{kind}{'' if k is None else k}@({i},{j})"
-            checked += _check_total(table, B.level(i, j), B.level(*tgt), label, witnesses)
+            checked += _check_total(B.actions.get((kind, k, lvl)), B.level(*lvl), B.level(*tgt),
+                                    action_label(kind, k, lvl), witnesses)
     if witnesses:
         return CheckReport.from_witnesses(name, witnesses, checked)
     max_i = max((i for (i, j) in B.levels), default=-1)
@@ -652,7 +642,7 @@ def _act_word(B: DSet, word, x):
     path = _word_levels(word)
     for idx in range(len(word.tokens) - 1, -1, -1):
         kind, k = word.tokens[idx]
-        _, x = B.act(kind, k, path[idx + 1], x)
+        x = B.actions[kind, k, path[idx + 1]][x]
     return x
 
 
@@ -723,15 +713,10 @@ def iso_report_sset(X: TruncSSet, Y: TruncSSet, maps: dict, name: str = "iso") -
     for n in range(T + 1):
         m = maps.get(n, {})
         checked += 1
-        if sorted(map(idkey, m.values())) != sorted(map(idkey, Y.level(n))) or set(m) != set(X.level(n)):
+        if sorted(map(fmt_id, m.values())) != sorted(map(fmt_id, Y.level(n))) or set(m) != set(X.level(n)):
             witnesses.append(Witness(f"level@{n}", "not a bijection", (len(X.level(n)), len(Y.level(n)))))
     if witnesses:
         return CheckReport.from_witnesses(name, witnesses, checked)
     F = SMap(sub_trunc(X, T), sub_trunc(Y, T), {n: maps[n] for n in range(T + 1)})
     nat = validate_smap(F, name)
     return CheckReport.conjunction(name, [nat])
-
-
-def smap_equal(F: SMap, G: SMap) -> bool:
-    T = min(F.source.trunc, G.source.trunc)
-    return all(F.levels.get(n) == G.levels.get(n) for n in range(T + 1))

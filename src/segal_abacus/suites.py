@@ -8,8 +8,6 @@ exercise a statement reports it as vacuous rather than passing it.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 from . import abacus
 from .configurations import (
     boors_roundtrip,
@@ -76,8 +74,7 @@ def _finish(name: str, entries, depth) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cheatsheet_suite(trunc: int = 5, max_size: int = 4, seed: int | None = None,
-                     jobs: int = 1) -> dict:
+def cheatsheet_suite(trunc: int = 5, max_size: int = 4, seed: int | None = None) -> dict:
     """The standard-facts suite over nerves, the partial-monoid fixture,
     and a family of structural maps."""
     corpus = standard_nerve_corpus(trunc)
@@ -109,9 +106,8 @@ def cheatsheet_suite(trunc: int = 5, max_size: int = 4, seed: int | None = None,
             "rfib": is_right_fibration(F).passed,
         }
 
-    with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
-        sset_facts = dict(pool.map(classify_sset, corpus))
-        map_facts = dict(pool.map(classify_map, maps))
+    sset_facts = dict(map(classify_sset, corpus))
+    map_facts = dict(map(classify_map, maps))
 
     entries = []
     # counit fibrations characterize the Segal condition
@@ -260,7 +256,7 @@ def _star_fixtures(trunc: int):
     return fixtures
 
 
-def star_suite(trunc: int = 4, jobs: int = 1) -> dict:
+def star_suite(trunc: int = 4) -> dict:
     """The cartesian-abacus condition against unit invertibility."""
     fixtures = _star_fixtures(trunc)
 
@@ -271,8 +267,7 @@ def star_suite(trunc: int = 4, jobs: int = 1) -> dict:
         unit = unit_iso(B)
         return name, positive, v, star, unit
 
-    with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
-        results = list(pool.map(run, fixtures))
+    results = list(map(run, fixtures))
     entries = []
     bad_valid = [n for n, _, v, _, _ in results if not v.passed]
     entries.append(_entry("star:fixtures-validate", "every fixture is a genuine presheaf",
@@ -299,7 +294,7 @@ def _dictionary_maps(trunc: int):
     return maps
 
 
-def dictionary_suite(trunc: int = 4, jobs: int = 1) -> dict:
+def dictionary_suite(trunc: int = 4) -> dict:
     """Bicomodule configurations against the three map conditions, the
     invertibility characterization, and the packaged total space."""
     maps = _dictionary_maps(trunc)
@@ -322,8 +317,7 @@ def dictionary_suite(trunc: int = 4, jobs: int = 1) -> dict:
             "m_dict": m_2segal_dictionary(F).passed,
         }
 
-    with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
-        rows = list(pool.map(run, maps))
+    rows = list(map(run, maps))
     entries = []
     bad = [r["name"] for r in rows if r["lhs"] != r["bicomodule"]]
     entries.append(_entry("dictionary:bicomodule-matches-conditions",
@@ -343,7 +337,7 @@ def dictionary_suite(trunc: int = 4, jobs: int = 1) -> dict:
     return _finish("dictionary", entries, trunc)
 
 
-def boors_suite(trunc: int = 5, jobs: int = 1) -> dict:
+def boors_suite(trunc: int = 5) -> dict:
     """The pointing equivalence round trip on the 2-Segal corpus."""
     corpus = [(n, X) for n, X in standard_nerve_corpus(trunc)
               if is_2segal(X, "both").passed]
@@ -352,8 +346,7 @@ def boors_suite(trunc: int = 5, jobs: int = 1) -> dict:
         name, X = item
         return name, boors_roundtrip(X)
 
-    with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
-        results = list(pool.map(run, corpus))
+    results = list(map(run, corpus))
     entries = []
     keys = ["axioms", "extension_valid", "invertible_abacus", "ts_compat",
             "invertibility_pair", "pointing_restriction", "iso_with_kan"]
@@ -372,7 +365,7 @@ def boors_suite(trunc: int = 5, jobs: int = 1) -> dict:
     return _finish("boors", entries, trunc)
 
 
-def half_axioms_suite(trunc: int = 5, jobs: int = 1) -> dict:
+def half_axioms_suite(trunc: int = 5) -> dict:
     """The one-sided extension round trip, away from the augmentation row."""
     maps = [
         ("incl-chain12", poset_inclusion(chain_poset(1), chain_poset(2), trunc)),
@@ -386,8 +379,7 @@ def half_axioms_suite(trunc: int = 5, jobs: int = 1) -> dict:
         name, F = item
         return name, half_roundtrip(F)
 
-    with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
-        results = list(pool.map(run, maps))
+    results = list(map(run, maps))
     entries = []
     for key, statement in [
         ("half_axioms", "restrictions satisfy the horizontal half of the axioms"),
@@ -404,7 +396,7 @@ def half_axioms_suite(trunc: int = 5, jobs: int = 1) -> dict:
     return _finish("half-axioms", entries, trunc)
 
 
-def edgewise_suite(trunc: int = 5, jobs: int = 1) -> dict:
+def edgewise_suite(trunc: int = 5) -> dict:
     """Subdivision detects the 2-Segal condition and culf maps."""
     corpus = standard_nerve_corpus(trunc)
     corpus.append(("punctured3", punctured_chain_sset(3, trunc)))
@@ -419,9 +411,8 @@ def edgewise_suite(trunc: int = 5, jobs: int = 1) -> dict:
         name, F = item
         return name, is_culf(F).passed, is_right_fibration(sd_map(F)).passed
 
-    with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
-        srows = list(pool.map(run_sset, corpus))
-        mrows = list(pool.map(run_map, maps))
+    srows = list(map(run_sset, corpus))
+    mrows = list(map(run_map, maps))
     entries = []
     bad = [n for n, a, b in srows if a != b]
     entries.append(_entry("edgewise:2segal-iff-sd-segal",

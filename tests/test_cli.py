@@ -50,6 +50,29 @@ def test_check_invalid_input(tmp_path):
     bad.write_text(json.dumps(data))
     code, _ = run(["check", "segal", str(bad)])
     assert code == 2
+    # wrong shapes and a negative truncation: exit 2 with one line on stderr
+    import contextlib
+    import io
+
+    x = str(tmp_path / "x.json")
+    pjson.dump(X, x)
+    out = str(tmp_path / "out.json")
+    for args in (
+        ["check", "star", x],
+        ["construct", "qstar", "--in", x, "--out", out],
+        ["construct", "extend", "--in", x, "--out", out],
+        ["construct", "M", "--in", x, "--out", out],
+        ["roundtrip", "M", x],
+        ["gen", "nerve-poset", "--trunc", "-1", "--out", out],
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, _ = run(args)
+        assert code == 2, args
+        assert len(err.getvalue().strip().splitlines()) == 1, args
+    assert not (tmp_path / "out.json").exists()
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert run(["run-suite", "presentation", "--jobs", "3"])[0] == 2
 
 
 def test_construct_pipeline(tmp_path):
@@ -115,7 +138,9 @@ def test_fixture_env_dir(tmp_path, monkeypatch):
 
 
 def test_json_roundtrip_all_shapes(tmp_path):
-    from segal_abacus.configurations import p_star_tot, q_lower_star
+    import hashlib
+
+    from segal_abacus.configurations import p_star_tot, q_lower_star, r_star
     from segal_abacus.decalage import tot
     from segal_abacus.presheaf import identity_smap
 
@@ -126,8 +151,19 @@ def test_json_roundtrip_all_shapes(tmp_path):
         tot(N),
         q_lower_star(identity_smap(N)),
         p_star_tot(N),
+        r_star(N),
+    ]
+    # the on-disk format is pinned byte for byte
+    digests = [
+        "d0ffb1de57971f9a964b80959327701f414aeb291f185e297d79373a0176e106",
+        "c45d6fa44e01a61dd9e0ee28b92ca8ad7211220e826cd6f463f40f75d92b2ba5",
+        "6f5792a2676deb329fc84337e7b020f8b179ec1bfc4887e5cdce049a7a51343b",
+        "9c8690369625d21ec78e5b591c0093deb3308315058344ad0ecc37203097d9eb",
+        "2f7e4a04659ab34fdb62fdd3fc4cae2f483db327e4b6ecff4270e2fdb457ebcf",
+        "580cd66980023925490cd14e6ae65077875ffd9b956e224c068459513787c329",
     ]
     for k, val in enumerate(values):
+        assert hashlib.sha256(pjson.dumps(val).encode()).hexdigest() == digests[k]
         path = str(tmp_path / f"v{k}.json")
         pjson.dump(val, path)
         back = pjson.load(path)

@@ -249,7 +249,7 @@ def test_ts_compat_needs_invertibility_without_stored_splittings():
 def test_mutation_detection_condition_star():
     B = q_lower_star(identity_smap(nerve(chain_poset(1), 4)))
     bad = copy.deepcopy(B)
-    tbl = bad.f[(0, 0)]
+    tbl = bad.actions["f", None, (0, 0)]
     x = sorted(tbl, key=str)[0]
     tbl[x] = next(v for v in bad.level(-1, 1) if v != tbl[x])
     assert not (validate(bad).passed and condition_star(bad).passed)
@@ -258,7 +258,7 @@ def test_mutation_detection_condition_star():
 def test_mutation_detection_bicomodule():
     B = q_lower_star(identity_smap(nerve(chain_poset(2), 4)))
     bad = copy.deepcopy(B)
-    tbl = bad.e[((1, 1), 0)]
+    tbl = bad.actions["e", 0, (1, 1)]
     x = sorted(tbl, key=str)[0]
     tbl[x] = next(v for v in bad.level(0, 1) if v != tbl[x])
     rep = is_bicomodule_config(bad)
@@ -285,7 +285,8 @@ def test_restrict_dispatcher():
     F2 = restrict("q", B)
     assert all(F2.levels[n] == F.levels[n] for n in F2.levels)
     parts = restrict("bulk", B)
-    assert set(parts) == {"levels", "e", "t", "d", "s"}
+    assert set(parts) == {"levels", "actions"}
+    assert {kind for kind, _, _ in parts["actions"]} == {"e", "t", "d", "s"}
 
 
 def test_restrict_h_agrees_with_upper():

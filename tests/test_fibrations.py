@@ -129,8 +129,8 @@ def test_reduced_stability_agrees_on_double_segal():
     assert full.passed and red.passed
 
     bad = copy.deepcopy(T)
-    key = ((1, 1), 0)
-    tbl = bad.e[key]
+    key = ("e", 0, (1, 1))
+    tbl = bad.actions[key]
     x = sorted(tbl, key=str)[0]
     others = [v for v in bad.level(0, 1) if v != tbl[x]]
     tbl[x] = others[0]
