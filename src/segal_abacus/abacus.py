@@ -136,7 +136,12 @@ def bead_compose(g2: BeadMap, g1: BeadMap) -> BeadMap:
 # ---------------------------------------------------------------------------
 # Generators
 
-GENERATOR_KINDS = ("e", "t", "d", "s", "f", "ssub")
+# The one table of where each generator lands: the step (di, dj) from its
+# source object to its target.  ``e``/``t`` move the first index, ``d``/``s``
+# the second, ``f`` is the abacus map and ``ssub`` the splitting s#.  A
+# presheaf acts contravariantly, so its actions step by the negation
+# (``presheaf.action_target``).
+SHIFT = {"e": (1, 0), "t": (-1, 0), "d": (0, 1), "s": (0, -1), "f": (1, -1), "ssub": (0, -1)}
 
 
 def generator_range(kind: str, at: DObject) -> list[int | None]:
@@ -164,23 +169,24 @@ def bead_of_generator(kind: str, k: int | None, at: DObject) -> BeadMap:
     if k not in generator_range(kind, at):
         raise ValueError(f"generator {kind}{'' if k is None else k} not defined at {at}")
     if kind == "e":
-        return BeadMap(at, DObject(i + 1, j), coface(k, i + j + 2))
-    if kind == "t":
-        return BeadMap(at, DObject(i - 1, j), codegeneracy(k, i + j))
-    if kind == "d":
-        return BeadMap(at, DObject(i, j + 1), coface(i + 1 + k, i + j + 2))
-    if kind == "s":
-        return BeadMap(at, DObject(i, j - 1), codegeneracy(i + 1 + k, i + j))
-    if kind == "f":
-        return BeadMap(at, DObject(i + 1, j - 1), identity(i + j + 1))
-    if kind == "ssub":
-        return BeadMap(at, DObject(i, j - 1), codegeneracy(i, i + j))
-    raise ValueError(kind)
+        carrier = coface(k, i + j + 2)
+    elif kind == "t":
+        carrier = codegeneracy(k, i + j)
+    elif kind == "d":
+        carrier = coface(i + 1 + k, i + j + 2)
+    elif kind == "s":
+        carrier = codegeneracy(i + 1 + k, i + j)
+    elif kind == "f":
+        carrier = identity(i + j + 1)
+    else:  # ssub
+        carrier = codegeneracy(i, i + j)
+    di, dj = SHIFT[kind]
+    return BeadMap(at, DObject(i + di, j + dj), carrier)
 
 
 def generators_at(at: DObject, include_split: bool = True) -> list[tuple[str, int | None, BeadMap]]:
     out = []
-    for kind in GENERATOR_KINDS:
+    for kind in SHIFT:
         if kind == "ssub" and not include_split:
             continue
         for k in generator_range(kind, at):

@@ -1,8 +1,10 @@
 """Batch tool: generate fixtures, validate, check axioms, run constructions
 and theorem round trips.
 
-Exit codes: 0 pass, 1 fail, 2 invalid input or precondition, 3 vacuous
-coverage.  Reports are deterministic: canonical ordering throughout.
+Exit codes (``reports.EXIT_CODES``): 0 pass, 1 fail, 2 invalid input, a
+truncation too small for a construction, or a failed precondition, 3
+vacuous coverage.  Reports are deterministic: canonical ordering
+throughout.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import sys
 
 from . import configurations as cfg
 from . import corpus, decalage, fibrations, pjson
-from .presheaf import SMap, TruncSSet, validate
-from .reports import CheckReport
-from .suites import SUITES
+from .presheaf import SMap, TruncationError, TruncSSet, validate
+from .reports import EXIT_CODES, CheckReport, Witness
+from .suites import MIN_DEPTH, SUITES
 
 
 def _resolve(path: str) -> str:
@@ -53,14 +55,21 @@ def _report_exit(rep: CheckReport, fmt: str) -> int:
     return rep.exit_code()
 
 
+def _below(flag: str, value, least: int = 0) -> bool:
+    """Say so on stderr when an option is below its least value."""
+    if value is None or value >= least:
+        return False
+    print(f"--{flag} must be at least {least}, got {value}", file=sys.stderr)
+    return True
+
+
 # ---------------------------------------------------------------------------
 # gen
 
 
 def _gen(args) -> int:
     T = args.trunc
-    if T < 0:
-        print(f"--trunc must be at least 0, got {T}", file=sys.stderr)
+    if _below("trunc", T):
         return 2
     kind = args.kind
     size = args.size
@@ -203,7 +212,7 @@ def _construct(args) -> int:
         out, rep = cfg.extend_sigma_to_d(P, half=args.half)
         if out is None:
             _emit(rep.to_dict(), args.format)
-            return 2
+            return rep.exit_code()
     else:  # M
         B = cfg.q_lower_star(P) if isinstance(P, SMap) else P
         M, proj = cfg.build_M(B)
@@ -223,7 +232,8 @@ _ROUNDTRIP_SHAPES = {"boors": SSET, "star": SMAP, "M": ("smap", "dset")}
 
 def _roundtrip(args) -> int:
     P = _load_or_none(args.file)
-    if P is None or _wrong_shape(P, _ROUNDTRIP_SHAPES[args.kind], f"roundtrip {args.kind}"):
+    if (P is None or _wrong_shape(P, _ROUNDTRIP_SHAPES[args.kind], f"roundtrip {args.kind}")
+            or _below("trunc", args.trunc)):
         return 2
     if args.trunc is not None and isinstance(P, TruncSSet):
         from .presheaf import sub_trunc
@@ -237,30 +247,33 @@ def _roundtrip(args) -> int:
     elif args.kind == "star":
         B = cfg.q_lower_star(P)
         F2 = cfg.q_upper_star(B)
-        agree = all(F2.levels[n] == P.levels[n] for n in F2.levels)
+        differ = tuple(n for n in F2.levels if F2.levels[n] != P.levels[n])
         reports = {
             "star": cfg.condition_star(B),
             "unit": cfg.unit_iso(B),
-            "restriction_recovers_map": CheckReport("restriction_recovers_map", agree, [], 1),
+            "restriction_recovers_map": CheckReport.from_witnesses(
+                "restriction_recovers_map",
+                [Witness("q^*", "restriction differs from the map", differ)] if differ else [],
+                1),
         }
     else:  # M
         B = cfg.q_lower_star(P) if isinstance(P, SMap) else P
         M, proj = cfg.build_M(B)
         fib = cfg.extract_from_M(M, proj)
-        ok = all(
-            tuple(x[1] for x in fib.get(lvl, ())) == B.level(*lvl) for lvl in B.levels
-        )
+        differ = tuple(lvl for lvl in B.levels
+                       if tuple(x[1] for x in fib.get(lvl, ())) != B.level(*lvl))
         reports = {
             "m_validates": validate(M),
             "projection_validates": validate(proj),
-            "extraction_identity": CheckReport("extraction_identity", ok, [], len(B.levels)),
+            "extraction_identity": CheckReport.from_witnesses(
+                "extraction_identity",
+                [Witness("extract", "fibre differs from the level", differ)] if differ else [],
+                len(B.levels)),
         }
     payload = {k: r.to_dict() for k, r in reports.items()}
     payload["depth"] = getattr(P, "trunc", None)
     _emit(payload, args.format)
-    if any(r.precondition is not None for r in reports.values()):
-        return 2
-    return 0 if all(r.passed for r in reports.values()) else 1
+    return CheckReport.conjunction("roundtrip", reports.values()).exit_code()
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +317,9 @@ def _morphism(args) -> int:
 
 
 def _run_suite(args) -> int:
+    flag = "bound" if args.name == "presentation" else "trunc"
+    if _below(flag, getattr(args, flag), MIN_DEPTH.get(args.name, 0)):
+        return 2
     fn = SUITES[args.name]
     kwargs = {}
     if args.name == "presentation":
@@ -315,7 +331,7 @@ def _run_suite(args) -> int:
             kwargs["seed"] = args.seed
     rep = fn(**kwargs)
     _emit(rep, args.format)
-    return {"pass": 0, "fail": 1, "vacuous": 3}[rep["verdict"]]
+    return EXIT_CODES[rep["verdict"]]
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except TruncationError as exc:  # the input is too shallow for a construction
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

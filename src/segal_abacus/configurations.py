@@ -31,11 +31,13 @@ from .presheaf import (
     DSet,
     SMap,
     SigmaSet,
+    TruncationError,
     TruncSSet,
     Witness,
     _sorted_ids,
     action_target,
     col_sset,
+    colimit0,
     dset_action_ranges,
     dset_levels,
     fmt_id,
@@ -105,7 +107,6 @@ def q_lower_star(F: SMap) -> DSet:
     for lvl in levels:
         for kind, k, tgt in dset_action_ranges(lvl[0], lvl[1], T):
             g = bead_of_generator(kind, k, DObject(*tgt))
-            assert (g.tgt.i, g.tgt.j) == lvl
             table = {}
             for elem in levels[lvl]:
                 xp = _x_part(lvl, elem, F)
@@ -331,6 +332,8 @@ def has_invertible_abacus(B: DSet) -> CheckReport:
 def j_upper_star(B: DSet) -> SigmaSet:
     """Forget down to the pointing shape: keep the bulk, point with the
     zeroth augmentation-column level via its splitting."""
+    if B.trunc < 1:
+        raise TruncationError("the pointing restriction needs trunc >= 1")
     Tb = B.trunc - 1
     levels = {
         lv: B.level(*lv)
@@ -447,6 +450,11 @@ def _col0_tsplittings(A: SigmaSet):
     return tcol0, True
 
 
+def _extension_fails(site: str, equation: str, offenders: tuple):
+    return None, CheckReport.from_witnesses(
+        "extend_sigma_to_d", [Witness(site, equation, offenders)], 1)
+
+
 def extend_sigma_to_d(A: SigmaSet, half: bool = False):
     """Rebuild the abacus presheaf from a pointed bisimplicial set.
 
@@ -454,6 +462,10 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
     colimits build the augmentation column; column-wise colimits build
     the augmentation row (skipped for ``half=True``, which targets the
     shape without the augmentation row).  Returns (DSet, CheckReport).
+    A precondition report means the input fails the pointing axioms or is
+    too shallow; a splitting that cannot be built from an input meeting
+    the axioms refutes the construction, so that report fails with a
+    witness.
     """
     axioms = boors_axioms(A, half=half)
     if not axioms.passed:
@@ -468,7 +480,7 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
 
     srow0, d0aug0, ok = _row0_splittings(A)
     if not ok:
-        return None, CheckReport.precondition_failure("extend_sigma_to_d", "row-zero inversion failed")
+        return _extension_fails("row0", "the pointing pullback of d_0 is not invertible", ())
     srow = {0: srow0}
     for i in range(1, Tb + 1):
         srow[i] = {}
@@ -481,9 +493,7 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
             for b in bulk.level(i, j):
                 key = (b, srow[i - 1][j][bulk.actions["e", 0, (i, j)][b]])
                 if key not in lookup:
-                    return None, CheckReport.precondition_failure(
-                        "extend_sigma_to_d", f"splitting lift failed at ({i},{j})"
-                    )
+                    return _extension_fails(f"srow@({i},{j})", "no lift through (d_0, e_0)", (b,))
                 table[b] = lookup[key]
             srow[i][j] = table
 
@@ -491,9 +501,7 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
     if not half:
         tcol0, ok = _col0_tsplittings(A)
         if not ok:
-            return None, CheckReport.precondition_failure(
-                "extend_sigma_to_d", "column-zero inversion failed"
-            )
+            return _extension_fails("col0", "the pointing pullback of e_0 is not invertible", ())
         tcol = {0: tcol0}
         for j in range(1, Tb + 1):
             tcol[j] = {}
@@ -507,35 +515,17 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
                 for b in bulk.level(i, j):
                     key = (b, tcol[j - 1][i][bulk.actions["d", j, (i, j)][b]])
                     if key not in lookup:
-                        return None, CheckReport.precondition_failure(
-                            "extend_sigma_to_d", f"top splitting lift failed at ({i},{j})"
-                        )
+                        return _extension_fails(f"tcol@({i},{j})", "no lift through (e_top, d_top)",
+                                                (b,))
                     table[b] = lookup[key]
                 tcol[j][i] = table
 
-    # augmentation column: the pointing set in row zero, quotients below
+    # augmentation column: the pointing set in row zero, row colimits below;
+    # augmentation row: column colimits
     col_classes = {0: tuple(A.point_set)}
     col_quot = {0: d0aug0}
     for i in range(1, TD + 1):
-        parent = {b: b for b in bulk.level(i, 0)}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for z in bulk.level(i, 1):
-            a0, a1 = find(bulk.actions["d", 0, (i, 1)][z]), find(bulk.actions["d", 1, (i, 1)][z])
-            if a0 != a1:
-                lo, hi = sorted((a0, a1), key=fmt_id)
-                parent[hi] = lo
-        members = {}
-        for b in bulk.level(i, 0):
-            members.setdefault(find(b), []).append(b)
-        reps = {root: min(ms, key=fmt_id) for root, ms in members.items()}
-        col_classes[i] = _sorted_ids(reps.values())
-        col_quot[i] = {b: reps[find(b)] for b in bulk.level(i, 0)}
+        col_classes[i], col_quot[i] = colimit0(row_sset(bulk, i))
 
     def rep_col(i, z):
         return A.pointing[z] if i == 0 else z
@@ -544,26 +534,7 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
     row_quot = {}
     if not half:
         for j in range(TD + 1):
-            parent = {b: b for b in bulk.level(0, j)}
-
-            def findr(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for z in bulk.level(1, j):
-                a0 = findr(bulk.actions["e", 0, (1, j)][z])
-                a1 = findr(bulk.actions["e", 1, (1, j)][z])
-                if a0 != a1:
-                    lo, hi = sorted((a0, a1), key=fmt_id)
-                    parent[hi] = lo
-            members = {}
-            for b in bulk.level(0, j):
-                members.setdefault(findr(b), []).append(b)
-            reps = {root: min(ms, key=fmt_id) for root, ms in members.items()}
-            row_classes[j] = _sorted_ids(reps.values())
-            row_quot[j] = {b: reps[findr(b)] for b in bulk.level(0, j)}
+            row_classes[j], row_quot[j] = colimit0(col_sset(bulk, j))
 
     levels = {}
     for lvl in dset_levels(TD, with_aug_row=not half):
@@ -775,22 +746,24 @@ def extract_from_M(M: TruncSSet, proj: SMap) -> dict:
 def m_2segal_dictionary(F: SMap) -> CheckReport:
     """Both sides of the correspondence computed independently must agree:
     the packaged total space is 2-Segal exactly when source and target are
-    2-Segal and the map is relatively upper 2-Segal."""
-    conds = dictionary_conditions(F)
-    lhs = all(r.passed for r in conds.values())
+    2-Segal and the map is relatively upper 2-Segal.  Vacuous when either
+    side is undecided (vacuous or a failed precondition) under the
+    truncation."""
+    name = "m_2segal_dictionary"
+    conds = dictionary_conditions(F).values()
     B = q_lower_star(F)
     M, proj = build_M(B)
     rhs_rep = is_2segal(M, "both", "m-total-2segal")
-    rhs = rhs_rep.passed
+    holds = [r.holds for r in conds]
+    if None in holds or rhs_rep.holds is None:
+        return CheckReport(name, coverage=[f"unverifiable:{name}:undecided-side"])
+    lhs, rhs = all(holds), rhs_rep.holds
     witnesses = []
     if lhs != rhs:
-        witnesses.append(
-            Witness("m_2segal_dictionary",
-                    "conditions on F match 2-Segal total space",
-                    (f"conditions={lhs}", f"total={rhs}"))
-        )
-    checked = rhs_rep.checked + sum(r.checked for r in conds.values())
-    return CheckReport.from_witnesses("m_2segal_dictionary", witnesses, checked)
+        witnesses.append(Witness(name, "conditions on F match 2-Segal total space",
+                                 (f"conditions={lhs}", f"total={rhs}")))
+    checked = rhs_rep.checked + sum(r.checked for r in conds)
+    return CheckReport.from_witnesses(name, witnesses, checked)
 
 
 # ---------------------------------------------------------------------------
@@ -940,11 +913,9 @@ def boors_roundtrip(X: TruncSSet) -> dict:
     out["ts_compat"] = ts_compat(B)
     out["invertibility_pair"] = invertibility_pair_check(B)
     recovered = sigmaset_equal(j_upper_star(B), A)
-    out["pointing_restriction"] = CheckReport(
-        "pointing_restriction", recovered,
-        [] if recovered else [Witness("j*", "restriction differs from input", ())],
-        1,
-    )
+    out["pointing_restriction"] = CheckReport.from_witnesses(
+        "pointing_restriction",
+        [] if recovered else [Witness("j*", "restriction differs from input", ())], 1)
     Q = sub_trunc_dset(q_lower_star(identity_smap(X)), B.trunc)
     out["iso_with_kan"] = dset_iso_report(B, Q, tot_roundtrip_iso(X, B), "iso_with_kan")
     return out
@@ -967,11 +938,9 @@ def half_roundtrip(F: SMap) -> dict:
     if Bh is None:
         return out
     recovered = sigmaset_equal(j_upper_star(Bh), A)
-    out["pointing_restriction"] = CheckReport(
-        "pointing_restriction", recovered,
-        [] if recovered else [Witness("restrict", "restriction differs from input", ())],
-        1,
-    )
+    out["pointing_restriction"] = CheckReport.from_witnesses(
+        "pointing_restriction",
+        [] if recovered else [Witness("restrict", "restriction differs from input", ())], 1)
     Q = drop_aug_row(sub_trunc_dset(B, Bh.trunc))
     maps = {}
     for (i, j) in dset_levels(Bh.trunc, with_aug_row=False):

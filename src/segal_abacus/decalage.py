@@ -13,6 +13,7 @@ from __future__ import annotations
 from .presheaf import (
     CheckReport,
     SMap,
+    TruncationError,
     TruncSSet,
     Witness,
     cartesian_on,
@@ -29,7 +30,7 @@ from .presheaf import (
 def dec(X: TruncSSet, side: str) -> TruncSSet:
     """Shift down by one, dropping bottom (resp. top) faces and degeneracies."""
     if X.trunc < 1:
-        raise ValueError("decalage needs trunc >= 1")
+        raise TruncationError("decalage needs trunc >= 1")
     T = X.trunc - 1
     levels = {n: X.level(n + 1) for n in range(T + 1)}
     faces = {}
@@ -64,7 +65,7 @@ def counit(X: TruncSSet, side: str) -> SMap:
 def comult(X: TruncSSet) -> SMap:
     """dec_bottom(X) -> dec_bottom(dec_bottom(X)) by bottom degeneracies."""
     if X.trunc < 2:
-        raise ValueError("comultiplication needs trunc >= 2")
+        raise TruncationError("comultiplication needs trunc >= 2")
     D = dec(X, "bottom")
     DD = dec(D, "bottom")
     levels = {
@@ -109,7 +110,7 @@ def tot(X: TruncSSet):
     from .presheaf import BiSSet, bisset_action_ranges
 
     if X.trunc < 1:
-        raise ValueError("total decalage needs trunc >= 1")
+        raise TruncationError("total decalage needs trunc >= 1")
     T = X.trunc - 1
     levels = {}
     actions = {}
@@ -128,7 +129,7 @@ def sd(X: TruncSSet) -> TruncSSet:
     """Edgewise subdivision: level n is X_{2n+1} with paired outer actions."""
     T = (X.trunc - 1) // 2
     if T < 0:
-        raise ValueError("subdivision needs trunc >= 1")
+        raise TruncationError("subdivision needs trunc >= 1")
     levels = {n: X.level(2 * n + 1) for n in range(T + 1)}
     faces = {}
     degens = {}
@@ -379,7 +380,7 @@ def h_lower(P: PointedSSet) -> AugBottomSplitSSet:
     """
     X = P.sset
     if X.trunc < 1:
-        raise ValueError("h_lower needs trunc >= 1")
+        raise TruncationError("h_lower needs trunc >= 1")
     T = X.trunc - 1
     al = alpha_aug(X, "bottom")
     levels = {}

@@ -55,7 +55,7 @@ def is_segal(X: TruncSSet, name: str = "is_segal") -> CheckReport:
     coverage, never as a bare pass.
     """
     if X.trunc < 2:
-        return CheckReport(name, True, [], 0, [f"unverifiable:{name}:trunc<2"])
+        return CheckReport(name, coverage=[f"unverifiable:{name}:trunc<2"])
     reports = []
     for n in range(2, X.trunc + 1):
         sq = Square(
@@ -71,7 +71,7 @@ def is_2segal(X: TruncSSet, side: str = "both", name: str | None = None) -> Chec
     """Upper: dec_top is Segal; lower: dec_bottom is Segal."""
     name = name or f"is_2segal[{side}]"
     if X.trunc < 1:
-        return CheckReport(name, True, [], 0, [f"unverifiable:{name}:trunc<1"])
+        return CheckReport(name, coverage=[f"unverifiable:{name}:trunc<1"])
     parts = []
     if side in ("upper", "both"):
         parts.append(is_segal(dec(X, "top"), f"{name}:upper"))
@@ -137,7 +137,7 @@ def reduced_stability(B, name: str = "reduced_stability") -> CheckReport:
     if not pre.passed:
         return CheckReport.precondition_failure(name, "input is not double Segal")
     if (1, 1) not in B.levels:
-        return CheckReport(name, True, [], 0, [])
+        return CheckReport(name)
     upper = is_pullback(_bulk_square(B, 1, 1, 0, 0, "upper@(1,1)"))
     lower = is_pullback(_bulk_square(B, 1, 1, 1, 1, "lower@(1,1)"))
     return CheckReport.conjunction(name, [upper, lower])

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 
+from .abacus import SHIFT
 from .decalage import BottomSplitSSet, PointedSSet
 from .presheaf import (
     BULK_KINDS,
-    STEP,
     BiSSet,
     DSet,
     SMap,
@@ -121,7 +121,7 @@ def dset_to_dict(B: DSet) -> dict:
 
 
 def dset_from_dict(data: dict) -> DSet:
-    return DSet(data["trunc"], *_parse_grid(data, STEP))
+    return DSet(data["trunc"], *_parse_grid(data, SHIFT))
 
 
 def sigmaset_to_dict(A: SigmaSet) -> dict:

@@ -3,8 +3,9 @@
 Levels hold opaque element ids (strings, or tuples for constructed sets)
 and actions are stored as dicts, one per generator per source level.
 Bisimplicial sets and abacus presheaves keep every generator in one
-``actions`` dict keyed ``(kind, k, (i, j))``; the step table ``STEP`` is
-the one place that says which level each generator lands in.
+``actions`` dict keyed ``(kind, k, (i, j))``; ``action_target`` reads the
+level each action lands in off ``abacus.SHIFT``, the one table of where
+each generator lands.
 Presheaves are immutable by convention after construction: nothing here
 mutates them, and all checkers are read-only.
 
@@ -19,6 +20,10 @@ from dataclasses import dataclass
 from . import abacus
 from .reports import CheckReport, Witness
 from .simplex import MonotoneMap, epi_mono_factor
+
+
+class TruncationError(ValueError):
+    """A construction needs a higher truncation than its input has."""
 
 
 def fmt_id(x) -> str:
@@ -364,7 +369,7 @@ def colimit0(X: TruncSSet):
     Classes are named by their minimal representative.
     """
     if X.trunc < 1:
-        raise ValueError("colimit0 needs at least one level above zero")
+        raise TruncationError("colimit0 needs at least one level above zero")
     parent = {x: x for x in X.level(0)}
 
     def find(x):
@@ -390,16 +395,13 @@ def colimit0(X: TruncSSet):
 # ---------------------------------------------------------------------------
 # Bisimplicial sets and abacus presheaves
 
-# The step (di, dj) from the source level of each generator to the level
-# it lands in: ``e``/``t`` act vertically (first index), ``d``/``s``
-# horizontally, ``f`` is the abacus map and ``ssub`` the splitting s#.
-STEP = {"e": (-1, 0), "t": (1, 0), "d": (0, -1), "s": (0, 1), "f": (-1, 1), "ssub": (0, 1)}
 BULK_KINDS = ("e", "t", "d", "s")
 
 
 def action_target(kind: str, lvl: tuple) -> tuple:
-    di, dj = STEP[kind]
-    return lvl[0] + di, lvl[1] + dj
+    """The level an action lands in: the generator's step, negated."""
+    di, dj = abacus.SHIFT[kind]
+    return lvl[0] - di, lvl[1] - dj
 
 
 def action_label(kind: str, k, lvl: tuple) -> str:
@@ -407,7 +409,7 @@ def action_label(kind: str, k, lvl: tuple) -> str:
     return f"{kind}{'' if k is None else k}@({lvl[0]},{lvl[1]})"
 
 
-def restrict_actions(actions: dict, keep, kinds=tuple(STEP)) -> dict:
+def restrict_actions(actions: dict, keep, kinds=tuple(abacus.SHIFT)) -> dict:
     """The actions of the given kinds whose source and target are in ``keep``."""
     return {
         key: table for key, table in actions.items()

@@ -1,13 +1,32 @@
 """Verdicts with witnesses and coverage bookkeeping.
 
-Every checker returns a CheckReport.  A report fails exactly when it has
-witnesses; a report that could check nothing under the truncation is
-vacuous, which is reported as such and never silently counted as a pass.
+Every checker returns a CheckReport, and this module is the one place
+that turns a report's witnesses, ``checked`` count and precondition into a
+verdict or an exit code.  The verdict is, in this order: ``precondition``
+when a precondition failed, ``fail`` when there are witnesses (witnesses
+always mean fail), ``vacuous`` when nothing was checkable under the
+truncation, else ``pass``.
+
+``passed`` means "not refuted": pass or vacuous.  It is what gates read
+(an empty presheaf validates).  ``holds`` is the decided truth: True on
+pass, False on fail, None when vacuous or a precondition failed; the
+suites read it so that an undecided check is never counted as an
+instance, let alone as a pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+EXIT_CODES = {"pass": 0, "fail": 1, "precondition": 2, "vacuous": 3}
+
+
+def verdict_of(witnesses, checked: int, precondition: str | None = None) -> str:
+    if precondition is not None:
+        return "precondition"
+    if witnesses:
+        return "fail"
+    return "pass" if checked else "vacuous"
 
 
 @dataclass(frozen=True)
@@ -30,65 +49,60 @@ class Witness:
 @dataclass
 class CheckReport:
     name: str
-    passed: bool
     witnesses: list[Witness] = field(default_factory=list)
     checked: int = 0
     coverage: list[str] = field(default_factory=list)
     precondition: str | None = None
 
     @property
-    def vacuous(self) -> bool:
-        return self.checked == 0 and self.precondition is None
+    def verdict(self) -> str:
+        return verdict_of(self.witnesses, self.checked, self.precondition)
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict in ("pass", "vacuous")
+
+    @property
+    def holds(self) -> bool | None:
+        return {"pass": True, "fail": False}.get(self.verdict)
 
     @staticmethod
     def from_witnesses(name: str, witnesses, checked: int, coverage=None) -> "CheckReport":
-        ws = sorted(witnesses, key=str)
-        return CheckReport(name, not ws, ws, checked, sorted(coverage or []))
+        return CheckReport(name, sorted(witnesses, key=str), checked, sorted(coverage or []))
 
     @staticmethod
     def precondition_failure(name: str, reason: str) -> "CheckReport":
-        return CheckReport(name, False, [], 0, [], precondition=reason)
+        return CheckReport(name, precondition=reason)
 
     @staticmethod
     def conjunction(name: str, reports) -> "CheckReport":
         reports = list(reports)
-        ws = sorted((w for r in reports for w in r.witnesses), key=str)
-        pre = next((r.precondition for r in reports if r.precondition), None)
-        cov = sorted({c for r in reports for c in r.coverage})
         return CheckReport(
             name,
-            all(r.passed for r in reports) and pre is None,
-            ws,
+            sorted((w for r in reports for w in r.witnesses), key=str),
             sum(r.checked for r in reports),
-            cov,
-            precondition=pre,
+            sorted({c for r in reports for c in r.coverage}),
+            precondition=next((r.precondition for r in reports if r.precondition), None),
         )
 
     def exit_code(self) -> int:
-        if self.precondition is not None:
-            return 2
-        if self.vacuous:
-            return 3
-        return 0 if self.passed else 1
+        return EXIT_CODES[self.verdict]
 
     def to_dict(self) -> dict:
         out = {
             "name": self.name,
-            "verdict": "pass" if self.passed else "fail",
+            "verdict": self.verdict,
             "checked": self.checked,
             "witnesses": [w.to_dict() for w in self.witnesses],
         }
         if self.coverage:
             out["coverage"] = list(self.coverage)
-        if self.vacuous:
-            out["verdict"] = "vacuous"
         if self.precondition is not None:
-            out["verdict"] = "precondition"
             out["precondition"] = self.precondition
         return out
 
     def __str__(self) -> str:
-        head = f"{self.name}: {self.to_dict()['verdict']} ({self.checked} checked)"
+        head = f"{self.name}: {self.verdict} ({self.checked} checked)"
         if self.witnesses:
             shown = "\n  ".join(str(w) for w in self.witnesses[:5])
             more = "" if len(self.witnesses) <= 5 else f"\n  ... {len(self.witnesses) - 5} more"

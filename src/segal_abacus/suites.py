@@ -1,9 +1,15 @@
 """Named verification suites over generated corpora.
 
 Each suite returns a plain dict with one entry per checked statement:
-stable ids, verdicts, witnesses, and the verified depth.  Entries count
-the instances where their hypotheses held, so a suite that could not
-exercise a statement reports it as vacuous rather than passing it.
+stable ids, verdicts, witnesses, and the verified depth.  A suite reads
+each check's ``holds`` (True on pass, False on fail, None when the check
+is vacuous or its precondition failed), never ``passed``, which also
+holds for a vacuous check.  An entry's rows are its instances only where
+every check the row reads is decided: a row whose hypothesis or
+conclusion is undecided under the truncation is neither an instance nor
+a witness, so an entry that could decide nothing reports vacuous rather
+than passing or failing.  Conclusions are computed only for rows whose
+hypothesis holds.
 """
 
 from __future__ import annotations
@@ -43,22 +49,42 @@ from .fibrations import (
     vertical_active_row_maps,
 )
 from .presheaf import identity_smap, validate
-from .reports import CheckReport
+from .reports import CheckReport, verdict_of
 
 
-def _entry(eid: str, statement: str, ok: bool, instances: int, witnesses=()):
+def _entry(eid: str, statement: str, instances: int, witnesses=()):
     return {
         "id": eid,
         "statement": statement,
-        "verdict": "pass" if ok and instances else ("vacuous" if not instances else "fail"),
+        "verdict": verdict_of(witnesses, instances),
         "instances": instances,
         "witnesses": sorted(str(w) for w in witnesses),
     }
 
 
+def _tally(eid: str, statement: str, rows):
+    """An entry over rows ``(name, outcome)``: a True or False outcome makes
+    the row an instance, False also a witness; None (undecided) neither."""
+    decided = [(name, ok) for name, ok in rows if ok is not None]
+    return _entry(eid, statement, len(decided), [name for name, ok in decided if not ok])
+
+
+def _exists(eid: str, statement: str, outcomes, need: int):
+    """An existence entry: at least ``need`` decided outcomes are False.
+    Vacuous when no outcome is decided."""
+    decided = [ok for ok in outcomes if ok is not None]
+    hits = decided.count(False)
+    short = decided and hits < need
+    return _entry(eid, statement, hits, [f"{hits} found, want at least {need}"] if short else [])
+
+
+def _iff(*truths):
+    """Whether decided truths agree; None when any is undecided."""
+    return None if None in truths else len(set(truths)) == 1
+
+
 def _entry_from_report(eid: str, statement: str, rep: CheckReport):
-    return _entry(eid, statement, rep.passed, max(rep.checked, 1) if not rep.vacuous else 0,
-                  rep.witnesses)
+    return _entry(eid, statement, 0 if rep.holds is None else max(rep.checked, 1), rep.witnesses)
 
 
 def _finish(name: str, entries, depth) -> dict:
@@ -88,122 +114,91 @@ def cheatsheet_suite(trunc: int = 5, max_size: int = 4, seed: int | None = None)
     def classify_sset(item):
         name, X = item
         return name, {
-            "segal": is_segal(X).passed,
-            "upper": is_2segal(X, "upper").passed,
-            "lower": is_2segal(X, "lower").passed,
-            "eps_top_rfib": is_right_fibration(counit(X, "top")).passed,
-            "eps_bot_lfib": is_left_fibration(counit(X, "bottom")).passed,
-            "culf_bot": is_culf(counit(X, "bottom")).passed,
-            "culf_top": is_culf(counit(X, "top")).passed,
-            "sd_segal": is_segal(sd(X)).passed,
+            "segal": is_segal(X).holds,
+            "upper": is_2segal(X, "upper").holds,
+            "lower": is_2segal(X, "lower").holds,
+            "eps_top_rfib": is_right_fibration(counit(X, "top")).holds,
+            "eps_bot_lfib": is_left_fibration(counit(X, "bottom")).holds,
+            "culf_bot": is_culf(counit(X, "bottom")).holds,
+            "culf_top": is_culf(counit(X, "top")).holds,
+            "sd_segal": is_segal(sd(X)).holds,
         }
 
     def classify_map(item):
         name, F = item
         return name, {
-            "culf": is_culf(F).passed,
-            "lfib": is_left_fibration(F).passed,
-            "rfib": is_right_fibration(F).passed,
+            "culf": is_culf(F).holds,
+            "lfib": is_left_fibration(F).holds,
+            "rfib": is_right_fibration(F).holds,
         }
 
     sset_facts = dict(map(classify_sset, corpus))
     map_facts = dict(map(classify_map, maps))
 
-    entries = []
-    # counit fibrations characterize the Segal condition
-    bad = [n for n, f in sset_facts.items()
-           if not (f["segal"] == f["eps_top_rfib"] == f["eps_bot_lfib"])]
-    entries.append(_entry("cheatsheet:segal-iff-counit-fibrations",
-                          "Segal <=> top counit right fibration <=> bottom counit left fibration",
-                          not bad, len(sset_facts), bad))
+    # Conclusions joined with ``and`` stop at the first that does not hold:
+    # False (refuted) or None (undecided).
+    def culf_dec_fibrations():
+        for name, F in maps:
+            if map_facts[name]["culf"]:
+                yield name, (is_left_fibration(dec_map(F, "top")).holds
+                             and is_right_fibration(dec_map(F, "bottom")).holds)
 
-    # culf maps decalage to fibrations
-    hits, bad = 0, []
-    for name, F in maps:
-        if not map_facts[name]["culf"]:
-            continue
-        hits += 1
-        if not (is_left_fibration(dec_map(F, "top")).passed
-                and is_right_fibration(dec_map(F, "bottom")).passed):
-            bad.append(name)
-    entries.append(_entry("cheatsheet:culf-dec-fibrations",
-                          "culf => top dec left fibration and bottom dec right fibration",
-                          not bad, hits, bad))
+    def fibration_dec_cartesian():
+        for name, F in maps:
+            if map_facts[name]["lfib"]:
+                yield name, cartesian_on(dec_map(F, "bottom"), "all").holds
+            if map_facts[name]["rfib"]:
+                yield name, cartesian_on(dec_map(F, "top"), "all").holds
 
-    # fibrations decalage to cartesian maps
-    hits, bad = 0, []
-    for name, F in maps:
-        if map_facts[name]["lfib"]:
-            hits += 1
-            if not cartesian_on(dec_map(F, "bottom"), "all").passed:
-                bad.append(name)
-        if map_facts[name]["rfib"]:
-            hits += 1
-            if not cartesian_on(dec_map(F, "top"), "all").passed:
-                bad.append(name)
-    entries.append(_entry("cheatsheet:fibration-dec-cartesian",
-                          "left/right fibration => bottom/top dec cartesian",
-                          not bad, hits, bad))
+    def fibration_over_segal():
+        for name, F in maps:
+            if (map_facts[name]["lfib"] or map_facts[name]["rfib"]) and is_segal(F.target).holds:
+                yield name, is_segal(F.source).holds
 
-    # fibrations over a Segal base have Segal total space
-    hits, bad = 0, []
-    for name, F in maps:
-        if (map_facts[name]["lfib"] or map_facts[name]["rfib"]) and is_segal(F.target).passed:
-            hits += 1
-            if not is_segal(F.source).passed:
-                bad.append(name)
-    entries.append(_entry("cheatsheet:fibration-over-segal",
-                          "fibration over Segal base => Segal total space",
-                          not bad, hits, bad))
+    def culf_into_2segal():
+        for name, F in maps:
+            if not map_facts[name]["culf"]:
+                continue
+            for side in ("upper", "lower"):
+                if is_2segal(F.target, side).holds:
+                    yield f"{name}:{side}", is_2segal(F.source, side).holds
 
-    # culf into 2-Segal pulls the property back
-    hits, bad = 0, []
-    for name, F in maps:
-        if not map_facts[name]["culf"]:
-            continue
-        for side in ("upper", "lower"):
-            if is_2segal(F.target, side).passed:
-                hits += 1
-                if not is_2segal(F.source, side).passed:
-                    bad.append(f"{name}:{side}")
-    entries.append(_entry("cheatsheet:culf-into-2segal",
-                          "culf into upper/lower 2-Segal pulls the condition back",
-                          not bad, hits, bad))
+    def stable_active_cartesian():
+        for name, f in sset_facts.items():
+            if not (f["upper"] and f["lower"]):
+                continue
+            T = tot(dict(corpus)[name])
+            stable = stability(T, "both").holds
+            if stable is False:
+                yield f"{name}:tot-not-stable", False
+            elif stable:
+                for mname, m in vertical_active_row_maps(T)[:4]:
+                    yield f"{name}:{mname}", cartesian_on(m, "all").holds
 
-    # 2-Segal makes both counits culf
-    hits, bad = 0, []
-    for name, f in sset_facts.items():
-        if f["upper"] and f["lower"]:
-            hits += 1
-            if not (f["culf_bot"] and f["culf_top"]):
-                bad.append(name)
-    entries.append(_entry("cheatsheet:2segal-counits-culf",
-                          "2-Segal => both counits culf", not bad, hits, bad))
-
-    # edgewise subdivision detects the 2-Segal condition
-    bad = [n for n, f in sset_facts.items()
-           if (f["upper"] and f["lower"]) != f["sd_segal"]]
-    entries.append(_entry("cheatsheet:edgewise-detects-2segal",
-                          "2-Segal <=> subdivision Segal", not bad, len(sset_facts), bad))
-
-    # stability makes vertical active maps cartesian between rows
-    hits, bad = 0, []
-    for name, f in sset_facts.items():
-        if not (f["upper"] and f["lower"]):
-            continue
-        X = dict(corpus)[name]
-        T = tot(X)
-        if not stability(T, "both").passed:
-            bad.append(f"{name}:tot-not-stable")
-            continue
-        for mname, m in vertical_active_row_maps(T)[:4]:
-            hits += 1
-            if not cartesian_on(m, "all").passed:
-                bad.append(f"{name}:{mname}")
-    entries.append(_entry("cheatsheet:stable-active-cartesian",
-                          "stable => vertical active maps cartesian between rows",
-                          not bad, hits, bad))
-
+    entries = [
+        _tally("cheatsheet:segal-iff-counit-fibrations",
+               "Segal <=> top counit right fibration <=> bottom counit left fibration",
+               ((n, _iff(f["segal"], f["eps_top_rfib"], f["eps_bot_lfib"]))
+                for n, f in sset_facts.items())),
+        _tally("cheatsheet:culf-dec-fibrations",
+               "culf => top dec left fibration and bottom dec right fibration",
+               culf_dec_fibrations()),
+        _tally("cheatsheet:fibration-dec-cartesian",
+               "left/right fibration => bottom/top dec cartesian", fibration_dec_cartesian()),
+        _tally("cheatsheet:fibration-over-segal",
+               "fibration over Segal base => Segal total space", fibration_over_segal()),
+        _tally("cheatsheet:culf-into-2segal",
+               "culf into upper/lower 2-Segal pulls the condition back", culf_into_2segal()),
+        _tally("cheatsheet:2segal-counits-culf", "2-Segal => both counits culf",
+               ((n, f["culf_bot"] and f["culf_top"])
+                for n, f in sset_facts.items() if f["upper"] and f["lower"])),
+        _tally("cheatsheet:edgewise-detects-2segal", "2-Segal <=> subdivision Segal",
+               ((n, _iff(f["upper"] and f["lower"], f["sd_segal"]))
+                for n, f in sset_facts.items())),
+        _tally("cheatsheet:stable-active-cartesian",
+               "stable => vertical active maps cartesian between rows",
+               stable_active_cartesian()),
+    ]
     return _finish("cheatsheet", entries, trunc)
 
 
@@ -218,32 +213,25 @@ def presentation_suite(bound: int = 4) -> dict:
                                       "trapezium equations hold at all legal indices", trap))
     closure = abacus.word_closure_homs(bound)
     objs = abacus.objects_of_degree(bound)
-    bad = []
-    count = 0
-    for src in objs:
-        for tgt in objs:
-            count += 1
-            if len(abacus.hom_enumerate(src, tgt)) != len(closure.get((src, tgt), set())):
-                bad.append(f"{src}->{tgt}")
-    entries.append(_entry("presentation:hom-counts",
+    entries.append(_tally("presentation:hom-counts",
                           "enumerated hom sets match generator-word closure",
-                          not bad, count, bad))
-    spot = (len(abacus.hom_enumerate(abacus.DObject(0, 0), abacus.DObject(0, 0))) == 2
-            and len(abacus.hom_enumerate(abacus.DObject(0, 0), abacus.DObject(0, -1))) == 1)
-    entries.append(_entry("presentation:spot-values",
-                          "frozen hom-set sizes at the base objects", spot, 2))
-    bad = []
-    count = 0
-    for src in objs:
-        for tgt in objs:
-            for g in abacus.hom_enumerate(src, tgt):
-                count += 1
-                ab, simp = abacus.factorize(g)
-                if abacus.recompose(ab, simp) != g or len(ab) != g.whites_turned_black():
-                    bad.append(str(g))
-    entries.append(_entry("presentation:factorization",
+                          ((f"{src}->{tgt}", len(abacus.hom_enumerate(src, tgt))
+                            == len(closure.get((src, tgt), set())))
+                           for src in objs for tgt in objs)))
+    base = abacus.DObject(0, 0)
+    entries.append(_tally("presentation:spot-values",
+                          "frozen hom-set sizes at the base objects",
+                          ((f"{base}->{tgt}", len(abacus.hom_enumerate(base, tgt)) == size)
+                           for tgt, size in ((base, 2), (abacus.DObject(0, -1), 1)))))
+
+    def factorizes(g):
+        ab, simp = abacus.factorize(g)
+        return abacus.recompose(ab, simp) == g and len(ab) == g.whites_turned_black()
+
+    entries.append(_tally("presentation:factorization",
                           "every morphism splits as abacus word then color-preserving word",
-                          not bad, count, bad))
+                          ((str(g), factorizes(g)) for src in objs for tgt in objs
+                           for g in abacus.hom_enumerate(src, tgt))))
     return _finish("presentation", entries, bound)
 
 
@@ -262,28 +250,22 @@ def star_suite(trunc: int = 4) -> dict:
 
     def run(item):
         name, B, positive = item
-        v = validate(B)
-        star = condition_star(B)
-        unit = unit_iso(B)
-        return name, positive, v, star, unit
+        return name, positive, validate(B).holds, condition_star(B).holds, unit_iso(B).holds
 
     results = list(map(run, fixtures))
-    entries = []
-    bad_valid = [n for n, _, v, _, _ in results if not v.passed]
-    entries.append(_entry("star:fixtures-validate", "every fixture is a genuine presheaf",
-                          not bad_valid, len(results), bad_valid))
-    bad = [n for n, _, _, star, unit in results if star.passed != unit.passed]
-    entries.append(_entry("star:biconditional",
-                          "cartesian abacus rows <=> unit bijective, on every fixture",
-                          not bad, len(results), bad))
-    bad = [n for n, pos, _, star, _ in results if pos and not star.passed]
-    entries.append(_entry("star:images-satisfy",
-                          "Kan-extension images satisfy the cartesian condition",
-                          not bad, sum(1 for _, p, _, _, _ in results if p), bad))
-    bad = [n for n, pos, _, star, _ in results if not pos and star.passed]
-    entries.append(_entry("star:negative-fails",
-                          "the crafted negative fixture fails the condition",
-                          not bad, sum(1 for _, p, _, _, _ in results if not p), bad))
+    entries = [
+        _tally("star:fixtures-validate", "every fixture is a genuine presheaf",
+               ((n, valid) for n, _, valid, _, _ in results)),
+        _tally("star:biconditional",
+               "cartesian abacus rows <=> unit bijective, on every fixture",
+               ((n, _iff(star, unit)) for n, _, _, star, unit in results)),
+        _tally("star:images-satisfy",
+               "Kan-extension images satisfy the cartesian condition",
+               ((n, star) for n, pos, _, star, _ in results if pos)),
+        _tally("star:negative-fails",
+               "the crafted negative fixture fails the condition",
+               ((n, _iff(star, False)) for n, pos, _, star, _ in results if not pos)),
+    ]
     return _finish("star", entries, trunc)
 
 
@@ -302,45 +284,41 @@ def dictionary_suite(trunc: int = 4) -> dict:
     def run(item):
         name, F = item
         B = q_lower_star(F)
-        conds = dictionary_conditions(F)
-        lhs = all(r.passed for r in conds.values())
+        holds = [r.holds for r in dictionary_conditions(F).values()]
         return {
             "name": name,
-            "lhs": lhs,
-            "bicomodule": is_bicomodule_config(B).passed,
-            "invertible": has_invertible_abacus(B).passed,
+            "lhs": None if None in holds else all(holds),
+            "bicomodule": is_bicomodule_config(B).holds,
+            "invertible": has_invertible_abacus(B).holds,
             "bijective": all(
                 sorted(map(str, set(F.levels[n].values()))) == sorted(map(str, F.target.level(n)))
                 and len(set(F.levels[n].values())) == len(F.levels[n])
                 for n in range(min(F.source.trunc, F.target.trunc) + 1)
             ),
-            "m_dict": m_2segal_dictionary(F).passed,
+            "m_dict": m_2segal_dictionary(F).holds,
         }
 
     rows = list(map(run, maps))
-    entries = []
-    bad = [r["name"] for r in rows if r["lhs"] != r["bicomodule"]]
-    entries.append(_entry("dictionary:bicomodule-matches-conditions",
-                          "bicomodule configuration <=> 2-Segal ends and relative upper condition",
-                          not bad, len(rows), bad))
-    neg = [r["name"] for r in rows if not r["lhs"]]
-    entries.append(_entry("dictionary:has-negatives",
-                          "the corpus exercises failing cases", len(neg) >= 2, len(neg)))
-    bad = [r["name"] for r in rows if r["invertible"] != r["bijective"]]
-    entries.append(_entry("dictionary:invertible-iff-bijective",
-                          "invertible abacus actions <=> levelwise bijective map",
-                          not bad, len(rows), bad))
-    bad = [r["name"] for r in rows if not r["m_dict"]]
-    entries.append(_entry("dictionary:packaged-total-space",
-                          "2-Segal packaged total space <=> the map conditions",
-                          not bad, len(rows), bad))
+    entries = [
+        _tally("dictionary:bicomodule-matches-conditions",
+               "bicomodule configuration <=> 2-Segal ends and relative upper condition",
+               ((r["name"], _iff(r["lhs"], r["bicomodule"])) for r in rows)),
+        _exists("dictionary:has-negatives", "the corpus exercises failing cases",
+                (r["lhs"] for r in rows), 2),
+        _tally("dictionary:invertible-iff-bijective",
+               "invertible abacus actions <=> levelwise bijective map",
+               ((r["name"], _iff(r["invertible"], r["bijective"])) for r in rows)),
+        _tally("dictionary:packaged-total-space",
+               "2-Segal packaged total space <=> the map conditions",
+               ((r["name"], r["m_dict"]) for r in rows)),
+    ]
     return _finish("dictionary", entries, trunc)
 
 
 def boors_suite(trunc: int = 5) -> dict:
     """The pointing equivalence round trip on the 2-Segal corpus."""
     corpus = [(n, X) for n, X in standard_nerve_corpus(trunc)
-              if is_2segal(X, "both").passed]
+              if is_2segal(X, "both").holds]
 
     def run(item):
         name, X = item
@@ -360,8 +338,8 @@ def boors_suite(trunc: int = 5) -> dict:
         "iso_with_kan": "the extension is isomorphic to the Kan extension of the identity",
     }
     for key in keys:
-        bad = [n for n, rt in results if key not in rt or not rt[key].passed]
-        entries.append(_entry(f"boors:{key}", statements[key], not bad, len(results), bad))
+        entries.append(_tally(f"boors:{key}", statements[key],
+                              ((n, rt[key].holds if key in rt else None) for n, rt in results)))
     return _finish("boors", entries, trunc)
 
 
@@ -387,12 +365,11 @@ def half_axioms_suite(trunc: int = 5) -> dict:
         ("pointing_restriction", "restricting the extension returns the input exactly"),
         ("iso_with_kan", "the extension matches the Kan extension away from the augmentation row"),
     ]:
-        bad = [n for n, rt in results if key not in rt or not rt[key].passed]
-        entries.append(_entry(f"half:{key}", statement, not bad, len(results), bad))
-    vertical_fails = [n for n, rt in results if not rt["full_axioms"].passed]
-    entries.append(_entry("half:vertical-axiom-fails-somewhere",
-                          "the corpus includes inputs failing the vertical pointing axiom",
-                          len(vertical_fails) >= 1, len(vertical_fails)))
+        entries.append(_tally(f"half:{key}", statement,
+                              ((n, rt[key].holds if key in rt else None) for n, rt in results)))
+    entries.append(_exists("half:vertical-axiom-fails-somewhere",
+                           "the corpus includes inputs failing the vertical pointing axiom",
+                           (rt["full_axioms"].holds for _, rt in results), 1))
     return _finish("half-axioms", entries, trunc)
 
 
@@ -403,25 +380,21 @@ def edgewise_suite(trunc: int = 5) -> dict:
     corpus.append(("punctured4", punctured_chain_sset(4, trunc)))
     maps = standard_map_corpus(trunc)
 
-    def run_sset(item):
-        name, X = item
-        return name, is_2segal(X, "both").passed, is_segal(sd(X)).passed
-
-    def run_map(item):
-        name, F = item
-        return name, is_culf(F).passed, is_right_fibration(sd_map(F)).passed
-
-    srows = list(map(run_sset, corpus))
-    mrows = list(map(run_map, maps))
-    entries = []
-    bad = [n for n, a, b in srows if a != b]
-    entries.append(_entry("edgewise:2segal-iff-sd-segal",
-                          "2-Segal <=> subdivision Segal", not bad, len(srows), bad))
-    bad = [n for n, a, b in mrows if a != b]
-    entries.append(_entry("edgewise:culf-iff-sd-rfib",
-                          "culf <=> subdivision right fibration", not bad, len(mrows), bad))
+    entries = [
+        _tally("edgewise:2segal-iff-sd-segal", "2-Segal <=> subdivision Segal",
+               [(n, _iff(is_2segal(X, "both").holds, is_segal(sd(X)).holds))
+                for n, X in corpus]),
+        _tally("edgewise:culf-iff-sd-rfib", "culf <=> subdivision right fibration",
+               [(n, _iff(is_culf(F).holds, is_right_fibration(sd_map(F)).holds))
+                for n, F in maps]),
+    ]
     return _finish("edgewise", entries, trunc)
 
+
+# The least depth at which every construction a suite runs is defined:
+# below it a suite would stop on a too-shallow decalage, subdivision or
+# pointing restriction, so ``run-suite`` refuses it.
+MIN_DEPTH = {"cheatsheet": 2, "boors": 3, "half-axioms": 3, "edgewise": 1}
 
 SUITES = {
     "cheatsheet": cheatsheet_suite,

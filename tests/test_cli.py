@@ -56,6 +56,8 @@ def test_check_invalid_input(tmp_path):
 
     x = str(tmp_path / "x.json")
     pjson.dump(X, x)
+    z0 = str(tmp_path / "z0.json")
+    pjson.dump(nerve(chain_poset(1), 0), z0)
     out = str(tmp_path / "out.json")
     for args in (
         ["check", "star", x],
@@ -64,6 +66,19 @@ def test_check_invalid_input(tmp_path):
         ["construct", "M", "--in", x, "--out", out],
         ["roundtrip", "M", x],
         ["gen", "nerve-poset", "--trunc", "-1", "--out", out],
+        ["run-suite", "star", "--trunc", "-1"],
+        ["run-suite", "edgewise", "--trunc", "-1"],
+        ["run-suite", "presentation", "--bound", "-1"],
+        ["roundtrip", "boors", x, "--trunc", "-1"],
+        ["construct", "tot", "--in", z0, "--out", out],
+        ["construct", "boors-tot", "--in", z0, "--out", out],
+        ["roundtrip", "boors", z0],
+        ["run-suite", "cheatsheet", "--trunc", "0"],
+        ["run-suite", "edgewise", "--trunc", "0"],
+        ["run-suite", "half-axioms", "--trunc", "0"],
+        ["run-suite", "boors", "--trunc", "0"],
+        ["run-suite", "boors", "--trunc", "2"],
+        ["run-suite", "cheatsheet", "--trunc", "1"],
     ):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -73,6 +88,22 @@ def test_check_invalid_input(tmp_path):
     assert not (tmp_path / "out.json").exists()
     with contextlib.redirect_stderr(io.StringIO()):
         assert run(["run-suite", "presentation", "--jobs", "3"])[0] == 2
+
+
+def test_undecided_suites_and_missing_actions(tmp_path):
+    # nothing is checkable: vacuous (exit 3), not a pass and not a crash
+    for args in (["run-suite", "edgewise", "--trunc", "1"],
+                 ["run-suite", "star", "--trunc", "1"]):
+        code, text = run(args)
+        assert (code, json.loads(text)["verdict"]) == (3, "vacuous"), args
+    # witnesses always mean fail, even with nothing checked
+    data = pjson.to_dict(nerve(chain_poset(1), 2))
+    data["actions"] = {}
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(data))
+    code, text = run(["check", "validate", str(empty)])
+    payload = json.loads(text)
+    assert (code, payload["verdict"], len(payload["witnesses"])) == (1, "fail", 8)
 
 
 def test_construct_pipeline(tmp_path):

@@ -221,6 +221,7 @@ def test_extension_precondition():
     A = p_star_tot(X)
     B, rep = extend_sigma_to_d(A)
     assert B is None and rep.precondition is not None
+    assert rep.exit_code() == 2
 
 
 def test_half_roundtrip_and_vertical_failure():
