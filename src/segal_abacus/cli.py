@@ -3,8 +3,8 @@ and theorem round trips.
 
 Exit codes (``reports.EXIT_CODES``): 0 pass, 1 fail, 2 invalid input, a
 truncation too small for a construction, or a failed precondition, 3
-vacuous coverage.  Reports are deterministic: canonical ordering
-throughout.
+vacuous coverage; ``main`` exits 4 on an internal error, with one line on
+stderr.  Reports are deterministic: canonical ordering throughout.
 """
 
 from __future__ import annotations
@@ -67,12 +67,16 @@ def _below(flag: str, value, least: int = 0) -> bool:
 # gen
 
 
+# the least --size each kind is defined for
+_LEAST_SIZE = {"punctured-chain": 3, "nerve-monoid": 1}
+
+
 def _gen(args) -> int:
     T = args.trunc
-    if _below("trunc", T):
-        return 2
     kind = args.kind
     size = args.size
+    if _below("trunc", T) or _below("size", size, _LEAST_SIZE.get(kind, 0)):
+        return 2
     preset = args.preset
     if kind == "nerve-poset":
         cats = {
@@ -404,6 +408,9 @@ def main(argv=None) -> int:
     except TruncationError as exc:  # the input is too shallow for a construction
         print(exc, file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, never a verdict of the mathematics
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -97,22 +97,19 @@ def q_lower_star(F: SMap) -> DSet:
             levels[(i, j)] = Y.level(j)
         else:
             inc = MonotoneMap(i + 1, i + j + 2, tuple(range(i + 1)))
-            levels[(i, j)] = _sorted_ids(
-                (x, y)
-                for x in X.level(i)
-                for y in Y.level(i + 1 + j)
-                if F.at(i, x) == Y.act(inc, y)
-            )
+            over = {}  # the y in Y_{i+1+j} by their image in Y_i
+            for y in Y.level(i + 1 + j):
+                over.setdefault(Y.act(inc, y), []).append(y)
+            levels[(i, j)] = _sorted_ids((x, y) for x in X.level(i) for y in over.get(F.at(i, x), ()))
     actions = {}
     for lvl in levels:
         for kind, k, tgt in dset_action_ranges(lvl[0], lvl[1], T):
             g = bead_of_generator(kind, k, DObject(*tgt))
+            top = g.top_part() if tgt[0] >= 0 else None
             table = {}
             for elem in levels[lvl]:
-                xp = _x_part(lvl, elem, F)
-                yp = _y_part(lvl, elem, F)
-                nx = X.act(g.top_part(), xp) if tgt[0] >= 0 else None
-                ny = Y.act(g.carrier, yp)
+                nx = X.act(top, _x_part(lvl, elem, F)) if top is not None else None
+                ny = Y.act(g.carrier, _y_part(lvl, elem, F))
                 table[elem] = _pack(tgt, nx, ny)
             actions[kind, k, lvl] = table
     return DSet(T, levels, actions)

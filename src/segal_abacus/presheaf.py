@@ -9,6 +9,12 @@ each generator lands.
 Presheaves are immutable by convention after construction: nothing here
 mutates them, and all checkers are read-only.
 
+The index-category combinatorics are computed once and then looked up:
+``validate_dset`` reads the abacus relation table as rows of action keys,
+cached per bound on the levels (``_relation_rows``), and ``TruncSSet.act``
+reads the face and degeneracy steps of a monotone map, cached per map
+(``_act_steps``).  Element loops only look tables up.
+
 Every checker reports relative to the truncation: verdicts are "pass up
 to T", with the checked instances counted, never silently vacuous.
 """
@@ -16,6 +22,7 @@ to T", with the checked instances counted, never silently vacuous.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import abacus
 from .reports import CheckReport, Witness
@@ -69,19 +76,29 @@ class TruncSSet:
         ``f : [m] -> [n]`` acts on an n-simplex and returns an m-simplex,
         by the canonical face-then-degeneracy decomposition.
         """
-        n = f.cod_n
-        epi, mono = epi_mono_factor(f)
-        for _, i in reversed(mono.tokens):  # faces, largest index first
-            x = self.face(n, i, x)
-            n -= 1
-        for _, j in reversed(epi.tokens):  # degeneracies, smallest index first
-            x = self.deg(n, j, x)
-            n += 1
+        for is_face, key in _act_steps(f):
+            x = (self.faces if is_face else self.degens)[key][x]
         return x
 
     def __repr__(self):
         sizes = {n: len(xs) for n, xs in sorted(self.levels.items())}
         return f"TruncSSet(T={self.trunc}, sizes={sizes})"
+
+
+@lru_cache(maxsize=None)
+def _act_steps(f: MonotoneMap) -> tuple:
+    """The steps ``(is_face, (n, k))`` by which ``f`` acts: its canonical
+    factorization, computed once per distinct map."""
+    n = f.cod_n
+    epi, mono = epi_mono_factor(f)
+    steps = []
+    for _, i in reversed(mono.tokens):  # faces, largest index first
+        steps.append((True, (n, i)))
+        n -= 1
+    for _, j in reversed(epi.tokens):  # degeneracies, smallest index first
+        steps.append((False, (n, j)))
+        n += 1
+    return tuple(steps)
 
 
 @dataclass
@@ -608,22 +625,65 @@ def validate_dset(B: DSet, name: str = "dset") -> CheckReport:
         return CheckReport.from_witnesses(name, witnesses, checked)
     max_i = max((i for (i, j) in B.levels), default=-1)
     max_j = max((j for (i, j) in B.levels), default=-1)
+    max_d = max((i + 1 + j for (i, j) in B.levels), default=-1)
+    A = B.actions
+    for rel_name, equation, needs, target, lhs, rhs in _relation_rows(max_i, max_j, max_d):
+        xs = B.level(*target)
+        if not xs or any(lv not in B.levels for lv in needs):
+            continue
+        lhs_tables = [A[key] for key in lhs]
+        rhs_tables = [A[key] for key in rhs]
+        for x in xs:
+            checked += 1
+            y = z = x
+            for table in lhs_tables:
+                y = table[y]
+            for table in rhs_tables:
+                z = table[z]
+            if y != z:
+                witnesses.append(Witness(rel_name, equation, (x,)))
+    return CheckReport.from_witnesses(name, witnesses, checked)
+
+
+@lru_cache(maxsize=None)
+def _relation_rows(max_i: int, max_j: int, max_d: int) -> tuple:
+    """The relation table of the abacus category on the levels (i, j) with
+    i <= max_i, j <= max_j and degree i + 1 + j <= max_d, as rows
+    ``(name, equation, levels needed, target level, lhs keys, rhs keys)``.
+
+    One row per instance of ``abacus.relation_instances`` whose words stay
+    on those levels.  The keys are ``actions`` keys in contravariant order,
+    so a presheaf applies a side by looking its tables up in turn.  Names,
+    levels and keys are interned, so the rows hold no words or bead maps.
+    """
+    interned: dict = {}
+
+    def intern(v):
+        return interned.setdefault(v, v)
+
+    def within(lv):
+        return lv[0] <= max_i and lv[1] <= max_j and lv[0] + 1 + lv[1] <= max_d
+
+    rows = []
     for rel_name, lhs, rhs in abacus.relation_instances(max_i, max_j):
-        path_l = _word_levels(lhs)
-        path_r = _word_levels(rhs)
+        if lhs.source.degree > max_d:  # spare the walk: the source is out of reach
+            continue
+        path_l, path_r = _word_levels(lhs), _word_levels(rhs)
         if path_l is None or path_r is None:
             continue
-        if not with_aug and any(lv[0] == -1 for lv in path_l + path_r):
+        assert path_l[-1] == path_r[-1], f"{lhs} and {rhs} end apart"
+        needs = sorted(set(path_l + path_r))
+        if not all(within(lv) for lv in needs):
             continue
-        if any(lv not in B.levels for lv in path_l + path_r):
-            continue
-        target = path_l[-1]
-        assert target == path_r[-1]
-        for x in B.level(*target):
-            checked += 1
-            if _act_word(B, lhs, x) != _act_word(B, rhs, x):
-                witnesses.append(Witness(rel_name, f"{lhs} = {rhs}", (x,)))
-    return CheckReport.from_witnesses(name, witnesses, checked)
+        rows.append((
+            intern(rel_name),
+            f"{lhs} = {rhs}",
+            intern(tuple(needs)),
+            intern(path_l[-1]),
+            _action_keys(lhs, path_l, intern),
+            _action_keys(rhs, path_r, intern),
+        ))
+    return tuple(rows)
 
 
 def _word_levels(word):
@@ -639,13 +699,11 @@ def _word_levels(word):
         return None
 
 
-def _act_word(B: DSet, word, x):
-    """Contravariant action of a generator word on an element of its target."""
-    path = _word_levels(word)
-    for idx in range(len(word.tokens) - 1, -1, -1):
-        kind, k = word.tokens[idx]
-        x = B.actions[kind, k, path[idx + 1]][x]
-    return x
+def _action_keys(word, path, intern) -> tuple:
+    """The ``actions`` keys a presheaf applies for ``word``, last token first:
+    token ``idx`` acts out of level ``path[idx + 1]``."""
+    keys = [intern((kind, k, intern(path[idx + 1]))) for idx, (kind, k) in enumerate(word.tokens)]
+    return intern(tuple(reversed(keys)))
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,8 @@ def test_check_invalid_input(tmp_path):
         ["run-suite", "boors", "--trunc", "0"],
         ["run-suite", "boors", "--trunc", "2"],
         ["run-suite", "cheatsheet", "--trunc", "1"],
+        ["gen", "punctured-chain", "--size", "1", "--out", out],
+        ["gen", "nerve-monoid", "--size", "0", "--out", out],
     ):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -88,6 +90,23 @@ def test_check_invalid_input(tmp_path):
     assert not (tmp_path / "out.json").exists()
     with contextlib.redirect_stderr(io.StringIO()):
         assert run(["run-suite", "presentation", "--jobs", "3"])[0] == 2
+
+
+def test_internal_error_exits_4(monkeypatch):
+    import contextlib
+    import io
+
+    from segal_abacus import cli
+
+    def broken(args):
+        raise RuntimeError("table out of step")
+
+    monkeypatch.setattr(cli, "_morphism", broken)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run(["morphism", "[0,0,2]:3->3"])
+    assert code == 4
+    assert err.getvalue().splitlines() == ["internal error: RuntimeError: table out of step"]
 
 
 def test_undecided_suites_and_missing_actions(tmp_path):

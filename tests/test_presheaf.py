@@ -1,15 +1,32 @@
+import copy
+from functools import cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from segal_abacus import abacus
+from segal_abacus.configurations import q_lower_star, r_star
 from segal_abacus.corpus import (
     antichain,
     chain_poset,
     diamond_poset,
     glued_edges_sset,
     nerve,
+    random_poset_corpus,
+    standard_map_corpus,
     two_segal_partial_monoid,
 )
 from segal_abacus.presheaf import (
+    CheckReport,
     Square,
+    Witness,
+    _check_total,
+    action_label,
+    action_target,
     colimit0,
     constant_sset,
+    dset_action_ranges,
+    dset_levels,
     empty_sset,
     identity_smap,
     is_pullback,
@@ -18,8 +35,9 @@ from segal_abacus.presheaf import (
     pullback_universal_check,
     sub_trunc,
     validate,
+    validate_dset,
 )
-from segal_abacus.simplex import MonotoneMap, coface, identity
+from segal_abacus.simplex import MonotoneMap, coface, enumerate_monotone, identity
 
 
 def corrupt_face(X, n, k):
@@ -48,6 +66,18 @@ def test_empty_presheaf_validates():
     assert validate(empty_sset(3)).passed
 
 
+def _vertices(ch, n):
+    """The vertex chain of an n-simplex of a poset nerve."""
+    return (ch,) if n == 0 else (ch[0][0],) + tuple(m[1] for m in ch)
+
+
+def _simplex(verts):
+    """The simplex of a poset nerve with the given vertex chain."""
+    if len(verts) == 1:
+        return verts[0]
+    return tuple(zip(verts, verts[1:]))
+
+
 def test_act_matches_chain_reindexing():
     X = nerve(chain_poset(2), 4)
     f = MonotoneMap(3, 3, (0, 0, 2))
@@ -59,6 +89,13 @@ def test_act_matches_chain_reindexing():
     g = coface(1, 3)
     three = next(iter(X.level(3)))
     assert X.act(g, three) == X.face(3, 1, three)
+    # every map [m] -> [n] with m, n <= 4 re-indexes the vertex chain
+    for n in range(5):
+        for ch in X.level(n):
+            verts = _vertices(ch, n)
+            for m in range(5):
+                for f in enumerate_monotone(m, n):
+                    assert X.act(f, ch) == _simplex(tuple(verts[v] for v in f.values)), (f, ch)
 
 
 def test_pullback_sets_examples():
@@ -171,3 +208,86 @@ def test_iso_report():
 def test_validate_partial_monoid_and_graph():
     assert validate(two_segal_partial_monoid(4)).passed
     assert validate(glued_edges_sset(4)).passed
+
+
+# ---------------------------------------------------------------------------
+# validate_dset against a reference that walks each relation word per element
+
+
+@cache
+def _word_path(word):
+    """Source-to-target levels of a generator word, or None if it leaves the
+    legal objects; walked with bead maps, one generator at a time."""
+    try:
+        cur = abacus.bead_identity(word.source)
+        path = [(cur.tgt.i, cur.tgt.j)]
+        for kind, k in word.tokens:
+            cur = abacus.bead_compose(abacus.bead_of_generator(kind, k, cur.tgt), cur)
+            path.append((cur.tgt.i, cur.tgt.j))
+        return tuple(path)
+    except ValueError:
+        return None
+
+
+def _act_word(B, word, x):
+    path = _word_path(word)
+    for idx in range(len(word.tokens) - 1, -1, -1):
+        kind, k = word.tokens[idx]
+        x = B.actions[kind, k, path[idx + 1]][x]
+    return x
+
+
+def _reference_validate_dset(B, name="dset"):
+    witnesses = []
+    checked = 0
+    with_aug = B.has_aug_row()
+    for lvl in set(dset_levels(B.trunc, with_aug)):
+        if lvl not in B.levels:
+            witnesses.append(Witness(f"level@{lvl}", "level missing", ()))
+    for lvl in sorted(B.levels, key=lambda ij: (ij[0] + 1 + ij[1], ij)):
+        for kind, k, tgt in dset_action_ranges(lvl[0], lvl[1], B.trunc):
+            if not with_aug and tgt[0] == -1:
+                continue
+            checked += _check_total(B.actions.get((kind, k, lvl)), B.level(*lvl), B.level(*tgt),
+                                    action_label(kind, k, lvl), witnesses)
+    if witnesses:
+        return CheckReport.from_witnesses(name, witnesses, checked)
+    max_i = max((i for (i, j) in B.levels), default=-1)
+    max_j = max((j for (i, j) in B.levels), default=-1)
+    for rel_name, lhs, rhs in abacus.relation_instances(max_i, max_j):
+        path_l, path_r = _word_path(lhs), _word_path(rhs)
+        if path_l is None or path_r is None:
+            continue
+        if not with_aug and any(lv[0] == -1 for lv in path_l + path_r):
+            continue
+        if any(lv not in B.levels for lv in path_l + path_r):
+            continue
+        for x in B.level(*path_l[-1]):
+            checked += 1
+            if _act_word(B, lhs, x) != _act_word(B, rhs, x):
+                witnesses.append(Witness(rel_name, f"{lhs} = {rhs}", (x,)))
+    return CheckReport.from_witnesses(name, witnesses, checked)
+
+
+@cache
+def _dset_corpus():
+    out = [q_lower_star(F) for _, F in standard_map_corpus(3)]
+    out += [r_star(X) for _, X in random_poset_corpus(4, 4, seed=11, trunc=3)]
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_validate_dset_matches_per_element_walk(data):
+    B = copy.copy(data.draw(st.sampled_from(_dset_corpus())))
+    if data.draw(st.booleans()):
+        # redirect one entry of one action table to another element
+        keys = sorted((key for key, table in B.actions.items() if table), key=str)
+        kind, k, lvl = key = data.draw(st.sampled_from(keys))
+        table = dict(B.actions[key])
+        x = data.draw(st.sampled_from(sorted(table, key=str)))
+        tgt = B.level(*action_target(kind, lvl))
+        table[x] = data.draw(st.sampled_from(sorted(set(tgt) | {"junk"}, key=str)))
+        B.actions = {**B.actions, key: table}
+    got, want = validate_dset(B), _reference_validate_dset(B)
+    assert (got.verdict, got.checked, got.witnesses) == (want.verdict, want.checked, want.witnesses)
