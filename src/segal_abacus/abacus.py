@@ -14,11 +14,18 @@ generator words are a serialization layer on top.  ``relation_suite``
 certifies that the presentation's relation table holds in this model,
 and ``word_closure_homs`` + ``hom_enumerate`` certify that the
 generators reach every morphism.
+
+``SHIFT`` says where each generator lands and ``generator_range`` which
+indices exist at an object; nothing else lists either.  From them
+``generators_into`` builds the one generator table of a truncation, once:
+for each object, the generators that land in it.  Presheaf levels and
+actions (``presheaf``, ``configurations``, ``decalage``) are read off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from .reports import CheckReport, Witness
 from .simplex import (
     GeneratorWord,
@@ -194,6 +201,22 @@ def generators_at(at: DObject, include_split: bool = True) -> list[tuple[str, in
     return out
 
 
+@lru_cache(maxsize=None)
+def generators_into(max_degree: int) -> dict:
+    """The generator table of the truncation ``max_degree``: for each object
+    ``(i, j)`` of degree <= max_degree, in ``objects_of_degree`` order, the
+    generators ``(kind, k, source (i, j), bead map)`` that land in it from
+    objects of degree <= max_degree.  A presheaf acts contravariantly, so
+    the action ``(kind, k)`` out of level ``(i, j)`` goes to the source."""
+    objs = objects_of_degree(max_degree)
+    into = {(o.i, o.j): [] for o in objs}
+    for o in objs:
+        for kind, k, g in generators_at(o):
+            if g.tgt.degree <= max_degree:
+                into[g.tgt.i, g.tgt.j].append((kind, k, (o.i, o.j), g))
+    return {lvl: tuple(gens) for lvl, gens in into.items()}
+
+
 def eval_bead_word(word: GeneratorWord) -> BeadMap:
     """Evaluate a word of abacus tokens (application order) to a bead map."""
     if not isinstance(word.source, DObject):
@@ -295,9 +318,9 @@ def _bisimplicial_relations(at: DObject):
     for vk in ("e", "t"):
         for hk in ("d", "s"):
             for kv in generator_range(vk, at):
-                mid_v = bead_of_generator(vk, kv, at).tgt
+                mid_v = DObject(i + SHIFT[vk][0], j)
                 for kh in generator_range(hk, at):
-                    mid_h = bead_of_generator(hk, kh, at).tgt
+                    mid_h = DObject(i, j + SHIFT[hk][1])
                     if kh in generator_range(hk, mid_v) and kv in generator_range(vk, mid_h):
                         yield (
                             f"{vk}.{hk}@{at}",
@@ -561,21 +584,6 @@ def sigma_compose(g: SigmaMorphism, f: SigmaMorphism) -> SigmaMorphism:
     raise ValueError(f"not composable in the pointing category: {f} then {g}")
 
 
-class IndexFunctor:
-    """One of the structural reindexing functors, applied via `apply`."""
-
-    def __init__(self, tag: str):
-        if tag not in ("q", "j", "r", "p", "h", "bulk"):
-            raise ValueError(f"unknown functor tag {tag!r}")
-        self.tag = tag
-
-    def obj(self, x):
-        return _FUNCTOR_OBJ[self.tag](x)
-
-    def mor(self, m):
-        return _FUNCTOR_MOR[self.tag](m)
-
-
 def long_abacus(n: int) -> BeadMap:
     """The composite of n+1 abacus maps from [-1, n] to [n, -1]."""
     out = bead_identity(DObject(-1, n))
@@ -691,12 +699,13 @@ _FUNCTOR_MOR = {
 }
 
 
-def apply_functor(functor: IndexFunctor | str, x):
-    """Apply a structural functor to an object or morphism of its domain."""
-    tag = functor.tag if isinstance(functor, IndexFunctor) else functor
-    f = IndexFunctor(tag)
+def apply_functor(tag: str, x):
+    """Apply the structural functor named by ``tag`` ("q", "j", "r", "p",
+    "h" or "bulk") to an object or morphism of its domain."""
+    if tag not in _FUNCTOR_OBJ:
+        raise ValueError(f"unknown functor tag {tag!r}")
     if isinstance(x, (BeadMap, DeltaTimes1Map, SigmaMorphism)) or (
         tag == "h" and (isinstance(x, MonotoneMap) or x == "point")
     ):
-        return f.mor(x)
-    return f.obj(x)
+        return _FUNCTOR_MOR[tag](x)
+    return _FUNCTOR_OBJ[tag](x)

@@ -70,6 +70,22 @@ def _below(flag: str, value, least: int = 0) -> bool:
 # the least --size each kind is defined for
 _LEAST_SIZE = {"punctured-chain": 3, "nerve-monoid": 1}
 
+# the presets each kind accepts: the category whose nerve is the fixture,
+# or for graph a builder from (size, trunc)
+_PRESETS = {
+    "nerve-poset": {
+        "diamond": corpus.diamond_poset,
+        "vee": lambda: corpus.poset_cat("vee", ["a", "b", "c"], lambda x, y: x == y or x == "a"),
+        "wedge": lambda: corpus.poset_cat("wedge", ["a", "b", "c"], lambda x, y: x == y or y == "c"),
+    },
+    "nerve-category": {"walkiso": corpus.walking_iso_cat, "parallel": corpus.parallel_arrows_cat},
+    "nerve-monoid": {"idem": corpus.idempotent_monoid},
+    "graph": {
+        "glued": lambda size, T: corpus.glued_edges_sset(T),
+        "path": lambda size, T: corpus.path_graph_sset(size if size is not None else 2, T),
+    },
+}
+
 
 def _gen(args) -> int:
     T = args.trunc
@@ -78,22 +94,19 @@ def _gen(args) -> int:
     if _below("trunc", T) or _below("size", size, _LEAST_SIZE.get(kind, 0)):
         return 2
     preset = args.preset
-    if kind == "nerve-poset":
-        cats = {
-            "diamond": corpus.diamond_poset,
-            "vee": lambda: corpus.poset_cat("vee", ["a", "b", "c"], lambda x, y: x == y or x == "a"),
-            "wedge": lambda: corpus.poset_cat("wedge", ["a", "b", "c"], lambda x, y: x == y or y == "c"),
-        }
-        cat = cats[preset]() if preset else corpus.chain_poset(size if size is not None else 2)
-        out = corpus.nerve(cat, T)
-    elif kind == "nerve-category":
-        cats = {"walkiso": corpus.walking_iso_cat, "parallel": corpus.parallel_arrows_cat}
-        out = corpus.nerve(cats[preset or "walkiso"](), T)
+    presets = _PRESETS.get(kind, {})
+    if preset is not None and preset not in presets:
+        print(f"gen {kind} has no preset {preset!r} (presets: {', '.join(presets) or 'none'})",
+              file=sys.stderr)
+        return 2
+    if kind == "graph":
+        out = presets[preset or "glued"](size, T)
+    elif preset is not None or kind == "nerve-category":
+        out = corpus.nerve(presets[preset or "walkiso"](), T)
+    elif kind == "nerve-poset":
+        out = corpus.nerve(corpus.chain_poset(size if size is not None else 2), T)
     elif kind == "nerve-monoid":
-        if preset == "idem":
-            out = corpus.nerve(corpus.idempotent_monoid(), T)
-        else:
-            out = corpus.nerve(corpus.cyclic_monoid(size if size is not None else 2), T)
+        out = corpus.nerve(corpus.cyclic_monoid(size if size is not None else 2), T)
     elif kind == "partial-monoid":
         out = corpus.two_segal_partial_monoid(T)
     elif kind == "simplex":
@@ -104,8 +117,6 @@ def _gen(args) -> int:
         out = constant_sset([f"c{k}" for k in range(size if size is not None else 3)], T)
     elif kind == "boolean-lattice":
         out = corpus.nerve(corpus.boolean_lattice(size if size is not None else 2), T)
-    elif kind == "graph":
-        out = corpus.glued_edges_sset(T) if (preset or "glued") == "glued" else corpus.path_graph_sset(size or 2, T)
     elif kind == "punctured-chain":
         out = corpus.punctured_chain_sset(size if size is not None else 3, T)
     else:

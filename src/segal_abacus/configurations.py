@@ -13,7 +13,7 @@ single generic formula covers every generator.
 
 from __future__ import annotations
 
-from .abacus import DObject, bead_of_generator
+from .abacus import generators_into
 from .corpus import chain_poset, nerve
 from .decalage import PointedSSet, dec, is_local_initial, is_local_terminal, tot
 from .fibrations import (
@@ -38,7 +38,6 @@ from .presheaf import (
     action_target,
     col_sset,
     colimit0,
-    dset_action_ranges,
     dset_levels,
     fmt_id,
     restrict_actions,
@@ -53,7 +52,7 @@ from .simplex import MonotoneMap
 # The right Kan extension of a simplicial map
 
 
-def _x_part(lvl, elem, F: SMap):
+def _x_part(lvl, elem):
     i, j = lvl
     if j == -1:
         return elem
@@ -102,13 +101,12 @@ def q_lower_star(F: SMap) -> DSet:
                 over.setdefault(Y.act(inc, y), []).append(y)
             levels[(i, j)] = _sorted_ids((x, y) for x in X.level(i) for y in over.get(F.at(i, x), ()))
     actions = {}
-    for lvl in levels:
-        for kind, k, tgt in dset_action_ranges(lvl[0], lvl[1], T):
-            g = bead_of_generator(kind, k, DObject(*tgt))
+    for lvl, gens in generators_into(T).items():
+        for kind, k, tgt, g in gens:
             top = g.top_part() if tgt[0] >= 0 else None
             table = {}
             for elem in levels[lvl]:
-                nx = X.act(top, _x_part(lvl, elem, F)) if top is not None else None
+                nx = X.act(top, _x_part(lvl, elem)) if top is not None else None
                 ny = Y.act(g.carrier, _y_part(lvl, elem, F))
                 table[elem] = _pack(tgt, nx, ny)
             actions[kind, k, lvl] = table
@@ -120,11 +118,8 @@ def r_star(X: TruncSSet) -> DSet:
     (i, j) is X_{i+1+j} and every generator acts through its carrier."""
     T = X.trunc
     levels = {lvl: X.level(lvl[0] + 1 + lvl[1]) for lvl in dset_levels(T)}
-    actions = {}
-    for lvl in levels:
-        for kind, k, tgt in dset_action_ranges(lvl[0], lvl[1], T):
-            g = bead_of_generator(kind, k, DObject(*tgt))
-            actions[kind, k, lvl] = {x: X.act(g.carrier, x) for x in levels[lvl]}
+    actions = {(kind, k, lvl): {x: X.act(g.carrier, x) for x in levels[lvl]}
+               for lvl, gens in generators_into(T).items() for kind, k, _, g in gens}
     return DSet(T, levels, actions)
 
 
@@ -579,11 +574,9 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
         # augmentation row sources: d and s
         return {z: row_quot[tgt[1]][bulk.actions[kind, k, (0, j)][z]] for z in levels[lvl]}
 
-    actions = {}
-    for lvl in levels:
-        for kind, k, tgt in dset_action_ranges(lvl[0], lvl[1], TD):
-            if not (half and tgt[0] == -1):
-                actions[kind, k, lvl] = table(kind, k, lvl, tgt)
+    actions = {(kind, k, lvl): table(kind, k, lvl, tgt)
+               for lvl, gens in generators_into(TD).items() if lvl in levels
+               for kind, k, tgt, _ in gens if tgt in levels}
 
     t_split = {}
     if tcol is not None:
@@ -772,7 +765,8 @@ def dset_iso_report(B1: DSet, B2: DSet, maps: dict, name: str = "dset_iso") -> C
     witnesses = []
     checked = 0
     T = min(B1.trunc, B2.trunc)
-    for lvl in dset_levels(T, with_aug_row=B1.has_aug_row() and B2.has_aug_row()):
+    aug = B1.has_aug_row() and B2.has_aug_row()
+    for lvl in dset_levels(T, with_aug_row=aug):
         m = maps.get(lvl)
         checked += 1
         if m is None or set(m) != set(B1.level(*lvl)) or sorted(
@@ -781,12 +775,11 @@ def dset_iso_report(B1: DSet, B2: DSet, maps: dict, name: str = "dset_iso") -> C
             witnesses.append(Witness(f"level@{lvl}", "not a bijection", (lvl,)))
     if witnesses:
         return CheckReport.from_witnesses(name, witnesses, checked)
-    for lvl in dset_levels(T, with_aug_row=B1.has_aug_row() and B2.has_aug_row()):
-        i, j = lvl
-        for kind, k, tgt in dset_action_ranges(i, j, T):
-            if tgt[0] == -1 and not (B1.has_aug_row() and B2.has_aug_row()):
+    for lvl in dset_levels(T, with_aug_row=aug):
+        for kind, k, tgt, _ in generators_into(T)[lvl]:
+            if tgt[0] == -1 and not aug:
                 continue
-            for x in B1.level(i, j):
+            for x in B1.level(*lvl):
                 checked += 1
                 _, y1 = B1.act(kind, k, lvl, x)
                 _, y2 = B2.act(kind, k, lvl, maps[lvl][x])
@@ -826,7 +819,7 @@ def collapse_aug_row(B: DSet, point="*") -> DSet:
     return DSet(B.trunc, levels, actions)
 
 
-def restrict(functor, P):
+def restrict(tag: str, P):
     """Restrict a presheaf along one of the structural functors.
 
     Tags: "q" (abacus presheaf to the simplicial map between its
@@ -835,10 +828,8 @@ def restrict(functor, P):
     "h" (split augmented to pointed), "bulk" (forget the abacus actions,
     keeping the slice-shaped levels and actions).
     """
-    from .abacus import IndexFunctor
     from .decalage import h_upper
 
-    tag = functor.tag if isinstance(functor, IndexFunctor) else functor
     if tag == "q":
         return q_upper_star(P)
     if tag == "j":

@@ -444,10 +444,6 @@ def punctured_chain_sset(n: int, trunc: int, max_distinct: int = 3) -> TruncSSet
         raise ValueError("needs a chain of length >= 3")
     full = nerve(chain_poset(n), trunc)
 
-    def distinct(ch, lvl):
-        verts = {ch} if lvl == 0 else {full.faces[(1, 1)][(ch[0],)]} | {m[1] for m in ch}
-        return len(verts)
-
     levels = {}
     for lvl in range(trunc + 1):
         if lvl == 0:
@@ -457,7 +453,6 @@ def punctured_chain_sset(n: int, trunc: int, max_distinct: int = 3) -> TruncSSet
                 ch for ch in full.level(lvl)
                 if len({ch[0][0]} | {m[1] for m in ch}) <= max_distinct
             )
-    keep = {lvl: set(levels[lvl]) for lvl in levels}
     faces = {
         (lvl, k): {ch: full.faces[(lvl, k)][ch] for ch in levels[lvl]}
         for lvl in range(1, trunc + 1)

@@ -11,14 +11,17 @@ like a choice of local initial objects, and the pair of functors
 from __future__ import annotations
 
 from .presheaf import (
+    BiSSet,
     CheckReport,
     SMap,
     TruncationError,
     TruncSSet,
     Witness,
+    bisset_actions,
     cartesian_on,
     constant_sset,
     _sorted_ids,
+    sub_trunc,
     validate_sset,
 )
 
@@ -71,13 +74,7 @@ def comult(X: TruncSSet) -> SMap:
     levels = {
         n: {x: X.deg(n + 1, 0, x) for x in D.level(n)} for n in range(DD.trunc + 1)
     }
-    return SMap(sub_trunc_sset(D, DD.trunc), DD, levels)
-
-
-def sub_trunc_sset(X: TruncSSet, T: int) -> TruncSSet:
-    from .presheaf import sub_trunc
-
-    return sub_trunc(X, T)
+    return SMap(sub_trunc(D, DD.trunc), DD, levels)
 
 
 def alpha_aug(X: TruncSSet, side: str = "bottom") -> SMap:
@@ -107,21 +104,18 @@ def alpha_aug(X: TruncSSet, side: str = "bottom") -> SMap:
 
 def tot(X: TruncSSet):
     """The total decalage as a bisimplicial set of truncation T - 1."""
-    from .presheaf import BiSSet, bisset_action_ranges
-
     if X.trunc < 1:
         raise TruncationError("total decalage needs trunc >= 1")
     T = X.trunc - 1
     levels = {}
     actions = {}
-    for i in range(T + 1):
-        for j in range(T + 1 - i):
-            levels[(i, j)] = X.level(i + 1 + j)
-            n = i + 1 + j
-            # vertical generators act by the first i + 1 indices, horizontal by the rest
-            for kind, k, _ in bisset_action_ranges(i, j, T):
-                table = X.faces if kind in ("e", "d") else X.degens
-                actions[kind, k, (i, j)] = table[(n, k if kind in ("e", "t") else i + 1 + k)]
+    for (i, j), gens in bisset_actions(T).items():
+        n = i + 1 + j
+        levels[(i, j)] = X.level(n)
+        # vertical generators act by the first i + 1 indices, horizontal by the rest
+        for kind, k, _ in gens:
+            table = X.faces if kind in ("e", "d") else X.degens
+            actions[kind, k, (i, j)] = table[(n, k if kind in ("e", "t") else i + 1 + k)]
     return BiSSet(T, levels, actions)
 
 
@@ -267,7 +261,7 @@ def gamma(A: BottomSplitSSet) -> SMap:
     X = A.sset
     D = dec(X, "bottom")
     levels = {n: {x: A.split[n][x] for x in X.level(n)} for n in range(D.trunc + 1)}
-    return SMap(sub_trunc_sset(X, D.trunc), D, levels)
+    return SMap(sub_trunc(X, D.trunc), D, levels)
 
 
 def is_rigid(A: BottomSplitSSet, name: str = "is_rigid") -> CheckReport:
@@ -308,7 +302,7 @@ def pullback_coalgebra(F: SMap, C_split: dict, name: str = "pullback_coalgebra")
         split[n] = table
     if witnesses:
         return None, CheckReport.from_witnesses(name, witnesses, T)
-    A = BottomSplitSSet(sub_trunc_sset(X, T), split)
+    A = BottomSplitSSet(sub_trunc(X, T), split)
     rep = validate_coalgebra(A, name)
     return A, rep
 
@@ -317,36 +311,27 @@ def pullback_coalgebra(F: SMap, C_split: dict, name: str = "pullback_coalgebra")
 # Local initial and terminal objects
 
 
-def _aug_pullback_levels(P: PointedSSet, side: str):
-    """Levels of the pullback of the pointed constant against dec's
-    canonical augmentation, with the comparison composite to X."""
+def _aug_pullback_compare(P: PointedSSet, side: str) -> dict:
+    """Per level n, the comparison composite to X on the pullback of the
+    pointed constant against dec's canonical augmentation."""
     X = P.sset
     al = alpha_aug(X, side)
-    D = al.source
     eps = counit(X, side)
-    levels = {}
-    compare = {}
-    for n in range(D.trunc + 1):
-        elems = []
-        comp = {}
-        for c in P.point_set:
-            for x in D.level(n):
-                if al.at(n, x) == P.pointing[c]:
-                    elems.append((c, x))
-                    comp[(c, x)] = eps.at(n, x)
-        levels[n] = _sorted_ids(elems)
-        compare[n] = comp
-    return levels, compare
+    return {
+        n: {(c, x): eps.at(n, x)
+            for c in P.point_set for x in al.source.level(n) if al.at(n, x) == P.pointing[c]}
+        for n in range(al.source.trunc + 1)
+    }
 
 
 def _local_report(P: PointedSSet, side: str, name: str) -> CheckReport:
     X = P.sset
     if X.trunc < 1:
         return CheckReport.precondition_failure(name, "trunc too small")
-    levels, compare = _aug_pullback_levels(P, side)
+    compare = _aug_pullback_compare(P, side)
     witnesses = []
     checked = 0
-    for n in sorted(levels):
+    for n in sorted(compare):
         seen = {}
         for z, img in compare[n].items():
             checked += 1
@@ -421,7 +406,7 @@ def h_counit_map(P: PointedSSet) -> SMap:
         n: {(c, x): X.face(n + 1, 0, x) for (c, x) in A.sset.level(n)}
         for n in range(A.sset.trunc + 1)
     }
-    return SMap(A.sset, sub_trunc_sset(X, A.sset.trunc), levels)
+    return SMap(A.sset, sub_trunc(X, A.sset.trunc), levels)
 
 
 def h_unit_report(A: AugBottomSplitSSet, name: str = "h_unit") -> CheckReport:

@@ -9,11 +9,15 @@ each generator lands.
 Presheaves are immutable by convention after construction: nothing here
 mutates them, and all checkers are read-only.
 
-The index-category combinatorics are computed once and then looked up:
-``validate_dset`` reads the abacus relation table as rows of action keys,
-cached per bound on the levels (``_relation_rows``), and ``TruncSSet.act``
-reads the face and degeneracy steps of a monotone map, cached per map
-(``_act_steps``).  Element loops only look tables up.
+The index-category combinatorics are computed once and then looked up.
+Which levels and actions a truncated presheaf has is read off the one
+generator table, ``abacus.generators_into`` (``dset_levels``,
+``bisset_actions``, ``validate_dset``, ``validate_bisset``); nothing here
+lists generator indices or objects itself.  ``validate_dset`` reads the
+abacus relation table as rows of action keys, cached per bound on the
+levels (``_relation_rows``), and ``TruncSSet.act`` reads the face and
+degeneracy steps of a monotone map, cached per map (``_act_steps``).
+Element loops only look tables up.
 
 Every checker reports relative to the truncation: verdicts are "pass up
 to T", with the checked instances counted, never silently vacuous.
@@ -464,16 +468,12 @@ class BiSSet(_Grid):
     actions of ``BULK_KINDS`` in its ``actions`` table."""
 
 
-def bisset_action_ranges(i: int, j: int, trunc: int):
-    """(kind, k, target) for the actions out of bulk level (i, j)."""
-    gens = []
-    if i >= 1:
-        gens += [("e", k) for k in range(i + 1)]
-    if j >= 1:
-        gens += [("d", k) for k in range(j + 1)]
-    if i + j < trunc:
-        gens += [("t", k) for k in range(i + 1)] + [("s", k) for k in range(j + 1)]
-    return [(kind, k, action_target(kind, (i, j))) for kind, k in gens]
+def bisset_actions(trunc: int) -> dict:
+    """The actions of a bisimplicial set truncated at i + j <= trunc:
+    ``(i, j) -> [(kind, k, target level)]``, the ``BULK_KINDS`` part of the
+    generator table at abacus degree trunc + 1 between bulk levels."""
+    return {lvl: [(kind, k, tgt) for kind, k, tgt, _ in gens if kind in BULK_KINDS and min(tgt) >= 0]
+            for lvl, gens in abacus.generators_into(trunc + 1).items() if min(lvl) >= 0}
 
 
 def row_sset(B, i: int) -> TruncSSet:
@@ -506,14 +506,23 @@ def _col_trunc(B, j: int) -> int:
     return B.trunc - j
 
 
+def _stray_levels(B, expect) -> list:
+    """A witness for each level of B outside the truncation's levels."""
+    return [Witness(f"level@{lvl}", "level beyond the truncation", ()) for lvl in B.levels
+            if lvl not in expect]
+
+
 def validate_bisset(B: BiSSet, name: str = "bisset") -> CheckReport:
-    witnesses = []
     checked = 0
     A = B.actions
-    for (i, j), xs in sorted(B.levels.items(), key=lambda kv: kv[0]):
-        for kind, k, tgt in bisset_action_ranges(i, j, B.trunc):
-            checked += _check_total(A.get((kind, k, (i, j))), xs, B.level(*tgt),
-                                    action_label(kind, k, (i, j)), witnesses)
+    into = bisset_actions(B.trunc)
+    witnesses = _stray_levels(B, into)
+    for lvl, gens in into.items():
+        if lvl not in B.levels:
+            continue
+        for kind, k, tgt in gens:
+            checked += _check_total(A.get((kind, k, lvl)), B.levels[lvl], B.level(*tgt),
+                                    action_label(kind, k, lvl), witnesses)
     if witnesses:
         return CheckReport.from_witnesses(name, witnesses, checked)
     for i in range(B.trunc + 1):
@@ -525,12 +534,12 @@ def validate_bisset(B: BiSSet, name: str = "bisset") -> CheckReport:
         checked += rep.checked
         witnesses += [Witness(f"col{j}:{w.site}", w.equation, w.offenders) for w in rep.witnesses]
     # vertical operators commute with horizontal ones
-    for (i, j), xs in sorted(B.levels.items(), key=lambda kv: kv[0]):
-        ranges = bisset_action_ranges(i, j, B.trunc)
-        for vkind, vk, vtgt in ranges:
+    for lvl, gens in into.items():
+        xs = B.level(*lvl)
+        for vkind, vk, vtgt in gens:
             if vkind not in ("e", "t"):
                 continue
-            for hkind, hk, htgt in ranges:
+            for hkind, hk, htgt in gens:
                 if hkind not in ("d", "s"):
                     continue
                 corner = action_target(hkind, vtgt)
@@ -540,10 +549,11 @@ def validate_bisset(B: BiSSet, name: str = "bisset") -> CheckReport:
                     continue
                 for x in xs:
                     checked += 1
-                    vh = A[hkind, hk, vtgt][A[vkind, vk, (i, j)][x]]
-                    if vh != A[vkind, vk, htgt][A[hkind, hk, (i, j)][x]]:
+                    vh = A[hkind, hk, vtgt][A[vkind, vk, lvl][x]]
+                    if vh != A[vkind, vk, htgt][A[hkind, hk, lvl][x]]:
                         witnesses.append(
-                            Witness(f"{vkind}{vk}.{hkind}{hk}@({i},{j})", "directions commute", (x,))
+                            Witness(f"{vkind}{vk}.{hkind}{hk}@({lvl[0]},{lvl[1]})",
+                                    "directions commute", (x,))
                         )
     return CheckReport.from_witnesses(name, witnesses, checked)
 
@@ -576,51 +586,29 @@ class DSet(_Grid):
                       key=lambda kv: (kv[0][0] + 1 + kv[0][1], kv[0]))
 
 
-def dset_levels(trunc: int, with_aug_row: bool = True):
-    out = []
-    for d in range(trunc + 1):
-        for i in range(-1 if with_aug_row else 0, d + 2):
-            j = d - 1 - i
-            if j >= -1 and not (i == -1 and j == -1) and i >= (-1 if with_aug_row else 0):
-                out.append((i, j))
-    return sorted(out, key=lambda ij: (ij[0] + 1 + ij[1], ij))
-
-
-def dset_action_ranges(i: int, j: int, trunc: int):
-    """(kind, k, target) for every action required out of level (i, j)."""
-    gens = []
-    if i >= 0 and (i, j) != (0, -1):
-        gens += [("e", k) for k in range(i + 1)]
-    if j >= 0 and (i, j) != (-1, 0):
-        gens += [("d", k) for k in range(j + 1)]
-    if i + 1 + j < trunc:
-        if i >= 0:
-            gens += [("t", k) for k in range(i + 1)]
-        if j >= 0:
-            gens += [("s", k) for k in range(j + 1)]
-        if i >= 0:
-            gens.append(("ssub", None))
-    if i >= 0:
-        gens.append(("f", None))
-    return [(kind, k, action_target(kind, (i, j))) for kind, k in gens]
+def dset_levels(trunc: int, with_aug_row: bool = True) -> list:
+    """The levels of a ``trunc``-truncated abacus presheaf, by degree then
+    level: the generator table's objects, less the augmentation row unless
+    ``with_aug_row``."""
+    return [lvl for lvl in abacus.generators_into(trunc) if with_aug_row or lvl[0] >= 0]
 
 
 def validate_dset(B: DSet, name: str = "dset") -> CheckReport:
     """Well-formedness plus the full relation table of the abacus category,
     applied contravariantly to every element within truncation."""
-    witnesses = []
     checked = 0
     with_aug = B.has_aug_row()
-    expect = set(dset_levels(B.trunc, with_aug))
+    into = abacus.generators_into(B.trunc)
+    expect = dset_levels(B.trunc, with_aug)
+    witnesses = _stray_levels(B, expect)
     for lvl in expect:
         if lvl not in B.levels:
             witnesses.append(Witness(f"level@{lvl}", "level missing", ()))
-    for lvl in sorted(B.levels, key=lambda ij: (ij[0] + 1 + ij[1], ij)):
-        for kind, k, tgt in dset_action_ranges(lvl[0], lvl[1], B.trunc):
-            if not with_aug and tgt[0] == -1:
-                continue
-            checked += _check_total(B.actions.get((kind, k, lvl)), B.level(*lvl), B.level(*tgt),
-                                    action_label(kind, k, lvl), witnesses)
+            continue
+        for kind, k, tgt, _ in into[lvl]:
+            if with_aug or tgt[0] >= 0:
+                checked += _check_total(B.actions.get((kind, k, lvl)), B.levels[lvl], B.level(*tgt),
+                                        action_label(kind, k, lvl), witnesses)
     if witnesses:
         return CheckReport.from_witnesses(name, witnesses, checked)
     max_i = max((i for (i, j) in B.levels), default=-1)
@@ -687,16 +675,17 @@ def _relation_rows(max_i: int, max_j: int, max_d: int) -> tuple:
 
 
 def _word_levels(word):
-    """Source-to-target object path of a generator word, or None if illegal."""
-    try:
-        cur = abacus.bead_identity(word.source)
-        path = [(cur.tgt.i, cur.tgt.j)]
-        for kind, k in word.tokens:
-            cur = abacus.bead_compose(abacus.bead_of_generator(kind, k, cur.tgt), cur)
-            path.append((cur.tgt.i, cur.tgt.j))
-        return path
-    except ValueError:
-        return None
+    """Source-to-target object path of a generator word, or None if a
+    generator index does not exist where the word applies it."""
+    cur = word.source
+    path = [(cur.i, cur.j)]
+    for kind, k in word.tokens:
+        if k not in abacus.generator_range(kind, cur):
+            return None
+        di, dj = abacus.SHIFT[kind]
+        cur = abacus.DObject(cur.i + di, cur.j + dj)
+        path.append((cur.i, cur.j))
+    return path
 
 
 def _action_keys(word, path, intern) -> tuple:

@@ -111,9 +111,8 @@ def cheatsheet_suite(trunc: int = 5, max_size: int = 4, seed: int | None = None)
         maps.append((f"counit-top-{name}", counit(X, "top")))
         maps.append((f"counit-bot-{name}", counit(X, "bottom")))
 
-    def classify_sset(item):
-        name, X = item
-        return name, {
+    sset_facts = {
+        name: {
             "segal": is_segal(X).holds,
             "upper": is_2segal(X, "upper").holds,
             "lower": is_2segal(X, "lower").holds,
@@ -123,17 +122,16 @@ def cheatsheet_suite(trunc: int = 5, max_size: int = 4, seed: int | None = None)
             "culf_top": is_culf(counit(X, "top")).holds,
             "sd_segal": is_segal(sd(X)).holds,
         }
-
-    def classify_map(item):
-        name, F = item
-        return name, {
+        for name, X in corpus
+    }
+    map_facts = {
+        name: {
             "culf": is_culf(F).holds,
             "lfib": is_left_fibration(F).holds,
             "rfib": is_right_fibration(F).holds,
         }
-
-    sset_facts = dict(map(classify_sset, corpus))
-    map_facts = dict(map(classify_map, maps))
+        for name, F in maps
+    }
 
     # Conclusions joined with ``and`` stop at the first that does not hold:
     # False (refuted) or None (undecided).
@@ -246,13 +244,8 @@ def _star_fixtures(trunc: int):
 
 def star_suite(trunc: int = 4) -> dict:
     """The cartesian-abacus condition against unit invertibility."""
-    fixtures = _star_fixtures(trunc)
-
-    def run(item):
-        name, B, positive = item
-        return name, positive, validate(B).holds, condition_star(B).holds, unit_iso(B).holds
-
-    results = list(map(run, fixtures))
+    results = [(name, positive, validate(B).holds, condition_star(B).holds, unit_iso(B).holds)
+               for name, B, positive in _star_fixtures(trunc)]
     entries = [
         _tally("star:fixtures-validate", "every fixture is a genuine presheaf",
                ((n, valid) for n, _, valid, _, _ in results)),
@@ -279,13 +272,11 @@ def _dictionary_maps(trunc: int):
 def dictionary_suite(trunc: int = 4) -> dict:
     """Bicomodule configurations against the three map conditions, the
     invertibility characterization, and the packaged total space."""
-    maps = _dictionary_maps(trunc)
-
-    def run(item):
-        name, F = item
+    rows = []
+    for name, F in _dictionary_maps(trunc):
         B = q_lower_star(F)
         holds = [r.holds for r in dictionary_conditions(F).values()]
-        return {
+        rows.append({
             "name": name,
             "lhs": None if None in holds else all(holds),
             "bicomodule": is_bicomodule_config(B).holds,
@@ -296,9 +287,7 @@ def dictionary_suite(trunc: int = 4) -> dict:
                 for n in range(min(F.source.trunc, F.target.trunc) + 1)
             ),
             "m_dict": m_2segal_dictionary(F).holds,
-        }
-
-    rows = list(map(run, maps))
+        })
     entries = [
         _tally("dictionary:bicomodule-matches-conditions",
                "bicomodule configuration <=> 2-Segal ends and relative upper condition",
@@ -317,14 +306,8 @@ def dictionary_suite(trunc: int = 4) -> dict:
 
 def boors_suite(trunc: int = 5) -> dict:
     """The pointing equivalence round trip on the 2-Segal corpus."""
-    corpus = [(n, X) for n, X in standard_nerve_corpus(trunc)
-              if is_2segal(X, "both").holds]
-
-    def run(item):
-        name, X = item
-        return name, boors_roundtrip(X)
-
-    results = list(map(run, corpus))
+    results = [(n, boors_roundtrip(X)) for n, X in standard_nerve_corpus(trunc)
+               if is_2segal(X, "both").holds]
     entries = []
     keys = ["axioms", "extension_valid", "invertible_abacus", "ts_compat",
             "invertibility_pair", "pointing_restriction", "iso_with_kan"]
@@ -352,12 +335,7 @@ def half_axioms_suite(trunc: int = 5) -> dict:
         ("id-partial", identity_smap(two_segal_partial_monoid(trunc))),
         ("incl-chain13", poset_inclusion(chain_poset(1), chain_poset(3), trunc)),
     ]
-
-    def run(item):
-        name, F = item
-        return name, half_roundtrip(F)
-
-    results = list(map(run, maps))
+    results = [(name, half_roundtrip(F)) for name, F in maps]
     entries = []
     for key, statement in [
         ("half_axioms", "restrictions satisfy the horizontal half of the axioms"),

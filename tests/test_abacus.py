@@ -154,6 +154,13 @@ def test_functor_r():
     assert apply_functor("r", DObject(1, 2)) == 4
     f = bead_of_generator("f", None, DObject(1, 1))
     assert apply_functor("r", f) == f.carrier
+    # functors are named by their tag; an unknown tag is an error
+    from segal_abacus.configurations import restrict
+
+    with pytest.raises(ValueError):
+        apply_functor("x", DObject(1, 2))
+    with pytest.raises(ValueError):
+        restrict("x", None)
 
 
 def test_functor_j_pointing():

@@ -35,7 +35,6 @@ from segal_abacus.decalage import (
     is_local_initial,
     is_local_terminal,
     is_rigid,
-    sub_trunc_sset,
     tot,
     validate_coalgebra,
     BottomSplitSSet,
@@ -55,6 +54,7 @@ from segal_abacus.presheaf import (
     identity_smap,
     is_pullback,
     pullback_sets,
+    sub_trunc,
     validate,
 )
 from segal_abacus.suites import (
@@ -374,7 +374,7 @@ def _m_coalgebra():
     D = dec(X, "bottom")
     delta = comult(X)
     BS = BottomSplitSSet(
-        sub_trunc_sset(D, D.trunc), {n: dict(delta.levels[n]) for n in range(D.trunc)}
+        sub_trunc(D, D.trunc), {n: dict(delta.levels[n]) for n in range(D.trunc)}
     )
 
     def tables(A):
@@ -390,7 +390,7 @@ def _m_rigid():
     D = dec(X, "bottom")
     delta = comult(X)
     BS = BottomSplitSSet(
-        sub_trunc_sset(D, D.trunc), {n: dict(delta.levels[n]) for n in range(D.trunc)}
+        sub_trunc(D, D.trunc), {n: dict(delta.levels[n]) for n in range(D.trunc)}
     )
 
     def tables(A):

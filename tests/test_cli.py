@@ -27,6 +27,10 @@ def test_gen_and_validate(tmp_path):
     code, text = run(["check", "validate", out])
     assert code == 0
     assert json.loads(text)["verdict"] == "pass"
+    # size 0 is the one-vertex path, as it is the one-vertex simplex
+    for kind in (["graph", "--preset", "path"], ["simplex"]):
+        code, text = run(["gen", *kind, "--size", "0", "--trunc", "2", "--out", out])
+        assert (code, json.loads(text)["sizes"]) == (0, {"0": 1, "1": 1, "2": 1}), kind
 
 
 def test_check_exit_codes(tmp_path):
@@ -81,6 +85,11 @@ def test_check_invalid_input(tmp_path):
         ["run-suite", "cheatsheet", "--trunc", "1"],
         ["gen", "punctured-chain", "--size", "1", "--out", out],
         ["gen", "nerve-monoid", "--size", "0", "--out", out],
+        ["gen", "nerve-poset", "--preset", "foo", "--out", out],
+        ["gen", "nerve-category", "--preset", "foo", "--out", out],
+        ["gen", "nerve-monoid", "--preset", "foo", "--out", out],
+        ["gen", "graph", "--preset", "foo", "--out", out],
+        ["gen", "partial-monoid", "--preset", "idem", "--out", out],
     ):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):

@@ -27,7 +27,6 @@ from segal_abacus.decalage import (
     is_rigid,
     pullback_coalgebra,
     sd,
-    sub_trunc_sset,
     tot,
     underlying_split,
     validate_coalgebra,
@@ -38,7 +37,7 @@ from segal_abacus.fibrations import (
     is_right_fibration,
     is_segal,
 )
-from segal_abacus.presheaf import constant_sset, validate
+from segal_abacus.presheaf import constant_sset, sub_trunc, validate
 
 
 def vee_poset():
@@ -116,7 +115,7 @@ def canonical_split(X):
     D = dec(X, "bottom")
     delta = comult(X)
     split = {n: dict(delta.levels[n]) for n in range(D.trunc)}
-    return BottomSplitSSet(sub_trunc_sset(D, D.trunc), split)
+    return BottomSplitSSet(sub_trunc(D, D.trunc), split)
 
 
 def test_coalgebra_validation_and_rigidity():

@@ -24,8 +24,8 @@ from segal_abacus.presheaf import (
     action_label,
     action_target,
     colimit0,
+    bisset_actions,
     constant_sset,
-    dset_action_ranges,
     dset_levels,
     empty_sset,
     identity_smap,
@@ -211,6 +211,73 @@ def test_validate_partial_monoid_and_graph():
 
 
 # ---------------------------------------------------------------------------
+# The generator table against hand-derived ranges
+#
+# The levels and actions of truncated presheaves as they were written out by
+# hand before ``abacus.generators_into`` was the one table: the reference for
+# the table and for the per-element walk below.
+
+
+def _ref_dset_levels(trunc, with_aug_row=True):
+    out = []
+    for d in range(trunc + 1):
+        for i in range(-1 if with_aug_row else 0, d + 2):
+            j = d - 1 - i
+            if j >= -1 and not (i == -1 and j == -1) and i >= (-1 if with_aug_row else 0):
+                out.append((i, j))
+    return sorted(out, key=lambda ij: (ij[0] + 1 + ij[1], ij))
+
+
+def _ref_dset_action_ranges(i, j, trunc):
+    """(kind, k, target) for every action required out of level (i, j)."""
+    gens = []
+    if i >= 0 and (i, j) != (0, -1):
+        gens += [("e", k) for k in range(i + 1)]
+    if j >= 0 and (i, j) != (-1, 0):
+        gens += [("d", k) for k in range(j + 1)]
+    if i + 1 + j < trunc:
+        if i >= 0:
+            gens += [("t", k) for k in range(i + 1)]
+        if j >= 0:
+            gens += [("s", k) for k in range(j + 1)]
+        if i >= 0:
+            gens.append(("ssub", None))
+    if i >= 0:
+        gens.append(("f", None))
+    return [(kind, k, action_target(kind, (i, j))) for kind, k in gens]
+
+
+def _ref_bisset_action_ranges(i, j, trunc):
+    """(kind, k, target) for the actions out of bulk level (i, j)."""
+    gens = []
+    if i >= 1:
+        gens += [("e", k) for k in range(i + 1)]
+    if j >= 1:
+        gens += [("d", k) for k in range(j + 1)]
+    if i + j < trunc:
+        gens += [("t", k) for k in range(i + 1)] + [("s", k) for k in range(j + 1)]
+    return [(kind, k, action_target(kind, (i, j))) for kind, k in gens]
+
+
+def test_generator_table_matches_hand_derived_ranges():
+    for T in range(-1, 8):
+        into = abacus.generators_into(T)
+        for aug in (True, False):
+            assert dset_levels(T, aug) == _ref_dset_levels(T, aug), (T, aug)
+        assert list(into) == _ref_dset_levels(T)
+        for lvl, gens in into.items():
+            assert sorted(((kind, k, src) for kind, k, src, _ in gens), key=str) == sorted(
+                _ref_dset_action_ranges(*lvl, T), key=str), (T, lvl)
+            for kind, k, src, g in gens:
+                assert g == abacus.bead_of_generator(kind, k, abacus.DObject(*src))
+                assert (g.tgt.i, g.tgt.j) == lvl
+        bulk = bisset_actions(T)
+        assert sorted(bulk) == sorted((i, j) for i in range(T + 1) for j in range(T + 1 - i))
+        for (i, j), gens in bulk.items():
+            assert sorted(gens, key=str) == sorted(_ref_bisset_action_ranges(i, j, T), key=str)
+
+
+# ---------------------------------------------------------------------------
 # validate_dset against a reference that walks each relation word per element
 
 
@@ -241,11 +308,11 @@ def _reference_validate_dset(B, name="dset"):
     witnesses = []
     checked = 0
     with_aug = B.has_aug_row()
-    for lvl in set(dset_levels(B.trunc, with_aug)):
+    for lvl in set(_ref_dset_levels(B.trunc, with_aug)):
         if lvl not in B.levels:
             witnesses.append(Witness(f"level@{lvl}", "level missing", ()))
     for lvl in sorted(B.levels, key=lambda ij: (ij[0] + 1 + ij[1], ij)):
-        for kind, k, tgt in dset_action_ranges(lvl[0], lvl[1], B.trunc):
+        for kind, k, tgt in _ref_dset_action_ranges(lvl[0], lvl[1], B.trunc):
             if not with_aug and tgt[0] == -1:
                 continue
             checked += _check_total(B.actions.get((kind, k, lvl)), B.level(*lvl), B.level(*tgt),
@@ -291,3 +358,16 @@ def test_validate_dset_matches_per_element_walk(data):
         B.actions = {**B.actions, key: table}
     got, want = validate_dset(B), _reference_validate_dset(B)
     assert (got.verdict, got.checked, got.witnesses) == (want.verdict, want.checked, want.witnesses)
+
+
+def test_levels_beyond_the_truncation_fail_validation():
+    from segal_abacus.decalage import tot
+
+    N = nerve(chain_poset(1), 3)
+    for P, stray in ((r_star(N), (2, 1)), (tot(N), (2, 1))):
+        assert validate(P).holds is True
+        P = copy.copy(P)
+        P.levels = {**P.levels, stray: ("junk",)}
+        rep = validate(P)
+        assert rep.holds is False
+        assert Witness(f"level@{stray}", "level beyond the truncation", ()) in rep.witnesses

@@ -1,0 +1,87 @@
+"""Property tests over random poset nerves.
+
+Each example is the first poset of ``random_poset_corpus(1, MAX_SIZE, seed,
+trunc)`` at truncation 3 or 4, with its nerve; the properties are the
+statements the suites check on hand-picked fixtures.
+"""
+
+import json
+import random
+from functools import cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from segal_abacus import pjson
+from segal_abacus.configurations import (
+    build_M,
+    condition_star,
+    extract_from_M,
+    j_upper_star,
+    q_lower_star,
+    r_star,
+    unit_iso,
+)
+from segal_abacus.corpus import nerve, random_poset, random_poset_corpus, upset_inclusion
+from segal_abacus.fibrations import is_2segal, is_segal
+from segal_abacus.presheaf import identity_smap, validate
+
+MAX_SIZE = 4
+
+
+@cache
+def _poset_nerve(seed: int, trunc: int):
+    """The first poset of the seeded corpus and the corpus's nerve of it."""
+    rng = random.Random(seed)
+    cat = random_poset(rng.randint(2, MAX_SIZE), rng)
+    [(_, X)] = random_poset_corpus(1, MAX_SIZE, seed, trunc)
+    assert X.levels == nerve(cat, trunc).levels
+    return cat, X
+
+
+posets = st.builds(_poset_nerve, st.integers(0, 39), st.sampled_from([3, 4]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(posets)
+def test_random_nerves_are_segal_and_2segal(fixture):
+    _, X = fixture
+    assert is_segal(X).holds is True
+    assert is_2segal(X, "both").holds is True
+
+
+@settings(max_examples=25, deadline=None)
+@given(posets, st.data())
+def test_kan_extensions_satisfy_star_and_unit(fixture, data):
+    cat, X = fixture
+    base = data.draw(st.sampled_from(sorted(cat.objects)))
+    for F in (identity_smap(X), upset_inclusion(cat, base, X.trunc)):
+        B = q_lower_star(F)
+        assert validate(B).holds is True
+        assert condition_star(B).holds is True
+        assert unit_iso(B).holds is True
+
+
+@settings(max_examples=25, deadline=None)
+@given(posets)
+def test_total_decalage_validates_and_packages_losslessly(fixture):
+    _, X = fixture
+    B = r_star(X)
+    assert validate(B).holds is True
+    fib = extract_from_M(*build_M(B))
+    assert {lvl: tuple(x for _, x in ms) for lvl, ms in fib.items()} == B.levels
+
+
+def _reloaded(text: str) -> str:
+    return pjson.dumps(pjson.from_dict(json.loads(text)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(posets)
+def test_pjson_round_trip_is_byte_stable(fixture):
+    _, X = fixture
+    F = identity_smap(X)
+    B = q_lower_star(F)
+    for P in (X, F, B, j_upper_star(B)):
+        text = pjson.dumps(P)
+        assert _reloaded(text) == text, pjson.shape_of(P)
