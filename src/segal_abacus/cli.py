@@ -67,8 +67,20 @@ def _below(flag: str, value, least: int = 0) -> bool:
 # gen
 
 
-# the least --size each kind is defined for
-_LEAST_SIZE = {"punctured-chain": 3, "nerve-monoid": 1}
+# the fixtures that take --size, by (kind, preset): (least size, default);
+# every other fixture is fixed and rejects --size
+_SIZES = {
+    ("nerve-poset", None): (0, 2),
+    ("nerve-monoid", None): (1, 2),
+    ("simplex", None): (0, 1),
+    ("constant", None): (0, 3),
+    ("boolean-lattice", None): (0, 2),
+    ("punctured-chain", None): (3, 3),
+    ("graph", "path"): (0, 2),
+}
+
+# the preset a kind builds when --preset is not given
+_DEFAULT_PRESET = {"graph": "glued", "nerve-category": "walkiso"}
 
 # the presets each kind accepts: the category whose nerve is the fixture,
 # or for graph a builder from (size, trunc)
@@ -82,43 +94,54 @@ _PRESETS = {
     "nerve-monoid": {"idem": corpus.idempotent_monoid},
     "graph": {
         "glued": lambda size, T: corpus.glued_edges_sset(T),
-        "path": lambda size, T: corpus.path_graph_sset(size if size is not None else 2, T),
+        "path": lambda size, T: corpus.path_graph_sset(size, T),
     },
 }
 
 
+def _fixture_name(kind, preset) -> str:
+    return kind if preset is None else f"{kind} --preset {preset}"
+
+
 def _gen(args) -> int:
-    T = args.trunc
-    kind = args.kind
-    size = args.size
-    if _below("trunc", T) or _below("size", size, _LEAST_SIZE.get(kind, 0)):
+    T, kind, size = args.trunc, args.kind, args.size
+    if _below("trunc", T):
         return 2
-    preset = args.preset
     presets = _PRESETS.get(kind, {})
-    if preset is not None and preset not in presets:
-        print(f"gen {kind} has no preset {preset!r} (presets: {', '.join(presets) or 'none'})",
+    if args.preset is not None and args.preset not in presets:
+        print(f"gen {kind} has no preset {args.preset!r} (presets: {', '.join(presets) or 'none'})",
               file=sys.stderr)
         return 2
+    preset = _DEFAULT_PRESET.get(kind) if args.preset is None else args.preset
+    sizes = _SIZES.get((kind, preset))
+    if size is not None and sizes is None:
+        print(f"gen {_fixture_name(kind, args.preset)} takes no --size (it applies to: "
+              f"{', '.join(_fixture_name(*key) for key in _SIZES)})", file=sys.stderr)
+        return 2
+    if sizes is not None:
+        if _below("size", size, sizes[0]):
+            return 2
+        size = sizes[1] if size is None else size
     if kind == "graph":
-        out = presets[preset or "glued"](size, T)
-    elif preset is not None or kind == "nerve-category":
-        out = corpus.nerve(presets[preset or "walkiso"](), T)
+        out = presets[preset](size, T)
+    elif preset is not None:
+        out = corpus.nerve(presets[preset](), T)
     elif kind == "nerve-poset":
-        out = corpus.nerve(corpus.chain_poset(size if size is not None else 2), T)
+        out = corpus.nerve(corpus.chain_poset(size), T)
     elif kind == "nerve-monoid":
-        out = corpus.nerve(corpus.cyclic_monoid(size if size is not None else 2), T)
+        out = corpus.nerve(corpus.cyclic_monoid(size), T)
     elif kind == "partial-monoid":
         out = corpus.two_segal_partial_monoid(T)
     elif kind == "simplex":
-        out = corpus.nerve(corpus.chain_poset(size if size is not None else 1), T)
+        out = corpus.nerve(corpus.chain_poset(size), T)
     elif kind == "constant":
         from .presheaf import constant_sset
 
-        out = constant_sset([f"c{k}" for k in range(size if size is not None else 3)], T)
+        out = constant_sset([f"c{k}" for k in range(size)], T)
     elif kind == "boolean-lattice":
-        out = corpus.nerve(corpus.boolean_lattice(size if size is not None else 2), T)
+        out = corpus.nerve(corpus.boolean_lattice(size), T)
     elif kind == "punctured-chain":
-        out = corpus.punctured_chain_sset(size if size is not None else 3, T)
+        out = corpus.punctured_chain_sset(size, T)
     else:
         print(f"unknown kind {kind!r}", file=sys.stderr)
         return 2

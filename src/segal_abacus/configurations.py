@@ -34,6 +34,7 @@ from .presheaf import (
     TruncationError,
     TruncSSet,
     Witness,
+    _by_image,
     _sorted_ids,
     action_target,
     col_sset,
@@ -43,6 +44,7 @@ from .presheaf import (
     restrict_actions,
     row_sset,
     sub_trunc,
+    through,
     validate,
 )
 from .simplex import MonotoneMap
@@ -95,19 +97,19 @@ def q_lower_star(F: SMap) -> DSet:
         elif i == -1:
             levels[(i, j)] = Y.level(j)
         else:
-            inc = MonotoneMap(i + 1, i + j + 2, tuple(range(i + 1)))
-            over = {}  # the y in Y_{i+1+j} by their image in Y_i
-            for y in Y.level(i + 1 + j):
-                over.setdefault(Y.act(inc, y), []).append(y)
+            inc = Y.act_tables(MonotoneMap(i + 1, i + j + 2, tuple(range(i + 1))))
+            ys = Y.level(i + 1 + j)
+            over = _by_image({y: through(inc, y) for y in ys}, ys)  # the y by their image in Y_i
             levels[(i, j)] = _sorted_ids((x, y) for x in X.level(i) for y in over.get(F.at(i, x), ()))
     actions = {}
     for lvl, gens in generators_into(T).items():
         for kind, k, tgt, g in gens:
-            top = g.top_part() if tgt[0] >= 0 else None
+            x_tables = X.act_tables(g.top_part()) if tgt[0] >= 0 else None
+            y_tables = Y.act_tables(g.carrier)
             table = {}
             for elem in levels[lvl]:
-                nx = X.act(top, _x_part(lvl, elem)) if top is not None else None
-                ny = Y.act(g.carrier, _y_part(lvl, elem, F))
+                nx = through(x_tables, _x_part(lvl, elem)) if x_tables is not None else None
+                ny = through(y_tables, _y_part(lvl, elem, F))
                 table[elem] = _pack(tgt, nx, ny)
             actions[kind, k, lvl] = table
     return DSet(T, levels, actions)
@@ -118,8 +120,11 @@ def r_star(X: TruncSSet) -> DSet:
     (i, j) is X_{i+1+j} and every generator acts through its carrier."""
     T = X.trunc
     levels = {lvl: X.level(lvl[0] + 1 + lvl[1]) for lvl in dset_levels(T)}
-    actions = {(kind, k, lvl): {x: X.act(g.carrier, x) for x in levels[lvl]}
-               for lvl, gens in generators_into(T).items() for kind, k, _, g in gens}
+    actions = {}
+    for lvl, gens in generators_into(T).items():
+        for kind, k, _, g in gens:
+            tables = X.act_tables(g.carrier)
+            actions[kind, k, lvl] = {x: through(tables, x) for x in levels[lvl]}
     return DSet(T, levels, actions)
 
 

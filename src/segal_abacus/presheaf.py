@@ -17,7 +17,14 @@ lists generator indices or objects itself.  ``validate_dset`` reads the
 abacus relation table as rows of action keys, cached per bound on the
 levels (``_relation_rows``), and ``TruncSSet.act`` reads the face and
 degeneracy steps of a monotone map, cached per map (``_act_steps``).
-Element loops only look tables up.
+Element loops only look tables up: a construction that applies one map
+to a whole level takes its tables once (``TruncSSet.act_tables``).
+
+Element order is canonical, by ``fmt_id``, and computed once.  Every level
+goes through ``_sorted_ids``, which marks the tuple it returns; only
+``_sorted_ids`` makes the mark, and it returns a marked tuple unchanged.
+So a level re-indexed from an already sorted one (``dec``, ``row_sset``,
+``sub_trunc``, ``r_star``) is neither formatted nor sorted again.
 
 Every checker reports relative to the truncation: verdicts are "pass up
 to T", with the checked instances counted, never silently vacuous.
@@ -44,8 +51,19 @@ def fmt_id(x) -> str:
     return str(x)
 
 
+class _Canonical(tuple):
+    """A tuple of element ids in canonical order; only ``_sorted_ids`` makes one."""
+
+    __slots__ = ()
+
+
 def _sorted_ids(xs) -> tuple:
-    return tuple(sorted(xs, key=fmt_id))
+    """The ids in canonical order (by ``fmt_id``), sorted once: a tuple this
+    returned comes back unchanged.  Slices and other copies are plain
+    tuples and are sorted again."""
+    if type(xs) is _Canonical:
+        return xs
+    return _Canonical(sorted(xs, key=fmt_id))
 
 
 # ---------------------------------------------------------------------------
@@ -80,13 +98,22 @@ class TruncSSet:
         ``f : [m] -> [n]`` acts on an n-simplex and returns an m-simplex,
         by the canonical face-then-degeneracy decomposition.
         """
-        for is_face, key in _act_steps(f):
-            x = (self.faces if is_face else self.degens)[key][x]
-        return x
+        return through(self.act_tables(f), x)
+
+    def act_tables(self, f: MonotoneMap) -> list:
+        """The face and degeneracy tables ``f`` acts through, in turn."""
+        return [(self.faces if is_face else self.degens)[key] for is_face, key in _act_steps(f)]
 
     def __repr__(self):
         sizes = {n: len(xs) for n, xs in sorted(self.levels.items())}
         return f"TruncSSet(T={self.trunc}, sizes={sizes})"
+
+
+def through(tables, x):
+    """Look ``x`` up in each table in turn."""
+    for table in tables:
+        x = table[x]
+    return x
 
 
 @lru_cache(maxsize=None)
@@ -243,10 +270,20 @@ def pullback_sets(f: dict, g: dict, a_elems, b_elems):
 
     Returns (pairs, proj_a, proj_b) with canonical tuple ids.
     """
-    pairs = _sorted_ids((a, b) for a in a_elems for b in b_elems if f[a] == g[b])
+    over = _by_image(g, b_elems)
+    pairs = _sorted_ids((a, b) for a in a_elems for b in over.get(f[a], ()))
     proj_a = {p: p[0] for p in pairs}
     proj_b = {p: p[1] for p in pairs}
     return pairs, proj_a, proj_b
+
+
+def _by_image(g: dict, elems) -> dict:
+    """The elements grouped by their image under ``g``, each group in the
+    order given: the build side of a hash join."""
+    over: dict = {}
+    for b in elems:
+        over.setdefault(g[b], []).append(b)
+    return over
 
 
 @dataclass(frozen=True)
@@ -276,7 +313,8 @@ def is_pullback(sq: Square) -> CheckReport:
             witnesses.append(Witness(sq.name, "square does not commute", (p,)))
     if witnesses:
         return CheckReport.from_witnesses("is_pullback", witnesses, checked)
-    want = {(a, b) for a in sq.a_elems for b in sq.b_elems if sq.a_to_c[a] == sq.b_to_c[b]}
+    over = _by_image(sq.b_to_c, sq.b_elems)
+    want = {(a, b) for a in sq.a_elems for b in over.get(sq.a_to_c[a], ())}
     seen = {}
     for p in sq.p_elems:
         checked += 1

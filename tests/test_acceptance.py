@@ -3,7 +3,10 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 """
 
+import hashlib
+import json
 import time
+from functools import cache
 
 import pytest
 
@@ -61,6 +64,7 @@ from segal_abacus.suites import (
     boors_suite,
     cheatsheet_suite,
     dictionary_suite,
+    edgewise_suite,
     half_axioms_suite,
     star_suite,
 )
@@ -75,6 +79,13 @@ def report(num: int, desc: str, ok: bool, detail: str = ""):
 
 def suite_failures(suite: dict):
     return [e["id"] for e in suite["entries"] if e["verdict"] != "pass"]
+
+
+@cache
+def suite_report(suite, **kwargs) -> dict:
+    """One run of a suite per module, shared by the criteria that read it
+    and by the digest guard."""
+    return suite(**kwargs)
 
 
 def test_criterion_1_presentation_certification():
@@ -111,7 +122,7 @@ def test_criterion_2_cheatsheet_suite():
 
 
 def test_criterion_3_star_biconditional():
-    suite = star_suite(trunc=4)
+    suite = suite_report(star_suite, trunc=4)
     positives = next(e for e in suite["entries"] if e["id"] == "star:images-satisfy")
     negatives = next(e for e in suite["entries"] if e["id"] == "star:negative-fails")
     ok = (suite["verdict"] == "pass" and positives["instances"] >= 10
@@ -121,7 +132,7 @@ def test_criterion_3_star_biconditional():
 
 
 def test_criterion_4_dictionary():
-    suite = dictionary_suite(trunc=4)
+    suite = suite_report(dictionary_suite, trunc=4)
     entry = next(e for e in suite["entries"]
                  if e["id"] == "dictionary:bicomodule-matches-conditions")
     negs = next(e for e in suite["entries"] if e["id"] == "dictionary:has-negatives")
@@ -132,7 +143,7 @@ def test_criterion_4_dictionary():
 
 
 def test_criterion_5_invertibility():
-    suite = dictionary_suite(trunc=4)
+    suite = suite_report(dictionary_suite, trunc=4)
     entry = next(e for e in suite["entries"]
                  if e["id"] == "dictionary:invertible-iff-bijective")
     ok = entry["verdict"] == "pass" and entry["instances"] >= 10
@@ -195,7 +206,7 @@ def test_criterion_8_pointing_forces_invertibility(boors_t5):
 
 
 def test_criterion_9_half_axioms():
-    suite = half_axioms_suite(trunc=5)
+    suite = suite_report(half_axioms_suite, trunc=5)
     counts = {e["id"]: e["instances"] for e in suite["entries"]}
     vert = next(e for e in suite["entries"]
                 if e["id"] == "half:vertical-axiom-fails-somewhere")
@@ -205,6 +216,35 @@ def test_criterion_9_half_axioms():
     report(9, "half-axiom extension round-trips without the augmentation row", ok,
            f"{counts.get('half:iso_with_kan', 0)} fixtures, "
            f"{vert['instances']} failing the vertical axiom")
+
+
+# sha256 of each suite report the benchmark runs, as ``run-suite`` prints it
+# (``json.dumps(report, sort_keys=True, indent=1)``): a change that claims
+# only speed must leave every report byte-identical.
+SUITE_DIGESTS = {
+    "star t4": "291fbbae88c7cef8208935b1534879c0fe05eb36efb0e03559920e8bc5d1aebe",
+    "cheatsheet t5 seed 3": "b7e6ec6ebcaf5439dff74d16bc4c823e05dbb6371e565c97c7b37a6844f2c05a",
+    "edgewise t5": "ca479ce2a0ba6b28298244e9c37262122b69c458e5f788f8732093d11756bef2",
+    "edgewise t4": "8b4a45774c45b729a743f794ce495275d463ae6846d116d9c2a77e9052f06e86",
+    "boors t5": "13d2a45b27bc2f343cac47915dec7bf0099e41efdfe10622c205cb8efc4d2d49",
+    "half-axioms t5": "f68bff5467a9f154e0374b9e2a60e158fdd3c5120c2793a7e1fbc237ed4d5d1f",
+    "dictionary t4": "b8d60a2ea523c3ec21af534919ead0693d7c7c71bd135ad98c50eb0ec168861f",
+}
+
+
+def test_suite_reports_match_pinned_digests(boors_t5):
+    reports = {
+        "star t4": suite_report(star_suite, trunc=4),
+        "cheatsheet t5 seed 3": cheatsheet_suite(trunc=5, seed=3),
+        "edgewise t5": edgewise_suite(trunc=5),
+        "edgewise t4": edgewise_suite(trunc=4),
+        "boors t5": boors_t5[0],
+        "half-axioms t5": suite_report(half_axioms_suite, trunc=5),
+        "dictionary t4": suite_report(dictionary_suite, trunc=4),
+    }
+    digests = {name: hashlib.sha256(json.dumps(rep, sort_keys=True, indent=1).encode()).hexdigest()
+               for name, rep in reports.items()}
+    assert digests == SUITE_DIGESTS
 
 
 # ---------------------------------------------------------------------------

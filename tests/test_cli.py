@@ -90,6 +90,13 @@ def test_check_invalid_input(tmp_path):
         ["gen", "nerve-monoid", "--preset", "foo", "--out", out],
         ["gen", "graph", "--preset", "foo", "--out", out],
         ["gen", "partial-monoid", "--preset", "idem", "--out", out],
+        # fixed fixtures take no --size
+        ["gen", "graph", "--size", "3", "--out", out],
+        ["gen", "graph", "--preset", "glued", "--size", "3", "--out", out],
+        ["gen", "partial-monoid", "--size", "7", "--out", out],
+        ["gen", "nerve-category", "--size", "2", "--out", out],
+        ["gen", "nerve-poset", "--preset", "diamond", "--size", "5", "--out", out],
+        ["gen", "nerve-monoid", "--preset", "idem", "--size", "2", "--out", out],
     ):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):

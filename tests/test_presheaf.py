@@ -21,6 +21,7 @@ from segal_abacus.presheaf import (
     Square,
     Witness,
     _check_total,
+    _sorted_ids,
     action_label,
     action_target,
     colimit0,
@@ -28,6 +29,7 @@ from segal_abacus.presheaf import (
     constant_sset,
     dset_levels,
     empty_sset,
+    fmt_id,
     identity_smap,
     is_pullback,
     iso_report_sset,
@@ -169,6 +171,89 @@ def test_pullback_agrees_with_universal_property():
         sq = Square("rand", P, tuple(A), tuple(B), pa, pb, f, g)
         assert is_pullback(sq).passed
         assert pullback_universal_check(sq, cone_sizes=(1, 2))
+
+
+def _nested_ids(depth=3):
+    """Element ids as constructions make them: str and int leaves, nested in
+    tuples up to ``depth`` deep."""
+    ids = st.integers(-3, 12) | st.text("ab1(,)", max_size=3)
+    for _ in range(depth):
+        ids = ids | st.lists(ids, max_size=3).map(tuple)
+    return ids
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_nested_ids(), max_size=12))
+def test_sorted_ids_matches_reference_sort(xs):
+    want = tuple(sorted(xs, key=fmt_id))
+    for given_ids in (xs, tuple(xs), _sorted_ids(xs)):
+        assert _sorted_ids(given_ids) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_nested_ids(), max_size=12))
+def test_sorted_ids_sorts_a_level_once(xs):
+    m = _sorted_ids(xs)
+    assert _sorted_ids(m) is m
+    # copies are plain tuples and are sorted again
+    for copy_ in (m[::-1], m[1:], tuple(x for x in m if not isinstance(x, int))):
+        assert type(copy_) is tuple
+        assert _sorted_ids(copy_) == tuple(sorted(copy_, key=fmt_id))
+
+
+def _reference_is_pullback(sq):
+    """``is_pullback`` by brute force over all |A| * |B| pairs."""
+    witnesses = []
+    checked = 0
+    for p in sq.p_elems:
+        checked += 1
+        if sq.a_to_c[sq.p_to_a[p]] != sq.b_to_c[sq.p_to_b[p]]:
+            witnesses.append(Witness(sq.name, "square does not commute", (p,)))
+    if witnesses:
+        return CheckReport.from_witnesses("is_pullback", witnesses, checked)
+    want = {(a, b) for a in sq.a_elems for b in sq.b_elems if sq.a_to_c[a] == sq.b_to_c[b]}
+    seen = {}
+    for p in sq.p_elems:
+        checked += 1
+        im = (sq.p_to_a[p], sq.p_to_b[p])
+        if im in seen:
+            witnesses.append(Witness(sq.name, "comparison not injective", (seen[im], p)))
+        seen[im] = p
+    for ab in sorted(want - set(seen), key=fmt_id):
+        witnesses.append(Witness(sq.name, "comparison not surjective", ab))
+    return CheckReport.from_witnesses("is_pullback", witnesses, checked or 1)
+
+
+@st.composite
+def _squares(draw):
+    """A finite square over C: commuting or not, with a comparison that may
+    miss pairs or hit one twice."""
+    n_c = draw(st.integers(1, 3))
+    a_elems = tuple(range(draw(st.integers(0, 4))))
+    b_elems = tuple(f"b{i}" for i in range(draw(st.integers(0, 4))))
+    a_to_c = {a: f"c{draw(st.integers(0, n_c - 1))}" for a in a_elems}
+    b_to_c = {b: f"c{draw(st.integers(0, n_c - 1))}" for b in b_elems}
+    pairs = [(a, b) for a in a_elems for b in b_elems if a_to_c[a] == b_to_c[b]]
+    pool = [(a, b) for a in a_elems for b in b_elems] if draw(st.booleans()) else pairs
+    images = (pairs if draw(st.booleans()) else []) + draw(
+        st.lists(st.sampled_from(pool), max_size=6) if pool else st.just([]))
+    images = draw(st.permutations(images))
+    p_elems = tuple((k,) for k in range(len(images)))
+    return Square("sq", p_elems, a_elems, b_elems,
+                  {p: ab[0] for p, ab in zip(p_elems, images)},
+                  {p: ab[1] for p, ab in zip(p_elems, images)}, a_to_c, b_to_c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_squares())
+def test_pullbacks_match_brute_force(sq):
+    got, ref = is_pullback(sq), _reference_is_pullback(sq)
+    assert (got.verdict, got.checked, got.witnesses) == (ref.verdict, ref.checked, ref.witnesses)
+    pairs, proj_a, proj_b = pullback_sets(sq.a_to_c, sq.b_to_c, sq.a_elems, sq.b_elems)
+    want = tuple(sorted(((a, b) for a in sq.a_elems for b in sq.b_elems
+                         if sq.a_to_c[a] == sq.b_to_c[b]), key=fmt_id))
+    assert pairs == want
+    assert proj_a == {p: p[0] for p in want} and proj_b == {p: p[1] for p in want}
 
 
 def test_colimit0():
