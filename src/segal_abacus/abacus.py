@@ -15,6 +15,13 @@ certifies that the presentation's relation table holds in this model,
 and ``word_closure_homs`` + ``hom_enumerate`` certify that the
 generators reach every morphism.
 
+Words are evaluated on plain carrier value tuples: each token indexes
+the values so far by its generator's carrier, read from one cached
+lookup ``_step`` that ``bead_of_generator`` fills.  Validation stays at
+the boundary: the ``BeadMap``/``MonotoneMap`` constructors check each
+result once, and ``parse_*`` and ``hom_enumerate`` check their input,
+but no intermediate step builds a bead map.
+
 ``SHIFT`` says where each generator lands and ``generator_range`` which
 indices exist at an object; nothing else lists either.  From them
 ``generators_into`` builds the one generator table of a truncation, once:
@@ -34,6 +41,7 @@ from .simplex import (
     coface,
     compose_monotone,
     enumerate_monotone,
+    epi_mono_factor,
     identity,
     ordinal_sum,
 )
@@ -133,11 +141,7 @@ def bead_compose(g2: BeadMap, g1: BeadMap) -> BeadMap:
     """Composite g2 . g1 (g1 acts first)."""
     if g1.tgt != g2.src:
         raise ValueError(f"not composable: {g1} then {g2}")
-    out = BeadMap(g1.src, g2.tgt, compose_monotone(g2.carrier, g1.carrier))
-    assert all(
-        out.carrier.values[k] < out.tgt.blacks for k in range(out.src.blacks)
-    ), "color constraint broke under composition"
-    return out
+    return BeadMap(g1.src, g2.tgt, compose_monotone(g2.carrier, g1.carrier))
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +221,34 @@ def generators_into(max_degree: int) -> dict:
     return {lvl: tuple(gens) for lvl, gens in into.items()}
 
 
+@lru_cache(maxsize=None)
+def _step(kind: str, k: int | None, i: int, j: int) -> tuple:
+    """``(i', j', carrier values)`` of the generator ``kind^k`` out of [i, j].
+    An illegal token raises in ``bead_of_generator`` and is not cached."""
+    g = bead_of_generator(kind, k, DObject(i, j))
+    return g.tgt.i, g.tgt.j, g.carrier.values
+
+
+def _walk(i: int, j: int, vals: tuple, tokens) -> tuple:
+    """Apply the tokens to the carrier values ``vals`` landing in [i, j]."""
+    for kind, k in tokens:
+        i, j, step = _step(kind, k, i, j)
+        vals = tuple([step[v] for v in vals])
+    return i, j, vals
+
+
+def _bead(src: DObject, i: int, j: int, vals: tuple) -> BeadMap:
+    """The bead map src -> [i, j] with carrier ``vals``, validated."""
+    tgt = DObject(i, j)
+    return BeadMap(src, tgt, MonotoneMap(src.size, tgt.size, vals))
+
+
 def eval_bead_word(word: GeneratorWord) -> BeadMap:
     """Evaluate a word of abacus tokens (application order) to a bead map."""
-    if not isinstance(word.source, DObject):
+    src = word.source
+    if not isinstance(src, DObject):
         raise TypeError("abacus words carry a DObject source")
-    out = bead_identity(word.source)
-    for kind, k in word.tokens:
-        out = bead_compose(bead_of_generator(kind, k, out.tgt), out)
-    return out
+    return _bead(src, *_walk(src.i, src.j, tuple(range(src.size)), word.tokens))
 
 
 def parse_bead_word(text: str) -> GeneratorWord:
@@ -235,6 +259,8 @@ def parse_bead_word(text: str) -> GeneratorWord:
         return GeneratorWord((), src)
     toks = []
     for piece in body.split("."):
+        if not piece:
+            raise ValueError(f"empty token in {text!r}")
         if piece == "f" or piece == "ssub":
             toks.append((piece, None))
         else:
@@ -479,21 +505,24 @@ def word_closure_homs(max_degree: int) -> dict[tuple[DObject, DObject], set[Bead
     """All morphisms reachable from identities by composing generators,
     between objects of total degree <= max_degree, staying within the bound."""
     objs = objects_of_degree(max_degree)
-    gens: dict[DObject, list[BeadMap]] = {
-        o: [g for _, _, g in generators_at(o) if g.tgt.degree <= max_degree] for o in objs
-    }
+    steps_out = {(o.i, o.j): [] for o in objs}
+    for gens in generators_into(max_degree).values():
+        for kind, k, src, _ in gens:
+            steps_out[src].append(_step(kind, k, *src))
     homs: dict[tuple[DObject, DObject], set[BeadMap]] = {}
     for src in objs:
-        seen: set[BeadMap] = {bead_identity(src)}
-        frontier = [bead_identity(src)]
+        start = (src.i, src.j, tuple(range(src.size)))
+        seen = {start}
+        frontier = [start]
         while frontier:
-            cur = frontier.pop()
-            for g in gens[cur.tgt]:
-                nxt = bead_compose(g, cur)
+            ci, cj, vals = frontier.pop()
+            for i, j, step in steps_out[ci, cj]:
+                nxt = (i, j, tuple([step[v] for v in vals]))
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
-        for m in seen:
+        for i, j, vals in seen:
+            m = _bead(src, i, j, vals)
             homs.setdefault((src, m.tgt), set()).add(m)
     return homs
 
@@ -507,7 +536,8 @@ def factorize(g: BeadMap) -> tuple[GeneratorWord, GeneratorWord]:
     """
     w = g.whites_turned_black()
     ab = GeneratorWord((("f", None),) * w, g.src)
-    mid = eval_bead_word(ab).tgt if w else g.src
+    di, dj = SHIFT["f"]
+    mid = DObject(g.src.i + w * di, g.src.j + w * dj)
     rest = BeadMap(mid, g.tgt, g.carrier)
     top, white = rest.top_part(), rest.white_part()
     assert white is not None
@@ -523,8 +553,6 @@ def factorize(g: BeadMap) -> tuple[GeneratorWord, GeneratorWord]:
 
 
 def _delta_tokens(f: MonotoneMap, epi_kind: str, mono_kind: str):
-    from .simplex import epi_mono_factor
-
     epi, mono = epi_mono_factor(f)
     return (
         [(epi_kind, k) for _, k in epi.tokens],
@@ -533,7 +561,14 @@ def _delta_tokens(f: MonotoneMap, epi_kind: str, mono_kind: str):
 
 
 def recompose(ab: GeneratorWord, simp: GeneratorWord) -> BeadMap:
-    return bead_compose(eval_bead_word(simp), eval_bead_word(ab))
+    """``simp`` after ``ab``, evaluated in one walk over both words."""
+    src = ab.source
+    if not (isinstance(src, DObject) and isinstance(simp.source, DObject)):
+        raise TypeError("abacus words carry a DObject source")
+    i, j, vals = _walk(src.i, src.j, tuple(range(src.size)), ab.tokens)
+    if DObject(i, j) != simp.source:
+        raise ValueError(f"not composable: {ab} then {simp}")
+    return _bead(src, *_walk(i, j, vals, simp.tokens))
 
 
 # ---------------------------------------------------------------------------

@@ -774,9 +774,11 @@ def dset_iso_report(B1: DSet, B2: DSet, maps: dict, name: str = "dset_iso") -> C
     for lvl in dset_levels(T, with_aug_row=aug):
         m = maps.get(lvl)
         checked += 1
-        if m is None or set(m) != set(B1.level(*lvl)) or sorted(
-            map(fmt_id, m.values())
-        ) != sorted(map(fmt_id, B2.level(*lvl))):
+        level = B2.level(*lvl)
+        bijective = (m is not None and set(m) == set(B1.level(*lvl))
+                     and len(image := set(m.values())) == len(m) == len(level)
+                     and image == set(level))
+        if not bijective:
             witnesses.append(Witness(f"level@{lvl}", "not a bijection", (lvl,)))
     if witnesses:
         return CheckReport.from_witnesses(name, witnesses, checked)

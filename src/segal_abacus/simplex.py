@@ -175,7 +175,7 @@ def parse_delta_word(text: str) -> GeneratorWord:
         return GeneratorWord((), n)
     toks = []
     for piece in body.split("."):
-        kind, idx = piece[0], piece[1:]
+        kind, idx = piece[:1], piece[1:]  # an empty piece is a bad token
         if kind not in ("d", "s") or not idx.lstrip("-").isdigit():
             raise ValueError(f"bad token {piece!r} in {text!r}")
         toks.append((kind, int(idx)))
@@ -200,8 +200,8 @@ def epi_mono_factor(f: MonotoneMap) -> tuple[GeneratorWord, GeneratorWord]:
     ``f = eval(mono after epi)``.
     """
     repeats = [k for k in range(f.dom - 1) if f.values[k] == f.values[k + 1]]
-    image = sorted(set(f.values))
-    missing = [v for v in range(f.cod) if v not in set(f.values)]
+    image = set(f.values)
+    missing = [v for v in range(f.cod) if v not in image]
     img_n = len(image) - 1
     epi = GeneratorWord(tuple(("s", j) for j in reversed(repeats)), f.dom_n)
     mono = GeneratorWord(tuple(("d", i) for i in sorted(missing)), img_n)

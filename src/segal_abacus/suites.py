@@ -209,13 +209,13 @@ def presentation_suite(bound: int = 4) -> dict:
     trap = abacus.trapezium_suite(bound)
     entries.append(_entry_from_report("presentation:trapezium",
                                       "trapezium equations hold at all legal indices", trap))
-    closure = abacus.word_closure_homs(bound)
+    reached = {pair: len(maps) for pair, maps in abacus.word_closure_homs(bound).items()}
     objs = abacus.objects_of_degree(bound)
+    homs = {(src, tgt): abacus.hom_enumerate(src, tgt) for src in objs for tgt in objs}
     entries.append(_tally("presentation:hom-counts",
                           "enumerated hom sets match generator-word closure",
-                          ((f"{src}->{tgt}", len(abacus.hom_enumerate(src, tgt))
-                            == len(closure.get((src, tgt), set())))
-                           for src in objs for tgt in objs)))
+                          ((f"{src}->{tgt}", len(hom) == reached.get((src, tgt), 0))
+                           for (src, tgt), hom in homs.items())))
     base = abacus.DObject(0, 0)
     entries.append(_tally("presentation:spot-values",
                           "frozen hom-set sizes at the base objects",
@@ -228,8 +228,7 @@ def presentation_suite(bound: int = 4) -> dict:
 
     entries.append(_tally("presentation:factorization",
                           "every morphism splits as abacus word then color-preserving word",
-                          ((str(g), factorizes(g)) for src in objs for tgt in objs
-                           for g in abacus.hom_enumerate(src, tgt))))
+                          ((str(g), factorizes(g)) for hom in homs.values() for g in hom)))
     return _finish("presentation", entries, bound)
 
 

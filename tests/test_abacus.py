@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from segal_abacus import abacus
 from segal_abacus.abacus import (
     BeadMap,
     DObject,
@@ -18,13 +21,14 @@ from segal_abacus.abacus import (
     objects_of_degree,
     parse_bead_word,
     recompose,
+    relation_instances,
     relation_suite,
     sigma_compose,
     trapezium_check,
     trapezium_suite,
     word_closure_homs,
 )
-from segal_abacus.simplex import MonotoneMap, coface, identity
+from segal_abacus.simplex import GeneratorWord, MonotoneMap, coface, identity
 
 
 def test_dobject_validation():
@@ -143,6 +147,16 @@ def test_factorize_roundtrip_exhaustive_degree_3():
                 assert (ab2.tokens, simp2.tokens) == (ab.tokens, simp.tokens)
 
 
+def test_recompose_rejects_non_dobject_source_and_gaps():
+    ab, simp = factorize(bead_of_generator("ssub", None, DObject(0, 1)))
+    with pytest.raises(TypeError):
+        recompose(GeneratorWord(ab.tokens, 3), simp)
+    with pytest.raises(TypeError):
+        recompose(ab, GeneratorWord(simp.tokens, 3))
+    with pytest.raises(ValueError, match="not composable"):
+        recompose(ab, GeneratorWord(simp.tokens, DObject(0, 1)))
+
+
 def test_word_parse_eval():
     w = parse_bead_word("f.d0@[0,0]")
     g = eval_bead_word(w)
@@ -220,3 +234,112 @@ def test_functor_h():
     assert apply_functor("h", "point") == MonotoneMap(2, 1, (0, 0))
     f = coface(0, 1)
     assert apply_functor("h", f) == free_bottom(f)
+
+
+# ---------------------------------------------------------------------------
+# The tuple evaluator against the bead-map-by-bead-map reference
+
+
+def _ref_eval(word):
+    """Evaluate a word composing one validated bead map per token."""
+    if not isinstance(word.source, DObject):
+        raise TypeError("abacus words carry a DObject source")
+    out = bead_identity(word.source)
+    for kind, k in word.tokens:
+        out = bead_compose(bead_of_generator(kind, k, out.tgt), out)
+    return out
+
+
+def _ref_closure(max_degree):
+    """The closure search over bead maps, composing generator bead maps."""
+    objs = objects_of_degree(max_degree)
+    gens = {o: [g for _, _, g in generators_at(o) if g.tgt.degree <= max_degree] for o in objs}
+    homs = {}
+    for src in objs:
+        seen = {bead_identity(src)}
+        frontier = [bead_identity(src)]
+        while frontier:
+            cur = frontier.pop()
+            for g in gens[cur.tgt]:
+                nxt = bead_compose(g, cur)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        for m in seen:
+            homs.setdefault((src, m.tgt), set()).add(m)
+    return homs
+
+
+def _outcome(fn, word):
+    try:
+        return fn(word)
+    except Exception as exc:  # compared by type with the reference
+        return type(exc)
+
+
+# any token, legal or not: unknown kinds, missing or spurious indices
+tokens = st.one_of(
+    st.tuples(st.sampled_from("etds"), st.integers(-1, 6)),
+    st.tuples(st.sampled_from(["e", "f", "ssub", "x"]), st.one_of(st.none(), st.integers(0, 2))),
+)
+
+
+@st.composite
+def words(draw):
+    """A word from a legal source of degree <= 5: mostly legal tokens, and
+    with one chance in five per step a random one, which ends the word if
+    it is illegal there."""
+    cur = src = draw(st.sampled_from(objects_of_degree(5)))
+    toks = []
+    for _ in range(draw(st.integers(0, 8))):
+        legal = [(kind, k) for kind, k, _ in generators_at(cur)]
+        tok = draw(tokens) if draw(st.integers(0, 4)) == 0 else draw(st.sampled_from(legal))
+        toks.append(tok)
+        try:
+            cur = bead_of_generator(*tok, cur).tgt
+        except ValueError:
+            break
+    return GeneratorWord(tuple(toks), src)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words())
+def test_eval_bead_word_matches_reference(word):
+    assert _outcome(eval_bead_word, word) == _outcome(_ref_eval, word)
+
+
+def test_word_closure_matches_reference():
+    for b in range(4):
+        assert word_closure_homs(b) == _ref_closure(b), b
+
+
+def _visits(word, kind, at):
+    """Whether the word applies the generator ``kind`` at the object ``at``."""
+    cur = word.source
+    for kd, _ in word.tokens:
+        if kd == kind and cur == at:
+            return True
+        di, dj = abacus.SHIFT[kd]
+        cur = DObject(cur.i + di, cur.j + dj)
+    return False
+
+
+def test_corrupt_generator_carrier_breaks_its_relations(monkeypatch):
+    # the evaluator reads carriers from the lookup alone, so a wrong entry
+    # must surface as failed relations through that generator, and only those
+    at = DObject(0, 0)
+    step = abacus._step
+
+    def corrupt(kind, k, i, j):
+        ti, tj, vals = step(kind, k, i, j)
+        if (kind, i, j) == ("f", 0, 0):
+            assert vals == (0, 1)
+            vals = (1, 1)
+        return ti, tj, vals
+
+    monkeypatch.setattr(abacus, "_step", corrupt)
+    rep = relation_suite(3, 3)
+    through = {f"{lhs} = {rhs}" for _, lhs, rhs in relation_instances(3, 3)
+               if _visits(lhs, "f", at) or _visits(rhs, "f", at)}
+    assert not rep.passed and rep.witnesses
+    assert {w.equation for w in rep.witnesses} <= through

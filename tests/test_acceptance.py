@@ -66,6 +66,7 @@ from segal_abacus.suites import (
     dictionary_suite,
     edgewise_suite,
     half_axioms_suite,
+    presentation_suite,
     star_suite,
 )
 
@@ -229,6 +230,8 @@ SUITE_DIGESTS = {
     "boors t5": "13d2a45b27bc2f343cac47915dec7bf0099e41efdfe10622c205cb8efc4d2d49",
     "half-axioms t5": "f68bff5467a9f154e0374b9e2a60e158fdd3c5120c2793a7e1fbc237ed4d5d1f",
     "dictionary t4": "b8d60a2ea523c3ec21af534919ead0693d7c7c71bd135ad98c50eb0ec168861f",
+    "presentation b4": "d06d66c726a8779f2ac7e9bfc2250d41a131fe87bfe759f23df7c7a7bfff985d",
+    "presentation b2": "9e4c87f6a883be08f23d950f9a9bf3fec78e09e2ca36119d9a3726cc95b96e9c",
 }
 
 
@@ -241,6 +244,8 @@ def test_suite_reports_match_pinned_digests(boors_t5):
         "boors t5": boors_t5[0],
         "half-axioms t5": suite_report(half_axioms_suite, trunc=5),
         "dictionary t4": suite_report(dictionary_suite, trunc=4),
+        "presentation b4": presentation_suite(bound=4),
+        "presentation b2": presentation_suite(bound=2),
     }
     digests = {name: hashlib.sha256(json.dumps(rep, sort_keys=True, indent=1).encode()).hexdigest()
                for name, rep in reports.items()}

@@ -97,6 +97,11 @@ def test_check_invalid_input(tmp_path):
         ["gen", "nerve-category", "--size", "2", "--out", out],
         ["gen", "nerve-poset", "--preset", "diamond", "--size", "5", "--out", out],
         ["gen", "nerve-monoid", "--preset", "idem", "--size", "2", "--out", out],
+        # an empty token in a word is bad input
+        ["morphism", ".@[0,0]"],
+        ["morphism", "e1..d0@[0,0]"],
+        ["morphism", ".@[2]"],
+        ["morphism", "d1..d0@[2]"],
     ):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -252,3 +257,13 @@ def test_morphism_subcommand():
     assert payload["abacus_word"] == "f@[0,1]"
     assert payload["simplicial_word"] == "t0@[1,0]"
     assert run(["morphism", "nonsense"])[0] == 2
+
+
+def test_morphism_output_is_pinned():
+    """Byte-exact stdout of two bead words, one through an abacus map."""
+    assert run(["morphism", "e1.f.d0@[0,0]"]) == (0, (
+        '{\n "abacus_word": "id@[0,0]",\n "carrier": "[0,3]:2->4",\n "kind": "bead",\n'
+        ' "simplicial_word": "e2.e1@[0,0]",\n "source": "[0,0]",\n "target": "[2,0]"\n}\n'))
+    assert run(["morphism", "ssub@[0,1]"]) == (0, (
+        '{\n "abacus_word": "f@[0,1]",\n "carrier": "[0,0,1]:3->2",\n "kind": "bead",\n'
+        ' "simplicial_word": "t0@[1,0]",\n "source": "[0,1]",\n "target": "[0,0]"\n}\n'))

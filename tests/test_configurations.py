@@ -8,6 +8,7 @@ from segal_abacus.configurations import (
     collapse_aug_row,
     condition_star,
     dictionary_conditions,
+    dset_iso_report,
     extend_sigma_to_d,
     extract_from_M,
     half_roundtrip,
@@ -35,11 +36,14 @@ from segal_abacus.corpus import (
     walking_iso_cat,
 )
 from segal_abacus.presheaf import (
+    SMap,
     constant_sset,
+    dset_levels,
+    fmt_id,
     identity_smap,
     validate,
 )
-from segal_abacus.presheaf import SMap
+from segal_abacus.reports import Witness
 
 
 def test_qstar_levels_of_identity():
@@ -316,3 +320,28 @@ def test_column_abacus_maps_are_right_fibrations():
             m = abacus_col_map(B, j)
             if m.source.trunc >= 1:
                 assert is_right_fibration(m).passed
+
+
+def _old_level_witnesses(B1, B2, maps):
+    """The bijection test as a multiset comparison of formatted ids."""
+    aug = B1.has_aug_row() and B2.has_aug_row()
+    return [Witness(f"level@{lvl}", "not a bijection", (lvl,))
+            for lvl in dset_levels(min(B1.trunc, B2.trunc), with_aug_row=aug)
+            if lvl not in maps or set(maps[lvl]) != set(B1.level(*lvl))
+            or sorted(map(fmt_id, maps[lvl].values())) != sorted(map(fmt_id, B2.level(*lvl)))]
+
+
+def test_dset_iso_report_bijection_matches_multiset_rule():
+    B = q_lower_star(identity_smap(nerve(chain_poset(1), 3)))
+    levels = dset_levels(B.trunc)
+    ident = {lvl: {x: x for x in B.level(*lvl)} for lvl in levels}
+    assert dset_iso_report(B, B, ident).holds is True
+    a, b = B.level(0, 0)[:2]
+    not_injective = {**ident, (0, 0): {**ident[0, 0], b: a}}
+    c = B.level(-1, 1)[0]
+    not_surjective = {**ident, (-1, 1): {**ident[-1, 1], c: "fresh"}}
+    both = {**not_injective, (-1, 1): not_surjective[-1, 1]}
+    for maps in (not_injective, not_surjective, both):
+        rep = dset_iso_report(B, B, maps)
+        assert rep.holds is False and rep.checked == len(levels)
+        assert rep.witnesses == _old_level_witnesses(B, B, maps)
