@@ -43,7 +43,6 @@ from .simplex import (
     enumerate_monotone,
     epi_mono_factor,
     identity,
-    ordinal_sum,
 )
 
 
@@ -270,8 +269,6 @@ def parse_bead_word(text: str) -> GeneratorWord:
 
 # ---------------------------------------------------------------------------
 # The relation table of the presentation
-
-_BISIMPLICIAL = ("e", "t", "d", "s")
 
 
 def _word(at: DObject, *tokens) -> GeneratorWord:
@@ -569,178 +566,3 @@ def recompose(ab: GeneratorWord, simp: GeneratorWord) -> BeadMap:
     if DObject(i, j) != simp.source:
         raise ValueError(f"not composable: {ab} then {simp}")
     return _bead(src, *_walk(i, j, vals, simp.tokens))
-
-
-# ---------------------------------------------------------------------------
-# Index categories around the bead calculus, and the structural functors
-
-
-@dataclass(frozen=True)
-class DeltaTimes1Map:
-    """A morphism of the product of the simplex category with the arrow."""
-
-    map: MonotoneMap
-    src_level: int  # 0 or 1
-    tgt_level: int
-
-    def __post_init__(self):
-        if not (self.src_level in (0, 1) and self.tgt_level in (0, 1)):
-            raise ValueError("levels are 0 or 1")
-        if self.src_level > self.tgt_level:
-            raise ValueError("no maps from level 1 back to level 0")
-
-
-@dataclass(frozen=True)
-class SigmaMorphism:
-    """A morphism of the pointing category: a bulk pair, the unique map to
-    the point, or the point's identity."""
-
-    kind: str  # "bulk" | "to_point" | "id_point"
-    vertical: MonotoneMap | None = None
-    horizontal: MonotoneMap | None = None
-    src: tuple[int, int] | None = None  # bulk (i, j), or source of to_point
-
-
-SIGMA_POINT = "pt"
-
-
-def sigma_compose(g: SigmaMorphism, f: SigmaMorphism) -> SigmaMorphism:
-    if f.kind == "bulk" and g.kind == "bulk":
-        return SigmaMorphism(
-            "bulk",
-            compose_monotone(g.vertical, f.vertical),
-            compose_monotone(g.horizontal, f.horizontal),
-            f.src,
-        )
-    if f.kind == "bulk" and g.kind == "to_point":
-        return SigmaMorphism("to_point", src=f.src)
-    if g.kind == "id_point" and f.kind in ("to_point", "id_point"):
-        return f
-    raise ValueError(f"not composable in the pointing category: {f} then {g}")
-
-
-def long_abacus(n: int) -> BeadMap:
-    """The composite of n+1 abacus maps from [-1, n] to [n, -1]."""
-    out = bead_identity(DObject(-1, n))
-    for _ in range(n + 1):
-        out = bead_compose(bead_of_generator("f", None, out.tgt), out)
-    return out
-
-
-def _q_obj(x):
-    n, level = x
-    return DObject(n, -1) if level == 1 else DObject(-1, n)
-
-
-def _q_mor(m: DeltaTimes1Map) -> BeadMap:
-    a = m.map
-    if (m.src_level, m.tgt_level) == (0, 0):
-        return BeadMap(DObject(-1, a.dom_n), DObject(-1, a.cod_n), a)
-    if (m.src_level, m.tgt_level) == (1, 1):
-        return BeadMap(DObject(a.dom_n, -1), DObject(a.cod_n, -1), a)
-    row_part = BeadMap(DObject(-1, a.dom_n), DObject(-1, a.cod_n), a)
-    return bead_compose(long_abacus(a.cod_n), row_part)
-
-
-def _r_obj(x: DObject) -> int:
-    return x.degree
-
-
-def _r_mor(m: BeadMap) -> MonotoneMap:
-    return m.carrier
-
-
-def _j_obj(x):
-    if x == SIGMA_POINT:
-        return DObject(0, -1)
-    return DObject(*x)
-
-
-def _j_mor(m: SigmaMorphism) -> BeadMap:
-    if m.kind == "id_point":
-        return bead_identity(DObject(0, -1))
-    if m.kind == "bulk":
-        i1, j1 = m.vertical.dom_n, m.horizontal.dom_n
-        i2, j2 = m.vertical.cod_n, m.horizontal.cod_n
-        return BeadMap(
-            DObject(i1, j1), DObject(i2, j2), ordinal_sum(m.vertical, m.horizontal)
-        )
-    # the unique map to the point: down to [0,0], then the splitting
-    i, j = m.src
-    down = _j_mor(
-        SigmaMorphism(
-            "bulk",
-            MonotoneMap(i + 1, 1, (0,) * (i + 1)),
-            MonotoneMap(j + 1, 1, (0,) * (j + 1)),
-            m.src,
-        )
-    )
-    return bead_compose(bead_of_generator("ssub", None, DObject(0, 0)), down)
-
-
-def _p_obj(x):
-    if x == SIGMA_POINT:
-        return 0
-    return ordinal_sum(x[0], x[1])
-
-
-def _p_mor(m: SigmaMorphism) -> MonotoneMap:
-    return _j_mor(m).carrier
-
-
-def _h_obj(n: int) -> int:
-    # objects of the pointed simplex category map to their split counterparts
-    return n
-
-
-def _h_mor(m) -> MonotoneMap:
-    """Pointed-simplex morphisms to bottom-preserving maps.
-
-    A plain monotone map goes to its free-bottom extension; the string
-    "point" stands for the unique collapse [0] -> [-1].
-    """
-    from .simplex import free_bottom
-
-    if m == "point":
-        return MonotoneMap(2, 1, (0, 0))
-    return free_bottom(m)
-
-
-def _bulk_obj(x: DObject) -> DObject:
-    return x
-
-
-def _bulk_mor(m: BeadMap) -> BeadMap:
-    if not m.is_color_preserving():
-        raise ValueError("not a morphism of the color-preserving subcategory")
-    return m
-
-
-_FUNCTOR_OBJ = {
-    "q": _q_obj,
-    "j": _j_obj,
-    "r": _r_obj,
-    "p": _p_obj,
-    "h": _h_obj,
-    "bulk": _bulk_obj,
-}
-_FUNCTOR_MOR = {
-    "q": _q_mor,
-    "j": _j_mor,
-    "r": _r_mor,
-    "p": _p_mor,
-    "h": _h_mor,
-    "bulk": _bulk_mor,
-}
-
-
-def apply_functor(tag: str, x):
-    """Apply the structural functor named by ``tag`` ("q", "j", "r", "p",
-    "h" or "bulk") to an object or morphism of its domain."""
-    if tag not in _FUNCTOR_OBJ:
-        raise ValueError(f"unknown functor tag {tag!r}")
-    if isinstance(x, (BeadMap, DeltaTimes1Map, SigmaMorphism)) or (
-        tag == "h" and (isinstance(x, MonotoneMap) or x == "point")
-    ):
-        return _FUNCTOR_MOR[tag](x)
-    return _FUNCTOR_OBJ[tag](x)

@@ -356,7 +356,11 @@ def _morphism(args) -> int:
 
 def _run_suite(args) -> int:
     flag = "bound" if args.name == "presentation" else "trunc"
-    if _below(flag, getattr(args, flag), MIN_DEPTH.get(args.name, 0)):
+    if (_below(flag, getattr(args, flag), MIN_DEPTH.get(args.name, 0))
+            or _below("max-size", args.max_size, 2)):
+        return 2
+    if args.max_size is not None and args.seed is None:
+        print("--max-size needs --seed: it sizes the random corpus that --seed adds", file=sys.stderr)
         return 2
     fn = SUITES[args.name]
     kwargs = {}
@@ -365,8 +369,9 @@ def _run_suite(args) -> int:
     else:
         kwargs["trunc"] = args.trunc
         if args.name == "cheatsheet":
-            kwargs["max_size"] = args.max_size
             kwargs["seed"] = args.seed
+            if args.max_size is not None:
+                kwargs["max_size"] = args.max_size
     rep = fn(**kwargs)
     _emit(rep, args.format)
     return EXIT_CODES[rep["verdict"]]
@@ -427,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("name", choices=sorted(SUITES))
     s.add_argument("--trunc", type=int, default=5)
     s.add_argument("--bound", type=int, default=4)
-    s.add_argument("--max-size", type=int, default=4)
+    s.add_argument("--max-size", type=int)
     s.add_argument("--seed", type=int)
     s.add_argument("--format", choices=["json", "text"], default="json")
     s.set_defaults(fn=_run_suite)

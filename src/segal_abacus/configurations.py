@@ -163,17 +163,6 @@ def abacus_row_map(B: DSet, i: int) -> SMap | None:
     return SMap(sub_trunc(upper, T), sub_trunc(lower, T), levels)
 
 
-def abacus_col_map(B: DSet, j: int) -> SMap:
-    """The abacus maps as a simplicial map from the top decalage of
-    column j to column j+1 (j >= -1)."""
-    src = dec(col_sset(B, j), "top")
-    tgt = col_sset(B, j + 1)
-    T = min(src.trunc, tgt.trunc)
-    levels = {n: {x: B.actions["f", None, (n + 1, j)][x] for x in B.level(n + 1, j)}
-              for n in range(T + 1)}
-    return SMap(sub_trunc(src, T), sub_trunc(tgt, T), levels)
-
-
 def condition_star(B: DSet) -> CheckReport:
     """Every abacus row map is cartesian, including the augmentation row."""
     reports = []
@@ -824,33 +813,6 @@ def collapse_aug_row(B: DSet, point="*") -> DSet:
         for (kind, k, lvl), table in B.actions.items()
     }
     return DSet(B.trunc, levels, actions)
-
-
-def restrict(tag: str, P):
-    """Restrict a presheaf along one of the structural functors.
-
-    Tags: "q" (abacus presheaf to the simplicial map between its
-    augmentations), "j" (to the pointing shape), "r" (simplicial set to
-    its augmented total decalage), "p" (to the pointed total decalage),
-    "h" (split augmented to pointed), "bulk" (forget the abacus actions,
-    keeping the slice-shaped levels and actions).
-    """
-    from .decalage import h_upper
-
-    if tag == "q":
-        return q_upper_star(P)
-    if tag == "j":
-        return j_upper_star(P)
-    if tag == "r":
-        return r_star(P)
-    if tag == "p":
-        return p_star_tot(P)
-    if tag == "h":
-        return h_upper(P)
-    if tag == "bulk":
-        return {"levels": dict(P.levels),
-                "actions": {key: v for key, v in P.actions.items() if key[0] in BULK_KINDS}}
-    raise ValueError(f"unknown functor tag {tag!r}")
 
 
 def drop_aug_row(B: DSet) -> DSet:

@@ -405,34 +405,6 @@ def glued_edges_sset(trunc: int) -> TruncSSet:
     return graph_sset(("u", "v", "w"), {("u", "v"), ("v", "w")}, trunc)
 
 
-def nonrigid_split_fixture():
-    """A valid bottom-split set whose structure map is not cartesian.
-
-    One vertex b with a loop e and a filler Z with faces (e, sb, sb); the
-    splitting sends b to its degenerate edge and e to Z.  The degenerate
-    square witness: s_0 e also sits over the basepoint but is not split.
-    Returns the split structure; import decalage lazily to avoid a cycle.
-    """
-    from .decalage import BottomSplitSSet
-
-    levels = {0: ("b",), 1: ("e", "sb"), 2: ("Z", "s0e", "s1e", "ssb")}
-    faces = {
-        (1, 0): {"sb": "b", "e": "b"},
-        (1, 1): {"sb": "b", "e": "b"},
-        (2, 0): {"ssb": "sb", "s0e": "e", "s1e": "sb", "Z": "e"},
-        (2, 1): {"ssb": "sb", "s0e": "e", "s1e": "e", "Z": "sb"},
-        (2, 2): {"ssb": "sb", "s0e": "sb", "s1e": "e", "Z": "sb"},
-    }
-    degens = {
-        (0, 0): {"b": "sb"},
-        (1, 0): {"sb": "ssb", "e": "s0e"},
-        (1, 1): {"sb": "ssb", "e": "s1e"},
-    }
-    X = TruncSSet(2, levels, faces, degens)
-    split = {0: {"b": "sb"}, 1: {"sb": "ssb", "e": "Z"}}
-    return BottomSplitSSet(X, split)
-
-
 def punctured_chain_sset(n: int, trunc: int, max_distinct: int = 3) -> TruncSSet:
     """The nerve of a chain with all long chains removed.
 

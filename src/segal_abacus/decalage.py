@@ -269,10 +269,6 @@ def is_rigid(A: BottomSplitSSet, name: str = "is_rigid") -> CheckReport:
     return cartesian_on(gamma(A), "all", name)
 
 
-def underlying_split(A: AugBottomSplitSSet) -> BottomSplitSSet:
-    return BottomSplitSSet(A.sset, A.split)
-
-
 def pullback_coalgebra(F: SMap, C_split: dict, name: str = "pullback_coalgebra"):
     """Pull a bottom splitting on the target back along a right fibration.
 

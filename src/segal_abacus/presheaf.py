@@ -144,13 +144,6 @@ class SMap:
         return self.levels[n][x]
 
 
-def empty_sset(trunc: int) -> TruncSSet:
-    levels = {n: () for n in range(trunc + 1)}
-    faces = {(n, k): {} for n in range(1, trunc + 1) for k in range(n + 1)}
-    degens = {(n, k): {} for n in range(trunc) for k in range(n + 1)}
-    return TruncSSet(trunc, levels, faces, degens)
-
-
 def constant_sset(elements, trunc: int) -> TruncSSet:
     """The constant (equivalently discrete) simplicial set on a finite set."""
     elems = _sorted_ids(elements)
@@ -325,49 +318,6 @@ def is_pullback(sq: Square) -> CheckReport:
     for ab in sorted(want - set(seen), key=fmt_id):
         witnesses.append(Witness(sq.name, "comparison not surjective", ab))
     return CheckReport.from_witnesses("is_pullback", witnesses, checked or 1)
-
-
-def pullback_universal_check(sq: Square, cone_sizes=(1, 2, 3)) -> bool:
-    """Brute-force universal property over all cones from small index sets."""
-    rep = is_pullback(sq)
-    comparison_ok = rep.passed
-    for size in cone_sizes:
-        idx = tuple(range(size))
-        for to_a in _all_functions(idx, sq.a_elems):
-            for to_b in _all_functions(idx, sq.b_elems):
-                if any(sq.a_to_c[to_a[i]] != sq.b_to_c[to_b[i]] for i in idx):
-                    continue
-                lifts = _cone_lifts(sq, idx, to_a, to_b)
-                if len(lifts) != 1:
-                    return False
-    return comparison_ok
-
-
-def _all_functions(dom, cod):
-    if not cod:
-        if dom:
-            return
-        yield {}
-        return
-    from itertools import product
-
-    for vals in product(cod, repeat=len(dom)):
-        yield dict(zip(dom, vals))
-
-
-def _cone_lifts(sq: Square, idx, to_a, to_b):
-    lifts = []
-    by_image = {}
-    for p in sq.p_elems:
-        by_image.setdefault((sq.p_to_a[p], sq.p_to_b[p]), []).append(p)
-    choices = [by_image.get((to_a[i], to_b[i]), []) for i in idx]
-    from itertools import product
-
-    for combo in product(*choices) if all(choices) else []:
-        lifts.append(dict(zip(idx, combo)))
-    if not all(choices):
-        return []
-    return lifts
 
 
 # ---------------------------------------------------------------------------
@@ -786,24 +736,3 @@ def validate(P, name: str | None = None) -> CheckReport:
     if isinstance(P, PointedSSet):
         return validate_pointed(P, name or "pointed")
     raise TypeError(f"cannot validate {type(P).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Isomorphism checking
-
-
-def iso_report_sset(X: TruncSSet, Y: TruncSSet, maps: dict, name: str = "iso") -> CheckReport:
-    """Check that per-level maps form a bijective simplicial map X -> Y."""
-    witnesses = []
-    checked = 0
-    T = min(X.trunc, Y.trunc)
-    for n in range(T + 1):
-        m = maps.get(n, {})
-        checked += 1
-        if sorted(map(fmt_id, m.values())) != sorted(map(fmt_id, Y.level(n))) or set(m) != set(X.level(n)):
-            witnesses.append(Witness(f"level@{n}", "not a bijection", (len(X.level(n)), len(Y.level(n)))))
-    if witnesses:
-        return CheckReport.from_witnesses(name, witnesses, checked)
-    F = SMap(sub_trunc(X, T), sub_trunc(Y, T), {n: maps[n] for n in range(T + 1)})
-    nat = validate_smap(F, name)
-    return CheckReport.conjunction(name, [nat])

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import comb
 
 
 @dataclass(frozen=True)
@@ -103,14 +102,6 @@ def enumerate_monotone(m: int, n: int) -> list[MonotoneMap]:
         MonotoneMap(m + 1, n + 1, vals)
         for vals in combinations_with_replacement(range(n + 1), m + 1)
     ]
-
-
-def count_monotone(m: int, n: int) -> int:
-    if m == -1:
-        return 1
-    if n == -1:
-        return 0
-    return comb(m + n + 1, m + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -206,35 +197,3 @@ def epi_mono_factor(f: MonotoneMap) -> tuple[GeneratorWord, GeneratorWord]:
     epi = GeneratorWord(tuple(("s", j) for j in reversed(repeats)), f.dom_n)
     mono = GeneratorWord(tuple(("d", i) for i in sorted(missing)), img_n)
     return epi, mono
-
-
-def eval_epi_mono(epi: GeneratorWord, mono: GeneratorWord) -> MonotoneMap:
-    return compose_monotone(eval_delta_word(mono), eval_delta_word(epi))
-
-
-# ---------------------------------------------------------------------------
-# Ordinal sum and the free-bottom monad
-
-
-def ordinal_sum(a, b):
-    """Ordinal sum [m] + [n] = [m+1+n], on objects (ints) or maps.
-
-    On maps the blocks are concatenated, the second with its codomain
-    offset past the first.
-    """
-    if isinstance(a, int) and isinstance(b, int):
-        return a + 1 + b
-    if isinstance(a, MonotoneMap) and isinstance(b, MonotoneMap):
-        vals = a.values + tuple(v + a.cod for v in b.values)
-        return MonotoneMap(a.dom + b.dom, a.cod + b.cod, vals)
-    raise TypeError("ordinal_sum takes two objects or two maps")
-
-
-def free_bottom(f: MonotoneMap) -> MonotoneMap:
-    """Adjoin a new least element to both sides, fixed by the map."""
-    return MonotoneMap(f.dom + 1, f.cod + 1, (0,) + tuple(v + 1 for v in f.values))
-
-
-def is_bottom_preserving(f: MonotoneMap) -> bool:
-    """True if both ordinals are nonempty and f sends bottom to bottom."""
-    return f.dom >= 1 and f.cod >= 1 and f.values[0] == 0

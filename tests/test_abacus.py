@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,10 +8,6 @@ from segal_abacus import abacus
 from segal_abacus.abacus import (
     BeadMap,
     DObject,
-    DeltaTimes1Map,
-    SigmaMorphism,
-    SIGMA_POINT,
-    apply_functor,
     bead_compose,
     bead_identity,
     bead_of_generator,
@@ -17,18 +15,23 @@ from segal_abacus.abacus import (
     factorize,
     generators_at,
     hom_enumerate,
-    long_abacus,
     objects_of_degree,
     parse_bead_word,
     recompose,
     relation_instances,
     relation_suite,
-    sigma_compose,
     trapezium_check,
     trapezium_suite,
     word_closure_homs,
 )
-from segal_abacus.simplex import GeneratorWord, MonotoneMap, coface, identity
+from segal_abacus.simplex import (
+    GeneratorWord,
+    MonotoneMap,
+    coface,
+    compose_monotone,
+    enumerate_monotone,
+    identity,
+)
 
 
 def test_dobject_validation():
@@ -164,37 +167,53 @@ def test_word_parse_eval():
     assert str(w) == "f.d0@[0,0]"
 
 
-def test_functor_r():
-    assert apply_functor("r", DObject(1, 2)) == 4
-    f = bead_of_generator("f", None, DObject(1, 1))
-    assert apply_functor("r", f) == f.carrier
-    # functors are named by their tag; an unknown tag is an error
-    from segal_abacus.configurations import restrict
-
-    with pytest.raises(ValueError):
-        apply_functor("x", DObject(1, 2))
-    with pytest.raises(ValueError):
-        restrict("x", None)
+# ---------------------------------------------------------------------------
+# The functor q from the simplex category times the arrow, as a reference:
+# its cross maps are long abacus composites, so functoriality exercises
+# bead_compose on them
 
 
-def test_functor_j_pointing():
-    pointing = SigmaMorphism("to_point", src=(0, 0))
-    g = apply_functor("j", pointing)
-    assert g == bead_of_generator("ssub", None, DObject(0, 0))
-    assert apply_functor("j", SIGMA_POINT) == DObject(0, -1)
+@dataclass(frozen=True)
+class DeltaTimes1Map:
+    """A morphism of the product of the simplex category with the arrow."""
+
+    map: MonotoneMap
+    src_level: int  # 0 or 1
+    tgt_level: int
+
+
+def long_abacus(n):
+    """The composite of n+1 abacus maps from [-1, n] to [n, -1]."""
+    out = bead_identity(DObject(-1, n))
+    for _ in range(n + 1):
+        out = bead_compose(bead_of_generator("f", None, out.tgt), out)
+    return out
+
+
+def _q_obj(x):
+    n, level = x
+    return DObject(n, -1) if level == 1 else DObject(-1, n)
+
+
+def _q_mor(m):
+    a = m.map
+    if (m.src_level, m.tgt_level) == (0, 0):
+        return BeadMap(DObject(-1, a.dom_n), DObject(-1, a.cod_n), a)
+    if (m.src_level, m.tgt_level) == (1, 1):
+        return BeadMap(DObject(a.dom_n, -1), DObject(a.cod_n, -1), a)
+    row_part = BeadMap(DObject(-1, a.dom_n), DObject(-1, a.cod_n), a)
+    return bead_compose(long_abacus(a.cod_n), row_part)
 
 
 def test_functor_q_objects_and_long_composite():
-    assert apply_functor("q", (2, 0)) == DObject(-1, 2)
-    assert apply_functor("q", (2, 1)) == DObject(2, -1)
-    cross = apply_functor("q", DeltaTimes1Map(identity(2), 0, 1))
+    assert _q_obj((2, 0)) == DObject(-1, 2)
+    assert _q_obj((2, 1)) == DObject(2, -1)
+    cross = _q_mor(DeltaTimes1Map(identity(2), 0, 1))
     assert cross == long_abacus(2)
     assert cross.src == DObject(-1, 2) and cross.tgt == DObject(2, -1)
 
 
 def test_functor_q_functorial():
-    from segal_abacus.simplex import enumerate_monotone, compose_monotone
-
     for m in range(0, 3):
         for n in range(0, 3):
             for p in range(0, 3):
@@ -207,33 +226,7 @@ def test_functor_q_functorial():
                                 fa = DeltaTimes1Map(a, *lv)
                                 fb = DeltaTimes1Map(b, *lw)
                                 comp = DeltaTimes1Map(compose_monotone(b, a), lv[0], lw[1])
-                                assert apply_functor("q", comp) == bead_compose(
-                                    apply_functor("q", fb), apply_functor("q", fa)
-                                )
-
-
-def test_p_factors_through_j_and_r():
-    ms = [
-        SigmaMorphism("to_point", src=(1, 2)),
-        SigmaMorphism("bulk", identity(1), coface(0, 1), (1, 0)),
-        SigmaMorphism("id_point"),
-    ]
-    for m in ms:
-        assert apply_functor("p", m) == apply_functor("r", apply_functor("j", m))
-
-
-def test_sigma_composition_point_is_terminal():
-    down = SigmaMorphism("bulk", identity(1), coface(1, 2), (1, 1))
-    to_pt = SigmaMorphism("to_point", src=(1, 2))
-    assert sigma_compose(to_pt, down) == SigmaMorphism("to_point", src=(1, 1))
-
-
-def test_functor_h():
-    from segal_abacus.simplex import free_bottom
-
-    assert apply_functor("h", "point") == MonotoneMap(2, 1, (0, 0))
-    f = coface(0, 1)
-    assert apply_functor("h", f) == free_bottom(f)
+                                assert _q_mor(comp) == bead_compose(_q_mor(fb), _q_mor(fa))
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,11 @@ def test_check_invalid_input(tmp_path):
         ["morphism", "e1..d0@[0,0]"],
         ["morphism", ".@[2]"],
         ["morphism", "d1..d0@[2]"],
+        # the random corpus needs posets of at least 2 elements, and only
+        # --seed adds it
+        ["run-suite", "cheatsheet", "--seed", "7", "--max-size", "1", "--trunc", "3"],
+        ["run-suite", "cheatsheet", "--max-size", "4", "--trunc", "3"],
+        ["run-suite", "cheatsheet", "--max-size", "-1", "--trunc", "3"],
     ):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):

@@ -16,6 +16,7 @@ from segal_abacus.configurations import (
     invertibility_pair_check,
     is_bicomodule_config,
     is_rel_upper_2segal,
+    j_upper_star,
     m_2segal_dictionary,
     p_star_tot,
     q_lower_star,
@@ -35,12 +36,15 @@ from segal_abacus.corpus import (
     two_segal_partial_monoid,
     walking_iso_cat,
 )
+from segal_abacus.decalage import dec
 from segal_abacus.presheaf import (
     SMap,
+    col_sset,
     constant_sset,
     dset_levels,
     fmt_id,
     identity_smap,
+    sub_trunc,
     validate,
 )
 from segal_abacus.reports import Witness
@@ -271,44 +275,37 @@ def test_mutation_detection_bicomodule():
     assert not (vrep.passed and rep.passed)
 
 
-def test_restrict_dispatcher():
-    from segal_abacus.configurations import restrict
-
+def test_restrictions_along_r_j_p_q():
     N = nerve(chain_poset(1), 4)
-    R = restrict("r", N)
+    R = r_star(N)
     assert len(R.level(0, 0)) == 3
     # restricting the augmented total decalage to the pointing shape
     # recovers the zeroth degeneracy as pointing
-    A = restrict("j", R)
+    A = j_upper_star(R)
     assert A.point_set == N.level(0)
     assert A.pointing == N.degens[(0, 0)]
     # and agrees levelwise with the directly pointed total decalage
-    A2 = restrict("p", N)
+    A2 = p_star_tot(N)
     assert A.bulk.levels == A2.bulk.levels and A.pointing == A2.pointing
     F = identity_smap(N)
-    B = q_lower_star(F)
-    F2 = restrict("q", B)
+    F2 = q_upper_star(q_lower_star(F))
     assert all(F2.levels[n] == F.levels[n] for n in F2.levels)
-    parts = restrict("bulk", B)
-    assert set(parts) == {"levels", "actions"}
-    assert {kind for kind, _, _ in parts["actions"]} == {"e", "t", "d", "s"}
 
 
-def test_restrict_h_agrees_with_upper():
-    from segal_abacus.configurations import restrict
-    from segal_abacus.decalage import PointedSSet, h_lower
-
-    N = nerve(chain_poset(2), 4)
-    P = PointedSSet(N, ["c"], {"c": 0})
-    A = h_lower(P)
-    Q = restrict("h", A)
-    assert Q.point_set == P.point_set
+def abacus_col_map(B, j):
+    """The abacus maps as a simplicial map from the top decalage of
+    column j to column j+1 (j >= -1)."""
+    src = dec(col_sset(B, j), "top")
+    tgt = col_sset(B, j + 1)
+    T = min(src.trunc, tgt.trunc)
+    levels = {n: {x: B.actions["f", None, (n + 1, j)][x] for x in B.level(n + 1, j)}
+              for n in range(T + 1)}
+    return SMap(sub_trunc(src, T), sub_trunc(tgt, T), levels)
 
 
 def test_column_abacus_maps_are_right_fibrations():
     # upper stable with Segal bulk columns makes the column-wise abacus
     # maps right fibrations, including out of the augmentation column
-    from segal_abacus.configurations import abacus_col_map
     from segal_abacus.fibrations import is_right_fibration
 
     for F in (

@@ -28,7 +28,6 @@ from segal_abacus.decalage import (
     pullback_coalgebra,
     sd,
     tot,
-    underlying_split,
     validate_coalgebra,
 )
 from segal_abacus.fibrations import (
@@ -37,7 +36,7 @@ from segal_abacus.fibrations import (
     is_right_fibration,
     is_segal,
 )
-from segal_abacus.presheaf import constant_sset, sub_trunc, validate
+from segal_abacus.presheaf import TruncSSet, constant_sset, sub_trunc, validate
 
 
 def vee_poset():
@@ -125,9 +124,32 @@ def test_coalgebra_validation_and_rigidity():
     assert is_rigid(BS).passed
 
 
-def test_non_rigid_coalgebra_detected():
-    from segal_abacus.corpus import nonrigid_split_fixture
+def nonrigid_split_fixture():
+    """A valid bottom-split set whose structure map is not cartesian.
 
+    One vertex b with a loop e and a filler Z with faces (e, sb, sb); the
+    splitting sends b to its degenerate edge and e to Z.  The degenerate
+    square witness: s_0 e also sits over the basepoint but is not split.
+    """
+    levels = {0: ("b",), 1: ("e", "sb"), 2: ("Z", "s0e", "s1e", "ssb")}
+    faces = {
+        (1, 0): {"sb": "b", "e": "b"},
+        (1, 1): {"sb": "b", "e": "b"},
+        (2, 0): {"ssb": "sb", "s0e": "e", "s1e": "sb", "Z": "e"},
+        (2, 1): {"ssb": "sb", "s0e": "e", "s1e": "e", "Z": "sb"},
+        (2, 2): {"ssb": "sb", "s0e": "sb", "s1e": "e", "Z": "sb"},
+    }
+    degens = {
+        (0, 0): {"b": "sb"},
+        (1, 0): {"sb": "ssb", "e": "s0e"},
+        (1, 1): {"sb": "ssb", "e": "s1e"},
+    }
+    X = TruncSSet(2, levels, faces, degens)
+    split = {0: {"b": "sb"}, 1: {"sb": "ssb", "e": "Z"}}
+    return BottomSplitSSet(X, split)
+
+
+def test_non_rigid_coalgebra_detected():
     BS = nonrigid_split_fixture()
     assert validate(BS.sset).passed
     assert validate_coalgebra(BS).passed
@@ -135,9 +157,7 @@ def test_non_rigid_coalgebra_detected():
     assert not rep.passed
     assert any("not surjective" in w.equation for w in rep.witnesses)
     # empty split structure is vacuously rigid
-    from segal_abacus.presheaf import empty_sset
-
-    empty = BottomSplitSSet(empty_sset(2), {0: {}, 1: {}})
+    empty = BottomSplitSSet(constant_sset((), 2), {0: {}, 1: {}})
     assert validate_coalgebra(empty).passed
     assert is_rigid(empty).passed
 
@@ -172,7 +192,7 @@ def test_h_roundtrip_on_local_initial():
     assert is_local_initial(P).passed
     A = h_lower(P)
     assert validate_coalgebra(A).passed
-    assert is_rigid(underlying_split(A)).passed
+    assert is_rigid(BottomSplitSSet(A.sset, A.split)).passed
     # counit comparison is an isomorphism of pointed sets
     cm = h_counit_map(P)
     assert validate(cm).passed

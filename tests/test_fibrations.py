@@ -52,9 +52,7 @@ def test_partial_monoid_segal_failure_witness():
 
 
 def test_empty_sset_is_vacuously_segal():
-    from segal_abacus.presheaf import empty_sset
-
-    rep = is_segal(empty_sset(4))
+    rep = is_segal(constant_sset((), 4))
     assert rep.passed and rep.checked >= 1
 
 

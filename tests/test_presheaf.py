@@ -1,5 +1,6 @@
 import copy
 from functools import cache
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from segal_abacus.corpus import (
 )
 from segal_abacus.presheaf import (
     CheckReport,
+    SMap,
     Square,
     Witness,
     _check_total,
@@ -28,13 +30,10 @@ from segal_abacus.presheaf import (
     bisset_actions,
     constant_sset,
     dset_levels,
-    empty_sset,
     fmt_id,
     identity_smap,
     is_pullback,
-    iso_report_sset,
     pullback_sets,
-    pullback_universal_check,
     sub_trunc,
     validate,
     validate_dset,
@@ -65,7 +64,7 @@ def test_nerve_validates_and_corruption_detected():
 
 
 def test_empty_presheaf_validates():
-    assert validate(empty_sset(3)).passed
+    assert validate(constant_sset((), 3)).passed
 
 
 def _vertices(ch, n):
@@ -155,6 +154,45 @@ def test_is_pullback_noncommuting_is_its_own_failure():
     rep = is_pullback(sq)
     assert not rep.passed
     assert any("does not commute" in w.equation for w in rep.witnesses)
+
+
+def pullback_universal_check(sq: Square, cone_sizes=(1, 2, 3)) -> bool:
+    """Brute-force universal property over all cones from small index sets."""
+    rep = is_pullback(sq)
+    comparison_ok = rep.passed
+    for size in cone_sizes:
+        idx = tuple(range(size))
+        for to_a in _all_functions(idx, sq.a_elems):
+            for to_b in _all_functions(idx, sq.b_elems):
+                if any(sq.a_to_c[to_a[i]] != sq.b_to_c[to_b[i]] for i in idx):
+                    continue
+                lifts = _cone_lifts(sq, idx, to_a, to_b)
+                if len(lifts) != 1:
+                    return False
+    return comparison_ok
+
+
+def _all_functions(dom, cod):
+    if not cod:
+        if dom:
+            return
+        yield {}
+        return
+    for vals in product(cod, repeat=len(dom)):
+        yield dict(zip(dom, vals))
+
+
+def _cone_lifts(sq: Square, idx, to_a, to_b):
+    lifts = []
+    by_image = {}
+    for p in sq.p_elems:
+        by_image.setdefault((sq.p_to_a[p], sq.p_to_b[p]), []).append(p)
+    choices = [by_image.get((to_a[i], to_b[i]), []) for i in idx]
+    for combo in product(*choices) if all(choices) else []:
+        lifts.append(dict(zip(idx, combo)))
+    if not all(choices):
+        return []
+    return lifts
 
 
 def test_pullback_agrees_with_universal_property():
@@ -276,8 +314,6 @@ def test_smap_validation_detects_broken_naturality():
     broken = {n: dict(t) for n, t in F.levels.items()}
     lvl1 = sorted(broken[1], key=str)
     broken[1][lvl1[0]] = lvl1[1]
-    from segal_abacus.presheaf import SMap
-
     rep = validate(SMap(X, X, broken))
     assert not rep.passed
 
@@ -285,7 +321,10 @@ def test_smap_validation_detects_broken_naturality():
 def test_iso_report():
     X = nerve(chain_poset(1), 3)
     maps = {n: {x: x for x in X.level(n)} for n in range(4)}
-    assert iso_report_sset(X, X, maps).passed
+    for n in range(4):
+        assert set(maps[n]) == set(X.level(n))
+        assert sorted(maps[n].values(), key=fmt_id) == sorted(X.level(n), key=fmt_id)
+    assert validate(SMap(X, X, maps)).passed
     Y = sub_trunc(X, 2)
     assert validate(Y).passed
 

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,15 +9,10 @@ from segal_abacus.simplex import (
     codegeneracy,
     coface,
     compose_monotone,
-    count_monotone,
     enumerate_monotone,
     epi_mono_factor,
     eval_delta_word,
-    eval_epi_mono,
-    free_bottom,
     identity,
-    is_bottom_preserving,
-    ordinal_sum,
     parse_delta_word,
     parse_monotone,
 )
@@ -66,9 +63,12 @@ def test_enumerate_counts():
     assert len(enumerate_monotone(2, 1)) == 4
     assert len(enumerate_monotone(-1, 3)) == 1
     assert enumerate_monotone(2, -1) == []
-    for m in range(-1, 6):
-        for n in range(-1, 6):
-            assert len(enumerate_monotone(m, n)) == count_monotone(m, n)
+    for n in range(-1, 6):
+        assert len(enumerate_monotone(-1, n)) == 1
+    for m in range(6):
+        assert enumerate_monotone(m, -1) == []
+        for n in range(6):
+            assert len(enumerate_monotone(m, n)) == comb(m + n + 1, m + 1)
 
 
 def test_compose_requires_matching_sizes():
@@ -88,7 +88,7 @@ def test_epi_mono_examples():
     epi, mono = epi_mono_factor(f)
     assert epi.tokens == (("s", 0),)
     assert mono.tokens == (("d", 1),)
-    assert eval_epi_mono(epi, mono) == f
+    assert compose_monotone(eval_delta_word(mono), eval_delta_word(epi)) == f
 
 
 def test_epi_mono_roundtrip_exhaustive():
@@ -96,7 +96,7 @@ def test_epi_mono_roundtrip_exhaustive():
         for n in range(-1, 5):
             for f in enumerate_monotone(m, n):
                 epi, mono = epi_mono_factor(f)
-                assert eval_epi_mono(epi, mono) == f
+                assert compose_monotone(eval_delta_word(mono), eval_delta_word(epi)) == f
                 # canonical sorting of indices
                 s_idx = [k for _, k in epi.tokens]
                 d_idx = [k for _, k in mono.tokens]
@@ -109,7 +109,7 @@ def test_epi_mono_roundtrip_random(m, n, data):
     maps = enumerate_monotone(m, n)
     f = data.draw(st.sampled_from(maps))
     epi, mono = epi_mono_factor(f)
-    assert eval_epi_mono(epi, mono) == f
+    assert compose_monotone(eval_delta_word(mono), eval_delta_word(epi)) == f
 
 
 def test_word_string_and_parse():
@@ -125,37 +125,3 @@ def test_parse_monotone_roundtrip():
     f = MonotoneMap(3, 3, (0, 0, 2))
     assert parse_monotone(str(f)) == f
     assert parse_monotone("[]:0->2") == MonotoneMap(0, 2, ())
-
-
-def test_ordinal_sum_objects_and_maps():
-    assert ordinal_sum(1, 0) == 2
-    f = ordinal_sum(identity(0), coface(0, 1))
-    assert f == MonotoneMap(2, 3, (0, 2))
-    for a in range(-1, 4):
-        for b in range(-1, 4):
-            for c in range(-1, 4):
-                assert ordinal_sum(ordinal_sum(a, b), c) == ordinal_sum(a, ordinal_sum(b, c))
-
-
-def test_ordinal_sum_functorial():
-    # (g + g') . (f + f') = (g.f) + (g'.f') on a small exhaustive corpus
-    pool = [(f, g) for f in enumerate_monotone(1, 1) for g in enumerate_monotone(1, 1)]
-    for f, g in pool:
-        for f2, g2 in pool[:6]:
-            lhs = compose_monotone(ordinal_sum(g, g2), ordinal_sum(f, f2))
-            rhs = ordinal_sum(compose_monotone(g, f), compose_monotone(g2, f2))
-            assert lhs == rhs
-
-
-def test_free_bottom():
-    assert free_bottom(identity(0)) == identity(1)
-    assert free_bottom(coface(0, 1)) == MonotoneMap(2, 3, (0, 2))
-    for m in range(-1, 3):
-        for n in range(-1, 3):
-            for p in range(-1, 3):
-                for f in enumerate_monotone(m, n):
-                    for g in enumerate_monotone(n, p):
-                        assert free_bottom(compose_monotone(g, f)) == compose_monotone(
-                            free_bottom(g), free_bottom(f)
-                        )
-                        assert is_bottom_preserving(free_bottom(f))
