@@ -41,7 +41,7 @@ from .simplex import (
     coface,
     compose_monotone,
     enumerate_monotone,
-    epi_mono_factor,
+    epi_mono_indices,
     identity,
 )
 
@@ -104,20 +104,6 @@ class BeadMap:
         """The black-bead restriction [i] -> [i']."""
         return MonotoneMap(
             self.src.blacks, self.tgt.blacks, self.carrier.values[: self.src.blacks]
-        )
-
-    def white_part(self) -> MonotoneMap | None:
-        """The white-bead restriction, or None if a white bead turns black."""
-        if not self.is_color_preserving():
-            return None
-        vals = tuple(
-            v - self.tgt.blacks for v in self.carrier.values[self.src.blacks :]
-        )
-        return MonotoneMap(self.src.j + 1, self.tgt.j + 1, vals)
-
-    def is_color_preserving(self) -> bool:
-        return all(
-            v >= self.tgt.blacks for v in self.carrier.values[self.src.blacks :]
         )
 
     def whites_turned_black(self) -> int:
@@ -529,32 +515,19 @@ def factorize(g: BeadMap) -> tuple[GeneratorWord, GeneratorWord]:
 
     Returns ``(ab, simp)`` with ``g = eval(simp after ab)``: ``ab`` is
     f-tokens only, one per white bead turned black, and ``simp`` is a
-    bisimplicial word in canonical degeneracies-then-faces order.
+    bisimplicial word in canonical degeneracies-then-faces order, read off
+    the carrier values: the black beads of the middle object map by the
+    vertical part (t, e), the rest by the horizontal part (s, d).
     """
     w = g.whites_turned_black()
-    ab = GeneratorWord((("f", None),) * w, g.src)
     di, dj = SHIFT["f"]
     mid = DObject(g.src.i + w * di, g.src.j + w * dj)
-    rest = BeadMap(mid, g.tgt, g.carrier)
-    top, white = rest.top_part(), rest.white_part()
-    assert white is not None
-    tokens = []
-    t_epi, e_mono = _delta_tokens(top, "t", "e")
-    s_epi, d_mono = _delta_tokens(white, "s", "d")
-    tokens.extend(t_epi)
-    tokens.extend(s_epi)
-    tokens.extend(e_mono)
-    tokens.extend(d_mono)
-    simp = GeneratorWord(tuple(tokens), mid)
-    return ab, simp
-
-
-def _delta_tokens(f: MonotoneMap, epi_kind: str, mono_kind: str):
-    epi, mono = epi_mono_factor(f)
-    return (
-        [(epi_kind, k) for _, k in epi.tokens],
-        [(mono_kind, k) for _, k in mono.tokens],
-    )
+    vals, blacks = g.carrier.values, g.tgt.blacks
+    t_epi, e_mono = epi_mono_indices(vals[: mid.blacks], blacks)
+    s_epi, d_mono = epi_mono_indices([v - blacks for v in vals[mid.blacks :]], g.tgt.j + 1)
+    tokens = ([("t", k) for k in t_epi] + [("s", k) for k in s_epi]
+              + [("e", k) for k in e_mono] + [("d", k) for k in d_mono])
+    return GeneratorWord((("f", None),) * w, g.src), GeneratorWord(tuple(tokens), mid)
 
 
 def recompose(ab: GeneratorWord, simp: GeneratorWord) -> BeadMap:

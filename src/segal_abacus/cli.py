@@ -359,6 +359,10 @@ def _run_suite(args) -> int:
     if (_below(flag, getattr(args, flag), MIN_DEPTH.get(args.name, 0))
             or _below("max-size", args.max_size, 2)):
         return 2
+    if args.name != "cheatsheet" and (args.seed is not None or args.max_size is not None):
+        print(f"--seed and --max-size add the random corpus of cheatsheet; {args.name} has none",
+              file=sys.stderr)
+        return 2
     if args.max_size is not None and args.seed is None:
         print("--max-size needs --seed: it sizes the random corpus that --seed adds", file=sys.stderr)
         return 2

@@ -34,13 +34,13 @@ from .presheaf import (
     TruncationError,
     TruncSSet,
     Witness,
-    _by_image,
     _sorted_ids,
     action_target,
+    bijection_witnesses,
     col_sset,
     colimit0,
     dset_levels,
-    fmt_id,
+    pullback_pairs,
     restrict_actions,
     row_sset,
     sub_trunc,
@@ -99,8 +99,8 @@ def q_lower_star(F: SMap) -> DSet:
         else:
             inc = Y.act_tables(MonotoneMap(i + 1, i + j + 2, tuple(range(i + 1))))
             ys = Y.level(i + 1 + j)
-            over = _by_image({y: through(inc, y) for y in ys}, ys)  # the y by their image in Y_i
-            levels[(i, j)] = _sorted_ids((x, y) for x in X.level(i) for y in over.get(F.at(i, x), ()))
+            levels[(i, j)] = _sorted_ids(pullback_pairs(
+                F.levels[i], {y: through(inc, y) for y in ys}, X.level(i), ys))
     actions = {}
     for lvl, gens in generators_into(T).items():
         for kind, k, tgt, g in gens:
@@ -198,30 +198,22 @@ def unit_iso(B: DSet) -> CheckReport:
             for _ in range(i + 1):
                 lvl, cur = B.act("f", None, lvl, cur)
             eta[b] = (xc, cur)
-        want = set()
         fx = {}
         for x in B.level(i, -1):
             lvl, cur = (i, -1), x
             for _ in range(i + 1):
                 lvl, cur = B.act("f", None, lvl, cur)
             fx[x] = cur
-        for x in B.level(i, -1):
-            for y in B.level(-1, i + 1 + j):
-                lvl, cur = (-1, i + 1 + j), y
-                for k in range(i + 1 + j, i, -1):
-                    lvl, cur = B.act("d", k, lvl, cur)
-                if cur == fx[x]:
-                    want.add((x, y))
-        seen = {}
-        for b, im in eta.items():
-            checked += 1
-            if im not in want:
-                witnesses.append(Witness(f"unit@({i},{j})", "unit leaves the pullback", (b,)))
-            elif im in seen:
-                witnesses.append(Witness(f"unit@({i},{j})", "unit not injective", (seen[im], b)))
-            seen[im] = b
-        for im in sorted(want - set(seen), key=fmt_id):
-            witnesses.append(Witness(f"unit@({i},{j})", "unit not surjective", im))
+        top = [B.actions["d", k, (-1, k)] for k in range(i + 1 + j, i, -1)]
+        ys = B.level(-1, i + 1 + j)
+        want = pullback_pairs(fx, {y: through(top, y) for y in ys}, B.level(i, -1), ys)
+        inside = set(want)
+        site = f"unit@({i},{j})"
+        checked += len(eta)
+        witnesses += [Witness(site, "unit leaves the pullback", (b,)) for b, im in eta.items()
+                      if im not in inside]
+        witnesses += bijection_witnesses(
+            site, "unit", ((b, im) for b, im in eta.items() if im in inside), want)
     return CheckReport.from_witnesses("unit_iso", witnesses, checked)
 
 
@@ -268,9 +260,7 @@ def is_rel_upper_2segal(F: SMap) -> CheckReport:
     levels = {}
     for n in range(T + 1):
         levels[n] = _sorted_ids(
-            (x, y) for x in X.level(n) for y in Y.level(n + 1)
-            if F.at(n, x) == Y.face(n + 1, n + 1, y)
-        )
+            pullback_pairs(F.levels[n], Y.faces[(n + 1, n + 1)], X.level(n), Y.level(n + 1)))
     faces = {
         (n, k): {(x, y): (X.face(n, k, x), Y.face(n + 1, k, y)) for (x, y) in levels[n]}
         for n in range(1, T + 1)
@@ -298,16 +288,9 @@ def has_invertible_abacus(B: DSet) -> CheckReport:
     witnesses = []
     checked = 0
     for lvl, table in B.abacus_tables("f"):
-        tgt = B.level(*action_target("f", lvl))
         checked += 1
-        seen = {}
-        for x, y in table.items():
-            if y in seen:
-                witnesses.append(Witness(f"f@{lvl}", "abacus not injective", (seen[y], x)))
-            seen[y] = x
-        for y in tgt:
-            if y not in seen:
-                witnesses.append(Witness(f"f@{lvl}", "abacus not surjective", (y,)))
+        witnesses += bijection_witnesses(f"f@{lvl}", "abacus", ((x, (y,)) for x, y in table.items()),
+                                         [(y,) for y in B.level(*action_target("f", lvl))])
     return CheckReport.from_witnesses("has_invertible_abacus", witnesses, checked)
 
 
@@ -380,60 +363,33 @@ def boors_axioms(A: SigmaSet, half: bool = False) -> CheckReport:
 # The extension from the pointing shape to the abacus shape
 
 
-def _row0_splittings(A: SigmaSet):
-    """Row-zero splittings from the local-initial structure.
+def _pointing_sections(A: SigmaSet, kind: str):
+    """Invert the pointing's comparison maps, level by level: ``{n: {b:
+    (c, b')}}``, or None when one is not a bijection.
 
-    psi_j inverts (c, b') -> d_0 b' over the pullback of the pointing;
-    returns (srow0, d0aug, ok) with d0aug the component map to the
-    pointing set.
+    Along row zero (``kind`` "d") the pullback of the pointing against the
+    top faces down to (0, 0) maps to level (0, n) by d_0, as the
+    local-initial structure has it; along column zero ("e") the pullback
+    against the bottom faces maps to (n, 0) by the top face e_top, as the
+    local-terminal structure has it.
     """
     bulk = A.bulk
-    Tb = bulk.trunc
-    srow0 = {}
-    d0aug = {}
-    for j in range(Tb):
-        inv = {}
-        for c in A.point_set:
-            for b2 in bulk.level(0, j + 1):
-                cur = b2
-                for m in range(j + 1, 0, -1):
-                    cur = bulk.actions["d", m, (0, m)][cur]
-                if cur != A.pointing[c]:
-                    continue
-                key = bulk.actions["d", 0, (0, j + 1)][b2]
-                if key in inv:
-                    return None, None, False
-                inv[key] = (c, b2)
-        if set(inv) != set(bulk.level(0, j)):
-            return None, None, False
-        srow0[j] = {b: inv[b][1] for b in bulk.level(0, j)}
-        if j == 0:
-            d0aug = {b: inv[b][0] for b in bulk.level(0, 0)}
-    return srow0, d0aug, True
+    row = kind == "d"
 
+    def at(m):
+        return (0, m) if row else (m, 0)
 
-def _col0_tsplittings(A: SigmaSet):
-    """Column-zero top splittings from the local-terminal structure."""
-    bulk = A.bulk
-    Tb = bulk.trunc
-    tcol0 = {}
-    for i in range(Tb):
-        inv = {}
-        for c in A.point_set:
-            for b2 in bulk.level(i + 1, 0):
-                cur = b2
-                for m in range(i + 1, 0, -1):
-                    cur = bulk.actions["e", 0, (m, 0)][cur]
-                if cur != A.pointing[c]:
-                    continue
-                key = bulk.actions["e", i + 1, (i + 1, 0)][b2]
-                if key in inv:
-                    return None, False
-                inv[key] = b2
-        if set(inv) != set(bulk.level(i, 0)):
-            return None, False
-        tcol0[i] = inv
-    return tcol0, True
+    out = {}
+    for n in range(bulk.trunc):
+        upper = bulk.level(*at(n + 1))
+        down = [bulk.actions[kind, m if row else 0, at(m)] for m in range(n + 1, 0, -1)]
+        key = bulk.actions[kind, 0 if row else n + 1, at(n + 1)]
+        pairs = pullback_pairs(A.pointing, {b: through(down, b) for b in upper}, A.point_set, upper)
+        if bijection_witnesses("", "", ((p, (key[p[1]],)) for p in pairs),
+                               [(b,) for b in bulk.level(*at(n))]):
+            return None
+        out[n] = {key[b]: (c, b) for c, b in pairs}
+    return out
 
 
 def _extension_fails(site: str, equation: str, offenders: tuple):
@@ -464,10 +420,10 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
     if TD < 0:
         return None, CheckReport.precondition_failure("extend_sigma_to_d", "trunc too small")
 
-    srow0, d0aug0, ok = _row0_splittings(A)
-    if not ok:
+    row0 = _pointing_sections(A, "d")
+    if row0 is None:
         return _extension_fails("row0", "the pointing pullback of d_0 is not invertible", ())
-    srow = {0: srow0}
+    srow = {0: {j: {b: inv[b][1] for b in bulk.level(0, j)} for j, inv in row0.items()}}
     for i in range(1, Tb + 1):
         srow[i] = {}
         for j in range(Tb - i):
@@ -485,10 +441,10 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
 
     tcol = None
     if not half:
-        tcol0, ok = _col0_tsplittings(A)
-        if not ok:
+        col0 = _pointing_sections(A, "e")
+        if col0 is None:
             return _extension_fails("col0", "the pointing pullback of e_0 is not invertible", ())
-        tcol = {0: tcol0}
+        tcol = {0: {i: {b: cb[1] for b, cb in inv.items()} for i, inv in col0.items()}}
         for j in range(1, Tb + 1):
             tcol[j] = {}
             for i in range(Tb - j):
@@ -509,7 +465,7 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
     # augmentation column: the pointing set in row zero, row colimits below;
     # augmentation row: column colimits
     col_classes = {0: tuple(A.point_set)}
-    col_quot = {0: d0aug0}
+    col_quot = {0: {b: row0[0][b][0] for b in bulk.level(0, 0)}}
     for i in range(1, TD + 1):
         col_classes[i], col_quot[i] = colimit0(row_sset(bulk, i))
 
@@ -764,10 +720,9 @@ def dset_iso_report(B1: DSet, B2: DSet, maps: dict, name: str = "dset_iso") -> C
         m = maps.get(lvl)
         checked += 1
         level = B2.level(*lvl)
-        bijective = (m is not None and set(m) == set(B1.level(*lvl))
-                     and len(image := set(m.values())) == len(m) == len(level)
-                     and image == set(level))
-        if not bijective:
+        # as many images as targets, none repeated and none missed: no image lies outside
+        if (m is None or set(m) != set(B1.level(*lvl)) or len(m) != len(level)
+                or bijection_witnesses("", "", ((x, (y,)) for x, y in m.items()), [(y,) for y in level])):
             witnesses.append(Witness(f"level@{lvl}", "not a bijection", (lvl,)))
     if witnesses:
         return CheckReport.from_witnesses(name, witnesses, checked)

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .presheaf import SMap, TruncSSet
+from .presheaf import SMap, TruncSSet, pullback_pairs
 
 
 @dataclass(frozen=True)
@@ -37,16 +37,13 @@ class FinCat:
         for f in self.morphisms:
             assert self.comp[(self.ident[self.tgt[f]], f)] == f
             assert self.comp[(f, self.ident[self.src[f]])] == f
-        for f in self.morphisms:
-            for g in self.morphisms:
-                if self.tgt[f] != self.src[g]:
-                    continue
-                gf = self.comp[(g, f)]
-                assert self.src[gf] == self.src[f] and self.tgt[gf] == self.tgt[g]
-                for h in self.morphisms:
-                    if self.src[h] != self.tgt[g]:
-                        continue
-                    assert self.comp[(h, gf)] == self.comp[(self.comp[(h, g)], f)]
+        pairs = pullback_pairs(self.tgt, self.src, self.morphisms, self.morphisms)
+        for f, g in pairs:
+            gf = self.comp[(g, f)]
+            assert self.src[gf] == self.src[f] and self.tgt[gf] == self.tgt[g]
+        ends = {fg: self.tgt[fg[1]] for fg in pairs}
+        for (f, g), h in pullback_pairs(ends, self.src, pairs, self.morphisms):
+            assert self.comp[(h, self.comp[(g, f)])] == self.comp[(self.comp[(h, g)], f)]
         return self
 
 
@@ -56,12 +53,7 @@ def poset_cat(name: str, elements, leq) -> FinCat:
     morphisms = tuple((a, b) for a in elements for b in elements if leq(a, b))
     src = {m: m[0] for m in morphisms}
     tgt = {m: m[1] for m in morphisms}
-    comp = {
-        (g, f): (f[0], g[1])
-        for f in morphisms
-        for g in morphisms
-        if f[1] == g[0]
-    }
+    comp = {(g, f): (f[0], g[1]) for f, g in pullback_pairs(tgt, src, morphisms, morphisms)}
     ident = {o: (o, o) for o in elements}
     return FinCat(name, elements, morphisms, src, tgt, comp, ident).check()
 
@@ -126,14 +118,11 @@ def parallel_arrows_cat() -> FinCat:
     src = {"ia": "a", "ib": "b", "u": "a", "v": "a"}
     tgt = {"ia": "a", "ib": "b", "u": "b", "v": "b"}
     comp = {}
-    for f in mors:
-        for g in mors:
-            if tgt[f] != src[g]:
-                continue
-            if f in ("ia", "ib"):
-                comp[(g, f)] = g
-            elif g in ("ia", "ib"):
-                comp[(g, f)] = f
+    for f, g in pullback_pairs(tgt, src, mors, mors):
+        if f in ("ia", "ib"):
+            comp[(g, f)] = g
+        elif g in ("ia", "ib"):
+            comp[(g, f)] = f
     return FinCat("parallel", objs, mors, src, tgt, comp, {"a": "ia", "b": "ib"}).check()
 
 
@@ -144,16 +133,13 @@ def walking_iso_cat() -> FinCat:
     tgt = {"ia": "a", "ib": "b", "f": "b", "g": "a"}
     comp = {}
     table = {("f", "g"): "ib", ("g", "f"): "ia"}
-    for u in mors:
-        for v in mors:
-            if tgt[v] != src[u]:
-                continue
-            if v in ("ia", "ib"):
-                comp[(u, v)] = u
-            elif u in ("ia", "ib"):
-                comp[(u, v)] = v
-            else:
-                comp[(u, v)] = table[(u, v)]
+    for u, v in pullback_pairs(src, tgt, mors, mors):
+        if v in ("ia", "ib"):
+            comp[(u, v)] = u
+        elif u in ("ia", "ib"):
+            comp[(u, v)] = v
+        else:
+            comp[(u, v)] = table[(u, v)]
     return FinCat("walkiso", objs, mors, src, tgt, comp, {"a": "ia", "b": "ib"}).check()
 
 
@@ -164,9 +150,7 @@ def product_cat(c1: FinCat, c2: FinCat) -> FinCat:
     tgt = {m: (c1.tgt[m[0]], c2.tgt[m[1]]) for m in mors}
     comp = {
         ((g1, g2), (f1, f2)): (c1.comp[(g1, f1)], c2.comp[(g2, f2)])
-        for (f1, f2) in mors
-        for (g1, g2) in mors
-        if c1.tgt[f1] == c1.src[g1] and c2.tgt[f2] == c2.src[g2]
+        for (f1, f2), (g1, g2) in pullback_pairs(tgt, src, mors, mors)
     }
     ident = {o: (c1.ident[o[0]], c2.ident[o[1]]) for o in objs}
     return FinCat(f"{c1.name}x{c2.name}", objs, mors, src, tgt, comp, ident).check()
@@ -175,14 +159,10 @@ def product_cat(c1: FinCat, c2: FinCat) -> FinCat:
 def nerve(cat: FinCat, trunc: int) -> TruncSSet:
     """The nerve: n-simplices are composable chains of n morphisms."""
     levels = {0: tuple(cat.objects)}
-    for n in range(1, trunc + 1):
-        chains = []
-        for prev in levels[n - 1]:
-            tail_obj = cat.tgt[prev[-1]] if n > 1 else prev
-            for m in cat.morphisms:
-                if cat.src[m] == tail_obj:
-                    chains.append((prev + (m,)) if n > 1 else (m,))
-        levels[n] = tuple(chains)
+    for n in range(1, trunc + 1):  # X_{n-1} x_{X_0} X_1: chains meet the morphisms out of their end
+        ends = {ch: cat.tgt[ch[-1]] if n > 1 else ch for ch in levels[n - 1]}
+        levels[n] = tuple(ch + (m,) if n > 1 else (m,)
+                          for ch, m in pullback_pairs(ends, cat.src, levels[n - 1], cat.morphisms))
     faces = {}
     degens = {}
     for n in range(1, trunc + 1):
@@ -225,13 +205,9 @@ class FinFunctor:
         for f in self.source.morphisms:
             assert self.target.src[self.on_mor[f]] == self.on_obj[self.source.src[f]]
             assert self.target.tgt[self.on_mor[f]] == self.on_obj[self.source.tgt[f]]
-            for g in self.source.morphisms:
-                if self.source.tgt[f] != self.source.src[g]:
-                    continue
-                assert (
-                    self.on_mor[self.source.comp[(g, f)]]
-                    == self.target.comp[(self.on_mor[g], self.on_mor[f])]
-                )
+        S = self.source
+        for f, g in pullback_pairs(S.tgt, S.src, S.morphisms, S.morphisms):
+            assert self.on_mor[S.comp[(g, f)]] == self.target.comp[(self.on_mor[g], self.on_mor[f])]
         return self
 
 

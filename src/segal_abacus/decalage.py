@@ -17,10 +17,12 @@ from .presheaf import (
     TruncationError,
     TruncSSet,
     Witness,
+    _sorted_ids,
+    bijection_witnesses,
     bisset_actions,
     cartesian_on,
     constant_sset,
-    _sorted_ids,
+    pullback_pairs,
     sub_trunc,
     validate_sset,
 )
@@ -315,7 +317,7 @@ def _aug_pullback_compare(P: PointedSSet, side: str) -> dict:
     eps = counit(X, side)
     return {
         n: {(c, x): eps.at(n, x)
-            for c in P.point_set for x in al.source.level(n) if al.at(n, x) == P.pointing[c]}
+            for c, x in pullback_pairs(P.pointing, al.levels[n], P.point_set, al.source.level(n))}
         for n in range(al.source.trunc + 1)
     }
 
@@ -328,15 +330,10 @@ def _local_report(P: PointedSSet, side: str, name: str) -> CheckReport:
     witnesses = []
     checked = 0
     for n in sorted(compare):
-        seen = {}
-        for z, img in compare[n].items():
-            checked += 1
-            if img in seen:
-                witnesses.append(Witness(f"level@{n}", "comparison not injective", (seen[img], z)))
-            seen[img] = z
-        for x in X.level(n):
-            if x not in seen:
-                witnesses.append(Witness(f"level@{n}", "comparison not surjective", (x,)))
+        checked += len(compare[n])
+        witnesses += bijection_witnesses(f"level@{n}", "comparison",
+                                         ((z, (x,)) for z, x in compare[n].items()),
+                                         [(x,) for x in X.level(n)])
     return CheckReport.from_witnesses(name, witnesses, checked)
 
 
@@ -366,12 +363,7 @@ def h_lower(P: PointedSSet) -> AugBottomSplitSSet:
     al = alpha_aug(X, "bottom")
     levels = {}
     for n in range(T + 1):
-        levels[n] = _sorted_ids(
-            (c, x)
-            for c in P.point_set
-            for x in X.level(n + 1)
-            if al.at(n, x) == P.pointing[c]
-        )
+        levels[n] = _sorted_ids(pullback_pairs(P.pointing, al.levels[n], P.point_set, X.level(n + 1)))
     faces = {}
     degens = {}
     for n in range(1, T + 1):
@@ -413,7 +405,8 @@ def h_unit_report(A: AugBottomSplitSSet, name: str = "h_unit") -> CheckReport:
     witnesses = []
     checked = 0
     for n in range(B.sset.trunc + 1):
-        img = {}
+        inside = set(B.sset.level(n))
+        images = []
         for x in X.level(n):
             checked += 1
             y, m = x, n
@@ -421,13 +414,10 @@ def h_unit_report(A: AugBottomSplitSSet, name: str = "h_unit") -> CheckReport:
                 y = X.face(m, m, y)
                 m -= 1
             target = (A.aug[y], A.split[n][x])
-            if target not in set(B.sset.level(n)):
+            if target in inside:
+                images.append((x, (target,)))
+            else:
                 witnesses.append(Witness(f"unit@{n}", "unit misses the pullback", (x,)))
-                continue
-            if target in img:
-                witnesses.append(Witness(f"unit@{n}", "unit not injective", (img[target], x)))
-            img[target] = x
-        for z in B.sset.level(n):
-            if z not in img:
-                witnesses.append(Witness(f"unit@{n}", "unit not surjective", (z,)))
+        witnesses += bijection_witnesses(f"unit@{n}", "unit", images,
+                                         [(z,) for z in B.sset.level(n)])
     return CheckReport.from_witnesses(name, witnesses, checked)

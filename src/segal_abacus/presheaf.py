@@ -26,6 +26,14 @@ goes through ``_sorted_ids``, which marks the tuple it returns; only
 So a level re-indexed from an already sorted one (``dec``, ``row_sset``,
 ``sub_trunc``, ``r_star``) is neither formatted nor sorted again.
 
+A pullback is enumerated in one place, ``pullback_pairs`` (a hash join),
+and whether a map is a bijection onto a set is decided in one place,
+``bijection_witnesses``.  Every pullback the library builds (the levels
+of ``q_lower_star``, ``h_lower`` and the relative upper 2-Segal check,
+the pointing pullbacks, nerve chains and composable pairs) and every
+pullback, unit, pointing, invertibility or isomorphism check goes through
+these two.
+
 Every checker reports relative to the truncation: verdicts are "pass up
 to T", with the checked instances counted, never silently vacuous.
 """
@@ -37,7 +45,7 @@ from functools import lru_cache
 
 from . import abacus
 from .reports import CheckReport, Witness
-from .simplex import MonotoneMap, epi_mono_factor
+from .simplex import MonotoneMap, epi_mono_indices
 
 
 class TruncationError(ValueError):
@@ -121,12 +129,12 @@ def _act_steps(f: MonotoneMap) -> tuple:
     """The steps ``(is_face, (n, k))`` by which ``f`` acts: its canonical
     factorization, computed once per distinct map."""
     n = f.cod_n
-    epi, mono = epi_mono_factor(f)
+    degens, faces = epi_mono_indices(f.values, f.cod)
     steps = []
-    for _, i in reversed(mono.tokens):  # faces, largest index first
+    for i in reversed(faces):  # faces, largest index first
         steps.append((True, (n, i)))
         n -= 1
-    for _, j in reversed(epi.tokens):  # degeneracies, smallest index first
+    for j in reversed(degens):  # degeneracies, smallest index first
         steps.append((False, (n, j)))
         n += 1
     return tuple(steps)
@@ -258,25 +266,33 @@ def validate_smap(F: SMap, name: str = "smap") -> CheckReport:
 # Pullbacks of finite sets
 
 
-def pullback_sets(f: dict, g: dict, a_elems, b_elems):
-    """The strict pullback of f : A -> C against g : B -> C.
-
-    Returns (pairs, proj_a, proj_b) with canonical tuple ids.
-    """
-    over = _by_image(g, b_elems)
-    pairs = _sorted_ids((a, b) for a in a_elems for b in over.get(f[a], ()))
-    proj_a = {p: p[0] for p in pairs}
-    proj_b = {p: p[1] for p in pairs}
-    return pairs, proj_a, proj_b
-
-
-def _by_image(g: dict, elems) -> dict:
-    """The elements grouped by their image under ``g``, each group in the
-    order given: the build side of a hash join."""
+def pullback_pairs(f: dict, g: dict, a_elems, b_elems) -> list:
+    """The strict pullback of f : A -> C against g : B -> C: the pairs
+    ``(a, b)`` with ``f[a] == g[b]``, a-major, each side in the order
+    given.  A hash join: B is grouped by image once, then each a meets
+    its group."""
     over: dict = {}
-    for b in elems:
+    for b in b_elems:
         over.setdefault(g[b], []).append(b)
-    return over
+    return [(a, b) for a in a_elems for b in over.get(f[a], ())]
+
+
+def bijection_witnesses(site: str, noun: str, pairs, want) -> list:
+    """Why the map given by ``pairs``, ``(preimage, image)`` in turn, is not
+    a bijection onto ``want``: a "``noun`` not injective" witness
+    ``(earlier, later)`` for each image met again, naming the preimage that
+    met it last, then a "``noun`` not surjective" witness for each image of
+    ``want`` never met, in ``want``'s order.  Images are offender tuples,
+    so a missed image is reported as it stands.  An image outside ``want``
+    is neither: a caller whose map may leave ``want`` reports that itself."""
+    witnesses = []
+    seen = {}
+    for p, im in pairs:
+        if im in seen:
+            witnesses.append(Witness(site, f"{noun} not injective", (seen[im], p)))
+        seen[im] = p
+    witnesses += [Witness(site, f"{noun} not surjective", im) for im in want if im not in seen]
+    return witnesses
 
 
 @dataclass(frozen=True)
@@ -298,26 +314,15 @@ class Square:
 
 
 def is_pullback(sq: Square) -> CheckReport:
-    witnesses = []
-    checked = 0
-    for p in sq.p_elems:
-        checked += 1
-        if sq.a_to_c[sq.p_to_a[p]] != sq.b_to_c[sq.p_to_b[p]]:
-            witnesses.append(Witness(sq.name, "square does not commute", (p,)))
+    checked = len(sq.p_elems)
+    witnesses = [Witness(sq.name, "square does not commute", (p,)) for p in sq.p_elems
+                 if sq.a_to_c[sq.p_to_a[p]] != sq.b_to_c[sq.p_to_b[p]]]
     if witnesses:
         return CheckReport.from_witnesses("is_pullback", witnesses, checked)
-    over = _by_image(sq.b_to_c, sq.b_elems)
-    want = {(a, b) for a in sq.a_elems for b in over.get(sq.a_to_c[a], ())}
-    seen = {}
-    for p in sq.p_elems:
-        checked += 1
-        im = (sq.p_to_a[p], sq.p_to_b[p])
-        if im in seen:
-            witnesses.append(Witness(sq.name, "comparison not injective", (seen[im], p)))
-        seen[im] = p
-    for ab in sorted(want - set(seen), key=fmt_id):
-        witnesses.append(Witness(sq.name, "comparison not surjective", ab))
-    return CheckReport.from_witnesses("is_pullback", witnesses, checked or 1)
+    witnesses = bijection_witnesses(
+        sq.name, "comparison", ((p, (sq.p_to_a[p], sq.p_to_b[p])) for p in sq.p_elems),
+        pullback_pairs(sq.a_to_c, sq.b_to_c, sq.a_elems, sq.b_elems))
+    return CheckReport.from_witnesses("is_pullback", witnesses, 2 * checked or 1)
 
 
 # ---------------------------------------------------------------------------

@@ -190,10 +190,17 @@ def epi_mono_factor(f: MonotoneMap) -> tuple[GeneratorWord, GeneratorWord]:
     d-tokens (indices strictly increasing in application order), with
     ``f = eval(mono after epi)``.
     """
-    repeats = [k for k in range(f.dom - 1) if f.values[k] == f.values[k + 1]]
-    image = set(f.values)
-    missing = [v for v in range(f.cod) if v not in image]
-    img_n = len(image) - 1
-    epi = GeneratorWord(tuple(("s", j) for j in reversed(repeats)), f.dom_n)
-    mono = GeneratorWord(tuple(("d", i) for i in sorted(missing)), img_n)
+    degens, faces = epi_mono_indices(f.values, f.cod)
+    epi = GeneratorWord(tuple(("s", j) for j in degens), f.dom_n)
+    mono = GeneratorWord(tuple(("d", i) for i in faces), f.cod_n - len(faces))
     return epi, mono
+
+
+def epi_mono_indices(values, cod: int) -> tuple[list, list]:
+    """The indices of the canonical factorization of the monotone map with
+    these values into the ordinal of size ``cod``: its degeneracies,
+    strictly decreasing (application order), and its faces, strictly
+    increasing.  Nothing is validated or built."""
+    image = set(values)
+    return ([k for k in range(len(values) - 2, -1, -1) if values[k] == values[k + 1]],
+            [v for v in range(cod) if v not in image])

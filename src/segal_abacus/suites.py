@@ -48,7 +48,7 @@ from .fibrations import (
     stability,
     vertical_active_row_maps,
 )
-from .presheaf import identity_smap, validate
+from .presheaf import bijection_witnesses, identity_smap, validate
 from .reports import CheckReport, verdict_of
 
 
@@ -280,9 +280,9 @@ def dictionary_suite(trunc: int = 4) -> dict:
             "lhs": None if None in holds else all(holds),
             "bicomodule": is_bicomodule_config(B).holds,
             "invertible": has_invertible_abacus(B).holds,
-            "bijective": all(
-                sorted(map(str, set(F.levels[n].values()))) == sorted(map(str, F.target.level(n)))
-                and len(set(F.levels[n].values())) == len(F.levels[n])
+            "bijective": not any(
+                bijection_witnesses("", "", ((x, (y,)) for x, y in F.levels[n].items()),
+                                    [(y,) for y in F.target.level(n)])
                 for n in range(min(F.source.trunc, F.target.trunc) + 1)
             ),
             "m_dict": m_2segal_dictionary(F).holds,

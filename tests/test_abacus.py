@@ -30,6 +30,7 @@ from segal_abacus.simplex import (
     coface,
     compose_monotone,
     enumerate_monotone,
+    epi_mono_factor,
     identity,
 )
 
@@ -46,7 +47,6 @@ def test_bead_color_constraint():
     with pytest.raises(ValueError):
         BeadMap(DObject(0, 0), DObject(0, 0), MonotoneMap(2, 2, (1, 1)))
     collapse = BeadMap(DObject(0, 0), DObject(0, 0), MonotoneMap(2, 2, (0, 0)))
-    assert not collapse.is_color_preserving()
     assert collapse.whites_turned_black() == 1
 
 
@@ -139,11 +139,27 @@ def test_factorize_ssub():
     assert recompose(ab, simp) == g
 
 
+def _reference_factorize(g):
+    """``factorize`` through validated maps: the middle bead map, its black
+    and white parts, and the epi-mono words of each."""
+    w = g.whites_turned_black()
+    mid = BeadMap(DObject(g.src.i + w, g.src.j - w), g.tgt, g.carrier)
+    blacks = g.tgt.blacks
+    top = MonotoneMap(mid.src.blacks, blacks, g.carrier.values[: mid.src.blacks])
+    white = MonotoneMap(mid.src.j + 1, g.tgt.j + 1,
+                        tuple(v - blacks for v in g.carrier.values[mid.src.blacks :]))
+    (t_epi, e_mono), (s_epi, d_mono) = epi_mono_factor(top), epi_mono_factor(white)
+    tokens = ([("t", k) for _, k in t_epi.tokens] + [("s", k) for _, k in s_epi.tokens]
+              + [("e", k) for _, k in e_mono.tokens] + [("d", k) for _, k in d_mono.tokens])
+    return GeneratorWord((("f", None),) * w, g.src), GeneratorWord(tuple(tokens), mid.src)
+
+
 def test_factorize_roundtrip_exhaustive_degree_3():
     for s in objects_of_degree(3):
         for t in objects_of_degree(3):
             for g in hom_enumerate(s, t):
                 ab, simp = factorize(g)
+                assert (ab, simp) == _reference_factorize(g)
                 assert len(ab) == g.whites_turned_black()
                 assert recompose(ab, simp) == g
                 ab2, simp2 = factorize(recompose(ab, simp))

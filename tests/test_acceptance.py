@@ -56,7 +56,7 @@ from segal_abacus.presheaf import (
     Square,
     identity_smap,
     is_pullback,
-    pullback_sets,
+    pullback_pairs,
     sub_trunc,
     validate,
 )
@@ -340,7 +340,8 @@ def _m_validate_smap():
 def _m_pullback():
     f = {"a1": "c1", "a2": "c2"}
     g = {"b1": "c1", "b2": "c2"}
-    P, pa, pb = pullback_sets(f, g, sorted(f), sorted(g))
+    P = tuple(pullback_pairs(f, g, sorted(f), sorted(g)))
+    pa, pb = {p: p[0] for p in P}, {p: p[1] for p in P}
     sq = Square("mut", P, tuple(sorted(f)), tuple(sorted(g)), pa, pb, f, g)
     assert is_pullback(sq).passed
     pa[P[0]] = "a2" if pa[P[0]] == "a1" else "a1"

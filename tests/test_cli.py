@@ -107,6 +107,12 @@ def test_check_invalid_input(tmp_path):
         ["run-suite", "cheatsheet", "--seed", "7", "--max-size", "1", "--trunc", "3"],
         ["run-suite", "cheatsheet", "--max-size", "4", "--trunc", "3"],
         ["run-suite", "cheatsheet", "--max-size", "-1", "--trunc", "3"],
+        # only cheatsheet has a random corpus for --seed and --max-size
+        ["run-suite", "star", "--seed", "3", "--trunc", "3"],
+        ["run-suite", "star", "--seed", "3", "--max-size", "3", "--trunc", "3"],
+        ["run-suite", "presentation", "--seed", "3", "--bound", "3"],
+        *(["run-suite", name, "--seed", "3"]
+          for name in ("dictionary", "boors", "half-axioms", "edgewise")),
     ):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):

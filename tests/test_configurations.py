@@ -1,4 +1,8 @@
 import copy
+from functools import cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segal_abacus.configurations import (
     abacus_row_map,
@@ -19,6 +23,8 @@ from segal_abacus.configurations import (
     j_upper_star,
     m_2segal_dictionary,
     p_star_tot,
+    pointed_col0,
+    pointed_row0,
     q_lower_star,
     q_upper_star,
     r_star,
@@ -33,12 +39,28 @@ from segal_abacus.corpus import (
     nerve_map,
     poset_inclusion,
     punctured_chain_sset,
+    standard_map_corpus,
     two_segal_partial_monoid,
     walking_iso_cat,
 )
-from segal_abacus.decalage import dec
+from segal_abacus.decalage import (
+    AugBottomSplitSSet,
+    PointedSSet,
+    alpha_aug,
+    counit,
+    dec,
+    h_lower,
+    h_unit_report,
+    h_upper,
+    is_local_initial,
+    is_local_terminal,
+)
 from segal_abacus.presheaf import (
+    CheckReport,
+    DSet,
     SMap,
+    TruncSSet,
+    action_target,
     col_sset,
     constant_sset,
     dset_levels,
@@ -342,3 +364,196 @@ def test_dset_iso_report_bijection_matches_multiset_rule():
         rep = dset_iso_report(B, B, maps)
         assert rep.holds is False and rep.checked == len(levels)
         assert rep.witnesses == _old_level_witnesses(B, B, maps)
+
+
+# ---------------------------------------------------------------------------
+# The bijection checks against their loop-by-loop references
+
+
+def _reference_unit_iso(B):
+    """``unit_iso`` with the pullback filtered out of a product and its own
+    injective and surjective loops."""
+    witnesses = []
+    checked = 0
+    rows = {i for (i, j) in B.levels}
+    if -1 not in rows:
+        return CheckReport.precondition_failure("unit_iso", "no augmentation row")
+    for (i, j) in sorted(B.levels, key=lambda lv: (lv[0] + 1 + lv[1], lv)):
+        if i < 0 or j < 0:
+            continue
+        eta = {}
+        for b in B.level(i, j):
+            lvl, cur = (i, j), b
+            for k in range(j, -1, -1):
+                lvl, cur = B.act("d", k, lvl, cur)
+            xc = cur
+            lvl, cur = (i, j), b
+            for _ in range(i + 1):
+                lvl, cur = B.act("f", None, lvl, cur)
+            eta[b] = (xc, cur)
+        want = set()
+        fx = {}
+        for x in B.level(i, -1):
+            lvl, cur = (i, -1), x
+            for _ in range(i + 1):
+                lvl, cur = B.act("f", None, lvl, cur)
+            fx[x] = cur
+        for x in B.level(i, -1):
+            for y in B.level(-1, i + 1 + j):
+                lvl, cur = (-1, i + 1 + j), y
+                for k in range(i + 1 + j, i, -1):
+                    lvl, cur = B.act("d", k, lvl, cur)
+                if cur == fx[x]:
+                    want.add((x, y))
+        seen = {}
+        for b, im in eta.items():
+            checked += 1
+            if im not in want:
+                witnesses.append(Witness(f"unit@({i},{j})", "unit leaves the pullback", (b,)))
+            elif im in seen:
+                witnesses.append(Witness(f"unit@({i},{j})", "unit not injective", (seen[im], b)))
+            seen[im] = b
+        for im in sorted(want - set(seen), key=fmt_id):
+            witnesses.append(Witness(f"unit@({i},{j})", "unit not surjective", im))
+    return CheckReport.from_witnesses("unit_iso", witnesses, checked)
+
+
+def _reference_has_invertible_abacus(B):
+    witnesses = []
+    checked = 0
+    for lvl, table in B.abacus_tables("f"):
+        tgt = B.level(*action_target("f", lvl))
+        checked += 1
+        seen = {}
+        for x, y in table.items():
+            if y in seen:
+                witnesses.append(Witness(f"f@{lvl}", "abacus not injective", (seen[y], x)))
+            seen[y] = x
+        for y in tgt:
+            if y not in seen:
+                witnesses.append(Witness(f"f@{lvl}", "abacus not surjective", (y,)))
+    return CheckReport.from_witnesses("has_invertible_abacus", witnesses, checked)
+
+
+def _reference_local_report(P, side, name):
+    """``is_local_initial`` (bottom) or ``is_local_terminal`` (top) with the
+    pullback filtered out of a product."""
+    X = P.sset
+    if X.trunc < 1:
+        return CheckReport.precondition_failure(name, "trunc too small")
+    al = alpha_aug(X, side)
+    eps = counit(X, side)
+    compare = {
+        n: {(c, x): eps.at(n, x)
+            for c in P.point_set for x in al.source.level(n) if al.at(n, x) == P.pointing[c]}
+        for n in range(al.source.trunc + 1)
+    }
+    witnesses = []
+    checked = 0
+    for n in sorted(compare):
+        seen = {}
+        for z, img in compare[n].items():
+            checked += 1
+            if img in seen:
+                witnesses.append(Witness(f"level@{n}", "comparison not injective", (seen[img], z)))
+            seen[img] = z
+        for x in X.level(n):
+            if x not in seen:
+                witnesses.append(Witness(f"level@{n}", "comparison not surjective", (x,)))
+    return CheckReport.from_witnesses(name, witnesses, checked)
+
+
+def _reference_h_unit_report(A, name="h_unit"):
+    B = h_lower(h_upper(A))
+    X = A.sset
+    witnesses = []
+    checked = 0
+    for n in range(B.sset.trunc + 1):
+        img = {}
+        for x in X.level(n):
+            checked += 1
+            y, m = x, n
+            while m > 0:
+                y = X.face(m, m, y)
+                m -= 1
+            target = (A.aug[y], A.split[n][x])
+            if target not in set(B.sset.level(n)):
+                witnesses.append(Witness(f"unit@{n}", "unit misses the pullback", (x,)))
+                continue
+            if target in img:
+                witnesses.append(Witness(f"unit@{n}", "unit not injective", (img[target], x)))
+            img[target] = x
+        for z in B.sset.level(n):
+            if z not in img:
+                witnesses.append(Witness(f"unit@{n}", "unit not surjective", (z,)))
+    return CheckReport.from_witnesses(name, witnesses, checked)
+
+
+@cache
+def _kan_extensions():
+    """The Kan extensions of the standard maps at truncation 4."""
+    return tuple(q_lower_star(F) for _, F in standard_map_corpus(4))
+
+
+def _redirect(draw, tables: dict, target_of, times):
+    """Copy ``tables`` with up to ``times`` entries sent to another element
+    of their target level."""
+    tables = dict(tables)
+    keys = sorted(tables, key=str)
+    for _ in range(draw(st.integers(0, times))):
+        key = draw(st.sampled_from(keys))
+        targets = target_of(key)
+        if tables[key] and targets:
+            x = draw(st.sampled_from(sorted(tables[key], key=fmt_id)))
+            tables[key] = {**tables[key], x: draw(st.sampled_from(targets))}
+    return tables
+
+
+@st.composite
+def _mutated_kan_extensions(draw):
+    B = draw(st.sampled_from(_kan_extensions()))
+    # the unit and the invertibility check read only the d and f actions
+    read = {key: table for key, table in B.actions.items() if key[0] in ("d", "f")}
+    actions = _redirect(draw, read, lambda key: B.level(*action_target(key[0], key[2])), 3)
+    return DSet(B.trunc, B.levels, {**B.actions, **actions})
+
+
+@st.composite
+def _mutated_pointings(draw):
+    """Row zero or column zero of a Kan extension's pointing restriction,
+    with its pointing and its point set mutated."""
+    pointed = draw(st.sampled_from([pointed_row0, pointed_col0]))
+    P = pointed(j_upper_star(draw(st.sampled_from(_kan_extensions()))))
+    level0 = P.sset.level(0)
+    extra = [f"extra{k}" for k in range(draw(st.integers(0, 1)))]
+    pointing = {**P.pointing, **{c: draw(st.sampled_from(level0)) for c in extra}}
+    for c in draw(st.lists(st.sampled_from(P.point_set), max_size=2)):
+        pointing[c] = draw(st.sampled_from(level0))
+    return PointedSSet(P.sset, P.point_set + tuple(extra), pointing)
+
+
+def _same_report(got, ref):
+    assert (got.verdict, got.checked, got.witnesses) == (ref.verdict, ref.checked, ref.witnesses)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mutated_kan_extensions())
+def test_unit_and_invertibility_match_references(B):
+    _same_report(unit_iso(B), _reference_unit_iso(B))
+    _same_report(has_invertible_abacus(B), _reference_has_invertible_abacus(B))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mutated_pointings(), st.data())
+def test_local_pointings_and_h_unit_match_references(P, data):
+    X = P.sset
+    faces = _redirect(data.draw, X.faces, lambda key: X.level(key[0] - 1), 2)
+    Q = PointedSSet(TruncSSet(X.trunc, X.levels, faces, X.degens), P.point_set, P.pointing)
+    _same_report(is_local_initial(Q), _reference_local_report(Q, "bottom", "is_local_initial"))
+    _same_report(is_local_terminal(Q), _reference_local_report(Q, "top", "is_local_terminal"))
+    # the unit needs a genuine simplicial set under the split structure
+    A = h_lower(P)
+    split = _redirect(data.draw, A.split, lambda n: A.sset.level(n + 1), 2)
+    aug = _redirect(data.draw, {0: A.aug}, lambda _: A.aug_level, 1)[0]
+    A = AugBottomSplitSSet(A.sset, split, A.aug_level, aug, A.aug_split)
+    _same_report(h_unit_report(A), _reference_h_unit_report(A))

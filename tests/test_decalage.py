@@ -1,7 +1,5 @@
 import copy
 
-import pytest
-
 from segal_abacus.corpus import (
     chain_poset,
     diamond_poset,
@@ -34,7 +32,6 @@ from segal_abacus.fibrations import (
     cartesian_on,
     is_left_fibration,
     is_right_fibration,
-    is_segal,
 )
 from segal_abacus.presheaf import TruncSSet, constant_sset, sub_trunc, validate
 

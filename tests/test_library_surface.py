@@ -1,4 +1,5 @@
-"""Every top-level name of the library has a use inside the library.
+"""Every top-level name of the library has a use inside the library, and
+every imported name has a use in the module that imports it.
 
 A function that only tests call is a reference for those tests, not part
 of the calculator: it belongs in the test module that uses it.  A name
@@ -11,12 +12,12 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "segal_abacus"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "segal_abacus"
 
 # Names kept without a use in the library, each with its reason.
 KEEP = {
     "comult": "builds the mutation fixtures of acceptance criterion 10",
-    "pullback_sets": "builds the pullback mutation fixture of acceptance criterion 10",
     "h_counit_map": "with h_lower/h_upper, the counit of the h-comparison; not yet a suite entry",
     "h_unit_report": "with h_lower/h_upper, the unit of the h-comparison; not yet a suite entry",
     "pullback_coalgebra": "bottom splittings pull back along right fibrations; not yet a suite entry",
@@ -62,3 +63,26 @@ def test_every_library_name_is_used_in_the_library():
     assert {name: module for name, module in unused.items() if name not in KEEP} == {}
     # a kept name that is gone or has gained a use no longer needs its entry
     assert set(KEEP) <= set(unused)
+
+
+def _unused_imports(tree) -> set:
+    """Names the module imports (anywhere in it) but never loads, less the
+    names its ``__all__`` exports."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    loaded = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+    exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name) and target.id == "__all__"
+                for elt in node.value.elts}
+    return imported - loaded - exported
+
+
+def test_every_imported_name_is_used():
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    unused = {path.name: sorted(names) for path in paths
+              if (names := _unused_imports(ast.parse(path.read_text())))}
+    assert unused == {}

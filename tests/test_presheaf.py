@@ -33,7 +33,7 @@ from segal_abacus.presheaf import (
     fmt_id,
     identity_smap,
     is_pullback,
-    pullback_sets,
+    pullback_pairs,
     sub_trunc,
     validate,
     validate_dset,
@@ -97,6 +97,13 @@ def test_act_matches_chain_reindexing():
             for m in range(5):
                 for f in enumerate_monotone(m, n):
                     assert X.act(f, ch) == _simplex(tuple(verts[v] for v in f.values)), (f, ch)
+
+
+def pullback_sets(f, g, a_elems, b_elems):
+    """The strict pullback in canonical order with its two projections: the
+    square the pullback tests start from."""
+    pairs = _sorted_ids(pullback_pairs(f, g, a_elems, b_elems))
+    return pairs, {p: p[0] for p in pairs}, {p: p[1] for p in pairs}
 
 
 def test_pullback_sets_examples():
@@ -287,11 +294,11 @@ def _squares(draw):
 def test_pullbacks_match_brute_force(sq):
     got, ref = is_pullback(sq), _reference_is_pullback(sq)
     assert (got.verdict, got.checked, got.witnesses) == (ref.verdict, ref.checked, ref.witnesses)
-    pairs, proj_a, proj_b = pullback_sets(sq.a_to_c, sq.b_to_c, sq.a_elems, sq.b_elems)
-    want = tuple(sorted(((a, b) for a in sq.a_elems for b in sq.b_elems
-                         if sq.a_to_c[a] == sq.b_to_c[b]), key=fmt_id))
-    assert pairs == want
-    assert proj_a == {p: p[0] for p in want} and proj_b == {p: p[1] for p in want}
+    # the join: a-major, each side in the order given
+    want = [(a, b) for a in sq.a_elems for b in sq.b_elems if sq.a_to_c[a] == sq.b_to_c[b]]
+    assert pullback_pairs(sq.a_to_c, sq.b_to_c, sq.a_elems, sq.b_elems) == want
+    assert pullback_pairs(sq.a_to_c, sq.b_to_c, sq.a_elems[::-1], sq.b_elems[::-1]) == [
+        (a, b) for a in sq.a_elems[::-1] for b in sq.b_elems[::-1] if sq.a_to_c[a] == sq.b_to_c[b]]
 
 
 def test_colimit0():
