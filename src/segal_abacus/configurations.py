@@ -13,6 +13,8 @@ single generic formula covers every generator.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .abacus import generators_into
 from .corpus import chain_poset, nerve
 from .decalage import PointedSSet, dec, is_local_initial, is_local_terminal, tot
@@ -34,6 +36,9 @@ from .presheaf import (
     TruncationError,
     TruncSSet,
     Witness,
+    _compare_rows,
+    _map_view,
+    _naturality_rows,
     _sorted_ids,
     action_target,
     bijection_witnesses,
@@ -136,14 +141,19 @@ def q_upper_star(B: DSet) -> SMap:
     T = min(X.trunc, Y.trunc)
     levels = {}
     for n in range(T + 1):
-        table = {}
-        for z in B.level(n, -1):
-            lvl, cur = (n, -1), z
-            for _ in range(n + 1):
-                lvl, cur = B.act("f", None, lvl, cur)
-            table[z] = cur
-        levels[n] = table
+        tables = _path_tables(B, (n, -1), [("f", None)] * (n + 1))
+        levels[n] = {z: through(tables, z) for z in B.level(n, -1)}
     return SMap(sub_trunc(X, T), sub_trunc(Y, T), levels)
+
+
+def _path_tables(B: DSet, lvl: tuple, steps) -> list:
+    """The tables B applies for the generators ``steps``, ``(kind, k)`` in
+    turn, the first out of level ``lvl``."""
+    tables = []
+    for kind, k in steps:
+        tables.append(B.actions[kind, k, lvl])
+        lvl = action_target(kind, lvl)
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -188,23 +198,12 @@ def unit_iso(B: DSet) -> CheckReport:
         if i < 0 or j < 0:
             continue
         # components: project to the augmentation column and row
-        eta = {}
-        for b in B.level(i, j):
-            lvl, cur = (i, j), b
-            for k in range(j, -1, -1):
-                lvl, cur = B.act("d", k, lvl, cur)
-            xc = cur
-            lvl, cur = (i, j), b
-            for _ in range(i + 1):
-                lvl, cur = B.act("f", None, lvl, cur)
-            eta[b] = (xc, cur)
-        fx = {}
-        for x in B.level(i, -1):
-            lvl, cur = (i, -1), x
-            for _ in range(i + 1):
-                lvl, cur = B.act("f", None, lvl, cur)
-            fx[x] = cur
-        top = [B.actions["d", k, (-1, k)] for k in range(i + 1 + j, i, -1)]
+        to_col = _path_tables(B, (i, j), [("d", k) for k in range(j, -1, -1)])
+        to_row = _path_tables(B, (i, j), [("f", None)] * (i + 1))
+        eta = {b: (through(to_col, b), through(to_row, b)) for b in B.level(i, j)}
+        col_to_row = _path_tables(B, (i, -1), [("f", None)] * (i + 1))
+        fx = {x: through(col_to_row, x) for x in B.level(i, -1)}
+        top = _path_tables(B, (-1, i + 1 + j), [("d", k) for k in range(i + 1 + j, i, -1)])
         ys = B.level(-1, i + 1 + j)
         want = pullback_pairs(fx, {y: through(top, y) for y in ys}, B.level(i, -1), ys)
         inside = set(want)
@@ -625,28 +624,19 @@ def build_M(B: DSet):
         if i + 1 + j == n
         for x in B.level(i, j)
     ) for n in range(T + 1)}
-    faces = {}
-    degens = {}
-    for n in range(1, T + 1):
-        for k in range(n + 1):
-            table = {}
-            for ((i, j), x) in levels[n]:
-                if k <= i:
-                    tgt, y = B.act("e", k, (i, j), x)
-                else:
-                    tgt, y = B.act("d", k - i - 1, (i, j), x)
-                table[((i, j), x)] = (tgt, y)
-            faces[(n, k)] = table
-    for n in range(T):
-        for k in range(n + 1):
-            table = {}
-            for ((i, j), x) in levels[n]:
-                if k <= i:
-                    tgt, y = B.act("t", k, (i, j), x)
-                else:
-                    tgt, y = B.act("s", k - i - 1, (i, j), x)
-                table[((i, j), x)] = (tgt, y)
-            degens[(n, k)] = table
+
+    def generator(n, k, vertical, horizontal):
+        """Generator k of M out of level n: on the slice level (i, j) the
+        vertical generator k for k <= i, else the horizontal k - i - 1, each
+        table taken once."""
+        step = {}
+        for (i, j) in {lv for lv, _ in levels[n]}:
+            kind, kk = (vertical, k) if k <= i else (horizontal, k - i - 1)
+            step[i, j] = action_target(kind, (i, j)), B.actions[kind, kk, (i, j)]
+        return {(lv, x): (step[lv][0], step[lv][1][x]) for lv, x in levels[n]}
+
+    faces = {(n, k): generator(n, k, "e", "d") for n in range(1, T + 1) for k in range(n + 1)}
+    degens = {(n, k): generator(n, k, "t", "s") for n in range(T) for k in range(n + 1)}
     M = TruncSSet(T, levels, faces, degens)
     arrow = nerve(chain_poset(1), T)
     proj_levels = {}
@@ -726,19 +716,18 @@ def dset_iso_report(B1: DSet, B2: DSet, maps: dict, name: str = "dset_iso") -> C
             witnesses.append(Witness(f"level@{lvl}", "not a bijection", (lvl,)))
     if witnesses:
         return CheckReport.from_witnesses(name, witnesses, checked)
-    for lvl in dset_levels(T, with_aug_row=aug):
-        for kind, k, tgt, _ in generators_into(T)[lvl]:
-            if tgt[0] == -1 and not aug:
-                continue
-            for x in B1.level(*lvl):
-                checked += 1
-                _, y1 = B1.act(kind, k, lvl, x)
-                _, y2 = B2.act(kind, k, lvl, maps[lvl][x])
-                if maps[tgt][y1] != y2:
-                    witnesses.append(
-                        Witness(f"{kind}{'' if k is None else k}@{lvl}", "iso does not commute", (x,))
-                    )
-    return CheckReport.from_witnesses(name, witnesses, checked)
+    tables, levels = _map_view(B1.actions, B2.actions, maps, B1.levels, B2.levels)
+    return _compare_rows(name, checked, tables, levels, _iso_rows(T, aug))
+
+
+@lru_cache(maxsize=None)
+def _iso_rows(T: int, aug: bool) -> tuple:
+    """Naturality rows of a map between ``T``-truncated abacus presheaves,
+    against every generator between their levels (``dset_levels``)."""
+    return _naturality_rows(
+        (f"{kind}{'' if k is None else k}@{lvl}", "iso does not commute", (kind, k, lvl), lvl, tgt)
+        for lvl in dset_levels(T, with_aug_row=aug)
+        for kind, k, tgt, _ in generators_into(T)[lvl] if aug or tgt[0] >= 0)
 
 
 def sigmaset_equal(A1: SigmaSet, A2: SigmaSet) -> bool:

@@ -10,6 +10,8 @@ like a choice of local initial objects, and the pair of functors
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .presheaf import (
     BiSSet,
     CheckReport,
@@ -17,7 +19,11 @@ from .presheaf import (
     TruncationError,
     TruncSSet,
     Witness,
+    _check_rows,
+    _concat,
+    _delta_rows,
     _sorted_ids,
+    _sset_tables,
     bijection_witnesses,
     bisset_actions,
     cartesian_on,
@@ -201,61 +207,50 @@ def validate_pointed(P: PointedSSet, name: str = "pointed") -> CheckReport:
 
 
 def validate_coalgebra(A, name: str = "split") -> CheckReport:
-    """The split-simplicial identities; for augmented input also the
-    augmentation square and section."""
+    """The simplicial identities and the split-simplicial ones; for
+    augmented input also the augmentation square and section."""
     X = A.sset
-    witnesses = []
-    checked = 0
-    base = validate_sset(X, name)
-    witnesses += base.witnesses
-    checked += base.checked
-    for n in range(X.trunc):
-        table = A.split.get(n)
-        if table is None or set(table) != set(X.level(n)):
-            witnesses.append(Witness(f"split@{n}", "splitting missing or partial", ()))
-            continue
-        for x in X.level(n):
-            checked += 1
-            if X.face(n + 1, 0, table[x]) != x:
-                witnesses.append(Witness(f"split-counit@{n}", "d_0 s# = id", (x,)))
-            for k in range(n + 1):
-                checked += 1
-                if n >= 1:
-                    lhs = X.face(n + 1, k + 1, table[x])
-                    rhs = A.split[n - 1][X.face(n, k, x)]
-                    if lhs != rhs:
-                        witnesses.append(Witness(f"split-face{k}@{n}", "d_k+1 s# = s# d_k", (x,)))
-            if n + 1 < X.trunc:
-                for k in range(n + 1):
-                    checked += 1
-                    if X.deg(n + 1, k + 1, table[x]) != A.split[n + 1][X.deg(n, k, x)]:
-                        witnesses.append(Witness(f"split-deg{k}@{n}", "s_k+1 s# = s# s_k", (x,)))
-                checked += 1
-                if X.deg(n + 1, 0, table[x]) != A.split[n + 1][table[x]]:
-                    witnesses.append(Witness(f"split-coassoc@{n}", "s_0 s# = s# s#", (x,)))
-    if isinstance(A, AugBottomSplitSSet):
-        aug_set = set(A.aug_level)
-        for x in X.level(0):
-            checked += 1
-            if A.aug.get(x) not in aug_set:
-                witnesses.append(Witness("aug", "augmentation missing", (x,)))
-        for c in A.aug_level:
-            checked += 1
-            if A.aug.get(A.aug_split.get(c)) != c:
-                witnesses.append(Witness("aug-counit", "d_0 s# = id at -1", (c,)))
-            if X.trunc >= 1:
-                checked += 1
-                if X.face(1, 1, A.split[0][A.aug_split[c]]) != A.aug_split[c]:
-                    witnesses.append(Witness("aug-split-face", "d_1 s# = s# d_0 at 0", (c,)))
-                checked += 1
-                if X.deg(0, 0, A.aug_split[c]) != A.split[0][A.aug_split[c]]:
-                    witnesses.append(Witness("aug-split-coassoc", "s_0 s# = s# s# at -1", (c,)))
-        for x in X.level(0):
-            if X.trunc >= 1:
-                checked += 1
-                if X.face(1, 1, A.split[0][x]) != A.aug_split[A.aug[x]]:
-                    witnesses.append(Witness("aug-shift", "d_1 s# = s# d_0 at 0", (x,)))
-    return CheckReport.from_witnesses(name, witnesses, checked)
+    augmented = isinstance(A, AugBottomSplitSSet)
+    tables = _sset_tables(X)
+    tables.update({("split", None, n): table for n, table in A.split.items()})
+    levels = dict(X.levels)
+    if augmented:
+        tables["aug", None, 0], tables["aug-split", None, -1] = A.aug, A.aug_split
+        levels[-1] = A.aug_level
+    return _check_rows(name, [], tables, levels, _coalgebra_rows(X.trunc, augmented))
+
+
+@lru_cache(maxsize=None)
+def _coalgebra_rows(T: int, augmented: bool) -> tuple:
+    """The rows of a bottom-split simplicial set truncated at T: the simplex
+    rows, the totality of the splitting ``("split", None, n)`` out of each
+    level n < T, and its identities; for ``augmented`` input also the
+    totality of the augmentation ``("aug", None, 0)`` and its section
+    ``("aug-split", None, -1)`` out of level -1, and their identities."""
+    split = [("split", None, n) for n in range(T)]
+    totals = [(f"split@{n}", split[n], n, n + 1) for n in range(T)]
+    relations = [(f"split-counit@{n}", "d_0 s# = id", n, (split[n], ("d", 0, n + 1)), ())
+                 for n in range(T)]
+    relations += [(f"split-face{k}@{n}", "d_k+1 s# = s# d_k", n,
+                   (split[n], ("d", k + 1, n + 1)), (("d", k, n), split[n - 1]))
+                  for n in range(1, T) for k in range(n + 1)]
+    relations += [(f"split-deg{k}@{n}", "s_k+1 s# = s# s_k", n,
+                   (split[n], ("s", k + 1, n + 1)), (("s", k, n), split[n + 1]))
+                  for n in range(T - 1) for k in range(n + 1)]
+    relations += [(f"split-coassoc@{n}", "s_0 s# = s# s#", n,
+                   (split[n], ("s", 0, n + 1)), (split[n], split[n + 1]))
+                  for n in range(T - 1)]
+    if augmented:
+        aug, section = ("aug", None, 0), ("aug-split", None, -1)
+        totals += [("aug", aug, 0, -1), ("aug-split", section, -1, 0)]
+        relations.append(("aug-counit", "d_0 s# = id at -1", -1, (section, aug), ()))
+        if T >= 1:
+            relations += [
+                ("aug-split-face", "d_1 s# = s# d_0 at 0", -1, (section, split[0], ("d", 1, 1)), (section,)),
+                ("aug-split-coassoc", "s_0 s# = s# s# at -1", -1, (section, ("s", 0, 0)), (section, split[0])),
+                ("aug-shift", "d_1 s# = s# d_0 at 0", 0, (split[0], ("d", 1, 1)), (aug, section)),
+            ]
+    return _concat(_delta_rows(T), ((), tuple(totals), tuple(relations)))
 
 
 def gamma(A: BottomSplitSSet) -> SMap:

@@ -12,13 +12,17 @@ mutates them, and all checkers are read-only.
 The index-category combinatorics are computed once and then looked up.
 Which levels and actions a truncated presheaf has is read off the one
 generator table, ``abacus.generators_into`` (``dset_levels``,
-``bisset_actions``, ``validate_dset``, ``validate_bisset``); nothing here
-lists generator indices or objects itself.  ``validate_dset`` reads the
-abacus relation table as rows of action keys, cached per bound on the
-levels (``_relation_rows``), and ``TruncSSet.act`` reads the face and
-degeneracy steps of a monotone map, cached per map (``_act_steps``).
-Element loops only look tables up: a construction that applies one map
-to a whole level takes its tables once (``TruncSSet.act_tables``).
+``bisset_actions``); nothing here lists abacus generators itself.  Every
+validator reads its category's identities as rows of table keys, computed
+once per truncation: ``_delta_rows`` for simplicial sets (and, prefixed,
+for the rows and columns of a bisimplicial set and the source and target
+of a map), ``_bisset_rows``, ``_smap_rows``, ``_relation_rows`` for the
+abacus category, ``decalage._coalgebra_rows`` for split structures.  One
+element loop checks them all: ``_check_rows`` checks totality, then
+``_compare_rows`` applies both sides of each identity to every element,
+and only looks tables up.  A construction that applies one map to a
+whole level also takes its tables once (``TruncSSet.act_tables``, the
+steps of a monotone map cached per map in ``_act_steps``).
 
 Element order is canonical, by ``fmt_id``, and computed once.  Every level
 goes through ``_sorted_ids``, which marks the tuple it returns; only
@@ -100,16 +104,10 @@ class TruncSSet:
     def deg(self, n: int, k: int, x):
         return self.degens[(n, k)][x]
 
-    def act(self, f: MonotoneMap, x):
-        """Contravariant action of an arbitrary monotone map.
-
-        ``f : [m] -> [n]`` acts on an n-simplex and returns an m-simplex,
-        by the canonical face-then-degeneracy decomposition.
-        """
-        return through(self.act_tables(f), x)
-
     def act_tables(self, f: MonotoneMap) -> list:
-        """The face and degeneracy tables ``f`` acts through, in turn."""
+        """The face and degeneracy tables through which ``f : [m] -> [n]``
+        acts on n-simplices, in turn: its canonical face-then-degeneracy
+        decomposition."""
         return [(self.faces if is_face else self.degens)[key] for is_face, key in _act_steps(f)]
 
     def __repr__(self):
@@ -175,51 +173,44 @@ def sub_trunc(X: TruncSSet, T: int) -> TruncSSet:
 
 def validate_sset(X: TruncSSet, name: str = "sset") -> CheckReport:
     """Well-formedness plus all simplicial identities within truncation."""
-    witnesses = []
-    checked = 0
-    for n in range(X.trunc + 1):
-        if n not in X.levels:
-            witnesses.append(Witness(f"level@{n}", "level missing", ()))
-    for n in range(1, X.trunc + 1):
-        for k in range(n + 1):
-            checked += _check_total(X.faces.get((n, k)), X.level(n), X.level(n - 1),
-                                    f"d{k}@{n}", witnesses)
-    for n in range(X.trunc):
-        for k in range(n + 1):
-            checked += _check_total(X.degens.get((n, k)), X.level(n), X.level(n + 1),
-                                    f"s{k}@{n}", witnesses)
-    if witnesses:
-        return CheckReport.from_witnesses(name, witnesses, checked)
-    for n in range(2, X.trunc + 1):
-        for j in range(n + 1):
-            for i in range(j):
-                for x in X.level(n):
-                    checked += 1
-                    if X.face(n - 1, i, X.face(n, j, x)) != X.face(n - 1, j - 1, X.face(n, i, x)):
-                        witnesses.append(Witness(f"dd(i={i},j={j})@{n}", "d_i d_j = d_(j-1) d_i", (x,)))
-    for n in range(X.trunc - 1):
-        for j in range(n + 1):
-            for i in range(j + 1):
-                for x in X.level(n):
-                    checked += 1
-                    if X.deg(n + 1, j + 1, X.deg(n, i, x)) != X.deg(n + 1, i, X.deg(n, j, x)):
-                        witnesses.append(Witness(f"ss(i={i},j={j})@{n}", "s_j+1 s_i = s_i s_j", (x,)))
-    for n in range(X.trunc):
+    return _check_rows(name, [], _sset_tables(X), X.levels, _delta_rows(X.trunc))
+
+
+def _sset_tables(X: TruncSSet) -> dict:
+    """X's face and degeneracy tables keyed like ``actions``: ``(kind, k, n)``
+    for d_k or s_k out of level n."""
+    tables = {("d", k, n): table for (n, k), table in X.faces.items()}
+    tables.update({("s", k, n): table for (n, k), table in X.degens.items()})
+    return tables
+
+
+@lru_cache(maxsize=None)
+def _delta_rows(T: int) -> tuple:
+    """The rows of the simplex category truncated at degree T, keyed as
+    ``_sset_tables`` keys them: every level, the totality of every face and
+    degeneracy, and the simplicial identities.  For ``i`` in ``{j, j + 1}``
+    the face-degeneracy identity ``d_i s_j = id`` has an empty right side."""
+    expect = tuple((f"level@{n}", n) for n in range(T + 1))
+    totals = tuple((f"d{k}@{n}", ("d", k, n), n, n - 1) for n in range(1, T + 1) for k in range(n + 1))
+    totals += tuple((f"s{k}@{n}", ("s", k, n), n, n + 1) for n in range(T) for k in range(n + 1))
+    relations = [(f"dd(i={i},j={j})@{n}", "d_i d_j = d_(j-1) d_i", n,
+                  (("d", j, n), ("d", i, n - 1)), (("d", i, n), ("d", j - 1, n - 1)))
+                 for n in range(2, T + 1) for j in range(n + 1) for i in range(j)]
+    relations += [(f"ss(i={i},j={j})@{n}", "s_j+1 s_i = s_i s_j", n,
+                   (("s", i, n), ("s", j + 1, n + 1)), (("s", j, n), ("s", i, n + 1)))
+                  for n in range(T - 1) for j in range(n + 1) for i in range(j + 1)]
+    for n in range(T):
         for j in range(n + 1):
             for i in range(n + 2):
-                for x in X.level(n):
-                    checked += 1
-                    y = X.face(n + 1, i, X.deg(n, j, x))
-                    if i < j:
-                        ok = n >= 1 and y == X.deg(n - 1, j - 1, X.face(n, i, x))
-                    elif i in (j, j + 1):
-                        ok = y == x
-                    else:
-                        ok = n >= 1 and y == X.deg(n - 1, j, X.face(n, i - 1, x))
-                    if i in (j, j + 1) or n >= 1:
-                        if not ok:
-                            witnesses.append(Witness(f"ds(i={i},j={j})@{n}", "face-degeneracy identity", (x,)))
-    return CheckReport.from_witnesses(name, witnesses, checked)
+                if i < j:
+                    rhs = (("d", i, n), ("s", j - 1, n - 1))
+                elif i <= j + 1:
+                    rhs = ()
+                else:
+                    rhs = (("d", i - 1, n), ("s", j, n - 1))
+                relations.append((f"ds(i={i},j={j})@{n}", "face-degeneracy identity", n,
+                                  (("s", j, n), ("d", i, n + 1)), rhs))
+    return expect, totals, tuple(relations)
 
 
 def _check_total(table, src, tgt, label, witnesses) -> int:
@@ -238,28 +229,98 @@ def _check_total(table, src, tgt, label, witnesses) -> int:
 
 
 def validate_smap(F: SMap, name: str = "smap") -> CheckReport:
-    """Naturality of a simplicial map against every stored generator."""
+    """Source and target as simplicial sets, plus naturality of the map
+    against every generator both have."""
     X, Y = F.source, F.target
-    witnesses = []
+    tables, levels = _map_view(_sset_tables(X), _sset_tables(Y), F.levels, X.levels, Y.levels)
+    return _check_rows(name, [], tables, levels, _smap_rows(X.trunc, Y.trunc))
+
+
+@lru_cache(maxsize=None)
+def _smap_rows(source_trunc: int, target_trunc: int) -> tuple:
+    """The rows of a simplicial map, keyed as ``_map_view`` keys them: the
+    simplex rows of source and target, sites prefixed ``source:`` and
+    ``target:``, the totality of the map at each level, and naturality."""
+    T = min(source_trunc, target_trunc)
+    _, gens, _ = _delta_rows(T)
+    maps = tuple((f"F@{n}", ("M", n), ("S", n), ("T", n)) for n in range(T + 1))
+    natural = _naturality_rows(
+        ("nat-" + label, f"F {key[0]}_k = {key[0]}_k F", key, src, tgt) for label, key, src, tgt in gens)
+    return _concat(_rekey(_delta_rows(source_trunc), "source:", lambda key: ("S", key), lambda n: ("S", n)),
+                   _rekey(_delta_rows(target_trunc), "target:", lambda key: ("T", key), lambda n: ("T", n)),
+                   ((), maps, natural))
+
+
+def _map_view(source_tables, target_tables, maps, source_levels, target_levels) -> tuple:
+    """One ``(tables, levels)`` for a map M from S to T: S's and T's tables
+    keyed ``("S", key)`` and ``("T", key)``, the map at level ``lv`` keyed
+    ``("M", lv)``, and the levels keyed ``("S", lv)`` and ``("T", lv)``."""
+    tables = {("M", lv): table for lv, table in maps.items()}
+    tables.update({("S", key): table for key, table in source_tables.items()})
+    tables.update({("T", key): table for key, table in target_tables.items()})
+    levels = {("S", lv): xs for lv, xs in source_levels.items()}
+    levels.update({("T", lv): xs for lv, xs in target_levels.items()})
+    return tables, levels
+
+
+def _naturality_rows(gens) -> tuple:
+    """Rows saying that a map M from S to T commutes with each generator
+    ``(site, equation, key, source level, target level)``: S's table then M,
+    against M then T's table, keyed as ``_map_view`` keys them."""
+    return tuple((site, equation, ("S", src), (("S", key), ("M", tgt)), (("M", src), ("T", key)))
+                 for site, equation, key, src, tgt in gens)
+
+
+# ---------------------------------------------------------------------------
+# The element loop
+
+
+def _check_rows(name: str, witnesses: list, tables, levels, rows) -> CheckReport:
+    """Check a presheaf against its rows ``(expect, totals, relations)``.
+    Phase 1 reports each expected level ``(label, level)`` missing, and
+    checks that each totality row's ``(label, key, source, target)`` table
+    is defined on its source level and lands in its target level.  A
+    witness from it or the caller stops the report there; else phase 2,
+    ``_compare_rows``, can look up every table its relation rows name."""
+    expect, totals, relations = rows
+    witnesses = witnesses + [Witness(label, "level missing", ()) for label, lv in expect if lv not in levels]
     checked = 0
-    for n in range(min(X.trunc, Y.trunc) + 1):
-        table = F.levels.get(n)
-        checked += _check_total(table, X.level(n), Y.level(n), f"F@{n}", witnesses)
+    for label, key, src, tgt in totals:
+        checked += _check_total(tables.get(key), levels.get(src, ()), levels.get(tgt, ()), label, witnesses)
     if witnesses:
         return CheckReport.from_witnesses(name, witnesses, checked)
-    for n in range(1, min(X.trunc, Y.trunc) + 1):
-        for k in range(n + 1):
-            for x in X.level(n):
-                checked += 1
-                if F.at(n - 1, X.face(n, k, x)) != Y.face(n, k, F.at(n, x)):
-                    witnesses.append(Witness(f"nat-d{k}@{n}", "F d_k = d_k F", (x,)))
-    for n in range(min(X.trunc, Y.trunc)):
-        for k in range(n + 1):
-            for x in X.level(n):
-                checked += 1
-                if F.at(n + 1, X.deg(n, k, x)) != Y.deg(n, k, F.at(n, x)):
-                    witnesses.append(Witness(f"nat-s{k}@{n}", "F s_k = s_k F", (x,)))
+    return _compare_rows(name, checked, tables, levels, relations)
+
+
+def _compare_rows(name: str, checked: int, tables, levels, relations) -> CheckReport:
+    """The one loop that compares identities element by element: for each
+    relation row ``(site, equation, level, lhs keys, rhs keys)`` and each
+    element of the level, both sides applied through their tables in turn.
+    A row whose sides differ on x gives the witness ``(site, equation, (x,))``."""
+    witnesses = []
+    for site, equation, lv, lhs, rhs in relations:
+        xs = levels.get(lv, ())
+        lhs_tables = [tables[key] for key in lhs]
+        rhs_tables = [tables[key] for key in rhs]
+        checked += len(xs)
+        witnesses += [Witness(site, equation, (x,)) for x in xs
+                      if through(lhs_tables, x) != through(rhs_tables, x)]
     return CheckReport.from_witnesses(name, witnesses, checked)
+
+
+def _rekey(rows, prefix: str, key, level) -> tuple:
+    """``rows`` with every label and site prefixed, and every table key and
+    level renamed by ``key`` and ``level``."""
+    expect, totals, relations = rows
+    return (tuple((prefix + label, level(lv)) for label, lv in expect),
+            tuple((prefix + label, key(k), level(src), level(tgt)) for label, k, src, tgt in totals),
+            tuple((prefix + site, equation, level(lv), tuple(map(key, lhs)), tuple(map(key, rhs)))
+                  for site, equation, lv, lhs, rhs in relations))
+
+
+def _concat(*rows) -> tuple:
+    """Several row sets as one, part by part."""
+    return tuple(tuple(row for part in parts for row in part) for parts in zip(*rows))
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +508,6 @@ class _Grid:
     def level(self, i: int, j: int) -> tuple:
         return self.levels.get((i, j), ())
 
-    def act(self, kind: str, k, lvl: tuple, x):
-        """Apply one generator action from source level ``lvl``; returns
-        (target_level, image)."""
-        return action_target(kind, lvl), self.actions[kind, k, lvl][x]
-
     def __repr__(self):
         return f"{type(self).__name__}(T={self.trunc}, levels={len(self.levels)})"
 
@@ -471,32 +527,23 @@ def bisset_actions(trunc: int) -> dict:
 
 def row_sset(B, i: int) -> TruncSSet:
     """Bulk row i as a simplicial set (horizontal structure)."""
-    T = _row_trunc(B, i)
-    levels = {n: B.level(i, n) for n in range(T + 1)}
-    faces = {(n, k): B.actions["d", k, (i, n)] for n in range(1, T + 1) for k in range(n + 1)}
-    degens = {(n, k): B.actions["s", k, (i, n)] for n in range(T) for k in range(n + 1)}
-    return TruncSSet(T, levels, faces, degens)
+    return _line_sset(B, i, lambda n: (i, n), "d", "s")
 
 
 def col_sset(B, j: int) -> TruncSSet:
     """Bulk column j as a simplicial set (vertical structure)."""
-    T = _col_trunc(B, j)
-    levels = {n: B.level(n, j) for n in range(T + 1)}
-    faces = {(n, k): B.actions["e", k, (n, j)] for n in range(1, T + 1) for k in range(n + 1)}
-    degens = {(n, k): B.actions["t", k, (n, j)] for n in range(T) for k in range(n + 1)}
+    return _line_sset(B, j, lambda n: (n, j), "e", "t")
+
+
+def _line_sset(B, index: int, at, face: str, deg: str) -> TruncSSet:
+    """Row or column ``index`` of B: level n at ``at(n)``, generators of kinds
+    ``face`` and ``deg``, up to degree ``B.trunc - index`` (one less in an
+    abacus presheaf, whose level (i, j) has degree i + 1 + j)."""
+    T = B.trunc - index - (1 if isinstance(B, DSet) else 0)
+    levels = {n: B.level(*at(n)) for n in range(T + 1)}
+    faces = {(n, k): B.actions[face, k, at(n)] for n in range(1, T + 1) for k in range(n + 1)}
+    degens = {(n, k): B.actions[deg, k, at(n)] for n in range(T) for k in range(n + 1)}
     return TruncSSet(T, levels, faces, degens)
-
-
-def _row_trunc(B, i: int) -> int:
-    if isinstance(B, DSet):
-        return B.trunc - i - 1
-    return B.trunc - i
-
-
-def _col_trunc(B, j: int) -> int:
-    if isinstance(B, DSet):
-        return B.trunc - j - 1
-    return B.trunc - j
 
 
 def _stray_levels(B, expect) -> list:
@@ -506,49 +553,37 @@ def _stray_levels(B, expect) -> list:
 
 
 def validate_bisset(B: BiSSet, name: str = "bisset") -> CheckReport:
-    checked = 0
-    A = B.actions
-    into = bisset_actions(B.trunc)
-    witnesses = _stray_levels(B, into)
-    for lvl, gens in into.items():
-        if lvl not in B.levels:
-            continue
-        for kind, k, tgt in gens:
-            checked += _check_total(A.get((kind, k, lvl)), B.levels[lvl], B.level(*tgt),
-                                    action_label(kind, k, lvl), witnesses)
-    if witnesses:
-        return CheckReport.from_witnesses(name, witnesses, checked)
-    for i in range(B.trunc + 1):
-        rep = validate_sset(row_sset(B, i), f"row{i}")
-        checked += rep.checked
-        witnesses += [Witness(f"row{i}:{w.site}", w.equation, w.offenders) for w in rep.witnesses]
-    for j in range(B.trunc + 1):
-        rep = validate_sset(col_sset(B, j), f"col{j}")
-        checked += rep.checked
-        witnesses += [Witness(f"col{j}:{w.site}", w.equation, w.offenders) for w in rep.witnesses]
-    # vertical operators commute with horizontal ones
-    for lvl, gens in into.items():
-        xs = B.level(*lvl)
-        for vkind, vk, vtgt in gens:
-            if vkind not in ("e", "t"):
-                continue
-            for hkind, hk, htgt in gens:
-                if hkind not in ("d", "s"):
-                    continue
-                corner = action_target(hkind, vtgt)
-                if corner not in B.levels or sum(corner) > B.trunc:
-                    continue
-                if (hkind, hk, vtgt) not in A or (vkind, vk, htgt) not in A:
-                    continue
-                for x in xs:
-                    checked += 1
-                    vh = A[hkind, hk, vtgt][A[vkind, vk, lvl][x]]
-                    if vh != A[vkind, vk, htgt][A[hkind, hk, lvl][x]]:
-                        witnesses.append(
-                            Witness(f"{vkind}{vk}.{hkind}{hk}@({lvl[0]},{lvl[1]})",
-                                    "directions commute", (x,))
-                        )
-    return CheckReport.from_witnesses(name, witnesses, checked)
+    """Well-formedness, the simplicial identities of every row and column,
+    and the vertical generators commuting with the horizontal ones."""
+    return _check_rows(name, _stray_levels(B, bisset_actions(B.trunc)), B.actions, B.levels,
+                       _bisset_rows(B.trunc))
+
+
+@lru_cache(maxsize=None)
+def _bisset_rows(T: int) -> tuple:
+    """The rows of a bisimplicial set truncated at i + j <= T, keyed like
+    its ``actions``: every level and the totality of every action; the
+    relation rows of the simplex category on each row i (``d``, ``s``) and
+    column j (``e``, ``t``), sites prefixed ``row{i}:`` and ``col{j}:``;
+    and ``{v}{k}.{h}{l}@(i,j)``, a vertical generator then a horizontal one
+    against the two the other way round, where their corner is in reach."""
+    into = bisset_actions(T)
+    expect = tuple((f"level@{lv}", lv) for lv in into)
+    totals = tuple((action_label(kind, k, lv), (kind, k, lv), lv, tgt)
+                   for lv, gens in into.items() for kind, k, tgt in gens)
+    vertical = {"d": "e", "s": "t"}  # a column's generator for each of a row's
+    lines = [_rekey(_delta_rows(T - i), f"row{i}:", lambda key, i=i: (key[0], key[1], (i, key[2])),
+                    lambda n, i=i: (i, n)) for i in range(T + 1)]
+    lines += [_rekey(_delta_rows(T - j), f"col{j}:", lambda key, j=j: (vertical[key[0]], key[1], (key[2], j)),
+                     lambda n, j=j: (n, j)) for j in range(T + 1)]
+    commute = tuple(
+        (f"{vkind}{vk}.{hkind}{hk}@({lv[0]},{lv[1]})", "directions commute", lv,
+         ((vkind, vk, lv), (hkind, hk, vtgt)), ((hkind, hk, lv), (vkind, vk, htgt)))
+        for lv, gens in into.items()
+        for vkind, vk, vtgt in gens if vkind in ("e", "t")
+        for hkind, hk, htgt in gens if hkind in ("d", "s") and sum(action_target(hkind, vtgt)) <= T)
+    # a row's or column's tables are the grid's own, whose totality is above
+    return expect, totals, tuple(row for _, _, relations in lines for row in relations) + commute
 
 
 # ---------------------------------------------------------------------------
@@ -604,33 +639,14 @@ def validate_dset(B: DSet, name: str = "dset") -> CheckReport:
                                         action_label(kind, k, lvl), witnesses)
     if witnesses:
         return CheckReport.from_witnesses(name, witnesses, checked)
-    max_i = max((i for (i, j) in B.levels), default=-1)
-    max_j = max((j for (i, j) in B.levels), default=-1)
-    max_d = max((i + 1 + j for (i, j) in B.levels), default=-1)
-    A = B.actions
-    for rel_name, equation, needs, target, lhs, rhs in _relation_rows(max_i, max_j, max_d):
-        xs = B.level(*target)
-        if not xs or any(lv not in B.levels for lv in needs):
-            continue
-        lhs_tables = [A[key] for key in lhs]
-        rhs_tables = [A[key] for key in rhs]
-        for x in xs:
-            checked += 1
-            y = z = x
-            for table in lhs_tables:
-                y = table[y]
-            for table in rhs_tables:
-                z = table[z]
-            if y != z:
-                witnesses.append(Witness(rel_name, equation, (x,)))
-    return CheckReport.from_witnesses(name, witnesses, checked)
+    return _compare_rows(name, checked, B.actions, B.levels, _relation_rows(B.trunc, with_aug))
 
 
 @lru_cache(maxsize=None)
-def _relation_rows(max_i: int, max_j: int, max_d: int) -> tuple:
-    """The relation table of the abacus category on the levels (i, j) with
-    i <= max_i, j <= max_j and degree i + 1 + j <= max_d, as rows
-    ``(name, equation, levels needed, target level, lhs keys, rhs keys)``.
+def _relation_rows(trunc: int, with_aug: bool) -> tuple:
+    """The relation table of the abacus category on the levels of a
+    ``trunc``-truncated presheaf (``dset_levels``), as relation rows
+    ``(name, equation, target level, lhs keys, rhs keys)``.
 
     One row per instance of ``abacus.relation_instances`` whose words stay
     on those levels.  The keys are ``actions`` keys in contravariant order,
@@ -642,24 +658,21 @@ def _relation_rows(max_i: int, max_j: int, max_d: int) -> tuple:
     def intern(v):
         return interned.setdefault(v, v)
 
-    def within(lv):
-        return lv[0] <= max_i and lv[1] <= max_j and lv[0] + 1 + lv[1] <= max_d
-
+    levels = set(dset_levels(trunc, with_aug))
     rows = []
-    for rel_name, lhs, rhs in abacus.relation_instances(max_i, max_j):
-        if lhs.source.degree > max_d:  # spare the walk: the source is out of reach
+    for rel_name, lhs, rhs in abacus.relation_instances(max((i for i, _ in levels), default=-1),
+                                                        max((j for _, j in levels), default=-1)):
+        if lhs.source.degree > trunc:  # spare the walk: the source is out of reach
             continue
         path_l, path_r = _word_levels(lhs), _word_levels(rhs)
         if path_l is None or path_r is None:
             continue
         assert path_l[-1] == path_r[-1], f"{lhs} and {rhs} end apart"
-        needs = sorted(set(path_l + path_r))
-        if not all(within(lv) for lv in needs):
+        if not levels.issuperset(path_l + path_r):
             continue
         rows.append((
             intern(rel_name),
             f"{lhs} = {rhs}",
-            intern(tuple(needs)),
             intern(path_l[-1]),
             _action_keys(lhs, path_l, intern),
             _action_keys(rhs, path_r, intern),

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from segal_abacus import pjson
 from segal_abacus.cli import main
 from segal_abacus.corpus import chain_poset, nerve
@@ -155,6 +157,78 @@ def test_undecided_suites_and_missing_actions(tmp_path):
     code, text = run(["check", "validate", str(empty)])
     payload = json.loads(text)
     assert (code, payload["verdict"], len(payload["witnesses"])) == (1, "fail", 8)
+
+
+def _split_file(edit):
+    """The comultiplication splitting of a nerve's bottom decalage, as a
+    file form with ``edit`` applied."""
+    from segal_abacus.decalage import BottomSplitSSet, comult, dec
+    from segal_abacus.presheaf import sub_trunc
+
+    X = nerve(chain_poset(2), 4)
+    D = dec(X, "bottom")
+    data = pjson.to_dict(BottomSplitSSet(sub_trunc(D, D.trunc), dict(comult(X).levels)))
+    edit(data)
+    return data
+
+
+def _smap_file(edit):
+    """The identity map of a nerve, as a file form with ``edit`` applied."""
+    from segal_abacus.presheaf import identity_smap
+
+    data = pjson.to_dict(identity_smap(nerve(chain_poset(1), 3)))
+    edit(data)
+    return data
+
+
+def _split_outside(data):
+    table = data["split"]["0"]
+    table[sorted(table)[0]] = data["sset"]["levels"]["2"][0]  # X_2, not X_1
+
+
+def _same_face_change(data):
+    """One d0@2 value changed the same way in source and target."""
+    for side in ("source", "target"):
+        table = data[side]["actions"]["d0@2"]
+        x = sorted(table)[0]
+        table[x] = next(y for y in data[side]["levels"]["1"] if y != table[x])
+
+
+MALFORMED = {
+    "split value outside its level": _split_file(_split_outside),
+    "split level deleted": _split_file(lambda data: data["split"].pop("1")),
+    "split face table deleted": _split_file(lambda data: data["sset"]["actions"].pop("d0@2")),
+    "smap source face table deleted": _smap_file(lambda data: data["source"]["actions"].pop("d0@2")),
+    "smap of a non-simplicial set": _smap_file(_same_face_change),
+    "empty bisset": {"shape": "bisset", "trunc": 1, "levels": {}, "actions": {}},
+}
+
+# the checks run on each malformed shape besides validate
+_MALFORMED_CHECKS = {"split": ("coalgebra", "rigid"), "smap": ("lfib", "rel-upper-2segal"),
+                     "bisset": ("stable", "double-segal")}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_file_is_invalid_input(tmp_path, case):
+    """``check validate`` fails with witnesses; every other check, and a
+    construction, reports invalid input (exit 2), never an internal error."""
+    import contextlib
+    import io
+
+    path = tmp_path / "bad.json"
+    data = MALFORMED[case]
+    path.write_text(json.dumps(data))
+    code, text = run(["check", "validate", str(path)])
+    payload = json.loads(text)
+    assert (code, payload["verdict"]) == (1, "fail") and payload["witnesses"]
+    for check in _MALFORMED_CHECKS[data["shape"]]:
+        code, text = run(["check", check, str(path)])
+        assert (code, json.loads(text)["verdict"]) == (2, "invalid-input"), check
+    if data["shape"] == "smap":
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, _ = run(["construct", "qstar", "--in", str(path), "--out", str(tmp_path / "q.json")])
+        assert (code, err.getvalue()) == (2, "input does not validate\n")
 
 
 def test_construct_pipeline(tmp_path):

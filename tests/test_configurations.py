@@ -385,24 +385,24 @@ def _reference_unit_iso(B):
         for b in B.level(i, j):
             lvl, cur = (i, j), b
             for k in range(j, -1, -1):
-                lvl, cur = B.act("d", k, lvl, cur)
+                lvl, cur = action_target("d", lvl), B.actions["d", k, lvl][cur]
             xc = cur
             lvl, cur = (i, j), b
             for _ in range(i + 1):
-                lvl, cur = B.act("f", None, lvl, cur)
+                lvl, cur = action_target("f", lvl), B.actions["f", None, lvl][cur]
             eta[b] = (xc, cur)
         want = set()
         fx = {}
         for x in B.level(i, -1):
             lvl, cur = (i, -1), x
             for _ in range(i + 1):
-                lvl, cur = B.act("f", None, lvl, cur)
+                lvl, cur = action_target("f", lvl), B.actions["f", None, lvl][cur]
             fx[x] = cur
         for x in B.level(i, -1):
             for y in B.level(-1, i + 1 + j):
                 lvl, cur = (-1, i + 1 + j), y
                 for k in range(i + 1 + j, i, -1):
-                    lvl, cur = B.act("d", k, lvl, cur)
+                    lvl, cur = action_target("d", lvl), B.actions["d", k, lvl][cur]
                 if cur == fx[x]:
                     want.add((x, y))
         seen = {}

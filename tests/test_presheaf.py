@@ -35,6 +35,7 @@ from segal_abacus.presheaf import (
     is_pullback,
     pullback_pairs,
     sub_trunc,
+    through,
     validate,
     validate_dset,
 )
@@ -84,19 +85,19 @@ def test_act_matches_chain_reindexing():
     f = MonotoneMap(3, 3, (0, 0, 2))
     # acting on a 2-simplex of a poset nerve re-labels its vertex chain
     ch = ((0, 1), (1, 2))  # the chain 0 <= 1 <= 2
-    assert X.act(f, ch) == ((0, 0), (0, 2))
-    assert X.act(identity(2), ch) == ch
+    assert through(X.act_tables(f), ch) == ((0, 0), (0, 2))
+    assert through(X.act_tables(identity(2)), ch) == ch
     # functoriality on a sample of composites
     g = coface(1, 3)
     three = next(iter(X.level(3)))
-    assert X.act(g, three) == X.face(3, 1, three)
+    assert through(X.act_tables(g), three) == X.face(3, 1, three)
     # every map [m] -> [n] with m, n <= 4 re-indexes the vertex chain
     for n in range(5):
         for ch in X.level(n):
             verts = _vertices(ch, n)
             for m in range(5):
                 for f in enumerate_monotone(m, n):
-                    assert X.act(f, ch) == _simplex(tuple(verts[v] for v in f.values)), (f, ch)
+                    assert through(X.act_tables(f), ch) == _simplex(tuple(verts[v] for v in f.values)), (f, ch)
 
 
 def pullback_sets(f, g, a_elems, b_elems):

@@ -1,0 +1,480 @@
+"""Every presheaf validator against the loop-by-loop validator it replaced.
+
+The validators check rows through one element loop.  Each ``_reference_*``
+below is the earlier validator, one nested loop per family of identities.
+On random mutations of corpus fixtures both give the same verdict,
+``checked`` and witnesses, except where the rows count on purpose
+differently, each stated at its test:
+
+- a simplicial map also validates its source and target;
+- a splitting is checked for totality like any other table, and
+  ``split-face0@0``, an instance that compared nothing, is gone;
+- a bisimplicial set checks the totality of each action once, not once
+  more per row and column.
+
+An entry that leaves its level stops every validator after the totality
+checks: that entry is then the only witness, where the earlier smap and
+coalgebra loops went on and could raise ``KeyError``.
+"""
+
+from functools import cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from segal_abacus.abacus import generators_into
+from segal_abacus.configurations import dset_iso_report, q_lower_star
+from segal_abacus.corpus import standard_map_corpus, standard_nerve_corpus
+from segal_abacus.decalage import (
+    AugBottomSplitSSet,
+    BottomSplitSSet,
+    PointedSSet,
+    comult,
+    dec,
+    h_lower,
+    tot,
+    validate_coalgebra,
+    validate_pointed,
+)
+from segal_abacus.presheaf import (
+    BiSSet,
+    CheckReport,
+    DSet,
+    SMap,
+    SigmaSet,
+    TruncSSet,
+    Witness,
+    _check_total,
+    _stray_levels,
+    action_label,
+    action_target,
+    bisset_actions,
+    bijection_witnesses,
+    col_sset,
+    dset_levels,
+    fmt_id,
+    row_sset,
+    sub_trunc,
+    validate_bisset,
+    validate_sigmaset,
+    validate_smap,
+    validate_sset,
+)
+
+JUNK = "junk"
+
+
+# ---------------------------------------------------------------------------
+# The earlier validators
+
+
+def _reference_validate_sset(X, name="sset"):
+    witnesses = []
+    checked = 0
+    for n in range(X.trunc + 1):
+        if n not in X.levels:
+            witnesses.append(Witness(f"level@{n}", "level missing", ()))
+    for n in range(1, X.trunc + 1):
+        for k in range(n + 1):
+            checked += _check_total(X.faces.get((n, k)), X.level(n), X.level(n - 1),
+                                    f"d{k}@{n}", witnesses)
+    for n in range(X.trunc):
+        for k in range(n + 1):
+            checked += _check_total(X.degens.get((n, k)), X.level(n), X.level(n + 1),
+                                    f"s{k}@{n}", witnesses)
+    if witnesses:
+        return CheckReport.from_witnesses(name, witnesses, checked)
+    for n in range(2, X.trunc + 1):
+        for j in range(n + 1):
+            for i in range(j):
+                for x in X.level(n):
+                    checked += 1
+                    if X.face(n - 1, i, X.face(n, j, x)) != X.face(n - 1, j - 1, X.face(n, i, x)):
+                        witnesses.append(Witness(f"dd(i={i},j={j})@{n}", "d_i d_j = d_(j-1) d_i", (x,)))
+    for n in range(X.trunc - 1):
+        for j in range(n + 1):
+            for i in range(j + 1):
+                for x in X.level(n):
+                    checked += 1
+                    if X.deg(n + 1, j + 1, X.deg(n, i, x)) != X.deg(n + 1, i, X.deg(n, j, x)):
+                        witnesses.append(Witness(f"ss(i={i},j={j})@{n}", "s_j+1 s_i = s_i s_j", (x,)))
+    for n in range(X.trunc):
+        for j in range(n + 1):
+            for i in range(n + 2):
+                for x in X.level(n):
+                    checked += 1
+                    y = X.face(n + 1, i, X.deg(n, j, x))
+                    if i < j:
+                        ok = n >= 1 and y == X.deg(n - 1, j - 1, X.face(n, i, x))
+                    elif i in (j, j + 1):
+                        ok = y == x
+                    else:
+                        ok = n >= 1 and y == X.deg(n - 1, j, X.face(n, i - 1, x))
+                    if i in (j, j + 1) or n >= 1:
+                        if not ok:
+                            witnesses.append(Witness(f"ds(i={i},j={j})@{n}", "face-degeneracy identity", (x,)))
+    return CheckReport.from_witnesses(name, witnesses, checked)
+
+
+def _reference_validate_smap(F, name="smap"):
+    X, Y = F.source, F.target
+    witnesses = []
+    checked = 0
+    for n in range(min(X.trunc, Y.trunc) + 1):
+        table = F.levels.get(n)
+        checked += _check_total(table, X.level(n), Y.level(n), f"F@{n}", witnesses)
+    if witnesses:
+        return CheckReport.from_witnesses(name, witnesses, checked)
+    for n in range(1, min(X.trunc, Y.trunc) + 1):
+        for k in range(n + 1):
+            for x in X.level(n):
+                checked += 1
+                if F.at(n - 1, X.face(n, k, x)) != Y.face(n, k, F.at(n, x)):
+                    witnesses.append(Witness(f"nat-d{k}@{n}", "F d_k = d_k F", (x,)))
+    for n in range(min(X.trunc, Y.trunc)):
+        for k in range(n + 1):
+            for x in X.level(n):
+                checked += 1
+                if F.at(n + 1, X.deg(n, k, x)) != Y.deg(n, k, F.at(n, x)):
+                    witnesses.append(Witness(f"nat-s{k}@{n}", "F s_k = s_k F", (x,)))
+    return CheckReport.from_witnesses(name, witnesses, checked)
+
+
+def _reference_validate_bisset(B, name="bisset"):
+    checked = 0
+    A = B.actions
+    into = bisset_actions(B.trunc)
+    witnesses = _stray_levels(B, into)
+    for lvl, gens in into.items():
+        if lvl not in B.levels:
+            continue
+        for kind, k, tgt in gens:
+            checked += _check_total(A.get((kind, k, lvl)), B.levels[lvl], B.level(*tgt),
+                                    action_label(kind, k, lvl), witnesses)
+    if witnesses:
+        return CheckReport.from_witnesses(name, witnesses, checked)
+    for i in range(B.trunc + 1):
+        rep = _reference_validate_sset(row_sset(B, i), f"row{i}")
+        checked += rep.checked
+        witnesses += [Witness(f"row{i}:{w.site}", w.equation, w.offenders) for w in rep.witnesses]
+    for j in range(B.trunc + 1):
+        rep = _reference_validate_sset(col_sset(B, j), f"col{j}")
+        checked += rep.checked
+        witnesses += [Witness(f"col{j}:{w.site}", w.equation, w.offenders) for w in rep.witnesses]
+    for lvl, gens in into.items():
+        xs = B.level(*lvl)
+        for vkind, vk, vtgt in gens:
+            if vkind not in ("e", "t"):
+                continue
+            for hkind, hk, htgt in gens:
+                if hkind not in ("d", "s"):
+                    continue
+                corner = action_target(hkind, vtgt)
+                if corner not in B.levels or sum(corner) > B.trunc:
+                    continue
+                if (hkind, hk, vtgt) not in A or (vkind, vk, htgt) not in A:
+                    continue
+                for x in xs:
+                    checked += 1
+                    vh = A[hkind, hk, vtgt][A[vkind, vk, lvl][x]]
+                    if vh != A[vkind, vk, htgt][A[hkind, hk, lvl][x]]:
+                        witnesses.append(
+                            Witness(f"{vkind}{vk}.{hkind}{hk}@({lvl[0]},{lvl[1]})",
+                                    "directions commute", (x,))
+                        )
+    return CheckReport.from_witnesses(name, witnesses, checked)
+
+
+def _reference_validate_sigmaset(A, name="sigmaset"):
+    rep = _reference_validate_bisset(A.bulk, name)
+    witnesses = list(rep.witnesses)
+    checked = rep.checked
+    level00 = set(A.bulk.level(0, 0))
+    for c in A.point_set:
+        checked += 1
+        if c not in A.pointing:
+            witnesses.append(Witness("pointing", "pointing undefined", (c,)))
+        elif A.pointing[c] not in level00:
+            witnesses.append(Witness("pointing", "pointing leaves level (0,0)", (c,)))
+    return CheckReport.from_witnesses(name, witnesses, checked)
+
+
+def _reference_validate_pointed(P, name="pointed"):
+    rep = _reference_validate_sset(P.sset, name)
+    witnesses = list(rep.witnesses)
+    checked = rep.checked
+    lvl0 = set(P.sset.level(0))
+    for c in P.point_set:
+        checked += 1
+        if P.pointing.get(c) not in lvl0:
+            witnesses.append(Witness("pointing", "pointing misses level 0", (c,)))
+    return CheckReport.from_witnesses(name, witnesses, checked)
+
+
+def _reference_validate_coalgebra(A, name="split"):
+    X = A.sset
+    witnesses = []
+    checked = 0
+    base = _reference_validate_sset(X, name)
+    witnesses += base.witnesses
+    checked += base.checked
+    for n in range(X.trunc):
+        table = A.split.get(n)
+        if table is None or set(table) != set(X.level(n)):
+            witnesses.append(Witness(f"split@{n}", "splitting missing or partial", ()))
+            continue
+        for x in X.level(n):
+            checked += 1
+            if X.face(n + 1, 0, table[x]) != x:
+                witnesses.append(Witness(f"split-counit@{n}", "d_0 s# = id", (x,)))
+            for k in range(n + 1):
+                checked += 1
+                if n >= 1:
+                    lhs = X.face(n + 1, k + 1, table[x])
+                    rhs = A.split[n - 1][X.face(n, k, x)]
+                    if lhs != rhs:
+                        witnesses.append(Witness(f"split-face{k}@{n}", "d_k+1 s# = s# d_k", (x,)))
+            if n + 1 < X.trunc:
+                for k in range(n + 1):
+                    checked += 1
+                    if X.deg(n + 1, k + 1, table[x]) != A.split[n + 1][X.deg(n, k, x)]:
+                        witnesses.append(Witness(f"split-deg{k}@{n}", "s_k+1 s# = s# s_k", (x,)))
+                checked += 1
+                if X.deg(n + 1, 0, table[x]) != A.split[n + 1][table[x]]:
+                    witnesses.append(Witness(f"split-coassoc@{n}", "s_0 s# = s# s#", (x,)))
+    if isinstance(A, AugBottomSplitSSet):
+        aug_set = set(A.aug_level)
+        for x in X.level(0):
+            checked += 1
+            if A.aug.get(x) not in aug_set:
+                witnesses.append(Witness("aug", "augmentation missing", (x,)))
+        for c in A.aug_level:
+            checked += 1
+            if A.aug.get(A.aug_split.get(c)) != c:
+                witnesses.append(Witness("aug-counit", "d_0 s# = id at -1", (c,)))
+            if X.trunc >= 1:
+                checked += 1
+                if X.face(1, 1, A.split[0][A.aug_split[c]]) != A.aug_split[c]:
+                    witnesses.append(Witness("aug-split-face", "d_1 s# = s# d_0 at 0", (c,)))
+                checked += 1
+                if X.deg(0, 0, A.aug_split[c]) != A.split[0][A.aug_split[c]]:
+                    witnesses.append(Witness("aug-split-coassoc", "s_0 s# = s# s# at -1", (c,)))
+        for x in X.level(0):
+            if X.trunc >= 1:
+                checked += 1
+                if X.face(1, 1, A.split[0][x]) != A.aug_split[A.aug[x]]:
+                    witnesses.append(Witness("aug-shift", "d_1 s# = s# d_0 at 0", (x,)))
+    return CheckReport.from_witnesses(name, witnesses, checked)
+
+
+def _reference_dset_iso_report(B1, B2, maps, name="dset_iso"):
+    witnesses = []
+    checked = 0
+    T = min(B1.trunc, B2.trunc)
+    aug = B1.has_aug_row() and B2.has_aug_row()
+    for lvl in dset_levels(T, with_aug_row=aug):
+        m = maps.get(lvl)
+        checked += 1
+        level = B2.level(*lvl)
+        if (m is None or set(m) != set(B1.level(*lvl)) or len(m) != len(level)
+                or bijection_witnesses("", "", ((x, (y,)) for x, y in m.items()), [(y,) for y in level])):
+            witnesses.append(Witness(f"level@{lvl}", "not a bijection", (lvl,)))
+    if witnesses:
+        return CheckReport.from_witnesses(name, witnesses, checked)
+    for lvl in dset_levels(T, with_aug_row=aug):
+        for kind, k, tgt, _ in generators_into(T)[lvl]:
+            if tgt[0] == -1 and not aug:
+                continue
+            for x in B1.level(*lvl):
+                checked += 1
+                y1 = B1.actions[kind, k, lvl][x]
+                y2 = B2.actions[kind, k, lvl][maps[lvl][x]]
+                if maps[tgt][y1] != y2:
+                    witnesses.append(
+                        Witness(f"{kind}{'' if k is None else k}@{lvl}", "iso does not commute", (x,))
+                    )
+    return CheckReport.from_witnesses(name, witnesses, checked)
+
+
+# ---------------------------------------------------------------------------
+# Fixtures and mutations
+
+
+@cache
+def _ssets():
+    return [X for _, X in standard_nerve_corpus(3)]
+
+
+@cache
+def _maps():
+    return [F for _, F in standard_map_corpus(3)]
+
+
+@cache
+def _splits():
+    """The comultiplication splitting of each nerve's bottom decalage, and
+    the split augmentation ``h_lower`` builds from each first vertex."""
+    out = []
+    for X in _ssets():
+        D = dec(X, "bottom")
+        out.append(BottomSplitSSet(sub_trunc(D, D.trunc), {n: dict(comult(X).levels[n]) for n in range(D.trunc)}))
+        out.append(h_lower(PointedSSet(X, ("c",), {"c": X.level(0)[0]})))
+    return out
+
+
+@cache
+def _kan_extensions():
+    return [q_lower_star(F) for F in _maps()[:4]]
+
+
+def _redirect(draw, tables, target_of, junk):
+    """``tables`` with up to two entries redirected to elements of their
+    target level, or, when ``junk``, possibly to ``JUNK``."""
+    tables = dict(tables)
+    keys = sorted((key for key, table in tables.items() if table), key=str)
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(keys))
+        x = draw(st.sampled_from(sorted(tables[key], key=fmt_id)))
+        targets = sorted(target_of(key), key=fmt_id) + [JUNK] * junk
+        tables[key] = {**tables[key], x: draw(st.sampled_from(targets))}
+    return tables
+
+
+def _mutated_sset(draw, X, junk):
+    faces = _redirect(draw, X.faces, lambda key: X.level(key[0] - 1), junk)
+    degens = _redirect(draw, X.degens, lambda key: X.level(key[0] + 1), junk)
+    return TruncSSet(X.trunc, X.levels, faces, degens)
+
+
+def _junk_entries(*tables) -> int:
+    return sum(1 for family in tables for table in family.values() for y in table.values() if y == JUNK)
+
+
+def _only_junk(rep, count):
+    """The report of a presheaf with ``count`` entries sent to ``JUNK``:
+    each is a witness, and nothing else is."""
+    assert rep.verdict == "fail"
+    assert len(rep.witnesses) == count
+    assert all(w.equation == "action leaves level" and w.offenders[1] == JUNK for w in rep.witnesses)
+
+
+def _sset_totality(X) -> int:
+    """Instances of the totality checks of X's faces and degeneracies."""
+    return sum((n + 1) * len(X.level(n)) for n in range(1, X.trunc + 1)) + \
+        sum((n + 1) * len(X.level(n)) for n in range(X.trunc))
+
+
+def _prefixed(prefix, rep):
+    return [Witness(prefix + w.site, w.equation, w.offenders) for w in rep.witnesses]
+
+
+def _same_report(got, verdict, checked, witnesses):
+    assert (got.verdict, got.checked, got.witnesses) == (verdict, checked, sorted(witnesses, key=str))
+
+
+# ---------------------------------------------------------------------------
+# The validators against their references
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_validate_sset_and_pointed_match_references(data):
+    X = _mutated_sset(data.draw, data.draw(st.sampled_from(_ssets())), True)
+    ref = _reference_validate_sset(X)
+    _same_report(validate_sset(X), ref.verdict, ref.checked, ref.witnesses)
+    point_set = ("c", "c2")
+    pointing = {"c": data.draw(st.sampled_from(X.level(0) + (JUNK,)))}
+    P = PointedSSet(X, point_set, pointing)
+    ref = _reference_validate_pointed(P)
+    _same_report(validate_pointed(P), ref.verdict, ref.checked, ref.witnesses)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_validate_bisset_and_sigmaset_match_references(data):
+    """Equal, except that a bisimplicial set that passes its totality
+    checks counts each of them once: the reference counted every action's
+    totality a second time, in the row or column it re-validated."""
+    B = tot(data.draw(st.sampled_from(_ssets())))
+    actions = _redirect(data.draw, B.actions, lambda key: B.level(*action_target(key[0], key[2])), True)
+    B = BiSSet(B.trunc, B.levels, actions)
+    twice = 0 if _junk_entries(actions) else sum(
+        len(B.level(*lv)) * len(gens) for lv, gens in bisset_actions(B.trunc).items())
+    ref = _reference_validate_bisset(B)
+    _same_report(validate_bisset(B), ref.verdict, ref.checked - twice, ref.witnesses)
+    level00 = B.level(0, 0)
+    A = SigmaSet(B, ("c", "c2", "c3"), {"c": level00[0], "c2": data.draw(st.sampled_from(level00 + (JUNK,)))})
+    ref = _reference_validate_sigmaset(A)
+    _same_report(validate_sigmaset(A), ref.verdict, ref.checked - twice, ref.witnesses)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_validate_smap_matches_reference(data):
+    """A map also validates its source and target: their simplex rows add
+    their witnesses, prefixed ``source:`` and ``target:``, and their
+    instances to the reference's."""
+    F = data.draw(st.sampled_from(_maps()))
+    junk = data.draw(st.booleans())
+    X = _mutated_sset(data.draw, F.source, junk)
+    Y = _mutated_sset(data.draw, F.target, junk)
+    levels = _redirect(data.draw, F.levels, Y.level, junk)
+    G = SMap(X, Y, levels)
+    got = validate_smap(G)
+    count = _junk_entries(X.faces, X.degens, Y.faces, Y.degens, levels)
+    if count:
+        _only_junk(got, count)
+        maps = sum(len(X.level(n)) for n in range(min(X.trunc, Y.trunc) + 1))
+        assert got.checked == _sset_totality(X) + _sset_totality(Y) + maps
+        return
+    ref, ref_x, ref_y = _reference_validate_smap(G), _reference_validate_sset(X), _reference_validate_sset(Y)
+    witnesses = ref.witnesses + _prefixed("source:", ref_x) + _prefixed("target:", ref_y)
+    _same_report(got, "fail" if witnesses else ref.verdict, ref.checked + ref_x.checked + ref_y.checked,
+                 witnesses)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_validate_coalgebra_matches_reference(data):
+    """Equal, except in ``checked``: each splitting table's totality is
+    checked per element, ``split-face0@0`` (one instance per vertex that
+    compared nothing) is gone, and an augmentation's section is checked for
+    totality too."""
+    A = data.draw(st.sampled_from(_splits()))
+    junk = data.draw(st.booleans())
+    X = _mutated_sset(data.draw, A.sset, junk)
+    split = _redirect(data.draw, A.split, lambda n: X.level(n + 1), junk)
+    tables = [X.faces, X.degens, split]
+    totality = sum(len(X.level(n)) for n in range(X.trunc))  # the splitting's
+    added = totality  # instances the reference did not count
+    if isinstance(A, AugBottomSplitSSet):
+        aug = _redirect(data.draw, {0: A.aug}, lambda _: A.aug_level, junk)
+        section = _redirect(data.draw, {-1: A.aug_split}, lambda _: X.level(0), junk)
+        tables += [aug, section]
+        A = AugBottomSplitSSet(X, split, A.aug_level, aug[0], section[-1])
+        # the reference's "aug" loop counted the augmentation's totality, not the section's
+        totality += len(X.level(0)) + len(A.aug_level)
+        added += len(A.aug_level)
+    else:
+        A = BottomSplitSSet(X, split)
+    got = validate_coalgebra(A)
+    count = _junk_entries(*tables)
+    if count:
+        _only_junk(got, count)
+        assert got.checked == _sset_totality(X) + totality
+        return
+    ref = _reference_validate_coalgebra(A)
+    phantom = len(X.level(0)) if X.trunc >= 1 else 0
+    _same_report(got, ref.verdict, ref.checked - phantom + added, ref.witnesses)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_dset_iso_report_matches_reference(data):
+    B = data.draw(st.sampled_from(_kan_extensions()))
+    actions = _redirect(data.draw, B.actions, lambda key: B.level(*action_target(key[0], key[2])), False)
+    B2 = DSet(B.trunc, B.levels, actions)
+    ident = {lvl: {x: x for x in B.level(*lvl)} for lvl in B.levels}
+    maps = _redirect(data.draw, ident, lambda lvl: B.level(*lvl), False)
+    ref = _reference_dset_iso_report(B, B2, maps)
+    _same_report(dset_iso_report(B, B2, maps), ref.verdict, ref.checked, ref.witnesses)
