@@ -35,6 +35,7 @@ from .presheaf import (
     SigmaSet,
     TruncationError,
     TruncSSet,
+    VERTICAL,
     Witness,
     _compare_rows,
     _map_view,
@@ -44,6 +45,7 @@ from .presheaf import (
     bijection_witnesses,
     col_sset,
     colimit0,
+    delta_actions,
     dset_levels,
     pullback_pairs,
     restrict_actions,
@@ -259,18 +261,12 @@ def is_rel_upper_2segal(F: SMap) -> CheckReport:
     levels = {}
     for n in range(T + 1):
         levels[n] = _sorted_ids(
-            pullback_pairs(F.levels[n], Y.faces[(n + 1, n + 1)], X.level(n), Y.level(n + 1)))
-    faces = {
-        (n, k): {(x, y): (X.face(n, k, x), Y.face(n + 1, k, y)) for (x, y) in levels[n]}
-        for n in range(1, T + 1)
-        for k in range(n + 1)
-    }
-    degens = {
-        (n, k): {(x, y): (X.deg(n, k, x), Y.deg(n + 1, k, y)) for (x, y) in levels[n]}
-        for n in range(T)
-        for k in range(n + 1)
-    }
-    P = TruncSSet(T, levels, faces, degens)
+            pullback_pairs(F.levels[n], Y.actions["d", n + 1, n + 1], X.level(n), Y.level(n + 1)))
+    actions = {}
+    for kind, k, n in delta_actions(T):
+        x_table, y_table = X.actions[kind, k, n], Y.actions[kind, k, n + 1]
+        actions[kind, k, n] = {(x, y): (x_table[x], y_table[y]) for (x, y) in levels[n]}
+    P = TruncSSet(T, levels, actions)
     return CheckReport.conjunction("is_rel_upper_2segal", [is_segal(P)])
 
 
@@ -315,7 +311,7 @@ def j_upper_star(B: DSet) -> SigmaSet:
 def p_star_tot(X: TruncSSet) -> SigmaSet:
     """The total decalage pointed by the zeroth degeneracy."""
     bulk = tot(X)
-    return SigmaSet(bulk, X.level(0), dict(X.degens[(0, 0)]))
+    return SigmaSet(bulk, X.level(0), dict(X.actions["s", 0, 0]))
 
 
 def pointed_row0(A: SigmaSet) -> PointedSSet:
@@ -625,19 +621,17 @@ def build_M(B: DSet):
         for x in B.level(i, j)
     ) for n in range(T + 1)}
 
-    def generator(n, k, vertical, horizontal):
-        """Generator k of M out of level n: on the slice level (i, j) the
-        vertical generator k for k <= i, else the horizontal k - i - 1, each
-        table taken once."""
+    def generator(kind, k, n):
+        """M's generator ``(kind, k, n)``: on the slice level (i, j) the
+        vertical one, ``VERTICAL[kind]``, with index k for k <= i, else the
+        horizontal one with index k - i - 1, each table taken once."""
         step = {}
         for (i, j) in {lv for lv, _ in levels[n]}:
-            kind, kk = (vertical, k) if k <= i else (horizontal, k - i - 1)
-            step[i, j] = action_target(kind, (i, j)), B.actions[kind, kk, (i, j)]
+            key = (VERTICAL[kind], k, (i, j)) if k <= i else (kind, k - i - 1, (i, j))
+            step[i, j] = action_target(key[0], (i, j)), B.actions[key]
         return {(lv, x): (step[lv][0], step[lv][1][x]) for lv, x in levels[n]}
 
-    faces = {(n, k): generator(n, k, "e", "d") for n in range(1, T + 1) for k in range(n + 1)}
-    degens = {(n, k): generator(n, k, "t", "s") for n in range(T) for k in range(n + 1)}
-    M = TruncSSet(T, levels, faces, degens)
+    M = TruncSSet(T, levels, {key: generator(*key) for key in delta_actions(T)})
     arrow = nerve(chain_poset(1), T)
     proj_levels = {}
     for n in range(T + 1):
@@ -717,7 +711,14 @@ def dset_iso_report(B1: DSet, B2: DSet, maps: dict, name: str = "dset_iso") -> C
     if witnesses:
         return CheckReport.from_witnesses(name, witnesses, checked)
     tables, levels = _map_view(B1.actions, B2.actions, maps, B1.levels, B2.levels)
-    return _compare_rows(name, checked, tables, levels, _iso_rows(T, aug))
+    rows = _iso_rows(T, aug)
+    # each row names its generator's table in B1 first on the left, in B2 last on the right
+    witnesses = [Witness(f"{side}:{site}", "action table missing", ())
+                 for site, _, _, lhs, rhs in rows
+                 for side, key in (("source", lhs[0]), ("target", rhs[-1])) if key not in tables]
+    if witnesses:
+        return CheckReport.from_witnesses(name, witnesses, checked)
+    return _compare_rows(name, checked, tables, levels, rows)
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .presheaf import SMap, TruncSSet, pullback_pairs
+from .presheaf import SMap, TruncSSet, delta_actions, pullback_pairs
 
 
 @dataclass(frozen=True)
@@ -163,32 +163,29 @@ def nerve(cat: FinCat, trunc: int) -> TruncSSet:
         ends = {ch: cat.tgt[ch[-1]] if n > 1 else ch for ch in levels[n - 1]}
         levels[n] = tuple(ch + (m,) if n > 1 else (m,)
                           for ch, m in pullback_pairs(ends, cat.src, levels[n - 1], cat.morphisms))
-    faces = {}
-    degens = {}
-    for n in range(1, trunc + 1):
-        for k in range(n + 1):
-            table = {}
-            for ch in levels[n]:
-                if n == 1:
-                    table[ch] = cat.tgt[ch[0]] if k == 0 else cat.src[ch[0]]
-                elif k == 0:
-                    table[ch] = ch[1:]
-                elif k == n:
-                    table[ch] = ch[:-1]
-                else:
-                    table[ch] = ch[: k - 1] + (cat.comp[(ch[k], ch[k - 1])],) + ch[k + 1 :]
-            faces[(n, k)] = table
-    for n in range(trunc):
-        for k in range(n + 1):
-            table = {}
-            for ch in levels[n]:
-                if n == 0:
-                    table[ch] = (cat.ident[ch],)
-                else:
-                    obj = cat.src[ch[0]] if k == 0 else cat.tgt[ch[k - 1]]
-                    table[ch] = ch[:k] + (cat.ident[obj],) + ch[k:]
-            degens[(n, k)] = table
-    return TruncSSet(trunc, levels, faces, degens)
+
+    def act(kind, k, n, ch):
+        if kind == "d":
+            if n == 1:
+                return cat.tgt[ch[0]] if k == 0 else cat.src[ch[0]]
+            if k == 0:
+                return ch[1:]
+            if k == n:
+                return ch[:-1]
+            return ch[: k - 1] + (cat.comp[(ch[k], ch[k - 1])],) + ch[k + 1 :]
+        if n == 0:
+            return (cat.ident[ch],)
+        obj = cat.src[ch[0]] if k == 0 else cat.tgt[ch[k - 1]]
+        return ch[:k] + (cat.ident[obj],) + ch[k:]
+
+    return _sset_acting(trunc, levels, act)
+
+
+def _sset_acting(trunc: int, levels: dict, act) -> TruncSSet:
+    """The simplicial set whose generator ``(kind, k, n)`` of
+    ``delta_actions(trunc)`` sends x to ``act(kind, k, n, x)``."""
+    return TruncSSet(trunc, levels, {(kind, k, n): {x: act(kind, k, n, x) for x in levels[n]}
+                                     for kind, k, n in delta_actions(trunc)})
 
 
 @dataclass(frozen=True)
@@ -317,23 +314,17 @@ def partial_monoid_sset(pt: PartialTable, trunc: int, require_associative: bool 
         levels[n] = tuple(
             tup for tup in product(pt.elements, repeat=n) if windows(tup) is not None
         )
-    faces = {}
-    degens = {}
-    for n in range(1, trunc + 1):
-        for k in range(n + 1):
-            table = {}
-            for tup in levels[n]:
-                if k == 0:
-                    table[tup] = tup[1:]
-                elif k == n:
-                    table[tup] = tup[:-1]
-                else:
-                    table[tup] = tup[: k - 1] + (pt.mult(tup[k - 1], tup[k]),) + tup[k + 1 :]
-            faces[(n, k)] = table
-    for n in range(trunc):
-        for k in range(n + 1):
-            degens[(n, k)] = {tup: tup[:k] + (pt.unit,) + tup[k:] for tup in levels[n]}
-    return TruncSSet(trunc, levels, faces, degens)
+
+    def act(kind, k, n, tup):
+        if kind == "s":
+            return tup[:k] + (pt.unit,) + tup[k:]
+        if k == 0:
+            return tup[1:]
+        if k == n:
+            return tup[:-1]
+        return tup[: k - 1] + (pt.mult(tup[k - 1], tup[k]),) + tup[k + 1 :]
+
+    return _sset_acting(trunc, levels, act)
 
 
 def two_segal_partial_monoid(trunc: int) -> TruncSSet:
@@ -357,23 +348,15 @@ def graph_sset(vertices, edges, trunc: int) -> TruncSSet:
     levels = {0: tuple(vertices)}
     for n in range(1, trunc + 1):
         levels[n] = tuple(t for t in product(vertices, repeat=n + 1) if ok(t))
-    faces = {}
-    degens = {}
-    for n in range(1, trunc + 1):
-        for k in range(n + 1):
-            table = {}
-            for tup in levels[n]:
-                out = tup[:k] + tup[k + 1 :]
-                table[tup] = out if n > 1 else out[0]
-            faces[(n, k)] = table
-    for n in range(trunc):
-        for k in range(n + 1):
-            table = {}
-            for tup in levels[n]:
-                full = (tup,) if n == 0 else tup
-                table[tup] = full[: k + 1] + (full[k],) + full[k + 1 :]
-            degens[(n, k)] = table
-    return TruncSSet(trunc, levels, faces, degens)
+
+    def act(kind, k, n, tup):
+        if kind == "d":
+            out = tup[:k] + tup[k + 1 :]
+            return out if n > 1 else out[0]
+        full = (tup,) if n == 0 else tup
+        return full[: k + 1] + (full[k],) + full[k + 1 :]
+
+    return _sset_acting(trunc, levels, act)
 
 
 def glued_edges_sset(trunc: int) -> TruncSSet:
@@ -401,17 +384,7 @@ def punctured_chain_sset(n: int, trunc: int, max_distinct: int = 3) -> TruncSSet
                 ch for ch in full.level(lvl)
                 if len({ch[0][0]} | {m[1] for m in ch}) <= max_distinct
             )
-    faces = {
-        (lvl, k): {ch: full.faces[(lvl, k)][ch] for ch in levels[lvl]}
-        for lvl in range(1, trunc + 1)
-        for k in range(lvl + 1)
-    }
-    degens = {
-        (lvl, k): {ch: full.degens[(lvl, k)][ch] for ch in levels[lvl]}
-        for lvl in range(trunc)
-        for k in range(lvl + 1)
-    }
-    return TruncSSet(trunc, levels, faces, degens)
+    return _sset_acting(trunc, levels, lambda kind, k, n, ch: full.actions[kind, k, n][ch])
 
 
 def path_graph_sset(n: int, trunc: int) -> TruncSSet:

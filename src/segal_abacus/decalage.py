@@ -23,11 +23,11 @@ from .presheaf import (
     _concat,
     _delta_rows,
     _sorted_ids,
-    _sset_tables,
     bijection_witnesses,
     bisset_actions,
     cartesian_on,
     constant_sset,
+    delta_actions,
     pullback_pairs,
     sub_trunc,
     validate_sset,
@@ -44,15 +44,9 @@ def dec(X: TruncSSet, side: str) -> TruncSSet:
         raise TruncationError("decalage needs trunc >= 1")
     T = X.trunc - 1
     levels = {n: X.level(n + 1) for n in range(T + 1)}
-    faces = {}
-    degens = {}
-    for n in range(1, T + 1):
-        for k in range(n + 1):
-            faces[(n, k)] = X.faces[(n + 1, k + 1 if side == "bottom" else k)]
-    for n in range(T):
-        for k in range(n + 1):
-            degens[(n, k)] = X.degens[(n + 1, k + 1 if side == "bottom" else k)]
-    return TruncSSet(T, levels, faces, degens)
+    shift = 1 if side == "bottom" else 0
+    return TruncSSet(T, levels, {(kind, k, n): X.actions[kind, k + shift, n + 1]
+                                 for kind, k, n in delta_actions(T)})
 
 
 def dec_map(F: SMap, side: str) -> SMap:
@@ -122,8 +116,8 @@ def tot(X: TruncSSet):
         levels[(i, j)] = X.level(n)
         # vertical generators act by the first i + 1 indices, horizontal by the rest
         for kind, k, _ in gens:
-            table = X.faces if kind in ("e", "d") else X.degens
-            actions[kind, k, (i, j)] = table[(n, k if kind in ("e", "t") else i + 1 + k)]
+            index = k if kind in ("e", "t") else i + 1 + k
+            actions[kind, k, (i, j)] = X.actions["d" if kind in ("e", "d") else "s", index, n]
     return BiSSet(T, levels, actions)
 
 
@@ -133,23 +127,15 @@ def sd(X: TruncSSet) -> TruncSSet:
     if T < 0:
         raise TruncationError("subdivision needs trunc >= 1")
     levels = {n: X.level(2 * n + 1) for n in range(T + 1)}
-    faces = {}
-    degens = {}
-    for n in range(1, T + 1):
-        for k in range(n + 1):
-            table = {}
-            for x in levels[n]:
-                y = X.face(2 * n + 1, n + 1 + k, x)
-                table[x] = X.face(2 * n, n - k, y)
-            faces[(n, k)] = table
-    for n in range(T):
-        for k in range(n + 1):
-            table = {}
-            for x in levels[n]:
-                y = X.deg(2 * n + 1, n - k, x)
-                table[x] = X.deg(2 * n + 2, n + 2 + k, y)
-            degens[(n, k)] = table
-    return TruncSSet(T, levels, faces, degens)
+    actions = {}
+    for kind, k, n in delta_actions(T):
+        # the paired outer actions: d_{n+1+k} then d_{n-k}, or s_{n-k} then s_{n+2+k}
+        if kind == "d":
+            first, then = X.actions["d", n + 1 + k, 2 * n + 1], X.actions["d", n - k, 2 * n]
+        else:
+            first, then = X.actions["s", n - k, 2 * n + 1], X.actions["s", n + 2 + k, 2 * n + 2]
+        actions[kind, k, n] = {x: then[first[x]] for x in levels[n]}
+    return TruncSSet(T, levels, actions)
 
 
 def sd_map(F: SMap) -> SMap:
@@ -211,13 +197,13 @@ def validate_coalgebra(A, name: str = "split") -> CheckReport:
     augmented input also the augmentation square and section."""
     X = A.sset
     augmented = isinstance(A, AugBottomSplitSSet)
-    tables = _sset_tables(X)
+    tables = dict(X.actions)
     tables.update({("split", None, n): table for n, table in A.split.items()})
     levels = dict(X.levels)
     if augmented:
         tables["aug", None, 0], tables["aug-split", None, -1] = A.aug, A.aug_split
         levels[-1] = A.aug_level
-    return _check_rows(name, [], tables, levels, _coalgebra_rows(X.trunc, augmented))
+    return _check_rows(name, tables, levels, _coalgebra_rows(X.trunc, augmented))
 
 
 @lru_cache(maxsize=None)
@@ -225,8 +211,9 @@ def _coalgebra_rows(T: int, augmented: bool) -> tuple:
     """The rows of a bottom-split simplicial set truncated at T: the simplex
     rows, the totality of the splitting ``("split", None, n)`` out of each
     level n < T, and its identities; for ``augmented`` input also the
-    totality of the augmentation ``("aug", None, 0)`` and its section
-    ``("aug-split", None, -1)`` out of level -1, and their identities."""
+    level -1, the totality of the augmentation ``("aug", None, 0)`` and its
+    section ``("aug-split", None, -1)`` out of level -1, and their
+    identities."""
     split = [("split", None, n) for n in range(T)]
     totals = [(f"split@{n}", split[n], n, n + 1) for n in range(T)]
     relations = [(f"split-counit@{n}", "d_0 s# = id", n, (split[n], ("d", 0, n + 1)), ())
@@ -240,8 +227,10 @@ def _coalgebra_rows(T: int, augmented: bool) -> tuple:
     relations += [(f"split-coassoc@{n}", "s_0 s# = s# s#", n,
                    (split[n], ("s", 0, n + 1)), (split[n], split[n + 1]))
                   for n in range(T - 1)]
+    expect = ()
     if augmented:
         aug, section = ("aug", None, 0), ("aug-split", None, -1)
+        expect = (("level@-1", -1),)
         totals += [("aug", aug, 0, -1), ("aug-split", section, -1, 0)]
         relations.append(("aug-counit", "d_0 s# = id at -1", -1, (section, aug), ()))
         if T >= 1:
@@ -250,7 +239,7 @@ def _coalgebra_rows(T: int, augmented: bool) -> tuple:
                 ("aug-split-coassoc", "s_0 s# = s# s# at -1", -1, (section, ("s", 0, 0)), (section, split[0])),
                 ("aug-shift", "d_1 s# = s# d_0 at 0", 0, (split[0], ("d", 1, 1)), (aug, section)),
             ]
-    return _concat(_delta_rows(T), ((), tuple(totals), tuple(relations)))
+    return _concat(_delta_rows(T), (expect, tuple(totals), tuple(relations)))
 
 
 def gamma(A: BottomSplitSSet) -> SMap:
@@ -359,15 +348,11 @@ def h_lower(P: PointedSSet) -> AugBottomSplitSSet:
     levels = {}
     for n in range(T + 1):
         levels[n] = _sorted_ids(pullback_pairs(P.pointing, al.levels[n], P.point_set, X.level(n + 1)))
-    faces = {}
-    degens = {}
-    for n in range(1, T + 1):
-        for k in range(n + 1):
-            faces[(n, k)] = {(c, x): (c, X.face(n + 1, k + 1, x)) for (c, x) in levels[n]}
-    for n in range(T):
-        for k in range(n + 1):
-            degens[(n, k)] = {(c, x): (c, X.deg(n + 1, k + 1, x)) for (c, x) in levels[n]}
-    sset = TruncSSet(T, levels, faces, degens)
+    actions = {}
+    for kind, k, n in delta_actions(T):
+        table = X.actions[kind, k + 1, n + 1]
+        actions[kind, k, n] = {(c, x): (c, table[x]) for (c, x) in levels[n]}
+    sset = TruncSSet(T, levels, actions)
     split = {
         n: {(c, x): (c, X.deg(n + 1, 0, x)) for (c, x) in levels[n]} for n in range(T)
     }

@@ -61,7 +61,8 @@ def is_segal(X: TruncSSet, name: str = "is_segal") -> CheckReport:
         sq = Square(
             f"segal@{n}",
             X.level(n), X.level(n - 1), X.level(n - 1),
-            X.faces[(n, n)], X.faces[(n, 0)], X.faces[(n - 1, 0)], X.faces[(n - 1, n - 1)],
+            X.actions["d", n, n], X.actions["d", 0, n],
+            X.actions["d", 0, n - 1], X.actions["d", n - 1, n - 1],
         )
         reports.append(is_pullback(sq))
     return CheckReport.conjunction(name, reports)

@@ -20,17 +20,12 @@ from .presheaf import (
     TruncSSet,
     action_label,
     fmt_id,
+    level_name,
 )
 
 
 def _table(d: dict) -> dict:
     return {fmt_id(k): fmt_id(v) for k, v in d.items()}
-
-
-def _lvl_key(lvl) -> str:
-    if isinstance(lvl, tuple):
-        return f"({lvl[0]},{lvl[1]})"
-    return str(lvl)
 
 
 def _parse_lvl(key: str):
@@ -41,24 +36,11 @@ def _parse_lvl(key: str):
 
 
 def sset_to_dict(X: TruncSSet) -> dict:
-    return {
-        "shape": "sset",
-        "trunc": X.trunc,
-        "levels": {str(n): [fmt_id(x) for x in X.level(n)] for n in sorted(X.levels)},
-        "actions": {
-            **{f"d{k}@{n}": _table(X.faces[(n, k)]) for (n, k) in sorted(X.faces)},
-            **{f"s{k}@{n}": _table(X.degens[(n, k)]) for (n, k) in sorted(X.degens)},
-        },
-    }
+    return _grid_to_dict(X, "sset")
 
 
 def sset_from_dict(data: dict) -> TruncSSet:
-    levels = {int(n): tuple(xs) for n, xs in data["levels"].items()}
-    faces, degens = {}, {}
-    for key, table in data["actions"].items():
-        kind, idx, n = key[0], key[1 : key.index("@")], int(key[key.index("@") + 1 :])
-        (faces if kind == "d" else degens)[(n, int(idx))] = dict(table)
-    return TruncSSet(data["trunc"], levels, faces, degens)
+    return TruncSSet(data["trunc"], *_parse_grid(data, ("d", "s")))
 
 
 def smap_to_dict(F: SMap) -> dict:
@@ -78,24 +60,18 @@ def smap_from_dict(data: dict) -> SMap:
     )
 
 
-def _grid_levels(B) -> dict:
-    return {
-        _lvl_key(lvl): [fmt_id(x) for x in B.levels[lvl]]
-        for lvl in sorted(B.levels, key=_lvl_key)
-    }
-
-
 def _grid_to_dict(B, shape: str) -> dict:
+    """The file form of a presheaf with ``levels`` and one ``actions`` table."""
     return {
         "shape": shape,
         "trunc": B.trunc,
-        "levels": _grid_levels(B),
+        "levels": {level_name(lvl): [fmt_id(x) for x in xs] for lvl, xs in B.levels.items()},
         "actions": {action_label(*key): _table(table) for key, table in B.actions.items()},
     }
 
 
 def _parse_grid(data, kinds):
-    """Levels and actions of a grid form; action keys name a kind in ``kinds``."""
+    """Levels and actions of a file form; action keys name a kind in ``kinds``."""
     levels = {_parse_lvl(key): tuple(xs) for key, xs in data["levels"].items()}
     actions = {}
     for key, table in data["actions"].items():

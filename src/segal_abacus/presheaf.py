@@ -1,28 +1,34 @@
 """Truncated finite Set-valued presheaves and their checkers.
 
-Levels hold opaque element ids (strings, or tuples for constructed sets)
-and actions are stored as dicts, one per generator per source level.
-Bisimplicial sets and abacus presheaves keep every generator in one
-``actions`` dict keyed ``(kind, k, (i, j))``; ``action_target`` reads the
-level each action lands in off ``abacus.SHIFT``, the one table of where
-each generator lands.
+Levels hold opaque element ids (strings, or tuples for constructed sets).
+Every shape keeps its actions in one ``actions`` dict, one table per
+generator per source level: a simplicial set keys the face d_k and the
+degeneracy s_k out of level n as ``("d", k, n)`` and ``("s", k, n)``, a
+bisimplicial set or abacus presheaf keys generator ``kind`` out of level
+(i, j) as ``(kind, k, (i, j))``; ``action_target`` reads the level a grid
+action lands in off ``abacus.SHIFT``, the one table of where each
+generator lands.
 Presheaves are immutable by convention after construction: nothing here
 mutates them, and all checkers are read-only.
 
 The index-category combinatorics are computed once and then looked up.
-Which levels and actions a truncated presheaf has is read off the one
-generator table, ``abacus.generators_into`` (``dset_levels``,
-``bisset_actions``); nothing here lists abacus generators itself.  Every
-validator reads its category's identities as rows of table keys, computed
-once per truncation: ``_delta_rows`` for simplicial sets (and, prefixed,
-for the rows and columns of a bisimplicial set and the source and target
-of a map), ``_bisset_rows``, ``_smap_rows``, ``_relation_rows`` for the
-abacus category, ``decalage._coalgebra_rows`` for split structures.  One
-element loop checks them all: ``_check_rows`` checks totality, then
-``_compare_rows`` applies both sides of each identity to every element,
-and only looks tables up.  A construction that applies one map to a
-whole level also takes its tables once (``TruncSSet.act_tables``, the
-steps of a monotone map cached per map in ``_act_steps``).
+The generators of the simplex category truncated at T are listed once,
+in ``delta_actions``, and every construction of a simplicial set fills
+its ``actions`` by walking that list.  Which levels and actions a
+truncated grid presheaf has is read off the one generator table,
+``abacus.generators_into`` (``dset_levels``, ``bisset_actions``); nothing
+here lists abacus generators itself.  Every validator reads its
+category's identities as rows of table keys, computed once per
+truncation: ``_delta_rows`` for simplicial sets (and, prefixed, for the
+rows and columns of a bisimplicial set and the source and target of a
+map), ``_bisset_rows``, ``_smap_rows``, ``_relation_rows`` for the abacus
+category, ``decalage._coalgebra_rows`` for split structures.  One element
+loop checks them all: ``_check_rows`` reports every level beyond the
+truncation or missing and checks totality, then ``_compare_rows``
+applies both sides of each identity to every element, and only looks
+tables up.  A construction that applies one map to a whole level also
+takes its tables once (``TruncSSet.act_tables``, the action keys of a
+monotone map cached per map in ``_act_steps``).
 
 Element order is canonical, by ``fmt_id``, and computed once.  Every level
 goes through ``_sorted_ids``, which marks the tuple it returns; only
@@ -85,30 +91,31 @@ def _sorted_ids(xs) -> tuple:
 class TruncSSet:
     """A finite simplicial set truncated at degree T.
 
-    ``levels[n]`` lists the n-simplices; ``faces[(n, k)]`` is the action
-    of d_k : X_n -> X_{n-1} and ``degens[(n, k)]`` of s_k : X_n -> X_{n+1}.
+    ``levels[n]`` lists the n-simplices; ``actions[("d", k, n)]`` is the
+    action of d_k : X_n -> X_{n-1} and ``actions[("s", k, n)]`` of
+    s_k : X_n -> X_{n+1}, one table per key of ``delta_actions(T)``, as in
+    every other shape's ``actions``.
     """
 
-    def __init__(self, trunc: int, levels: dict, faces: dict, degens: dict):
+    def __init__(self, trunc: int, levels: dict, actions: dict):
         self.trunc = trunc
         self.levels = {n: _sorted_ids(xs) for n, xs in levels.items()}
-        self.faces = faces
-        self.degens = degens
+        self.actions = actions
 
     def level(self, n: int) -> tuple:
         return self.levels.get(n, ())
 
     def face(self, n: int, k: int, x):
-        return self.faces[(n, k)][x]
+        return self.actions["d", k, n][x]
 
     def deg(self, n: int, k: int, x):
-        return self.degens[(n, k)][x]
+        return self.actions["s", k, n][x]
 
     def act_tables(self, f: MonotoneMap) -> list:
         """The face and degeneracy tables through which ``f : [m] -> [n]``
         acts on n-simplices, in turn: its canonical face-then-degeneracy
         decomposition."""
-        return [(self.faces if is_face else self.degens)[key] for is_face, key in _act_steps(f)]
+        return [self.actions[key] for key in _act_steps(f)]
 
     def __repr__(self):
         sizes = {n: len(xs) for n, xs in sorted(self.levels.items())}
@@ -124,18 +131,33 @@ def through(tables, x):
 
 @lru_cache(maxsize=None)
 def _act_steps(f: MonotoneMap) -> tuple:
-    """The steps ``(is_face, (n, k))`` by which ``f`` acts: its canonical
+    """The action keys by which ``f`` acts, in turn: its canonical
     factorization, computed once per distinct map."""
     n = f.cod_n
     degens, faces = epi_mono_indices(f.values, f.cod)
     steps = []
     for i in reversed(faces):  # faces, largest index first
-        steps.append((True, (n, i)))
+        steps.append(("d", i, n))
         n -= 1
     for j in reversed(degens):  # degeneracies, smallest index first
-        steps.append((False, (n, j)))
+        steps.append(("s", j, n))
         n += 1
     return tuple(steps)
+
+
+@lru_cache(maxsize=None)
+def delta_actions(T: int) -> tuple:
+    """The generators of the simplex category truncated at degree T, as
+    ``actions`` keys ``(kind, k, n)``: every face d_k out of level n,
+    0 < n <= T, then every degeneracy s_k out of level n < T, each by n
+    then k."""
+    return tuple(("d", k, n) for n in range(1, T + 1) for k in range(n + 1)) + \
+        tuple(("s", k, n) for n in range(T) for k in range(n + 1))
+
+
+def _delta_target(kind: str, n: int) -> int:
+    """The level a face (``d``) or degeneracy (``s``) out of level n lands in."""
+    return n - 1 if kind == "d" else n + 1
 
 
 @dataclass
@@ -155,9 +177,7 @@ def constant_sset(elements, trunc: int) -> TruncSSet:
     elems = _sorted_ids(elements)
     levels = {n: elems for n in range(trunc + 1)}
     ident = {x: x for x in elems}
-    faces = {(n, k): dict(ident) for n in range(1, trunc + 1) for k in range(n + 1)}
-    degens = {(n, k): dict(ident) for n in range(trunc) for k in range(n + 1)}
-    return TruncSSet(trunc, levels, faces, degens)
+    return TruncSSet(trunc, levels, {key: dict(ident) for key in delta_actions(trunc)})
 
 
 def identity_smap(X: TruncSSet) -> SMap:
@@ -166,33 +186,23 @@ def identity_smap(X: TruncSSet) -> SMap:
 
 def sub_trunc(X: TruncSSet, T: int) -> TruncSSet:
     levels = {n: xs for n, xs in X.levels.items() if n <= T}
-    faces = {(n, k): v for (n, k), v in X.faces.items() if n <= T}
-    degens = {(n, k): v for (n, k), v in X.degens.items() if n < T}
-    return TruncSSet(T, levels, faces, degens)
+    return TruncSSet(T, levels, {key: X.actions[key] for key in delta_actions(T) if key in X.actions})
 
 
 def validate_sset(X: TruncSSet, name: str = "sset") -> CheckReport:
     """Well-formedness plus all simplicial identities within truncation."""
-    return _check_rows(name, [], _sset_tables(X), X.levels, _delta_rows(X.trunc))
-
-
-def _sset_tables(X: TruncSSet) -> dict:
-    """X's face and degeneracy tables keyed like ``actions``: ``(kind, k, n)``
-    for d_k or s_k out of level n."""
-    tables = {("d", k, n): table for (n, k), table in X.faces.items()}
-    tables.update({("s", k, n): table for (n, k), table in X.degens.items()})
-    return tables
+    return _check_rows(name, X.actions, X.levels, _delta_rows(X.trunc))
 
 
 @lru_cache(maxsize=None)
 def _delta_rows(T: int) -> tuple:
-    """The rows of the simplex category truncated at degree T, keyed as
-    ``_sset_tables`` keys them: every level, the totality of every face and
+    """The rows of the simplex category truncated at degree T, keyed like
+    ``TruncSSet.actions``: every level, the totality of every face and
     degeneracy, and the simplicial identities.  For ``i`` in ``{j, j + 1}``
     the face-degeneracy identity ``d_i s_j = id`` has an empty right side."""
     expect = tuple((f"level@{n}", n) for n in range(T + 1))
-    totals = tuple((f"d{k}@{n}", ("d", k, n), n, n - 1) for n in range(1, T + 1) for k in range(n + 1))
-    totals += tuple((f"s{k}@{n}", ("s", k, n), n, n + 1) for n in range(T) for k in range(n + 1))
+    totals = tuple((action_label(kind, k, n), (kind, k, n), n, _delta_target(kind, n))
+                   for kind, k, n in delta_actions(T))
     relations = [(f"dd(i={i},j={j})@{n}", "d_i d_j = d_(j-1) d_i", n,
                   (("d", j, n), ("d", i, n - 1)), (("d", i, n), ("d", j - 1, n - 1)))
                  for n in range(2, T + 1) for j in range(n + 1) for i in range(j)]
@@ -232,8 +242,8 @@ def validate_smap(F: SMap, name: str = "smap") -> CheckReport:
     """Source and target as simplicial sets, plus naturality of the map
     against every generator both have."""
     X, Y = F.source, F.target
-    tables, levels = _map_view(_sset_tables(X), _sset_tables(Y), F.levels, X.levels, Y.levels)
-    return _check_rows(name, [], tables, levels, _smap_rows(X.trunc, Y.trunc))
+    tables, levels = _map_view(X.actions, Y.actions, F.levels, X.levels, Y.levels)
+    return _check_rows(name, tables, levels, _smap_rows(X.trunc, Y.trunc))
 
 
 @lru_cache(maxsize=None)
@@ -275,15 +285,19 @@ def _naturality_rows(gens) -> tuple:
 # The element loop
 
 
-def _check_rows(name: str, witnesses: list, tables, levels, rows) -> CheckReport:
+def _check_rows(name: str, tables, levels, rows) -> CheckReport:
     """Check a presheaf against its rows ``(expect, totals, relations)``.
-    Phase 1 reports each expected level ``(label, level)`` missing, and
-    checks that each totality row's ``(label, key, source, target)`` table
-    is defined on its source level and lands in its target level.  A
-    witness from it or the caller stops the report there; else phase 2,
+    Phase 1 reports each level that is not an expected level
+    ``(label, level)`` as beyond the truncation and each expected level
+    missing, and checks that each totality row's ``(label, key, source,
+    target)`` table is defined on its source level and lands in its target
+    level.  A witness from it stops the report there; else phase 2,
     ``_compare_rows``, can look up every table its relation rows name."""
     expect, totals, relations = rows
-    witnesses = witnesses + [Witness(label, "level missing", ()) for label, lv in expect if lv not in levels]
+    expected = {lv for _, lv in expect}
+    witnesses = [Witness(f"level@{lv}", "level beyond the truncation", ())
+                 for lv in levels if lv not in expected]
+    witnesses += [Witness(label, "level missing", ()) for label, lv in expect if lv not in levels]
     checked = 0
     for label, key, src, tgt in totals:
         checked += _check_total(tables.get(key), levels.get(src, ()), levels.get(tgt, ()), label, witnesses)
@@ -389,23 +403,15 @@ def is_pullback(sq: Square) -> CheckReport:
 # ---------------------------------------------------------------------------
 # Cartesian-on-a-class checks for simplicial maps
 
-OPERATOR_CLASSES = ("all", "d_bot", "d_top", "inner_faces", "degeneracies", "active")
-
-
-def _class_operators(n: int, cls: str, for_faces: bool):
-    if for_faces:
-        if cls == "all":
-            return range(n + 1)
-        if cls == "d_bot":
-            return [0]
-        if cls == "d_top":
-            return [n]
-        if cls in ("inner_faces", "active"):
-            return range(1, n)
-        return []
-    if cls in ("all", "degeneracies", "active"):
-        return range(n + 1)
-    return []
+# operator class: whether it holds the generator ``(kind, k, n)``
+OPERATOR_CLASSES = {
+    "all": lambda kind, k, n: True,
+    "d_bot": lambda kind, k, n: kind == "d" and k == 0,
+    "d_top": lambda kind, k, n: kind == "d" and k == n,
+    "inner_faces": lambda kind, k, n: kind == "d" and 0 < k < n,
+    "degeneracies": lambda kind, k, n: kind == "s",
+    "active": lambda kind, k, n: kind == "s" or 0 < k < n,
+}
 
 
 def cartesian_on(F: SMap, cls: str, name: str | None = None) -> CheckReport:
@@ -413,22 +419,16 @@ def cartesian_on(F: SMap, cls: str, name: str | None = None) -> CheckReport:
     if cls not in OPERATOR_CLASSES:
         raise ValueError(f"unknown operator class {cls!r}")
     X, Y = F.source, F.target
-    T = min(X.trunc, Y.trunc)
+    in_class = OPERATOR_CLASSES[cls]
     reports = []
-    for n in range(1, T + 1):
-        for k in _class_operators(n, cls, True):
+    for key in delta_actions(min(X.trunc, Y.trunc)):
+        if in_class(*key):
+            n = key[2]
+            tgt = _delta_target(key[0], n)
             sq = Square(
-                f"d{k}@{n}",
-                X.level(n), X.level(n - 1), Y.level(n),
-                X.faces[(n, k)], F.levels[n], F.levels[n - 1], Y.faces[(n, k)],
-            )
-            reports.append(is_pullback(sq))
-    for n in range(T):
-        for k in _class_operators(n, cls, False):
-            sq = Square(
-                f"s{k}@{n}",
-                X.level(n), X.level(n + 1), Y.level(n),
-                X.degens[(n, k)], F.levels[n], F.levels[n + 1], Y.degens[(n, k)],
+                action_label(*key),
+                X.level(n), X.level(tgt), Y.level(n),
+                X.actions[key], F.levels[n], F.levels[tgt], Y.actions[key],
             )
             reports.append(is_pullback(sq))
     return CheckReport.conjunction(name or f"cartesian_on[{cls}]", reports)
@@ -471,6 +471,7 @@ def colimit0(X: TruncSSet):
 # Bisimplicial sets and abacus presheaves
 
 BULK_KINDS = ("e", "t", "d", "s")
+VERTICAL = {"d": "e", "s": "t"}  # a column's generator for each of a row's
 
 
 def action_target(kind: str, lvl: tuple) -> tuple:
@@ -479,9 +480,14 @@ def action_target(kind: str, lvl: tuple) -> tuple:
     return lvl[0] - di, lvl[1] - dj
 
 
-def action_label(kind: str, k, lvl: tuple) -> str:
-    """The name of one action table: ``e0@(1,1)``, ``f@(0,0)``."""
-    return f"{kind}{'' if k is None else k}@({lvl[0]},{lvl[1]})"
+def level_name(lvl) -> str:
+    """The name of a level: ``3``, ``(1,1)``."""
+    return f"({lvl[0]},{lvl[1]})" if isinstance(lvl, tuple) else str(lvl)
+
+
+def action_label(kind: str, k, lvl) -> str:
+    """The name of one action table: ``d0@3``, ``e0@(1,1)``, ``f@(0,0)``."""
+    return f"{kind}{'' if k is None else k}@{level_name(lvl)}"
 
 
 def restrict_actions(actions: dict, keep, kinds=tuple(abacus.SHIFT)) -> dict:
@@ -527,36 +533,29 @@ def bisset_actions(trunc: int) -> dict:
 
 def row_sset(B, i: int) -> TruncSSet:
     """Bulk row i as a simplicial set (horizontal structure)."""
-    return _line_sset(B, i, lambda n: (i, n), "d", "s")
+    return _line_sset(B, i, lambda n: (i, n), {"d": "d", "s": "s"})
 
 
 def col_sset(B, j: int) -> TruncSSet:
     """Bulk column j as a simplicial set (vertical structure)."""
-    return _line_sset(B, j, lambda n: (n, j), "e", "t")
+    return _line_sset(B, j, lambda n: (n, j), VERTICAL)
 
 
-def _line_sset(B, index: int, at, face: str, deg: str) -> TruncSSet:
-    """Row or column ``index`` of B: level n at ``at(n)``, generators of kinds
-    ``face`` and ``deg``, up to degree ``B.trunc - index`` (one less in an
-    abacus presheaf, whose level (i, j) has degree i + 1 + j)."""
+def _line_sset(B, index: int, at, kinds: dict) -> TruncSSet:
+    """Row or column ``index`` of B: level n at ``at(n)``, the face and
+    degeneracy as B's generators of kinds ``kinds["d"]`` and ``kinds["s"]``,
+    up to degree ``B.trunc - index`` (one less in an abacus presheaf, whose
+    level (i, j) has degree i + 1 + j)."""
     T = B.trunc - index - (1 if isinstance(B, DSet) else 0)
     levels = {n: B.level(*at(n)) for n in range(T + 1)}
-    faces = {(n, k): B.actions[face, k, at(n)] for n in range(1, T + 1) for k in range(n + 1)}
-    degens = {(n, k): B.actions[deg, k, at(n)] for n in range(T) for k in range(n + 1)}
-    return TruncSSet(T, levels, faces, degens)
-
-
-def _stray_levels(B, expect) -> list:
-    """A witness for each level of B outside the truncation's levels."""
-    return [Witness(f"level@{lvl}", "level beyond the truncation", ()) for lvl in B.levels
-            if lvl not in expect]
+    return TruncSSet(T, levels, {(kind, k, n): B.actions[kinds[kind], k, at(n)]
+                                 for kind, k, n in delta_actions(T)})
 
 
 def validate_bisset(B: BiSSet, name: str = "bisset") -> CheckReport:
     """Well-formedness, the simplicial identities of every row and column,
     and the vertical generators commuting with the horizontal ones."""
-    return _check_rows(name, _stray_levels(B, bisset_actions(B.trunc)), B.actions, B.levels,
-                       _bisset_rows(B.trunc))
+    return _check_rows(name, B.actions, B.levels, _bisset_rows(B.trunc))
 
 
 @lru_cache(maxsize=None)
@@ -571,10 +570,9 @@ def _bisset_rows(T: int) -> tuple:
     expect = tuple((f"level@{lv}", lv) for lv in into)
     totals = tuple((action_label(kind, k, lv), (kind, k, lv), lv, tgt)
                    for lv, gens in into.items() for kind, k, tgt in gens)
-    vertical = {"d": "e", "s": "t"}  # a column's generator for each of a row's
     lines = [_rekey(_delta_rows(T - i), f"row{i}:", lambda key, i=i: (key[0], key[1], (i, key[2])),
                     lambda n, i=i: (i, n)) for i in range(T + 1)]
-    lines += [_rekey(_delta_rows(T - j), f"col{j}:", lambda key, j=j: (vertical[key[0]], key[1], (key[2], j)),
+    lines += [_rekey(_delta_rows(T - j), f"col{j}:", lambda key, j=j: (VERTICAL[key[0]], key[1], (key[2], j)),
                      lambda n, j=j: (n, j)) for j in range(T + 1)]
     commute = tuple(
         (f"{vkind}{vk}.{hkind}{hk}@({lv[0]},{lv[1]})", "directions commute", lv,
@@ -624,41 +622,33 @@ def dset_levels(trunc: int, with_aug_row: bool = True) -> list:
 def validate_dset(B: DSet, name: str = "dset") -> CheckReport:
     """Well-formedness plus the full relation table of the abacus category,
     applied contravariantly to every element within truncation."""
-    checked = 0
-    with_aug = B.has_aug_row()
-    into = abacus.generators_into(B.trunc)
-    expect = dset_levels(B.trunc, with_aug)
-    witnesses = _stray_levels(B, expect)
-    for lvl in expect:
-        if lvl not in B.levels:
-            witnesses.append(Witness(f"level@{lvl}", "level missing", ()))
-            continue
-        for kind, k, tgt, _ in into[lvl]:
-            if with_aug or tgt[0] >= 0:
-                checked += _check_total(B.actions.get((kind, k, lvl)), B.levels[lvl], B.level(*tgt),
-                                        action_label(kind, k, lvl), witnesses)
-    if witnesses:
-        return CheckReport.from_witnesses(name, witnesses, checked)
-    return _compare_rows(name, checked, B.actions, B.levels, _relation_rows(B.trunc, with_aug))
+    return _check_rows(name, B.actions, B.levels, _relation_rows(B.trunc, B.has_aug_row()))
 
 
 @lru_cache(maxsize=None)
 def _relation_rows(trunc: int, with_aug: bool) -> tuple:
-    """The relation table of the abacus category on the levels of a
-    ``trunc``-truncated presheaf (``dset_levels``), as relation rows
-    ``(name, equation, target level, lhs keys, rhs keys)``.
+    """The rows of a ``trunc``-truncated abacus presheaf, keyed like its
+    ``actions``: its levels (``dset_levels``), the totality of every
+    generator between them, and the relation table of the abacus category
+    on them, as relation rows ``(name, equation, target level, lhs keys,
+    rhs keys)``.
 
-    One row per instance of ``abacus.relation_instances`` whose words stay
-    on those levels.  The keys are ``actions`` keys in contravariant order,
-    so a presheaf applies a side by looking its tables up in turn.  Names,
-    levels and keys are interned, so the rows hold no words or bead maps.
+    One relation row per instance of ``abacus.relation_instances`` whose
+    words stay on those levels.  The keys are ``actions`` keys in
+    contravariant order, so a presheaf applies a side by looking its tables
+    up in turn.  Names, levels and keys are interned, so the rows hold no
+    words or bead maps.
     """
     interned: dict = {}
 
     def intern(v):
         return interned.setdefault(v, v)
 
-    levels = set(dset_levels(trunc, with_aug))
+    expect = tuple((f"level@{lv}", lv) for lv in dset_levels(trunc, with_aug))
+    into = abacus.generators_into(trunc)
+    totals = tuple((action_label(kind, k, lv), (kind, k, lv), lv, tgt)
+                   for _, lv in expect for kind, k, tgt, _ in into[lv] if with_aug or tgt[0] >= 0)
+    levels = {lv for _, lv in expect}
     rows = []
     for rel_name, lhs, rhs in abacus.relation_instances(max((i for i, _ in levels), default=-1),
                                                         max((j for _, j in levels), default=-1)):
@@ -677,7 +667,7 @@ def _relation_rows(trunc: int, with_aug: bool) -> tuple:
             _action_keys(lhs, path_l, intern),
             _action_keys(rhs, path_r, intern),
         ))
-    return tuple(rows)
+    return expect, totals, tuple(rows)
 
 
 def _word_levels(word):

@@ -279,10 +279,10 @@ def _search_flip(fixture, tables, checker, max_tries=400):
 
 
 def _sset_tables(X):
-    for key in sorted(X.faces, key=str):
-        yield X.faces[key]
-    for key in sorted(X.degens, key=str):
-        yield X.degens[key]
+    """The faces, then the degeneracies, each by ``str`` of ``(n, k)``."""
+    for kind in ("d", "s"):
+        for key in sorted((key for key in X.actions if key[0] == kind), key=lambda key: str((key[2], key[1]))):
+            yield X.actions[key]
 
 
 def _search_order(key):

@@ -181,6 +181,14 @@ def _smap_file(edit):
     return data
 
 
+def _sset_file(edit):
+    """The nerve of the arrow at truncation 2, as a file form with ``edit``
+    applied."""
+    data = pjson.to_dict(nerve(chain_poset(1), 2))
+    edit(data)
+    return data
+
+
 def _split_outside(data):
     table = data["split"]["0"]
     table[sorted(table)[0]] = data["sset"]["levels"]["2"][0]  # X_2, not X_1
@@ -201,23 +209,37 @@ MALFORMED = {
     "smap source face table deleted": _smap_file(lambda data: data["source"]["actions"].pop("d0@2")),
     "smap of a non-simplicial set": _smap_file(_same_face_change),
     "empty bisset": {"shape": "bisset", "trunc": 1, "levels": {}, "actions": {}},
+    "sset level beyond the truncation": _sset_file(lambda data: data["levels"].update({"7": ["zz"]})),
+    "sset action of unknown kind": _sset_file(
+        lambda data: data["actions"].update({"q0@0": data["actions"].pop("s0@0")})),
 }
+
+# files that cannot be read at all: every command says so on stderr
+UNREADABLE = {"sset action of unknown kind"}
 
 # the checks run on each malformed shape besides validate
 _MALFORMED_CHECKS = {"split": ("coalgebra", "rigid"), "smap": ("lfib", "rel-upper-2segal"),
-                     "bisset": ("stable", "double-segal")}
+                     "bisset": ("stable", "double-segal"), "sset": ("segal", "2segal")}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_file_is_invalid_input(tmp_path, case):
     """``check validate`` fails with witnesses; every other check, and a
-    construction, reports invalid input (exit 2), never an internal error."""
+    construction, reports invalid input (exit 2), never an internal error.
+    A file that cannot be read is invalid input (exit 2) for every check."""
     import contextlib
     import io
 
     path = tmp_path / "bad.json"
     data = MALFORMED[case]
     path.write_text(json.dumps(data))
+    if case in UNREADABLE:
+        for check in ("validate",) + _MALFORMED_CHECKS[data["shape"]]:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, text = run(["check", check, str(path)])
+            assert (code, text) == (2, "") and err.getvalue().startswith(f"cannot read {path}"), check
+        return
     code, text = run(["check", "validate", str(path)])
     payload = json.loads(text)
     assert (code, payload["verdict"]) == (1, "fail") and payload["witnesses"]
@@ -229,6 +251,26 @@ def test_malformed_file_is_invalid_input(tmp_path, case):
         with contextlib.redirect_stderr(err):
             code, _ = run(["construct", "qstar", "--in", str(path), "--out", str(tmp_path / "q.json")])
         assert (code, err.getvalue()) == (2, "input does not validate\n")
+
+
+def test_validation_checks_validate_once(tmp_path, monkeypatch):
+    """``check validate`` and ``check coalgebra`` print the report of the
+    validation that gates every check: the input is validated once."""
+    from segal_abacus import cli, decalage
+
+    # the check, its input, and the validator it runs, by module and name
+    cases = (("validate", pjson.to_dict(nerve(chain_poset(1), 3)), cli, "validate"),
+             ("coalgebra", _split_file(lambda data: None), decalage, "validate_coalgebra"))
+    for check, data, module, validator in cases:
+        calls = []
+        original = getattr(module, validator)
+        monkeypatch.setattr(module, validator, lambda *args: calls.append(args) or original(*args))
+        path = tmp_path / f"{check}.json"
+        path.write_text(json.dumps(data))
+        code, text = run(["check", check, str(path)])
+        monkeypatch.undo()
+        assert (code, len(calls)) == (0, 1), check
+        assert text == json.dumps(validate(pjson.from_dict(data)).to_dict(), sort_keys=True, indent=1) + "\n"
 
 
 def test_construct_pipeline(tmp_path):
@@ -296,9 +338,10 @@ def test_fixture_env_dir(tmp_path, monkeypatch):
 def test_json_roundtrip_all_shapes(tmp_path):
     import hashlib
 
-    from segal_abacus.configurations import p_star_tot, q_lower_star, r_star
-    from segal_abacus.decalage import tot
-    from segal_abacus.presheaf import identity_smap
+    from segal_abacus.configurations import build_M, p_star_tot, q_lower_star, r_star
+    from segal_abacus.corpus import graph_sset, punctured_chain_sset, two_segal_partial_monoid
+    from segal_abacus.decalage import PointedSSet, dec, h_lower, sd, tot
+    from segal_abacus.presheaf import constant_sset, identity_smap, sub_trunc
 
     N = nerve(chain_poset(1), 4)
     values = [
@@ -308,6 +351,15 @@ def test_json_roundtrip_all_shapes(tmp_path):
         q_lower_star(identity_smap(N)),
         p_star_tot(N),
         r_star(N),
+        dec(N, "bottom"),
+        sd(N),
+        sub_trunc(N, 2),
+        constant_sset(("a", "b"), 3),
+        h_lower(PointedSSet(N, ("c",), {"c": N.level(0)[0]})).sset,
+        build_M(q_lower_star(identity_smap(N)))[0],
+        graph_sset(("u", "v", "w"), {("u", "v"), ("v", "w")}, 3),
+        two_segal_partial_monoid(4),
+        punctured_chain_sset(3, 4),
     ]
     # the on-disk format is pinned byte for byte
     digests = [
@@ -317,6 +369,15 @@ def test_json_roundtrip_all_shapes(tmp_path):
         "9c8690369625d21ec78e5b591c0093deb3308315058344ad0ecc37203097d9eb",
         "2f7e4a04659ab34fdb62fdd3fc4cae2f483db327e4b6ecff4270e2fdb457ebcf",
         "580cd66980023925490cd14e6ae65077875ffd9b956e224c068459513787c329",
+        "4be80cc2e2d2b1f44b60a5e0be8ff7413e35e1b912305df1890ddf3e2613ac9a",
+        "f497cd20f960ce1d0cf5865c53c82df34e468a30c49f70ddba2bcd7146bdc9df",
+        "eb69f980d0ccbcc2c547c84e3daa46983f46bd1c68c61b642becbd0367701d98",
+        "bfcd711634805bec09d6ce23c0d487b971ce83cfc92f9c26841be3903061e854",
+        "0334df31bc308c9f2f5304ae1821077c217c189f426ebe7366f9ac03846c862c",
+        "bd5764d420d608b136de7fced62106f95a648079f0205b9562f66058a3d2047d",
+        "e25ff364de1e81900679f7bc9836f9635b5d275758bf113d49bfaf8595d6b9d1",
+        "f6a08304887bc3b96df04b0c4a4173e1db76410c384f3898e320d767170f8280",
+        "6e37c8e615b1d07e940705eeea5c0ce8d12110b2fd3b67868626eb3c604619a6",
     ]
     for k, val in enumerate(values):
         assert hashlib.sha256(pjson.dumps(val).encode()).hexdigest() == digests[k]

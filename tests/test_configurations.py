@@ -305,7 +305,7 @@ def test_restrictions_along_r_j_p_q():
     # recovers the zeroth degeneracy as pointing
     A = j_upper_star(R)
     assert A.point_set == N.level(0)
-    assert A.pointing == N.degens[(0, 0)]
+    assert A.pointing == N.actions["s", 0, 0]
     # and agrees levelwise with the directly pointed total decalage
     A2 = p_star_tot(N)
     assert A.bulk.levels == A2.bulk.levels and A.pointing == A2.pointing
@@ -547,8 +547,9 @@ def test_unit_and_invertibility_match_references(B):
 @given(_mutated_pointings(), st.data())
 def test_local_pointings_and_h_unit_match_references(P, data):
     X = P.sset
-    faces = _redirect(data.draw, X.faces, lambda key: X.level(key[0] - 1), 2)
-    Q = PointedSSet(TruncSSet(X.trunc, X.levels, faces, X.degens), P.point_set, P.pointing)
+    faces = {key: table for key, table in X.actions.items() if key[0] == "d"}
+    faces = _redirect(data.draw, faces, lambda key: X.level(key[2] - 1), 2)
+    Q = PointedSSet(TruncSSet(X.trunc, X.levels, {**X.actions, **faces}), P.point_set, P.pointing)
     _same_report(is_local_initial(Q), _reference_local_report(Q, "bottom", "is_local_initial"))
     _same_report(is_local_terminal(Q), _reference_local_report(Q, "top", "is_local_terminal"))
     # the unit needs a genuine simplicial set under the split structure

@@ -56,7 +56,7 @@ def test_dec_sides_commute():
         A = dec(dec(X, "top"), "bottom")
         B = dec(dec(X, "bottom"), "top")
         assert A.levels == B.levels
-        assert A.faces == B.faces and A.degens == B.degens
+        assert A.actions == B.actions
 
 
 def test_counit_and_comult_laws():
@@ -129,19 +129,17 @@ def nonrigid_split_fixture():
     square witness: s_0 e also sits over the basepoint but is not split.
     """
     levels = {0: ("b",), 1: ("e", "sb"), 2: ("Z", "s0e", "s1e", "ssb")}
-    faces = {
-        (1, 0): {"sb": "b", "e": "b"},
-        (1, 1): {"sb": "b", "e": "b"},
-        (2, 0): {"ssb": "sb", "s0e": "e", "s1e": "sb", "Z": "e"},
-        (2, 1): {"ssb": "sb", "s0e": "e", "s1e": "e", "Z": "sb"},
-        (2, 2): {"ssb": "sb", "s0e": "sb", "s1e": "e", "Z": "sb"},
+    actions = {
+        ("d", 0, 1): {"sb": "b", "e": "b"},
+        ("d", 1, 1): {"sb": "b", "e": "b"},
+        ("d", 0, 2): {"ssb": "sb", "s0e": "e", "s1e": "sb", "Z": "e"},
+        ("d", 1, 2): {"ssb": "sb", "s0e": "e", "s1e": "e", "Z": "sb"},
+        ("d", 2, 2): {"ssb": "sb", "s0e": "sb", "s1e": "e", "Z": "sb"},
+        ("s", 0, 0): {"b": "sb"},
+        ("s", 0, 1): {"sb": "ssb", "e": "s0e"},
+        ("s", 1, 1): {"sb": "ssb", "e": "s1e"},
     }
-    degens = {
-        (0, 0): {"b": "sb"},
-        (1, 0): {"sb": "ssb", "e": "s0e"},
-        (1, 1): {"sb": "ssb", "e": "s1e"},
-    }
-    X = TruncSSet(2, levels, faces, degens)
+    X = TruncSSet(2, levels, actions)
     split = {0: {"b": "sb"}, 1: {"sb": "ssb", "e": "Z"}}
     return BottomSplitSSet(X, split)
 

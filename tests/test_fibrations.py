@@ -159,7 +159,7 @@ def test_double_segal_rows_and_columns():
 def test_mutation_flips_segal():
     X = nerve(chain_poset(2), 4)
     bad = copy.deepcopy(X)
-    tbl = bad.faces[(2, 0)]
+    tbl = bad.actions["d", 0, 2]
     x = next(c for c in bad.level(2) if len({c[0][0], c[0][1], c[1][1]}) == 3)
     tbl[x] = next(v for v in bad.level(1) if v != tbl[x])
     rep = is_segal(bad)

@@ -47,7 +47,7 @@ def corrupt_face(X, n, k):
     import copy
 
     Y = copy.deepcopy(X)
-    table = Y.faces[(n, k)]
+    table = Y.actions["d", k, n]
     x = next(iter(sorted(table, key=str)))
     tgt = Y.level(n - 1)
     other = next(t for t in tgt if t != table[x])
@@ -478,6 +478,10 @@ def _dset_corpus():
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_validate_dset_matches_per_element_walk(data):
+    """Equal, except that a level deleted with the tables out of it also
+    reports each of those tables as "action table missing", as every other
+    validator does; the reference skipped the tables out of a missing
+    level."""
     B = copy.copy(data.draw(st.sampled_from(_dset_corpus())))
     if data.draw(st.booleans()):
         # redirect one entry of one action table to another element
@@ -488,8 +492,22 @@ def test_validate_dset_matches_per_element_walk(data):
         tgt = B.level(*action_target(kind, lvl))
         table[x] = data.draw(st.sampled_from(sorted(set(tgt) | {"junk"}, key=str)))
         B.actions = {**B.actions, key: table}
+    deletion = data.draw(st.sampled_from((None, "level", "table")))
+    missing = []
+    if deletion == "level":
+        # a level outside the augmentation row, so that B keeps or lacks that row as before
+        lvl = data.draw(st.sampled_from(sorted((lv for lv in B.levels if lv[0] >= 0), key=str)))
+        B.levels = {lv: xs for lv, xs in B.levels.items() if lv != lvl}
+        B.actions = {key: table for key, table in B.actions.items() if key[2] != lvl}
+        missing = [Witness(action_label(kind, k, lvl), "action table missing", ())
+                   for kind, k, tgt in _ref_dset_action_ranges(lvl[0], lvl[1], B.trunc)
+                   if B.has_aug_row() or tgt[0] >= 0]
+    elif deletion == "table":
+        key = data.draw(st.sampled_from(sorted(B.actions, key=str)))
+        B.actions = {k: table for k, table in B.actions.items() if k != key}
     got, want = validate_dset(B), _reference_validate_dset(B)
-    assert (got.verdict, got.checked, got.witnesses) == (want.verdict, want.checked, want.witnesses)
+    want_witnesses = sorted(want.witnesses + missing, key=str)
+    assert (got.verdict, got.checked, got.witnesses) == (want.verdict, want.checked, want_witnesses)
 
 
 def test_levels_beyond_the_truncation_fail_validation():

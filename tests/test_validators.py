@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from segal_abacus.abacus import generators_into
 from segal_abacus.configurations import dset_iso_report, q_lower_star
-from segal_abacus.corpus import standard_map_corpus, standard_nerve_corpus
+from segal_abacus.corpus import chain_poset, nerve, standard_map_corpus, standard_nerve_corpus
 from segal_abacus.decalage import (
     AugBottomSplitSSet,
     BottomSplitSSet,
@@ -45,7 +45,6 @@ from segal_abacus.presheaf import (
     TruncSSet,
     Witness,
     _check_total,
-    _stray_levels,
     action_label,
     action_target,
     bisset_actions,
@@ -53,6 +52,7 @@ from segal_abacus.presheaf import (
     col_sset,
     dset_levels,
     fmt_id,
+    identity_smap,
     row_sset,
     sub_trunc,
     validate_bisset,
@@ -76,11 +76,11 @@ def _reference_validate_sset(X, name="sset"):
             witnesses.append(Witness(f"level@{n}", "level missing", ()))
     for n in range(1, X.trunc + 1):
         for k in range(n + 1):
-            checked += _check_total(X.faces.get((n, k)), X.level(n), X.level(n - 1),
+            checked += _check_total(X.actions.get(("d", k, n)), X.level(n), X.level(n - 1),
                                     f"d{k}@{n}", witnesses)
     for n in range(X.trunc):
         for k in range(n + 1):
-            checked += _check_total(X.degens.get((n, k)), X.level(n), X.level(n + 1),
+            checked += _check_total(X.actions.get(("s", k, n)), X.level(n), X.level(n + 1),
                                     f"s{k}@{n}", witnesses)
     if witnesses:
         return CheckReport.from_witnesses(name, witnesses, checked)
@@ -144,7 +144,8 @@ def _reference_validate_bisset(B, name="bisset"):
     checked = 0
     A = B.actions
     into = bisset_actions(B.trunc)
-    witnesses = _stray_levels(B, into)
+    witnesses = [Witness(f"level@{lvl}", "level beyond the truncation", ()) for lvl in B.levels
+                 if lvl not in into]
     for lvl, gens in into.items():
         if lvl not in B.levels:
             continue
@@ -341,9 +342,12 @@ def _redirect(draw, tables, target_of, junk):
 
 
 def _mutated_sset(draw, X, junk):
-    faces = _redirect(draw, X.faces, lambda key: X.level(key[0] - 1), junk)
-    degens = _redirect(draw, X.degens, lambda key: X.level(key[0] + 1), junk)
-    return TruncSSet(X.trunc, X.levels, faces, degens)
+    """X with up to two face and up to two degeneracy entries redirected."""
+    faces = {key: table for key, table in X.actions.items() if key[0] == "d"}
+    degens = {key: table for key, table in X.actions.items() if key[0] == "s"}
+    faces = _redirect(draw, faces, lambda key: X.level(key[2] - 1), junk)
+    degens = _redirect(draw, degens, lambda key: X.level(key[2] + 1), junk)
+    return TruncSSet(X.trunc, X.levels, {**faces, **degens})
 
 
 def _junk_entries(*tables) -> int:
@@ -421,7 +425,7 @@ def test_validate_smap_matches_reference(data):
     levels = _redirect(data.draw, F.levels, Y.level, junk)
     G = SMap(X, Y, levels)
     got = validate_smap(G)
-    count = _junk_entries(X.faces, X.degens, Y.faces, Y.degens, levels)
+    count = _junk_entries(X.actions, Y.actions, levels)
     if count:
         _only_junk(got, count)
         maps = sum(len(X.level(n)) for n in range(min(X.trunc, Y.trunc) + 1))
@@ -444,7 +448,7 @@ def test_validate_coalgebra_matches_reference(data):
     junk = data.draw(st.booleans())
     X = _mutated_sset(data.draw, A.sset, junk)
     split = _redirect(data.draw, A.split, lambda n: X.level(n + 1), junk)
-    tables = [X.faces, X.degens, split]
+    tables = [X.actions, split]
     totality = sum(len(X.level(n)) for n in range(X.trunc))  # the splitting's
     added = totality  # instances the reference did not count
     if isinstance(A, AugBottomSplitSSet):
@@ -478,3 +482,17 @@ def test_dset_iso_report_matches_reference(data):
     maps = _redirect(data.draw, ident, lambda lvl: B.level(*lvl), False)
     ref = _reference_dset_iso_report(B, B2, maps)
     _same_report(dset_iso_report(B, B2, maps), ref.verdict, ref.checked, ref.witnesses)
+
+
+def test_dset_iso_report_reports_missing_tables():
+    """A table missing on either side is an "action table missing" witness
+    naming it, not a ``KeyError``; ``checked`` counts the levels only."""
+    B = q_lower_star(identity_smap(nerve(chain_poset(1), 3)))
+    ident = {lvl: {x: x for x in B.level(*lvl)} for lvl in B.levels}
+    key = ("s", 0, (-1, 0))
+    lacking = DSet(B.trunc, B.levels, {k: table for k, table in B.actions.items() if k != key})
+    assert dset_iso_report(B, B, ident).verdict == "pass"
+    for B1, B2, side in ((B, lacking, "target"), (lacking, B, "source")):
+        rep = dset_iso_report(B1, B2, ident)
+        assert (rep.verdict, rep.checked) == ("fail", len(dset_levels(B.trunc)))
+        assert rep.witnesses == [Witness(f"{side}:s0@(-1, 0)", "action table missing", ())]
