@@ -61,31 +61,11 @@ from .simplex import MonotoneMap
 # The right Kan extension of a simplicial map
 
 
-def _x_part(lvl, elem):
-    i, j = lvl
-    if j == -1:
-        return elem
-    if i == -1:
-        return None
-    return elem[0]
-
-
-def _y_part(lvl, elem, F: SMap):
-    i, j = lvl
-    if j == -1:
-        return F.at(i, elem)
-    if i == -1:
-        return elem
-    return elem[1]
-
-
-def _pack(lvl, x, y):
-    i, j = lvl
-    if j == -1:
-        return x
-    if i == -1:
-        return y
-    return (x, y)
+def _through_each(tables, xs):
+    """``through(tables, x)`` for each x of ``xs``, lazily, in turn."""
+    for table in tables:
+        xs = map(table.__getitem__, xs)
+    return xs
 
 
 def q_lower_star(F: SMap) -> DSet:
@@ -109,16 +89,20 @@ def q_lower_star(F: SMap) -> DSet:
             levels[(i, j)] = _sorted_ids(pullback_pairs(
                 F.levels[i], {y: through(inc, y) for y in ys}, X.level(i), ys))
     actions = {}
-    for lvl, gens in generators_into(T).items():
-        for kind, k, tgt, g in gens:
-            x_tables = X.act_tables(g.top_part()) if tgt[0] >= 0 else None
-            y_tables = Y.act_tables(g.carrier)
-            table = {}
-            for elem in levels[lvl]:
-                nx = through(x_tables, _x_part(lvl, elem)) if x_tables is not None else None
-                ny = through(y_tables, _y_part(lvl, elem, F))
-                table[elem] = _pack(tgt, nx, ny)
-            actions[kind, k, lvl] = table
+    for (i, j), gens in generators_into(T).items():
+        elems = levels[i, j]  # each element's x and y parts, read once per level
+        if j == -1:
+            xs, ys = elems, list(map(F.levels[i].__getitem__, elems))
+        elif i == -1:
+            xs, ys = None, elems
+        else:
+            xs, ys = [x for x, _ in elems], [y for _, y in elems]
+        for kind, k, (ti, tj), g in gens:
+            # a target element is an x (column), a y (row) or the pair (bulk)
+            nx = _through_each(X.act_tables(g.top_part()), xs) if ti >= 0 else None
+            ny = _through_each(Y.act_tables(g.carrier), ys) if tj >= 0 else None
+            images = ny if nx is None else nx if ny is None else zip(nx, ny)
+            actions[kind, k, (i, j)] = dict(zip(elems, images))
     return DSet(T, levels, actions)
 
 

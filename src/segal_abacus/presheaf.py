@@ -24,15 +24,16 @@ rows and columns of a bisimplicial set and the source and target of a
 map), ``_bisset_rows``, ``_smap_rows``, ``_relation_rows`` for the abacus
 category, ``decalage._coalgebra_rows`` for split structures.  One element
 loop checks them all: ``_check_rows`` reports every level beyond the
-truncation or missing and checks totality, then ``_compare_rows``
-applies both sides of each identity to every element, and only looks
-tables up.  A construction that applies one map to a whole level also
-takes its tables once (``TruncSSet.act_tables``, the action keys of a
-monotone map cached per map in ``_act_steps``).
+truncation or missing and every element listed twice and checks totality,
+then ``_compare_rows`` applies both sides of each identity to every
+element, and only looks tables up.  A construction that applies one map
+to a whole level also takes its tables once (``TruncSSet.act_tables``,
+the action keys of a monotone map cached per map in ``_act_steps``).
 
-Element order is canonical, by ``fmt_id``, and computed once.  Every level
-goes through ``_sorted_ids``, which marks the tuple it returns; only
-``_sorted_ids`` makes the mark, and it returns a marked tuple unchanged.
+Element order is canonical, by ``fmt_id``, and computed once: every level
+goes through ``_sorted_ids``, which formats each tuple part once per sort,
+marks the tuple it returns (nothing else makes the mark) and returns a
+marked tuple unchanged.
 So a level re-indexed from an already sorted one (``dec``, ``row_sset``,
 ``sub_trunc``, ``r_star``) is neither formatted nor sorted again.
 
@@ -50,6 +51,7 @@ to T", with the checked instances counted, never silently vacuous.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,10 +80,21 @@ class _Canonical(tuple):
 def _sorted_ids(xs) -> tuple:
     """The ids in canonical order (by ``fmt_id``), sorted once: a tuple this
     returned comes back unchanged.  Slices and other copies are plain
-    tuples and are sorted again."""
+    tuples and are sorted again.  Each tuple is formatted once per call,
+    memoized by ``id``, not by value ((1,) == (True,) format apart); exact,
+    as ``sorted`` keeps every id, and so every part, alive until it ends."""
     if type(xs) is _Canonical:
         return xs
-    return _Canonical(sorted(xs, key=fmt_id))
+    memo = {}
+
+    def key(x):
+        if not isinstance(x, tuple):
+            return str(x)
+        if id(x) not in memo:
+            memo[id(x)] = "(" + ",".join(map(key, x)) + ")"
+        return memo[id(x)]
+
+    return _Canonical(sorted(xs, key=key))
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +301,18 @@ def _naturality_rows(gens) -> tuple:
 def _check_rows(name: str, tables, levels, rows) -> CheckReport:
     """Check a presheaf against its rows ``(expect, totals, relations)``.
     Phase 1 reports each level that is not an expected level
-    ``(label, level)`` as beyond the truncation and each expected level
-    missing, and checks that each totality row's ``(label, key, source,
-    target)`` table is defined on its source level and lands in its target
-    level.  A witness from it stops the report there; else phase 2,
-    ``_compare_rows``, can look up every table its relation rows name."""
+    ``(label, level)`` as beyond the truncation, each element a level lists
+    twice and each expected level missing, and checks that each totality
+    row's ``(label, key, source, target)`` table is defined on its source
+    level and lands in its target level.  A witness from it stops the
+    report there; else phase 2, ``_compare_rows``, can look up every table
+    its relation rows name."""
     expect, totals, relations = rows
     expected = {lv for _, lv in expect}
     witnesses = [Witness(f"level@{lv}", "level beyond the truncation", ())
                  for lv in levels if lv not in expected]
+    witnesses += [Witness(f"level@{lv}", "element listed twice", (x,))
+                  for lv, xs in levels.items() for x, n in Counter(xs).items() if n > 1]
     witnesses += [Witness(label, "level missing", ()) for label, lv in expect if lv not in levels]
     checked = 0
     for label, key, src, tgt in totals:

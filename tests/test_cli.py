@@ -212,7 +212,12 @@ MALFORMED = {
     "sset level beyond the truncation": _sset_file(lambda data: data["levels"].update({"7": ["zz"]})),
     "sset action of unknown kind": _sset_file(
         lambda data: data["actions"].update({"q0@0": data["actions"].pop("s0@0")})),
+    "sset element listed twice": _sset_file(lambda data: data["levels"]["0"].append("0")),
 }
+
+# the witness that ``check validate`` reports, where a case pins it
+WITNESSES = {"sset element listed twice": {"site": "level@0", "equation": "element listed twice",
+                                           "offenders": ["0"]}}
 
 # files that cannot be read at all: every command says so on stderr
 UNREADABLE = {"sset action of unknown kind"}
@@ -243,6 +248,8 @@ def test_malformed_file_is_invalid_input(tmp_path, case):
     code, text = run(["check", "validate", str(path)])
     payload = json.loads(text)
     assert (code, payload["verdict"]) == (1, "fail") and payload["witnesses"]
+    if case in WITNESSES:
+        assert payload["witnesses"] == [WITNESSES[case]]
     for check in _MALFORMED_CHECKS[data["shape"]]:
         code, text = run(["check", check, str(path)])
         assert (code, json.loads(text)["verdict"]) == (2, "invalid-input"), check

@@ -4,6 +4,7 @@ from functools import cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segal_abacus.abacus import generators_into
 from segal_abacus.configurations import (
     abacus_row_map,
     boors_axioms,
@@ -60,16 +61,20 @@ from segal_abacus.presheaf import (
     DSet,
     SMap,
     TruncSSet,
+    _sorted_ids,
     action_target,
     col_sset,
     constant_sset,
     dset_levels,
     fmt_id,
     identity_smap,
+    pullback_pairs,
     sub_trunc,
+    through,
     validate,
 )
 from segal_abacus.reports import Witness
+from segal_abacus.simplex import MonotoneMap
 
 
 def test_qstar_levels_of_identity():
@@ -487,6 +492,63 @@ def _reference_h_unit_report(A, name="h_unit"):
             if z not in img:
                 witnesses.append(Witness(f"unit@{n}", "unit not surjective", (z,)))
     return CheckReport.from_witnesses(name, witnesses, checked)
+
+
+def _reference_q_lower_star(F):
+    """``q_lower_star`` element by element: each element's x and y parts
+    read, and its image packed, once per generator."""
+
+    def x_part(lvl, elem):
+        i, j = lvl
+        return elem if j == -1 else None if i == -1 else elem[0]
+
+    def y_part(lvl, elem):
+        i, j = lvl
+        return F.at(i, elem) if j == -1 else elem if i == -1 else elem[1]
+
+    def pack(lvl, x, y):
+        i, j = lvl
+        return x if j == -1 else y if i == -1 else (x, y)
+
+    X, Y = F.source, F.target
+    T = min(X.trunc, Y.trunc)
+    levels = {}
+    for (i, j) in dset_levels(T):
+        if j == -1:
+            levels[(i, j)] = X.level(i)
+        elif i == -1:
+            levels[(i, j)] = Y.level(j)
+        else:
+            inc = Y.act_tables(MonotoneMap(i + 1, i + j + 2, tuple(range(i + 1))))
+            ys = Y.level(i + 1 + j)
+            levels[(i, j)] = _sorted_ids(pullback_pairs(
+                F.levels[i], {y: through(inc, y) for y in ys}, X.level(i), ys))
+    actions = {}
+    for lvl, gens in generators_into(T).items():
+        for kind, k, tgt, g in gens:
+            x_tables = X.act_tables(g.top_part()) if tgt[0] >= 0 else None
+            y_tables = Y.act_tables(g.carrier)
+            table = {}
+            for elem in levels[lvl]:
+                nx = through(x_tables, x_part(lvl, elem)) if x_tables is not None else None
+                ny = through(y_tables, y_part(lvl, elem))
+                table[elem] = pack(tgt, nx, ny)
+            actions[kind, k, lvl] = table
+    return DSet(T, levels, actions)
+
+
+def test_q_lower_star_matches_reference():
+    """The same levels, in the same order, and the same action tables as the
+    element-by-element construction, on every standard map and on the
+    punctured-chain identities of the dictionary suite."""
+    maps = [F for _, F in standard_map_corpus(4)]
+    maps += [identity_smap(punctured_chain_sset(m, 4)) for m in (3, 4)]
+    for F in maps:
+        B, ref = q_lower_star(F), _reference_q_lower_star(F)
+        assert list(B.levels.items()) == list(ref.levels.items())
+        assert list(B.actions) == list(ref.actions)
+        for key, table in ref.actions.items():
+            assert list(B.actions[key].items()) == list(table.items()), key
 
 
 @cache

@@ -220,20 +220,52 @@ def test_pullback_agrees_with_universal_property():
 
 
 def _nested_ids(depth=3):
-    """Element ids as constructions make them: str and int leaves, nested in
-    tuples up to ``depth`` deep."""
-    ids = st.integers(-3, 12) | st.text("ab1(,)", max_size=3)
+    """Element ids as constructions make them: str, int and bool leaves,
+    nested in tuples up to ``depth`` deep."""
+    ids = st.integers(-3, 12) | st.booleans() | st.text("ab1(,)", max_size=3)
     for _ in range(depth):
         ids = ids | st.lists(ids, max_size=3).map(tuple)
     return ids
 
 
+@st.composite
+def _shared_part_ids(draw):
+    """Pairs and triples whose parts are drawn from two small pools of
+    tuples, so one sort meets the same part object many times, as it does
+    on the levels of ``q_lower_star``."""
+    parts = st.lists(_nested_ids(2), max_size=3).map(tuple)
+    left = st.sampled_from(draw(st.lists(parts, min_size=1, max_size=3)))
+    right = st.sampled_from(draw(st.lists(parts, min_size=1, max_size=3)))
+    return draw(st.lists(st.tuples(left, right) | st.tuples(left, right, left), max_size=12))
+
+
+def _assert_fmt_id_order(xs):
+    """``_sorted_ids`` orders ``xs`` exactly as a sort by ``fmt_id`` does.
+    Compared by ``repr``: equal ids such as ``(1,)`` and ``(True,)`` can
+    format, and so sort, differently."""
+    want = [repr(x) for x in sorted(xs, key=fmt_id)]
+    for given_ids in (xs, tuple(xs), _sorted_ids(xs)):
+        assert [repr(x) for x in _sorted_ids(given_ids)] == want
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_nested_ids(), max_size=12))
 def test_sorted_ids_matches_reference_sort(xs):
-    want = tuple(sorted(xs, key=fmt_id))
-    for given_ids in (xs, tuple(xs), _sorted_ids(xs)):
-        assert _sorted_ids(given_ids) == want
+    _assert_fmt_id_order(xs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shared_part_ids())
+def test_sorted_ids_matches_reference_sort_on_shared_parts(xs):
+    _assert_fmt_id_order(xs)
+
+
+def test_sorted_ids_formats_equal_parts_apart():
+    """``(1,) == (True,)``, but the two format differently: a part's string
+    is not reused for an equal part."""
+    xs = [((1,), "z"), ((True,), "y")]
+    _assert_fmt_id_order(xs)
+    assert [repr(x) for x in _sorted_ids(xs[::-1])] == ["((1,), 'z')", "((True,), 'y')"]
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,8 @@
-"""Property tests over random poset nerves.
+"""Property tests over random poset nerves, and negatives on random
+punctured chains and graphs.
 
-Each example is the first poset of ``random_poset_corpus(1, MAX_SIZE, seed,
-trunc)`` at truncation 3 or 4, with its nerve; the properties are the
+Each poset example is the first poset of ``random_poset_corpus(1, MAX_SIZE,
+seed, trunc)`` at truncation 3 or 4, with its nerve; the properties are the
 statements the suites check on hand-picked fixtures, and the identities
 between the constructions that the paper's equivalences rest on.
 """
@@ -31,6 +32,7 @@ from segal_abacus.configurations import (
 )
 from segal_abacus.corpus import (
     downset_inclusion,
+    graph_sset,
     nerve,
     punctured_chain_sset,
     random_poset,
@@ -141,3 +143,35 @@ def test_punctured_chains_fail_2segal_and_the_boors_axioms():
         reps = is_2segal(X, "both"), boors_axioms(p_star_tot(X))
         assert [rep.verdict for rep in reps] == ["fail", "fail"], n
         assert tuple(len(rep.witnesses) for rep in reps) == counts, n
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 5), st.sampled_from([3, 4]), st.data())
+def test_random_punctured_chains_fail_2segal_and_the_boors_axioms(n, trunc, data):
+    """Keeping the chains of [n] with at most k distinct vertices drops a
+    k-simplex whose triangulations are all kept when 3 <= k <= min(n, T):
+    then both checks fail with witnesses.  Otherwise nothing or no such
+    simplex is dropped, and both pass; neither is ever vacuous."""
+    k = data.draw(st.integers(1, n + 1))
+    X = punctured_chain_sset(n, trunc, k)
+    holds = not 3 <= k <= min(n, trunc)
+    for rep in (is_2segal(X, "both"), boors_axioms(p_star_tot(X))):
+        assert rep.holds is holds and bool(rep.witnesses) is not holds, (k, rep.name)
+
+
+_ARROWS = [(u, v) for u in "abcd" for v in "abcd" if u != v]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sets(st.sampled_from(_ARROWS), max_size=5), st.sampled_from([3, 4]))
+def test_random_graphs_fail_segal_exactly_at_a_composable_pair(edges, trunc):
+    """A simplex of a graph's simplicial set takes at most one step, so two
+    composable edges have no composite: Segal fails with witnesses exactly
+    then.  Gluing two such triangles along a diagonal leaves one step, so
+    every graph is 2-Segal, and the BOORS axioms hold, never vacuously."""
+    X = graph_sset(tuple("abcd"), edges, trunc)
+    composable = any(v == w for _, v in edges for w, _ in edges)
+    segal = is_segal(X)
+    assert segal.holds is not composable and bool(segal.witnesses) is composable
+    assert is_2segal(X, "both").holds is True
+    assert boors_axioms(p_star_tot(X)).holds is True

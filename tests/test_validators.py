@@ -56,6 +56,7 @@ from segal_abacus.presheaf import (
     row_sset,
     sub_trunc,
     validate_bisset,
+    validate_dset,
     validate_sigmaset,
     validate_smap,
     validate_sset,
@@ -496,3 +497,22 @@ def test_dset_iso_report_reports_missing_tables():
         rep = dset_iso_report(B1, B2, ident)
         assert (rep.verdict, rep.checked) == ("fail", len(dset_levels(B.trunc)))
         assert rep.witnesses == [Witness(f"{side}:s0@(-1, 0)", "action table missing", ())]
+
+
+def test_element_listed_twice_is_a_witness():
+    """A level that lists an element more than once fails validation with
+    one "element listed twice" witness per repeated element: of a
+    simplicial set, of a map (named by its side key) and of an abacus
+    presheaf."""
+    X = nerve(chain_poset(1), 2)
+    B = q_lower_star(identity_smap(X))
+    x, b = X.level(0)[0], B.level(0, 0)[0]
+    X2 = TruncSSet(X.trunc, {**X.levels, 0: X.level(0) + (x,)}, X.actions)
+    B2 = DSet(B.trunc, {**B.levels, (0, 0): B.level(0, 0) + (b, b)}, B.actions)
+    cases = ((validate_sset(X), validate_sset(X2), "level@0", x),
+             (validate_smap(identity_smap(X)), validate_smap(SMap(X2, X, identity_smap(X).levels)),
+              "level@('S', 0)", x),
+             (validate_dset(B), validate_dset(B2), "level@(0, 0)", b))
+    for good, bad, site, elem in cases:
+        assert good.verdict == "pass"
+        assert (bad.verdict, bad.witnesses) == ("fail", [Witness(site, "element listed twice", (elem,))])
