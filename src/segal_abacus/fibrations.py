@@ -55,7 +55,7 @@ def is_segal(X: TruncSSet, name: str = "is_segal") -> CheckReport:
     coverage, never as a bare pass.
     """
     if X.trunc < 2:
-        return CheckReport(name, coverage=[f"unverifiable:{name}:trunc<2"])
+        return _unverifiable(name)
     reports = []
     for n in range(2, X.trunc + 1):
         sq = Square(
@@ -66,6 +66,11 @@ def is_segal(X: TruncSSet, name: str = "is_segal") -> CheckReport:
         )
         reports.append(is_pullback(sq))
     return CheckReport.conjunction(name, reports)
+
+
+def _unverifiable(name: str) -> CheckReport:
+    """Nothing checkable below truncation 2: zero coverage, said so."""
+    return CheckReport(name, coverage=[f"unverifiable:{name}:trunc<2"])
 
 
 def is_2segal(X: TruncSSet, side: str = "both", name: str | None = None) -> CheckReport:
@@ -103,7 +108,11 @@ def _bulk_levels(B):
 
 def stability(B, side: str = "both", name: str | None = None) -> CheckReport:
     """Pullback squares of bottom (upper side) or top (lower side) faces
-    against each other, over the bulk."""
+    against each other, over the bulk.
+
+    A bulk without a (1, 1) level (truncation below 2) has no square to
+    check; that is reported as zero coverage, never as a bare pass.
+    """
     name = name or f"stability[{side}]"
     reports = []
     for (i, j) in _bulk_levels(B):
@@ -113,11 +122,17 @@ def stability(B, side: str = "both", name: str | None = None) -> CheckReport:
             reports.append(is_pullback(_bulk_square(B, i, j, 0, 0, f"upper@({i},{j})")))
         if side in ("lower", "both"):
             reports.append(is_pullback(_bulk_square(B, i, j, i, j, f"lower@({i},{j})")))
+    if not reports:
+        return _unverifiable(name)
     return CheckReport.conjunction(name, reports)
 
 
 def is_double_segal(B, name: str = "is_double_segal") -> CheckReport:
-    """Every bulk row and every bulk column is Segal."""
+    """Every bulk row and every bulk column is Segal.
+
+    When no row or column reaches truncation 2 nothing is checkable; that
+    is reported as zero coverage, never as a bare pass.
+    """
     reports = []
     rows = sorted({i for (i, j) in _bulk_levels(B)})
     cols = sorted({j for (i, j) in _bulk_levels(B)})
@@ -129,6 +144,8 @@ def is_double_segal(B, name: str = "is_double_segal") -> CheckReport:
         C = col_sset(B, j)
         if C.trunc >= 2:
             reports.append(is_segal(C, f"col{j}"))
+    if not reports:
+        return _unverifiable(name)
     return CheckReport.conjunction(name, reports)
 
 

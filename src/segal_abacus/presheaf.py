@@ -43,7 +43,13 @@ and whether a map is a bijection onto a set is decided in one place,
 of ``q_lower_star``, ``h_lower`` and the relative upper 2-Segal check,
 the pointing pullbacks, nerve chains and composable pairs) and every
 pullback, unit, pointing, invertibility or isomorphism check goes through
-these two.
+these two.  Checks decide first and explain only on failure:
+``is_pullback`` reads each of a square's four tables once over a whole
+level and compares two image lists, building "does not commute"
+witnesses only from the positions that differ, and
+``bijection_witnesses`` decides with one image set (its size, and
+whether it contains the target) before it walks the elements to name
+witnesses.
 
 Every checker reports relative to the truncation: verdicts are "pass up
 to T", with the checked instances counted, never silently vacuous.
@@ -54,6 +60,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from . import abacus
 from .reports import CheckReport, Witness
@@ -370,12 +377,22 @@ def pullback_pairs(f: dict, g: dict, a_elems, b_elems) -> list:
 
 def bijection_witnesses(site: str, noun: str, pairs, want) -> list:
     """Why the map given by ``pairs``, ``(preimage, image)`` in turn, is not
-    a bijection onto ``want``: a "``noun`` not injective" witness
-    ``(earlier, later)`` for each image met again, naming the preimage that
-    met it last, then a "``noun`` not surjective" witness for each image of
-    ``want`` never met, in ``want``'s order.  Images are offender tuples,
-    so a missed image is reported as it stands.  An image outside ``want``
-    is neither: a caller whose map may leave ``want`` reports that itself."""
+    a bijection onto the collection ``want``; empty when it is one.
+
+    Decided first with whole-collection operations: the map is injective
+    when its images form a set of ``len(pairs)`` elements, and onto
+    ``want`` when that set contains ``want``.  Only a map that fails is
+    walked element by element to explain it: a "``noun`` not injective"
+    witness ``(earlier, later)`` for each image met again, naming the
+    preimage that met it last, then a "``noun`` not surjective" witness for
+    each image of ``want`` never met, in ``want``'s order.  Images are
+    offender tuples, so a missed image is reported as it stands.  An image
+    outside ``want`` is neither: a caller whose map may leave ``want``
+    reports that itself."""
+    pairs = list(pairs)
+    images = set(map(itemgetter(1), pairs))
+    if len(images) == len(pairs) and images.issuperset(want):
+        return []
     witnesses = []
     seen = {}
     for p, im in pairs:
@@ -405,13 +422,26 @@ class Square:
 
 
 def is_pullback(sq: Square) -> CheckReport:
-    checked = len(sq.p_elems)
-    witnesses = [Witness(sq.name, "square does not commute", (p,)) for p in sq.p_elems
-                 if sq.a_to_c[sq.p_to_a[p]] != sq.b_to_c[sq.p_to_b[p]]]
-    if witnesses:
+    """Whether ``sq`` commutes and its comparison map is a bijection onto
+    the strict pullback of ``a_to_c`` against ``b_to_c``.
+
+    Each of the four tables is read once over a whole level, so commuting
+    is one comparison of two image lists; "square does not commute"
+    witnesses are built only from the positions where they differ, and
+    ``checked`` is ``|P|``.  A commuting square is then decided by
+    ``bijection_witnesses``, with ``checked`` ``2 |P|`` (at least 1)."""
+    p_elems = sq.p_elems
+    to_a = list(map(sq.p_to_a.__getitem__, p_elems))
+    to_b = list(map(sq.p_to_b.__getitem__, p_elems))
+    via_a = list(map(sq.a_to_c.__getitem__, to_a))
+    via_b = list(map(sq.b_to_c.__getitem__, to_b))
+    checked = len(p_elems)
+    if via_a != via_b:
+        witnesses = [Witness(sq.name, "square does not commute", (p,))
+                     for p, c, d in zip(p_elems, via_a, via_b) if c != d]
         return CheckReport.from_witnesses("is_pullback", witnesses, checked)
     witnesses = bijection_witnesses(
-        sq.name, "comparison", ((p, (sq.p_to_a[p], sq.p_to_b[p])) for p in sq.p_elems),
+        sq.name, "comparison", zip(p_elems, zip(to_a, to_b)),
         pullback_pairs(sq.a_to_c, sq.b_to_c, sq.a_elems, sq.b_elems))
     return CheckReport.from_witnesses("is_pullback", witnesses, 2 * checked or 1)
 

@@ -102,7 +102,12 @@ def _finish(name: str, entries, depth) -> dict:
 
 def cheatsheet_suite(trunc: int = 5, max_size: int = 4, seed: int | None = None) -> dict:
     """The standard-facts suite over nerves, the partial-monoid fixture,
-    and a family of structural maps."""
+    and a family of structural maps.
+
+    Each check runs once per object per call: each nerve's two counits
+    are built once and checked as maps of the corpus, and the Segal and
+    2-Segal checks of a map's source and target are read from a memo that
+    lives for this call only."""
     corpus = standard_nerve_corpus(trunc)
     if seed is not None:
         corpus = corpus + random_poset_corpus(4, max_size, seed, trunc)
@@ -111,19 +116,16 @@ def cheatsheet_suite(trunc: int = 5, max_size: int = 4, seed: int | None = None)
         maps.append((f"counit-top-{name}", counit(X, "top")))
         maps.append((f"counit-bot-{name}", counit(X, "bottom")))
 
-    sset_facts = {
-        name: {
-            "segal": is_segal(X).holds,
-            "upper": is_2segal(X, "upper").holds,
-            "lower": is_2segal(X, "lower").holds,
-            "eps_top_rfib": is_right_fibration(counit(X, "top")).holds,
-            "eps_bot_lfib": is_left_fibration(counit(X, "bottom")).holds,
-            "culf_bot": is_culf(counit(X, "bottom")).holds,
-            "culf_top": is_culf(counit(X, "top")).holds,
-            "sd_segal": is_segal(sd(X)).holds,
-        }
-        for name, X in corpus
-    }
+    # keyed by the object's id; the entry keeps the object alive, so the id
+    # cannot be reused for another object during this call
+    memo = {}
+
+    def holds(check, obj, *args):
+        key = (check, id(obj), args)
+        if key not in memo:
+            memo[key] = (obj, check(obj, *args).holds)
+        return memo[key][1]
+
     map_facts = {
         name: {
             "culf": is_culf(F).holds,
@@ -131,6 +133,19 @@ def cheatsheet_suite(trunc: int = 5, max_size: int = 4, seed: int | None = None)
             "rfib": is_right_fibration(F).holds,
         }
         for name, F in maps
+    }
+    sset_facts = {
+        name: {
+            "segal": holds(is_segal, X),
+            "upper": holds(is_2segal, X, "upper"),
+            "lower": holds(is_2segal, X, "lower"),
+            "eps_top_rfib": map_facts[f"counit-top-{name}"]["rfib"],
+            "eps_bot_lfib": map_facts[f"counit-bot-{name}"]["lfib"],
+            "culf_bot": map_facts[f"counit-bot-{name}"]["culf"],
+            "culf_top": map_facts[f"counit-top-{name}"]["culf"],
+            "sd_segal": is_segal(sd(X)).holds,
+        }
+        for name, X in corpus
     }
 
     # Conclusions joined with ``and`` stop at the first that does not hold:
@@ -150,16 +165,16 @@ def cheatsheet_suite(trunc: int = 5, max_size: int = 4, seed: int | None = None)
 
     def fibration_over_segal():
         for name, F in maps:
-            if (map_facts[name]["lfib"] or map_facts[name]["rfib"]) and is_segal(F.target).holds:
-                yield name, is_segal(F.source).holds
+            if (map_facts[name]["lfib"] or map_facts[name]["rfib"]) and holds(is_segal, F.target):
+                yield name, holds(is_segal, F.source)
 
     def culf_into_2segal():
         for name, F in maps:
             if not map_facts[name]["culf"]:
                 continue
             for side in ("upper", "lower"):
-                if is_2segal(F.target, side).holds:
-                    yield f"{name}:{side}", is_2segal(F.source, side).holds
+                if holds(is_2segal, F.target, side):
+                    yield f"{name}:{side}", holds(is_2segal, F.source, side)
 
     def stable_active_cartesian():
         for name, f in sset_facts.items():

@@ -10,7 +10,7 @@ from functools import cache
 
 import pytest
 
-from segal_abacus import abacus
+from segal_abacus import abacus, suites
 from segal_abacus.configurations import (
     boors_axioms,
     build_M,
@@ -27,6 +27,7 @@ from segal_abacus.configurations import (
 from segal_abacus.corpus import (
     chain_poset,
     nerve,
+    random_poset_corpus,
     standard_map_corpus,
     standard_nerve_corpus,
 )
@@ -225,6 +226,10 @@ def test_criterion_9_half_axioms():
 SUITE_DIGESTS = {
     "star t4": "291fbbae88c7cef8208935b1534879c0fe05eb36efb0e03559920e8bc5d1aebe",
     "cheatsheet t5 seed 3": "b7e6ec6ebcaf5439dff74d16bc4c823e05dbb6371e565c97c7b37a6844f2c05a",
+    # random corpora repeat standard nerves as distinct objects: a memo
+    # that conflated two objects would change these
+    "cheatsheet t5 seed 7": "737f349ff4d02e4178c6e05cb4eb62506d81c7af29516f0f025ed30530fd0086",
+    "cheatsheet t4": "70109a67e3dbddbf93cc0020a7fc75bc2665ba55b7d7ea2fb38495c25541f5e3",
     "edgewise t5": "ca479ce2a0ba6b28298244e9c37262122b69c458e5f788f8732093d11756bef2",
     "edgewise t4": "8b4a45774c45b729a743f794ce495275d463ae6846d116d9c2a77e9052f06e86",
     "boors t5": "13d2a45b27bc2f343cac47915dec7bf0099e41efdfe10622c205cb8efc4d2d49",
@@ -239,6 +244,8 @@ def test_suite_reports_match_pinned_digests(boors_t5):
     reports = {
         "star t4": suite_report(star_suite, trunc=4),
         "cheatsheet t5 seed 3": cheatsheet_suite(trunc=5, seed=3),
+        "cheatsheet t5 seed 7": cheatsheet_suite(trunc=5, seed=7),
+        "cheatsheet t4": cheatsheet_suite(trunc=4),
         "edgewise t5": edgewise_suite(trunc=5),
         "edgewise t4": edgewise_suite(trunc=4),
         "boors t5": boors_t5[0],
@@ -250,6 +257,20 @@ def test_suite_reports_match_pinned_digests(boors_t5):
     digests = {name: hashlib.sha256(json.dumps(rep, sort_keys=True, indent=1).encode()).hexdigest()
                for name, rep in reports.items()}
     assert digests == SUITE_DIGESTS
+
+
+def test_cheatsheet_builds_each_counit_once(monkeypatch):
+    built = []
+
+    def counting_counit(X, side):
+        built.append((id(X), side))
+        return counit(X, side)
+
+    monkeypatch.setattr(suites, "counit", counting_counit)
+    cheatsheet_suite(trunc=5, seed=3)
+    nerves = len(standard_nerve_corpus(5)) + len(random_poset_corpus(4, 4, 3, 5))
+    assert len(built) == 2 * nerves
+    assert len(set(built)) == len(built)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from segal_abacus.presheaf import (
     action_label,
     action_target,
     colimit0,
+    bijection_witnesses,
     bisset_actions,
     constant_sset,
     dset_levels,
@@ -332,6 +333,105 @@ def test_pullbacks_match_brute_force(sq):
     assert pullback_pairs(sq.a_to_c, sq.b_to_c, sq.a_elems, sq.b_elems) == want
     assert pullback_pairs(sq.a_to_c, sq.b_to_c, sq.a_elems[::-1], sq.b_elems[::-1]) == [
         (a, b) for a in sq.a_elems[::-1] for b in sq.b_elems[::-1] if sq.a_to_c[a] == sq.b_to_c[b]]
+
+
+def _walk_bijection_witnesses(site, noun, pairs, want):
+    """``bijection_witnesses`` as a walk over every element, deciding
+    nothing first: the reference for its witnesses."""
+    witnesses = []
+    seen = {}
+    for p, im in pairs:
+        if im in seen:
+            witnesses.append(Witness(site, f"{noun} not injective", (seen[im], p)))
+        seen[im] = p
+    witnesses += [Witness(site, f"{noun} not surjective", im) for im in want if im not in seen]
+    return witnesses
+
+
+def _walk_is_pullback(sq):
+    """``is_pullback`` one element at a time, with no whole-level pass: the
+    reference for its reports."""
+    checked = len(sq.p_elems)
+    witnesses = [Witness(sq.name, "square does not commute", (p,)) for p in sq.p_elems
+                 if sq.a_to_c[sq.p_to_a[p]] != sq.b_to_c[sq.p_to_b[p]]]
+    if witnesses:
+        return CheckReport.from_witnesses("is_pullback", witnesses, checked)
+    witnesses = _walk_bijection_witnesses(
+        sq.name, "comparison", ((p, (sq.p_to_a[p], sq.p_to_b[p])) for p in sq.p_elems),
+        pullback_pairs(sq.a_to_c, sq.b_to_c, sq.a_elems, sq.b_elems))
+    return CheckReport.from_witnesses("is_pullback", witnesses, 2 * checked or 1)
+
+
+def _twice(draw, elems):
+    """``elems`` with one of its elements listed a second time, at a drawn
+    place; unchanged when empty."""
+    elems = list(elems)
+    if elems:
+        elems.insert(draw(st.integers(0, len(elems))), draw(st.sampled_from(elems)))
+    return tuple(elems)
+
+
+@st.composite
+def _rough_squares(draw):
+    """Squares a checker must survive: commuting or not, comparisons that
+    miss pairs or hit one twice, images that leave A or B, P, A or B
+    listing an element twice, empty levels, and now and then a table
+    missing one key."""
+    cs = [f"c{i}" for i in range(draw(st.integers(1, 3)))]
+    a_all, b_all = tuple(range(5)), tuple(f"b{i}" for i in range(5))
+    a_to_c = {a: draw(st.sampled_from(cs)) for a in a_all}
+    b_to_c = {b: draw(st.sampled_from(cs)) for b in b_all}
+    a_elems = tuple(draw(st.lists(st.sampled_from(a_all), max_size=4, unique=True)))
+    b_elems = tuple(draw(st.lists(st.sampled_from(b_all), max_size=4, unique=True)))
+    pairs = [(a, b) for a in a_elems for b in b_elems if a_to_c[a] == b_to_c[b]]
+    # anywhere in A_all x B_all: may leave A or B, and may not commute
+    pool = list(product(a_all, b_all)) if draw(st.booleans()) else pairs
+    images = (pairs if draw(st.booleans()) else []) + draw(
+        st.lists(st.sampled_from(pool), max_size=4) if pool else st.just([]))
+    images = draw(st.permutations(images))
+    p_elems = tuple((k,) for k in range(len(images)))
+    tables = {
+        "p_to_a": {p: ab[0] for p, ab in zip(p_elems, images)},
+        "p_to_b": {p: ab[1] for p, ab in zip(p_elems, images)},
+        "a_to_c": a_to_c,
+        "b_to_c": b_to_c,
+    }
+    levels = {"p": p_elems, "a": a_elems, "b": b_elems}
+    for side in draw(st.lists(st.sampled_from(sorted(levels)), max_size=2)):
+        levels[side] = _twice(draw, levels[side])
+    if draw(st.integers(0, 7)) == 0:
+        table = tables[draw(st.sampled_from(sorted(tables)))]
+        if table:
+            del table[draw(st.sampled_from(sorted(table, key=str)))]
+    return Square("sq", levels["p"], levels["a"], levels["b"], tables["p_to_a"],
+                  tables["p_to_b"], tables["a_to_c"], tables["b_to_c"])
+
+
+def _outcome(check, *args):
+    """A report as ``(name, witnesses in order, checked)``, or the type of
+    the exception raised."""
+    try:
+        rep = check(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+    return rep.name, rep.witnesses, rep.checked
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rough_squares())
+def test_is_pullback_matches_the_element_walk(sq):
+    assert _outcome(is_pullback, sq) == _outcome(_walk_is_pullback, sq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.sampled_from([("x",), ("y",), ("z",)])),
+                max_size=5),
+       st.lists(st.sampled_from([("x",), ("y",), ("w",)]), max_size=4))
+def test_bijection_witnesses_matches_the_element_walk(pairs, want):
+    # preimages and images may repeat, images may leave ``want``, and
+    # ``want`` may list an image twice
+    assert (bijection_witnesses("s", "map", pairs, want)
+            == _walk_bijection_witnesses("s", "map", pairs, want))
 
 
 def test_colimit0():
