@@ -7,45 +7,3 @@ for every map class and axiom involved, and the equivalences between
 simplicial maps, abacus presheaves, and pointed bisimplicial sets as
 executable round trips.
 """
-
-from .abacus import BeadMap, DObject, bead_compose, bead_of_generator, hom_enumerate
-from .configurations import (
-    boors_axioms,
-    boors_roundtrip,
-    build_M,
-    condition_star,
-    extend_sigma_to_d,
-    has_invertible_abacus,
-    is_bicomodule_config,
-    j_upper_star,
-    p_star_tot,
-    q_lower_star,
-    q_upper_star,
-    r_star,
-    unit_iso,
-)
-from .decalage import counit, dec, is_local_initial, is_rigid, sd, tot
-from .fibrations import (
-    is_culf,
-    is_double_segal,
-    is_left_fibration,
-    is_right_fibration,
-    is_segal,
-    is_2segal,
-    stability,
-)
-from .presheaf import BiSSet, DSet, SMap, SigmaSet, TruncSSet, colimit0, validate
-from .simplex import MonotoneMap, compose_monotone, enumerate_monotone
-from .reports import CheckReport
-
-__all__ = [
-    "BeadMap", "DObject", "bead_compose", "bead_of_generator", "hom_enumerate",
-    "boors_axioms", "boors_roundtrip", "build_M", "condition_star",
-    "extend_sigma_to_d", "has_invertible_abacus", "is_bicomodule_config",
-    "j_upper_star", "p_star_tot", "q_lower_star", "q_upper_star", "r_star",
-    "unit_iso", "counit", "dec", "is_local_initial", "is_rigid", "sd", "tot",
-    "is_culf", "is_double_segal", "is_left_fibration", "is_right_fibration",
-    "is_segal", "is_2segal", "stability", "BiSSet", "DSet", "SMap", "SigmaSet",
-    "TruncSSet", "colimit0", "validate", "MonotoneMap", "compose_monotone",
-    "enumerate_monotone", "CheckReport",
-]

@@ -270,22 +270,23 @@ def relation_instances(max_i: int, max_j: int, families: str = "all"):
 
     Both words share source and target; ``families`` picks "bisimplicial",
     "abacus", "split", or "all".  Indices run over all source objects
-    [i, j] with i <= max_i and j <= max_j.
+    [i, j] with i <= max_i and j <= max_j, i-major.
     """
-    do_bis = families in ("all", "bisimplicial")
-    do_ab = families in ("all", "abacus")
-    do_sp = families in ("all", "split")
     for i in range(-1, max_i + 1):
         for j in range(-1, max_j + 1):
-            if not _legal(i, j):
-                continue
-            at = DObject(i, j)
-            if do_bis:
-                yield from _bisimplicial_relations(at)
-            if do_ab:
-                yield from _abacus_relations(at)
-            if do_sp:
-                yield from _split_relations(at)
+            if _legal(i, j):
+                yield from relations_at(DObject(i, j), families)
+
+
+def relations_at(at: DObject, families: str = "all"):
+    """The relation instances with source ``at``, in ``relation_instances``
+    order."""
+    if families in ("all", "bisimplicial"):
+        yield from _bisimplicial_relations(at)
+    if families in ("all", "abacus"):
+        yield from _abacus_relations(at)
+    if families in ("all", "split"):
+        yield from _split_relations(at)
 
 
 def _bisimplicial_relations(at: DObject):

@@ -14,11 +14,15 @@ import json
 import os
 import sys
 
-from . import configurations as cfg
-from . import corpus, decalage, fibrations, pjson
-from .presheaf import SMap, TruncationError, TruncSSet, validate
+from .presheaf import SMap, TruncationError, TruncSSet, constant_sset, sub_trunc, validate
 from .reports import EXIT_CODES, CheckReport, Witness
-from .suites import MIN_DEPTH, SUITES
+
+# Each command imports the library modules it runs in its own handler, so a
+# fresh process loads only those.
+
+# the names of ``suites.SUITES``, in order, for the parser's choices
+SUITE_NAMES = ("boors", "cheatsheet", "dictionary", "edgewise", "half-axioms", "presentation",
+               "star")
 
 
 def _resolve(path: str) -> str:
@@ -82,19 +86,23 @@ _SIZES = {
 # the preset a kind builds when --preset is not given
 _DEFAULT_PRESET = {"graph": "glued", "nerve-category": "walkiso"}
 
-# the presets each kind accepts: the category whose nerve is the fixture,
-# or for graph a builder from (size, trunc)
+# the presets each kind accepts, each a builder from the corpus module: of the
+# category whose nerve is the fixture, or for graph of the fixture from
+# (size, trunc)
 _PRESETS = {
     "nerve-poset": {
-        "diamond": corpus.diamond_poset,
-        "vee": lambda: corpus.poset_cat("vee", ["a", "b", "c"], lambda x, y: x == y or x == "a"),
-        "wedge": lambda: corpus.poset_cat("wedge", ["a", "b", "c"], lambda x, y: x == y or y == "c"),
+        "diamond": lambda corpus: corpus.diamond_poset(),
+        "vee": lambda corpus: corpus.poset_cat("vee", ["a", "b", "c"],
+                                               lambda x, y: x == y or x == "a"),
+        "wedge": lambda corpus: corpus.poset_cat("wedge", ["a", "b", "c"],
+                                                 lambda x, y: x == y or y == "c"),
     },
-    "nerve-category": {"walkiso": corpus.walking_iso_cat, "parallel": corpus.parallel_arrows_cat},
-    "nerve-monoid": {"idem": corpus.idempotent_monoid},
+    "nerve-category": {"walkiso": lambda corpus: corpus.walking_iso_cat(),
+                       "parallel": lambda corpus: corpus.parallel_arrows_cat()},
+    "nerve-monoid": {"idem": lambda corpus: corpus.idempotent_monoid()},
     "graph": {
-        "glued": lambda size, T: corpus.glued_edges_sset(T),
-        "path": lambda size, T: corpus.path_graph_sset(size, T),
+        "glued": lambda corpus, size, T: corpus.glued_edges_sset(T),
+        "path": lambda corpus, size, T: corpus.path_graph_sset(size, T),
     },
 }
 
@@ -103,7 +111,21 @@ def _fixture_name(kind, preset) -> str:
     return kind if preset is None else f"{kind} --preset {preset}"
 
 
+def _dump(P, path: str) -> bool:
+    """Write P to path, or say on stderr why it cannot be written."""
+    from . import pjson
+
+    try:
+        pjson.dump(P, path)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _gen(args) -> int:
+    from . import corpus
+
     T, kind, size = args.trunc, args.kind, args.size
     if _below("trunc", T):
         return 2
@@ -123,9 +145,9 @@ def _gen(args) -> int:
             return 2
         size = sizes[1] if size is None else size
     if kind == "graph":
-        out = presets[preset](size, T)
+        out = presets[preset](corpus, size, T)
     elif preset is not None:
-        out = corpus.nerve(presets[preset](), T)
+        out = corpus.nerve(presets[preset](corpus), T)
     elif kind == "nerve-poset":
         out = corpus.nerve(corpus.chain_poset(size), T)
     elif kind == "nerve-monoid":
@@ -135,8 +157,6 @@ def _gen(args) -> int:
     elif kind == "simplex":
         out = corpus.nerve(corpus.chain_poset(size), T)
     elif kind == "constant":
-        from .presheaf import constant_sset
-
         out = constant_sset([f"c{k}" for k in range(size)], T)
     elif kind == "boolean-lattice":
         out = corpus.nerve(corpus.boolean_lattice(size), T)
@@ -149,7 +169,8 @@ def _gen(args) -> int:
     if not rep.passed:
         _emit(rep.to_dict(), args.format)
         return 2
-    pjson.dump(out, args.out)
+    if not _dump(out, args.out):
+        return 2
     _emit({"wrote": args.out, "trunc": T,
            "sizes": {str(k): len(v) for k, v in sorted(out.levels.items(), key=lambda kv: str(kv[0]))}},
           args.format)
@@ -162,6 +183,8 @@ def _gen(args) -> int:
 
 def _wrong_shape(P, shapes, what: str) -> bool:
     """Say so on stderr when P has none of the given pjson shapes."""
+    from . import pjson
+
     shape = pjson.shape_of(P)
     if shapes is None or shape in shapes:
         return False
@@ -171,55 +194,63 @@ def _wrong_shape(P, shapes, what: str) -> bool:
 
 SSET, SMAP, DSET, GRID = ("sset",), ("smap",), ("dset",), ("bisset", "dset")
 
-# check name: (the input shapes it accepts, None for any; the checker, None
-# where the check is validation itself, whose report the gate already has)
+# check name: (the input shapes it accepts, None for any; the module that
+# holds the checker; the checker, given that module, None where the check is
+# validation itself, whose report the gate already has)
 _CHECKS = {
-    "validate": (None, None),
-    "segal": (SSET, lambda P, a: fibrations.is_segal(P)),
-    "2segal": (SSET, lambda P, a: fibrations.is_2segal(P, a.side)),
-    "lfib": (SMAP, lambda P, a: fibrations.is_left_fibration(P)),
-    "rfib": (SMAP, lambda P, a: fibrations.is_right_fibration(P)),
-    "culf": (SMAP, lambda P, a: fibrations.is_culf(P)),
-    "stable": (GRID, lambda P, a: fibrations.stability(P, a.side)),
-    "double-segal": (GRID, lambda P, a: fibrations.is_double_segal(P)),
-    "reduced-stable": (GRID, lambda P, a: fibrations.reduced_stability(P)),
-    "star": (DSET, lambda P, a: cfg.condition_star(P)),
-    "unit-iso": (DSET, lambda P, a: cfg.unit_iso(P)),
-    "bicomodule": (DSET, lambda P, a: cfg.is_bicomodule_config(P)),
-    "invertible-abacus": (DSET, lambda P, a: cfg.has_invertible_abacus(P)),
-    "boors": (("sigmaset",), lambda P, a: cfg.boors_axioms(P, half=a.half)),
-    "ts-compat": (DSET, lambda P, a: cfg.ts_compat(P)),
-    "rel-upper-2segal": (SMAP, lambda P, a: cfg.is_rel_upper_2segal(P)),
-    "rigid": (("split",), lambda P, a: decalage.is_rigid(P)),
-    "coalgebra": (("split",), None),
-    "local-initial": (("pointed",), lambda P, a: decalage.is_local_initial(P)),
-    "local-terminal": (("pointed",), lambda P, a: decalage.is_local_terminal(P)),
+    "validate": (None, None, None),
+    "segal": (SSET, "fibrations", lambda m, P, a: m.is_segal(P)),
+    "2segal": (SSET, "fibrations", lambda m, P, a: m.is_2segal(P, a.side)),
+    "lfib": (SMAP, "fibrations", lambda m, P, a: m.is_left_fibration(P)),
+    "rfib": (SMAP, "fibrations", lambda m, P, a: m.is_right_fibration(P)),
+    "culf": (SMAP, "fibrations", lambda m, P, a: m.is_culf(P)),
+    "stable": (GRID, "fibrations", lambda m, P, a: m.stability(P, a.side)),
+    "double-segal": (GRID, "fibrations", lambda m, P, a: m.is_double_segal(P)),
+    "reduced-stable": (GRID, "fibrations", lambda m, P, a: m.reduced_stability(P)),
+    "star": (DSET, "configurations", lambda m, P, a: m.condition_star(P)),
+    "unit-iso": (DSET, "configurations", lambda m, P, a: m.unit_iso(P)),
+    "bicomodule": (DSET, "configurations", lambda m, P, a: m.is_bicomodule_config(P)),
+    "invertible-abacus": (DSET, "configurations", lambda m, P, a: m.has_invertible_abacus(P)),
+    "boors": (("sigmaset",), "configurations", lambda m, P, a: m.boors_axioms(P, half=a.half)),
+    "ts-compat": (DSET, "configurations", lambda m, P, a: m.ts_compat(P)),
+    "rel-upper-2segal": (SMAP, "configurations", lambda m, P, a: m.is_rel_upper_2segal(P)),
+    "rigid": (("split",), "decalage", lambda m, P, a: m.is_rigid(P)),
+    "coalgebra": (("split",), None, None),
+    "local-initial": (("pointed",), "decalage", lambda m, P, a: m.is_local_initial(P)),
+    "local-terminal": (("pointed",), "decalage", lambda m, P, a: m.is_local_terminal(P)),
 }
 
 
+def _checker_module(name: str):
+    """The module of ``_CHECKS`` called ``name``, imported."""
+    if name == "fibrations":
+        from . import fibrations as module
+    elif name == "configurations":
+        from . import configurations as module
+    else:
+        from . import decalage as module
+    return module
+
+
 def _check(args) -> int:
-    try:
-        P = pjson.load(_resolve(args.file))
-    except (OSError, KeyError, ValueError) as exc:
-        print(f"cannot read {args.file}: {exc}", file=sys.stderr)
-        return 2
-    shapes, checker = _CHECKS[args.check]
-    if _wrong_shape(P, shapes, f"check {args.check}"):
+    P = _load_or_none(args.file)
+    shapes, home, checker = _CHECKS[args.check]
+    if P is None or _wrong_shape(P, shapes, f"check {args.check}"):
         return 2
     base = validate(P)
     if args.check != "validate" and not base.passed:
         _emit({"name": args.check, "verdict": "invalid-input",
                "witnesses": [w.to_dict() for w in base.witnesses[:10]]}, args.format)
         return 2
-    rep = base if checker is None else checker(P, args)
+    rep = base if checker is None else checker(_checker_module(home), P, args)
     return _report_exit(rep, args.format)
 
 
-# ---------------------------------------------------------------------------
-# construct
-
-
 def _load_or_none(path: str):
+    """The presheaf in the file at path, or None after saying on stderr why
+    it cannot be read."""
+    from . import pjson
+
     try:
         return pjson.load(_resolve(path))
     except (OSError, KeyError, ValueError) as exc:
@@ -227,11 +258,18 @@ def _load_or_none(path: str):
         return None
 
 
+# ---------------------------------------------------------------------------
+# construct
+
+
 _CONSTRUCT_SHAPES = {"qstar": SMAP, "tot": SSET, "rtot": SSET, "boors-tot": SSET,
                      "extend": ("sigmaset",), "M": ("smap", "dset")}
 
 
 def _construct(args) -> int:
+    from . import configurations as cfg
+    from . import decalage
+
     P = _load_or_none(args.infile)
     if P is None or _wrong_shape(P, _CONSTRUCT_SHAPES[args.op], f"construct {args.op}"):
         return 2
@@ -257,7 +295,8 @@ def _construct(args) -> int:
         M, proj = cfg.build_M(B)
         out = proj
     rep = validate(out)
-    pjson.dump(out, args.out)
+    if not _dump(out, args.out):
+        return 2
     _emit({"wrote": args.out, "validates": rep.passed}, args.format)
     return 0 if rep.passed else 1
 
@@ -270,13 +309,13 @@ _ROUNDTRIP_SHAPES = {"boors": SSET, "star": SMAP, "M": ("smap", "dset")}
 
 
 def _roundtrip(args) -> int:
+    from . import configurations as cfg
+
     P = _load_or_none(args.file)
     if (P is None or _wrong_shape(P, _ROUNDTRIP_SHAPES[args.kind], f"roundtrip {args.kind}")
             or _below("trunc", args.trunc)):
         return 2
     if args.trunc is not None and isinstance(P, TruncSSet):
-        from .presheaf import sub_trunc
-
         P = sub_trunc(P, args.trunc)
     if not validate(P).passed:
         print("input does not validate", file=sys.stderr)
@@ -356,6 +395,8 @@ def _morphism(args) -> int:
 
 
 def _run_suite(args) -> int:
+    from .suites import MIN_DEPTH, SUITES
+
     flag = "bound" if args.name == "presentation" else "trunc"
     if (_below(flag, getattr(args, flag), MIN_DEPTH.get(args.name, 0))
             or _below("max-size", args.max_size, 2)):
@@ -434,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(fn=_morphism)
 
     s = sub.add_parser("run-suite", help="run a named verification suite")
-    s.add_argument("name", choices=sorted(SUITES))
+    s.add_argument("name", choices=SUITE_NAMES)
     s.add_argument("--trunc", type=int, default=5)
     s.add_argument("--bound", type=int, default=4)
     s.add_argument("--max-size", type=int)

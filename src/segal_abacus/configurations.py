@@ -16,7 +16,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .abacus import generators_into
-from .corpus import chain_poset, nerve
 from .decalage import PointedSSet, dec, is_local_initial, is_local_terminal, tot
 from .fibrations import (
     cartesian_on,
@@ -614,6 +613,8 @@ def build_M(B: DSet):
             key = (VERTICAL[kind], k, (i, j)) if k <= i else (kind, k - i - 1, (i, j))
             step[i, j] = action_target(key[0], (i, j)), B.actions[key]
         return {(lv, x): (step[lv][0], step[lv][1][x]) for lv, x in levels[n]}
+
+    from .corpus import chain_poset, nerve
 
     M = TruncSSet(T, levels, {key: generator(*key) for key in delta_actions(T)})
     arrow = nerve(chain_poset(1), T)

@@ -155,7 +155,7 @@ def reduced_stability(B, name: str = "reduced_stability") -> CheckReport:
     if not pre.passed:
         return CheckReport.precondition_failure(name, "input is not double Segal")
     if (1, 1) not in B.levels:
-        return CheckReport(name)
+        return _unverifiable(name)
     upper = is_pullback(_bulk_square(B, 1, 1, 0, 0, "upper@(1,1)"))
     lower = is_pullback(_bulk_square(B, 1, 1, 1, 1, "lower@(1,1)"))
     return CheckReport.conjunction(name, [upper, lower])

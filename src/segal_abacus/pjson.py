@@ -2,7 +2,8 @@
 
 Element ids are flattened to canonical strings on write; a load/save
 cycle is therefore stable byte for byte, with levels and action keys in
-sorted order.
+sorted order.  A document whose values have the wrong JSON type is
+rejected on read with a ``ValueError`` that names the value.
 """
 
 from __future__ import annotations
@@ -28,6 +29,39 @@ def _table(d: dict) -> dict:
     return {fmt_id(k): fmt_id(v) for k, v in d.items()}
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _typed(value, kind, what: str):
+    """value, if it has the JSON type ``kind``; else a ValueError."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, got {_JSON_TYPES[type(value)]}")
+    return value
+
+
+def _field(data: dict, key: str, kind):
+    """data[key], which must have the JSON type ``kind``."""
+    return _typed(data[key], kind, repr(key))
+
+
+def _strings(values, what: str) -> None:
+    if not set(map(type, values)) <= {str}:
+        raise ValueError(f"{what} must hold strings only")
+
+
+def _ids(data, what: str) -> tuple:
+    """A list of element ids."""
+    _strings(_typed(data, list, what), what)
+    return tuple(data)
+
+
+def _read_table(data, what: str) -> dict:
+    """A table from element ids to element ids."""
+    _strings(_typed(data, dict, what).values(), what)
+    return dict(data)
+
+
 def _parse_lvl(key: str):
     if key.startswith("("):
         i, j = key[1:-1].split(",")
@@ -40,7 +74,7 @@ def sset_to_dict(X: TruncSSet) -> dict:
 
 
 def sset_from_dict(data: dict) -> TruncSSet:
-    return TruncSSet(data["trunc"], *_parse_grid(data, ("d", "s")))
+    return TruncSSet(_field(data, "trunc", int), *_parse_grid(data, ("d", "s")))
 
 
 def smap_to_dict(F: SMap) -> dict:
@@ -54,9 +88,9 @@ def smap_to_dict(F: SMap) -> dict:
 
 def smap_from_dict(data: dict) -> SMap:
     return SMap(
-        sset_from_dict(data["source"]),
-        sset_from_dict(data["target"]),
-        {int(n): dict(t) for n, t in data["levels"].items()},
+        sset_from_dict(_field(data, "source", dict)),
+        sset_from_dict(_field(data, "target", dict)),
+        {int(n): _read_table(t, f"level {n}") for n, t in _field(data, "levels", dict).items()},
     )
 
 
@@ -72,15 +106,16 @@ def _grid_to_dict(B, shape: str) -> dict:
 
 def _parse_grid(data, kinds):
     """Levels and actions of a file form; action keys name a kind in ``kinds``."""
-    levels = {_parse_lvl(key): tuple(xs) for key, xs in data["levels"].items()}
+    levels = {_parse_lvl(key): _ids(xs, f"level {key}")
+              for key, xs in _field(data, "levels", dict).items()}
     actions = {}
-    for key, table in data["actions"].items():
+    for key, table in _field(data, "actions", dict).items():
         head, at = key.split("@")
         kind = head.rstrip("0123456789")
         if kind not in kinds:
             raise KeyError(key)
         k = int(head[len(kind):]) if head != kind else None
-        actions[kind, k, _parse_lvl(at)] = dict(table)
+        actions[kind, k, _parse_lvl(at)] = _read_table(table, f"action {key}")
     return levels, actions
 
 
@@ -89,7 +124,7 @@ def bisset_to_dict(B: BiSSet) -> dict:
 
 
 def bisset_from_dict(data: dict) -> BiSSet:
-    return BiSSet(data["trunc"], *_parse_grid(data, BULK_KINDS))
+    return BiSSet(_field(data, "trunc", int), *_parse_grid(data, BULK_KINDS))
 
 
 def dset_to_dict(B: DSet) -> dict:
@@ -97,7 +132,7 @@ def dset_to_dict(B: DSet) -> dict:
 
 
 def dset_from_dict(data: dict) -> DSet:
-    return DSet(data["trunc"], *_parse_grid(data, SHIFT))
+    return DSet(_field(data, "trunc", int), *_parse_grid(data, SHIFT))
 
 
 def sigmaset_to_dict(A: SigmaSet) -> dict:
@@ -111,12 +146,15 @@ def sigmaset_to_dict(A: SigmaSet) -> dict:
     }
 
 
+def _pointing(data: dict) -> tuple:
+    """The point set and the pointing map of a file form."""
+    pointing = _field(data, "pointing", dict)
+    return (_ids(pointing["levels"], "the point set"),
+            _read_table(pointing["map"], "the pointing map"))
+
+
 def sigmaset_from_dict(data: dict) -> SigmaSet:
-    return SigmaSet(
-        bisset_from_dict(data["bulk"]),
-        tuple(data["pointing"]["levels"]),
-        dict(data["pointing"]["map"]),
-    )
+    return SigmaSet(bisset_from_dict(_field(data, "bulk", dict)), *_pointing(data))
 
 
 def pointed_to_dict(P: PointedSSet) -> dict:
@@ -131,11 +169,7 @@ def pointed_to_dict(P: PointedSSet) -> dict:
 
 
 def pointed_from_dict(data: dict) -> PointedSSet:
-    return PointedSSet(
-        sset_from_dict(data["sset"]),
-        tuple(data["pointing"]["levels"]),
-        dict(data["pointing"]["map"]),
-    )
+    return PointedSSet(sset_from_dict(_field(data, "sset", dict)), *_pointing(data))
 
 
 def split_to_dict(A: BottomSplitSSet) -> dict:
@@ -148,8 +182,8 @@ def split_to_dict(A: BottomSplitSSet) -> dict:
 
 def split_from_dict(data: dict) -> BottomSplitSSet:
     return BottomSplitSSet(
-        sset_from_dict(data["sset"]),
-        {int(n): dict(t) for n, t in data["split"].items()},
+        sset_from_dict(_field(data, "sset", dict)),
+        {int(n): _read_table(t, f"split {n}") for n, t in _field(data, "split", dict).items()},
     )
 
 
@@ -178,13 +212,13 @@ def to_dict(P) -> dict:
 
 
 def from_dict(data: dict):
-    return _SHAPES[data["shape"]][2](data)
+    return _SHAPES[_field(_typed(data, dict, "the document"), "shape", str)][2](data)
 
 
 def dump(P, path: str):
+    text = dumps(P)
     with open(path, "w") as fh:
-        json.dump(to_dict(P), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load(path: str):

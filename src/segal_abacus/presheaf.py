@@ -680,10 +680,10 @@ def _relation_rows(trunc: int, with_aug: bool) -> tuple:
     rhs keys)``.
 
     One relation row per instance of ``abacus.relation_instances`` whose
-    words stay on those levels.  The keys are ``actions`` keys in
-    contravariant order, so a presheaf applies a side by looking its tables
-    up in turn.  Names, levels and keys are interned, so the rows hold no
-    words or bead maps.
+    words stay on those levels, generated only from sources on them.  The
+    keys are ``actions`` keys in contravariant order, so a presheaf applies
+    a side by looking its tables up in turn.  Names, levels and keys are
+    interned, so the rows hold no words or bead maps.
     """
     interned: dict = {}
 
@@ -696,23 +696,22 @@ def _relation_rows(trunc: int, with_aug: bool) -> tuple:
                    for _, lv in expect for kind, k, tgt, _ in into[lv] if with_aug or tgt[0] >= 0)
     levels = {lv for _, lv in expect}
     rows = []
-    for rel_name, lhs, rhs in abacus.relation_instances(max((i for i, _ in levels), default=-1),
-                                                        max((j for _, j in levels), default=-1)):
-        if lhs.source.degree > trunc:  # spare the walk: the source is out of reach
-            continue
-        path_l, path_r = _word_levels(lhs), _word_levels(rhs)
-        if path_l is None or path_r is None:
-            continue
-        assert path_l[-1] == path_r[-1], f"{lhs} and {rhs} end apart"
-        if not levels.issuperset(path_l + path_r):
-            continue
-        rows.append((
-            intern(rel_name),
-            f"{lhs} = {rhs}",
-            intern(path_l[-1]),
-            _action_keys(lhs, path_l, intern),
-            _action_keys(rhs, path_r, intern),
-        ))
+    # relation_instances' order; a source off the levels starts no row
+    for source in sorted(levels):
+        for rel_name, lhs, rhs in abacus.relations_at(abacus.DObject(*source)):
+            path_l, path_r = _word_levels(lhs), _word_levels(rhs)
+            if path_l is None or path_r is None:
+                continue
+            assert path_l[-1] == path_r[-1], f"{lhs} and {rhs} end apart"
+            if not levels.issuperset(path_l + path_r):
+                continue
+            rows.append((
+                intern(rel_name),
+                f"{lhs} = {rhs}",
+                intern(path_l[-1]),
+                _action_keys(lhs, path_l, intern),
+                _action_keys(rhs, path_r, intern),
+            ))
     return expect, totals, tuple(rows)
 
 

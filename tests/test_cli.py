@@ -213,6 +213,11 @@ MALFORMED = {
     "sset action of unknown kind": _sset_file(
         lambda data: data["actions"].update({"q0@0": data["actions"].pop("s0@0")})),
     "sset element listed twice": _sset_file(lambda data: data["levels"]["0"].append("0")),
+    "top level an array": [],
+    "top level a string": "sset",
+    "sset trunc a string": _sset_file(lambda data: data.update(trunc="x")),
+    "sset trunc null": _sset_file(lambda data: data.update(trunc=None)),
+    "sset levels a number": _sset_file(lambda data: data.update(levels=5)),
 }
 
 # the witness that ``check validate`` reports, where a case pins it
@@ -220,7 +225,8 @@ WITNESSES = {"sset element listed twice": {"site": "level@0", "equation": "eleme
                                            "offenders": ["0"]}}
 
 # files that cannot be read at all: every command says so on stderr
-UNREADABLE = {"sset action of unknown kind"}
+UNREADABLE = {"sset action of unknown kind", "top level an array", "top level a string",
+              "sset trunc a string", "sset trunc null", "sset levels a number"}
 
 # the checks run on each malformed shape besides validate
 _MALFORMED_CHECKS = {"split": ("coalgebra", "rigid"), "smap": ("lfib", "rel-upper-2segal"),
@@ -239,11 +245,16 @@ def test_malformed_file_is_invalid_input(tmp_path, case):
     data = MALFORMED[case]
     path.write_text(json.dumps(data))
     if case in UNREADABLE:
-        for check in ("validate",) + _MALFORMED_CHECKS[data["shape"]]:
+        # a document that is not an object is read as an sset would be
+        shape = data["shape"] if isinstance(data, dict) else "sset"
+        commands = [["check", check, str(path)] for check in ("validate",) + _MALFORMED_CHECKS[shape]]
+        if shape == "sset":
+            commands.append(["roundtrip", "boors", str(path)])
+        for args in commands:
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
-                code, text = run(["check", check, str(path)])
-            assert (code, text) == (2, "") and err.getvalue().startswith(f"cannot read {path}"), check
+                code, text = run(args)
+            assert (code, text) == (2, "") and err.getvalue().startswith(f"cannot read {path}"), args
         return
     code, text = run(["check", "validate", str(path)])
     payload = json.loads(text)
@@ -258,6 +269,22 @@ def test_malformed_file_is_invalid_input(tmp_path, case):
         with contextlib.redirect_stderr(err):
             code, _ = run(["construct", "qstar", "--in", str(path), "--out", str(tmp_path / "q.json")])
         assert (code, err.getvalue()) == (2, "input does not validate\n")
+
+
+def test_unwritable_out_is_invalid_input(tmp_path):
+    """``gen`` and ``construct`` say which --out they cannot write (exit 2)."""
+    import contextlib
+    import io
+
+    x = str(tmp_path / "x.json")
+    assert run(["gen", "nerve-poset", "--size", "1", "--trunc", "3", "--out", x])[0] == 0
+    for out in (str(tmp_path), str(tmp_path / "missing" / "x.json")):
+        for args in (["gen", "nerve-poset", "--out", out],
+                     ["construct", "tot", "--in", x, "--out", out]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, text = run(args)
+            assert (code, text) == (2, "") and err.getvalue().startswith(f"cannot write {out}: "), args
 
 
 def test_validation_checks_validate_once(tmp_path, monkeypatch):
@@ -311,6 +338,24 @@ def test_roundtrip_m_from_smap(tmp_path):
     code, text = run(["roundtrip", "M", f])
     assert code == 0
     assert json.loads(text)["extraction_identity"]["verdict"] == "pass"
+
+
+def test_reduced_stability_says_what_truncation_2_cannot_check(tmp_path):
+    """Without a (1, 1) level, reduced stability is vacuous and says why, as
+    stability and double Segal do."""
+    chain, bulk = str(tmp_path / "chain.json"), str(tmp_path / "tot.json")
+    assert run(["gen", "punctured-chain", "--size", "3", "--trunc", "2", "--out", chain])[0] == 0
+    assert run(["construct", "tot", "--in", chain, "--out", bulk])[0] == 0
+    code, text = run(["check", "reduced-stable", bulk])
+    assert (code, json.loads(text)) == (3, {
+        "checked": 0, "coverage": ["unverifiable:reduced_stability:trunc<2"],
+        "name": "reduced_stability", "verdict": "vacuous", "witnesses": []})
+
+
+def test_suite_names_are_the_suites():
+    from segal_abacus import cli, suites
+
+    assert cli.SUITE_NAMES == tuple(sorted(suites.SUITES))
 
 
 def test_run_suite_presentation():
@@ -420,3 +465,69 @@ def test_morphism_output_is_pinned():
     assert run(["morphism", "ssub@[0,1]"]) == (0, (
         '{\n "abacus_word": "f@[0,1]",\n "carrier": "[0,0,1]:3->2",\n "kind": "bead",\n'
         ' "simplicial_word": "t0@[1,0]",\n "source": "[0,1]",\n "target": "[0,0]"\n}\n'))
+
+
+def _cli_steps():
+    """The README pipeline that the benchmark's ``cli`` workload runs."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.CLI_STEPS
+
+
+# the library modules each README command loads in a fresh process, beyond
+# the ones the CLI itself imports (presheaf, with abacus and simplex, and reports)
+_READ = {"pjson", "decalage"}
+_CONSTRUCT = _READ | {"configurations", "fibrations"}
+_COLD_MODULES = {
+    "gen-nerve-poset": _READ | {"corpus"},
+    "gen-partial-monoid": _READ | {"corpus"},
+    "check-segal": _READ | {"fibrations"},
+    "check-2segal": _READ | {"fibrations"},
+    "construct-boors-tot": _CONSTRUCT,
+    "construct-extend": _CONSTRUCT,
+    "check-invertible-abacus": _CONSTRUCT,
+    "construct-rtot": _CONSTRUCT,
+    "roundtrip-boors": _CONSTRUCT,
+    "roundtrip-M": _CONSTRUCT | {"corpus"},  # build_M maps onto the nerve of an arrow
+    "morphism": set(),
+    "run-suite-presentation": {"configurations", "corpus", "decalage", "fibrations", "suites"},
+}
+
+
+def test_each_readme_command_loads_only_what_it_runs(tmp_path):
+    """Each README command, as a fresh ``python -m segal_abacus.cli``
+    process, exits as the mathematics demands and imports exactly the
+    library modules it runs.  In-process tests cannot see this: once any
+    test has imported a module, it stays loaded."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    steps = _cli_steps()
+    assert [name for name, _, _ in steps] == list(_COLD_MODULES)
+
+    def start(argv):
+        return subprocess.Popen([sys.executable, "-X", "importtime", "-m", "segal_abacus.cli", *argv],
+                                cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+
+    # the commands that touch no file run beside the pipeline
+    early = {name: start(argv) for name, argv, _ in steps
+             if not any(arg.endswith(".json") for arg in argv)}
+    for name, argv, want in steps:
+        proc = early.get(name) or start(argv)
+        _, err = proc.communicate(timeout=60)
+        imported = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
+                    if line.startswith("import time:")}
+        loaded = {mod.split(".", 1)[1] for mod in imported if mod.startswith("segal_abacus.")}
+        assert proc.returncode == want, (name, err[-300:])
+        assert loaded == {"presheaf", "abacus", "simplex", "reports"} | _COLD_MODULES[name], name

@@ -23,6 +23,7 @@ from segal_abacus.presheaf import (
     Square,
     Witness,
     _check_total,
+    _relation_rows,
     _sorted_ids,
     action_label,
     action_target,
@@ -558,6 +559,28 @@ def _word_path(word):
         return tuple(path)
     except ValueError:
         return None
+
+
+def test_relation_rows_match_the_box_enumeration():
+    """``_relation_rows`` generates relations only from sources on the
+    levels; its rows equal, in content and order, those of every instance
+    in the levels' bounding box whose words stay on the levels."""
+    for T, aug in product(range(7), (False, True)):
+        levels = set(dset_levels(T, aug))
+        max_i = max((i for i, _ in levels), default=-1)
+        max_j = max((j for _, j in levels), default=-1)
+        want = []
+        for rel_name, lhs, rhs in abacus.relation_instances(max_i, max_j):
+            if (lhs.source.i, lhs.source.j) not in levels:  # spare the walk
+                continue
+            path_l, path_r = _word_path(lhs), _word_path(rhs)
+            if path_l is None or path_r is None or not levels.issuperset(path_l + path_r):
+                continue
+            want.append((rel_name, f"{lhs} = {rhs}", path_l[-1],
+                         *(tuple((kind, k, path[idx + 1]) for idx, (kind, k) in
+                                 reversed(list(enumerate(word.tokens))))
+                           for word, path in ((lhs, path_l), (rhs, path_r)))))
+        assert list(_relation_rows(T, aug)[2]) == want, (T, aug)
 
 
 def _act_word(B, word, x):
