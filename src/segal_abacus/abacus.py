@@ -180,14 +180,9 @@ def bead_of_generator(kind: str, k: int | None, at: DObject) -> BeadMap:
     return BeadMap(at, DObject(i + di, j + dj), carrier)
 
 
-def generators_at(at: DObject, include_split: bool = True) -> list[tuple[str, int | None, BeadMap]]:
-    out = []
-    for kind in SHIFT:
-        if kind == "ssub" and not include_split:
-            continue
-        for k in generator_range(kind, at):
-            out.append((kind, k, bead_of_generator(kind, k, at)))
-    return out
+def generators_at(at: DObject) -> list[tuple[str, int | None, BeadMap]]:
+    return [(kind, k, bead_of_generator(kind, k, at))
+            for kind in SHIFT for k in generator_range(kind, at)]
 
 
 @lru_cache(maxsize=None)
@@ -265,28 +260,24 @@ def _legal(i: int, j: int) -> bool:
     return i >= -1 and j >= -1 and not (i == -1 and j == -1)
 
 
-def relation_instances(max_i: int, max_j: int, families: str = "all"):
+def relation_instances(max_i: int, max_j: int):
     """Yield (name, lhs_word, rhs_word) for each relation instance.
 
-    Both words share source and target; ``families`` picks "bisimplicial",
-    "abacus", "split", or "all".  Indices run over all source objects
-    [i, j] with i <= max_i and j <= max_j, i-major.
+    Both words share source and target.  Indices run over all source
+    objects [i, j] with i <= max_i and j <= max_j, i-major.
     """
     for i in range(-1, max_i + 1):
         for j in range(-1, max_j + 1):
             if _legal(i, j):
-                yield from relations_at(DObject(i, j), families)
+                yield from relations_at(DObject(i, j))
 
 
-def relations_at(at: DObject, families: str = "all"):
+def relations_at(at: DObject):
     """The relation instances with source ``at``, in ``relation_instances``
-    order."""
-    if families in ("all", "bisimplicial"):
-        yield from _bisimplicial_relations(at)
-    if families in ("all", "abacus"):
-        yield from _abacus_relations(at)
-    if families in ("all", "split"):
-        yield from _split_relations(at)
+    order: the bisimplicial, then the abacus, then the split families."""
+    yield from _bisimplicial_relations(at)
+    yield from _abacus_relations(at)
+    yield from _split_relations(at)
 
 
 def _bisimplicial_relations(at: DObject):
@@ -421,11 +412,11 @@ def _split_relations(at: DObject):
         )
 
 
-def relation_suite(max_i: int, max_j: int, families: str = "all") -> CheckReport:
+def relation_suite(max_i: int, max_j: int) -> CheckReport:
     """Check every relation instance within the bounds as bead-map equality."""
     witnesses = []
     checked = 0
-    for name, lhs, rhs in relation_instances(max_i, max_j, families):
+    for name, lhs, rhs in relation_instances(max_i, max_j):
         checked += 1
         lv, rv = eval_bead_word(lhs), eval_bead_word(rhs)
         if lv != rv:

@@ -16,13 +16,21 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .abacus import generators_into
-from .decalage import PointedSSet, dec, is_local_initial, is_local_terminal, tot
+from .decalage import (
+    PointedSSet,
+    dec,
+    is_local_initial,
+    is_local_terminal,
+    pointing_comparison,
+    tot,
+)
 from .fibrations import (
     cartesian_on,
     is_culf,
     is_double_segal,
     is_segal,
     is_2segal,
+    line_map,
     stability,
 )
 from .presheaf import (
@@ -46,6 +54,7 @@ from .presheaf import (
     colimit0,
     delta_actions,
     dset_levels,
+    lift,
     pullback_pairs,
     restrict_actions,
     row_sset,
@@ -148,14 +157,10 @@ def _path_tables(B: DSet, lvl: tuple, steps) -> list:
 def abacus_row_map(B: DSet, i: int) -> SMap | None:
     """The abacus maps as a simplicial map from row i+1 to the bottom
     decalage of row i (i >= -1)."""
-    upper = row_sset(B, i + 1)
-    lower = dec(row_sset(B, i), "bottom") if row_sset(B, i).trunc >= 1 else None
-    if lower is None or upper.trunc < 0:
+    upper, row = row_sset(B, i + 1), row_sset(B, i)
+    if row.trunc < 1 or upper.trunc < 0:
         return None
-    T = min(upper.trunc, lower.trunc)
-    levels = {n: {x: B.actions["f", None, (i + 1, n)][x] for x in B.level(i + 1, n)}
-              for n in range(T + 1)}
-    return SMap(sub_trunc(upper, T), sub_trunc(lower, T), levels)
+    return line_map(B, "f", None, upper, dec(row, "bottom"), lambda n: (i + 1, n))
 
 
 def condition_star(B: DSet) -> CheckReport:
@@ -207,19 +212,11 @@ def unit_iso(B: DSet) -> CheckReport:
 
 def aug_row_map(B: DSet) -> SMap:
     """The vertical augmentation map from row 0 to the augmentation row."""
-    upper = row_sset(B, 0)
-    lower = row_sset(B, -1)
-    T = min(upper.trunc, lower.trunc)
-    levels = {n: {x: B.actions["e", 0, (0, n)][x] for x in B.level(0, n)} for n in range(T + 1)}
-    return SMap(sub_trunc(upper, T), sub_trunc(lower, T), levels)
+    return line_map(B, "e", 0, row_sset(B, 0), row_sset(B, -1), lambda n: (0, n))
 
 
 def aug_col_map(B: DSet) -> SMap:
-    upper = col_sset(B, 0)
-    lower = col_sset(B, -1)
-    T = min(upper.trunc, lower.trunc)
-    levels = {n: {x: B.actions["d", 0, (n, 0)][x] for x in B.level(n, 0)} for n in range(T + 1)}
-    return SMap(sub_trunc(upper, T), sub_trunc(lower, T), levels)
+    return line_map(B, "d", 0, col_sset(B, 0), col_sset(B, -1), lambda n: (n, 0))
 
 
 def is_bicomodule_config(B: DSet) -> CheckReport:
@@ -341,33 +338,13 @@ def boors_axioms(A: SigmaSet, half: bool = False) -> CheckReport:
 # The extension from the pointing shape to the abacus shape
 
 
-def _pointing_sections(A: SigmaSet, kind: str):
-    """Invert the pointing's comparison maps, level by level: ``{n: {b:
-    (c, b')}}``, or None when one is not a bijection.
-
-    Along row zero (``kind`` "d") the pullback of the pointing against the
-    top faces down to (0, 0) maps to level (0, n) by d_0, as the
-    local-initial structure has it; along column zero ("e") the pullback
-    against the bottom faces maps to (n, 0) by the top face e_top, as the
-    local-terminal structure has it.
-    """
-    bulk = A.bulk
-    row = kind == "d"
-
-    def at(m):
-        return (0, m) if row else (m, 0)
-
-    out = {}
-    for n in range(bulk.trunc):
-        upper = bulk.level(*at(n + 1))
-        down = [bulk.actions[kind, m if row else 0, at(m)] for m in range(n + 1, 0, -1)]
-        key = bulk.actions[kind, 0 if row else n + 1, at(n + 1)]
-        pairs = pullback_pairs(A.pointing, {b: through(down, b) for b in upper}, A.point_set, upper)
-        if bijection_witnesses("", "", ((p, (key[p[1]],)) for p in pairs),
-                               [(b,) for b in bulk.level(*at(n))]):
-            return None
-        out[n] = {key[b]: (c, b) for c, b in pairs}
-    return out
+def _pointing_sections(P: PointedSSet, side: str) -> dict:
+    """The inverse of ``decalage.pointing_comparison``, level by level:
+    ``{n: {x: (c, b)}}``.  Along row zero (side "bottom") that is the
+    local-initial comparison, along column zero ("top") the local-terminal
+    one; the caller has checked that it is a bijection (``boors_axioms``)."""
+    return {n: {x: pair for pair, x in compare.items()}
+            for n, compare in pointing_comparison(P, side).items()}
 
 
 def _extension_fails(site: str, equation: str, offenders: tuple):
@@ -398,47 +375,36 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
     if TD < 0:
         return None, CheckReport.precondition_failure("extend_sigma_to_d", "trunc too small")
 
-    row0 = _pointing_sections(A, "d")
-    if row0 is None:
-        return _extension_fails("row0", "the pointing pullback of d_0 is not invertible", ())
+    # the axioms passed, so every pointing comparison inverted here is a bijection
+    row0 = _pointing_sections(pointed_row0(A), "bottom")
     srow = {0: {j: {b: inv[b][1] for b in bulk.level(0, j)} for j, inv in row0.items()}}
     for i in range(1, Tb + 1):
         srow[i] = {}
         for j in range(Tb - i):
-            lookup = {
-                (bulk.actions["d", 0, (i, j + 1)][z], bulk.actions["e", 0, (i, j + 1)][z]): z
-                for z in bulk.level(i, j + 1)
-            }
-            table = {}
-            for b in bulk.level(i, j):
-                key = (b, srow[i - 1][j][bulk.actions["e", 0, (i, j)][b]])
-                if key not in lookup:
-                    return _extension_fails(f"srow@({i},{j})", "no lift through (d_0, e_0)", (b,))
-                table[b] = lookup[key]
-            srow[i][j] = table
+            e0 = bulk.actions["e", 0, (i, j)]
+            srow[i][j], misses = lift(
+                bulk.level(i, j + 1), bulk.actions["d", 0, (i, j + 1)],
+                bulk.actions["e", 0, (i, j + 1)],
+                ((b, srow[i - 1][j][e0[b]]) for b in bulk.level(i, j)))
+            if misses:
+                return _extension_fails(f"srow@({i},{j})", "no lift through (d_0, e_0)",
+                                        (misses[0],))
 
     tcol = None
     if not half:
-        col0 = _pointing_sections(A, "e")
-        if col0 is None:
-            return _extension_fails("col0", "the pointing pullback of e_0 is not invertible", ())
+        col0 = _pointing_sections(pointed_col0(A), "top")
         tcol = {0: {i: {b: cb[1] for b, cb in inv.items()} for i, inv in col0.items()}}
         for j in range(1, Tb + 1):
             tcol[j] = {}
             for i in range(Tb - j):
-                lookup = {
-                    (bulk.actions["e", i + 1, (i + 1, j)][z],
-                     bulk.actions["d", j, (i + 1, j)][z]): z
-                    for z in bulk.level(i + 1, j)
-                }
-                table = {}
-                for b in bulk.level(i, j):
-                    key = (b, tcol[j - 1][i][bulk.actions["d", j, (i, j)][b]])
-                    if key not in lookup:
-                        return _extension_fails(f"tcol@({i},{j})", "no lift through (e_top, d_top)",
-                                                (b,))
-                    table[b] = lookup[key]
-                tcol[j][i] = table
+                d_top = bulk.actions["d", j, (i, j)]
+                tcol[j][i], misses = lift(
+                    bulk.level(i + 1, j), bulk.actions["e", i + 1, (i + 1, j)],
+                    bulk.actions["d", j, (i + 1, j)],
+                    ((b, tcol[j - 1][i][d_top[b]]) for b in bulk.level(i, j)))
+                if misses:
+                    return _extension_fails(f"tcol@({i},{j})", "no lift through (e_top, d_top)",
+                                            (misses[0],))
 
     # augmentation column: the pointing set in row zero, row colimits below;
     # augmentation row: column colimits
@@ -762,14 +728,8 @@ def tot_roundtrip_iso(X: TruncSSet, B_ext: DSet) -> dict:
     maps = {}
     for (i, j) in dset_levels(TD):
         if i >= 0 and j >= 0:
-            table = {}
-            for u in B_ext.level(i, j):
-                cur, m = u, i + 1 + j
-                for _ in range(j + 1):
-                    cur = X.face(m, m, cur)
-                    m -= 1
-                table[u] = (cur, u)
-            maps[(i, j)] = table
+            front = X.act_tables(MonotoneMap(i + 1, i + j + 2, tuple(range(i + 1))))
+            maps[(i, j)] = {u: (through(front, u), u) for u in B_ext.level(i, j)}
         elif j == -1 and i == 0:
             maps[(0, -1)] = {c: c for c in B_ext.level(0, -1)}
         elif j == -1:

@@ -286,13 +286,12 @@ class PartialTable:
         return True
 
 
-def partial_monoid_sset(pt: PartialTable, trunc: int, require_associative: bool = True) -> TruncSSet:
-    """Simplices are tuples whose every consecutive window multiplies.
-
-    For associative-where-defined tables this is the standard 2-Segal set
-    of the partial monoid.
+def partial_monoid_sset(pt: PartialTable, trunc: int) -> TruncSSet:
+    """Simplices are tuples whose every consecutive window multiplies: the
+    standard 2-Segal set of the partial monoid.  Raises ``ValueError`` for a
+    table that is not associative where defined.
     """
-    if require_associative and not pt.check_associative_where_defined():
+    if not pt.check_associative_where_defined():
         raise ValueError("partial table is not associative where defined")
 
     def windows(tup):

@@ -6,6 +6,12 @@ the same data as a coalgebra for the lower-decalage comonad.  Rigidity
 (the structure map being cartesian) is what makes a splitting behave
 like a choice of local initial objects, and the pair of functors
 ``h_lower`` / ``h_upper`` exchanges the two descriptions.
+
+The BOORS local-initial (and local-terminal) comparison and Carlier's
+h-counit are one pullback, built once, in ``pointing_comparison``: the
+local checks decide whether it is a bijection, ``h_lower`` takes its
+bottom-side pairs as levels, ``h_counit_map`` is its bottom side, and
+``configurations`` inverts it to start the extension's splittings.
 """
 
 from __future__ import annotations
@@ -28,10 +34,13 @@ from .presheaf import (
     cartesian_on,
     constant_sset,
     delta_actions,
+    lift,
     pullback_pairs,
     sub_trunc,
+    through,
     validate_sset,
 )
+from .simplex import MonotoneMap
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +280,9 @@ def pullback_coalgebra(F: SMap, C_split: dict, name: str = "pullback_coalgebra")
     split = {}
     witnesses = []
     for n in range(T):
-        table = {}
-        want = {}
-        for x in X.level(n):
-            want[x] = (x, C_split[n][F.at(n, x)])
-        lookup = {(X.face(n + 1, 0, z), F.at(n + 1, z)): z for z in X.level(n + 1)}
-        for x, key in want.items():
-            if key not in lookup:
-                witnesses.append(Witness(f"lift@{n}", "no pullback lift", (x,)))
-            else:
-                table[x] = lookup[key]
-        split[n] = table
+        split[n], misses = lift(X.level(n + 1), X.actions["d", 0, n + 1], F.levels[n + 1],
+                                ((x, C_split[n][F.at(n, x)]) for x in X.level(n)))
+        witnesses += [Witness(f"lift@{n}", "no pullback lift", (x,)) for x in misses]
     if witnesses:
         return None, CheckReport.from_witnesses(name, witnesses, T)
     A = BottomSplitSSet(sub_trunc(X, T), split)
@@ -293,9 +294,13 @@ def pullback_coalgebra(F: SMap, C_split: dict, name: str = "pullback_coalgebra")
 # Local initial and terminal objects
 
 
-def _aug_pullback_compare(P: PointedSSet, side: str) -> dict:
-    """Per level n, the comparison composite to X on the pullback of the
-    pointed constant against dec's canonical augmentation."""
+def pointing_comparison(P: PointedSSet, side: str) -> dict:
+    """The pointing's comparison, ``{n: {(c, x): counit(x)}}``: on the
+    pullback of the pointing against dec's canonical augmentation (``side``
+    "bottom": x in X_{n+1} over c by its top faces; "top": by its bottom
+    faces), the counit's face to X_n.  The local-initial (bottom) and
+    local-terminal (top) checks ask that it be a bijection; its bottom
+    side is Carlier's h-counit."""
     X = P.sset
     al = alpha_aug(X, side)
     eps = counit(X, side)
@@ -310,7 +315,7 @@ def _local_report(P: PointedSSet, side: str, name: str) -> CheckReport:
     X = P.sset
     if X.trunc < 1:
         return CheckReport.precondition_failure(name, "trunc too small")
-    compare = _aug_pullback_compare(P, side)
+    compare = pointing_comparison(P, side)
     witnesses = []
     checked = 0
     for n in sorted(compare):
@@ -337,17 +342,15 @@ def is_local_terminal(P: PointedSSet) -> CheckReport:
 def h_lower(P: PointedSSet) -> AugBottomSplitSSet:
     """Pointed set to split-augmented set, by pulling back the shifted set.
 
-    Level n is the pullback of C against X_{n+1} over X_0; the splitting
-    comes from the bottom degeneracies that survive the shift.
+    Level n is the pullback of C against X_{n+1} over X_0, the pairs of
+    the bottom ``pointing_comparison``; the splitting comes from the bottom
+    degeneracies that survive the shift.
     """
     X = P.sset
     if X.trunc < 1:
         raise TruncationError("h_lower needs trunc >= 1")
     T = X.trunc - 1
-    al = alpha_aug(X, "bottom")
-    levels = {}
-    for n in range(T + 1):
-        levels[n] = _sorted_ids(pullback_pairs(P.pointing, al.levels[n], P.point_set, X.level(n + 1)))
+    levels = {n: _sorted_ids(pairs) for n, pairs in pointing_comparison(P, "bottom").items()}
     actions = {}
     for kind, k, n in delta_actions(T):
         table = X.actions[kind, k + 1, n + 1]
@@ -367,14 +370,11 @@ def h_upper(A: AugBottomSplitSSet) -> PointedSSet:
 
 
 def h_counit_map(P: PointedSSet) -> SMap:
-    """The comparison from the underlying set of h_lower(P) back to P's set."""
+    """The comparison from the underlying set of h_lower(P) back to P's set:
+    the bottom ``pointing_comparison`` itself, so it is a bijection exactly
+    when P is local initial."""
     A = h_lower(P)
-    X = P.sset
-    levels = {
-        n: {(c, x): X.face(n + 1, 0, x) for (c, x) in A.sset.level(n)}
-        for n in range(A.sset.trunc + 1)
-    }
-    return SMap(A.sset, sub_trunc(X, A.sset.trunc), levels)
+    return SMap(A.sset, sub_trunc(P.sset, A.sset.trunc), pointing_comparison(P, "bottom"))
 
 
 def h_unit_report(A: AugBottomSplitSSet, name: str = "h_unit") -> CheckReport:
@@ -387,13 +387,10 @@ def h_unit_report(A: AugBottomSplitSSet, name: str = "h_unit") -> CheckReport:
     for n in range(B.sset.trunc + 1):
         inside = set(B.sset.level(n))
         images = []
+        vertex0 = X.act_tables(MonotoneMap(1, n + 1, (0,)))
         for x in X.level(n):
             checked += 1
-            y, m = x, n
-            while m > 0:
-                y = X.face(m, m, y)
-                m -= 1
-            target = (A.aug[y], A.split[n][x])
+            target = (A.aug[through(vertex0, x)], A.split[n][x])
             if target in inside:
                 images.append((x, (target,)))
             else:

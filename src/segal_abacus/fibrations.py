@@ -15,7 +15,6 @@ from .presheaf import (
     SMap,
     Square,
     TruncSSet,
-    action_target,
     cartesian_on,
     col_sset,
     is_pullback,
@@ -167,19 +166,22 @@ def vertical_active_row_maps(B):
     rows = sorted({i for (i, j) in _bulk_levels(B)})
     out = []
     for i in rows:
-        if i >= 1 and i in rows and (i - 1) in rows:
-            for k in range(1, i):
-                out.append((f"e{k}:row{i}->row{i-1}", _row_op_map(B, i, "e", k)))
+        row = row_sset(B, i)
+        if i >= 1 and (i - 1) in rows:
+            below = row_sset(B, i - 1)
+            out += [(f"e{k}:row{i}->row{i-1}", line_map(B, "e", k, row, below, lambda n: (i, n)))
+                    for k in range(1, i)]
         if (i + 1) in rows:
-            for k in range(i + 1):
-                out.append((f"t{k}:row{i}->row{i+1}", _row_op_map(B, i, "t", k)))
+            above = row_sset(B, i + 1)
+            out += [(f"t{k}:row{i}->row{i+1}", line_map(B, "t", k, row, above, lambda n: (i, n)))
+                    for k in range(i + 1)]
     return out
 
 
-def _row_op_map(B, i, kind, k) -> SMap:
-    """The vertical generator ``kind`` k as a map from row i to the row it lands in."""
-    src = row_sset(B, i)
-    tgt = row_sset(B, action_target(kind, (i, 0))[0])
-    T = min(src.trunc, tgt.trunc)
-    levels = {n: {x: B.actions[kind, k, (i, n)][x] for x in src.level(n)} for n in range(T + 1)}
-    return SMap(sub_trunc(src, T), sub_trunc(tgt, T), levels)
+def line_map(B, kind: str, k, source: TruncSSet, target: TruncSSet, at) -> SMap:
+    """B's generator ``kind`` k as a simplicial map from ``source`` to
+    ``target``, rows or columns of B (or their decalages), up to the lesser
+    truncation; ``at(n)`` is the level of B holding the source's level n."""
+    T = min(source.trunc, target.trunc)
+    levels = {n: {x: B.actions[kind, k, at(n)][x] for x in source.level(n)} for n in range(T + 1)}
+    return SMap(sub_trunc(source, T), sub_trunc(target, T), levels)

@@ -38,12 +38,15 @@ So a level re-indexed from an already sorted one (``dec``, ``row_sset``,
 ``sub_trunc``, ``r_star``) is neither formatted nor sorted again.
 
 A pullback is enumerated in one place, ``pullback_pairs`` (a hash join),
-and whether a map is a bijection onto a set is decided in one place,
-``bijection_witnesses``.  Every pullback the library builds (the levels
-of ``q_lower_star``, ``h_lower`` and the relative upper 2-Segal check,
-the pointing pullbacks, nerve chains and composable pairs) and every
-pullback, unit, pointing, invertibility or isomorphism check goes through
-these two.  Checks decide first and explain only on failure:
+an element is lifted through a pair of maps in one place, ``lift`` (the
+splittings that ``configurations.extend_sigma_to_d`` propagates and
+``decalage.pullback_coalgebra`` pulls back), and whether a map is a
+bijection onto a set is decided in one place, ``bijection_witnesses``.
+Every pullback the library builds (the levels of ``q_lower_star`` and the
+relative upper 2-Segal check, ``decalage.pointing_comparison``, nerve
+chains and composable pairs) and every pullback, unit, pointing,
+invertibility or isomorphism check goes through ``pullback_pairs`` and
+``bijection_witnesses``.  Checks decide first and explain only on failure:
 ``is_pullback`` reads each of a square's four tables once over a whole
 level and compares two image lists, building "does not commute"
 witnesses only from the positions that differ, and
@@ -373,6 +376,22 @@ def pullback_pairs(f: dict, g: dict, a_elems, b_elems) -> list:
     for b in b_elems:
         over.setdefault(g[b], []).append(b)
     return [(a, b) for a in a_elems for b in over.get(f[a], ())]
+
+
+def lift(upper, first, second, wants) -> tuple:
+    """Lift through the pair of maps ``first`` and ``second`` out of
+    ``upper``: for each ``(b, w)`` of ``wants``, the z of ``upper`` with
+    ``first[z] == b`` and ``second[z] == w`` (of several, the last in
+    ``upper``).  Returns the lifts ``{b: z}`` and the list of the bs that
+    have none, both in ``wants`` order."""
+    over = {(first[z], second[z]): z for z in upper}
+    lifts, misses = {}, []
+    for want in wants:
+        if want in over:
+            lifts[want[0]] = over[want]
+        else:
+            misses.append(want[0])
+    return lifts, misses
 
 
 def bijection_witnesses(site: str, noun: str, pairs, want) -> list:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from segal_abacus.abacus import generators_into
 from segal_abacus.configurations import (
+    _pointing_sections,
     abacus_row_map,
     boors_axioms,
     boors_roundtrip,
@@ -53,16 +54,21 @@ from segal_abacus.decalage import (
     h_lower,
     h_unit_report,
     h_upper,
+    h_counit_map,
     is_local_initial,
     is_local_terminal,
+    pointing_comparison,
 )
 from segal_abacus.presheaf import (
+    BiSSet,
     CheckReport,
     DSet,
     SMap,
+    SigmaSet,
     TruncSSet,
     _sorted_ids,
     action_target,
+    bijection_witnesses,
     col_sset,
     constant_sset,
     dset_levels,
@@ -484,6 +490,44 @@ def _reference_local_report(P, side, name):
     return CheckReport.from_witnesses(name, witnesses, checked)
 
 
+def _reference_aug_pullback_compare(P, side):
+    """``pointing_comparison`` as it was first written: per level n, the
+    comparison composite to X on the pullback of the pointed constant
+    against dec's canonical augmentation."""
+    X = P.sset
+    al = alpha_aug(X, side)
+    eps = counit(X, side)
+    return {
+        n: {(c, x): eps.at(n, x)
+            for c, x in pullback_pairs(P.pointing, al.levels[n], P.point_set, al.source.level(n))}
+        for n in range(al.source.trunc + 1)
+    }
+
+
+def _reference_pointing_sections(A, kind):
+    """The extension's inverted pointing comparisons before
+    ``pointing_comparison``, read off the bulk of the pointed bisimplicial
+    set A: ``{n: {b: (c, b')}}`` along row zero (``kind`` "d") or column
+    zero ("e"), or None when one is not a bijection."""
+    bulk = A.bulk
+    row = kind == "d"
+
+    def at(m):
+        return (0, m) if row else (m, 0)
+
+    out = {}
+    for n in range(bulk.trunc):
+        upper = bulk.level(*at(n + 1))
+        down = [bulk.actions[kind, m if row else 0, at(m)] for m in range(n + 1, 0, -1)]
+        key = bulk.actions[kind, 0 if row else n + 1, at(n + 1)]
+        pairs = pullback_pairs(A.pointing, {b: through(down, b) for b in upper}, A.point_set, upper)
+        if bijection_witnesses("", "", ((p, (key[p[1]],)) for p in pairs),
+                               [(b,) for b in bulk.level(*at(n))]):
+            return None
+        out[n] = {key[b]: (c, b) for c, b in pairs}
+    return out
+
+
 def _reference_h_unit_report(A, name="h_unit"):
     B = h_lower(h_upper(A))
     X = A.sset
@@ -597,21 +641,32 @@ def _mutated_kan_extensions(draw):
 
 
 @st.composite
-def _mutated_pointings(draw):
-    """Row zero or column zero of a Kan extension's pointing restriction,
-    with its pointing and its point set mutated."""
-    pointed = draw(st.sampled_from([pointed_row0, pointed_col0]))
-    P = pointed(j_upper_star(draw(st.sampled_from(_kan_extensions()))))
-    level0 = P.sset.level(0)
+def _mutated_sigmasets(draw):
+    """A Kan extension's pointing restriction with its pointing and its
+    point set mutated."""
+    A = j_upper_star(draw(st.sampled_from(_kan_extensions())))
+    level0 = A.bulk.level(0, 0)
     extra = [f"extra{k}" for k in range(draw(st.integers(0, 1)))]
-    pointing = {**P.pointing, **{c: draw(st.sampled_from(level0)) for c in extra}}
-    for c in draw(st.lists(st.sampled_from(P.point_set), max_size=2)):
+    pointing = {**A.pointing, **{c: draw(st.sampled_from(level0)) for c in extra}}
+    for c in draw(st.lists(st.sampled_from(A.point_set), max_size=2)):
         pointing[c] = draw(st.sampled_from(level0))
-    return PointedSSet(P.sset, P.point_set + tuple(extra), pointing)
+    return SigmaSet(A.bulk, A.point_set + tuple(extra), pointing)
+
+
+@st.composite
+def _mutated_pointings(draw):
+    """Row zero or column zero of a mutated pointing restriction."""
+    pointed = draw(st.sampled_from([pointed_row0, pointed_col0]))
+    return pointed(draw(_mutated_sigmasets()))
 
 
 def _same_report(got, ref):
     assert (got.verdict, got.checked, got.witnesses) == (ref.verdict, ref.checked, ref.witnesses)
+
+
+def _ordered(levels):
+    """Nested level tables as lists, so that equality also compares order."""
+    return [(n, list(table.items())) for n, table in levels.items()]
 
 
 @settings(max_examples=60, deadline=None)
@@ -636,3 +691,30 @@ def test_local_pointings_and_h_unit_match_references(P, data):
     aug = _redirect(data.draw, {0: A.aug}, lambda _: A.aug_level, 1)[0]
     A = AugBottomSplitSSet(A.sset, split, A.aug_level, aug, A.aug_split)
     _same_report(h_unit_report(A), _reference_h_unit_report(A))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mutated_sigmasets(), st.data())
+def test_pointing_comparison_and_sections_match_references(A, data):
+    """One comparison backs the local checks, ``h_lower``, ``h_counit_map``
+    and the extension's first splittings; on mutated pointings and faces it
+    equals the pullback each of them used to build, and its inverse equals
+    the old sections exactly where the local check passes."""
+    # the faces along row zero and column zero, which the comparisons read
+    faces = {key: table for key, table in A.bulk.actions.items()
+             if key[0] == "d" and key[2][0] == 0 or key[0] == "e" and key[2][1] == 0}
+    faces = _redirect(data.draw, faces, lambda key: A.bulk.level(*action_target(key[0], key[2])), 2)
+    A = SigmaSet(BiSSet(A.bulk.trunc, A.bulk.levels, {**A.bulk.actions, **faces}),
+                 A.point_set, A.pointing)
+    for pointed, side, kind, local in ((pointed_row0, "bottom", "d", is_local_initial),
+                                       (pointed_col0, "top", "e", is_local_terminal)):
+        P = pointed(A)
+        compare = pointing_comparison(P, side)
+        assert _ordered(compare) == _ordered(_reference_aug_pullback_compare(P, side))
+        ref = _reference_pointing_sections(A, kind)
+        assert (ref is not None) == local(P).passed
+        if ref is not None:
+            assert _ordered(_pointing_sections(P, side)) == _ordered(ref)
+        if side == "bottom":
+            assert h_lower(P).sset.levels == {n: _sorted_ids(pairs) for n, pairs in compare.items()}
+            assert h_counit_map(P).levels == compare

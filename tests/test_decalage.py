@@ -1,14 +1,22 @@
 import copy
+import random
+from functools import cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segal_abacus.corpus import (
     chain_poset,
     diamond_poset,
+    downset_inclusion,
     nerve,
     poset_cat,
+    random_poset_corpus,
     two_segal_partial_monoid,
     upset_inclusion,
 )
 from segal_abacus.decalage import (
+    AugBottomSplitSSet,
     BottomSplitSSet,
     PointedSSet,
     alpha_aug,
@@ -33,7 +41,15 @@ from segal_abacus.fibrations import (
     is_left_fibration,
     is_right_fibration,
 )
-from segal_abacus.presheaf import TruncSSet, constant_sset, sub_trunc, validate
+from segal_abacus.presheaf import (
+    CheckReport,
+    TruncSSet,
+    Witness,
+    constant_sset,
+    identity_smap,
+    sub_trunc,
+    validate,
+)
 
 
 def vee_poset():
@@ -332,3 +348,125 @@ def test_right_fibration_cartesian_on_splittings():
             {z: G.at(n + 1, z) for z in src.sset.level(n + 1)}, tgt_split[n],
         )
         assert is_pullback(sq).passed
+
+
+def _reference_pullback_coalgebra(F, C_split, name="pullback_coalgebra"):
+    """``pullback_coalgebra`` with its lookup loop, before ``lift``."""
+    if not is_right_fibration(F).passed:
+        return None, CheckReport.precondition_failure(name, "map is not a right fibration")
+    X, Y = F.source, F.target
+    T = min(X.trunc, Y.trunc)
+    split = {}
+    witnesses = []
+    for n in range(T):
+        table = {}
+        want = {}
+        for x in X.level(n):
+            want[x] = (x, C_split[n][F.at(n, x)])
+        lookup = {(X.face(n + 1, 0, z), F.at(n + 1, z)): z for z in X.level(n + 1)}
+        for x, key in want.items():
+            if key not in lookup:
+                witnesses.append(Witness(f"lift@{n}", "no pullback lift", (x,)))
+            else:
+                table[x] = lookup[key]
+        split[n] = table
+    if witnesses:
+        return None, CheckReport.from_witnesses(name, witnesses, T)
+    A = BottomSplitSSet(sub_trunc(X, T), split)
+    return A, validate_coalgebra(A, name)
+
+
+@cache
+def _maps_into_chain2():
+    """Maps into the nerve of [2] at truncation 3: three right fibrations
+    and an upset inclusion, which is not one."""
+    c2 = chain_poset(2)
+    return (identity_smap(nerve(c2, 3)), downset_inclusion(c2, 1, 3),
+            downset_inclusion(c2, 2, 3), upset_inclusion(c2, 1, 3))
+
+
+@st.composite
+def _split_targets(draw):
+    """A map into the nerve of [2] and its bottom splitting with up to two
+    entries redirected, so that some lifts go missing."""
+    F = draw(st.sampled_from(_maps_into_chain2()))
+    split = canonical_split_for_nerve(F.target)
+    for _ in range(draw(st.integers(0, 2))):
+        n = draw(st.sampled_from(sorted(split)))
+        y = draw(st.sampled_from(sorted(split[n], key=str)))
+        split[n] = {**split[n], y: draw(st.sampled_from(F.target.level(n + 1)))}
+    return F, split
+
+
+@settings(max_examples=40, deadline=None)
+@given(_split_targets())
+def test_pullback_coalgebra_matches_reference(case):
+    (A, rep), (ref_A, ref) = pullback_coalgebra(*case), _reference_pullback_coalgebra(*case)
+    assert (rep.verdict, rep.checked, rep.witnesses, rep.precondition) == (
+        ref.verdict, ref.checked, ref.witnesses, ref.precondition)
+    assert (A is None) == (ref_A is None)
+    if A is not None:
+        assert A.sset.levels == ref_A.sset.levels
+        assert [list(t.items()) for t in A.split.values()] == [
+            list(t.items()) for t in ref_A.split.values()]
+
+
+def _random_pointings():
+    """One or two points sent to random vertices of the nerves of random
+    posets at truncation 3, from a fixed seed."""
+    rng = random.Random(0)
+    for seed in range(20):
+        [(_, X)] = random_poset_corpus(1, 4, seed, 3)
+        for _ in range(3):
+            points = [f"c{k}" for k in range(rng.randint(1, 2))]
+            yield PointedSSet(X, points, {c: rng.choice(X.level(0)) for c in points})
+
+
+def test_h_counit_bijective_iff_local_initial():
+    outcomes = set()
+    for P in _random_pointings():
+        cm = h_counit_map(P)
+        assert validate(cm).passed
+        bijective = all(
+            sorted(map(str, cm.levels[n].values())) == sorted(map(str, cm.target.level(n)))
+            for n in cm.levels)
+        local = is_local_initial(P).holds
+        assert bijective == local
+        outcomes.add(local)
+    assert outcomes == {True, False}
+
+
+def _augmented_nonrigid():
+    """``nonrigid_split_fixture`` augmented over one point."""
+    BS = nonrigid_split_fixture()
+    return AugBottomSplitSSet(BS.sset, BS.split, ("*",), {"b": "*"}, {"*": "b"})
+
+
+def _disjoint_union(A, B):
+    """The coproduct of two augmented bottom-split sets of one truncation,
+    each element tagged by the index of its summand."""
+    def tagged(get):
+        return {(t, x): (t, y) for t, S in enumerate((A, B)) for x, y in get(S).items()}
+
+    T = A.sset.trunc
+    levels = {n: [(t, x) for t, S in enumerate((A, B)) for x in S.sset.level(n)]
+              for n in range(T + 1)}
+    actions = {key: tagged(lambda S: S.sset.actions[key]) for key in A.sset.actions}
+    split = {n: tagged(lambda S: S.split[n]) for n in A.split}
+    return AugBottomSplitSSet(TruncSSet(T, levels, actions), split,
+                              [(t, c) for t, S in enumerate((A, B)) for c in S.aug_level],
+                              tagged(lambda S: S.aug), tagged(lambda S: S.aug_split))
+
+
+def test_h_unit_holds_iff_rigid():
+    """On the split structures of random pointings, alone (rigid) and beside
+    the non-rigid fixture (not rigid)."""
+    nonrigid = _augmented_nonrigid()
+    outcomes = set()
+    for P in _random_pointings():
+        for A in (h_lower(P), _disjoint_union(h_lower(P), nonrigid)):
+            assert validate_coalgebra(A).passed
+            rigid = is_rigid(A).holds
+            assert h_unit_report(A).holds == rigid
+            outcomes.add(rigid)
+    assert outcomes == {True, False}

@@ -17,7 +17,8 @@ SRC = TESTS.parent / "src" / "segal_abacus"
 # Names kept without a use in the library, each with its reason.
 KEEP = {
     "comult": "builds the mutation fixtures of acceptance criterion 10",
-    "h_counit_map": "with h_lower/h_upper, the counit of the h-comparison; not yet a suite entry",
+    "h_counit_map": "Carlier's h-counit, the bottom pointing_comparison as a map out of "
+                    "h_lower(P); not yet a suite entry",
     "h_unit_report": "with h_lower/h_upper, the unit of the h-comparison; not yet a suite entry",
     "pullback_coalgebra": "bottom splittings pull back along right fibrations; not yet a suite entry",
     "bead_identity": "the benchmark's reference word evaluator starts from it",

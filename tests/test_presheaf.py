@@ -35,6 +35,7 @@ from segal_abacus.presheaf import (
     fmt_id,
     identity_smap,
     is_pullback,
+    lift,
     pullback_pairs,
     sub_trunc,
     through,
@@ -334,6 +335,58 @@ def test_pullbacks_match_brute_force(sq):
     assert pullback_pairs(sq.a_to_c, sq.b_to_c, sq.a_elems, sq.b_elems) == want
     assert pullback_pairs(sq.a_to_c, sq.b_to_c, sq.a_elems[::-1], sq.b_elems[::-1]) == [
         (a, b) for a in sq.a_elems[::-1] for b in sq.b_elems[::-1] if sq.a_to_c[a] == sq.b_to_c[b]]
+
+
+def _first_miss_loop(upper, first, second, wants):
+    """The lookup loop the extension's row and column splittings ran before
+    ``lift``: the lifts up to the first b without one, and that b (None
+    when every b lifts)."""
+    lookup = {(first[z], second[z]): z for z in upper}
+    table = {}
+    for b, w in wants:
+        key = (b, w)
+        if key not in lookup:
+            return table, b
+        table[b] = lookup[key]
+    return table, None
+
+
+def _every_miss_loop(upper, first, second, wants):
+    """The lookup loop ``pullback_coalgebra`` ran before ``lift``: every
+    lift, and every b without one."""
+    lookup = {(first[z], second[z]): z for z in upper}
+    table, misses = {}, []
+    for b, w in wants:
+        if (b, w) not in lookup:
+            misses.append(b)
+        else:
+            table[b] = lookup[b, w]
+    return table, misses
+
+
+@st.composite
+def _lift_tables(draw):
+    """Maps ``first`` and ``second`` out of a drawn level into small sets,
+    and wants ``(b, w)`` with distinct bs, many of them without a lift."""
+    upper = tuple(f"z{k}" for k in range(draw(st.integers(0, 6))))
+    bs, ws = ("b0", "b1", "b2", "b3"), ("w0", "w1", "w2")
+    first = {z: draw(st.sampled_from(bs)) for z in upper}
+    second = {z: draw(st.sampled_from(ws)) for z in upper}
+    wanted = draw(st.permutations(bs))[:draw(st.integers(0, 4))]
+    wants = [(b, draw(st.sampled_from(ws))) for b in wanted]
+    return upper, first, second, wants
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lift_tables())
+def test_lift_matches_the_lookup_loops(case):
+    lifts, misses = lift(*case)
+    ref_lifts, ref_misses = _every_miss_loop(*case)
+    assert (list(lifts.items()), misses) == (list(ref_lifts.items()), ref_misses)
+    # the extension stops at the first miss, with the lifts before it
+    table, miss = _first_miss_loop(*case)
+    assert miss == (misses[0] if misses else None)
+    assert list(table.items()) == list(lifts.items())[:len(table)]
 
 
 def _walk_bijection_witnesses(site, noun, pairs, want):

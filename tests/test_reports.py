@@ -64,7 +64,8 @@ def test_star_suite_at_trunc_1_is_vacuous_not_passed():
 def test_broken_extension_fails_boors_suite(monkeypatch):
     # on 2-Segal inputs the extension must exist: a splitting that cannot be
     # built is a refutation, never an undecided row
-    monkeypatch.setattr(configurations, "_pointing_sections", lambda A, kind: None)
+    monkeypatch.setattr(configurations, "lift",
+                        lambda upper, first, second, wants: ({}, [b for b, _ in wants]))
     suite = boors_suite(trunc=3)
     assert suite["verdict"] == "fail"
     ext = _entries(suite)["boors:extension_valid"]
