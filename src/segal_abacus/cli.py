@@ -286,7 +286,7 @@ def _construct(args) -> int:
     elif op == "boors-tot":
         out = cfg.p_star_tot(P)
     elif op == "extend":
-        out, rep = cfg.extend_sigma_to_d(P, half=args.half)
+        out, rep, _ = cfg.extend_sigma_to_d(P, half=args.half)
         if out is None:
             _emit(rep.to_dict(), args.format)
             return rep.exit_code()

@@ -310,12 +310,8 @@ def boors_axioms(A: SigmaSet, half: bool = False) -> CheckReport:
     the zeroth row.
     """
     if half:
-        rows = sorted({i for (i, j) in A.bulk.levels})
-        segal_rows = [
-            is_segal(row_sset(A.bulk, i), f"row{i}")
-            for i in rows
-            if row_sset(A.bulk, i).trunc >= 2
-        ]
+        rows = {i: row_sset(A.bulk, i) for i in sorted({i for (i, j) in A.bulk.levels})}
+        segal_rows = [is_segal(row, f"row{i}") for i, row in rows.items() if row.trunc >= 2]
         parts = [
             stability(A.bulk, "upper", "half:upper-stability"),
             CheckReport.conjunction("half:segal-rows", segal_rows),
@@ -347,9 +343,8 @@ def _pointing_sections(P: PointedSSet, side: str) -> dict:
             for n, compare in pointing_comparison(P, side).items()}
 
 
-def _extension_fails(site: str, equation: str, offenders: tuple):
-    return None, CheckReport.from_witnesses(
-        "extend_sigma_to_d", [Witness(site, equation, offenders)], 1)
+def _extension_fails(site: str, equation: str, offenders: tuple) -> CheckReport:
+    return CheckReport.from_witnesses("extend_sigma_to_d", [Witness(site, equation, offenders)], 1)
 
 
 def extend_sigma_to_d(A: SigmaSet, half: bool = False):
@@ -358,22 +353,25 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
     Splittings propagate down the rows by upper stability; row-wise
     colimits build the augmentation column; column-wise colimits build
     the augmentation row (skipped for ``half=True``, which targets the
-    shape without the augmentation row).  Returns (DSet, CheckReport).
-    A precondition report means the input fails the pointing axioms or is
-    too shallow; a splitting that cannot be built from an input meeting
-    the axioms refutes the construction, so that report fails with a
-    witness.
+    shape without the augmentation row).  Returns ``(B, report, axioms)``:
+    the DSet (None when it cannot be built), its report, and the
+    ``boors_axioms(A, half=half)`` report decided as the gate, so a caller
+    that reports the axioms does not decide them again.  A precondition
+    report means the input fails the pointing axioms or is too shallow; a
+    splitting that cannot be built from an input meeting the axioms
+    refutes the construction, so that report fails with a witness.
     """
     axioms = boors_axioms(A, half=half)
     if not axioms.passed:
         return None, CheckReport.precondition_failure(
             "extend_sigma_to_d", "pointing axioms fail"
-        )
+        ), axioms
     bulk = A.bulk
     Tb = bulk.trunc
     TD = Tb - 1
     if TD < 0:
-        return None, CheckReport.precondition_failure("extend_sigma_to_d", "trunc too small")
+        return None, CheckReport.precondition_failure(
+            "extend_sigma_to_d", "trunc too small"), axioms
 
     # the axioms passed, so every pointing comparison inverted here is a bijection
     row0 = _pointing_sections(pointed_row0(A), "bottom")
@@ -387,8 +385,8 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
                 bulk.actions["e", 0, (i, j + 1)],
                 ((b, srow[i - 1][j][e0[b]]) for b in bulk.level(i, j)))
             if misses:
-                return _extension_fails(f"srow@({i},{j})", "no lift through (d_0, e_0)",
-                                        (misses[0],))
+                return None, _extension_fails(f"srow@({i},{j})", "no lift through (d_0, e_0)",
+                                              (misses[0],)), axioms
 
     tcol = None
     if not half:
@@ -403,8 +401,8 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
                     bulk.actions["d", j, (i + 1, j)],
                     ((b, tcol[j - 1][i][d_top[b]]) for b in bulk.level(i, j)))
                 if misses:
-                    return _extension_fails(f"tcol@({i},{j})", "no lift through (e_top, d_top)",
-                                            (misses[0],))
+                    return None, _extension_fails(
+                        f"tcol@({i},{j})", "no lift through (e_top, d_top)", (misses[0],)), axioms
 
     # augmentation column: the pointing set in row zero, row colimits below;
     # augmentation row: column colimits
@@ -484,8 +482,7 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
             }
 
     B = DSet(TD, levels, actions, t_split=t_split)
-    rep = validate(B, "extension")
-    return B, rep
+    return B, validate(B, "extension"), axioms
 
 
 def ts_compat(B: DSet) -> CheckReport:
@@ -618,15 +615,15 @@ def extract_from_M(M: TruncSSet, proj: SMap) -> dict:
     return {lvl: _sorted_ids(xs) for lvl, xs in out_levels.items()}
 
 
-def m_2segal_dictionary(F: SMap) -> CheckReport:
+def m_2segal_dictionary(conds: dict, B: DSet) -> CheckReport:
     """Both sides of the correspondence computed independently must agree:
     the packaged total space is 2-Segal exactly when source and target are
-    2-Segal and the map is relatively upper 2-Segal.  Vacuous when either
-    side is undecided (vacuous or a failed precondition) under the
-    truncation."""
+    2-Segal and the map is relatively upper 2-Segal.  ``conds`` is
+    ``dictionary_conditions(F)`` and ``B`` is ``q_lower_star(F)`` of one map
+    F, as the caller already holds them.  Vacuous when either side is
+    undecided (vacuous or a failed precondition) under the truncation."""
     name = "m_2segal_dictionary"
-    conds = dictionary_conditions(F).values()
-    B = q_lower_star(F)
+    conds = conds.values()
     M, proj = build_M(B)
     rhs_rep = is_2segal(M, "both", "m-total-2segal")
     holds = [r.holds for r in conds]
@@ -698,23 +695,17 @@ def sigmaset_equal(A1: SigmaSet, A2: SigmaSet) -> bool:
     return True
 
 
-def collapse_aug_row(B: DSet, point="*") -> DSet:
+def collapse_aug_row(B: DSet) -> DSet:
     """A validated abacus presheaf failing the cartesian-abacus condition:
-    the augmentation row is collapsed to a point."""
-    levels = {lvl: (point,) if lvl[0] == -1 else xs for lvl, xs in B.levels.items()}
+    the augmentation row is collapsed to the point ``"*"``."""
+    levels = {lvl: ("*",) if lvl[0] == -1 else xs for lvl, xs in B.levels.items()}
     # every action landing in the augmentation row becomes constant
     actions = {
-        (kind, k, lvl): {x: point for x in levels[lvl]}
+        (kind, k, lvl): {x: "*" for x in levels[lvl]}
         if action_target(kind, lvl)[0] == -1 else table
         for (kind, k, lvl), table in B.actions.items()
     }
     return DSet(B.trunc, levels, actions)
-
-
-def drop_aug_row(B: DSet) -> DSet:
-    """The restriction away from the augmentation row."""
-    levels = {lv: xs for lv, xs in B.levels.items() if lv[0] >= 0}
-    return _restrict_dset(B, B.trunc, levels)
 
 
 def tot_roundtrip_iso(X: TruncSSet, B_ext: DSet) -> dict:
@@ -742,18 +733,18 @@ def tot_roundtrip_iso(X: TruncSSet, B_ext: DSet) -> dict:
 def boors_roundtrip(X: TruncSSet) -> dict:
     """The full equivalence round trip on a single simplicial set.
 
-    Returns named CheckReports: axioms of the pointed total decalage,
-    validity of the extension, invertibility, splitting compatibility,
-    exact recovery under the pointing restriction, and the canonical
-    isomorphism with the Kan extension of the identity.
+    Returns named CheckReports: axioms of the pointed total decalage (the
+    extension's own gate), validity of the extension, invertibility,
+    splitting compatibility, exact recovery under the pointing
+    restriction, and the canonical isomorphism with the Kan extension of
+    the identity, built at the extension's depth ``B.trunc`` (X's
+    truncation less two), where it is compared.
     """
     from .presheaf import identity_smap
 
-    out = {}
     A = p_star_tot(X)
-    out["axioms"] = boors_axioms(A)
-    B, rep = extend_sigma_to_d(A)
-    out["extension_valid"] = rep
+    B, rep, axioms = extend_sigma_to_d(A)
+    out = {"axioms": axioms, "extension_valid": rep}
     if B is None:
         return out
     out["invertible_abacus"] = has_invertible_abacus(B)
@@ -763,7 +754,7 @@ def boors_roundtrip(X: TruncSSet) -> dict:
     out["pointing_restriction"] = CheckReport.from_witnesses(
         "pointing_restriction",
         [] if recovered else [Witness("j*", "restriction differs from input", ())], 1)
-    Q = sub_trunc_dset(q_lower_star(identity_smap(X)), B.trunc)
+    Q = q_lower_star(identity_smap(sub_trunc(X, B.trunc)))
     out["iso_with_kan"] = dset_iso_report(B, Q, tot_roundtrip_iso(X, B), "iso_with_kan")
     return out
 
@@ -773,35 +764,29 @@ def half_roundtrip(F: SMap) -> dict:
 
     The pointed restriction of its Kan extension satisfies the horizontal
     half of the axioms; extending without the augmentation row must land
-    back on the Kan extension away from that row.
+    back on the Kan extension away from that row.  The half axioms are the
+    extension's own gate; the full axioms are decided once, beside it.
     """
-    out = {}
     B = q_lower_star(F)
     A = j_upper_star(B)
-    out["half_axioms"] = boors_axioms(A, half=True)
-    out["full_axioms"] = boors_axioms(A)
-    Bh, rep = extend_sigma_to_d(A, half=True)
-    out["extension_valid"] = rep
+    Bh, rep, half_axioms = extend_sigma_to_d(A, half=True)
+    out = {"half_axioms": half_axioms, "full_axioms": boors_axioms(A), "extension_valid": rep}
     if Bh is None:
         return out
     recovered = sigmaset_equal(j_upper_star(Bh), A)
     out["pointing_restriction"] = CheckReport.from_witnesses(
         "pointing_restriction",
         [] if recovered else [Witness("restrict", "restriction differs from input", ())], 1)
-    Q = drop_aug_row(sub_trunc_dset(B, Bh.trunc))
+    kept = dset_levels(Bh.trunc, with_aug_row=False)
+    Q = _restrict_dset(B, Bh.trunc, {lvl: B.levels[lvl] for lvl in kept})
     maps = {}
-    for (i, j) in dset_levels(Bh.trunc, with_aug_row=False):
+    for (i, j) in kept:
         if j >= 0 or i == 0:
             maps[(i, j)] = {x: x for x in Bh.level(i, j)}
         else:
             maps[(i, -1)] = {z: B.actions["d", 0, (i, 0)][z] for z in Bh.level(i, -1)}
     out["iso_with_kan"] = dset_iso_report(Bh, Q, maps, "iso_with_kan")
     return out
-
-
-def sub_trunc_dset(B: DSet, T: int) -> DSet:
-    keep = set(dset_levels(T, with_aug_row=B.has_aug_row()))
-    return _restrict_dset(B, T, {lv: xs for lv, xs in B.levels.items() if lv in keep})
 
 
 def _restrict_dset(B: DSet, T: int, levels: dict) -> DSet:

@@ -98,14 +98,9 @@ def alpha_aug(X: TruncSSet, side: str = "bottom") -> SMap:
     C = constant_sset(X.level(0), D.trunc)
     levels = {}
     for n in range(D.trunc + 1):
-        table = {}
-        for x in D.level(n):
-            y, m = x, n + 1
-            while m > 0:
-                y = X.face(m, m if side == "bottom" else 0, y)
-                m -= 1
-            table[x] = y
-        levels[n] = table
+        # d_m out of level m, m = n + 1 ... 1, on the bottom side; d_0 on the top
+        faces = [X.actions["d", m if side == "bottom" else 0, m] for m in range(n + 1, 0, -1)]
+        levels[n] = {x: through(faces, x) for x in D.level(n)}
     return SMap(D, C, levels)
 
 

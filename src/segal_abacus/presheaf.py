@@ -473,8 +473,6 @@ OPERATOR_CLASSES = {
     "all": lambda kind, k, n: True,
     "d_bot": lambda kind, k, n: kind == "d" and k == 0,
     "d_top": lambda kind, k, n: kind == "d" and k == n,
-    "inner_faces": lambda kind, k, n: kind == "d" and 0 < k < n,
-    "degeneracies": lambda kind, k, n: kind == "s",
     "active": lambda kind, k, n: kind == "s" or 0 < k < n,
 }
 
@@ -506,29 +504,30 @@ def cartesian_on(F: SMap, cls: str, name: str | None = None) -> CheckReport:
 def colimit0(X: TruncSSet):
     """Coequalize d_0, d_1 : X_1 => X_0; returns (classes, augmentation).
 
-    Classes are named by their minimal representative.
+    Each class is named by its first member in canonical order, the order
+    of ``X.level(0)``: union by position keeps the least position as the
+    root.  The classes are those names in level order.
     """
     if X.trunc < 1:
         raise TruncationError("colimit0 needs at least one level above zero")
-    parent = {x: x for x in X.level(0)}
+    level = X.level(0)
+    pos = {x: p for p, x in enumerate(level)}
+    parent = list(range(len(level)))
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
 
+    d0, d1 = X.actions["d", 0, 1], X.actions["d", 1, 1]
     for e in X.level(1):
-        a, b = find(X.face(1, 0, e)), find(X.face(1, 1, e))
+        a, b = find(pos[d0[e]]), find(pos[d1[e]])
         if a != b:
-            lo, hi = sorted((a, b), key=fmt_id)
-            parent[hi] = lo
-    members: dict = {}
-    for x in X.level(0):
-        members.setdefault(find(x), []).append(x)
-    reps = {root: min(ms, key=fmt_id) for root, ms in members.items()}
-    aug = {x: reps[find(x)] for x in X.level(0)}
-    classes = _sorted_ids(reps.values())
+            parent[max(a, b)] = min(a, b)
+    roots = [find(p) for p in range(len(level))]
+    aug = {x: level[r] for x, r in zip(level, roots)}
+    classes = _sorted_ids(x for p, x in enumerate(level) if roots[p] == p)
     return classes, aug
 
 

@@ -289,7 +289,8 @@ def dictionary_suite(trunc: int = 4) -> dict:
     rows = []
     for name, F in _dictionary_maps(trunc):
         B = q_lower_star(F)
-        holds = [r.holds for r in dictionary_conditions(F).values()]
+        conds = dictionary_conditions(F)
+        holds = [r.holds for r in conds.values()]
         rows.append({
             "name": name,
             "lhs": None if None in holds else all(holds),
@@ -300,7 +301,7 @@ def dictionary_suite(trunc: int = 4) -> dict:
                                     [(y,) for y in F.target.level(n)])
                 for n in range(min(F.source.trunc, F.target.trunc) + 1)
             ),
-            "m_dict": m_2segal_dictionary(F).holds,
+            "m_dict": m_2segal_dictionary(conds, B).holds,
         })
     entries = [
         _tally("dictionary:bicomodule-matches-conditions",

@@ -15,6 +15,7 @@ from segal_abacus.configurations import (
     boors_axioms,
     build_M,
     condition_star,
+    dictionary_conditions,
     extract_from_M,
     has_invertible_abacus,
     is_bicomodule_config,
@@ -162,7 +163,7 @@ def test_criterion_6_cocartesian_correspondence():
     bad_dict = []
     bad_extract = []
     for name, F in maps:
-        if not m_2segal_dictionary(F).passed:
+        if not m_2segal_dictionary(dictionary_conditions(F), q_lower_star(F)).passed:
             bad_dict.append(name)
         B = q_lower_star(F)
         M, proj = build_M(B)
@@ -271,6 +272,50 @@ def test_cheatsheet_builds_each_counit_once(monkeypatch):
     nerves = len(standard_nerve_corpus(5)) + len(random_poset_corpus(4, 4, 3, 5))
     assert len(built) == 2 * nerves
     assert len(set(built)) == len(built)
+
+
+def test_round_trips_build_each_object_once(monkeypatch):
+    """Each round trip decides the pointing axioms once per input and side,
+    builds the Kan extension of the identity at the extension's depth, and
+    each dictionary row builds its Kan extension and its conditions once."""
+    from segal_abacus import configurations
+
+    gates, kans, conds, extensions = [], [], [], []
+
+    def counting(calls, fn, record):
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            calls.append(record(args, kwargs, result))
+            return result
+        return wrapped
+
+    monkeypatch.setattr(configurations, "boors_axioms", counting(
+        gates, boors_axioms, lambda a, kw, _: (id(a[0]), kw.get("half", False))))
+    monkeypatch.setattr(configurations, "extend_sigma_to_d", counting(
+        extensions, configurations.extend_sigma_to_d, lambda a, kw, r: r[0]))
+    for module in (configurations, suites):
+        monkeypatch.setattr(module, "q_lower_star", counting(
+            kans, q_lower_star, lambda a, kw, _: a[0]))
+        monkeypatch.setattr(module, "dictionary_conditions", counting(
+            conds, dictionary_conditions, lambda a, kw, _: id(a[0])))
+
+    X = nerve(chain_poset(2), 5)
+    assert configurations.boors_roundtrip(X)["iso_with_kan"].holds is True
+    [B] = extensions
+    [F] = kans
+    assert len(gates) == 1
+    assert (F.source.trunc, F.target.trunc) == (B.trunc, B.trunc) == (3, 3)
+
+    gates.clear()
+    configurations.half_roundtrip(identity_smap(X))
+    assert sorted(half for _, half in gates) == [False, True]
+    assert len({a for a, _ in gates}) == 1
+
+    kans.clear()
+    dictionary_suite(trunc=3)
+    maps = len(suites._dictionary_maps(3))
+    assert len(conds) == maps and len(set(conds)) == maps
+    assert len(kans) == maps and len({id(F) for F in kans}) == maps
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,14 @@ from segal_abacus.corpus import (
     nerve,
     random_poset_corpus,
     standard_map_corpus,
+    standard_nerve_corpus,
     two_segal_partial_monoid,
 )
 from segal_abacus.presheaf import (
     CheckReport,
     SMap,
     Square,
+    TruncSSet,
     Witness,
     _check_total,
     _relation_rows,
@@ -499,6 +501,67 @@ def test_colimit0():
     X = nerve(diamond_poset(), 2)
     classes, _ = colimit0(X)
     assert len(classes) == 1
+
+
+def _reference_colimit0(X):
+    """``colimit0`` as it was first written: union-find over the ids, each
+    class named by its least member under ``fmt_id``, the first of a tie."""
+    parent = {x: x for x in X.level(0)}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in X.level(1):
+        a, b = find(X.face(1, 0, e)), find(X.face(1, 1, e))
+        if a != b:
+            lo, hi = sorted((a, b), key=fmt_id)
+            parent[hi] = lo
+    members = {}
+    for x in X.level(0):
+        members.setdefault(find(x), []).append(x)
+    reps = {root: min(ms, key=fmt_id) for root, ms in members.items()}
+    return _sorted_ids(reps.values()), {x: reps[find(x)] for x in X.level(0)}
+
+
+def _same_colimit(X):
+    (classes, aug), (ref_classes, ref_aug) = colimit0(X), _reference_colimit0(X)
+    # repr, not ==, so that ids equal by value but formatted apart differ
+    assert repr(classes) == repr(ref_classes)
+    assert repr(list(aug.items())) == repr(list(ref_aug.items()))
+    assert _sorted_ids(classes) is classes
+
+
+# pairs of ids that tie under ``fmt_id`` but differ by ``==``
+_TIED_IDS = [0, "0", 1, "1", (1,), "(1)", (0, 1), "(0,1)", ("a",), "(a)", "a", ((1,),), "((1))"]
+
+
+@st.composite
+def _edge_graphs(draw):
+    """Levels 0 and 1 with random d_0 and d_1: all that ``colimit0`` reads."""
+    level0 = draw(st.lists(st.sampled_from(_TIED_IDS), min_size=1, unique=True))
+    edges = draw(st.lists(st.sampled_from(_TIED_IDS + ["e", ("e", 2)]), unique=True, max_size=8))
+    faces = {("d", k, 1): {e: draw(st.sampled_from(level0)) for e in edges} for k in (0, 1)}
+    return TruncSSet(1, {0: level0, 1: edges}, faces)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_edge_graphs())
+def test_colimit0_matches_reference(X):
+    _same_colimit(X)
+
+
+def test_colimit0_matches_reference_on_the_boors_rows_and_columns():
+    from segal_abacus.decalage import tot
+    from segal_abacus.presheaf import col_sset, row_sset
+
+    for _, X in standard_nerve_corpus(4):
+        bulk = tot(X)
+        for i in range(bulk.trunc):
+            _same_colimit(row_sset(bulk, i))
+            _same_colimit(col_sset(bulk, i))
 
 
 def test_smap_validation_detects_broken_naturality():
