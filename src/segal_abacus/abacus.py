@@ -13,14 +13,16 @@ Everything is represented semantically: a morphism *is* its carrier, and
 generator words are a serialization layer on top.  ``relation_suite``
 certifies that the presentation's relation table holds in this model,
 and ``word_closure_homs`` + ``hom_enumerate`` certify that the
-generators reach every morphism.
+generators reach every morphism; ``presentation_suite`` runs all of it.
 
 Words are evaluated on plain carrier value tuples: each token indexes
 the values so far by its generator's carrier, read from one cached
-lookup ``_step`` that ``bead_of_generator`` fills.  Validation stays at
-the boundary: the ``BeadMap``/``MonotoneMap`` constructors check each
-result once, and ``parse_*`` and ``hom_enumerate`` check their input,
-but no intermediate step builds a bead map.
+lookup ``_step`` that ``bead_of_generator`` fills.  Validation happens
+where a bead map is built, by the ``BeadMap``/``MonotoneMap``
+constructors: parsed words, ``eval_bead_word`` results and the maps of
+``hom_enumerate``.  No intermediate step builds a bead map, and the word
+closure and recomposed factorizations stay carrier tuples, valid because
+``presentation_suite`` finds them equal to enumerated, validated maps.
 
 ``SHIFT`` says where each generator lands and ``generator_range`` which
 indices exist at an object; nothing else lists either.  From them
@@ -31,9 +33,10 @@ actions (``presheaf``, ``configurations``, ``decalage``) are read off it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from .reports import CheckReport, Witness
+from .reports import CheckReport, Witness, _entry, _entry_from_report, _finish, _tally
 from .simplex import (
     GeneratorWord,
     MonotoneMap,
@@ -94,11 +97,14 @@ class BeadMap:
             raise ValueError(
                 f"carrier {self.carrier} does not fit {self.src} -> {self.tgt}"
             )
-        for k in range(self.src.blacks):
-            if self.carrier.values[k] >= self.tgt.blacks:
-                raise ValueError(
-                    f"black bead {k} escapes the black zone in {self.src} -> {self.tgt}"
-                )
+        # The carrier is monotone, so its last black bead lands highest: one
+        # test decides, and only a bad map walks its beads to name the first.
+        vals, blacks, top = self.carrier.values, self.src.blacks, self.tgt.blacks
+        if blacks and vals[blacks - 1] >= top:
+            k = next(k for k in range(blacks) if vals[k] >= top)
+            raise ValueError(
+                f"black bead {k} escapes the black zone in {self.src} -> {self.tgt}"
+            )
 
     def top_part(self) -> MonotoneMap:
         """The black-bead restriction [i] -> [i']."""
@@ -107,9 +113,9 @@ class BeadMap:
         )
 
     def whites_turned_black(self) -> int:
-        return sum(
-            1 for v in self.carrier.values[self.src.blacks :] if v < self.tgt.blacks
-        )
+        # the carrier is monotone, so the whites that land black come first
+        blacks = self.src.blacks
+        return bisect_left(self.carrier.values, self.tgt.blacks, blacks) - blacks
 
     def is_identity(self) -> bool:
         return self.src == self.tgt and self.carrier.is_identity()
@@ -458,12 +464,12 @@ def trapezium_suite(degree_bound: int) -> CheckReport:
 
 
 def hom_enumerate(src: DObject, tgt: DObject) -> list[BeadMap]:
-    """All bead maps src -> tgt, by filtering monotone carriers."""
-    out = []
-    for f in enumerate_monotone(src.size - 1, tgt.size - 1):
-        if all(f.values[k] < tgt.blacks for k in range(src.blacks)):
-            out.append(BeadMap(src, tgt, f))
-    return out
+    """All bead maps src -> tgt, by filtering monotone carriers: those whose
+    last black bead (and so every black bead) lands black.  Each is built
+    and validated."""
+    blacks, top = src.blacks, tgt.blacks
+    return [BeadMap(src, tgt, f) for f in enumerate_monotone(src.size - 1, tgt.size - 1)
+            if not blacks or f.values[blacks - 1] < top]
 
 
 def objects_of_degree(max_degree: int) -> list[DObject]:
@@ -476,15 +482,21 @@ def objects_of_degree(max_degree: int) -> list[DObject]:
     return objs
 
 
-def word_closure_homs(max_degree: int) -> dict[tuple[DObject, DObject], set[BeadMap]]:
-    """All morphisms reachable from identities by composing generators,
-    between objects of total degree <= max_degree, staying within the bound."""
+def word_closure_homs(max_degree: int) -> dict[tuple[DObject, DObject], set[tuple]]:
+    """The carrier values of all morphisms reachable from identities by
+    composing generators, between objects of total degree <= max_degree,
+    staying within the bound, keyed by ``(source, target)``.
+
+    Nothing here is built as a bead map or validated: a reached carrier is
+    known valid once it equals one that ``hom_enumerate`` built, which is
+    what ``presentation_suite`` compares."""
     objs = objects_of_degree(max_degree)
-    steps_out = {(o.i, o.j): [] for o in objs}
+    obj_at = {(o.i, o.j): o for o in objs}
+    steps_out = {lvl: [] for lvl in obj_at}
     for gens in generators_into(max_degree).values():
         for kind, k, src, _ in gens:
             steps_out[src].append(_step(kind, k, *src))
-    homs: dict[tuple[DObject, DObject], set[BeadMap]] = {}
+    homs: dict[tuple[DObject, DObject], set[tuple]] = {}
     for src in objs:
         start = (src.i, src.j, tuple(range(src.size)))
         seen = {start}
@@ -497,8 +509,7 @@ def word_closure_homs(max_degree: int) -> dict[tuple[DObject, DObject], set[Bead
                     seen.add(nxt)
                     frontier.append(nxt)
         for i, j, vals in seen:
-            m = _bead(src, i, j, vals)
-            homs.setdefault((src, m.tgt), set()).add(m)
+            homs.setdefault((src, obj_at[i, j]), set()).add(vals)
     return homs
 
 
@@ -522,12 +533,63 @@ def factorize(g: BeadMap) -> tuple[GeneratorWord, GeneratorWord]:
     return GeneratorWord((("f", None),) * w, g.src), GeneratorWord(tuple(tokens), mid)
 
 
-def recompose(ab: GeneratorWord, simp: GeneratorWord) -> BeadMap:
-    """``simp`` after ``ab``, evaluated in one walk over both words."""
+def _recompose_values(ab: GeneratorWord, simp: GeneratorWord) -> tuple:
+    """``(i, j, carrier values)`` of ``simp`` after ``ab``, in one walk over
+    both words; nothing is built or validated."""
     src = ab.source
     if not (isinstance(src, DObject) and isinstance(simp.source, DObject)):
         raise TypeError("abacus words carry a DObject source")
     i, j, vals = _walk(src.i, src.j, tuple(range(src.size)), ab.tokens)
-    if DObject(i, j) != simp.source:
+    if (i, j) != (simp.source.i, simp.source.j):
         raise ValueError(f"not composable: {ab} then {simp}")
-    return _bead(src, *_walk(i, j, vals, simp.tokens))
+    return _walk(i, j, vals, simp.tokens)
+
+
+def recompose(ab: GeneratorWord, simp: GeneratorWord) -> BeadMap:
+    """``simp`` after ``ab``, evaluated in one walk over both words."""
+    return _bead(ab.source, *_recompose_values(ab, simp))
+
+
+# ---------------------------------------------------------------------------
+# The presentation suite
+
+
+def presentation_suite(bound: int = 4) -> dict:
+    """Certify the generator-and-relation description of the bead calculus.
+
+    Each morphism between objects of degree <= ``bound`` is built and
+    validated once, by ``hom_enumerate``; that table serves the hom-count
+    and factorization entries.  The word closure's carriers and each
+    factorization's recomposed carrier are value tuples, compared with
+    those validated maps."""
+    rel = relation_suite(bound, bound)
+    trap = trapezium_suite(bound)
+    objs = objects_of_degree(bound)
+    homs = {(src, tgt): hom_enumerate(src, tgt) for src in objs for tgt in objs}
+    reached = word_closure_homs(bound)
+    base = DObject(0, 0)
+
+    def factorizes(g):
+        ab, simp = factorize(g)
+        i, j, vals = _recompose_values(ab, simp)
+        return ((i, j) == (g.tgt.i, g.tgt.j) and vals == g.carrier.values
+                and len(ab) == g.whites_turned_black())
+
+    maps = [g for hom in homs.values() for g in hom]
+    entries = [
+        _entry_from_report("presentation:relations",
+                           "all relation instances hold as bead maps", rel),
+        _entry_from_report("presentation:trapezium",
+                           "trapezium equations hold at all legal indices", trap),
+        _tally("presentation:hom-counts", "enumerated hom sets match generator-word closure",
+               ((f"{src}->{tgt}", {g.carrier.values for g in hom} == reached.get((src, tgt), set()))
+                for (src, tgt), hom in homs.items())),
+        _tally("presentation:spot-values", "frozen hom-set sizes at the base objects",
+               ((f"{base}->{tgt}", len(hom_enumerate(base, tgt)) == size)
+                for tgt, size in ((base, 2), (DObject(0, -1), 1)))),
+        # every row is decided, so only the failing rows are named
+        _entry("presentation:factorization",
+               "every morphism splits as abacus word then color-preserving word",
+               len(maps), [str(g) for g in maps if not factorizes(g)]),
+    ]
+    return _finish("presentation", entries, bound)

@@ -20,9 +20,21 @@ from .reports import EXIT_CODES, CheckReport, Witness
 # Each command imports the library modules it runs in its own handler, so a
 # fresh process loads only those.
 
-# the names of ``suites.SUITES``, in order, for the parser's choices
-SUITE_NAMES = ("boors", "cheatsheet", "dictionary", "edgewise", "half-axioms", "presentation",
-               "star")
+# suite name: (the module that holds the suite; the depth flag it takes;
+# the least depth at which every construction it runs is defined; the
+# suite, given that module).  Below that depth a suite would stop on a
+# too-shallow decalage, subdivision or pointing restriction, so
+# ``run-suite`` refuses it.
+_SUITES = {
+    "boors": ("suites", "trunc", 3, lambda m: m.boors_suite),
+    "cheatsheet": ("suites", "trunc", 2, lambda m: m.cheatsheet_suite),
+    "dictionary": ("suites", "trunc", 0, lambda m: m.dictionary_suite),
+    "edgewise": ("suites", "trunc", 1, lambda m: m.edgewise_suite),
+    "half-axioms": ("suites", "trunc", 3, lambda m: m.half_axioms_suite),
+    "presentation": ("abacus", "bound", 0, lambda m: m.presentation_suite),
+    "star": ("suites", "trunc", 0, lambda m: m.star_suite),
+}
+SUITE_NAMES = tuple(sorted(_SUITES))
 
 
 def _resolve(path: str) -> str:
@@ -221,14 +233,18 @@ _CHECKS = {
 }
 
 
-def _checker_module(name: str):
-    """The module of ``_CHECKS`` called ``name``, imported."""
+def _library_module(name: str):
+    """The module of ``_CHECKS`` or ``_SUITES`` called ``name``, imported."""
     if name == "fibrations":
         from . import fibrations as module
     elif name == "configurations":
         from . import configurations as module
-    else:
+    elif name == "decalage":
         from . import decalage as module
+    elif name == "suites":
+        from . import suites as module
+    else:
+        from . import abacus as module
     return module
 
 
@@ -242,7 +258,7 @@ def _check(args) -> int:
         _emit({"name": args.check, "verdict": "invalid-input",
                "witnesses": [w.to_dict() for w in base.witnesses[:10]]}, args.format)
         return 2
-    rep = base if checker is None else checker(_checker_module(home), P, args)
+    rep = base if checker is None else checker(_library_module(home), P, args)
     return _report_exit(rep, args.format)
 
 
@@ -395,11 +411,8 @@ def _morphism(args) -> int:
 
 
 def _run_suite(args) -> int:
-    from .suites import MIN_DEPTH, SUITES
-
-    flag = "bound" if args.name == "presentation" else "trunc"
-    if (_below(flag, getattr(args, flag), MIN_DEPTH.get(args.name, 0))
-            or _below("max-size", args.max_size, 2)):
+    home, flag, least, suite = _SUITES[args.name]
+    if _below(flag, getattr(args, flag), least) or _below("max-size", args.max_size, 2):
         return 2
     if args.name != "cheatsheet" and (args.seed is not None or args.max_size is not None):
         print(f"--seed and --max-size add the random corpus of cheatsheet; {args.name} has none",
@@ -408,17 +421,12 @@ def _run_suite(args) -> int:
     if args.max_size is not None and args.seed is None:
         print("--max-size needs --seed: it sizes the random corpus that --seed adds", file=sys.stderr)
         return 2
-    fn = SUITES[args.name]
-    kwargs = {}
-    if args.name == "presentation":
-        kwargs["bound"] = args.bound
-    else:
-        kwargs["trunc"] = args.trunc
-        if args.name == "cheatsheet":
-            kwargs["seed"] = args.seed
-            if args.max_size is not None:
-                kwargs["max_size"] = args.max_size
-    rep = fn(**kwargs)
+    kwargs = {flag: getattr(args, flag)}
+    if args.name == "cheatsheet":
+        kwargs["seed"] = args.seed
+        if args.max_size is not None:
+            kwargs["max_size"] = args.max_size
+    rep = suite(_library_module(home))(**kwargs)
     _emit(rep, args.format)
     return EXIT_CODES[rep["verdict"]]
 

@@ -12,6 +12,9 @@ truncation, else ``pass``.
 pass, False on fail, None when vacuous or a precondition failed; the
 suites read it so that an undecided check is never counted as an
 instance, let alone as a pass.
+
+A suite report is a plain dict of entries built by ``_entry`` and its
+helpers, one per checked statement, and closed by ``_finish``.
 """
 
 from __future__ import annotations
@@ -108,3 +111,38 @@ class CheckReport:
             more = "" if len(self.witnesses) <= 5 else f"\n  ... {len(self.witnesses) - 5} more"
             return f"{head}\n  {shown}{more}"
         return head
+
+
+# ---------------------------------------------------------------------------
+# Suite entries
+
+
+def _entry(eid: str, statement: str, instances: int, witnesses=()):
+    return {
+        "id": eid,
+        "statement": statement,
+        "verdict": verdict_of(witnesses, instances),
+        "instances": instances,
+        "witnesses": sorted(str(w) for w in witnesses),
+    }
+
+
+def _tally(eid: str, statement: str, rows):
+    """An entry over rows ``(name, outcome)``: a True or False outcome makes
+    the row an instance, False also a witness; None (undecided) neither."""
+    decided = [(name, ok) for name, ok in rows if ok is not None]
+    return _entry(eid, statement, len(decided), [name for name, ok in decided if not ok])
+
+
+def _entry_from_report(eid: str, statement: str, rep: CheckReport):
+    return _entry(eid, statement, 0 if rep.holds is None else max(rep.checked, 1), rep.witnesses)
+
+
+def _finish(name: str, entries, depth) -> dict:
+    verdict = "pass"
+    if any(e["verdict"] == "fail" for e in entries):
+        verdict = "fail"
+    elif any(e["verdict"] == "vacuous" for e in entries):
+        verdict = "vacuous"
+    return {"suite": name, "depth": depth, "verdict": verdict,
+            "entries": sorted(entries, key=lambda e: e["id"])}

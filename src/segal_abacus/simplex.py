@@ -32,14 +32,16 @@ class MonotoneMap:
     def __post_init__(self):
         if self.dom < 0 or self.cod < 0:
             raise ValueError("ordinal sizes must be nonnegative")
-        if len(self.values) != self.dom:
-            raise ValueError(f"expected {self.dom} values, got {len(self.values)}")
-        for a, b in zip(self.values, self.values[1:]):
-            if a > b:
-                raise ValueError(f"values not weakly increasing: {self.values}")
-        for v in self.values:
-            if not 0 <= v < self.cod:
-                raise ValueError(f"value {v} outside codomain of size {self.cod}")
+        vals = self.values
+        if len(vals) != self.dom:
+            raise ValueError(f"expected {self.dom} values, got {len(vals)}")
+        if list(vals) != sorted(vals):
+            raise ValueError(f"values not weakly increasing: {vals}")
+        # sorted values lie in range when their ends do; only then is the
+        # first offender looked for, to name it
+        if vals and not (vals[0] >= 0 and vals[-1] < self.cod):
+            v = vals[0] if vals[0] < 0 else next(v for v in vals if v >= self.cod)
+            raise ValueError(f"value {v} outside codomain of size {self.cod}")
 
     @property
     def dom_n(self) -> int:

@@ -10,11 +10,14 @@ conclusion is undecided under the truncation is neither an instance nor
 a witness, so an entry that could decide nothing reports vacuous rather
 than passing or failing.  Conclusions are computed only for rows whose
 hypothesis holds.
+
+The entry helpers live in ``reports``.  The presentation suite checks
+the bead calculus alone, so it lives in ``abacus``; ``cli`` names the
+module of each suite that ``run-suite`` runs.
 """
 
 from __future__ import annotations
 
-from . import abacus
 from .configurations import (
     boors_roundtrip,
     collapse_aug_row,
@@ -49,24 +52,7 @@ from .fibrations import (
     vertical_active_row_maps,
 )
 from .presheaf import bijection_witnesses, identity_smap, validate
-from .reports import CheckReport, verdict_of
-
-
-def _entry(eid: str, statement: str, instances: int, witnesses=()):
-    return {
-        "id": eid,
-        "statement": statement,
-        "verdict": verdict_of(witnesses, instances),
-        "instances": instances,
-        "witnesses": sorted(str(w) for w in witnesses),
-    }
-
-
-def _tally(eid: str, statement: str, rows):
-    """An entry over rows ``(name, outcome)``: a True or False outcome makes
-    the row an instance, False also a witness; None (undecided) neither."""
-    decided = [(name, ok) for name, ok in rows if ok is not None]
-    return _entry(eid, statement, len(decided), [name for name, ok in decided if not ok])
+from .reports import _entry, _finish, _tally
 
 
 def _exists(eid: str, statement: str, outcomes, need: int):
@@ -81,20 +67,6 @@ def _exists(eid: str, statement: str, outcomes, need: int):
 def _iff(*truths):
     """Whether decided truths agree; None when any is undecided."""
     return None if None in truths else len(set(truths)) == 1
-
-
-def _entry_from_report(eid: str, statement: str, rep: CheckReport):
-    return _entry(eid, statement, 0 if rep.holds is None else max(rep.checked, 1), rep.witnesses)
-
-
-def _finish(name: str, entries, depth) -> dict:
-    verdict = "pass"
-    if any(e["verdict"] == "fail" for e in entries):
-        verdict = "fail"
-    elif any(e["verdict"] == "vacuous" for e in entries):
-        verdict = "vacuous"
-    return {"suite": name, "depth": depth, "verdict": verdict,
-            "entries": sorted(entries, key=lambda e: e["id"])}
 
 
 # ---------------------------------------------------------------------------
@@ -213,38 +185,6 @@ def cheatsheet_suite(trunc: int = 5, max_size: int = 4, seed: int | None = None)
                stable_active_cartesian()),
     ]
     return _finish("cheatsheet", entries, trunc)
-
-
-def presentation_suite(bound: int = 4) -> dict:
-    """Certify the generator-and-relation description of the bead calculus."""
-    entries = []
-    rel = abacus.relation_suite(bound, bound)
-    entries.append(_entry_from_report("presentation:relations",
-                                      "all relation instances hold as bead maps", rel))
-    trap = abacus.trapezium_suite(bound)
-    entries.append(_entry_from_report("presentation:trapezium",
-                                      "trapezium equations hold at all legal indices", trap))
-    reached = {pair: len(maps) for pair, maps in abacus.word_closure_homs(bound).items()}
-    objs = abacus.objects_of_degree(bound)
-    homs = {(src, tgt): abacus.hom_enumerate(src, tgt) for src in objs for tgt in objs}
-    entries.append(_tally("presentation:hom-counts",
-                          "enumerated hom sets match generator-word closure",
-                          ((f"{src}->{tgt}", len(hom) == reached.get((src, tgt), 0))
-                           for (src, tgt), hom in homs.items())))
-    base = abacus.DObject(0, 0)
-    entries.append(_tally("presentation:spot-values",
-                          "frozen hom-set sizes at the base objects",
-                          ((f"{base}->{tgt}", len(abacus.hom_enumerate(base, tgt)) == size)
-                           for tgt, size in ((base, 2), (abacus.DObject(0, -1), 1)))))
-
-    def factorizes(g):
-        ab, simp = abacus.factorize(g)
-        return abacus.recompose(ab, simp) == g and len(ab) == g.whites_turned_black()
-
-    entries.append(_tally("presentation:factorization",
-                          "every morphism splits as abacus word then color-preserving word",
-                          ((str(g), factorizes(g)) for hom in homs.values() for g in hom)))
-    return _finish("presentation", entries, bound)
 
 
 def _star_fixtures(trunc: int):
@@ -383,18 +323,3 @@ def edgewise_suite(trunc: int = 5) -> dict:
     ]
     return _finish("edgewise", entries, trunc)
 
-
-# The least depth at which every construction a suite runs is defined:
-# below it a suite would stop on a too-shallow decalage, subdivision or
-# pointing restriction, so ``run-suite`` refuses it.
-MIN_DEPTH = {"cheatsheet": 2, "boors": 3, "half-axioms": 3, "edgewise": 1}
-
-SUITES = {
-    "cheatsheet": cheatsheet_suite,
-    "presentation": presentation_suite,
-    "star": star_suite,
-    "dictionary": dictionary_suite,
-    "boors": boors_suite,
-    "half-axioms": half_axioms_suite,
-    "edgewise": edgewise_suite,
-}

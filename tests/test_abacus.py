@@ -1,3 +1,4 @@
+import json
 from dataclasses import dataclass
 
 import pytest
@@ -17,6 +18,7 @@ from segal_abacus.abacus import (
     hom_enumerate,
     objects_of_degree,
     parse_bead_word,
+    presentation_suite,
     recompose,
     relation_instances,
     relation_suite,
@@ -24,6 +26,7 @@ from segal_abacus.abacus import (
     trapezium_suite,
     word_closure_homs,
 )
+from segal_abacus.reports import _entry_from_report, _finish, _tally
 from segal_abacus.simplex import (
     GeneratorWord,
     MonotoneMap,
@@ -318,8 +321,10 @@ def test_eval_bead_word_matches_reference(word):
 
 
 def test_word_closure_matches_reference():
+    # the closure keeps carrier values; the reference builds bead maps
     for b in range(4):
-        assert word_closure_homs(b) == _ref_closure(b), b
+        ref = {pair: {m.carrier.values for m in maps} for pair, maps in _ref_closure(b).items()}
+        assert word_closure_homs(b) == ref, b
 
 
 def _visits(word, kind, at):
@@ -333,10 +338,8 @@ def _visits(word, kind, at):
     return False
 
 
-def test_corrupt_generator_carrier_breaks_its_relations(monkeypatch):
-    # the evaluator reads carriers from the lookup alone, so a wrong entry
-    # must surface as failed relations through that generator, and only those
-    at = DObject(0, 0)
+def _corrupt_f_carrier(monkeypatch):
+    """Make the carrier lookup give ``f`` at [0,0] the carrier (1, 1)."""
     step = abacus._step
 
     def corrupt(kind, k, i, j):
@@ -347,8 +350,128 @@ def test_corrupt_generator_carrier_breaks_its_relations(monkeypatch):
         return ti, tj, vals
 
     monkeypatch.setattr(abacus, "_step", corrupt)
+
+
+def test_corrupt_generator_carrier_breaks_its_relations(monkeypatch):
+    # the evaluator reads carriers from the lookup alone, so a wrong entry
+    # must surface as failed relations through that generator, and only those
+    at = DObject(0, 0)
+    _corrupt_f_carrier(monkeypatch)
     rep = relation_suite(3, 3)
     through = {f"{lhs} = {rhs}" for _, lhs, rhs in relation_instances(3, 3)
                if _visits(lhs, "f", at) or _visits(rhs, "f", at)}
     assert not rep.passed and rep.witnesses
     assert {w.equation for w in rep.witnesses} <= through
+
+
+# ---------------------------------------------------------------------------
+# Constructor validation and the presentation suite against the code they
+# replaced
+
+
+def _ref_bead_checks(src, tgt, carrier):
+    """The validation ``BeadMap`` ran before its last-black-bead test."""
+    if carrier.dom != src.size or carrier.cod != tgt.size:
+        raise ValueError(f"carrier {carrier} does not fit {src} -> {tgt}")
+    for k in range(src.blacks):
+        if carrier.values[k] >= tgt.blacks:
+            raise ValueError(f"black bead {k} escapes the black zone in {src} -> {tgt}")
+
+
+@st.composite
+def bead_args(draw):
+    """Objects of degree <= 4 and a monotone carrier between them whose
+    black beads land anywhere; one time in five its sizes are off."""
+    objs = objects_of_degree(4)
+    src, tgt = draw(st.sampled_from(objs)), draw(st.sampled_from(objs))
+    dom, cod = src.size, tgt.size
+    if draw(st.integers(0, 4)) == 0:
+        dom, cod = dom + draw(st.sampled_from([-1, 0, 1])), cod + draw(st.sampled_from([0, 1]))
+    values = draw(st.lists(st.integers(0, cod - 1), min_size=dom, max_size=dom))
+    return src, tgt, MonotoneMap(dom, cod, tuple(sorted(values)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bead_args())
+def test_bead_validation_matches_reference(args):
+    def outcome(fn):
+        try:
+            fn(*args)
+        except Exception as exc:  # compared by type and message
+            return type(exc), str(exc)
+        return None
+
+    assert outcome(BeadMap) == outcome(_ref_bead_checks)
+
+
+def _reference_presentation_suite(bound: int = 4) -> dict:
+    """The presentation suite before it decided on carrier tuples: it builds
+    every closure result, recomposed factorization and spot-value hom set
+    as a validated bead map."""
+    entries = []
+    rel = abacus.relation_suite(bound, bound)
+    entries.append(_entry_from_report("presentation:relations",
+                                      "all relation instances hold as bead maps", rel))
+    trap = abacus.trapezium_suite(bound)
+    entries.append(_entry_from_report("presentation:trapezium",
+                                      "trapezium equations hold at all legal indices", trap))
+    reached = {(src, tgt): len({abacus._bead(src, tgt.i, tgt.j, vals) for vals in carriers})
+               for (src, tgt), carriers in abacus.word_closure_homs(bound).items()}
+    objs = abacus.objects_of_degree(bound)
+    homs = {(src, tgt): abacus.hom_enumerate(src, tgt) for src in objs for tgt in objs}
+    entries.append(_tally("presentation:hom-counts",
+                          "enumerated hom sets match generator-word closure",
+                          ((f"{src}->{tgt}", len(hom) == reached.get((src, tgt), 0))
+                           for (src, tgt), hom in homs.items())))
+    base = abacus.DObject(0, 0)
+    entries.append(_tally("presentation:spot-values",
+                          "frozen hom-set sizes at the base objects",
+                          ((f"{base}->{tgt}", len(abacus.hom_enumerate(base, tgt)) == size)
+                           for tgt, size in ((base, 2), (abacus.DObject(0, -1), 1)))))
+
+    def factorizes(g):
+        ab, simp = abacus.factorize(g)
+        return abacus.recompose(ab, simp) == g and len(ab) == g.whites_turned_black()
+
+    entries.append(_tally("presentation:factorization",
+                          "every morphism splits as abacus word then color-preserving word",
+                          ((str(g), factorizes(g)) for hom in homs.values() for g in hom)))
+    return _finish("presentation", entries, bound)
+
+
+def _suite_pair(bound):
+    """The canonical JSON of both suites, and the entries that fail."""
+    new = presentation_suite(bound)
+    ref = _reference_presentation_suite(bound)
+    failing = {e["id"] for e in new["entries"] if e["verdict"] == "fail"}
+    return json.dumps(new, sort_keys=True, indent=1), json.dumps(ref, sort_keys=True, indent=1), failing
+
+
+def test_presentation_suite_matches_reference():
+    for bound in range(4):
+        new, ref, failing = _suite_pair(bound)
+        assert new == ref and not failing, bound
+
+
+def test_presentation_suite_matches_reference_on_broken_calculi(monkeypatch):
+    # a wrong carrier: every entry that walks f at [0,0] fails, the same way
+    _corrupt_f_carrier(monkeypatch)
+    new, ref, failing = _suite_pair(1)
+    assert new == ref
+    assert failing == {"presentation:relations", "presentation:trapezium",
+                       "presentation:hom-counts", "presentation:factorization"}
+    monkeypatch.undo()
+
+    # a factorization whose color-preserving word ends in a stray f: the
+    # right carrier, landing on the wrong object
+    factorize_ = abacus.factorize
+
+    def stray_f(g):
+        ab, simp = factorize_(g)
+        if g.tgt.j >= 0:
+            simp = GeneratorWord(simp.tokens + (("f", None),), simp.source)
+        return ab, simp
+
+    monkeypatch.setattr(abacus, "factorize", stray_f)
+    new, ref, failing = _suite_pair(2)
+    assert new == ref and failing == {"presentation:factorization"}

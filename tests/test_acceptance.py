@@ -11,6 +11,7 @@ from functools import cache
 import pytest
 
 from segal_abacus import abacus, suites
+from segal_abacus.abacus import presentation_suite
 from segal_abacus.configurations import (
     boors_axioms,
     build_M,
@@ -68,7 +69,6 @@ from segal_abacus.suites import (
     dictionary_suite,
     edgewise_suite,
     half_axioms_suite,
-    presentation_suite,
     star_suite,
 )
 
@@ -238,6 +238,9 @@ SUITE_DIGESTS = {
     "dictionary t4": "b8d60a2ea523c3ec21af534919ead0693d7c7c71bd135ad98c50eb0ec168861f",
     "presentation b4": "d06d66c726a8779f2ac7e9bfc2250d41a131fe87bfe759f23df7c7a7bfff985d",
     "presentation b2": "9e4c87f6a883be08f23d950f9a9bf3fec78e09e2ca36119d9a3726cc95b96e9c",
+    "presentation b3": "c44adb2fd97fc14e529e02af58281009b317bdab7019fd9b084c01b55fcf7b09",
+    "presentation b1": "b0fe1af043d570291a94ff7dbce2ab762e62bbf18a3dee3877fc6b723d86058f",
+    "presentation b0": "1875e833c5d4f9c855436473dd2c81b2edc9de999ab82016c15e94278e88a486",
 }
 
 
@@ -254,6 +257,9 @@ def test_suite_reports_match_pinned_digests(boors_t5):
         "dictionary t4": suite_report(dictionary_suite, trunc=4),
         "presentation b4": presentation_suite(bound=4),
         "presentation b2": presentation_suite(bound=2),
+        "presentation b3": presentation_suite(bound=3),
+        "presentation b1": presentation_suite(bound=1),
+        "presentation b0": presentation_suite(bound=0),
     }
     digests = {name: hashlib.sha256(json.dumps(rep, sort_keys=True, indent=1).encode()).hexdigest()
                for name, rep in reports.items()}

@@ -353,9 +353,15 @@ def test_reduced_stability_says_what_truncation_2_cannot_check(tmp_path):
 
 
 def test_suite_names_are_the_suites():
-    from segal_abacus import cli, suites
+    # each named suite is a function of its module that takes its depth flag
+    import inspect
 
-    assert cli.SUITE_NAMES == tuple(sorted(suites.SUITES))
+    from segal_abacus import cli
+
+    assert cli.SUITE_NAMES == tuple(sorted(cli._SUITES))
+    for name, (home, flag, least, suite) in cli._SUITES.items():
+        assert flag in inspect.signature(suite(cli._library_module(home))).parameters, name
+        assert least >= 0, name
 
 
 def test_run_suite_presentation():
@@ -495,7 +501,7 @@ _COLD_MODULES = {
     "roundtrip-boors": _CONSTRUCT,
     "roundtrip-M": _CONSTRUCT | {"corpus"},  # build_M maps onto the nerve of an arrow
     "morphism": set(),
-    "run-suite-presentation": {"configurations", "corpus", "decalage", "fibrations", "suites"},
+    "run-suite-presentation": set(),  # the suite runs on the bead calculus alone
 }
 
 

@@ -23,6 +23,8 @@ KEEP = {
     "pullback_coalgebra": "bottom splittings pull back along right fibrations; not yet a suite entry",
     "bead_identity": "the benchmark's reference word evaluator starts from it",
     "bead_compose": "the benchmark's abacus.bead_compose probe times it; the tests compose with it",
+    "recompose": "factorize's inverse as a validated bead map; presentation_suite walks the same "
+                 "words as carrier tuples through _recompose_values",
 }
 
 

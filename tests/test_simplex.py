@@ -1,7 +1,7 @@
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from segal_abacus.simplex import (
     GeneratorWord,
@@ -125,3 +125,49 @@ def test_parse_monotone_roundtrip():
     f = MonotoneMap(3, 3, (0, 0, 2))
     assert parse_monotone(str(f)) == f
     assert parse_monotone("[]:0->2") == MonotoneMap(0, 2, ())
+
+
+# ---------------------------------------------------------------------------
+# The constructor's whole-tuple validation against the element-by-element one
+
+
+def _ref_monotone_checks(dom, cod, values):
+    """The validation ``MonotoneMap`` ran before its whole-tuple tests."""
+    if dom < 0 or cod < 0:
+        raise ValueError("ordinal sizes must be nonnegative")
+    if len(values) != dom:
+        raise ValueError(f"expected {dom} values, got {len(values)}")
+    for a, b in zip(values, values[1:]):
+        if a > b:
+            raise ValueError(f"values not weakly increasing: {values}")
+    for v in values:
+        if not 0 <= v < cod:
+            raise ValueError(f"value {v} outside codomain of size {cod}")
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # compared by type and message with the reference
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def monotone_args(draw):
+    """``(dom, cod, values)``: sizes from -1, a length that is sometimes off
+    by one, values that sometimes reach past either end of the codomain,
+    sorted three times in four."""
+    dom, cod = draw(st.integers(-1, 5)), draw(st.integers(-1, 5))
+    length = max(dom + draw(st.sampled_from([0, 0, 0, -1, 1])), 0)
+    value = st.integers(-1, cod + 1) if draw(st.booleans()) else st.integers(0, max(cod - 1, 0))
+    values = draw(st.lists(value, min_size=length, max_size=length))
+    if draw(st.integers(0, 3)):
+        values.sort()
+    return dom, cod, tuple(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monotone_args())
+def test_monotone_validation_matches_reference(args):
+    assert _outcome(MonotoneMap, *args) == _outcome(_ref_monotone_checks, *args)
