@@ -35,6 +35,82 @@ def test_gen_and_validate(tmp_path):
         assert (code, json.loads(text)["sizes"]) == (0, {"0": 1, "1": 1, "2": 1}), kind
 
 
+# sha256 of the file each gen fixture writes at --trunc 3 with its default
+# size, by (kind, --preset); a preset of None gives no --preset
+GEN_DIGESTS = {
+    ("nerve-poset", None): "c18534c7f132f8585aa7e780fa3238777cc29cdf9928d8117320102a37ab8ed4",
+    ("nerve-poset", "diamond"): "49fc50fc4139760bc076cc65d611e7d4b4e40431de16f173851f631ca3ba10f4",
+    ("nerve-poset", "vee"): "34d33cdb3df5e69945ad6be3bf44bd70df806f95046aea80137d7bdc4727a127",
+    ("nerve-poset", "wedge"): "07432dcd104ede37276bd69a8c5637b925ad2248850c1e2db055dfac1d0cdf56",
+    ("nerve-category", None): "05734bb69e8ade15bf157fbe237c3484606ee401d1a503a31ce6040077585c7c",
+    ("nerve-category", "walkiso"): "05734bb69e8ade15bf157fbe237c3484606ee401d1a503a31ce6040077585c7c",
+    ("nerve-category", "parallel"): "9130b12a03a444a969b15121022e256685b3e00bf7a8cd41916de2b69ba19885",
+    ("nerve-monoid", None): "0ff01bdf522c3e694f906ec2e3ac60959480d7bb523e4f9c7a4156bedb1df5bb",
+    ("nerve-monoid", "idem"): "5b191f294b5b022c2767410f075287106d111640f9ca490fbdcf5ac87ea06867",
+    ("partial-monoid", None): "1e2a81695cc9626063600cf53e2a64daa63e4f981a242b8d64e64b4a2cc21958",
+    ("simplex", None): "f5273c7e8f129f1cc37420fd55c4a9102f0567e8122dceee9e9265cb93ad1ce9",
+    ("constant", None): "97569f4682e26283a83658774570bf297fd9e5fd68801cd62059a9d6218c2913",
+    ("boolean-lattice", None): "68bf4a51bfdd90932b3c0bd59011c20b766e6c2e67b882afefd9f22a1c985b02",
+    ("graph", None): "a5017e7198352577b0f69a19811190a2be7ce9c81799107f9ee2757d751c54f1",
+    ("graph", "glued"): "a5017e7198352577b0f69a19811190a2be7ce9c81799107f9ee2757d751c54f1",
+    ("graph", "path"): "f4c7da7f9c585fb3b37f4e5d3d213b84917d35d490e9ca4ed31ce821e6090dab",
+    ("punctured-chain", None): "e8ee4770d3a7f262c8195e95e1c2b12d26e5ca519af7ef48a6bce8a4a85dd6b1",
+}
+
+_SIZED = ("nerve-poset, nerve-monoid, simplex, constant, boolean-lattice, punctured-chain, "
+          "graph --preset path")
+
+# gen arguments refused as bad input: (arguments, exit code, the whole of
+# stderr); the unknown kind's lines are argparse's, as Python 3.11 words them
+# at 80 columns
+GEN_REFUSALS = [
+    (["nerve-poset", "--preset", "foo"], 2,
+     "gen nerve-poset has no preset 'foo' (presets: diamond, vee, wedge)\n"),
+    (["nerve-category", "--preset", "foo"], 2,
+     "gen nerve-category has no preset 'foo' (presets: walkiso, parallel)\n"),
+    (["graph", "--preset", "foo"], 2, "gen graph has no preset 'foo' (presets: glued, path)\n"),
+    (["partial-monoid", "--preset", "idem"], 2,
+     "gen partial-monoid has no preset 'idem' (presets: none)\n"),
+    (["partial-monoid", "--size", "3"], 2,
+     f"gen partial-monoid takes no --size (it applies to: {_SIZED})\n"),
+    (["graph", "--size", "3"], 2, f"gen graph takes no --size (it applies to: {_SIZED})\n"),
+    (["nerve-poset", "--preset", "diamond", "--size", "3"], 2,
+     f"gen nerve-poset --preset diamond takes no --size (it applies to: {_SIZED})\n"),
+    (["punctured-chain", "--size", "2"], 2, "--size must be at least 3, got 2\n"),
+    (["nerve-monoid", "--size", "0"], 2, "--size must be at least 1, got 0\n"),
+    (["nope"], 2,
+     "usage: segal-abacus gen [-h] [--size SIZE] [--preset PRESET] [--trunc TRUNC]\n"
+     "                        --out OUT [--format {json,text}]\n"
+     "                        {nerve-poset,nerve-category,nerve-monoid,partial-monoid,"
+     "simplex,constant,boolean-lattice,graph,punctured-chain}\n"
+     "segal-abacus gen: error: argument kind: invalid choice: 'nope' (choose from "
+     "'nerve-poset', 'nerve-category', 'nerve-monoid', 'partial-monoid', 'simplex', "
+     "'constant', 'boolean-lattice', 'graph', 'punctured-chain')\n"),
+]
+
+
+def test_gen_fixtures_and_refusals_are_pinned(tmp_path, monkeypatch):
+    """Every gen fixture writes the same bytes, and every refusal says the
+    same on stderr, in the same order of kinds, presets and fixtures."""
+    import contextlib
+    import hashlib
+    import io
+
+    out = tmp_path / "x.json"
+    for (kind, preset), digest in GEN_DIGESTS.items():
+        argv = ["gen", kind, *(["--preset", preset] if preset else []), "--trunc", "3", "--out", str(out)]
+        assert run(argv)[0] == 0, argv
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
+    out.unlink()
+    monkeypatch.setenv("COLUMNS", "80")
+    for args, want_code, want_err in GEN_REFUSALS:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, text = run(["gen", *args, "--out", str(out)])
+        assert (code, text, err.getvalue()) == (want_code, "", want_err), args
+    assert not out.exists()
+
+
 def test_check_exit_codes(tmp_path):
     pm = str(tmp_path / "pm.json")
     assert run(["gen", "partial-monoid", "--trunc", "4", "--out", pm])[0] == 0
