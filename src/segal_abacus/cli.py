@@ -1,6 +1,12 @@
 """Batch tool: generate fixtures, validate, check axioms, run constructions
 and theorem round trips.
 
+Each command but ``morphism`` dispatches from one table, which gives the
+parser its choices and names each entry's input shapes and library
+function.  A command imports the library modules it runs only when it runs (``check``
+and ``run-suite`` through ``_library_module``), so a fresh process loads
+only those.
+
 Exit codes (``reports.EXIT_CODES``): 0 pass, 1 fail, 2 invalid input, a
 truncation too small for a construction, or a failed precondition, 3
 vacuous coverage; ``main`` exits 4 on an internal error, with one line on
@@ -14,11 +20,8 @@ import json
 import os
 import sys
 
-from .presheaf import SMap, TruncationError, TruncSSet, constant_sset, sub_trunc, validate
-from .reports import EXIT_CODES, CheckReport, Witness
-
-# Each command imports the library modules it runs in its own handler, so a
-# fresh process loads only those.
+from .presheaf import SMap, TruncationError, constant_sset, sub_trunc, validate
+from .reports import EXIT_CODES, CheckReport
 
 # suite name: (the module that holds the suite; the depth flag it takes;
 # the least depth at which every construction it runs is defined; the
@@ -83,39 +86,32 @@ def _below(flag: str, value, least: int = 0) -> bool:
 # gen
 
 
-# the fixtures that take --size, by (kind, preset): (least size, default);
-# every other fixture is fixed and rejects --size
-_SIZES = {
-    ("nerve-poset", None): (0, 2),
-    ("nerve-monoid", None): (1, 2),
-    ("simplex", None): (0, 1),
-    ("constant", None): (0, 3),
-    ("boolean-lattice", None): (0, 2),
-    ("punctured-chain", None): (3, 3),
-    ("graph", "path"): (0, 2),
-}
-
 # the preset a kind builds when --preset is not given
 _DEFAULT_PRESET = {"graph": "glued", "nerve-category": "walkiso"}
 
-# the presets each kind accepts, each a builder from the corpus module: of the
-# category whose nerve is the fixture, or for graph of the fixture from
-# (size, trunc)
-_PRESETS = {
-    "nerve-poset": {
-        "diamond": lambda corpus: corpus.diamond_poset(),
-        "vee": lambda corpus: corpus.poset_cat("vee", ["a", "b", "c"],
-                                               lambda x, y: x == y or x == "a"),
-        "wedge": lambda corpus: corpus.poset_cat("wedge", ["a", "b", "c"],
-                                                 lambda x, y: x == y or y == "c"),
-    },
-    "nerve-category": {"walkiso": lambda corpus: corpus.walking_iso_cat(),
-                       "parallel": lambda corpus: corpus.parallel_arrows_cat()},
-    "nerve-monoid": {"idem": lambda corpus: corpus.idempotent_monoid()},
-    "graph": {
-        "glued": lambda corpus, size, T: corpus.glued_edges_sset(T),
-        "path": lambda corpus, size, T: corpus.path_graph_sset(size, T),
-    },
+# gen fixture, by (kind, preset), the preset None where --preset is not given:
+# (its --size as (least, default), None for a fixed fixture, which rejects
+# --size; its builder, given the corpus module c, the size n and the
+# truncation T).  gen lists kinds, presets and the fixtures that take --size
+# in this order.
+_FIXTURES = {
+    ("nerve-poset", None): ((0, 2), lambda c, n, T: c.nerve(c.chain_poset(n), T)),
+    ("nerve-poset", "diamond"): (None, lambda c, n, T: c.nerve(c.diamond_poset(), T)),
+    ("nerve-poset", "vee"): (None, lambda c, n, T: c.nerve(
+        c.poset_cat("vee", ["a", "b", "c"], lambda x, y: x == y or x == "a"), T)),
+    ("nerve-poset", "wedge"): (None, lambda c, n, T: c.nerve(
+        c.poset_cat("wedge", ["a", "b", "c"], lambda x, y: x == y or y == "c"), T)),
+    ("nerve-category", "walkiso"): (None, lambda c, n, T: c.nerve(c.walking_iso_cat(), T)),
+    ("nerve-category", "parallel"): (None, lambda c, n, T: c.nerve(c.parallel_arrows_cat(), T)),
+    ("nerve-monoid", None): ((1, 2), lambda c, n, T: c.nerve(c.cyclic_monoid(n), T)),
+    ("nerve-monoid", "idem"): (None, lambda c, n, T: c.nerve(c.idempotent_monoid(), T)),
+    ("partial-monoid", None): (None, lambda c, n, T: c.two_segal_partial_monoid(T)),
+    ("simplex", None): ((0, 1), lambda c, n, T: c.nerve(c.chain_poset(n), T)),
+    ("constant", None): ((0, 3), lambda c, n, T: constant_sset([f"c{k}" for k in range(n)], T)),
+    ("boolean-lattice", None): ((0, 2), lambda c, n, T: c.nerve(c.boolean_lattice(n), T)),
+    ("graph", "glued"): (None, lambda c, n, T: c.glued_edges_sset(T)),
+    ("punctured-chain", None): ((3, 3), lambda c, n, T: c.punctured_chain_sset(n, T)),
+    ("graph", "path"): ((0, 2), lambda c, n, T: c.path_graph_sset(n, T)),
 }
 
 
@@ -141,42 +137,23 @@ def _gen(args) -> int:
     T, kind, size = args.trunc, args.kind, args.size
     if _below("trunc", T):
         return 2
-    presets = _PRESETS.get(kind, {})
+    presets = [p for k, p in _FIXTURES if k == kind and p is not None]
     if args.preset is not None and args.preset not in presets:
         print(f"gen {kind} has no preset {args.preset!r} (presets: {', '.join(presets) or 'none'})",
               file=sys.stderr)
         return 2
     preset = _DEFAULT_PRESET.get(kind) if args.preset is None else args.preset
-    sizes = _SIZES.get((kind, preset))
+    sizes, build = _FIXTURES[kind, preset]
     if size is not None and sizes is None:
+        sized = (_fixture_name(*key) for key, (rule, _) in _FIXTURES.items() if rule is not None)
         print(f"gen {_fixture_name(kind, args.preset)} takes no --size (it applies to: "
-              f"{', '.join(_fixture_name(*key) for key in _SIZES)})", file=sys.stderr)
+              f"{', '.join(sized)})", file=sys.stderr)
         return 2
     if sizes is not None:
         if _below("size", size, sizes[0]):
             return 2
         size = sizes[1] if size is None else size
-    if kind == "graph":
-        out = presets[preset](corpus, size, T)
-    elif preset is not None:
-        out = corpus.nerve(presets[preset](corpus), T)
-    elif kind == "nerve-poset":
-        out = corpus.nerve(corpus.chain_poset(size), T)
-    elif kind == "nerve-monoid":
-        out = corpus.nerve(corpus.cyclic_monoid(size), T)
-    elif kind == "partial-monoid":
-        out = corpus.two_segal_partial_monoid(T)
-    elif kind == "simplex":
-        out = corpus.nerve(corpus.chain_poset(size), T)
-    elif kind == "constant":
-        out = constant_sset([f"c{k}" for k in range(size)], T)
-    elif kind == "boolean-lattice":
-        out = corpus.nerve(corpus.boolean_lattice(size), T)
-    elif kind == "punctured-chain":
-        out = corpus.punctured_chain_sset(size, T)
-    else:
-        print(f"unknown kind {kind!r}", file=sys.stderr)
-        return 2
+    out = build(corpus, size, T)
     rep = validate(out)
     if not rep.passed:
         _emit(rep.to_dict(), args.format)
@@ -235,17 +212,7 @@ _CHECKS = {
 
 def _library_module(name: str):
     """The module of ``_CHECKS`` or ``_SUITES`` called ``name``, imported."""
-    if name == "fibrations":
-        from . import fibrations as module
-    elif name == "configurations":
-        from . import configurations as module
-    elif name == "decalage":
-        from . import decalage as module
-    elif name == "suites":
-        from . import suites as module
-    else:
-        from . import abacus as module
-    return module
+    return getattr(__import__(__package__, fromlist=[name]), name)
 
 
 def _check(args) -> int:
@@ -278,38 +245,38 @@ def _load_or_none(path: str):
 # construct
 
 
-_CONSTRUCT_SHAPES = {"qstar": SMAP, "tot": SSET, "rtot": SSET, "boors-tot": SSET,
-                     "extend": ("sigmaset",), "M": ("smap", "dset")}
+def _extension(B, rep, axioms):
+    """The extension B, or where ``extend_sigma_to_d`` refused, its report."""
+    return rep if B is None else B
+
+
+# construct op: (the input shapes it takes; the construction, given the
+# configurations module: the presheaf it writes, or the report that refused
+# the input)
+_CONSTRUCTS = {
+    "qstar": (SMAP, lambda cfg, P, a: cfg.q_lower_star(P)),
+    "tot": (SSET, lambda cfg, P, a: cfg.tot(P)),
+    "rtot": (SSET, lambda cfg, P, a: cfg.r_star(P)),
+    "boors-tot": (SSET, lambda cfg, P, a: cfg.p_star_tot(P)),
+    "extend": (("sigmaset",), lambda cfg, P, a: _extension(*cfg.extend_sigma_to_d(P, half=a.half))),
+    "M": (("smap", "dset"), lambda cfg, P, a: cfg.build_M(
+        cfg.q_lower_star(P) if isinstance(P, SMap) else P)[1]),
+}
 
 
 def _construct(args) -> int:
     from . import configurations as cfg
-    from . import decalage
 
+    shapes, construction = _CONSTRUCTS[args.op]
     P = _load_or_none(args.infile)
-    if P is None or _wrong_shape(P, _CONSTRUCT_SHAPES[args.op], f"construct {args.op}"):
+    if P is None or _wrong_shape(P, shapes, f"construct {args.op}"):
         return 2
     if not validate(P).passed:
         print("input does not validate", file=sys.stderr)
         return 2
-    op = args.op
-    if op == "qstar":
-        out = cfg.q_lower_star(P)
-    elif op == "tot":
-        out = decalage.tot(P)
-    elif op == "rtot":
-        out = cfg.r_star(P)
-    elif op == "boors-tot":
-        out = cfg.p_star_tot(P)
-    elif op == "extend":
-        out, rep, _ = cfg.extend_sigma_to_d(P, half=args.half)
-        if out is None:
-            _emit(rep.to_dict(), args.format)
-            return rep.exit_code()
-    else:  # M
-        B = cfg.q_lower_star(P) if isinstance(P, SMap) else P
-        M, proj = cfg.build_M(B)
-        out = proj
+    out = construction(cfg, P, args)
+    if isinstance(out, CheckReport):
+        return _report_exit(out, args.format)
     rep = validate(out)
     if not _dump(out, args.out):
         return 2
@@ -321,51 +288,35 @@ def _construct(args) -> int:
 # roundtrip
 
 
-_ROUNDTRIP_SHAPES = {"boors": SSET, "star": SMAP, "M": ("smap", "dset")}
+# roundtrip kind: (the input shapes it takes; the round trip, given the
+# configurations module: its named reports)
+_ROUNDTRIPS = {
+    "boors": (SSET, lambda cfg, P: cfg.boors_roundtrip(P)),
+    "star": (SMAP, lambda cfg, P: cfg.star_roundtrip(P)),
+    "M": (("smap", "dset"), lambda cfg, P: cfg.m_roundtrip(P)),
+}
 
 
 def _roundtrip(args) -> int:
     from . import configurations as cfg
 
+    shapes, roundtrip = _ROUNDTRIPS[args.kind]
     P = _load_or_none(args.file)
-    if (P is None or _wrong_shape(P, _ROUNDTRIP_SHAPES[args.kind], f"roundtrip {args.kind}")
+    if (P is None or _wrong_shape(P, shapes, f"roundtrip {args.kind}")
             or _below("trunc", args.trunc)):
         return 2
-    if args.trunc is not None and isinstance(P, TruncSSet):
+    if args.trunc is not None:
+        if args.kind != "boors":
+            print(f"--trunc cuts the simplicial set of boors; {args.kind} runs at its input's depth",
+                  file=sys.stderr)
+            return 2
         P = sub_trunc(P, args.trunc)
     if not validate(P).passed:
         print("input does not validate", file=sys.stderr)
         return 2
-    if args.kind == "boors":
-        reports = cfg.boors_roundtrip(P)
-    elif args.kind == "star":
-        B = cfg.q_lower_star(P)
-        F2 = cfg.q_upper_star(B)
-        differ = tuple(n for n in F2.levels if F2.levels[n] != P.levels[n])
-        reports = {
-            "star": cfg.condition_star(B),
-            "unit": cfg.unit_iso(B),
-            "restriction_recovers_map": CheckReport.from_witnesses(
-                "restriction_recovers_map",
-                [Witness("q^*", "restriction differs from the map", differ)] if differ else [],
-                1),
-        }
-    else:  # M
-        B = cfg.q_lower_star(P) if isinstance(P, SMap) else P
-        M, proj = cfg.build_M(B)
-        fib = cfg.extract_from_M(M, proj)
-        differ = tuple(lvl for lvl in B.levels
-                       if tuple(x[1] for x in fib.get(lvl, ())) != B.level(*lvl))
-        reports = {
-            "m_validates": validate(M),
-            "projection_validates": validate(proj),
-            "extraction_identity": CheckReport.from_witnesses(
-                "extraction_identity",
-                [Witness("extract", "fibre differs from the level", differ)] if differ else [],
-                len(B.levels)),
-        }
+    reports = roundtrip(cfg, P)
     payload = {k: r.to_dict() for k, r in reports.items()}
-    payload["depth"] = getattr(P, "trunc", None)
+    payload["depth"] = P.trunc
     _emit(payload, args.format)
     return CheckReport.conjunction("roundtrip", reports.values()).exit_code()
 
@@ -440,9 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("gen", help="generate a fixture")
-    g.add_argument("kind", choices=[
-        "nerve-poset", "nerve-category", "nerve-monoid", "partial-monoid",
-        "simplex", "constant", "boolean-lattice", "graph", "punctured-chain"])
+    g.add_argument("kind", choices=list(dict.fromkeys(kind for kind, _ in _FIXTURES)))
     g.add_argument("--size", type=int)
     g.add_argument("--preset")
     g.add_argument("--trunc", type=int, default=5)
@@ -451,11 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(fn=_gen)
 
     c = sub.add_parser("check", help="run one checker on a fixture file")
-    c.add_argument("check", choices=[
-        "validate", "segal", "2segal", "lfib", "rfib", "culf", "stable",
-        "double-segal", "reduced-stable", "star", "unit-iso", "bicomodule",
-        "invertible-abacus", "boors", "ts-compat", "rel-upper-2segal",
-        "rigid", "coalgebra", "local-initial", "local-terminal"])
+    c.add_argument("check", choices=list(_CHECKS))
     c.add_argument("file")
     c.add_argument("--side", choices=["upper", "lower", "both"], default="both")
     c.add_argument("--half", action="store_true")
@@ -463,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=_check)
 
     b = sub.add_parser("construct", help="run a construction on a fixture file")
-    b.add_argument("op", choices=["qstar", "tot", "rtot", "boors-tot", "extend", "M"])
+    b.add_argument("op", choices=list(_CONSTRUCTS))
     b.add_argument("--in", dest="infile", required=True)
     b.add_argument("--out", required=True)
     b.add_argument("--half", action="store_true")
@@ -471,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(fn=_construct)
 
     r = sub.add_parser("roundtrip", help="run an equivalence round trip")
-    r.add_argument("kind", choices=["boors", "star", "M"])
+    r.add_argument("kind", choices=list(_ROUNDTRIPS))
     r.add_argument("file")
     r.add_argument("--trunc", type=int)
     r.add_argument("--format", choices=["json", "text"], default="json")

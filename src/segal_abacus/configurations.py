@@ -84,7 +84,7 @@ def q_lower_star(F: SMap) -> DSet:
     generator acts by precomposition with its defining square.
     """
     X, Y = F.source, F.target
-    T = min(X.trunc, Y.trunc)
+    T = F.trunc
     levels = {}
     for (i, j) in dset_levels(T):
         if j == -1:
@@ -235,7 +235,7 @@ def is_bicomodule_config(B: DSet) -> CheckReport:
 def is_rel_upper_2segal(F: SMap) -> CheckReport:
     """The pullback of the top-decalage counit along F is Segal."""
     X, Y = F.source, F.target
-    T = min(X.trunc, Y.trunc) - 1
+    T = F.trunc - 1
     if T < 2:
         return CheckReport.precondition_failure("is_rel_upper_2segal", "needs trunc >= 3")
     levels = {}
@@ -728,6 +728,49 @@ def tot_roundtrip_iso(X: TruncSSet, B_ext: DSet) -> dict:
         else:
             maps[(-1, j)] = {z: X.face(j + 1, 0, z) for z in B_ext.level(-1, j)}
     return maps
+
+
+def star_roundtrip(F: SMap) -> dict:
+    """The Kan extension of a simplicial map against its unit.
+
+    Returns named CheckReports: the cartesian-abacus condition and unit
+    bijectivity of ``q_lower_star(F)``, and exact recovery of F by
+    restricting that extension to its augmentations.
+    """
+    B = q_lower_star(F)
+    F2 = q_upper_star(B)
+    differ = tuple(n for n in F2.levels if F2.levels[n] != F.levels[n])
+    return {
+        "star": condition_star(B),
+        "unit": unit_iso(B),
+        "restriction_recovers_map": CheckReport.from_witnesses(
+            "restriction_recovers_map",
+            [Witness("q^*", "restriction differs from the map", differ)] if differ else [],
+            1),
+    }
+
+
+def m_roundtrip(P) -> dict:
+    """The packaged total space over the arrow and its extraction.
+
+    P is an abacus presheaf, or a simplicial map standing for its Kan
+    extension.  Returns named CheckReports: validity of the total space M
+    and of its projection, and exact recovery of every level from the
+    projection's fibres.
+    """
+    B = q_lower_star(P) if isinstance(P, SMap) else P
+    M, proj = build_M(B)
+    fib = extract_from_M(M, proj)
+    differ = tuple(lvl for lvl in B.levels
+                   if tuple(x[1] for x in fib.get(lvl, ())) != B.level(*lvl))
+    return {
+        "m_validates": validate(M),
+        "projection_validates": validate(proj),
+        "extraction_identity": CheckReport.from_witnesses(
+            "extraction_identity",
+            [Witness("extract", "fibre differs from the level", differ)] if differ else [],
+            len(B.levels)),
+    }
 
 
 def boors_roundtrip(X: TruncSSet) -> dict:

@@ -62,7 +62,7 @@ def dec_map(F: SMap, side: str) -> SMap:
     return SMap(
         dec(F.source, side),
         dec(F.target, side),
-        {n: F.levels[n + 1] for n in range(min(F.source.trunc, F.target.trunc))},
+        {n: F.levels[n + 1] for n in range(F.trunc)},
     )
 
 
@@ -270,8 +270,7 @@ def pullback_coalgebra(F: SMap, C_split: dict, name: str = "pullback_coalgebra")
     pre = is_right_fibration(F)
     if not pre.passed:
         return None, CheckReport.precondition_failure(name, "map is not a right fibration")
-    X, Y = F.source, F.target
-    T = min(X.trunc, Y.trunc)
+    X, T = F.source, F.trunc
     split = {}
     witnesses = []
     for n in range(T):

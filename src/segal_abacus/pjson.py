@@ -69,27 +69,19 @@ def _parse_lvl(key: str):
     return int(key)
 
 
-def sset_to_dict(X: TruncSSet) -> dict:
-    return _grid_to_dict(X, "sset")
-
-
-def sset_from_dict(data: dict) -> TruncSSet:
-    return TruncSSet(_field(data, "trunc", int), *_parse_grid(data, ("d", "s")))
-
-
 def smap_to_dict(F: SMap) -> dict:
     return {
         "shape": "smap",
-        "source": sset_to_dict(F.source),
-        "target": sset_to_dict(F.target),
+        "source": _grid_to_dict(F.source, "sset"),
+        "target": _grid_to_dict(F.target, "sset"),
         "levels": {str(n): _table(F.levels[n]) for n in sorted(F.levels)},
     }
 
 
 def smap_from_dict(data: dict) -> SMap:
     return SMap(
-        sset_from_dict(_field(data, "source", dict)),
-        sset_from_dict(_field(data, "target", dict)),
+        _sset(data, "source"),
+        _sset(data, "target"),
         {int(n): _read_table(t, f"level {n}") for n, t in _field(data, "levels", dict).items()},
     )
 
@@ -105,7 +97,9 @@ def _grid_to_dict(B, shape: str) -> dict:
 
 
 def _parse_grid(data, kinds):
-    """Levels and actions of a file form; action keys name a kind in ``kinds``."""
+    """Truncation, levels and actions of a file form; action keys name a
+    kind in ``kinds``."""
+    trunc = _field(data, "trunc", int)
     levels = {_parse_lvl(key): _ids(xs, f"level {key}")
               for key, xs in _field(data, "levels", dict).items()}
     actions = {}
@@ -116,32 +110,23 @@ def _parse_grid(data, kinds):
             raise KeyError(key)
         k = int(head[len(kind):]) if head != kind else None
         actions[kind, k, _parse_lvl(at)] = _read_table(table, f"action {key}")
-    return levels, actions
+    return trunc, levels, actions
 
 
-def bisset_to_dict(B: BiSSet) -> dict:
-    return _grid_to_dict(B, "bisset")
+def _sset(data: dict, key: str) -> TruncSSet:
+    """The simplicial set in the field ``key`` of a file form."""
+    return TruncSSet(*_parse_grid(_field(data, key, dict), ("d", "s")))
 
 
-def bisset_from_dict(data: dict) -> BiSSet:
-    return BiSSet(_field(data, "trunc", int), *_parse_grid(data, BULK_KINDS))
-
-
-def dset_to_dict(B: DSet) -> dict:
-    return _grid_to_dict(B, "dset")
-
-
-def dset_from_dict(data: dict) -> DSet:
-    return DSet(_field(data, "trunc", int), *_parse_grid(data, SHIFT))
-
-
-def sigmaset_to_dict(A: SigmaSet) -> dict:
+def _pointing_to_dict(P, shape: str, key: str, inner: dict) -> dict:
+    """The file form of the pointing of P, with ``inner``, the file form of
+    what P points, under ``key``."""
     return {
-        "shape": "sigmaset",
-        "bulk": bisset_to_dict(A.bulk),
+        "shape": shape,
+        key: inner,
         "pointing": {
-            "levels": [fmt_id(c) for c in A.point_set],
-            "map": _table(A.pointing),
+            "levels": [fmt_id(c) for c in P.point_set],
+            "map": _table(P.pointing),
         },
     }
 
@@ -153,48 +138,37 @@ def _pointing(data: dict) -> tuple:
             _read_table(pointing["map"], "the pointing map"))
 
 
-def sigmaset_from_dict(data: dict) -> SigmaSet:
-    return SigmaSet(bisset_from_dict(_field(data, "bulk", dict)), *_pointing(data))
-
-
-def pointed_to_dict(P: PointedSSet) -> dict:
-    return {
-        "shape": "pointed",
-        "sset": sset_to_dict(P.sset),
-        "pointing": {
-            "levels": [fmt_id(c) for c in P.point_set],
-            "map": _table(P.pointing),
-        },
-    }
-
-
-def pointed_from_dict(data: dict) -> PointedSSet:
-    return PointedSSet(sset_from_dict(_field(data, "sset", dict)), *_pointing(data))
-
-
 def split_to_dict(A: BottomSplitSSet) -> dict:
     return {
         "shape": "split",
-        "sset": sset_to_dict(A.sset),
+        "sset": _grid_to_dict(A.sset, "sset"),
         "split": {str(n): _table(t) for n, t in sorted(A.split.items())},
     }
 
 
 def split_from_dict(data: dict) -> BottomSplitSSet:
     return BottomSplitSSet(
-        sset_from_dict(_field(data, "sset", dict)),
+        _sset(data, "sset"),
         {int(n): _read_table(t, f"split {n}") for n, t in _field(data, "split", dict).items()},
     )
 
 
 # shape tag: (class, writer, reader)
 _SHAPES = {
-    "sset": (TruncSSet, sset_to_dict, sset_from_dict),
+    "sset": (TruncSSet, lambda X: _grid_to_dict(X, "sset"),
+             lambda data: TruncSSet(*_parse_grid(data, ("d", "s")))),
     "smap": (SMap, smap_to_dict, smap_from_dict),
-    "bisset": (BiSSet, bisset_to_dict, bisset_from_dict),
-    "dset": (DSet, dset_to_dict, dset_from_dict),
-    "sigmaset": (SigmaSet, sigmaset_to_dict, sigmaset_from_dict),
-    "pointed": (PointedSSet, pointed_to_dict, pointed_from_dict),
+    "bisset": (BiSSet, lambda B: _grid_to_dict(B, "bisset"),
+               lambda data: BiSSet(*_parse_grid(data, BULK_KINDS))),
+    "dset": (DSet, lambda B: _grid_to_dict(B, "dset"),
+             lambda data: DSet(*_parse_grid(data, SHIFT))),
+    "sigmaset": (SigmaSet,
+                 lambda A: _pointing_to_dict(A, "sigmaset", "bulk", _grid_to_dict(A.bulk, "bisset")),
+                 lambda data: SigmaSet(BiSSet(*_parse_grid(_field(data, "bulk", dict), BULK_KINDS)),
+                                       *_pointing(data))),
+    "pointed": (PointedSSet,
+                lambda P: _pointing_to_dict(P, "pointed", "sset", _grid_to_dict(P.sset, "sset")),
+                lambda data: PointedSSet(_sset(data, "sset"), *_pointing(data))),
     "split": (BottomSplitSSet, split_to_dict, split_from_dict),
 }
 

@@ -191,6 +191,12 @@ class SMap:
     target: TruncSSet
     levels: dict
 
+    @property
+    def trunc(self) -> int:
+        """The lesser of the source and target truncations: the depth of
+        the map's Kan extension."""
+        return min(self.source.trunc, self.target.trunc)
+
     def at(self, n: int, x):
         return self.levels[n][x]
 
@@ -484,7 +490,7 @@ def cartesian_on(F: SMap, cls: str, name: str | None = None) -> CheckReport:
     X, Y = F.source, F.target
     in_class = OPERATOR_CLASSES[cls]
     reports = []
-    for key in delta_actions(min(X.trunc, Y.trunc)):
+    for key in delta_actions(F.trunc):
         if in_class(*key):
             n = key[2]
             tgt = _delta_target(key[0], n)

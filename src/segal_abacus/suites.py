@@ -239,7 +239,7 @@ def dictionary_suite(trunc: int = 4) -> dict:
             "bijective": not any(
                 bijection_witnesses("", "", ((x, (y,)) for x, y in F.levels[n].items()),
                                     [(y,) for y in F.target.level(n)])
-                for n in range(min(F.source.trunc, F.target.trunc) + 1)
+                for n in range(F.trunc + 1)
             ),
             "m_dict": m_2segal_dictionary(conds, B).holds,
         })
@@ -259,25 +259,28 @@ def dictionary_suite(trunc: int = 4) -> dict:
     return _finish("dictionary", entries, trunc)
 
 
+def _roundtrip_entries(prefix: str, statements, results) -> list:
+    """One entry per ``(key, statement)`` pair, in order: each round trip's
+    report under that key, undecided where the round trip stopped before
+    it."""
+    return [_tally(f"{prefix}:{key}", statement,
+                   ((n, rt[key].holds if key in rt else None) for n, rt in results))
+            for key, statement in statements]
+
+
 def boors_suite(trunc: int = 5) -> dict:
     """The pointing equivalence round trip on the 2-Segal corpus."""
     results = [(n, boors_roundtrip(X)) for n, X in standard_nerve_corpus(trunc)
                if is_2segal(X, "both").holds]
-    entries = []
-    keys = ["axioms", "extension_valid", "invertible_abacus", "ts_compat",
-            "invertibility_pair", "pointing_restriction", "iso_with_kan"]
-    statements = {
-        "axioms": "pointed total decalage satisfies the pointing axioms",
-        "extension_valid": "the extension is a genuine abacus presheaf",
-        "invertible_abacus": "extended splittings make every abacus action invertible",
-        "ts_compat": "top degeneracy and top splitting agree after the bottom splitting",
-        "invertibility_pair": "the two splittings compose to mutually inverse maps",
-        "pointing_restriction": "restricting the extension returns the input exactly",
-        "iso_with_kan": "the extension is isomorphic to the Kan extension of the identity",
-    }
-    for key in keys:
-        entries.append(_tally(f"boors:{key}", statements[key],
-                              ((n, rt[key].holds if key in rt else None) for n, rt in results)))
+    entries = _roundtrip_entries("boors", [
+        ("axioms", "pointed total decalage satisfies the pointing axioms"),
+        ("extension_valid", "the extension is a genuine abacus presheaf"),
+        ("invertible_abacus", "extended splittings make every abacus action invertible"),
+        ("ts_compat", "top degeneracy and top splitting agree after the bottom splitting"),
+        ("invertibility_pair", "the two splittings compose to mutually inverse maps"),
+        ("pointing_restriction", "restricting the extension returns the input exactly"),
+        ("iso_with_kan", "the extension is isomorphic to the Kan extension of the identity"),
+    ], results)
     return _finish("boors", entries, trunc)
 
 
@@ -291,15 +294,12 @@ def half_axioms_suite(trunc: int = 5) -> dict:
         ("incl-chain13", poset_inclusion(chain_poset(1), chain_poset(3), trunc)),
     ]
     results = [(name, half_roundtrip(F)) for name, F in maps]
-    entries = []
-    for key, statement in [
+    entries = _roundtrip_entries("half", [
         ("half_axioms", "restrictions satisfy the horizontal half of the axioms"),
         ("extension_valid", "the one-sided extension is a genuine presheaf"),
         ("pointing_restriction", "restricting the extension returns the input exactly"),
         ("iso_with_kan", "the extension matches the Kan extension away from the augmentation row"),
-    ]:
-        entries.append(_tally(f"half:{key}", statement,
-                              ((n, rt[key].holds if key in rt else None) for n, rt in results)))
+    ], results)
     entries.append(_exists("half:vertical-axiom-fails-somewhere",
                            "the corpus includes inputs failing the vertical pointing axiom",
                            (rt["full_axioms"].holds for _, rt in results), 1))

@@ -414,6 +414,32 @@ def test_roundtrip_m_from_smap(tmp_path):
     code, text = run(["roundtrip", "M", f])
     assert code == 0
     assert json.loads(text)["extraction_identity"]["verdict"] == "pass"
+    # a map's round trips run at its Kan extension's depth, and say so
+    for kind in ("M", "star"):
+        code, text = run(["roundtrip", kind, f])
+        assert (code, json.loads(text)["depth"]) == (0, 4), kind
+
+
+def test_roundtrip_trunc_cuts_only_boors(tmp_path):
+    """``--trunc`` cuts the simplicial set of ``roundtrip boors``; the round
+    trips of a map or abacus presheaf reject it (exit 2, one line)."""
+    import contextlib
+    import io
+
+    from segal_abacus.presheaf import identity_smap
+
+    f = str(tmp_path / "f.json")
+    pjson.dump(identity_smap(nerve(chain_poset(1), 4)), f)
+    for kind in ("M", "star"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, text = run(["roundtrip", kind, f, "--trunc", "2"])
+        assert (code, text, err.getvalue()) == (
+            2, "", f"--trunc cuts the simplicial set of boors; {kind} runs at its input's depth\n")
+    x = str(tmp_path / "x.json")
+    pjson.dump(nerve(chain_poset(1), 5), x)
+    code, text = run(["roundtrip", "boors", x, "--trunc", "4"])
+    assert (code, json.loads(text)["depth"]) == (0, 4)
 
 
 def test_reduced_stability_says_what_truncation_2_cannot_check(tmp_path):
