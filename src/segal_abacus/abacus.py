@@ -11,24 +11,29 @@ identity) and, in the second presentation, the splittings ``ssub``
 
 Everything is represented semantically: a morphism *is* its carrier, and
 generator words are a serialization layer on top.  ``relation_suite``
-certifies that the presentation's relation table holds in this model,
-and ``word_closure_homs`` + ``hom_enumerate`` certify that the
-generators reach every morphism; ``presentation_suite`` runs all of it.
+and ``trapezium_suite`` certify that the presentation's equations hold in
+this model, and ``word_closure_homs`` + ``hom_enumerate`` certify that
+the generators reach every morphism; ``presentation_suite`` runs all of it.
 
 Words are evaluated on plain carrier value tuples: each token indexes
 the values so far by its generator's carrier, read from one cached
 lookup ``_step`` that ``bead_of_generator`` fills.  Validation happens
 where a bead map is built, by the ``BeadMap``/``MonotoneMap``
-constructors: parsed words, ``eval_bead_word`` results and the maps of
-``hom_enumerate``.  No intermediate step builds a bead map, and the word
-closure and recomposed factorizations stay carrier tuples, valid because
-``presentation_suite`` finds them equal to enumerated, validated maps.
+constructors: generators, parsed words, ``eval_bead_word`` results and
+the maps of ``hom_enumerate``.  No intermediate step builds a bead map.
+Both sides of an equation stay carrier walks, compared as tuples, since a
+composite of validated generators is a bead map; a bead map is built only
+to name a failing side.  The word closure and recomposed factorizations
+stay carrier tuples too, valid because ``presentation_suite`` finds them
+equal to enumerated, validated maps.
 
-``SHIFT`` says where each generator lands and ``generator_range`` which
-indices exist at an object; nothing else lists either.  From them
-``generators_into`` builds the one generator table of a truncation, once:
-for each object, the generators that land in it.  Presheaf levels and
-actions (``presheaf``, ``configurations``, ``decalage``) are read off it.
+Each generator is stated once, in the table ``_GENERATORS``: where it
+lands, which indices it has at an object and its carrier there.
+``SHIFT``, ``generator_range`` and ``bead_of_generator`` read that table,
+and nothing else lists generators.  From it ``generators_into`` builds the
+generators of a truncation, once: for each object, the generators that
+land in it.  Presheaf levels and actions (``presheaf``,
+``configurations``, ``decalage``) are read off that.
 """
 
 from __future__ import annotations
@@ -117,9 +122,6 @@ class BeadMap:
         blacks = self.src.blacks
         return bisect_left(self.carrier.values, self.tgt.blacks, blacks) - blacks
 
-    def is_identity(self) -> bool:
-        return self.src == self.tgt and self.carrier.is_identity()
-
     def __str__(self) -> str:
         return f"{self.src}->{self.tgt}:{list(self.carrier.values)}"
 
@@ -138,52 +140,38 @@ def bead_compose(g2: BeadMap, g1: BeadMap) -> BeadMap:
 # ---------------------------------------------------------------------------
 # Generators
 
-# The one table of where each generator lands: the step (di, dj) from its
-# source object to its target.  ``e``/``t`` move the first index, ``d``/``s``
-# the second, ``f`` is the abacus map and ``ssub`` the splitting s#.  A
-# presheaf acts contravariantly, so its actions step by the negation
-# (``presheaf.action_target``).
-SHIFT = {"e": (1, 0), "t": (-1, 0), "d": (0, 1), "s": (0, -1), "f": (1, -1), "ssub": (0, -1)}
+# The one generator table: for each kind, in the order every generator list
+# follows, its step (di, dj) from its source [i, j] to its target, its
+# indices at [i, j], and the carrier of its instance k there.  ``e``/``t``
+# move the first index, ``d``/``s`` the second, ``f`` is the abacus map and
+# ``ssub`` the splitting s#.  A presheaf acts contravariantly, so its
+# actions step by the negation (``presheaf.action_target``).
+_GENERATORS = {
+    "e": ((1, 0), lambda i, j: range(i + 2), lambda k, i, j: coface(k, i + j + 2)),
+    "t": ((-1, 0), lambda i, j: range(i), lambda k, i, j: codegeneracy(k, i + j)),
+    "d": ((0, 1), lambda i, j: range(j + 2), lambda k, i, j: coface(i + 1 + k, i + j + 2)),
+    "s": ((0, -1), lambda i, j: range(j), lambda k, i, j: codegeneracy(i + 1 + k, i + j)),
+    "f": ((1, -1), lambda i, j: [None] if j >= 0 else [], lambda k, i, j: identity(i + j + 1)),
+    # no splitting out of the augmentation row
+    "ssub": ((0, -1), lambda i, j: [None] if (i >= 0 and j >= 0) else [],
+             lambda k, i, j: codegeneracy(i, i + j)),
+}
+SHIFT = {kind: shift for kind, (shift, _, _) in _GENERATORS.items()}
 
 
 def generator_range(kind: str, at: DObject) -> list[int | None]:
     """Legal indices of a generator kind at the given source object."""
-    i, j = at.i, at.j
-    if kind == "e":
-        return list(range(i + 2))
-    if kind == "t":
-        return list(range(i))
-    if kind == "d":
-        return list(range(j + 2))
-    if kind == "s":
-        return list(range(j))
-    if kind == "f":
-        return [None] if j >= 0 else []
-    if kind == "ssub":
-        # no splitting out of the augmentation row
-        return [None] if (i >= 0 and j >= 0) else []
-    raise ValueError(f"unknown generator kind {kind!r}")
+    if kind not in _GENERATORS:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    return list(_GENERATORS[kind][1](at.i, at.j))
 
 
 def bead_of_generator(kind: str, k: int | None, at: DObject) -> BeadMap:
     """The generator ``kind^k`` with source ``at``, as a bead map."""
-    i, j = at.i, at.j
     if k not in generator_range(kind, at):
         raise ValueError(f"generator {kind}{'' if k is None else k} not defined at {at}")
-    if kind == "e":
-        carrier = coface(k, i + j + 2)
-    elif kind == "t":
-        carrier = codegeneracy(k, i + j)
-    elif kind == "d":
-        carrier = coface(i + 1 + k, i + j + 2)
-    elif kind == "s":
-        carrier = codegeneracy(i + 1 + k, i + j)
-    elif kind == "f":
-        carrier = identity(i + j + 1)
-    else:  # ssub
-        carrier = codegeneracy(i, i + j)
-    di, dj = SHIFT[kind]
-    return BeadMap(at, DObject(i + di, j + dj), carrier)
+    (di, dj), _, carrier = _GENERATORS[kind]
+    return BeadMap(at, DObject(at.i + di, at.j + dj), carrier(k, at.i, at.j))
 
 
 def generators_at(at: DObject) -> list[tuple[str, int | None, BeadMap]]:
@@ -229,12 +217,18 @@ def _bead(src: DObject, i: int, j: int, vals: tuple) -> BeadMap:
     return BeadMap(src, tgt, MonotoneMap(src.size, tgt.size, vals))
 
 
-def eval_bead_word(word: GeneratorWord) -> BeadMap:
-    """Evaluate a word of abacus tokens (application order) to a bead map."""
+def _walk_word(word: GeneratorWord) -> tuple:
+    """``(i, j, carrier values)`` of a word of abacus tokens; nothing is
+    built or validated."""
     src = word.source
     if not isinstance(src, DObject):
         raise TypeError("abacus words carry a DObject source")
-    return _bead(src, *_walk(src.i, src.j, tuple(range(src.size)), word.tokens))
+    return _walk(src.i, src.j, tuple(range(src.size)), word.tokens)
+
+
+def eval_bead_word(word: GeneratorWord) -> BeadMap:
+    """Evaluate a word of abacus tokens (application order) to a bead map."""
+    return _bead(word.source, *_walk_word(word))
 
 
 def parse_bead_word(text: str) -> GeneratorWord:
@@ -286,41 +280,34 @@ def relations_at(at: DObject):
     yield from _split_relations(at)
 
 
-def _bisimplicial_relations(at: DObject):
-    i, j = at.i, at.j
-    # vertical cosimplicial identities
-    for l in range(i + 3):
+def _cosimplicial_relations(at: DObject, face: str, degen: str, n: int):
+    """The cosimplicial identities of the cofaces ``face`` and the
+    codegeneracies ``degen`` out of ``at``, whose index along their
+    direction is ``n``."""
+    for l in range(n + 3):
         for k in range(l):
-            yield (f"e.e@{at}", _word(at, ("e", k), ("e", l)), _word(at, ("e", l - 1), ("e", k)))
-    for l in range(i - 1):
+            yield (f"{face}.{face}@{at}", _word(at, (face, k), (face, l)),
+                   _word(at, (face, l - 1), (face, k)))
+    for l in range(n - 1):
         for k in range(l + 1):
             # the codegeneracy identity in its k <= l form
-            yield (f"t.t@{at}", _word(at, ("t", l + 1), ("t", k)), _word(at, ("t", k), ("t", l)))
-    for k in range(i + 2):
-        for l in range(i + 1):
-            lhs = _word(at, ("e", k), ("t", l))
+            yield (f"{degen}.{degen}@{at}", _word(at, (degen, l + 1), (degen, k)),
+                   _word(at, (degen, k), (degen, l)))
+    for k in range(n + 2):
+        for l in range(n + 1):
             if k < l:
-                yield (f"t.e@{at}", lhs, _word(at, ("t", l - 1), ("e", k)))
+                rhs = _word(at, (degen, l - 1), (face, k))
             elif k in (l, l + 1):
-                yield (f"t.e@{at}", lhs, _word(at))
+                rhs = _word(at)
             else:
-                yield (f"t.e@{at}", lhs, _word(at, ("t", l), ("e", k - 1)))
-    # horizontal cosimplicial identities
-    for l in range(j + 3):
-        for k in range(l):
-            yield (f"d.d@{at}", _word(at, ("d", k), ("d", l)), _word(at, ("d", l - 1), ("d", k)))
-    for l in range(j - 1):
-        for k in range(l + 1):
-            yield (f"s.s@{at}", _word(at, ("s", l + 1), ("s", k)), _word(at, ("s", k), ("s", l)))
-    for k in range(j + 2):
-        for l in range(j + 1):
-            lhs = _word(at, ("d", k), ("s", l))
-            if k < l:
-                yield (f"s.d@{at}", lhs, _word(at, ("s", l - 1), ("d", k)))
-            elif k in (l, l + 1):
-                yield (f"s.d@{at}", lhs, _word(at))
-            else:
-                yield (f"s.d@{at}", lhs, _word(at, ("s", l), ("d", k - 1)))
+                rhs = _word(at, (degen, l), (face, k - 1))
+            yield (f"{degen}.{face}@{at}", _word(at, (face, k), (degen, l)), rhs)
+
+
+def _bisimplicial_relations(at: DObject):
+    i, j = at.i, at.j
+    yield from _cosimplicial_relations(at, "e", "t", i)
+    yield from _cosimplicial_relations(at, "d", "s", j)
     # vertical against horizontal: all commute
     for vk in ("e", "t"):
         for hk in ("d", "s"):
@@ -418,36 +405,11 @@ def _split_relations(at: DObject):
         )
 
 
-def relation_suite(max_i: int, max_j: int) -> CheckReport:
-    """Check every relation instance within the bounds as bead-map equality."""
-    witnesses = []
-    checked = 0
-    for name, lhs, rhs in relation_instances(max_i, max_j):
-        checked += 1
-        lv, rv = eval_bead_word(lhs), eval_bead_word(rhs)
-        if lv != rv:
-            witnesses.append(Witness(name, f"{lhs} = {rhs}", (str(lv), str(rv))))
-    return CheckReport.from_witnesses("relation_suite", witnesses, checked)
-
-
-def trapezium_check(i: int, j: int, m: int, n: int) -> CheckReport:
-    """f^(m+n+1) d^m = e^(i+1) f^(m+n) from the source object [i-m, j+m]."""
-    if not (_legal(i, j) and 0 <= m <= i + 1 and 0 <= n <= j + 1):
-        raise ValueError(f"illegal trapezium indices {(i, j, m, n)}")
-    src = DObject(i - m, j + m)
+def trapezium_instances(degree_bound: int):
+    """Yield (site, lhs_word, rhs_word) for each trapezium equation
+    f^(m+n+1) d^m = e^(i+1) f^(m+n) from the source object [i-m, j+m], at
+    every legal (i, j, m, n) with i+j <= degree_bound."""
     fs = ("f", None)
-    lhs = _word(src, ("d", m), *([fs] * (m + n + 1)))
-    rhs = _word(src, *([fs] * (m + n)), ("e", i + 1))
-    lv, rv = eval_bead_word(lhs), eval_bead_word(rhs)
-    witnesses = []
-    if lv != rv:
-        witnesses.append(Witness(f"trapezium@{(i, j, m, n)}", f"{lhs} = {rhs}", (str(lv), str(rv))))
-    return CheckReport.from_witnesses("trapezium_check", witnesses, 1)
-
-
-def trapezium_suite(degree_bound: int) -> CheckReport:
-    """All legal trapezium instances with i+j <= degree_bound."""
-    reports = []
     for i in range(-1, degree_bound + 2):
         for j in range(-1, degree_bound + 2):
             if not _legal(i, j) or i + j > degree_bound:
@@ -455,8 +417,35 @@ def trapezium_suite(degree_bound: int) -> CheckReport:
             for m in range(i + 2):
                 for n in range(j + 2):
                     if _legal(i - m, j + m):
-                        reports.append(trapezium_check(i, j, m, n))
-    return CheckReport.conjunction("trapezium_suite", reports)
+                        src = DObject(i - m, j + m)
+                        yield (f"trapezium@{(i, j, m, n)}",
+                               _word(src, ("d", m), *([fs] * (m + n + 1))),
+                               _word(src, *([fs] * (m + n)), ("e", i + 1)))
+
+
+def _equation_report(name: str, instances) -> CheckReport:
+    """Decide each equation ``(site, lhs, rhs)`` by comparing the walks of
+    its two words.  Each step is a validated generator, so a walk needs no
+    validation of its own; a bead map is built only to name a failing side."""
+    witnesses = []
+    checked = 0
+    for site, lhs, rhs in instances:
+        checked += 1
+        lw, rw = _walk_word(lhs), _walk_word(rhs)
+        if lw != rw:
+            sides = (_bead(lhs.source, *lw), _bead(rhs.source, *rw))
+            witnesses.append(Witness(site, f"{lhs} = {rhs}", tuple(map(str, sides))))
+    return CheckReport.from_witnesses(name, witnesses, checked)
+
+
+def relation_suite(max_i: int, max_j: int) -> CheckReport:
+    """Check every relation instance within the bounds."""
+    return _equation_report("relation_suite", relation_instances(max_i, max_j))
+
+
+def trapezium_suite(degree_bound: int) -> CheckReport:
+    """All legal trapezium instances with i+j <= degree_bound."""
+    return _equation_report("trapezium_suite", trapezium_instances(degree_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +525,9 @@ def factorize(g: BeadMap) -> tuple[GeneratorWord, GeneratorWord]:
 def _recompose_values(ab: GeneratorWord, simp: GeneratorWord) -> tuple:
     """``(i, j, carrier values)`` of ``simp`` after ``ab``, in one walk over
     both words; nothing is built or validated."""
-    src = ab.source
-    if not (isinstance(src, DObject) and isinstance(simp.source, DObject)):
+    if not isinstance(simp.source, DObject):
         raise TypeError("abacus words carry a DObject source")
-    i, j, vals = _walk(src.i, src.j, tuple(range(src.size)), ab.tokens)
+    i, j, vals = _walk_word(ab)
     if (i, j) != (simp.source.i, simp.source.j):
         raise ValueError(f"not composable: {ab} then {simp}")
     return _walk(i, j, vals, simp.tokens)

@@ -54,6 +54,7 @@ from .presheaf import (
     colimit0,
     delta_actions,
     dset_levels,
+    identity_smap,
     lift,
     pullback_pairs,
     restrict_actions,
@@ -783,8 +784,6 @@ def boors_roundtrip(X: TruncSSet) -> dict:
     the identity, built at the extension's depth ``B.trunc`` (X's
     truncation less two), where it is compared.
     """
-    from .presheaf import identity_smap
-
     A = p_star_tot(X)
     B, rep, axioms = extend_sigma_to_d(A)
     out = {"axioms": axioms, "extension_valid": rep}
@@ -808,12 +807,14 @@ def half_roundtrip(F: SMap) -> dict:
     The pointed restriction of its Kan extension satisfies the horizontal
     half of the axioms; extending without the augmentation row must land
     back on the Kan extension away from that row.  The half axioms are the
-    extension's own gate; the full axioms are decided once, beside it.
+    extension's own gate.  Beside it, ``vertical_pointing`` decides the
+    vertical pointing axiom alone, which the half axioms leave out.
     """
     B = q_lower_star(F)
     A = j_upper_star(B)
     Bh, rep, half_axioms = extend_sigma_to_d(A, half=True)
-    out = {"half_axioms": half_axioms, "full_axioms": boors_axioms(A), "extension_valid": rep}
+    out = {"half_axioms": half_axioms,
+           "vertical_pointing": is_local_terminal(pointed_col0(A)), "extension_valid": rep}
     if Bh is None:
         return out
     recovered = sigmaset_equal(j_upper_star(Bh), A)
@@ -833,7 +834,6 @@ def half_roundtrip(F: SMap) -> dict:
 
 
 def _restrict_dset(B: DSet, T: int, levels: dict) -> DSet:
-    """B on the given levels, with the actions and top splittings between them."""
-    t_split = {lv: v for lv, v in B.t_split.items()
-               if lv in levels and action_target("t", lv) in levels}
-    return DSet(T, levels, restrict_actions(B.actions, levels), t_split=t_split)
+    """B on the given levels, with the actions between them.  B is a Kan
+    extension ``q_lower_star(F)``, which has no top splittings."""
+    return DSet(T, levels, restrict_actions(B.actions, levels))

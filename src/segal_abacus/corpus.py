@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .presheaf import SMap, TruncSSet, delta_actions, pullback_pairs
+from .presheaf import SMap, TruncSSet, delta_actions, identity_smap, pullback_pairs
 
 
 @dataclass(frozen=True)
@@ -430,8 +430,6 @@ def standard_nerve_corpus(trunc: int = 5) -> list[tuple[str, TruncSSet]]:
 
 
 def standard_map_corpus(trunc: int = 4) -> list[tuple[str, SMap]]:
-    from .presheaf import identity_smap
-
     maps = []
     c2, c3 = chain_poset(2), chain_poset(3)
     maps.append(("id-chain2", identity_smap(nerve(c2, trunc))))

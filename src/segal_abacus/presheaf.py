@@ -6,8 +6,8 @@ generator per source level: a simplicial set keys the face d_k and the
 degeneracy s_k out of level n as ``("d", k, n)`` and ``("s", k, n)``, a
 bisimplicial set or abacus presheaf keys generator ``kind`` out of level
 (i, j) as ``(kind, k, (i, j))``; ``action_target`` reads the level a grid
-action lands in off ``abacus.SHIFT``, the one table of where each
-generator lands.
+action lands in off ``abacus.SHIFT``, which is read off the one
+generator table, ``abacus._GENERATORS``.
 Presheaves are immutable by convention after construction: nothing here
 mutates them, and all checkers are read-only.
 
@@ -15,7 +15,7 @@ The index-category combinatorics are computed once and then looked up.
 The generators of the simplex category truncated at T are listed once,
 in ``delta_actions``, and every construction of a simplicial set fills
 its ``actions`` by walking that list.  Which levels and actions a
-truncated grid presheaf has is read off the one generator table,
+truncated grid presheaf has is read off that table, through
 ``abacus.generators_into`` (``dset_levels``, ``bisset_actions``); nothing
 here lists abacus generators itself.  Every validator reads its
 category's identities as rows of table keys, computed once per

@@ -302,7 +302,7 @@ def half_axioms_suite(trunc: int = 5) -> dict:
     ], results)
     entries.append(_exists("half:vertical-axiom-fails-somewhere",
                            "the corpus includes inputs failing the vertical pointing axiom",
-                           (rt["full_axioms"].holds for _, rt in results), 1))
+                           (rt["vertical_pointing"].holds for _, rt in results), 1))
     return _finish("half-axioms", entries, trunc)
 
 

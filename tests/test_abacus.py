@@ -22,11 +22,11 @@ from segal_abacus.abacus import (
     recompose,
     relation_instances,
     relation_suite,
-    trapezium_check,
+    trapezium_instances,
     trapezium_suite,
     word_closure_homs,
 )
-from segal_abacus.reports import _entry_from_report, _finish, _tally
+from segal_abacus.reports import CheckReport, Witness, _entry_from_report, _finish, _tally
 from segal_abacus.simplex import (
     GeneratorWord,
     MonotoneMap,
@@ -92,8 +92,12 @@ def test_identity_composition_at_11():
 
 
 def test_trapezium_instances():
-    assert trapezium_check(0, 0, 0, 0).passed
+    assert trapezium_suite(0).passed
     assert trapezium_suite(4).passed
+    # both words of an instance share their source and their target
+    for _, lhs, rhs in trapezium_instances(3):
+        assert lhs.source == rhs.source
+        assert eval_bead_word(lhs).tgt == eval_bead_word(rhs).tgt
 
 
 def test_relation_suite_bounds_2():
@@ -402,6 +406,68 @@ def test_bead_validation_matches_reference(args):
         return None
 
     assert outcome(BeadMap) == outcome(_ref_bead_checks)
+
+
+def _reference_relation_suite(max_i, max_j):
+    """``relation_suite`` evaluating both sides of each relation to a
+    validated bead map and comparing those."""
+    witnesses = []
+    checked = 0
+    for name, lhs, rhs in relation_instances(max_i, max_j):
+        checked += 1
+        lv, rv = eval_bead_word(lhs), eval_bead_word(rhs)
+        if lv != rv:
+            witnesses.append(Witness(name, f"{lhs} = {rhs}", (str(lv), str(rv))))
+    return CheckReport.from_witnesses("relation_suite", witnesses, checked)
+
+
+def _reference_trapezium_check(i, j, m, n):
+    """f^(m+n+1) d^m = e^(i+1) f^(m+n) from [i-m, j+m], as one report."""
+    src = DObject(i - m, j + m)
+    fs = ("f", None)
+    lhs = GeneratorWord((("d", m),) + (fs,) * (m + n + 1), src)
+    rhs = GeneratorWord((fs,) * (m + n) + (("e", i + 1),), src)
+    lv, rv = eval_bead_word(lhs), eval_bead_word(rhs)
+    witnesses = []
+    if lv != rv:
+        witnesses.append(Witness(f"trapezium@{(i, j, m, n)}", f"{lhs} = {rhs}", (str(lv), str(rv))))
+    return CheckReport.from_witnesses("trapezium_check", witnesses, 1)
+
+
+def _reference_trapezium_suite(degree_bound):
+    """``trapezium_suite`` as the conjunction of one report per instance."""
+    reports = []
+    for i in range(-1, degree_bound + 2):
+        for j in range(-1, degree_bound + 2):
+            if not abacus._legal(i, j) or i + j > degree_bound:
+                continue
+            for m in range(i + 2):
+                for n in range(j + 2):
+                    if abacus._legal(i - m, j + m):
+                        reports.append(_reference_trapezium_check(i, j, m, n))
+    return CheckReport.conjunction("trapezium_suite", reports)
+
+
+def _equation_reports(bound):
+    """Both equation suites, and their references, as dicts."""
+    return ((relation_suite(bound, bound).to_dict(), trapezium_suite(bound).to_dict()),
+            (_reference_relation_suite(bound, bound).to_dict(),
+             _reference_trapezium_suite(bound).to_dict()))
+
+
+def test_equation_suites_match_references():
+    for bound in range(5):
+        new, ref = _equation_reports(bound)
+        assert new == ref, bound
+
+
+def test_equation_suites_match_references_on_a_broken_calculus(monkeypatch):
+    # a wrong carrier: both name each failing side as the same bead maps
+    _corrupt_f_carrier(monkeypatch)
+    for bound in range(5):
+        new, ref = _equation_reports(bound)
+        assert new == ref, bound
+    assert new[0]["witnesses"] and new[1]["witnesses"]
 
 
 def _reference_presentation_suite(bound: int = 4) -> dict:

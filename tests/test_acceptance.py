@@ -286,7 +286,7 @@ def test_round_trips_build_each_object_once(monkeypatch):
     each dictionary row builds its Kan extension and its conditions once."""
     from segal_abacus import configurations
 
-    gates, kans, conds, extensions = [], [], [], []
+    gates, kans, conds, extensions, pointings = [], [], [], [], []
 
     def counting(calls, fn, record):
         def wrapped(*args, **kwargs):
@@ -299,6 +299,9 @@ def test_round_trips_build_each_object_once(monkeypatch):
         gates, boors_axioms, lambda a, kw, _: (id(a[0]), kw.get("half", False))))
     monkeypatch.setattr(configurations, "extend_sigma_to_d", counting(
         extensions, configurations.extend_sigma_to_d, lambda a, kw, r: r[0]))
+    for side in ("is_local_initial", "is_local_terminal"):
+        monkeypatch.setattr(configurations, side, counting(
+            pointings, getattr(configurations, side), lambda a, kw, _, side=side: side))
     for module in (configurations, suites):
         monkeypatch.setattr(module, "q_lower_star", counting(
             kans, q_lower_star, lambda a, kw, _: a[0]))
@@ -310,12 +313,16 @@ def test_round_trips_build_each_object_once(monkeypatch):
     [B] = extensions
     [F] = kans
     assert len(gates) == 1
+    assert sorted(pointings) == ["is_local_initial", "is_local_terminal"]
     assert (F.source.trunc, F.target.trunc) == (B.trunc, B.trunc) == (3, 3)
 
+    # the half gate decides the horizontal side, and the vertical side is
+    # decided once beside it
     gates.clear()
+    pointings.clear()
     configurations.half_roundtrip(identity_smap(X))
-    assert sorted(half for _, half in gates) == [False, True]
-    assert len({a for a, _ in gates}) == 1
+    assert [half for _, half in gates] == [True]
+    assert sorted(pointings) == ["is_local_initial", "is_local_terminal"]
 
     kans.clear()
     dictionary_suite(trunc=3)

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segal_abacus import pjson
 from segal_abacus.cli import main
@@ -347,6 +349,105 @@ def test_malformed_file_is_invalid_input(tmp_path, case):
         assert (code, err.getvalue()) == (2, "input does not validate\n")
 
 
+# the README pipeline, at its default truncation, writing the files it names
+_PIPELINE = [
+    ["gen", "nerve-poset", "--size", "2", "--out", "N.json"],
+    ["gen", "partial-monoid", "--out", "P.json"],
+    ["construct", "boors-tot", "--in", "N.json", "--out", "A.json"],
+    ["construct", "extend", "--in", "A.json", "--out", "B.json"],
+    ["construct", "rtot", "--in", "N.json", "--out", "R.json"],
+]
+
+
+@pytest.fixture(scope="module")
+def pipeline_files(tmp_path_factory):
+    """The directory the README pipeline ran in, and the documents it wrote."""
+    where = tmp_path_factory.mktemp("pipeline")
+    for argv in _PIPELINE:
+        argv = [str(where / arg) if arg.endswith(".json") else arg for arg in argv]
+        assert run(argv)[0] == 0, argv
+    return where, {argv[-1]: json.loads((where / argv[-1]).read_text()) for argv in _PIPELINE}
+
+
+def _nodes(doc, path=()):
+    """``(path, node)`` for every node of a JSON document, the root first."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, sub in items:
+        yield from _nodes(sub, path + (key,))
+
+
+_MUTATIONS = ("drop a key", "retype a value", "drop an element", "repeat an element",
+              "point at a foreign id", "change trunc")
+
+
+@st.composite
+def _mutants(draw, docs):
+    """A README pipeline file with one random mutation: its name, the
+    mutation and the mutated document."""
+    import copy
+
+    name = draw(st.sampled_from(sorted(docs)))
+    doc = copy.deepcopy(docs[name])
+    nodes = list(_nodes(doc))
+    mutation = draw(st.sampled_from(_MUTATIONS))
+    if mutation == "drop a key":
+        node = draw(st.sampled_from([n for _, n in nodes if isinstance(n, dict) and n]))
+        del node[draw(st.sampled_from(sorted(node)))]
+    elif mutation == "retype a value":
+        path, old = draw(st.sampled_from(nodes[1:]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = draw(st.sampled_from(
+            [new for new in (0, 1.5, "x", [], {}, None, True) if type(new) is not type(old)]))
+    elif mutation in ("drop an element", "repeat an element"):
+        node = draw(st.sampled_from([n for _, n in nodes if isinstance(n, list) and n]))
+        k = draw(st.integers(0, len(node) - 1))
+        if mutation == "drop an element":
+            del node[k]
+        else:
+            node.insert(k, node[k])
+    elif mutation == "point at a foreign id":
+        # a table: an action, a map's level, a splitting or a pointing map
+        node = draw(st.sampled_from([n for _, n in nodes if isinstance(n, dict) and n
+                                     and all(type(v) is str for v in n.values())]))
+        node[draw(st.sampled_from(sorted(node)))] = "foreign"
+    else:
+        node = draw(st.sampled_from([n for _, n in nodes if isinstance(n, dict) and "trunc" in n]))
+        node["trunc"] = draw(st.integers(0, 8))
+    return name, mutation, doc
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_mutated_pipeline_files_never_exit_4(pipeline_files, data):
+    """Every ``check``, ``construct`` and ``roundtrip`` on a randomly mutated
+    README pipeline file exits 0-3: a verdict or invalid input, never an
+    internal error.  A mutated ``trunc`` stays within 0-8, which keeps the
+    budget small and leaves out a known defect: a file that declares a large
+    truncation but lists few levels makes validation build every identity
+    row first, and at trunc 200 that ends in a MemoryError (exit 4)."""
+    import contextlib
+    import io
+
+    from segal_abacus.cli import _CHECKS, _CONSTRUCTS, _ROUNDTRIPS
+
+    where, docs = pipeline_files
+    name, mutation, doc = data.draw(_mutants(docs))
+    path = str(where / "mutant.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    commands = ([["check", check, path] for check in _CHECKS]
+                + [["construct", op, "--in", path, "--out", str(where / "out.json")]
+                   for op in _CONSTRUCTS]
+                + [["roundtrip", kind, path] for kind in _ROUNDTRIPS])
+    for argv in commands:
+        with contextlib.redirect_stderr(io.StringIO()):
+            code, _ = run(argv)
+        assert code in (0, 1, 2, 3), (name, mutation, argv[:2])
+
+
 def test_unwritable_out_is_invalid_input(tmp_path):
     """``gen`` and ``construct`` say which --out they cannot write (exit 2)."""
     import contextlib
@@ -573,6 +674,45 @@ def test_morphism_output_is_pinned():
     assert run(["morphism", "ssub@[0,1]"]) == (0, (
         '{\n "abacus_word": "f@[0,1]",\n "carrier": "[0,0,1]:3->2",\n "kind": "bead",\n'
         ' "simplicial_word": "t0@[1,0]",\n "source": "[0,1]",\n "target": "[0,0]"\n}\n'))
+
+
+# sha256 of the ``--format text`` stdout of one check, one round trip and
+# one suite, with the exit code: (argv, the file gen writes for it, exit code,
+# digest)
+TEXT_DIGESTS = [
+    (["check", "2segal"], ["punctured-chain", "--size", "4", "--trunc", "4"], 1,
+     "a1cd8f81ed790b10d8863b66983a8674ba81f394157aed44b9df432bd2c5e357"),
+    (["roundtrip", "boors"], ["nerve-poset", "--size", "1", "--trunc", "3"], 0,
+     "7e53b609ad458af707756fd9e42b99614431e07dadc463b8ca5a6eea60dfce08"),
+    (["run-suite", "presentation", "--bound", "1"], None, 0,
+     "e34c9cd6fa995f0e1d63b88af57420f22663046ac7e33753664849c045406274"),
+]
+
+
+def test_text_format_is_pinned(tmp_path):
+    """``--format text`` prints one ``key: value`` line per key, in sorted
+    order, a nested dict under its key two spaces deeper, and a list as its
+    length followed by at most its first 10 items."""
+    import hashlib
+
+    texts = []
+    for argv, gen, want, digest in TEXT_DIGESTS:
+        if gen is not None:
+            path = str(tmp_path / "in.json")
+            assert run(["gen", *gen, "--out", path])[0] == 0
+            argv = argv + [path]
+        code, text = run(argv + ["--format", "text"])
+        assert (code, hashlib.sha256(text.encode()).hexdigest()) == (want, digest), argv
+        texts.append(text.splitlines())
+    check, roundtrip, suite = texts
+    assert check[:4] == ["checked: 680", "name: is_2segal[both]", "verdict: fail",
+                         "witnesses: [20 items]"]
+    assert len(check) == 14 and all(line.startswith("  - {'site': ") for line in check[4:])
+    assert roundtrip[:5] == ["axioms:", "  checked: 54", "  name: boors_axioms",
+                             "  verdict: pass", "  witnesses: [0 items]"]
+    assert "depth: 3" in roundtrip
+    assert suite[:2] == ["depth: 1", "entries: [5 items]"] and suite[-2:] == [
+        "suite: presentation", "verdict: pass"]
 
 
 def _cli_steps():
