@@ -39,9 +39,8 @@ land in it.  Presheaf levels and actions (``presheaf``,
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
-from .reports import CheckReport, Witness, _entry, _entry_from_report, _finish, _tally
+from .reports import CheckReport, Frozen, Witness, _entry, _entry_from_report, _finish, _tally
 from .simplex import (
     GeneratorWord,
     MonotoneMap,
@@ -54,17 +53,17 @@ from .simplex import (
 )
 
 
-@dataclass(frozen=True)
-class DObject:
+class DObject(Frozen):
     """The bead column [i, j]: i+1 black beads then j+1 white beads."""
 
-    i: int
-    j: int
+    __slots__ = ("i", "j")
 
-    def __post_init__(self):
-        if self.i < -1 or self.j < -1:
+    def __init__(self, i: int, j: int):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        if i < -1 or j < -1:
             raise ValueError("bead counts need i, j >= -1")
-        if self.i == -1 and self.j == -1:
+        if i == -1 and j == -1:
             raise ValueError("[-1,-1] is not an object")
 
     @property
@@ -89,27 +88,23 @@ def parse_dobject(text: str) -> DObject:
     return DObject(int(i), int(j))
 
 
-@dataclass(frozen=True)
-class BeadMap:
+class BeadMap(Frozen):
     """A morphism of bead columns: a carrier monotone map respecting colors."""
 
-    src: DObject
-    tgt: DObject
-    carrier: MonotoneMap
+    __slots__ = ("src", "tgt", "carrier")
 
-    def __post_init__(self):
-        if self.carrier.dom != self.src.size or self.carrier.cod != self.tgt.size:
-            raise ValueError(
-                f"carrier {self.carrier} does not fit {self.src} -> {self.tgt}"
-            )
+    def __init__(self, src: DObject, tgt: DObject, carrier: MonotoneMap):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "tgt", tgt)
+        object.__setattr__(self, "carrier", carrier)
+        if carrier.dom != src.size or carrier.cod != tgt.size:
+            raise ValueError(f"carrier {carrier} does not fit {src} -> {tgt}")
         # The carrier is monotone, so its last black bead lands highest: one
         # test decides, and only a bad map walks its beads to name the first.
-        vals, blacks, top = self.carrier.values, self.src.blacks, self.tgt.blacks
+        vals, blacks, top = carrier.values, src.blacks, tgt.blacks
         if blacks and vals[blacks - 1] >= top:
             k = next(k for k in range(blacks) if vals[k] >= top)
-            raise ValueError(
-                f"black bead {k} escapes the black zone in {self.src} -> {self.tgt}"
-            )
+            raise ValueError(f"black bead {k} escapes the black zone in {src} -> {tgt}")
 
     def top_part(self) -> MonotoneMap:
         """The black-bead restriction [i] -> [i']."""

@@ -3,9 +3,9 @@ and theorem round trips.
 
 Each command but ``morphism`` dispatches from one table, which gives the
 parser its choices and names each entry's input shapes and library
-function.  A command imports the library modules it runs only when it runs (``check``
-and ``run-suite`` through ``_library_module``), so a fresh process loads
-only those.
+function.  This module imports only ``reports``; a command imports the
+library modules it runs only when it runs (``check`` and ``run-suite``
+through ``_library_module``), so a fresh process loads only those.
 
 Exit codes (``reports.EXIT_CODES``): 0 pass, 1 fail, 2 invalid input, a
 truncation too small for a construction, or a failed precondition, 3
@@ -20,8 +20,7 @@ import json
 import os
 import sys
 
-from .presheaf import SMap, TruncationError, constant_sset, sub_trunc, validate
-from .reports import EXIT_CODES, CheckReport
+from .reports import EXIT_CODES, CheckReport, TruncationError
 
 # suite name: (the module that holds the suite; the depth flag it takes;
 # the least depth at which every construction it runs is defined; the
@@ -107,12 +106,19 @@ _FIXTURES = {
     ("nerve-monoid", "idem"): (None, lambda c, n, T: c.nerve(c.idempotent_monoid(), T)),
     ("partial-monoid", None): (None, lambda c, n, T: c.two_segal_partial_monoid(T)),
     ("simplex", None): ((0, 1), lambda c, n, T: c.nerve(c.chain_poset(n), T)),
-    ("constant", None): ((0, 3), lambda c, n, T: constant_sset([f"c{k}" for k in range(n)], T)),
+    ("constant", None): ((0, 3), lambda c, n, T: _constant(n, T)),
     ("boolean-lattice", None): ((0, 2), lambda c, n, T: c.nerve(c.boolean_lattice(n), T)),
     ("graph", "glued"): (None, lambda c, n, T: c.glued_edges_sset(T)),
     ("punctured-chain", None): ((3, 3), lambda c, n, T: c.punctured_chain_sset(n, T)),
     ("graph", "path"): ((0, 2), lambda c, n, T: c.path_graph_sset(n, T)),
 }
+
+
+def _constant(n: int, T: int):
+    """The constant simplicial set on the points c0, ..., c(n-1), truncated at T."""
+    from .presheaf import constant_sset
+
+    return constant_sset([f"c{k}" for k in range(n)], T)
 
 
 def _fixture_name(kind, preset) -> str:
@@ -133,6 +139,7 @@ def _dump(P, path: str) -> bool:
 
 def _gen(args) -> int:
     from . import corpus
+    from .presheaf import validate
 
     T, kind, size = args.trunc, args.kind, args.size
     if _below("trunc", T):
@@ -216,6 +223,8 @@ def _library_module(name: str):
 
 
 def _check(args) -> int:
+    from .presheaf import validate
+
     P = _load_or_none(args.file)
     shapes, home, checker = _CHECKS[args.check]
     if P is None or _wrong_shape(P, shapes, f"check {args.check}"):
@@ -260,12 +269,13 @@ _CONSTRUCTS = {
     "boors-tot": (SSET, lambda cfg, P, a: cfg.p_star_tot(P)),
     "extend": (("sigmaset",), lambda cfg, P, a: _extension(*cfg.extend_sigma_to_d(P, half=a.half))),
     "M": (("smap", "dset"), lambda cfg, P, a: cfg.build_M(
-        cfg.q_lower_star(P) if isinstance(P, SMap) else P)[1]),
+        cfg.q_lower_star(P) if isinstance(P, cfg.SMap) else P)[1]),
 }
 
 
 def _construct(args) -> int:
     from . import configurations as cfg
+    from .presheaf import validate
 
     shapes, construction = _CONSTRUCTS[args.op]
     P = _load_or_none(args.infile)
@@ -299,6 +309,7 @@ _ROUNDTRIPS = {
 
 def _roundtrip(args) -> int:
     from . import configurations as cfg
+    from .presheaf import sub_trunc, validate
 
     shapes, roundtrip = _ROUNDTRIPS[args.kind]
     P = _load_or_none(args.file)

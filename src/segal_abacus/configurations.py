@@ -477,7 +477,7 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
             for i in sorted(tcol[j]):
                 if (i, j) in levels and action_target("t", (i, j)) in levels:
                     t_split[(i, j)] = dict(tcol[j][i])
-        for j in range(TD + 1):
+        for j in range(TD):  # the splitting out of (-1, j) lands in (0, j), of degree j + 1
             t_split[(-1, j)] = {
                 z: bulk.actions["e", 0, (1, j)][tcol[j][0][z]] for z in row_classes[j]
             }

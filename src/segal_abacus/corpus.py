@@ -8,27 +8,30 @@ tables are the negative corpus.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 
 from .presheaf import SMap, TruncSSet, delta_actions, identity_smap, pullback_pairs
+from .reports import Frozen
 
 
-@dataclass(frozen=True)
-class FinCat:
+class FinCat(Frozen):
     """A finite category with an explicit composition table.
 
     Morphisms are ids; ``comp[(g, f)]`` is the composite of f : a -> b
     followed by g : b -> c.
     """
 
-    name: str
-    objects: tuple
-    morphisms: tuple
-    src: dict
-    tgt: dict
-    comp: dict
-    ident: dict
+    __slots__ = ("name", "objects", "morphisms", "src", "tgt", "comp", "ident")
+
+    def __init__(self, name: str, objects: tuple, morphisms: tuple, src: dict, tgt: dict,
+                 comp: dict, ident: dict):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "morphisms", morphisms)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "tgt", tgt)
+        object.__setattr__(self, "comp", comp)
+        object.__setattr__(self, "ident", ident)
 
     def check(self):
         for o in self.objects:
@@ -188,13 +191,15 @@ def _sset_acting(trunc: int, levels: dict, act) -> TruncSSet:
                                      for kind, k, n in delta_actions(trunc)})
 
 
-@dataclass(frozen=True)
-class FinFunctor:
-    name: str
-    source: FinCat
-    target: FinCat
-    on_obj: dict
-    on_mor: dict
+class FinFunctor(Frozen):
+    __slots__ = ("name", "source", "target", "on_obj", "on_mor")
+
+    def __init__(self, name: str, source: FinCat, target: FinCat, on_obj: dict, on_mor: dict):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "on_obj", on_obj)
+        object.__setattr__(self, "on_mor", on_mor)
 
     def check(self):
         for o in self.source.objects:

@@ -28,6 +28,7 @@ from .presheaf import (
     _check_rows,
     _concat,
     _delta_rows,
+    _listed_twice,
     _sorted_ids,
     bijection_witnesses,
     bisset_actions,
@@ -186,7 +187,7 @@ class PointedSSet:
 
 def validate_pointed(P: PointedSSet, name: str = "pointed") -> CheckReport:
     rep = validate_sset(P.sset, name)
-    witnesses = list(rep.witnesses)
+    witnesses = rep.witnesses + _listed_twice("pointing", P.point_set)
     checked = rep.checked
     lvl0 = set(P.sset.level(0))
     for c in P.point_set:

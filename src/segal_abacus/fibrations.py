@@ -9,7 +9,6 @@ conditions are the Segal condition after decalage.
 
 from __future__ import annotations
 
-from .decalage import dec
 from .presheaf import (
     CheckReport,
     SMap,
@@ -74,6 +73,8 @@ def _unverifiable(name: str) -> CheckReport:
 
 def is_2segal(X: TruncSSet, side: str = "both", name: str | None = None) -> CheckReport:
     """Upper: dec_top is Segal; lower: dec_bottom is Segal."""
+    from .decalage import dec
+
     name = name or f"is_2segal[{side}]"
     if X.trunc < 1:
         return CheckReport(name, coverage=[f"unverifiable:{name}:trunc<1"])

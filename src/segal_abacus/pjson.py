@@ -9,9 +9,8 @@ rejected on read with a ``ValueError`` that names the value.
 from __future__ import annotations
 
 import json
+from importlib import import_module
 
-from .abacus import SHIFT
-from .decalage import BottomSplitSSet, PointedSSet
 from .presheaf import (
     BULK_KINDS,
     BiSSet,
@@ -138,7 +137,7 @@ def _pointing(data: dict) -> tuple:
             _read_table(pointing["map"], "the pointing map"))
 
 
-def split_to_dict(A: BottomSplitSSet) -> dict:
+def split_to_dict(A) -> dict:
     return {
         "shape": "split",
         "sset": _grid_to_dict(A.sset, "sset"),
@@ -146,47 +145,62 @@ def split_to_dict(A: BottomSplitSSet) -> dict:
     }
 
 
-def split_from_dict(data: dict) -> BottomSplitSSet:
+def split_from_dict(data: dict):
+    from .decalage import BottomSplitSSet
+
     return BottomSplitSSet(
         _sset(data, "sset"),
         {int(n): _read_table(t, f"split {n}") for n, t in _field(data, "split", dict).items()},
     )
 
 
-# shape tag: (class, writer, reader)
+def dset_from_dict(data: dict) -> DSet:
+    from .abacus import SHIFT
+
+    return DSet(*_parse_grid(data, SHIFT))
+
+
+def pointed_from_dict(data: dict):
+    from .decalage import PointedSSet
+
+    return PointedSSet(_sset(data, "sset"), *_pointing(data))
+
+
+# shape tag: (the module and name of its class, writer, reader).  The
+# classes of decalage come last and are imported only when reached, so a
+# presheaf is read or written without loading decalage.
 _SHAPES = {
-    "sset": (TruncSSet, lambda X: _grid_to_dict(X, "sset"),
+    "sset": ("presheaf", "TruncSSet", lambda X: _grid_to_dict(X, "sset"),
              lambda data: TruncSSet(*_parse_grid(data, ("d", "s")))),
-    "smap": (SMap, smap_to_dict, smap_from_dict),
-    "bisset": (BiSSet, lambda B: _grid_to_dict(B, "bisset"),
+    "smap": ("presheaf", "SMap", smap_to_dict, smap_from_dict),
+    "bisset": ("presheaf", "BiSSet", lambda B: _grid_to_dict(B, "bisset"),
                lambda data: BiSSet(*_parse_grid(data, BULK_KINDS))),
-    "dset": (DSet, lambda B: _grid_to_dict(B, "dset"),
-             lambda data: DSet(*_parse_grid(data, SHIFT))),
-    "sigmaset": (SigmaSet,
+    "dset": ("presheaf", "DSet", lambda B: _grid_to_dict(B, "dset"), dset_from_dict),
+    "sigmaset": ("presheaf", "SigmaSet",
                  lambda A: _pointing_to_dict(A, "sigmaset", "bulk", _grid_to_dict(A.bulk, "bisset")),
                  lambda data: SigmaSet(BiSSet(*_parse_grid(_field(data, "bulk", dict), BULK_KINDS)),
                                        *_pointing(data))),
-    "pointed": (PointedSSet,
+    "pointed": ("decalage", "PointedSSet",
                 lambda P: _pointing_to_dict(P, "pointed", "sset", _grid_to_dict(P.sset, "sset")),
-                lambda data: PointedSSet(_sset(data, "sset"), *_pointing(data))),
-    "split": (BottomSplitSSet, split_to_dict, split_from_dict),
+                pointed_from_dict),
+    "split": ("decalage", "BottomSplitSSet", split_to_dict, split_from_dict),
 }
 
 
 def shape_of(P) -> str:
     """The shape tag P is written with."""
-    for shape, (cls, _, _) in _SHAPES.items():
-        if isinstance(P, cls):
+    for shape, (home, name, _, _) in _SHAPES.items():
+        if isinstance(P, getattr(import_module(f"{__package__}.{home}"), name)):
             return shape
     raise TypeError(f"cannot serialize {type(P).__name__}")
 
 
 def to_dict(P) -> dict:
-    return _SHAPES[shape_of(P)][1](P)
+    return _SHAPES[shape_of(P)][2](P)
 
 
 def from_dict(data: dict):
-    return _SHAPES[_field(_typed(data, dict, "the document"), "shape", str)][2](data)
+    return _SHAPES[_field(_typed(data, dict, "the document"), "shape", str)][3](data)
 
 
 def dump(P, path: str):

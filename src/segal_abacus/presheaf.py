@@ -8,8 +8,12 @@ bisimplicial set or abacus presheaf keys generator ``kind`` out of level
 (i, j) as ``(kind, k, (i, j))``; ``action_target`` reads the level a grid
 action lands in off ``abacus.SHIFT``, which is read off the one
 generator table, ``abacus._GENERATORS``.
-Presheaves are immutable by convention after construction: nothing here
-mutates them, and all checkers are read-only.
+Presheaves are plain classes, not changed after construction: nothing
+here mutates them, and all checkers are read-only.  ``SMap`` and
+``Square`` are records (``reports.Record``); a ``Square`` is frozen.
+The abacus category is imported only by the functions of grid
+presheaves that read its generator table, so a simplicial set is built,
+validated and checked without it.
 
 The index-category combinatorics are computed once and then looked up.
 The generators of the simplex category truncated at T are listed once,
@@ -61,17 +65,11 @@ to T", with the checked instances counted, never silently vacuous.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from . import abacus
-from .reports import CheckReport, Witness
+from .reports import CheckReport, Frozen, Record, TruncationError, Witness
 from .simplex import MonotoneMap, epi_mono_indices
-
-
-class TruncationError(ValueError):
-    """A construction needs a higher truncation than its input has."""
 
 
 def fmt_id(x) -> str:
@@ -183,13 +181,15 @@ def _delta_target(kind: str, n: int) -> int:
     return n - 1 if kind == "d" else n + 1
 
 
-@dataclass
-class SMap:
+class SMap(Record):
     """A simplicial map: per-level functions between same-truncation sets."""
 
-    source: TruncSSet
-    target: TruncSSet
-    levels: dict
+    __slots__ = ("source", "target", "levels")
+
+    def __init__(self, source: TruncSSet, target: TruncSSet, levels: dict):
+        self.source = source
+        self.target = target
+        self.levels = levels
 
     @property
     def trunc(self) -> int:
@@ -327,8 +327,7 @@ def _check_rows(name: str, tables, levels, rows) -> CheckReport:
     expected = {lv for _, lv in expect}
     witnesses = [Witness(f"level@{lv}", "level beyond the truncation", ())
                  for lv in levels if lv not in expected]
-    witnesses += [Witness(f"level@{lv}", "element listed twice", (x,))
-                  for lv, xs in levels.items() for x, n in Counter(xs).items() if n > 1]
+    witnesses += [w for lv, xs in levels.items() for w in _listed_twice(f"level@{lv}", xs)]
     witnesses += [Witness(label, "level missing", ()) for label, lv in expect if lv not in levels]
     checked = 0
     for label, key, src, tgt in totals:
@@ -336,6 +335,11 @@ def _check_rows(name: str, tables, levels, rows) -> CheckReport:
     if witnesses:
         return CheckReport.from_witnesses(name, witnesses, checked)
     return _compare_rows(name, checked, tables, levels, relations)
+
+
+def _listed_twice(site: str, xs) -> list:
+    """A witness for each element that ``xs`` lists more than once."""
+    return [Witness(site, "element listed twice", (x,)) for x, n in Counter(xs).items() if n > 1]
 
 
 def _compare_rows(name: str, checked: int, tables, levels, relations) -> CheckReport:
@@ -428,22 +432,25 @@ def bijection_witnesses(site: str, noun: str, pairs, want) -> list:
     return witnesses
 
 
-@dataclass(frozen=True)
-class Square:
+class Square(Frozen):
     """A commuting square candidate, checked via its comparison map.
 
     ``p -> a -> c`` and ``p -> b -> c``; it is a pullback when
     ``p -> {(a, b) : a_to_c(a) = b_to_c(b)}`` is a bijection.
     """
 
-    name: str
-    p_elems: tuple
-    a_elems: tuple
-    b_elems: tuple
-    p_to_a: dict
-    p_to_b: dict
-    a_to_c: dict
-    b_to_c: dict
+    __slots__ = ("name", "p_elems", "a_elems", "b_elems", "p_to_a", "p_to_b", "a_to_c", "b_to_c")
+
+    def __init__(self, name: str, p_elems: tuple, a_elems: tuple, b_elems: tuple,
+                 p_to_a: dict, p_to_b: dict, a_to_c: dict, b_to_c: dict):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "p_elems", p_elems)
+        object.__setattr__(self, "a_elems", a_elems)
+        object.__setattr__(self, "b_elems", b_elems)
+        object.__setattr__(self, "p_to_a", p_to_a)
+        object.__setattr__(self, "p_to_b", p_to_b)
+        object.__setattr__(self, "a_to_c", a_to_c)
+        object.__setattr__(self, "b_to_c", b_to_c)
 
 
 def is_pullback(sq: Square) -> CheckReport:
@@ -544,9 +551,13 @@ BULK_KINDS = ("e", "t", "d", "s")
 VERTICAL = {"d": "e", "s": "t"}  # a column's generator for each of a row's
 
 
+@lru_cache(maxsize=None)
 def action_target(kind: str, lvl: tuple) -> tuple:
-    """The level an action lands in: the generator's step, negated."""
-    di, dj = abacus.SHIFT[kind]
+    """The level an action lands in: the generator's step, negated.
+    Cached, as a call reads the step table through an import."""
+    from .abacus import SHIFT
+
+    di, dj = SHIFT[kind]
     return lvl[0] - di, lvl[1] - dj
 
 
@@ -560,8 +571,12 @@ def action_label(kind: str, k, lvl) -> str:
     return f"{kind}{'' if k is None else k}@{level_name(lvl)}"
 
 
-def restrict_actions(actions: dict, keep, kinds=tuple(abacus.SHIFT)) -> dict:
-    """The actions of the given kinds whose source and target are in ``keep``."""
+def restrict_actions(actions: dict, keep, kinds=None) -> dict:
+    """The actions of the given kinds (by default every abacus generator's)
+    whose source and target are in ``keep``."""
+    from .abacus import SHIFT
+
+    kinds = SHIFT if kinds is None else kinds
     return {
         key: table for key, table in actions.items()
         if key[0] in kinds and key[2] in keep and action_target(key[0], key[2]) in keep
@@ -597,8 +612,10 @@ def bisset_actions(trunc: int) -> dict:
     """The actions of a bisimplicial set truncated at i + j <= trunc:
     ``(i, j) -> [(kind, k, target level)]``, the ``BULK_KINDS`` part of the
     generator table at abacus degree trunc + 1 between bulk levels."""
+    from .abacus import generators_into
+
     return {lvl: [(kind, k, tgt) for kind, k, tgt, _ in gens if kind in BULK_KINDS and min(tgt) >= 0]
-            for lvl, gens in abacus.generators_into(trunc + 1).items() if min(lvl) >= 0}
+            for lvl, gens in generators_into(trunc + 1).items() if min(lvl) >= 0}
 
 
 def row_sset(B, i: int) -> TruncSSet:
@@ -686,7 +703,9 @@ def dset_levels(trunc: int, with_aug_row: bool = True) -> list:
     """The levels of a ``trunc``-truncated abacus presheaf, by degree then
     level: the generator table's objects, less the augmentation row unless
     ``with_aug_row``."""
-    return [lvl for lvl in abacus.generators_into(trunc) if with_aug_row or lvl[0] >= 0]
+    from .abacus import generators_into
+
+    return [lvl for lvl in generators_into(trunc) if with_aug_row or lvl[0] >= 0]
 
 
 def validate_dset(B: DSet, name: str = "dset") -> CheckReport:
@@ -709,21 +728,36 @@ def _relation_rows(trunc: int, with_aug: bool) -> tuple:
     a side by looking its tables up in turn.  Names, levels and keys are
     interned, so the rows hold no words or bead maps.
     """
+    from .abacus import SHIFT, DObject, generator_range, generators_into, relations_at
+
     interned: dict = {}
 
     def intern(v):
         return interned.setdefault(v, v)
 
+    def word_levels(word):
+        """Source-to-target object path of a generator word, or None if a
+        generator index does not exist where the word applies it."""
+        cur = word.source
+        path = [(cur.i, cur.j)]
+        for kind, k in word.tokens:
+            if k not in generator_range(kind, cur):
+                return None
+            di, dj = SHIFT[kind]
+            cur = DObject(cur.i + di, cur.j + dj)
+            path.append((cur.i, cur.j))
+        return path
+
     expect = tuple((f"level@{lv}", lv) for lv in dset_levels(trunc, with_aug))
-    into = abacus.generators_into(trunc)
+    into = generators_into(trunc)
     totals = tuple((action_label(kind, k, lv), (kind, k, lv), lv, tgt)
                    for _, lv in expect for kind, k, tgt, _ in into[lv] if with_aug or tgt[0] >= 0)
     levels = {lv for _, lv in expect}
     rows = []
     # relation_instances' order; a source off the levels starts no row
     for source in sorted(levels):
-        for rel_name, lhs, rhs in abacus.relations_at(abacus.DObject(*source)):
-            path_l, path_r = _word_levels(lhs), _word_levels(rhs)
+        for rel_name, lhs, rhs in relations_at(DObject(*source)):
+            path_l, path_r = word_levels(lhs), word_levels(rhs)
             if path_l is None or path_r is None:
                 continue
             assert path_l[-1] == path_r[-1], f"{lhs} and {rhs} end apart"
@@ -737,20 +771,6 @@ def _relation_rows(trunc: int, with_aug: bool) -> tuple:
                 _action_keys(rhs, path_r, intern),
             ))
     return expect, totals, tuple(rows)
-
-
-def _word_levels(word):
-    """Source-to-target object path of a generator word, or None if a
-    generator index does not exist where the word applies it."""
-    cur = word.source
-    path = [(cur.i, cur.j)]
-    for kind, k in word.tokens:
-        if k not in abacus.generator_range(kind, cur):
-            return None
-        di, dj = abacus.SHIFT[kind]
-        cur = abacus.DObject(cur.i + di, cur.j + dj)
-        path.append((cur.i, cur.j))
-    return path
 
 
 def _action_keys(word, path, intern) -> tuple:
@@ -782,7 +802,7 @@ class SigmaSet:
 
 def validate_sigmaset(A: SigmaSet, name: str = "sigmaset") -> CheckReport:
     rep = validate_bisset(A.bulk, name)
-    witnesses = list(rep.witnesses)
+    witnesses = rep.witnesses + _listed_twice("pointing", A.point_set)
     checked = rep.checked
     level00 = set(A.bulk.level(0, 0))
     for c in A.point_set:

@@ -15,11 +15,16 @@ instance, let alone as a pass.
 
 A suite report is a plain dict of entries built by ``_entry`` and its
 helpers, one per checked statement, and closed by ``_finish``.
+
+The library's records (reports, witnesses, maps, words, objects) are
+``__slots__`` classes on ``Record``, which reads their fields off their
+slots: field-wise ``==``, ``repr`` and copying, and for ``Frozen``
+records also a field-wise hash and no assignment after ``__init__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 EXIT_CODES = {"pass": 0, "fail": 1, "precondition": 2, "vacuous": 3}
 
@@ -32,11 +37,59 @@ def verdict_of(witnesses, checked: int, precondition: str | None = None) -> str:
     return "pass" if checked else "vacuous"
 
 
-@dataclass(frozen=True)
-class Witness:
-    site: str
-    equation: str
-    offenders: tuple
+class TruncationError(ValueError):
+    """A construction needs a higher truncation than its input has."""
+
+
+class Record:
+    """A record whose fields are its ``__slots__``, in order: equal to a
+    record of the same class with equal fields, shown as
+    ``Name(field=value, ...)``, and rebuilt from its fields by ``copy`` and
+    ``pickle``.  A plain record is mutable, so it is unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls):
+        if cls.__slots__:  # a record's fields, as a tuple: every record has two or more
+            cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields(self)))
+        return f"{type(self).__qualname__}({values})"
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
+
+
+class Frozen(Record):
+    """A record that cannot change after ``__init__``, which sets its
+    fields with ``object.__setattr__``; hashed by its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Witness(Frozen):
+    __slots__ = ("site", "equation", "offenders")
+
+    def __init__(self, site: str, equation: str, offenders: tuple):
+        object.__setattr__(self, "site", site)
+        object.__setattr__(self, "equation", equation)
+        object.__setattr__(self, "offenders", offenders)
 
     def to_dict(self) -> dict:
         return {
@@ -49,13 +102,16 @@ class Witness:
         return f"{self.site}: {self.equation} offenders={list(map(str, self.offenders))}"
 
 
-@dataclass
-class CheckReport:
-    name: str
-    witnesses: list[Witness] = field(default_factory=list)
-    checked: int = 0
-    coverage: list[str] = field(default_factory=list)
-    precondition: str | None = None
+class CheckReport(Record):
+    __slots__ = ("name", "witnesses", "checked", "coverage", "precondition")
+
+    def __init__(self, name: str, witnesses: list[Witness] | None = None, checked: int = 0,
+                 coverage: list[str] | None = None, precondition: str | None = None):
+        self.name = name
+        self.witnesses = [] if witnesses is None else witnesses
+        self.checked = checked
+        self.coverage = [] if coverage is None else coverage
+        self.precondition = precondition
 
     @property
     def verdict(self) -> str:

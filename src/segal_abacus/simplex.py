@@ -12,12 +12,12 @@ apply ``s0`` to ``[2]`` and then ``d1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
+from .reports import Frozen
 
-@dataclass(frozen=True)
-class MonotoneMap:
+
+class MonotoneMap(Frozen):
     """A weakly increasing map between finite ordinals.
 
     ``dom`` and ``cod`` are ordinal *sizes*: the object ``[n]`` has size
@@ -25,23 +25,23 @@ class MonotoneMap:
     domain element in position order.
     """
 
-    dom: int
-    cod: int
-    values: tuple[int, ...]
+    __slots__ = ("dom", "cod", "values")
 
-    def __post_init__(self):
-        if self.dom < 0 or self.cod < 0:
+    def __init__(self, dom: int, cod: int, values: tuple[int, ...]):
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "values", values)
+        if dom < 0 or cod < 0:
             raise ValueError("ordinal sizes must be nonnegative")
-        vals = self.values
-        if len(vals) != self.dom:
-            raise ValueError(f"expected {self.dom} values, got {len(vals)}")
-        if list(vals) != sorted(vals):
-            raise ValueError(f"values not weakly increasing: {vals}")
+        if len(values) != dom:
+            raise ValueError(f"expected {dom} values, got {len(values)}")
+        if list(values) != sorted(values):
+            raise ValueError(f"values not weakly increasing: {values}")
         # sorted values lie in range when their ends do; only then is the
         # first offender looked for, to name it
-        if vals and not (vals[0] >= 0 and vals[-1] < self.cod):
-            v = vals[0] if vals[0] < 0 else next(v for v in vals if v >= self.cod)
-            raise ValueError(f"value {v} outside codomain of size {self.cod}")
+        if values and not (values[0] >= 0 and values[-1] < cod):
+            v = values[0] if values[0] < 0 else next(v for v in values if v >= cod)
+            raise ValueError(f"value {v} outside codomain of size {cod}")
 
     @property
     def dom_n(self) -> int:
@@ -110,8 +110,7 @@ def enumerate_monotone(m: int, n: int) -> list[MonotoneMap]:
 # Generator words
 
 
-@dataclass(frozen=True)
-class GeneratorWord:
+class GeneratorWord(Frozen):
     """A word of generator tokens with a source-object annotation.
 
     ``tokens`` are pairs ``(kind, index)`` in application order; ``index``
@@ -120,8 +119,11 @@ class GeneratorWord:
     used by other calculi).
     """
 
-    tokens: tuple[tuple[str, int | None], ...]
-    source: object
+    __slots__ = ("tokens", "source")
+
+    def __init__(self, tokens: tuple[tuple[str, int | None], ...], source: object):
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "source", source)
 
     def __len__(self) -> int:
         return len(self.tokens)

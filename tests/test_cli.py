@@ -267,6 +267,27 @@ def _sset_file(edit):
     return data
 
 
+def _sigmaset_file(edit):
+    """The pointed total decalage of the nerve of the arrow at truncation 3,
+    as ``construct boors-tot`` writes it, with ``edit`` applied."""
+    from segal_abacus.configurations import p_star_tot
+
+    data = pjson.to_dict(p_star_tot(nerve(chain_poset(1), 3)))
+    edit(data)
+    return data
+
+
+def _pointed_file(edit):
+    """The nerve of the arrow at truncation 2, pointed at its first vertex
+    by the point ``"c"``, as a file form with ``edit`` applied."""
+    from segal_abacus.decalage import PointedSSet
+
+    X = nerve(chain_poset(1), 2)
+    data = pjson.to_dict(PointedSSet(X, ("c",), {"c": X.level(0)[0]}))
+    edit(data)
+    return data
+
+
 def _split_outside(data):
     table = data["split"]["0"]
     table[sorted(table)[0]] = data["sset"]["levels"]["2"][0]  # X_2, not X_1
@@ -291,6 +312,8 @@ MALFORMED = {
     "sset action of unknown kind": _sset_file(
         lambda data: data["actions"].update({"q0@0": data["actions"].pop("s0@0")})),
     "sset element listed twice": _sset_file(lambda data: data["levels"]["0"].append("0")),
+    "sigmaset point listed twice": _sigmaset_file(lambda data: data["pointing"]["levels"].append("0")),
+    "pointed point listed twice": _pointed_file(lambda data: data["pointing"]["levels"].append("c")),
     "top level an array": [],
     "top level a string": "sset",
     "sset trunc a string": _sset_file(lambda data: data.update(trunc="x")),
@@ -300,7 +323,11 @@ MALFORMED = {
 
 # the witness that ``check validate`` reports, where a case pins it
 WITNESSES = {"sset element listed twice": {"site": "level@0", "equation": "element listed twice",
-                                           "offenders": ["0"]}}
+                                           "offenders": ["0"]},
+             "sigmaset point listed twice": {"site": "pointing", "equation": "element listed twice",
+                                             "offenders": ["0"]},
+             "pointed point listed twice": {"site": "pointing", "equation": "element listed twice",
+                                            "offenders": ["c"]}}
 
 # files that cannot be read at all: every command says so on stderr
 UNREADABLE = {"sset action of unknown kind", "top level an array", "top level a string",
@@ -308,7 +335,11 @@ UNREADABLE = {"sset action of unknown kind", "top level an array", "top level a 
 
 # the checks run on each malformed shape besides validate
 _MALFORMED_CHECKS = {"split": ("coalgebra", "rigid"), "smap": ("lfib", "rel-upper-2segal"),
-                     "bisset": ("stable", "double-segal"), "sset": ("segal", "2segal")}
+                     "bisset": ("stable", "double-segal"), "sset": ("segal", "2segal"),
+                     "sigmaset": ("boors",), "pointed": ("local-initial", "local-terminal")}
+
+# the construction run on each malformed shape that has one
+_MALFORMED_CONSTRUCTS = {"smap": "qstar", "sigmaset": "extend"}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -342,10 +373,11 @@ def test_malformed_file_is_invalid_input(tmp_path, case):
     for check in _MALFORMED_CHECKS[data["shape"]]:
         code, text = run(["check", check, str(path)])
         assert (code, json.loads(text)["verdict"]) == (2, "invalid-input"), check
-    if data["shape"] == "smap":
+    if data["shape"] in _MALFORMED_CONSTRUCTS:
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code, _ = run(["construct", "qstar", "--in", str(path), "--out", str(tmp_path / "q.json")])
+            code, _ = run(["construct", _MALFORMED_CONSTRUCTS[data["shape"]], "--in", str(path),
+                           "--out", str(tmp_path / "out.json")])
         assert (code, err.getvalue()) == (2, "input does not validate\n")
 
 
@@ -467,10 +499,10 @@ def test_unwritable_out_is_invalid_input(tmp_path):
 def test_validation_checks_validate_once(tmp_path, monkeypatch):
     """``check validate`` and ``check coalgebra`` print the report of the
     validation that gates every check: the input is validated once."""
-    from segal_abacus import cli, decalage
+    from segal_abacus import decalage, presheaf
 
     # the check, its input, and the validator it runs, by module and name
-    cases = (("validate", pjson.to_dict(nerve(chain_poset(1), 3)), cli, "validate"),
+    cases = (("validate", pjson.to_dict(nerve(chain_poset(1), 3)), presheaf, "validate"),
              ("coalgebra", _split_file(lambda data: None), decalage, "validate_coalgebra"))
     for check, data, module, validator in cases:
         calls = []
@@ -728,22 +760,23 @@ def _cli_steps():
 
 
 # the library modules each README command loads in a fresh process, beyond
-# the ones the CLI itself imports (presheaf, with abacus and simplex, and reports)
-_READ = {"pjson", "decalage"}
-_CONSTRUCT = _READ | {"configurations", "fibrations"}
+# the one the CLI itself imports (reports); a file is read and written
+# without abacus or decalage
+_READ = {"pjson", "presheaf", "simplex"}
+_CONSTRUCT = _READ | {"abacus", "configurations", "decalage", "fibrations"}
 _COLD_MODULES = {
     "gen-nerve-poset": _READ | {"corpus"},
     "gen-partial-monoid": _READ | {"corpus"},
     "check-segal": _READ | {"fibrations"},
-    "check-2segal": _READ | {"fibrations"},
+    "check-2segal": _READ | {"fibrations", "decalage"},  # the 2-Segal sides are decalages
     "construct-boors-tot": _CONSTRUCT,
     "construct-extend": _CONSTRUCT,
     "check-invertible-abacus": _CONSTRUCT,
     "construct-rtot": _CONSTRUCT,
     "roundtrip-boors": _CONSTRUCT,
     "roundtrip-M": _CONSTRUCT | {"corpus"},  # build_M maps onto the nerve of an arrow
-    "morphism": set(),
-    "run-suite-presentation": set(),  # the suite runs on the bead calculus alone
+    "morphism": {"abacus", "simplex"},
+    "run-suite-presentation": {"abacus", "simplex"},  # the suite runs on the bead calculus alone
 }
 
 
@@ -778,4 +811,4 @@ def test_each_readme_command_loads_only_what_it_runs(tmp_path):
                     if line.startswith("import time:")}
         loaded = {mod.split(".", 1)[1] for mod in imported if mod.startswith("segal_abacus.")}
         assert proc.returncode == want, (name, err[-300:])
-        assert loaded == {"presheaf", "abacus", "simplex", "reports"} | _COLD_MODULES[name], name
+        assert loaded == {"reports"} | _COLD_MODULES[name], name

@@ -300,14 +300,28 @@ def test_ts_compat_and_pair_on_canonical_splittings():
     assert invertibility_pair_check(B).passed
 
 
+@cache
+def _nerve_extensions() -> list:
+    """``(name, extension)`` of each 2-Segal nerve of the standard corpus."""
+    return [(name, extend_sigma_to_d(p_star_tot(X))[0])
+            for name, X in standard_nerve_corpus(5) if is_2segal(X, "both").holds]
+
+
+def test_stored_top_splittings_stay_on_the_extension():
+    """Each top splitting an extension stores, out of level (i, j), lands in
+    level (i + 1, j): both are levels of the extension."""
+    for name, B in _nerve_extensions():
+        assert B.t_split, name
+        assert all({(i, j), (i + 1, j)} <= set(B.levels) for i, j in B.t_split), name
+
+
 def test_stored_and_derived_top_splittings_agree():
     """An extension stores its top splittings, but its ``dset`` file does
     not, so ``check ts-compat B.json`` derives them as f^-1 s_0 where
     ``roundtrip boors`` reads the stored ones.  On the 2-Segal nerves of the
     standard corpus the two agree wherever both are defined, and both checks
     report the same with and without the stored splittings."""
-    extensions = [(name, extend_sigma_to_d(p_star_tot(X))[0])
-                  for name, X in standard_nerve_corpus(5) if is_2segal(X, "both").holds]
+    extensions = _nerve_extensions()
     assert len(extensions) == 21
     for name, B in extensions:
         derived = _derived_t_split(B)

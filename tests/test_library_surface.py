@@ -89,3 +89,22 @@ def test_every_imported_name_is_used():
     unused = {path.name: sorted(names) for path in paths
               if (names := _unused_imports(ast.parse(path.read_text())))}
     assert unused == {}
+
+
+def test_no_library_module_imports_dataclasses():
+    """The records are ``__slots__`` classes on ``reports.Record``:
+    importing ``dataclasses`` (and ``inspect`` with it) would cost every
+    cold CLI process its import."""
+    importers = sorted(
+        path.name for path in SRC.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+        or isinstance(node, ast.Import) and any(alias.name == "dataclasses" for alias in node.names))
+    assert importers == []
+
+
+def test_library_parses_as_python_3_10():
+    """Every library module parses with the grammar of Python 3.10, the
+    least version ``pyproject.toml`` declares.  This checks syntax only: a
+    library call that 3.10 lacks still passes here."""
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -516,3 +516,21 @@ def test_element_listed_twice_is_a_witness():
     for good, bad, site, elem in cases:
         assert good.verdict == "pass"
         assert (bad.verdict, bad.witnesses) == ("fail", [Witness(site, "element listed twice", (elem,))])
+
+
+def test_point_listed_twice_is_a_witness():
+    """A point set that lists a point more than once fails validation with
+    one "element listed twice" witness at ``pointing``, of a pointed
+    simplicial set and of a pointed bisimplicial set; each point is still
+    checked once per listing."""
+    X = nerve(chain_poset(1), 3)
+    x = X.level(0)[0]
+    B = tot(X)
+    b = B.level(0, 0)[0]
+    cases = ((validate_pointed, PointedSSet(X, ["c"], {"c": x}), PointedSSet(X, ["c", "c"], {"c": x})),
+             (validate_sigmaset, SigmaSet(B, ["c"], {"c": b}), SigmaSet(B, ["c", "c"], {"c": b})))
+    for validator, good, bad in cases:
+        good_rep, bad_rep = validator(good), validator(bad)
+        assert good_rep.verdict == "pass"
+        assert (bad_rep.verdict, bad_rep.checked) == ("fail", good_rep.checked + 1)
+        assert bad_rep.witnesses == [Witness("pointing", "element listed twice", ("c",))]
