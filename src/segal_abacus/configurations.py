@@ -354,13 +354,15 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
     Splittings propagate down the rows by upper stability; row-wise
     colimits build the augmentation column; column-wise colimits build
     the augmentation row (skipped for ``half=True``, which targets the
-    shape without the augmentation row).  Returns ``(B, report, axioms)``:
-    the DSet (None when it cannot be built), its report, and the
-    ``boors_axioms(A, half=half)`` report decided as the gate, so a caller
-    that reports the axioms does not decide them again.  A precondition
-    report means the input fails the pointing axioms or is too shallow; a
-    splitting that cannot be built from an input meeting the axioms
-    refutes the construction, so that report fails with a witness.
+    shape without the augmentation row).  The top splittings are not
+    built: they are t# = f^{-1} s_0 of the result (``_top_splittings``).
+    Returns ``(B, report, axioms)``: the DSet (None when it cannot be
+    built), its report, and the ``boors_axioms(A, half=half)`` report
+    decided as the gate, so a caller that reports the axioms does not
+    decide them again.  A precondition report means the input fails the
+    pointing axioms or is too shallow; a splitting that cannot be built
+    from an input meeting the axioms refutes the construction, so that
+    report fails with a witness.
     """
     axioms = boors_axioms(A, half=half)
     if not axioms.passed:
@@ -388,22 +390,6 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
             if misses:
                 return None, _extension_fails(f"srow@({i},{j})", "no lift through (d_0, e_0)",
                                               (misses[0],)), axioms
-
-    tcol = None
-    if not half:
-        col0 = _pointing_sections(pointed_col0(A), "top")
-        tcol = {0: {i: {b: cb[1] for b, cb in inv.items()} for i, inv in col0.items()}}
-        for j in range(1, Tb + 1):
-            tcol[j] = {}
-            for i in range(Tb - j):
-                d_top = bulk.actions["d", j, (i, j)]
-                tcol[j][i], misses = lift(
-                    bulk.level(i + 1, j), bulk.actions["e", i + 1, (i + 1, j)],
-                    bulk.actions["d", j, (i + 1, j)],
-                    ((b, tcol[j - 1][i][d_top[b]]) for b in bulk.level(i, j)))
-                if misses:
-                    return None, _extension_fails(
-                        f"tcol@({i},{j})", "no lift through (e_top, d_top)", (misses[0],)), axioms
 
     # augmentation column: the pointing set in row zero, row colimits below;
     # augmentation row: column colimits
@@ -471,19 +457,12 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
                for lvl, gens in generators_into(TD).items() if lvl in levels
                for kind, k, tgt, _ in gens if tgt in levels}
 
-    t_split = {}
-    if tcol is not None:
-        for j in sorted(tcol):
-            for i in sorted(tcol[j]):
-                if (i, j) in levels and action_target("t", (i, j)) in levels:
-                    t_split[(i, j)] = dict(tcol[j][i])
-        for j in range(TD):  # the splitting out of (-1, j) lands in (0, j), of degree j + 1
-            t_split[(-1, j)] = {
-                z: bulk.actions["e", 0, (1, j)][tcol[j][0][z]] for z in row_classes[j]
-            }
-
-    B = DSet(TD, levels, actions, t_split=t_split)
+    B = DSet(TD, levels, actions)
     return B, validate(B, "extension"), axioms
+
+
+# why both splitting checks are undecided: t# = f^{-1} s_0 needs f invertible
+_NOT_INVERTIBLE = "abacus not invertible"
 
 
 def ts_compat(B: DSet) -> CheckReport:
@@ -492,26 +471,30 @@ def ts_compat(B: DSet) -> CheckReport:
     augmentation column."""
     witnesses = []
     checked = 0
-    t_split = B.t_split or _derived_t_split(B)
-    if t_split is None:
-        return CheckReport.precondition_failure("ts_compat", "no top splittings available")
+    tsharp = _top_splittings(B)
+    if tsharp is None:
+        return CheckReport.precondition_failure("ts_compat", _NOT_INVERTIBLE)
     for (i, j), ssub in B.abacus_tables("ssub"):
         if i < 0:
             continue
         mid = action_target("ssub", (i, j))
         t_top = B.actions.get(("t", i, mid))
-        if mid not in t_split or t_top is None:
+        if mid not in tsharp or t_top is None:
             continue
         for b in B.level(i, j):
             checked += 1
             sb = ssub[b]
-            if t_top[sb] != t_split[mid][sb]:
+            if t_top[sb] != tsharp[mid][sb]:
                 witnesses.append(Witness(f"ts@({i},{j})", "t_top s# = t# s#", (b,)))
     return CheckReport.from_witnesses("ts_compat", witnesses, checked)
 
 
-def _derived_t_split(B: DSet):
-    """Top splittings t# = f^{-1} s_0 from inverted abacus maps."""
+def _top_splittings(B: DSet):
+    """The top splittings t# = f^{-1} s_0 (s# in place of s_0 on the
+    augmentation column), read off B itself: ``{(i, j): table}``, empty
+    when no level has one, None when the abacus maps are not invertible.
+    ``ts_compat`` and ``invertibility_pair_check`` read only these, so an
+    extension and its ``dset`` file are judged alike."""
     if not has_invertible_abacus(B).passed:
         return None
     inv = {lvl: {v: k for k, v in tab.items()} for lvl, tab in B.abacus_tables("f")}
@@ -529,15 +512,15 @@ def invertibility_pair_check(B: DSet) -> CheckReport:
     """g = d_bot t# inverts f = e_top s# wherever both splittings exist."""
     witnesses = []
     checked = 0
-    t_split = B.t_split or _derived_t_split(B)
-    if not t_split:
-        return CheckReport.precondition_failure("invertibility_pair", "no top splittings")
+    tsharp = _top_splittings(B)
+    if tsharp is None:
+        return CheckReport.precondition_failure("invertibility_pair", _NOT_INVERTIBLE)
     for (i, j), ftab in B.abacus_tables("f"):
         tgt = action_target("f", (i, j))
         d_bot = B.actions.get(("d", 0, action_target("t", tgt)))
-        if tgt not in t_split or d_bot is None:
+        if tgt not in tsharp or d_bot is None:
             continue
-        g = {y: d_bot[t_split[tgt][y]] for y in B.level(*tgt)}
+        g = {y: d_bot[tsharp[tgt][y]] for y in B.level(*tgt)}
         for b in B.level(i, j):
             checked += 1
             if g[ftab[b]] != b:
@@ -834,6 +817,5 @@ def half_roundtrip(F: SMap) -> dict:
 
 
 def _restrict_dset(B: DSet, T: int, levels: dict) -> DSet:
-    """B on the given levels, with the actions between them.  B is a Kan
-    extension ``q_lower_star(F)``, which has no top splittings."""
+    """B on the given levels, with the actions between them."""
     return DSet(T, levels, restrict_actions(B.actions, levels))

@@ -28,7 +28,7 @@ from .presheaf import (
     _check_rows,
     _concat,
     _delta_rows,
-    _listed_twice,
+    _pointed_rows,
     _sorted_ids,
     bijection_witnesses,
     bisset_actions,
@@ -39,7 +39,6 @@ from .presheaf import (
     pullback_pairs,
     sub_trunc,
     through,
-    validate_sset,
 )
 from .simplex import MonotoneMap
 
@@ -186,15 +185,9 @@ class PointedSSet:
 
 
 def validate_pointed(P: PointedSSet, name: str = "pointed") -> CheckReport:
-    rep = validate_sset(P.sset, name)
-    witnesses = rep.witnesses + _listed_twice("pointing", P.point_set)
-    checked = rep.checked
-    lvl0 = set(P.sset.level(0))
-    for c in P.point_set:
-        checked += 1
-        if P.pointing.get(c) not in lvl0:
-            witnesses.append(Witness("pointing", "pointing misses level 0", (c,)))
-    return CheckReport.from_witnesses(name, witnesses, checked)
+    """The simplicial set's rows, and the pointing into level 0."""
+    return _check_rows(name, {**P.sset.actions, "pointing": P.pointing},
+                       {**P.sset.levels, "point": P.point_set}, _pointed_rows(_delta_rows, P.sset.trunc, 0))
 
 
 def validate_coalgebra(A, name: str = "split") -> CheckReport:

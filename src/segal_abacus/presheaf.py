@@ -26,8 +26,10 @@ category's identities as rows of table keys, computed once per
 truncation: ``_delta_rows`` for simplicial sets (and, prefixed, for the
 rows and columns of a bisimplicial set and the source and target of a
 map), ``_bisset_rows``, ``_smap_rows``, ``_relation_rows`` for the abacus
-category, ``decalage._coalgebra_rows`` for split structures.  One element
-loop checks them all: ``_check_rows`` reports every level beyond the
+category, ``decalage._coalgebra_rows`` for split structures, and
+``_pointed_rows`` adds a pointing to any of them: its point set is one
+more level and the pointing one more totality row.  One element loop
+checks them all: ``_check_rows`` reports every level beyond the
 truncation or missing and every element listed twice and checks totality,
 then ``_compare_rows`` applies both sides of each identity to every
 element, and only looks tables up.  A construction that applies one map
@@ -327,7 +329,8 @@ def _check_rows(name: str, tables, levels, rows) -> CheckReport:
     expected = {lv for _, lv in expect}
     witnesses = [Witness(f"level@{lv}", "level beyond the truncation", ())
                  for lv in levels if lv not in expected]
-    witnesses += [w for lv, xs in levels.items() for w in _listed_twice(f"level@{lv}", xs)]
+    witnesses += [Witness(f"level@{lv}", "element listed twice", (x,))
+                  for lv, xs in levels.items() for x, n in Counter(xs).items() if n > 1]
     witnesses += [Witness(label, "level missing", ()) for label, lv in expect if lv not in levels]
     checked = 0
     for label, key, src, tgt in totals:
@@ -335,11 +338,6 @@ def _check_rows(name: str, tables, levels, rows) -> CheckReport:
     if witnesses:
         return CheckReport.from_witnesses(name, witnesses, checked)
     return _compare_rows(name, checked, tables, levels, relations)
-
-
-def _listed_twice(site: str, xs) -> list:
-    """A witness for each element that ``xs`` lists more than once."""
-    return [Witness(site, "element listed twice", (x,)) for x, n in Counter(xs).items() if n > 1]
 
 
 def _compare_rows(name: str, checked: int, tables, levels, relations) -> CheckReport:
@@ -681,13 +679,11 @@ class DSet(_Grid):
     Levels exist for i, j >= -1 (not both).  Besides the bisimplicial
     actions its ``actions`` table holds the abacus actions
     ``f : B(i,j) -> B(i-1,j+1)`` and the splittings
-    ``ssub : B(i,j) -> B(i,j+1)`` for i >= 0, keyed with ``k`` None.
+    ``ssub : B(i,j) -> B(i,j+1)`` for i >= 0, keyed with ``k`` None.  It
+    stores no top splittings: where the abacus maps are invertible they
+    are t# = f^{-1} s_0, derived from these tables
+    (``configurations._top_splittings``).
     """
-
-    def __init__(self, trunc: int, levels: dict, actions: dict, t_split=None):
-        super().__init__(trunc, levels, actions)
-        # vertical top splittings, populated by constructions that have them
-        self.t_split = t_split or {}
 
     def has_aug_row(self) -> bool:
         return any(i == -1 for (i, j) in self.levels)
@@ -801,17 +797,18 @@ class SigmaSet:
 
 
 def validate_sigmaset(A: SigmaSet, name: str = "sigmaset") -> CheckReport:
-    rep = validate_bisset(A.bulk, name)
-    witnesses = rep.witnesses + _listed_twice("pointing", A.point_set)
-    checked = rep.checked
-    level00 = set(A.bulk.level(0, 0))
-    for c in A.point_set:
-        checked += 1
-        if c not in A.pointing:
-            witnesses.append(Witness("pointing", "pointing undefined", (c,)))
-        elif A.pointing[c] not in level00:
-            witnesses.append(Witness("pointing", "pointing leaves level (0,0)", (c,)))
-    return CheckReport.from_witnesses(name, witnesses, checked)
+    """The bisimplicial set's rows, and the pointing into level (0, 0)."""
+    return _check_rows(name, {**A.bulk.actions, "pointing": A.pointing},
+                       {**A.bulk.levels, "point": A.point_set}, _pointed_rows(_bisset_rows, A.trunc, (0, 0)))
+
+
+@lru_cache(maxsize=None)
+def _pointed_rows(rows, T: int, target) -> tuple:
+    """The rows ``rows(T)`` of what a pointing points, with one more level,
+    the point set, keyed ``"point"``, and one more totality row, the
+    pointing, the table ``"pointing"`` from it into level ``target``.  No
+    level of a file is named ``point``, and no table ``pointing``."""
+    return _concat(rows(T), ((("level@point", "point"),), (("pointing", "pointing", "point", target),), ()))
 
 
 def validate(P, name: str | None = None) -> CheckReport:

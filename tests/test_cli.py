@@ -314,6 +314,8 @@ MALFORMED = {
     "sset element listed twice": _sset_file(lambda data: data["levels"]["0"].append("0")),
     "sigmaset point listed twice": _sigmaset_file(lambda data: data["pointing"]["levels"].append("0")),
     "pointed point listed twice": _pointed_file(lambda data: data["pointing"]["levels"].append("c")),
+    "sigmaset pointing undefined": _sigmaset_file(lambda data: data["pointing"]["map"].pop("0")),
+    "pointed pointing off level 0": _pointed_file(lambda data: data["pointing"]["map"].update(c="zz")),
     "top level an array": [],
     "top level a string": "sset",
     "sset trunc a string": _sset_file(lambda data: data.update(trunc="x")),
@@ -324,10 +326,14 @@ MALFORMED = {
 # the witness that ``check validate`` reports, where a case pins it
 WITNESSES = {"sset element listed twice": {"site": "level@0", "equation": "element listed twice",
                                            "offenders": ["0"]},
-             "sigmaset point listed twice": {"site": "pointing", "equation": "element listed twice",
+             "sigmaset point listed twice": {"site": "level@point", "equation": "element listed twice",
                                              "offenders": ["0"]},
-             "pointed point listed twice": {"site": "pointing", "equation": "element listed twice",
-                                            "offenders": ["c"]}}
+             "pointed point listed twice": {"site": "level@point", "equation": "element listed twice",
+                                            "offenders": ["c"]},
+             "sigmaset pointing undefined": {"site": "pointing", "equation": "action undefined",
+                                             "offenders": ["0"]},
+             "pointed pointing off level 0": {"site": "pointing", "equation": "action leaves level",
+                                              "offenders": ["c", "zz"]}}
 
 # files that cannot be read at all: every command says so on stderr
 UNREADABLE = {"sset action of unknown kind", "top level an array", "top level a string",

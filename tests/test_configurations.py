@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from segal_abacus.abacus import generators_into
 from segal_abacus.configurations import (
-    _derived_t_split,
     _pointing_sections,
+    _top_splittings,
     abacus_row_map,
     boors_axioms,
     boors_roundtrip,
@@ -73,10 +73,12 @@ from segal_abacus.presheaf import (
     action_target,
     bijection_witnesses,
     col_sset,
+    colimit0,
     constant_sset,
     dset_levels,
     fmt_id,
     identity_smap,
+    lift,
     pullback_pairs,
     sub_trunc,
     through,
@@ -300,37 +302,88 @@ def test_ts_compat_and_pair_on_canonical_splittings():
     assert invertibility_pair_check(B).passed
 
 
+def _reference_top_splittings(A):
+    """The top splittings ``extend_sigma_to_d`` once built and stored beside
+    its result: column zero split by inverting the local-terminal
+    comparison, each further column lifted from the one before through
+    (e_top, d_top), and the augmentation row split through e_0 of row one.
+    ``{(i, j): table}`` on the levels of the extension, or None when a lift
+    misses (the stored code failed the extension there)."""
+    bulk = A.bulk
+    Tb, TD = bulk.trunc, bulk.trunc - 1
+    col0 = _pointing_sections(pointed_col0(A), "top")
+    tcol = {0: {i: {b: cb[1] for b, cb in inv.items()} for i, inv in col0.items()}}
+    for j in range(1, Tb + 1):
+        tcol[j] = {}
+        for i in range(Tb - j):
+            d_top = bulk.actions["d", j, (i, j)]
+            tcol[j][i], misses = lift(
+                bulk.level(i + 1, j), bulk.actions["e", i + 1, (i + 1, j)],
+                bulk.actions["d", j, (i + 1, j)],
+                ((b, tcol[j - 1][i][d_top[b]]) for b in bulk.level(i, j)))
+            if misses:
+                return None
+    levels = set(dset_levels(TD))
+    out = {(i, j): dict(tcol[j][i]) for j in sorted(tcol) for i in sorted(tcol[j])
+           if (i, j) in levels and action_target("t", (i, j)) in levels}
+    for j in range(TD):  # the splitting out of (-1, j) lands in (0, j), of degree j + 1
+        out[(-1, j)] = {z: bulk.actions["e", 0, (1, j)][tcol[j][0][z]]
+                        for z in colimit0(col_sset(bulk, j))[0]}
+    return out
+
+
 @cache
 def _nerve_extensions() -> list:
-    """``(name, extension)`` of each 2-Segal nerve of the standard corpus."""
-    return [(name, extend_sigma_to_d(p_star_tot(X))[0])
-            for name, X in standard_nerve_corpus(5) if is_2segal(X, "both").holds]
+    """``(name, A, extension of A)`` for the pointed total decalage A of
+    each 2-Segal nerve of the standard corpus."""
+    return [(name, A, extend_sigma_to_d(A)[0])
+            for name, X in standard_nerve_corpus(5) if is_2segal(X, "both").holds
+            for A in [p_star_tot(X)]]
 
 
 def test_stored_top_splittings_stay_on_the_extension():
-    """Each top splitting an extension stores, out of level (i, j), lands in
-    level (i + 1, j): both are levels of the extension."""
-    for name, B in _nerve_extensions():
-        assert B.t_split, name
-        assert all({(i, j), (i + 1, j)} <= set(B.levels) for i, j in B.t_split), name
+    """An extension stores no top splittings; each one derived from it,
+    out of level (i, j), is defined on that level and lands in level
+    (i + 1, j): both are levels of the extension."""
+    for name, _, B in _nerve_extensions():
+        tsharp = _top_splittings(B)
+        assert tsharp, name
+        for lvl, table in tsharp.items():
+            assert set(table) == set(B.level(*lvl)), (name, lvl)
+            assert set(table.values()) <= set(B.level(*action_target("t", lvl))), (name, lvl)
 
 
 def test_stored_and_derived_top_splittings_agree():
-    """An extension stores its top splittings, but its ``dset`` file does
-    not, so ``check ts-compat B.json`` derives them as f^-1 s_0 where
-    ``roundtrip boors`` reads the stored ones.  On the 2-Segal nerves of the
-    standard corpus the two agree wherever both are defined, and both checks
-    report the same with and without the stored splittings."""
+    """The top splittings the extension once lifted and stored
+    (``_reference_top_splittings``) and those ``ts_compat`` and
+    ``invertibility_pair_check`` now derive as f^-1 s_0: on the 2-Segal
+    nerves of the standard corpus the lift never misses, so its "no lift
+    through (e_top, d_top)" failure had no input there, and the two agree
+    wherever both are defined."""
     extensions = _nerve_extensions()
     assert len(extensions) == 21
-    for name, B in extensions:
-        derived = _derived_t_split(B)
-        shared = set(B.t_split) & set(derived)
+    for name, A, B in extensions:
+        stored = _reference_top_splittings(A)
+        assert stored is not None, name
+        derived = _top_splittings(B)
+        shared = set(stored) & set(derived)
         assert shared, name
-        assert all(B.t_split[lvl] == derived[lvl] for lvl in shared), name
-        bare = DSet(B.trunc, B.levels, B.actions)
-        for check in (ts_compat, invertibility_pair_check):
-            assert check(B).to_dict() == check(bare).to_dict(), (name, check.__name__)
+        assert all(stored[lvl] == derived[lvl] for lvl in shared), name
+
+
+def test_splitting_checks_share_one_precondition():
+    """Both splitting checks are undecided, for the one reason "abacus not
+    invertible", exactly when t# = f^-1 s_0 cannot be derived; an
+    invertible abacus with no top splitting (the Kan extension at
+    truncation 0) leaves both vacuous."""
+    empty = q_lower_star(identity_smap(nerve(chain_poset(1), 0)))
+    assert has_invertible_abacus(empty).passed and _top_splittings(empty) == {}
+    not_invertible = q_lower_star(poset_inclusion(chain_poset(1), chain_poset(2), 4))
+    assert _top_splittings(not_invertible) is None
+    for check in (ts_compat, invertibility_pair_check):
+        assert check(empty).verdict == "vacuous", check.__name__
+        rep = check(not_invertible)
+        assert (rep.verdict, rep.precondition) == ("precondition", "abacus not invertible"), check.__name__
 
 
 def test_ts_compat_needs_invertibility_without_stored_splittings():

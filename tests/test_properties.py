@@ -297,12 +297,11 @@ def _same_reports(got, ref):
 
 
 def _same_dset(got, ref):
-    """Equal levels, action tables and top splittings, order included."""
+    """Equal levels and action tables, order included."""
     assert got.trunc == ref.trunc
     assert list(got.levels.items()) == list(ref.levels.items())
     assert [(key, list(t.items())) for key, t in got.actions.items()] == \
         [(key, list(t.items())) for key, t in ref.actions.items()]
-    assert got.t_split == ref.t_split
 
 
 @cache

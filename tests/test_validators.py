@@ -10,7 +10,12 @@ differently, each stated at its test:
 - a splitting is checked for totality like any other table, and
   ``split-face0@0``, an instance that compared nothing, is gone;
 - a bisimplicial set checks the totality of each action once, not once
-  more per row and column.
+  more per row and column;
+- a pointing is one more totality check, at site ``pointing``: a point
+  it leaves undefined or sends off its level reads "action undefined" or
+  "action leaves level", where the earlier loops read "pointing misses
+  level 0", "pointing undefined" or "pointing leaves level (0,0)", and,
+  like any totality witness, it ends the report before the identities.
 
 An entry that leaves its level stops every validator after the totality
 checks: that entry is then the only witness, where the earlier smap and
@@ -187,30 +192,36 @@ def _reference_validate_bisset(B, name="bisset"):
     return CheckReport.from_witnesses(name, witnesses, checked)
 
 
+# the equations of the checks that run before any identity
+_TOTALITY = {"level beyond the truncation", "level missing", "action table missing",
+             "action undefined", "action leaves level"}
+
+
+def _with_pointing(rep, totality, pointing, level):
+    """``rep`` of what ``pointing`` points, with its ``totality`` instances
+    before the identities, and the pointing's totality into ``level``: a
+    bad pointing leaves only the totality witnesses and instances."""
+    witnesses = []
+    points = _check_total(pointing.pointing, pointing.point_set, level, "pointing", witnesses)
+    if not witnesses:
+        return CheckReport.from_witnesses(rep.name, rep.witnesses, rep.checked + points)
+    before = [w for w in rep.witnesses if w.equation in _TOTALITY]
+    return CheckReport.from_witnesses(rep.name, before + witnesses, totality + points)
+
+
+def _bisset_totality(B) -> int:
+    """Instances of the totality checks of B's actions."""
+    return sum(len(B.level(*lv)) * len(gens) for lv, gens in bisset_actions(B.trunc).items())
+
+
 def _reference_validate_sigmaset(A, name="sigmaset"):
-    rep = _reference_validate_bisset(A.bulk, name)
-    witnesses = list(rep.witnesses)
-    checked = rep.checked
-    level00 = set(A.bulk.level(0, 0))
-    for c in A.point_set:
-        checked += 1
-        if c not in A.pointing:
-            witnesses.append(Witness("pointing", "pointing undefined", (c,)))
-        elif A.pointing[c] not in level00:
-            witnesses.append(Witness("pointing", "pointing leaves level (0,0)", (c,)))
-    return CheckReport.from_witnesses(name, witnesses, checked)
+    return _with_pointing(_reference_validate_bisset(A.bulk, name), _bisset_totality(A.bulk),
+                          A, A.bulk.level(0, 0))
 
 
 def _reference_validate_pointed(P, name="pointed"):
-    rep = _reference_validate_sset(P.sset, name)
-    witnesses = list(rep.witnesses)
-    checked = rep.checked
-    lvl0 = set(P.sset.level(0))
-    for c in P.point_set:
-        checked += 1
-        if P.pointing.get(c) not in lvl0:
-            witnesses.append(Witness("pointing", "pointing misses level 0", (c,)))
-    return CheckReport.from_witnesses(name, witnesses, checked)
+    return _with_pointing(_reference_validate_sset(P.sset, name), _sset_totality(P.sset),
+                          P, P.sset.level(0))
 
 
 def _reference_validate_coalgebra(A, name="split"):
@@ -389,6 +400,8 @@ def test_validate_sset_and_pointed_match_references(data):
     _same_report(validate_sset(X), ref.verdict, ref.checked, ref.witnesses)
     point_set = ("c", "c2")
     pointing = {"c": data.draw(st.sampled_from(X.level(0) + (JUNK,)))}
+    if data.draw(st.booleans()):  # else "c2" is undefined
+        pointing["c2"] = X.level(0)[0]
     P = PointedSSet(X, point_set, pointing)
     ref = _reference_validate_pointed(P)
     _same_report(validate_pointed(P), ref.verdict, ref.checked, ref.witnesses)
@@ -399,17 +412,22 @@ def test_validate_sset_and_pointed_match_references(data):
 def test_validate_bisset_and_sigmaset_match_references(data):
     """Equal, except that a bisimplicial set that passes its totality
     checks counts each of them once: the reference counted every action's
-    totality a second time, in the row or column it re-validated."""
+    totality a second time, in the row or column it re-validated, which a
+    bad pointing never reaches."""
     B = tot(data.draw(st.sampled_from(_ssets())))
     actions = _redirect(data.draw, B.actions, lambda key: B.level(*action_target(key[0], key[2])), True)
     B = BiSSet(B.trunc, B.levels, actions)
-    twice = 0 if _junk_entries(actions) else sum(
-        len(B.level(*lv)) * len(gens) for lv, gens in bisset_actions(B.trunc).items())
+    twice = 0 if _junk_entries(actions) else _bisset_totality(B)
     ref = _reference_validate_bisset(B)
     _same_report(validate_bisset(B), ref.verdict, ref.checked - twice, ref.witnesses)
     level00 = B.level(0, 0)
-    A = SigmaSet(B, ("c", "c2", "c3"), {"c": level00[0], "c2": data.draw(st.sampled_from(level00 + (JUNK,)))})
+    pointing = {"c": level00[0], "c2": data.draw(st.sampled_from(level00 + (JUNK,)))}
+    if data.draw(st.booleans()):  # else "c3" is undefined
+        pointing["c3"] = level00[-1]
+    A = SigmaSet(B, ("c", "c2", "c3"), pointing)
     ref = _reference_validate_sigmaset(A)
+    if any(w.site == "pointing" for w in ref.witnesses):
+        twice = 0
     _same_report(validate_sigmaset(A), ref.verdict, ref.checked - twice, ref.witnesses)
 
 
@@ -520,17 +538,20 @@ def test_element_listed_twice_is_a_witness():
 
 def test_point_listed_twice_is_a_witness():
     """A point set that lists a point more than once fails validation with
-    one "element listed twice" witness at ``pointing``, of a pointed
-    simplicial set and of a pointed bisimplicial set; each point is still
-    checked once per listing."""
+    one "element listed twice" witness at ``level@point``, the point set's
+    level, of a pointed simplicial set and of a pointed bisimplicial set.
+    Like any witness of the totality checks it ends the report before the
+    identities; each point is still checked once per listing."""
     X = nerve(chain_poset(1), 3)
     x = X.level(0)[0]
     B = tot(X)
     b = B.level(0, 0)[0]
-    cases = ((validate_pointed, PointedSSet(X, ["c"], {"c": x}), PointedSSet(X, ["c", "c"], {"c": x})),
-             (validate_sigmaset, SigmaSet(B, ["c"], {"c": b}), SigmaSet(B, ["c", "c"], {"c": b})))
-    for validator, good, bad in cases:
+    cases = ((validate_pointed, PointedSSet(X, ["c"], {"c": x}), PointedSSet(X, ["c", "c"], {"c": x}),
+              _sset_totality(X)),
+             (validate_sigmaset, SigmaSet(B, ["c"], {"c": b}), SigmaSet(B, ["c", "c"], {"c": b}),
+              _bisset_totality(B)))
+    for validator, good, bad, totality in cases:
         good_rep, bad_rep = validator(good), validator(bad)
         assert good_rep.verdict == "pass"
-        assert (bad_rep.verdict, bad_rep.checked) == ("fail", good_rep.checked + 1)
-        assert bad_rep.witnesses == [Witness("pointing", "element listed twice", ("c",))]
+        assert (bad_rep.verdict, bad_rep.checked) == ("fail", totality + 2)
+        assert bad_rep.witnesses == [Witness("level@point", "element listed twice", ("c",))]
