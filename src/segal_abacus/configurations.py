@@ -117,14 +117,16 @@ def q_lower_star(F: SMap) -> DSet:
 
 def r_star(X: TruncSSet) -> DSet:
     """The total decalage with its row-and-column augmentations: level
-    (i, j) is X_{i+1+j} and every generator acts through its carrier."""
+    (i, j) is X_{i+1+j} and every generator acts through its carrier, by
+    X's own table where that carrier is one face or degeneracy."""
     T = X.trunc
     levels = {lvl: X.level(lvl[0] + 1 + lvl[1]) for lvl in dset_levels(T)}
     actions = {}
     for lvl, gens in generators_into(T).items():
         for kind, k, _, g in gens:
             tables = X.act_tables(g.carrier)
-            actions[kind, k, lvl] = {x: through(tables, x) for x in levels[lvl]}
+            actions[kind, k, lvl] = (tables[0] if len(tables) == 1
+                                     else {x: through(tables, x) for x in levels[lvl]})
     return DSet(T, levels, actions)
 
 
@@ -286,21 +288,20 @@ def j_upper_star(B: DSet) -> SigmaSet:
         if lv[0] >= 0 and lv[1] >= 0 and lv[0] + lv[1] <= Tb
     }
     bulk = BiSSet(Tb, levels, restrict_actions(B.actions, levels, BULK_KINDS))
-    return SigmaSet(bulk, B.level(0, -1), dict(B.actions["ssub", None, (0, -1)]))
+    return SigmaSet(bulk, B.level(0, -1), B.actions["ssub", None, (0, -1)])
 
 
 def p_star_tot(X: TruncSSet) -> SigmaSet:
     """The total decalage pointed by the zeroth degeneracy."""
-    bulk = tot(X)
-    return SigmaSet(bulk, X.level(0), dict(X.actions["s", 0, 0]))
+    return SigmaSet(tot(X), X.level(0), X.actions["s", 0, 0])
 
 
 def pointed_row0(A: SigmaSet) -> PointedSSet:
-    return PointedSSet(row_sset(A.bulk, 0), A.point_set, dict(A.pointing))
+    return PointedSSet(row_sset(A.bulk, 0), A.point_set, A.pointing)
 
 
 def pointed_col0(A: SigmaSet) -> PointedSSet:
-    return PointedSSet(col_sset(A.bulk, 0), A.point_set, dict(A.pointing))
+    return PointedSSet(col_sset(A.bulk, 0), A.point_set, A.pointing)
 
 
 def boors_axioms(A: SigmaSet, half: bool = False) -> CheckReport:
@@ -435,12 +436,12 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
             if kind == "f":
                 return bulk_f(i, j)
             if kind == "ssub":
-                return dict(srow[i][j])
+                return srow[i][j]
             if kind == "e" and tgt[0] == -1:
-                return {b: row_quot[j][b] for b in bulk.level(i, j)}
+                return row_quot[j]
             if kind == "d" and tgt[1] == -1:
-                return {b: col_quot[i][b] for b in bulk.level(i, j)}
-            return dict(bulk.actions[kind, k, lvl])
+                return col_quot[i]
+            return bulk.actions[kind, k, lvl]
         if j == -1:  # augmentation column sources
             if kind in ("e", "t"):
                 return {z: col_quot[tgt[0]][bulk.actions[kind, k, (i, 0)][rep_col(i, z)]]
@@ -563,22 +564,14 @@ def build_M(B: DSet):
 
     from .corpus import chain_poset, nerve
 
+    # the arrow's simplex under slice level (i, j): at degree 0 its vertex, else
+    # i vertical edges (0, 0), the crossing (0, 1) in the bulk, j horizontal (1, 1)
+    over = {(i, j): (0 if j == -1 else 1) if i + j == -1 else
+            ((0, 0),) * max(i, 0) + ((0, 1),) * (min(i, j) >= 0) + ((1, 1),) * max(j, 0)
+            for (i, j) in B.levels}
     M = TruncSSet(T, levels, {key: generator(*key) for key in delta_actions(T)})
-    arrow = nerve(chain_poset(1), T)
-    proj_levels = {}
-    for n in range(T + 1):
-        table = {}
-        for ((i, j), x) in levels[n]:
-            if n == 0:
-                table[((i, j), x)] = 0 if j == -1 else 1
-            elif j == -1:
-                table[((i, j), x)] = ((0, 0),) * n
-            elif i == -1:
-                table[((i, j), x)] = ((1, 1),) * n
-            else:
-                table[((i, j), x)] = ((0, 0),) * i + ((0, 1),) + ((1, 1),) * j
-        proj_levels[n] = table
-    return M, SMap(M, arrow, proj_levels)
+    proj = {n: {(lv, x): over[lv] for lv, x in levels[n]} for n in range(T + 1)}
+    return M, SMap(M, nerve(chain_poset(1), T), proj)
 
 
 def extract_from_M(M: TruncSSet, proj: SMap) -> dict:
@@ -591,10 +584,8 @@ def extract_from_M(M: TruncSSet, proj: SMap) -> dict:
             if n == 0:
                 lvl = (0, -1) if z == 0 else (-1, 0)
             else:
-                zeros = sum(1 for c in z if c == (0, 0))
-                ones = sum(1 for c in z if c == (1, 1))
-                cross = sum(1 for c in z if c == (0, 1))
-                lvl = (zeros, n - 1 - zeros) if cross else ((n, -1) if ones == 0 else (-1, n))
+                zeros = z.count((0, 0))
+                lvl = (zeros, n - 1 - zeros) if (0, 1) in z else (n, -1) if zeros == n else (-1, n)
             out_levels.setdefault(lvl, []).append(m)
     return {lvl: _sorted_ids(xs) for lvl, xs in out_levels.items()}
 

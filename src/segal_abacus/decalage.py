@@ -11,7 +11,9 @@ The BOORS local-initial (and local-terminal) comparison and Carlier's
 h-counit are one pullback, built once, in ``pointing_comparison``: the
 local checks decide whether it is a bijection, ``h_lower`` takes its
 bottom-side pairs as levels, ``h_counit_map`` is its bottom side, and
-``configurations`` inverts it to start the extension's splittings.
+``configurations`` inverts it to start the extension's splittings.  It
+reads the counit off X's face tables, as ``counit`` does, and builds no
+counit map and no second decalage.
 """
 
 from __future__ import annotations
@@ -68,12 +70,12 @@ def dec_map(F: SMap, side: str) -> SMap:
 
 def counit(X: TruncSSet, side: str) -> SMap:
     """The map dec(X) -> X given by the dropped face in each degree."""
-    D = dec(X, side)
-    levels = {
-        n: {x: X.face(n + 1, 0 if side == "bottom" else n + 1, x) for x in D.level(n)}
-        for n in range(D.trunc + 1)
-    }
-    return SMap(D, X, levels)
+    return SMap(dec(X, side), X, _counit_levels(X, side))
+
+
+def _counit_levels(X: TruncSSet, side: str) -> dict:
+    """The counit's level n: the face table that dec(X, side) drops out of X_{n+1}."""
+    return {n: X.actions["d", 0 if side == "bottom" else n + 1, n + 1] for n in range(X.trunc)}
 
 
 def comult(X: TruncSSet) -> SMap:
@@ -82,10 +84,7 @@ def comult(X: TruncSSet) -> SMap:
         raise TruncationError("comultiplication needs trunc >= 2")
     D = dec(X, "bottom")
     DD = dec(D, "bottom")
-    levels = {
-        n: {x: X.deg(n + 1, 0, x) for x in D.level(n)} for n in range(DD.trunc + 1)
-    }
-    return SMap(sub_trunc(D, DD.trunc), DD, levels)
+    return SMap(sub_trunc(D, DD.trunc), DD, {n: X.actions["s", 0, n + 1] for n in range(DD.trunc + 1)})
 
 
 def alpha_aug(X: TruncSSet, side: str = "bottom") -> SMap:
@@ -144,8 +143,7 @@ def sd(X: TruncSSet) -> TruncSSet:
 
 def sd_map(F: SMap) -> SMap:
     S = sd(F.source)
-    return SMap(S, sd(F.target), {n: {x: F.at(2 * n + 1, x) for x in S.level(n)}
-                                  for n in range(S.trunc + 1)})
+    return SMap(S, sd(F.target), {n: F.levels[2 * n + 1] for n in range(S.trunc + 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +193,11 @@ def validate_coalgebra(A, name: str = "split") -> CheckReport:
     augmented input also the augmentation square and section."""
     X = A.sset
     augmented = isinstance(A, AugBottomSplitSSet)
-    tables = dict(X.actions)
-    tables.update({("split", None, n): table for n, table in A.split.items()})
-    levels = dict(X.levels)
+    tables = {**X.actions, **{("split", None, n): table for n, table in A.split.items()}}
+    levels = X.levels
     if augmented:
         tables["aug", None, 0], tables["aug-split", None, -1] = A.aug, A.aug_split
-        levels[-1] = A.aug_level
+        levels = {**X.levels, -1: A.aug_level}
     return _check_rows(name, tables, levels, _coalgebra_rows(X.trunc, augmented))
 
 
@@ -242,10 +239,8 @@ def _coalgebra_rows(T: int, augmented: bool) -> tuple:
 
 def gamma(A: BottomSplitSSet) -> SMap:
     """The coalgebra structure map X -> dec_bottom(X) built from the splitting."""
-    X = A.sset
-    D = dec(X, "bottom")
-    levels = {n: {x: A.split[n][x] for x in X.level(n)} for n in range(D.trunc + 1)}
-    return SMap(sub_trunc(X, D.trunc), D, levels)
+    D = dec(A.sset, "bottom")
+    return SMap(sub_trunc(A.sset, D.trunc), D, {n: A.split[n] for n in range(D.trunc + 1)})
 
 
 def is_rigid(A: BottomSplitSSet, name: str = "is_rigid") -> CheckReport:
@@ -286,14 +281,15 @@ def pointing_comparison(P: PointedSSet, side: str) -> dict:
     """The pointing's comparison, ``{n: {(c, x): counit(x)}}``: on the
     pullback of the pointing against dec's canonical augmentation (``side``
     "bottom": x in X_{n+1} over c by its top faces; "top": by its bottom
-    faces), the counit's face to X_n.  The local-initial (bottom) and
-    local-terminal (top) checks ask that it be a bijection; its bottom
-    side is Carlier's h-counit."""
+    faces), the counit's face to X_n, looked up in X's face table (no
+    counit map is built).  The local-initial (bottom) and local-terminal
+    (top) checks ask that it be a bijection; its bottom side is Carlier's
+    h-counit."""
     X = P.sset
     al = alpha_aug(X, side)
-    eps = counit(X, side)
+    faces = _counit_levels(X, side)
     return {
-        n: {(c, x): eps.at(n, x)
+        n: {(c, x): faces[n][x]
             for c, x in pullback_pairs(P.pointing, al.levels[n], P.point_set, al.source.level(n))}
         for n in range(al.source.trunc + 1)
     }
@@ -354,7 +350,7 @@ def h_lower(P: PointedSSet) -> AugBottomSplitSSet:
 
 def h_upper(A: AugBottomSplitSSet) -> PointedSSet:
     """Forget the splitting, keeping the augmentation section as pointing."""
-    return PointedSSet(A.sset, A.aug_level, dict(A.aug_split))
+    return PointedSSet(A.sset, A.aug_level, A.aug_split)
 
 
 def h_counit_map(P: PointedSSet) -> SMap:

@@ -184,5 +184,5 @@ def line_map(B, kind: str, k, source: TruncSSet, target: TruncSSet, at) -> SMap:
     ``target``, rows or columns of B (or their decalages), up to the lesser
     truncation; ``at(n)`` is the level of B holding the source's level n."""
     T = min(source.trunc, target.trunc)
-    levels = {n: {x: B.actions[kind, k, at(n)][x] for x in source.level(n)} for n in range(T + 1)}
+    levels = {n: B.actions[kind, k, at(n)] for n in range(T + 1)}
     return SMap(sub_trunc(source, T), sub_trunc(target, T), levels)

@@ -61,6 +61,18 @@ def _read_table(data, what: str) -> dict:
     return dict(data)
 
 
+def _unique(data: dict, parse, read, what: str) -> dict:
+    """``{parse(key): read(value, f"{what} {key}")}``; two keys that parse
+    alike (``"01"`` and ``"1"``) are a ValueError, never an overwrite."""
+    out, spelled = {}, {}
+    for key, value in data.items():
+        parsed = parse(key)
+        if spelled.setdefault(parsed, key) != key:
+            raise ValueError(f"{what} {key!r} names the same {what} as {spelled[parsed]!r}")
+        out[parsed] = read(value, f"{what} {key}")
+    return out
+
+
 def _parse_lvl(key: str):
     if key.startswith("("):
         i, j = key[1:-1].split(",")
@@ -81,7 +93,7 @@ def smap_from_dict(data: dict) -> SMap:
     return SMap(
         _sset(data, "source"),
         _sset(data, "target"),
-        {int(n): _read_table(t, f"level {n}") for n, t in _field(data, "levels", dict).items()},
+        _unique(_field(data, "levels", dict), int, _read_table, "level"),
     )
 
 
@@ -99,17 +111,18 @@ def _parse_grid(data, kinds):
     """Truncation, levels and actions of a file form; action keys name a
     kind in ``kinds``."""
     trunc = _field(data, "trunc", int)
-    levels = {_parse_lvl(key): _ids(xs, f"level {key}")
-              for key, xs in _field(data, "levels", dict).items()}
-    actions = {}
-    for key, table in _field(data, "actions", dict).items():
-        head, at = key.split("@")
-        kind = head.rstrip("0123456789")
-        if kind not in kinds:
-            raise KeyError(key)
-        k = int(head[len(kind):]) if head != kind else None
-        actions[kind, k, _parse_lvl(at)] = _read_table(table, f"action {key}")
-    return trunc, levels, actions
+    levels = _unique(_field(data, "levels", dict), _parse_lvl, _ids, "level")
+    return trunc, levels, _unique(_field(data, "actions", dict), lambda key: _action_key(key, kinds),
+                                  _read_table, "action")
+
+
+def _action_key(label: str, kinds) -> tuple:
+    """The ``actions`` key of an action label, whose kind is in ``kinds``."""
+    head, at = label.split("@")
+    kind = head.rstrip("0123456789")
+    if kind not in kinds:
+        raise KeyError(label)
+    return kind, int(head[len(kind):]) if head != kind else None, _parse_lvl(at)
 
 
 def _sset(data: dict, key: str) -> TruncSSet:
@@ -150,7 +163,7 @@ def split_from_dict(data: dict):
 
     return BottomSplitSSet(
         _sset(data, "sset"),
-        {int(n): _read_table(t, f"split {n}") for n, t in _field(data, "split", dict).items()},
+        _unique(_field(data, "split", dict), int, _read_table, "split"),
     )
 
 

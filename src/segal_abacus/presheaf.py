@@ -9,8 +9,11 @@ bisimplicial set or abacus presheaf keys generator ``kind`` out of level
 action lands in off ``abacus.SHIFT``, which is read off the one
 generator table, ``abacus._GENERATORS``.
 Presheaves are plain classes, not changed after construction: nothing
-here mutates them, and all checkers are read-only.  ``SMap`` and
-``Square`` are records (``reports.Record``); a ``Square`` is frozen.
+here mutates them, and all checkers are read-only.  So a derived
+structure (decalage, row, restriction, map, pointing, extension) whose
+table is an existing table holds that table object, never a copy; a
+caller that mutates one copies it first.  ``SMap`` and ``Square`` are
+records (``reports.Record``); a ``Square`` is frozen.
 The abacus category is imported only by the functions of grid
 presheaves that read its generator table, so a simplicial set is built,
 validated and checked without it.
@@ -207,8 +210,7 @@ def constant_sset(elements, trunc: int) -> TruncSSet:
     """The constant (equivalently discrete) simplicial set on a finite set."""
     elems = _sorted_ids(elements)
     levels = {n: elems for n in range(trunc + 1)}
-    ident = {x: x for x in elems}
-    return TruncSSet(trunc, levels, {key: dict(ident) for key in delta_actions(trunc)})
+    return TruncSSet(trunc, levels, dict.fromkeys(delta_actions(trunc), {x: x for x in elems}))
 
 
 def identity_smap(X: TruncSSet) -> SMap:

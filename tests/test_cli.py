@@ -321,6 +321,12 @@ MALFORMED = {
     "sset trunc a string": _sset_file(lambda data: data.update(trunc="x")),
     "sset trunc null": _sset_file(lambda data: data.update(trunc=None)),
     "sset levels a number": _sset_file(lambda data: data.update(levels=5)),
+    # two spellings of one key would overwrite each other
+    "sset level spelled twice": _sset_file(lambda data: data["levels"].update({"01": ["junk"]})),
+    "sset action spelled twice": _sset_file(
+        lambda data: data["actions"].update({"d00@1": dict(data["actions"]["d1@1"])})),
+    "smap level spelled twice": _smap_file(lambda data: data["levels"].update({"01": dict(data["levels"]["1"])})),
+    "split level spelled twice": _split_file(lambda data: data["split"].update({"01": dict(data["split"]["1"])})),
 }
 
 # the witness that ``check validate`` reports, where a case pins it
@@ -337,7 +343,9 @@ WITNESSES = {"sset element listed twice": {"site": "level@0", "equation": "eleme
 
 # files that cannot be read at all: every command says so on stderr
 UNREADABLE = {"sset action of unknown kind", "top level an array", "top level a string",
-              "sset trunc a string", "sset trunc null", "sset levels a number"}
+              "sset trunc a string", "sset trunc null", "sset levels a number",
+              "sset level spelled twice", "sset action spelled twice", "smap level spelled twice",
+              "split level spelled twice"}
 
 # the checks run on each malformed shape besides validate
 _MALFORMED_CHECKS = {"split": ("coalgebra", "rigid"), "smap": ("lfib", "rel-upper-2segal"),

@@ -9,6 +9,7 @@ from segal_abacus.configurations import (
     _pointing_sections,
     _top_splittings,
     abacus_row_map,
+    aug_row_map,
     boors_axioms,
     boors_roundtrip,
     build_M,
@@ -49,10 +50,13 @@ from segal_abacus.corpus import (
 )
 from segal_abacus.decalage import (
     AugBottomSplitSSet,
+    BottomSplitSSet,
     PointedSSet,
     alpha_aug,
+    comult,
     counit,
     dec,
+    gamma,
     h_lower,
     h_unit_report,
     h_upper,
@@ -60,9 +64,11 @@ from segal_abacus.decalage import (
     is_local_initial,
     is_local_terminal,
     pointing_comparison,
+    sd_map,
 )
 from segal_abacus.fibrations import is_2segal
 from segal_abacus.presheaf import (
+    BULK_KINDS,
     BiSSet,
     CheckReport,
     DSet,
@@ -464,6 +470,44 @@ def _old_level_witnesses(B1, B2, maps):
             for lvl in dset_levels(min(B1.trunc, B2.trunc), with_aug_row=aug)
             if lvl not in maps or set(maps[lvl]) != set(B1.level(*lvl))
             or sorted(map(fmt_id, maps[lvl].values())) != sorted(map(fmt_id, B2.level(*lvl)))]
+
+
+def test_derived_structures_share_their_source_tables():
+    """A derived map, pointing or extension table whose table is an
+    existing table holds that table object, never a copy."""
+    X = nerve(chain_poset(2), 4)
+    for side, dropped in (("bottom", lambda n: 0), ("top", lambda n: n + 1)):
+        eps = counit(X, side)
+        assert all(eps.levels[n] is X.actions["d", dropped(n), n + 1] for n in range(4))
+    delta = comult(X)
+    assert all(delta.levels[n] is X.actions["s", 0, n + 1] for n in range(3))
+    D = dec(X, "bottom")
+    split = BottomSplitSSet(sub_trunc(D, D.trunc), {n: delta.levels[n] for n in range(D.trunc)})
+    assert all(gamma(split).levels[n] is split.split[n] for n in range(D.trunc))
+    F = identity_smap(X)
+    assert all(sd_map(F).levels[n] is F.levels[2 * n + 1] for n in range(2))
+
+    R = r_star(X)
+    assert R.actions["d", 0, (0, 1)] is X.actions["d", 1, 2] and R.actions["e", 0, (1, 0)] is X.actions["d", 0, 2]
+    Q = q_lower_star(F)
+    assert all(aug_row_map(Q).levels[n] is Q.actions["e", 0, (0, n)] for n in range(4))
+    assert all(abacus_row_map(Q, 0).levels[n] is Q.actions["f", None, (1, n)] for n in range(3))
+
+    A = p_star_tot(X)
+    assert A.pointing is X.actions["s", 0, 0]
+    assert pointed_row0(A).pointing is A.pointing and pointed_col0(A).pointing is A.pointing
+    B, rep, _ = extend_sigma_to_d(A)
+    assert rep.passed
+    shared = [key for key in B.actions
+              if key[0] in BULK_KINDS and min(key[2]) >= 0 and min(action_target(key[0], key[2])) >= 0]
+    assert shared and all(B.actions[key] is A.bulk.actions[key] for key in shared)
+    assert j_upper_star(B).pointing is B.actions["ssub", None, (0, -1)]
+    H = h_lower(PointedSSet(X, ("c",), {"c": 0}))
+    assert h_upper(H).pointing is H.aug_split
+
+    C = constant_sset(["p", "q"], 3)
+    assert len({id(table) for table in C.actions.values()}) == 1
+    assert C.actions["d", 0, 1] == {"p": "p", "q": "q"}
 
 
 def test_dset_iso_report_bijection_matches_multiset_rule():

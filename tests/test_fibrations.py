@@ -1,4 +1,9 @@
 import copy
+from functools import cache
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segal_abacus.corpus import (
     chain_poset,
@@ -10,6 +15,7 @@ from segal_abacus.corpus import (
     nerve_map,
     projection_functor,
     punctured_chain_sset,
+    random_poset_corpus,
     standard_nerve_corpus,
     two_segal_partial_monoid,
     upset_inclusion,
@@ -26,7 +32,8 @@ from segal_abacus.fibrations import (
     reduced_stability,
     stability,
 )
-from segal_abacus.presheaf import SMap, constant_sset, identity_smap, validate
+from segal_abacus.presheaf import BiSSet, SMap, bisset_actions, constant_sset, identity_smap, validate
+from segal_abacus.simplex import codegeneracy, coface
 
 
 def test_levelwise_bijection_is_cartesian_everywhere():
@@ -136,6 +143,62 @@ def test_reduced_stability_agrees_on_double_segal():
     red_bad = reduced_stability(bad)
     full_bad = stability(bad, "both")
     assert not (red_bad.passed and red_bad.precondition is None) or not full_bad.passed
+
+
+@cache
+def grid_nerve(m: int, T: int) -> BiSSet:
+    """The double nerve of the grid poset: B_{i,j} is the set of monotone
+    maps [i] x [j] -> [m], each stored as its tuple of rows, and every
+    generator acts by precomposition with a coface or codegeneracy in its
+    coordinate (``e``/``t`` on the rows, ``d``/``s`` within each row)."""
+    def monotone(i, j):
+        rows = [r for r in product(range(m + 1), repeat=j + 1) if list(r) == sorted(r)]
+        return [f for f in product(rows, repeat=i + 1)
+                if all(a <= b for r, q in zip(f, f[1:]) for a, b in zip(r, q))]
+
+    levels = {(i, j): monotone(i, j) for i in range(T + 1) for j in range(T + 1 - i)}
+    actions = {}
+    for (i, j), gens in bisset_actions(T).items():
+        for kind, k, _ in gens:
+            vertical = kind in ("e", "t")
+            g = (coface if kind in ("e", "d") else codegeneracy)(k, i if vertical else j)
+            actions[kind, k, (i, j)] = {
+                f: tuple(f[v] for v in g.values) if vertical
+                else tuple(tuple(r[v] for v in g.values) for r in f)
+                for f in levels[i, j]}
+    return BiSSet(T, levels, actions)
+
+
+def test_grid_nerve_is_double_segal_but_not_stable():
+    """At (1, 1) there are 6 monotone maps [1] x [1] -> [1] but only 5 pairs
+    of edges out of a corner that they could be, so neither the full nor the
+    reduced stability check holds on this double-Segal input."""
+    assert len(grid_nerve(1, 2).level(1, 1)) == 6
+    for m in (1, 2):
+        for T in (2, 3, 4):
+            B = grid_nerve(m, T)
+            assert validate(B).passed and is_double_segal(B).passed, (m, T)
+            assert stability(B).holds is False, (m, T)
+            assert reduced_stability(B).holds is False, (m, T)
+
+
+@cache
+def _tot_of_random_nerve(seed: int):
+    [(_, X)] = random_poset_corpus(1, 4, seed, 4)
+    return tot(X)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.booleans(), st.integers(1, 2), st.integers(2, 4), st.integers(0, 40))
+def test_reduced_stability_decides_stability_on_double_segal_input(grid, m, T, seed):
+    """On double-Segal input the two (1, 1) squares decide stability: both
+    outcomes are drawn, grid nerves failing and total decalages of nerves
+    (which are 2-Segal) passing."""
+    B = grid_nerve(m, T) if grid else _tot_of_random_nerve(seed)
+    assert is_double_segal(B).passed
+    holds = stability(B).holds
+    assert reduced_stability(B).holds == holds
+    assert holds is not grid
 
 
 def test_reduced_stability_precondition():
