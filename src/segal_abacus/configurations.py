@@ -564,14 +564,22 @@ def build_M(B: DSet):
 
     from .corpus import chain_poset, nerve
 
-    # the arrow's simplex under slice level (i, j): at degree 0 its vertex, else
-    # i vertical edges (0, 0), the crossing (0, 1) in the bulk, j horizontal (1, 1)
-    over = {(i, j): (0 if j == -1 else 1) if i + j == -1 else
-            ((0, 0),) * max(i, 0) + ((0, 1),) * (min(i, j) >= 0) + ((1, 1),) * max(j, 0)
-            for (i, j) in B.levels}
     M = TruncSSet(T, levels, {key: generator(*key) for key in delta_actions(T)})
-    proj = {n: {(lv, x): over[lv] for lv, x in levels[n]} for n in range(T + 1)}
-    return M, SMap(M, nerve(chain_poset(1), T), proj)
+    arrow = nerve(chain_poset(1), T)
+    proj_levels = {}
+    for n in range(T + 1):
+        table = {}
+        for ((i, j), x) in levels[n]:
+            if n == 0:
+                table[((i, j), x)] = 0 if j == -1 else 1
+            elif j == -1:
+                table[((i, j), x)] = ((0, 0),) * n
+            elif i == -1:
+                table[((i, j), x)] = ((1, 1),) * n
+            else:
+                table[((i, j), x)] = ((0, 0),) * i + ((0, 1),) + ((1, 1),) * j
+        proj_levels[n] = table
+    return M, SMap(M, arrow, proj_levels)
 
 
 def extract_from_M(M: TruncSSet, proj: SMap) -> dict:
@@ -584,8 +592,10 @@ def extract_from_M(M: TruncSSet, proj: SMap) -> dict:
             if n == 0:
                 lvl = (0, -1) if z == 0 else (-1, 0)
             else:
-                zeros = z.count((0, 0))
-                lvl = (zeros, n - 1 - zeros) if (0, 1) in z else (n, -1) if zeros == n else (-1, n)
+                zeros = sum(1 for c in z if c == (0, 0))
+                ones = sum(1 for c in z if c == (1, 1))
+                cross = sum(1 for c in z if c == (0, 1))
+                lvl = (zeros, n - 1 - zeros) if cross else ((n, -1) if ones == 0 else (-1, n))
             out_levels.setdefault(lvl, []).append(m)
     return {lvl: _sorted_ids(xs) for lvl, xs in out_levels.items()}
 

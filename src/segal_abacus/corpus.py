@@ -378,9 +378,16 @@ def punctured_chain_sset(n: int, trunc: int, max_distinct: int = 3) -> TruncSSet
     if n < 3:
         raise ValueError("needs a chain of length >= 3")
     full = nerve(chain_poset(n), trunc)
-    levels = {0: full.level(0)}
-    for d in range(1, trunc + 1):
-        levels[d] = tuple(ch for ch in full.level(d) if len({ch[0][0]} | {m[1] for m in ch}) <= max_distinct)
+
+    levels = {}
+    for lvl in range(trunc + 1):
+        if lvl == 0:
+            levels[0] = full.level(0)
+        else:
+            levels[lvl] = tuple(
+                ch for ch in full.level(lvl)
+                if len({ch[0][0]} | {m[1] for m in ch}) <= max_distinct
+            )
     return _sset_acting(trunc, levels, lambda kind, k, n, ch: full.actions[kind, k, n][ch])
 
 

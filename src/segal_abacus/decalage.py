@@ -84,7 +84,8 @@ def comult(X: TruncSSet) -> SMap:
         raise TruncationError("comultiplication needs trunc >= 2")
     D = dec(X, "bottom")
     DD = dec(D, "bottom")
-    return SMap(sub_trunc(D, DD.trunc), DD, {n: X.actions["s", 0, n + 1] for n in range(DD.trunc + 1)})
+    levels = {n: X.actions["s", 0, n + 1] for n in range(DD.trunc + 1)}
+    return SMap(sub_trunc(D, DD.trunc), DD, levels)
 
 
 def alpha_aug(X: TruncSSet, side: str = "bottom") -> SMap:

@@ -112,8 +112,9 @@ def _parse_grid(data, kinds):
     kind in ``kinds``."""
     trunc = _field(data, "trunc", int)
     levels = _unique(_field(data, "levels", dict), _parse_lvl, _ids, "level")
-    return trunc, levels, _unique(_field(data, "actions", dict), lambda key: _action_key(key, kinds),
-                                  _read_table, "action")
+    actions = _unique(_field(data, "actions", dict), lambda key: _action_key(key, kinds),
+                      _read_table, "action")
+    return trunc, levels, actions
 
 
 def _action_key(label: str, kinds) -> tuple:

@@ -56,6 +56,7 @@ from segal_abacus.fibrations import (
     stability,
 )
 from segal_abacus.presheaf import (
+    SMap,
     Square,
     identity_smap,
     is_pullback,
@@ -443,12 +444,16 @@ def _m_2segal():
 @_case("is_left_fibration")
 def _m_lfib():
     F = counit(nerve(chain_poset(2), 4), "bottom")
+    # the counit's levels are X's own face tables: flip a copy, so the target stays whole
+    F = SMap(F.source, F.target, {n: dict(t) for n, t in F.levels.items()})
     return _search_flip(F, _smap_tables, is_left_fibration)
 
 
 @_case("is_right_fibration")
 def _m_rfib():
     F = counit(nerve(chain_poset(2), 4), "top")
+    # the counit's levels are X's own face tables: flip a copy, so the target stays whole
+    F = SMap(F.source, F.target, {n: dict(t) for n, t in F.levels.items()})
     return _search_flip(F, _smap_tables, is_right_fibration)
 
 
