@@ -10,10 +10,10 @@ like a choice of local initial objects, and the pair of functors
 The BOORS local-initial (and local-terminal) comparison and Carlier's
 h-counit are one pullback, built once, in ``pointing_comparison``: the
 local checks decide whether it is a bijection, ``h_lower`` takes its
-bottom-side pairs as levels, ``h_counit_map`` is its bottom side, and
-``configurations`` inverts it to start the extension's splittings.  It
-reads the counit off X's face tables, as ``counit`` does, and builds no
-counit map and no second decalage.
+bottom-side pairs as levels, ``h_counit_map`` reads its bottom side off
+those levels, and ``configurations`` inverts it to start the extension's
+splittings.  It reads the counit off X's face tables, as ``counit``
+does, and builds no counit map and no second decalage.
 """
 
 from __future__ import annotations
@@ -356,10 +356,13 @@ def h_upper(A: AugBottomSplitSSet) -> PointedSSet:
 
 def h_counit_map(P: PointedSSet) -> SMap:
     """The comparison from the underlying set of h_lower(P) back to P's set:
-    the bottom ``pointing_comparison`` itself, so it is a bijection exactly
-    when P is local initial."""
+    the bottom ``pointing_comparison``, read off h_lower(P)'s levels (its
+    pairs) and the counit's face tables rather than built a second time,
+    so it is a bijection exactly when P is local initial."""
     A = h_lower(P)
-    return SMap(A.sset, sub_trunc(P.sset, A.sset.trunc), pointing_comparison(P, "bottom"))
+    faces = _counit_levels(P.sset, "bottom")
+    return SMap(A.sset, sub_trunc(P.sset, A.sset.trunc),
+                {n: {(c, x): faces[n][x] for c, x in pairs} for n, pairs in A.sset.levels.items()})
 
 
 def h_unit_report(A: AugBottomSplitSSet, name: str = "h_unit") -> CheckReport:

@@ -63,6 +63,17 @@ witnesses only from the positions that differ, and
 whether it contains the target) before it walks the elements to name
 witnesses.
 
+Derived structures share their source's tables, so one check run can
+meet the same square many times: ``dec_map(F, "bottom")``'s d_k square
+is F's d_{k+1} square.  Inside ``deciding_once`` (which
+``suites.cheatsheet_suite`` runs in) ``is_pullback`` decides a square
+once: a square made of the very objects (``is``, never ``==``) of one
+already found to be a pullback in the block passes at once, with the
+report a fresh decision gives.  Only passing squares are kept: a
+failing square's witnesses carry its own ``name``, so it is decided
+again under each name.  Outside the block ``is_pullback`` keeps no
+state.
+
 Every checker reports relative to the truncation: verdicts are "pass up
 to T", with the checked instances counted, never silently vacuous.
 """
@@ -70,6 +81,7 @@ to T", with the checked instances counted, never silently vacuous.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from functools import lru_cache
 from operator import itemgetter
 
@@ -453,15 +465,57 @@ class Square(Frozen):
         object.__setattr__(self, "b_to_c", b_to_c)
 
 
+# Inside ``deciding_once``: the squares found to be pullbacks, bucketed by
+# ``id(p_to_a)``; each entry keeps its square, so no id is reused meanwhile.
+_pullbacks = None
+
+
+@contextmanager
+def deciding_once():
+    """Within this block ``is_pullback`` decides a square once: a square
+    whose seven parts are the very objects (``is``) of a square already
+    found to be a pullback in the block passes without being read again.
+    The memo is dropped when the block ends, however it ends."""
+    global _pullbacks
+    _pullbacks = {}
+    try:
+        yield
+    finally:
+        _pullbacks = None
+
+
+def _same_square(seen: Square, sq: Square) -> bool:
+    """Whether two squares are made of the same objects; the names may differ."""
+    return (seen.p_to_a is sq.p_to_a and seen.p_to_b is sq.p_to_b
+            and seen.a_to_c is sq.a_to_c and seen.b_to_c is sq.b_to_c
+            and seen.p_elems is sq.p_elems and seen.a_elems is sq.a_elems
+            and seen.b_elems is sq.b_elems)
+
+
 def is_pullback(sq: Square) -> CheckReport:
     """Whether ``sq`` commutes and its comparison map is a bijection onto
     the strict pullback of ``a_to_c`` against ``b_to_c``.
 
-    Each of the four tables is read once over a whole level, so commuting
-    is one comparison of two image lists; "square does not commute"
-    witnesses are built only from the positions where they differ, and
-    ``checked`` is ``|P|``.  A commuting square is then decided by
-    ``bijection_witnesses``, with ``checked`` ``2 |P|`` (at least 1)."""
+    Inside ``deciding_once`` a square already found to be a pullback
+    passes at once, with the report a fresh decision gives; anything else
+    is decided by ``_decide_pullback``."""
+    if _pullbacks is None:
+        return _decide_pullback(sq)
+    if any(_same_square(seen, sq) for seen in _pullbacks.get(id(sq.p_to_a), ())):
+        return CheckReport("is_pullback", [], 2 * len(sq.p_elems) or 1)
+    report = _decide_pullback(sq)
+    if not report.witnesses:
+        _pullbacks.setdefault(id(sq.p_to_a), []).append(sq)
+    return report
+
+
+def _decide_pullback(sq: Square) -> CheckReport:
+    """``is_pullback`` in full.  Each of the four tables is read once over
+    a whole level, so commuting is one comparison of two image lists;
+    "square does not commute" witnesses are built only from the positions
+    where they differ, and ``checked`` is ``|P|``.  A commuting square is
+    then decided by ``bijection_witnesses``, with ``checked`` ``2 |P|``
+    (at least 1)."""
     p_elems = sq.p_elems
     to_a = list(map(sq.p_to_a.__getitem__, p_elems))
     to_b = list(map(sq.p_to_b.__getitem__, p_elems))

@@ -51,7 +51,7 @@ from .fibrations import (
     stability,
     vertical_active_row_maps,
 )
-from .presheaf import bijection_witnesses, identity_smap, validate
+from .presheaf import bijection_witnesses, deciding_once, identity_smap, validate
 from .reports import _entry, _finish, _tally
 
 
@@ -72,14 +72,17 @@ def _iff(*truths):
 # ---------------------------------------------------------------------------
 
 
+@deciding_once()
 def cheatsheet_suite(trunc: int = 5, max_size: int = 4, seed: int | None = None) -> dict:
     """The standard-facts suite over nerves, the partial-monoid fixture,
     and a family of structural maps.
 
-    Each check runs once per object per call: each nerve's two counits
-    are built once and checked as maps of the corpus, and the Segal and
-    2-Segal checks of a map's source and target are read from a memo that
-    lives for this call only."""
+    Each nerve's two counits are built once and checked as maps of the
+    corpus.  A decalage, counit or ``dec_map`` holds its source's tables,
+    so many of the suite's pullback squares are one square made of the
+    same objects (``dec_map(F, "bottom")``'s d_k square is F's d_{k+1}
+    square); the call runs inside ``presheaf.deciding_once``, which
+    decides each such square once."""
     corpus = standard_nerve_corpus(trunc)
     if seed is not None:
         corpus = corpus + random_poset_corpus(4, max_size, seed, trunc)
@@ -87,16 +90,6 @@ def cheatsheet_suite(trunc: int = 5, max_size: int = 4, seed: int | None = None)
     for name, X in corpus:
         maps.append((f"counit-top-{name}", counit(X, "top")))
         maps.append((f"counit-bot-{name}", counit(X, "bottom")))
-
-    # keyed by the object's id; the entry keeps the object alive, so the id
-    # cannot be reused for another object during this call
-    memo = {}
-
-    def holds(check, obj, *args):
-        key = (check, id(obj), args)
-        if key not in memo:
-            memo[key] = (obj, check(obj, *args).holds)
-        return memo[key][1]
 
     map_facts = {
         name: {
@@ -108,9 +101,9 @@ def cheatsheet_suite(trunc: int = 5, max_size: int = 4, seed: int | None = None)
     }
     sset_facts = {
         name: {
-            "segal": holds(is_segal, X),
-            "upper": holds(is_2segal, X, "upper"),
-            "lower": holds(is_2segal, X, "lower"),
+            "segal": is_segal(X).holds,
+            "upper": is_2segal(X, "upper").holds,
+            "lower": is_2segal(X, "lower").holds,
             "eps_top_rfib": map_facts[f"counit-top-{name}"]["rfib"],
             "eps_bot_lfib": map_facts[f"counit-bot-{name}"]["lfib"],
             "culf_bot": map_facts[f"counit-bot-{name}"]["culf"],
@@ -137,16 +130,16 @@ def cheatsheet_suite(trunc: int = 5, max_size: int = 4, seed: int | None = None)
 
     def fibration_over_segal():
         for name, F in maps:
-            if (map_facts[name]["lfib"] or map_facts[name]["rfib"]) and holds(is_segal, F.target):
-                yield name, holds(is_segal, F.source)
+            if (map_facts[name]["lfib"] or map_facts[name]["rfib"]) and is_segal(F.target).holds:
+                yield name, is_segal(F.source).holds
 
     def culf_into_2segal():
         for name, F in maps:
             if not map_facts[name]["culf"]:
                 continue
             for side in ("upper", "lower"):
-                if holds(is_2segal, F.target, side):
-                    yield f"{name}:{side}", holds(is_2segal, F.source, side)
+                if is_2segal(F.target, side).holds:
+                    yield f"{name}:{side}", is_2segal(F.source, side).holds
 
     def stable_active_cartesian():
         for name, f in sset_facts.items():

@@ -281,6 +281,29 @@ def test_cheatsheet_builds_each_counit_once(monkeypatch):
     assert len(set(built)) == len(built)
 
 
+def test_cheatsheet_decides_each_passing_square_once(monkeypatch):
+    """Of the squares ``cheatsheet_suite(5, seed=3)`` checks, only the first
+    meeting of a passing square and every meeting of a failing one reach
+    the full decision; the rest are the same objects as a square already
+    found to be a pullback."""
+    from segal_abacus import fibrations, presheaf
+
+    calls, decided = [], []
+
+    def counting(calls, fn):
+        def wrapped(sq):
+            calls.append(sq.name)
+            return fn(sq)
+        return wrapped
+
+    monkeypatch.setattr(presheaf, "_decide_pullback", counting(decided, presheaf._decide_pullback))
+    checking = counting(calls, presheaf.is_pullback)
+    monkeypatch.setattr(presheaf, "is_pullback", checking)
+    monkeypatch.setattr(fibrations, "is_pullback", checking)
+    cheatsheet_suite(trunc=5, seed=3)
+    assert (len(calls), len(decided)) == (5698, 2634)
+
+
 def test_round_trips_build_each_object_once(monkeypatch):
     """Each round trip decides the pointing axioms once per input and side,
     builds the Kan extension of the identity at the extension's depth, and

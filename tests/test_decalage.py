@@ -31,6 +31,7 @@ from segal_abacus.decalage import (
     is_local_initial,
     is_local_terminal,
     is_rigid,
+    pointing_comparison,
     pullback_coalgebra,
     sd,
     tot,
@@ -216,6 +217,22 @@ def test_h_roundtrip_on_local_initial():
     assert P2.point_set == P.point_set
     for c in P.point_set:
         assert cm.at(0, P2.pointing[c]) == P.pointing[c]
+
+
+def test_h_counit_map_builds_the_comparison_once(monkeypatch):
+    from segal_abacus import decalage
+
+    built = []
+
+    def counting(P, side):
+        built.append(side)
+        return pointing_comparison(P, side)
+
+    monkeypatch.setattr(decalage, "pointing_comparison", counting)
+    P = PointedSSet(nerve(chain_poset(2), 5), ("c",), {"c": 0})
+    cm = h_counit_map(P)
+    assert built == ["bottom"]
+    assert cm.levels == pointing_comparison(P, "bottom")
 
 
 def test_h_unit_iff_rigid():

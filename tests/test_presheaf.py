@@ -1,11 +1,14 @@
 import copy
+from contextlib import contextmanager
 from functools import cache
 from itertools import product
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segal_abacus import abacus
+from segal_abacus import abacus, presheaf
 from segal_abacus.configurations import q_lower_star, r_star
 from segal_abacus.corpus import (
     antichain,
@@ -33,6 +36,7 @@ from segal_abacus.presheaf import (
     bijection_witnesses,
     bisset_actions,
     constant_sset,
+    deciding_once,
     dset_levels,
     fmt_id,
     identity_smap,
@@ -477,6 +481,117 @@ def _outcome(check, *args):
 @given(_rough_squares())
 def test_is_pullback_matches_the_element_walk(sq):
     assert _outcome(is_pullback, sq) == _outcome(_walk_is_pullback, sq)
+
+
+# ---------------------------------------------------------------------------
+# Deciding each square once inside ``deciding_once``
+
+_SQUARE_PARTS = ("p_elems", "a_elems", "b_elems", "p_to_a", "p_to_b", "a_to_c", "b_to_c")
+
+
+def _renamed(sq, name, **parts):
+    """``sq`` under another name, with any of its parts replaced."""
+    return Square(name, *(parts.get(part, getattr(sq, part)) for part in _SQUARE_PARTS))
+
+
+def _equal_copy(part):
+    """An equal object that is not ``part`` (``tuple(t)`` returns ``t``)."""
+    return dict(part) if isinstance(part, dict) else tuple(list(part))
+
+
+def _passing_square():
+    elems = ("x", "y")
+    return Square("id", elems, elems, elems, *({e: e for e in elems} for _ in range(4)))
+
+
+def _failing_square(name):
+    return Square(name, ("p",), ("a1", "a2"), ("b",), {"p": "a1"}, {"p": "b"},
+                  {"a1": "c", "a2": "c"}, {"b": "c"})
+
+
+@contextmanager
+def _counting_decisions():
+    """The squares that reach the full decision, in call order."""
+    decided = []
+    real = presheaf._decide_pullback
+
+    def counting(sq):
+        decided.append(sq.name)
+        return real(sq)
+
+    with mock.patch.object(presheaf, "_decide_pullback", counting):
+        yield decided
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rough_squares())
+def test_a_memo_hit_equals_a_fresh_decision(sq):
+    """Within the block a repeat of a passing square is not decided again,
+    and every report, ``checked`` included, is the fresh decision's."""
+    fresh, again = _outcome(is_pullback, sq), _outcome(is_pullback, _renamed(sq, "again"))
+    with deciding_once(), _counting_decisions() as decided:
+        assert _outcome(is_pullback, sq) == fresh
+        assert _outcome(is_pullback, _renamed(sq, "again")) == again
+    passed = isinstance(fresh, tuple) and not fresh[1]
+    assert decided == (["sq"] if passed else ["sq", "again"])
+
+
+def test_a_square_of_equal_copies_is_decided_in_full():
+    sq = _passing_square()
+    with deciding_once(), _counting_decisions() as decided:
+        assert is_pullback(sq).holds
+        for part in _SQUARE_PARTS:
+            copy_sq = _renamed(sq, part, **{part: _equal_copy(getattr(sq, part))})
+            assert is_pullback(copy_sq) == is_pullback(sq)
+    assert decided == ["id", *_SQUARE_PARTS]
+
+
+def test_a_failing_square_reports_each_names_witnesses():
+    first = _failing_square("first")
+    second = _renamed(first, "second")  # the very objects of ``first``
+    with deciding_once(), _counting_decisions() as decided:
+        reports = [is_pullback(first), is_pullback(second)]
+    assert decided == ["first", "second"]
+    assert [{w.site for w in rep.witnesses} for rep in reports] == [{"first"}, {"second"}]
+    assert reports == [is_pullback(first), is_pullback(second)]
+
+
+def test_is_pullback_keeps_no_state_outside_the_block():
+    sq = _passing_square()
+    with _counting_decisions() as decided:
+        assert is_pullback(sq).holds
+        assert presheaf._pullbacks is None
+        sq.b_to_c["y"] = "x"  # now the square does not commute
+        assert not is_pullback(sq).holds
+    assert decided == ["id", "id"]
+
+
+def test_the_memo_ends_with_the_block_however_it_ends():
+    with deciding_once():
+        is_pullback(_passing_square())
+        assert len(presheaf._pullbacks) == 1
+    assert presheaf._pullbacks is None
+    with pytest.raises(RuntimeError), deciding_once():
+        raise RuntimeError
+    assert presheaf._pullbacks is None
+
+
+def test_the_cheatsheet_memo_ends_with_the_suite(monkeypatch):
+    from segal_abacus import suites
+
+    suites.cheatsheet_suite(2)
+    assert presheaf._pullbacks is None
+    inside = []
+
+    def failing_segal(X, *args):
+        inside.append(presheaf._pullbacks is not None)
+        raise RuntimeError("a check failed to run")
+
+    monkeypatch.setattr(suites, "is_segal", failing_segal)
+    with pytest.raises(RuntimeError):
+        suites.cheatsheet_suite(2)
+    assert inside == [True]
+    assert presheaf._pullbacks is None
 
 
 @settings(max_examples=200, deadline=None)
