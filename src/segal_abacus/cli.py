@@ -10,7 +10,8 @@ through ``_library_module``), so a fresh process loads only those.
 Exit codes (``reports.EXIT_CODES``): 0 pass, 1 fail, 2 invalid input, a
 truncation too small for a construction, or a failed precondition, 3
 vacuous coverage; ``main`` exits 4 on an internal error, with one line on
-stderr.  Reports are deterministic: canonical ordering throughout.
+stderr.  A report that stdout cannot take exits 2 (``_emit``).  Reports
+are deterministic: canonical ordering throughout.
 """
 
 from __future__ import annotations
@@ -48,10 +49,19 @@ def _resolve(path: str) -> str:
 
 
 def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=1))
-    else:
-        _emit_text(payload)
+    """Print the report; a stdout that cannot take it (a closed pipe, a
+    full device) is invalid output, like an unwritable ``--out``: exit 2."""
+    try:
+        if fmt == "json":
+            print(json.dumps(payload, sort_keys=True, indent=1))
+        else:
+            _emit_text(payload)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"cannot write stdout: {exc}", file=sys.stderr)
+        # the unwritten buffer drains into devnull at exit, not into a second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(2)
 
 
 def _emit_text(payload: dict, indent: str = "") -> None:
@@ -208,7 +218,7 @@ _CHECKS = {
     "bicomodule": (DSET, "configurations", lambda m, P, a: m.is_bicomodule_config(P)),
     "invertible-abacus": (DSET, "configurations", lambda m, P, a: m.has_invertible_abacus(P)),
     "boors": (("sigmaset",), "configurations", lambda m, P, a: m.boors_axioms(P, half=a.half)),
-    "ts-compat": (DSET, "configurations", lambda m, P, a: m.ts_compat(P)),
+    "ts-compat": (DSET, "configurations", lambda m, P, a: m.splitting_checks(P)["ts_compat"]),
     "rel-upper-2segal": (SMAP, "configurations", lambda m, P, a: m.is_rel_upper_2segal(P)),
     "rigid": (("split",), "decalage", lambda m, P, a: m.is_rigid(P)),
     "coalgebra": (("split",), None, None),

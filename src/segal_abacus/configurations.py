@@ -462,19 +462,21 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
     return B, validate(B, "extension"), axioms
 
 
-# why both splitting checks are undecided: t# = f^{-1} s_0 needs f invertible
-_NOT_INVERTIBLE = "abacus not invertible"
-
-
-def ts_compat(B: DSet) -> CheckReport:
-    """The key splitting compatibility: the top degeneracy and the top
-    splitting agree after the bottom splitting, including on the
-    augmentation column."""
+def splitting_checks(B: DSet) -> dict:
+    """The abacus maps f are invertible, and the top splitting t# = f^{-1} s_0
+    they give satisfies ``ts_compat`` (the top degeneracy and t# agree
+    after the bottom splitting, including on the augmentation column) and
+    ``invertibility_pair`` (g = d_bot t# inverts f = e_top s# wherever both
+    splittings exist).  Without invertible f, t# is undefined and both
+    identities are undecided.  Named CheckReports."""
+    out = {"invertible_abacus": has_invertible_abacus(B)}
+    if not out["invertible_abacus"].passed:
+        for name in ("ts_compat", "invertibility_pair"):
+            out[name] = CheckReport.precondition_failure(name, "abacus not invertible")
+        return out
+    tsharp = _top_splittings(B)
     witnesses = []
     checked = 0
-    tsharp = _top_splittings(B)
-    if tsharp is None:
-        return CheckReport.precondition_failure("ts_compat", _NOT_INVERTIBLE)
     for (i, j), ssub in B.abacus_tables("ssub"):
         if i < 0:
             continue
@@ -487,35 +489,9 @@ def ts_compat(B: DSet) -> CheckReport:
             sb = ssub[b]
             if t_top[sb] != tsharp[mid][sb]:
                 witnesses.append(Witness(f"ts@({i},{j})", "t_top s# = t# s#", (b,)))
-    return CheckReport.from_witnesses("ts_compat", witnesses, checked)
-
-
-def _top_splittings(B: DSet):
-    """The top splittings t# = f^{-1} s_0 (s# in place of s_0 on the
-    augmentation column), read off B itself: ``{(i, j): table}``, empty
-    when no level has one, None when the abacus maps are not invertible.
-    ``ts_compat`` and ``invertibility_pair_check`` read only these, so an
-    extension and its ``dset`` file are judged alike."""
-    if not has_invertible_abacus(B).passed:
-        return None
-    inv = {lvl: {v: k for k, v in tab.items()} for lvl, tab in B.abacus_tables("f")}
-    out = {}
-    for lvl in B.levels:
-        up = action_target("t", lvl)
-        # s_0 on the bulk, the splitting s# on the augmentation column
-        sec = B.actions.get(("s", 0, lvl) if lvl[1] >= 0 else ("ssub", None, lvl))
-        if up in inv and sec is not None:
-            out[lvl] = {b: inv[up][sec[b]] for b in B.level(*lvl)}
-    return out
-
-
-def invertibility_pair_check(B: DSet) -> CheckReport:
-    """g = d_bot t# inverts f = e_top s# wherever both splittings exist."""
+    out["ts_compat"] = CheckReport.from_witnesses("ts_compat", witnesses, checked)
     witnesses = []
     checked = 0
-    tsharp = _top_splittings(B)
-    if tsharp is None:
-        return CheckReport.precondition_failure("invertibility_pair", _NOT_INVERTIBLE)
     for (i, j), ftab in B.abacus_tables("f"):
         tgt = action_target("f", (i, j))
         d_bot = B.actions.get(("d", 0, action_target("t", tgt)))
@@ -530,7 +506,25 @@ def invertibility_pair_check(B: DSet) -> CheckReport:
             checked += 1
             if ftab[g[y]] != y:
                 witnesses.append(Witness(f"fg@({i},{j})", "f d_bot t# = id", (y,)))
-    return CheckReport.from_witnesses("invertibility_pair", witnesses, checked)
+    out["invertibility_pair"] = CheckReport.from_witnesses("invertibility_pair", witnesses, checked)
+    return out
+
+
+def _top_splittings(B: DSet) -> dict:
+    """The top splittings t# = f^{-1} s_0 (s# in place of s_0 on the
+    augmentation column), read off B itself: ``{(i, j): table}``, empty
+    when no level has one.  B's abacus maps f must be invertible.
+    ``splitting_checks`` reads only these, so an extension and its
+    ``dset`` file are judged alike."""
+    inv = {lvl: {v: k for k, v in tab.items()} for lvl, tab in B.abacus_tables("f")}
+    out = {}
+    for lvl in B.levels:
+        up = action_target("t", lvl)
+        # s_0 on the bulk, the splitting s# on the augmentation column
+        sec = B.actions.get(("s", 0, lvl) if lvl[1] >= 0 else ("ssub", None, lvl))
+        if up in inv and sec is not None:
+            out[lvl] = {b: inv[up][sec[b]] for b in B.level(*lvl)}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -773,9 +767,7 @@ def boors_roundtrip(X: TruncSSet) -> dict:
     out = {"axioms": axioms, "extension_valid": rep}
     if B is None:
         return out
-    out["invertible_abacus"] = has_invertible_abacus(B)
-    out["ts_compat"] = ts_compat(B)
-    out["invertibility_pair"] = invertibility_pair_check(B)
+    out.update(splitting_checks(B))
     recovered = sigmaset_equal(j_upper_star(B), A)
     out["pointing_restriction"] = CheckReport.from_witnesses(
         "pointing_restriction",

@@ -8,12 +8,15 @@ like a choice of local initial objects, and the pair of functors
 ``h_lower`` / ``h_upper`` exchanges the two descriptions.
 
 The BOORS local-initial (and local-terminal) comparison and Carlier's
-h-counit are one pullback, built once, in ``pointing_comparison``: the
-local checks decide whether it is a bijection, ``h_lower`` takes its
+h-counit are one pullback, built by ``pointing_comparison``: the local
+checks decide whether it is a bijection, ``h_lower`` takes its
 bottom-side pairs as levels, ``h_counit_map`` reads its bottom side off
 those levels, and ``configurations`` inverts it to start the extension's
 splittings.  It reads the counit off X's face tables, as ``counit``
-does, and builds no counit map and no second decalage.
+does, and builds no counit map and no second decalage.  An extension
+builds the row-zero comparison twice, once in its ``boors_axioms`` gate
+and once for its first splittings; sharing it would need a new
+parameter on ``boors_axioms``.
 """
 
 from __future__ import annotations

@@ -737,8 +737,8 @@ class DSet(_Grid):
     ``f : B(i,j) -> B(i-1,j+1)`` and the splittings
     ``ssub : B(i,j) -> B(i,j+1)`` for i >= 0, keyed with ``k`` None.  It
     stores no top splittings: where the abacus maps are invertible they
-    are t# = f^{-1} s_0, derived from these tables
-    (``configurations._top_splittings``).
+    are t# = f^{-1} s_0, which ``configurations.splitting_checks``
+    derives from these tables through ``_top_splittings``.
     """
 
     def has_aug_row(self) -> bool:

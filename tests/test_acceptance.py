@@ -23,7 +23,7 @@ from segal_abacus.configurations import (
     m_2segal_dictionary,
     p_star_tot,
     q_lower_star,
-    ts_compat,
+    splitting_checks,
     unit_iso,
 )
 from segal_abacus.corpus import (
@@ -306,11 +306,12 @@ def test_cheatsheet_decides_each_passing_square_once(monkeypatch):
 
 def test_round_trips_build_each_object_once(monkeypatch):
     """Each round trip decides the pointing axioms once per input and side,
-    builds the Kan extension of the identity at the extension's depth, and
+    decides invertibility and derives the top splittings once, builds the
+    Kan extension of the identity at the extension's depth, and
     each dictionary row builds its Kan extension and its conditions once."""
     from segal_abacus import configurations
 
-    gates, kans, conds, extensions, pointings = [], [], [], [], []
+    gates, kans, conds, extensions, pointings, decided = [], [], [], [], [], []
 
     def counting(calls, fn, record):
         def wrapped(*args, **kwargs):
@@ -326,6 +327,9 @@ def test_round_trips_build_each_object_once(monkeypatch):
     for side in ("is_local_initial", "is_local_terminal"):
         monkeypatch.setattr(configurations, side, counting(
             pointings, getattr(configurations, side), lambda a, kw, _, side=side: side))
+    for name in ("has_invertible_abacus", "_top_splittings"):
+        monkeypatch.setattr(configurations, name, counting(
+            decided, getattr(configurations, name), lambda a, kw, _, name=name: name))
     for module in (configurations, suites):
         monkeypatch.setattr(module, "q_lower_star", counting(
             kans, q_lower_star, lambda a, kw, _: a[0]))
@@ -339,6 +343,9 @@ def test_round_trips_build_each_object_once(monkeypatch):
     assert len(gates) == 1
     assert sorted(pointings) == ["is_local_initial", "is_local_terminal"]
     assert (F.source.trunc, F.target.trunc) == (B.trunc, B.trunc) == (3, 3)
+    # invertibility is decided once, and t# = f^-1 s_0 derived once for
+    # both splitting checks
+    assert sorted(decided) == ["_top_splittings", "has_invertible_abacus"]
 
     # the half gate decides the horizontal side, and the vertical side is
     # decided once beside it
@@ -616,7 +623,7 @@ def _m_ts_compat():
     B = q_lower_star(identity_smap(nerve(chain_poset(2), 4)))
 
     def checker(p):
-        rep = ts_compat(p)
+        rep = splitting_checks(p)["ts_compat"]
         if rep.precondition is not None:
             return type(rep)("ts", True, [], 1, [])
         return rep

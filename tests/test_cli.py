@@ -510,6 +510,58 @@ def test_unwritable_out_is_invalid_input(tmp_path):
             assert (code, text) == (2, "") and err.getvalue().startswith(f"cannot write {out}: "), args
 
 
+def _cold_cli(argv, stdout, cwd):
+    """Run ``python -m segal_abacus.cli`` in a fresh process with the given
+    stdout; returns its exit code and stderr."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-m", "segal_abacus.cli", *argv], cwd=cwd, env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
+    return proc.returncode, proc.stderr
+
+
+# one command per output format, each with a report far larger than a write
+_UNWRITABLE = (["morphism", "ssub@[0,1]"], ["run-suite", "presentation", "--bound", "1", "--format", "text"])
+
+
+def _assert_cannot_write_stdout(code, err, reason):
+    assert code == 2 and err.count("\n") == 1, err
+    assert err.startswith("cannot write stdout: ") and reason in err, err
+
+
+def test_closed_pipe_stdout_is_invalid_output(tmp_path):
+    """A stdout pipe whose reader is gone exits 2 with one line on stderr:
+    no internal error (4), no traceback, no "Exception ignored" at exit."""
+    import os
+
+    for argv in _UNWRITABLE:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, err = _cold_cli(argv, write_end, tmp_path)
+        finally:
+            os.close(write_end)
+        _assert_cannot_write_stdout(code, err, "Broken pipe")
+
+
+def test_full_device_stdout_is_invalid_output(tmp_path):
+    """A stdout on a full device exits 2 with one line on stderr."""
+    import os
+
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    for argv in _UNWRITABLE:
+        with open("/dev/full", "w") as full:
+            code, err = _cold_cli(argv, full, tmp_path)
+        _assert_cannot_write_stdout(code, err, "No space left on device")
+
+
 def test_validation_checks_validate_once(tmp_path, monkeypatch):
     """``check validate`` and ``check coalgebra`` print the report of the
     validation that gates every check: the input is validated once."""
@@ -528,6 +580,30 @@ def test_validation_checks_validate_once(tmp_path, monkeypatch):
         monkeypatch.undo()
         assert (code, len(calls)) == (0, 1), check
         assert text == json.dumps(validate(pjson.from_dict(data)).to_dict(), sort_keys=True, indent=1) + "\n"
+
+
+# sha256 of the stdout of ``check ts-compat``, with its exit code: on the
+# README pipeline's extension B.json (pass, 15 checked), and on the Kan
+# extension of the inclusion [1] -> [2], whose abacus is not invertible
+# (precondition)
+TS_COMPAT_DIGESTS = {
+    "B.json": (0, "6f22652a49d736b3546f0f84225ea2f0d60ca11b9186be958c9fb5e1b8cdb9b2"),
+    "not-invertible.json": (2, "852249dda0f64fd9f789902f66b1b19daa3eb50a9ab40a1b79b17b1f464b441a"),
+}
+
+
+def test_ts_compat_check_is_pinned(pipeline_files, tmp_path):
+    import hashlib
+
+    from segal_abacus.configurations import q_lower_star
+    from segal_abacus.corpus import poset_inclusion
+
+    where, _ = pipeline_files
+    not_invertible = tmp_path / "not-invertible.json"
+    pjson.dump(q_lower_star(poset_inclusion(chain_poset(1), chain_poset(2), 4)), str(not_invertible))
+    for name, path in (("B.json", where / "B.json"), ("not-invertible.json", not_invertible)):
+        code, text = run(["check", "ts-compat", str(path)])
+        assert (code, hashlib.sha256(text.encode()).hexdigest()) == TS_COMPAT_DIGESTS[name], name
 
 
 def test_construct_pipeline(tmp_path):

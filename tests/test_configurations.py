@@ -21,7 +21,6 @@ from segal_abacus.configurations import (
     extract_from_M,
     half_roundtrip,
     has_invertible_abacus,
-    invertibility_pair_check,
     is_bicomodule_config,
     is_rel_upper_2segal,
     j_upper_star,
@@ -32,7 +31,7 @@ from segal_abacus.configurations import (
     q_lower_star,
     q_upper_star,
     r_star,
-    ts_compat,
+    splitting_checks,
     unit_iso,
 )
 from segal_abacus.corpus import (
@@ -304,8 +303,8 @@ def test_half_roundtrip_and_vertical_failure():
 
 def test_ts_compat_and_pair_on_canonical_splittings():
     B = q_lower_star(identity_smap(nerve(chain_poset(2), 4)))
-    assert ts_compat(B).passed
-    assert invertibility_pair_check(B).passed
+    assert splitting_checks(B)["ts_compat"].passed
+    assert splitting_checks(B)["invertibility_pair"].passed
 
 
 def _reference_top_splittings(A):
@@ -361,8 +360,8 @@ def test_stored_top_splittings_stay_on_the_extension():
 
 def test_stored_and_derived_top_splittings_agree():
     """The top splittings the extension once lifted and stored
-    (``_reference_top_splittings``) and those ``ts_compat`` and
-    ``invertibility_pair_check`` now derive as f^-1 s_0: on the 2-Segal
+    (``_reference_top_splittings``) and those ``splitting_checks`` now
+    derives as f^-1 s_0: on the 2-Segal
     nerves of the standard corpus the lift never misses, so its "no lift
     through (e_top, d_top)" failure had no input there, and the two agree
     wherever both are defined."""
@@ -385,17 +384,17 @@ def test_splitting_checks_share_one_precondition():
     empty = q_lower_star(identity_smap(nerve(chain_poset(1), 0)))
     assert has_invertible_abacus(empty).passed and _top_splittings(empty) == {}
     not_invertible = q_lower_star(poset_inclusion(chain_poset(1), chain_poset(2), 4))
-    assert _top_splittings(not_invertible) is None
-    for check in (ts_compat, invertibility_pair_check):
-        assert check(empty).verdict == "vacuous", check.__name__
-        rep = check(not_invertible)
-        assert (rep.verdict, rep.precondition) == ("precondition", "abacus not invertible"), check.__name__
+    assert not has_invertible_abacus(not_invertible).passed
+    for name in ("ts_compat", "invertibility_pair"):
+        assert splitting_checks(empty)[name].verdict == "vacuous", name
+        rep = splitting_checks(not_invertible)[name]
+        assert (rep.verdict, rep.precondition) == ("precondition", "abacus not invertible"), name
 
 
 def test_ts_compat_needs_invertibility_without_stored_splittings():
     F = poset_inclusion(chain_poset(1), chain_poset(2), 4)
     B = q_lower_star(F)
-    rep = ts_compat(B)
+    rep = splitting_checks(B)["ts_compat"]
     assert rep.precondition is not None
 
 
@@ -593,6 +592,78 @@ def _reference_has_invertible_abacus(B):
             if y not in seen:
                 witnesses.append(Witness(f"f@{lvl}", "abacus not surjective", (y,)))
     return CheckReport.from_witnesses("has_invertible_abacus", witnesses, checked)
+
+
+# ``ts_compat``, ``_top_splittings`` and ``invertibility_pair_check`` as
+# they stood before ``splitting_checks`` decided invertibility once for both
+_NOT_INVERTIBLE = "abacus not invertible"
+
+
+def _reference_ts_compat(B: DSet) -> CheckReport:
+    """The key splitting compatibility: the top degeneracy and the top
+    splitting agree after the bottom splitting, including on the
+    augmentation column."""
+    witnesses = []
+    checked = 0
+    tsharp = _reference_derived_top_splittings(B)
+    if tsharp is None:
+        return CheckReport.precondition_failure("ts_compat", _NOT_INVERTIBLE)
+    for (i, j), ssub in B.abacus_tables("ssub"):
+        if i < 0:
+            continue
+        mid = action_target("ssub", (i, j))
+        t_top = B.actions.get(("t", i, mid))
+        if mid not in tsharp or t_top is None:
+            continue
+        for b in B.level(i, j):
+            checked += 1
+            sb = ssub[b]
+            if t_top[sb] != tsharp[mid][sb]:
+                witnesses.append(Witness(f"ts@({i},{j})", "t_top s# = t# s#", (b,)))
+    return CheckReport.from_witnesses("ts_compat", witnesses, checked)
+
+
+def _reference_derived_top_splittings(B: DSet):
+    """The top splittings t# = f^{-1} s_0 (s# in place of s_0 on the
+    augmentation column), read off B itself: ``{(i, j): table}``, empty
+    when no level has one, None when the abacus maps are not invertible.
+    ``ts_compat`` and ``invertibility_pair_check`` read only these, so an
+    extension and its ``dset`` file are judged alike."""
+    if not has_invertible_abacus(B).passed:
+        return None
+    inv = {lvl: {v: k for k, v in tab.items()} for lvl, tab in B.abacus_tables("f")}
+    out = {}
+    for lvl in B.levels:
+        up = action_target("t", lvl)
+        # s_0 on the bulk, the splitting s# on the augmentation column
+        sec = B.actions.get(("s", 0, lvl) if lvl[1] >= 0 else ("ssub", None, lvl))
+        if up in inv and sec is not None:
+            out[lvl] = {b: inv[up][sec[b]] for b in B.level(*lvl)}
+    return out
+
+
+def _reference_invertibility_pair_check(B: DSet) -> CheckReport:
+    """g = d_bot t# inverts f = e_top s# wherever both splittings exist."""
+    witnesses = []
+    checked = 0
+    tsharp = _reference_derived_top_splittings(B)
+    if tsharp is None:
+        return CheckReport.precondition_failure("invertibility_pair", _NOT_INVERTIBLE)
+    for (i, j), ftab in B.abacus_tables("f"):
+        tgt = action_target("f", (i, j))
+        d_bot = B.actions.get(("d", 0, action_target("t", tgt)))
+        if tgt not in tsharp or d_bot is None:
+            continue
+        g = {y: d_bot[tsharp[tgt][y]] for y in B.level(*tgt)}
+        for b in B.level(i, j):
+            checked += 1
+            if g[ftab[b]] != b:
+                witnesses.append(Witness(f"gf@({i},{j})", "d_bot t# f = id", (b,)))
+        for y in B.level(*tgt):
+            checked += 1
+            if ftab[g[y]] != y:
+                witnesses.append(Witness(f"fg@({i},{j})", "f d_bot t# = id", (y,)))
+    return CheckReport.from_witnesses("invertibility_pair", witnesses, checked)
 
 
 def _reference_alpha_aug(X, side):
@@ -824,6 +895,41 @@ def _ordered(levels):
 def test_unit_and_invertibility_match_references(B):
     _same_report(unit_iso(B), _reference_unit_iso(B))
     _same_report(has_invertible_abacus(B), _reference_has_invertible_abacus(B))
+
+
+@st.composite
+def _mutated_splittings(draw):
+    """A 2-Segal nerve's extension or a Kan extension with one entry of a
+    copy of one of its ``f``, ``ssub``, ``t`` or ``s`` tables sent to
+    another element of that table's target level."""
+    B = draw(st.sampled_from([B for _, _, B in _nerve_extensions()] + list(_kan_extensions())))
+    kind = draw(st.sampled_from(("f", "ssub", "t", "s")))
+    key = draw(st.sampled_from(sorted((key for key in B.actions if key[0] == kind), key=str)))
+    table = B.actions[key]
+    x = draw(st.sampled_from(sorted(table, key=fmt_id)))
+    others = [y for y in B.level(*action_target(kind, key[2])) if y != table[x]]
+    y = draw(st.sampled_from(others)) if others else table[x]
+    return DSet(B.trunc, B.levels, {**B.actions, key: {**table, x: y}})
+
+
+def test_splitting_checks_match_references():
+    """``splitting_checks`` reports what ``has_invertible_abacus`` and the
+    two splitting checks that each derived t# on their own report, on
+    mutated extensions that reach both outcomes of each check."""
+    outcomes = set()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_mutated_splittings())
+    def agree(B):
+        got = splitting_checks(B)
+        assert list(got.items()) == [("invertible_abacus", has_invertible_abacus(B)),
+                                     ("ts_compat", _reference_ts_compat(B)),
+                                     ("invertibility_pair", _reference_invertibility_pair_check(B))]
+        outcomes.update((name, rep.verdict) for name, rep in got.items())
+
+    agree()
+    assert {(name, verdict) for name in ("invertible_abacus", "ts_compat", "invertibility_pair")
+            for verdict in ("pass", "fail")} <= outcomes
 
 
 @settings(max_examples=60, deadline=None)

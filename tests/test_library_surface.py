@@ -8,11 +8,13 @@ it, reads it as an attribute or imports it.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "segal_abacus"
+TRACING = TESTS.parent / "perfbench" / "tracing.py"
 
 # Names kept without a use in the library, each with its reason.
 KEEP = {
@@ -108,3 +110,19 @@ def test_library_parses_as_python_3_10():
     library call that 3.10 lacks still passes here."""
     for path in sorted(SRC.glob("*.py")):
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_traced_layers_name_library_functions():
+    """Every function the benchmark's tracer wraps (``LAYERS`` and
+    ``LEAVES`` in ``perfbench/tracing.py``) exists in its module.  The
+    tracer skips a name the library lacks, so a layer whose function was
+    renamed or removed would read 0 and no run would fail."""
+    tables = {target.id: ast.literal_eval(node.value)
+              for node in ast.parse(TRACING.read_text()).body if isinstance(node, ast.Assign)
+              for target in node.targets if isinstance(target, ast.Name)
+              and target.id in ("LAYERS", "LEAVES")}
+    assert set(tables) == {"LAYERS", "LEAVES"}
+    missing = [(prefix, f"{module}.{fn}") for table in tables.values()
+               for prefix, module, fns, _ in table for fn in fns
+               if not hasattr(importlib.import_module(f"segal_abacus.{module}"), fn)]
+    assert missing == []

@@ -30,7 +30,6 @@ from segal_abacus.configurations import (
     extract_from_M,
     half_roundtrip,
     has_invertible_abacus,
-    invertibility_pair_check,
     j_upper_star,
     m_2segal_dictionary,
     p_star_tot,
@@ -39,8 +38,8 @@ from segal_abacus.configurations import (
     q_upper_star,
     r_star,
     sigmaset_equal,
+    splitting_checks,
     tot_roundtrip_iso,
-    ts_compat,
     unit_iso,
 )
 from segal_abacus.corpus import (
@@ -234,8 +233,8 @@ def _reference_boors_roundtrip(X):
     if B is None:
         return out
     out["invertible_abacus"] = has_invertible_abacus(B)
-    out["ts_compat"] = ts_compat(B)
-    out["invertibility_pair"] = invertibility_pair_check(B)
+    out["ts_compat"] = splitting_checks(B)["ts_compat"]
+    out["invertibility_pair"] = splitting_checks(B)["invertibility_pair"]
     recovered = sigmaset_equal(j_upper_star(B), A)
     out["pointing_restriction"] = CheckReport.from_witnesses(
         "pointing_restriction",
