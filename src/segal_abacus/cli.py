@@ -264,20 +264,16 @@ def _load_or_none(path: str):
 # construct
 
 
-def _extension(B, rep, axioms):
-    """The extension B, or where ``extend_sigma_to_d`` refused, its report."""
-    return rep if B is None else B
-
-
 # construct op: (the input shapes it takes; the construction, given the
-# configurations module: the presheaf it writes, or the report that refused
-# the input)
+# configurations module: the presheaf it writes, or for ``extend``, which
+# validates what it builds, that presheaf (None where it refused the input)
+# and its report)
 _CONSTRUCTS = {
     "qstar": (SMAP, lambda cfg, P, a: cfg.q_lower_star(P)),
     "tot": (SSET, lambda cfg, P, a: cfg.tot(P)),
     "rtot": (SSET, lambda cfg, P, a: cfg.r_star(P)),
     "boors-tot": (SSET, lambda cfg, P, a: cfg.p_star_tot(P)),
-    "extend": (("sigmaset",), lambda cfg, P, a: _extension(*cfg.extend_sigma_to_d(P, half=a.half))),
+    "extend": (("sigmaset",), lambda cfg, P, a: cfg.extend_sigma_to_d(P, half=a.half)[:2]),
     "M": (("smap", "dset"), lambda cfg, P, a: cfg.build_M(
         cfg.q_lower_star(P) if isinstance(P, cfg.SMap) else P)[1]),
 }
@@ -295,9 +291,9 @@ def _construct(args) -> int:
         print("input does not validate", file=sys.stderr)
         return 2
     out = construction(cfg, P, args)
-    if isinstance(out, CheckReport):
-        return _report_exit(out, args.format)
-    rep = validate(out)
+    out, rep = out if isinstance(out, tuple) else (out, validate(out))
+    if out is None:
+        return _report_exit(rep, args.format)
     if not _dump(out, args.out):
         return 2
     _emit({"wrote": args.out, "validates": rep.passed}, args.format)
@@ -308,12 +304,17 @@ def _construct(args) -> int:
 # roundtrip
 
 
-# roundtrip kind: (the input shapes it takes; the round trip, given the
-# configurations module: its named reports)
+# roundtrip kind: (the input shapes it takes; the least input depth at which
+# every construction it runs is defined; the round trip, given the
+# configurations module: its named reports).  boors extends its input's
+# pointed total decalage two levels lower (``p_star_tot``, then
+# ``extend_sigma_to_d``) and restricts the extension to its pointing, which
+# needs depth 1, so it needs 3; the constructions of star and M are defined
+# at every depth.  Below it ``roundtrip`` refuses the input before any work.
 _ROUNDTRIPS = {
-    "boors": (SSET, lambda cfg, P: cfg.boors_roundtrip(P)),
-    "star": (SMAP, lambda cfg, P: cfg.star_roundtrip(P)),
-    "M": (("smap", "dset"), lambda cfg, P: cfg.m_roundtrip(P)),
+    "boors": (SSET, 3, lambda cfg, P: cfg.boors_roundtrip(P)),
+    "star": (SMAP, 0, lambda cfg, P: cfg.star_roundtrip(P)),
+    "M": (("smap", "dset"), 0, lambda cfg, P: cfg.m_roundtrip(P)),
 }
 
 
@@ -321,7 +322,7 @@ def _roundtrip(args) -> int:
     from . import configurations as cfg
     from .presheaf import sub_trunc, validate
 
-    shapes, roundtrip = _ROUNDTRIPS[args.kind]
+    shapes, least, roundtrip = _ROUNDTRIPS[args.kind]
     P = _load_or_none(args.file)
     if (P is None or _wrong_shape(P, shapes, f"roundtrip {args.kind}")
             or _below("trunc", args.trunc)):
@@ -332,6 +333,10 @@ def _roundtrip(args) -> int:
                   file=sys.stderr)
             return 2
         P = sub_trunc(P, args.trunc)
+    if P.trunc < least:
+        print(f"roundtrip {args.kind} needs an input of trunc at least {least}, got {P.trunc}",
+              file=sys.stderr)
+        return 2
     if not validate(P).passed:
         print("input does not validate", file=sys.stderr)
         return 2

@@ -293,7 +293,12 @@ class PartialTable:
 
 def partial_monoid_sset(pt: PartialTable, trunc: int) -> TruncSSet:
     """Simplices are tuples whose every consecutive window multiplies: the
-    standard 2-Segal set of the partial monoid.  Raises ``ValueError`` for a
+    nerve of the partial monoid.  It is 2-Segal exactly when the table is
+    strongly associative: for all x, y, z, (xy)z and x(yz) are both
+    undefined, or both defined and equal.  Associativity where defined,
+    which is all this checks, is weaker: the table on e, a, b with ba = b
+    and bb = b, all else undefined, passes it, but (ba)a = b while aa is
+    undefined, and its nerve is not 2-Segal.  Raises ``ValueError`` for a
     table that is not associative where defined.
     """
     if not pt.check_associative_where_defined():

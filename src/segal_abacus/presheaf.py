@@ -55,13 +55,16 @@ Every pullback the library builds (the levels of ``q_lower_star`` and the
 relative upper 2-Segal check, ``decalage.pointing_comparison``, nerve
 chains and composable pairs) and every pullback, unit, pointing,
 invertibility or isomorphism check goes through ``pullback_pairs`` and
-``bijection_witnesses``.  Checks decide first and explain only on failure:
-``is_pullback`` reads each of a square's four tables once over a whole
-level and compares two image lists, building "does not commute"
-witnesses only from the positions that differ, and
-``bijection_witnesses`` decides with one image set (its size, and
-whether it contains the target) before it walks the elements to name
-witnesses.
+``bijection_witnesses``.  Checks decide first, with whole-level
+operations: ``is_pullback`` reads each of a square's four tables once
+over a whole level and compares two image lists, then decides the
+comparison map with one image set (its size, and whether it contains the
+pullback), as ``bijection_witnesses`` does before it walks the elements
+to name witnesses.  ``is_pullback`` explains a refuted square only when
+its report's witnesses are read (``CheckReport.refutation``): "does not
+commute" from the positions that differ, else ``bijection_witnesses``,
+both from lists taken at the decision, so a table changed later does not
+change them.
 
 Derived structures share their source's tables, so one check run can
 meet the same square many times: ``dec_map(F, "bottom")``'s d_k square
@@ -504,32 +507,43 @@ def is_pullback(sq: Square) -> CheckReport:
     if any(_same_square(seen, sq) for seen in _pullbacks.get(id(sq.p_to_a), ())):
         return CheckReport("is_pullback", [], 2 * len(sq.p_elems) or 1)
     report = _decide_pullback(sq)
-    if not report.witnesses:
+    if report.passed:  # the verdict alone: a refutation is not explained here
         _pullbacks.setdefault(id(sq.p_to_a), []).append(sq)
     return report
 
 
 def _decide_pullback(sq: Square) -> CheckReport:
     """``is_pullback`` in full.  Each of the four tables is read once over
-    a whole level, so commuting is one comparison of two image lists;
-    "square does not commute" witnesses are built only from the positions
-    where they differ, and ``checked`` is ``|P|``.  A commuting square is
-    then decided by ``bijection_witnesses``, with ``checked`` ``2 |P|``
-    (at least 1)."""
-    p_elems = sq.p_elems
+    a whole level, so commuting is one comparison of two image lists, with
+    ``checked`` ``|P|``.  A commuting square is then decided as
+    ``bijection_witnesses`` decides, with one image set, with ``checked``
+    ``2 |P|`` (at least 1).
+
+    A refuted square is explained only when its witnesses are read:
+    "square does not commute" from the positions where the image lists
+    differ, else ``bijection_witnesses``.  The explanation reads lists
+    taken here, never the square's tables, so a table changed after the
+    decision does not change it."""
+    name, p_elems, a_elems, b_elems = sq.name, sq.p_elems, sq.a_elems, sq.b_elems
     to_a = list(map(sq.p_to_a.__getitem__, p_elems))
     to_b = list(map(sq.p_to_b.__getitem__, p_elems))
     via_a = list(map(sq.a_to_c.__getitem__, to_a))
     via_b = list(map(sq.b_to_c.__getitem__, to_b))
     checked = len(p_elems)
     if via_a != via_b:
-        witnesses = [Witness(sq.name, "square does not commute", (p,))
-                     for p, c, d in zip(p_elems, via_a, via_b) if c != d]
-        return CheckReport.from_witnesses("is_pullback", witnesses, checked)
-    witnesses = bijection_witnesses(
-        sq.name, "comparison", zip(p_elems, zip(to_a, to_b)),
-        pullback_pairs(sq.a_to_c, sq.b_to_c, sq.a_elems, sq.b_elems))
-    return CheckReport.from_witnesses("is_pullback", witnesses, 2 * checked or 1)
+        return CheckReport.refutation("is_pullback", lambda: [
+            Witness(name, "square does not commute", (p,))
+            for p, c, d in zip(p_elems, via_a, via_b) if c != d], checked)
+    images = set(zip(to_a, to_b))
+    if len(images) == checked and images.issuperset(
+            pullback_pairs(sq.a_to_c, sq.b_to_c, a_elems, b_elems)):
+        return CheckReport("is_pullback", [], 2 * checked or 1)
+    over_a = list(map(sq.a_to_c.__getitem__, a_elems))
+    over_b = list(map(sq.b_to_c.__getitem__, b_elems))
+    return CheckReport.refutation("is_pullback", lambda: bijection_witnesses(
+        name, "comparison", zip(p_elems, zip(to_a, to_b)),
+        pullback_pairs(dict(zip(a_elems, over_a)), dict(zip(b_elems, over_b)), a_elems, b_elems)),
+        2 * checked or 1)
 
 
 # ---------------------------------------------------------------------------

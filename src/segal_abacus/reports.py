@@ -7,6 +7,13 @@ when a precondition failed, ``fail`` when there are witnesses (witnesses
 always mean fail), ``vacuous`` when nothing was checkable under the
 truncation, else ``pass``.
 
+A refuted report may leave its witnesses unbuilt: ``CheckReport.refutation``
+takes a function that builds them, and ``from_witnesses`` and
+``conjunction`` defer their sort and merge the same way.  The verdict
+needs only to know that the report is refuted; the witnesses are built
+and sorted by ``str`` once, when ``witnesses`` is first read, so a caller
+that reads only verdicts never formats or sorts a witness.
+
 ``passed`` means "not refuted": pass or vacuous.  It is what gates read
 (an empty presheaf validates).  ``holds`` is the decided truth: True on
 pass, False on fail, None when vacuous or a precondition failed; the
@@ -45,13 +52,16 @@ class Record:
     """A record whose fields are its ``__slots__``, in order: equal to a
     record of the same class with equal fields, shown as
     ``Name(field=value, ...)``, and rebuilt from its fields by ``copy`` and
-    ``pickle``.  A plain record is mutable, so it is unhashable."""
+    ``pickle``.  A plain record is mutable, so it is unhashable.  A
+    subclass that adds no slots has its base's fields, read by name, so it
+    may put a property over one."""
 
     __slots__ = ()
     __hash__ = None
 
     def __init_subclass__(cls):
         if cls.__slots__:  # a record's fields, as a tuple: every record has two or more
+            cls._names = cls.__slots__
             cls._fields = attrgetter(*cls.__slots__)
 
     def __eq__(self, other):
@@ -60,7 +70,7 @@ class Record:
         return NotImplemented
 
     def __repr__(self) -> str:
-        values = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields(self)))
+        values = ", ".join(f"{name}={value!r}" for name, value in zip(self._names, self._fields(self)))
         return f"{type(self).__qualname__}({values})"
 
     def __reduce__(self):
@@ -102,8 +112,26 @@ class Witness(Frozen):
         return f"{self.site}: {self.equation} offenders={list(map(str, self.offenders))}"
 
 
-class CheckReport(Record):
+class _ReportFields(Record):
     __slots__ = ("name", "witnesses", "checked", "coverage", "precondition")
+
+
+# ``witnesses`` as stored: a list, or a pending explanation
+_held = _ReportFields.witnesses.__get__
+_hold = _ReportFields.witnesses.__set__
+
+
+class CheckReport(_ReportFields):
+    """A check's verdict, witnesses and coverage.
+
+    ``witnesses`` may be given as a zero-argument function that returns a
+    non-empty list of them: a pending explanation.  A pending report is
+    refuted, so its verdict never calls the function; the first read of
+    ``witnesses`` calls it once and keeps its list, sorted by ``str``.
+    Every read of the fields (``to_dict``, ``str``, ``==``, ``repr``,
+    copy, pickle) goes through that read."""
+
+    __slots__ = ()
 
     def __init__(self, name: str, witnesses: list[Witness] | None = None, checked: int = 0,
                  coverage: list[str] | None = None, precondition: str | None = None):
@@ -113,9 +141,18 @@ class CheckReport(Record):
         self.coverage = [] if coverage is None else coverage
         self.precondition = precondition
 
+    def _explained(self) -> list:
+        held = _held(self)
+        if callable(held):
+            held = sorted(held(), key=str)
+            _hold(self, held)
+        return held
+
+    witnesses = property(_explained, _hold, _ReportFields.witnesses.__delete__)
+
     @property
     def verdict(self) -> str:
-        return verdict_of(self.witnesses, self.checked, self.precondition)
+        return verdict_of(_held(self), self.checked, self.precondition)
 
     @property
     def passed(self) -> bool:
@@ -127,7 +164,15 @@ class CheckReport(Record):
 
     @staticmethod
     def from_witnesses(name: str, witnesses, checked: int, coverage=None) -> "CheckReport":
-        return CheckReport(name, sorted(witnesses, key=str), checked, sorted(coverage or []))
+        """A report of the witnesses found, sorted by ``str`` when first read."""
+        witnesses = list(witnesses)
+        return CheckReport(name, (lambda: witnesses) if witnesses else [], checked, sorted(coverage or []))
+
+    @staticmethod
+    def refutation(name: str, explain, checked: int) -> "CheckReport":
+        """A refuted report whose witnesses ``explain()`` returns (a
+        non-empty list), called only when they are first read."""
+        return CheckReport(name, explain, checked)
 
     @staticmethod
     def precondition_failure(name: str, reason: str) -> "CheckReport":
@@ -135,10 +180,14 @@ class CheckReport(Record):
 
     @staticmethod
     def conjunction(name: str, reports) -> "CheckReport":
+        """The reports together: their witnesses, merged and sorted by
+        ``str`` when first read, their checks and coverage, and the first
+        failed precondition."""
         reports = list(reports)
+        refuted = [r for r in reports if _held(r)]
         return CheckReport(
             name,
-            sorted((w for r in reports for w in r.witnesses), key=str),
+            (lambda: [w for r in refuted for w in r.witnesses]) if refuted else [],
             sum(r.checked for r in reports),
             sorted({c for r in reports for c in r.coverage}),
             precondition=next((r.precondition for r in reports if r.precondition), None),

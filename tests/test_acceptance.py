@@ -304,6 +304,25 @@ def test_cheatsheet_decides_each_passing_square_once(monkeypatch):
     assert (len(calls), len(decided)) == (5698, 2634)
 
 
+def test_cheatsheet_and_edgewise_explain_no_refutation(monkeypatch):
+    """Both suites read only each check's verdict, so no refuted check is
+    explained: they construct no ``Witness``."""
+    from segal_abacus import reports
+
+    built = []
+    real = reports.Witness.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(reports.Witness, "__init__", counting)
+    cheatsheet_suite(trunc=5, seed=3)
+    cheatsheet = len(built)
+    edgewise_suite(trunc=5)
+    assert (cheatsheet, len(built) - cheatsheet) == (0, 0)
+
+
 def test_round_trips_build_each_object_once(monkeypatch):
     """Each round trip decides the pointing axioms once per input and side,
     decides invertibility and derives the top splittings once, builds the

@@ -618,6 +618,51 @@ def test_construct_pipeline(tmp_path):
     assert run(["check", "star", b])[0] == 0
 
 
+def test_construct_extend_validates_the_extension_once(tmp_path, monkeypatch):
+    """``extend_sigma_to_d`` validates what it builds, and ``construct
+    extend`` reports that validation rather than deciding it again."""
+    from segal_abacus import presheaf
+
+    x, a, b = (str(tmp_path / name) for name in ("x.json", "a.json", "b.json"))
+    assert run(["gen", "nerve-poset", "--size", "2", "--trunc", "5", "--out", x])[0] == 0
+    assert run(["construct", "boors-tot", "--in", x, "--out", a])[0] == 0
+    validated = []
+    real = presheaf.validate_dset
+
+    def counting(B, name="dset"):
+        validated.append(name)
+        return real(B, name)
+
+    monkeypatch.setattr(presheaf, "validate_dset", counting)
+    code, text = run(["construct", "extend", "--in", a, "--out", b])
+    assert (code, json.loads(text), validated) == (0, {"validates": True, "wrote": b}, ["extension"])
+
+
+def test_roundtrip_refuses_a_too_shallow_input_before_any_work(tmp_path, monkeypatch):
+    """Below its least depth (``cli._ROUNDTRIPS``: boors 3), after ``--trunc``
+    cuts it, a round trip's input is refused with exit 2 and one line that
+    names that depth, before it is validated or any construction runs."""
+    import contextlib
+    import io
+
+    from segal_abacus import configurations, presheaf
+
+    x2, x5 = str(tmp_path / "x2.json"), str(tmp_path / "x5.json")
+    pjson.dump(nerve(chain_poset(2), 2), x2)
+    pjson.dump(nerve(chain_poset(2), 5), x5)
+    work = []
+    monkeypatch.setattr(presheaf, "validate", lambda *a: work.append("validate"))
+    monkeypatch.setattr(configurations, "boors_roundtrip", lambda *a: work.append("boors"))
+    for argv, depth in (([x2], 2), ([x5, "--trunc", "2"], 2), ([x5, "--trunc", "1"], 1),
+                        ([x5, "--trunc", "0"], 0)):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, text = run(["roundtrip", "boors", *argv])
+        assert (code, text, err.getvalue()) == (
+            2, "", f"roundtrip boors needs an input of trunc at least 3, got {depth}\n"), argv
+    assert work == []
+
+
 def test_roundtrip_commands(tmp_path):
     x = str(tmp_path / "x.json")
     assert run(["gen", "nerve-poset", "--size", "1", "--trunc", "5", "--out", x])[0] == 0

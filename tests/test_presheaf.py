@@ -483,6 +483,78 @@ def test_is_pullback_matches_the_element_walk(sq):
     assert _outcome(is_pullback, sq) == _outcome(_walk_is_pullback, sq)
 
 
+def _eager_decide_pullback(sq):
+    """``presheaf._decide_pullback`` as it was when a refuted square was
+    explained at once: the reference for explanations read later."""
+    p_elems = sq.p_elems
+    to_a = list(map(sq.p_to_a.__getitem__, p_elems))
+    to_b = list(map(sq.p_to_b.__getitem__, p_elems))
+    via_a = list(map(sq.a_to_c.__getitem__, to_a))
+    via_b = list(map(sq.b_to_c.__getitem__, to_b))
+    checked = len(p_elems)
+    if via_a != via_b:
+        witnesses = [Witness(sq.name, "square does not commute", (p,))
+                     for p, c, d in zip(p_elems, via_a, via_b) if c != d]
+        return CheckReport.from_witnesses("is_pullback", witnesses, checked)
+    witnesses = bijection_witnesses(
+        sq.name, "comparison", zip(p_elems, zip(to_a, to_b)),
+        pullback_pairs(sq.a_to_c, sq.b_to_c, sq.a_elems, sq.b_elems))
+    return CheckReport.from_witnesses("is_pullback", witnesses, 2 * checked or 1)
+
+
+@contextmanager
+def _counting_explanations():
+    """The names of the reports whose explanations ran, one per run."""
+    explained = []
+    real = CheckReport.refutation
+
+    def counting(name, explain, checked):
+        def once():
+            explained.append(name)
+            return explain()
+        return real(name, once, checked)
+
+    with mock.patch.object(CheckReport, "refutation", staticmethod(counting)):
+        yield explained
+
+
+def test_a_refutation_explains_the_square_as_it_was_decided():
+    """A square is decided, then one entry of one of its four tables is
+    reassigned, then the report is read: its witnesses are those an eager
+    decision gave before the change, and its explanation ran at most once
+    however often it was read.  Passing, non-commuting and non-bijective
+    squares are all drawn."""
+    found = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_rough_squares(), st.data())
+    def check(sq, data):
+        before = _outcome(_eager_decide_pullback, sq)
+        if not isinstance(before, tuple):  # a table misses a key: the same error
+            assert _outcome(is_pullback, sq) is before
+            return
+        with _counting_explanations() as explained:
+            rep = is_pullback(sq)
+            assert explained == [] and rep.holds == (not before[1])
+            # an entry the decision read: one of a table's level
+            parts = [(table, level) for table, level in ((sq.p_to_a, sq.p_elems), (sq.p_to_b, sq.p_elems),
+                                                         (sq.a_to_c, sq.a_elems), (sq.b_to_c, sq.b_elems))
+                     if level]
+            if parts:
+                table, level = data.draw(st.sampled_from(parts))
+                key = data.draw(st.sampled_from(sorted(set(level), key=str)))
+                table[key] = data.draw(st.sampled_from(sorted({*table.values(), "new"}, key=str)))
+            for _ in range(2):
+                assert (rep.name, rep.witnesses, rep.checked) == before
+                assert rep.to_dict() == rep.to_dict() and rep == copy.copy(rep) and str(rep)
+        assert explained == ([] if rep.holds else ["is_pullback"])
+        found.add("pass" if rep.holds else "not commuting" if "commute" in rep.witnesses[0].equation
+                  else "not bijective")
+
+    check()
+    assert found == {"pass", "not commuting", "not bijective"}
+
+
 # ---------------------------------------------------------------------------
 # Deciding each square once inside ``deciding_once``
 

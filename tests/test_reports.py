@@ -1,5 +1,9 @@
 """The one verdict derivation, and suites that count only decided rows."""
 
+import copy
+import pickle
+from itertools import count
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +39,68 @@ def test_verdict_is_derived_once(rep):
         assert verdict in ("fail", "precondition")
     if verdict == "vacuous":
         assert not rep.witnesses and rep.checked == 0
+
+
+# a report tree: a leaf is ``(witnesses, checked, pending)``, a conjunction a list
+specs = st.recursive(st.tuples(witnesses, st.integers(0, 4), st.booleans()), st.lists, max_leaves=8)
+
+
+def _eager(spec) -> CheckReport:
+    """The report of ``spec`` as it was built when witnesses were sorted at
+    once: each leaf's, then each conjunction's merge, again."""
+    if isinstance(spec, tuple):
+        return CheckReport("leaf", sorted(spec[0], key=str), spec[1])
+    parts = [_eager(part) for part in spec]
+    return CheckReport("conj", sorted((w for r in parts for w in r.witnesses), key=str),
+                       sum(r.checked for r in parts))
+
+
+def _deferred(spec, explained, ids) -> CheckReport:
+    """The report of ``spec``, each refuted leaf a ``refutation`` (when
+    pending) or ``from_witnesses``; each explanation that runs logs its
+    leaf's number to ``explained``."""
+    if isinstance(spec, list):
+        return CheckReport.conjunction("conj", [_deferred(part, explained, ids) for part in spec])
+    ws, checked, pending = spec
+    if not (ws and pending):
+        return CheckReport.from_witnesses("leaf", ws, checked)
+    leaf = next(ids)
+
+    def explain():
+        explained.append(leaf)
+        return list(ws)
+
+    return CheckReport.refutation("leaf", explain, checked)
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs, st.booleans())
+def test_witnesses_are_explained_and_sorted_once_when_read(spec, children_first):
+    """A tree of pending reports has the verdicts of the eager tree before
+    anything is explained, and its fields once read; each explanation runs
+    at most once, whichever report is read first and however often."""
+    explained, ids = [], count()
+    parts = [_deferred(part, explained, ids) for part in spec] if isinstance(spec, list) else []
+    rep = CheckReport.conjunction("conj", parts) if parts else _deferred(spec, explained, ids)
+    ref = _eager(spec)
+    assert (rep.verdict, rep.checked) == (ref.verdict, ref.checked) and explained == []
+    if children_first and parts:
+        assert [r.witnesses for r in parts] == [_eager(part).witnesses for part in spec]
+    for _ in range(2):
+        assert rep.to_dict() == ref.to_dict() and str(rep) == str(ref) and repr(rep) == repr(ref)
+        assert rep == ref == copy.deepcopy(rep) == pickle.loads(pickle.dumps(rep))
+    assert sorted(explained) == sorted(set(explained))
+
+
+def test_a_report_holds_no_list_its_caller_holds():
+    found = [Witness("b", "eq", (1,)), Witness("a", "eq", (0,))]
+    rep = CheckReport.from_witnesses("r", found, 1)
+    found.append(Witness("c", "eq", (2,)))
+    assert rep.witnesses == [Witness("a", "eq", (0,)), Witness("b", "eq", (1,))]
+    rep.witnesses.append(Witness("d", "eq", (3,)))
+    assert len(found) == 3
+    conj = CheckReport.conjunction("c", [rep])
+    assert conj.witnesses == rep.witnesses and conj.witnesses is not rep.witnesses
 
 
 def _entries(suite):
