@@ -13,11 +13,8 @@ single generic formula covers every generator.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .abacus import generators_into
 from .decalage import (
-    PointedSSet,
     dec,
     is_local_initial,
     is_local_terminal,
@@ -38,21 +35,20 @@ from .presheaf import (
     BiSSet,
     CheckReport,
     DSet,
+    PointedSSet,
     SMap,
     SigmaSet,
     TruncationError,
     TruncSSet,
     VERTICAL,
     Witness,
-    _compare_rows,
-    _map_view,
-    _naturality_rows,
     _sorted_ids,
     action_target,
     bijection_witnesses,
     col_sset,
     colimit0,
     delta_actions,
+    dset_iso_report,
     dset_levels,
     identity_smap,
     lift,
@@ -619,43 +615,6 @@ def m_2segal_dictionary(conds: dict, B: DSet) -> CheckReport:
 
 # ---------------------------------------------------------------------------
 # Comparison helpers
-
-
-def dset_iso_report(B1: DSet, B2: DSet, maps: dict, name: str = "dset_iso") -> CheckReport:
-    """Levelwise bijections commuting with every stored action of B1."""
-    witnesses = []
-    checked = 0
-    T = min(B1.trunc, B2.trunc)
-    aug = B1.has_aug_row() and B2.has_aug_row()
-    for lvl in dset_levels(T, with_aug_row=aug):
-        m = maps.get(lvl)
-        checked += 1
-        level = B2.level(*lvl)
-        # as many images as targets, none repeated and none missed: no image lies outside
-        if (m is None or set(m) != set(B1.level(*lvl)) or len(m) != len(level)
-                or bijection_witnesses("", "", ((x, (y,)) for x, y in m.items()), [(y,) for y in level])):
-            witnesses.append(Witness(f"level@{lvl}", "not a bijection", (lvl,)))
-    if witnesses:
-        return CheckReport.from_witnesses(name, witnesses, checked)
-    tables, levels = _map_view(B1.actions, B2.actions, maps, B1.levels, B2.levels)
-    rows = _iso_rows(T, aug)
-    # each row names its generator's table in B1 first on the left, in B2 last on the right
-    witnesses = [Witness(f"{side}:{site}", "action table missing", ())
-                 for site, _, _, lhs, rhs in rows
-                 for side, key in (("source", lhs[0]), ("target", rhs[-1])) if key not in tables]
-    if witnesses:
-        return CheckReport.from_witnesses(name, witnesses, checked)
-    return _compare_rows(name, checked, tables, levels, rows)
-
-
-@lru_cache(maxsize=None)
-def _iso_rows(T: int, aug: bool) -> tuple:
-    """Naturality rows of a map between ``T``-truncated abacus presheaves,
-    against every generator between their levels (``dset_levels``)."""
-    return _naturality_rows(
-        (f"{kind}{'' if k is None else k}@{lvl}", "iso does not commute", (kind, k, lvl), lvl, tgt)
-        for lvl in dset_levels(T, with_aug_row=aug)
-        for kind, k, tgt, _ in generators_into(T)[lvl] if aug or tgt[0] >= 0)
 
 
 def sigmaset_equal(A1: SigmaSet, A2: SigmaSet) -> bool:

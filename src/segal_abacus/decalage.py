@@ -5,7 +5,10 @@ simplicial set carries extra sections under the bottom faces, which is
 the same data as a coalgebra for the lower-decalage comonad.  Rigidity
 (the structure map being cartesian) is what makes a splitting behave
 like a choice of local initial objects, and the pair of functors
-``h_lower`` / ``h_upper`` exchanges the two descriptions.
+``h_lower`` / ``h_upper`` exchanges the two descriptions.  The pointed
+and split shapes (``PointedSSet``, ``BottomSplitSSet``,
+``AugBottomSplitSSet``) and their validators live in ``presheaf`` with
+every other shape; this module holds only constructions and checks.
 
 The BOORS local-initial (and local-terminal) comparison and Carlier's
 h-counit are one pullback, built by ``pointing_comparison``: the local
@@ -21,19 +24,16 @@ parameter on ``boors_axioms``.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .presheaf import (
+    AugBottomSplitSSet,
     BiSSet,
+    BottomSplitSSet,
     CheckReport,
+    PointedSSet,
     SMap,
     TruncationError,
     TruncSSet,
     Witness,
-    _check_rows,
-    _concat,
-    _delta_rows,
-    _pointed_rows,
     _sorted_ids,
     bijection_witnesses,
     bisset_actions,
@@ -44,6 +44,7 @@ from .presheaf import (
     pullback_pairs,
     sub_trunc,
     through,
+    validate_coalgebra,
 )
 from .simplex import MonotoneMap
 
@@ -151,94 +152,7 @@ def sd_map(F: SMap) -> SMap:
 
 
 # ---------------------------------------------------------------------------
-# Split and pointed structures
-
-
-class BottomSplitSSet:
-    """A simplicial set with extra bottom sections s# : X_n -> X_{n+1}."""
-
-    def __init__(self, sset: TruncSSet, split: dict):
-        self.sset = sset
-        self.split = split  # n -> dict, for 0 <= n < trunc
-
-    @property
-    def trunc(self):
-        return self.sset.trunc
-
-
-class AugBottomSplitSSet:
-    """A bottom-split simplicial set with a split augmentation level."""
-
-    def __init__(self, sset: TruncSSet, split: dict, aug_level, aug: dict, aug_split: dict):
-        self.sset = sset
-        self.split = split
-        self.aug_level = _sorted_ids(aug_level)
-        self.aug = aug            # d_0 : X_0 -> X_{-1}
-        self.aug_split = aug_split  # s# : X_{-1} -> X_0
-
-
-class PointedSSet:
-    """A simplicial set with a pointing a : C -> X_0."""
-
-    def __init__(self, sset: TruncSSet, point_set, pointing: dict):
-        self.sset = sset
-        self.point_set = _sorted_ids(point_set)
-        self.pointing = pointing
-
-
-def validate_pointed(P: PointedSSet, name: str = "pointed") -> CheckReport:
-    """The simplicial set's rows, and the pointing into level 0."""
-    return _check_rows(name, {**P.sset.actions, "pointing": P.pointing},
-                       {**P.sset.levels, "point": P.point_set}, _pointed_rows(_delta_rows, P.sset.trunc, 0))
-
-
-def validate_coalgebra(A, name: str = "split") -> CheckReport:
-    """The simplicial identities and the split-simplicial ones; for
-    augmented input also the augmentation square and section."""
-    X = A.sset
-    augmented = isinstance(A, AugBottomSplitSSet)
-    tables = {**X.actions, **{("split", None, n): table for n, table in A.split.items()}}
-    levels = X.levels
-    if augmented:
-        tables["aug", None, 0], tables["aug-split", None, -1] = A.aug, A.aug_split
-        levels = {**X.levels, -1: A.aug_level}
-    return _check_rows(name, tables, levels, _coalgebra_rows(X.trunc, augmented))
-
-
-@lru_cache(maxsize=None)
-def _coalgebra_rows(T: int, augmented: bool) -> tuple:
-    """The rows of a bottom-split simplicial set truncated at T: the simplex
-    rows, the totality of the splitting ``("split", None, n)`` out of each
-    level n < T, and its identities; for ``augmented`` input also the
-    level -1, the totality of the augmentation ``("aug", None, 0)`` and its
-    section ``("aug-split", None, -1)`` out of level -1, and their
-    identities."""
-    split = [("split", None, n) for n in range(T)]
-    totals = [(f"split@{n}", split[n], n, n + 1) for n in range(T)]
-    relations = [(f"split-counit@{n}", "d_0 s# = id", n, (split[n], ("d", 0, n + 1)), ())
-                 for n in range(T)]
-    relations += [(f"split-face{k}@{n}", "d_k+1 s# = s# d_k", n,
-                   (split[n], ("d", k + 1, n + 1)), (("d", k, n), split[n - 1]))
-                  for n in range(1, T) for k in range(n + 1)]
-    relations += [(f"split-deg{k}@{n}", "s_k+1 s# = s# s_k", n,
-                   (split[n], ("s", k + 1, n + 1)), (("s", k, n), split[n + 1]))
-                  for n in range(T - 1) for k in range(n + 1)]
-    relations += [(f"split-coassoc@{n}", "s_0 s# = s# s#", n,
-                   (split[n], ("s", 0, n + 1)), (split[n], split[n + 1]))
-                  for n in range(T - 1)]
-    expect = ()
-    if augmented:
-        aug, section = ("aug", None, 0), ("aug-split", None, -1)
-        expect = (("level@-1", -1),)
-        totals += [("aug", aug, 0, -1), ("aug-split", section, -1, 0)]
-        relations.append(("aug-counit", "d_0 s# = id at -1", -1, (section, aug), ()))
-        if T >= 1:
-            relations += [
-                ("aug-split-face", "d_1 s# = s# d_0 at 0", -1, (section, split[0], ("d", 1, 1)), (section,)),
-                ("aug-split-coassoc", "s_0 s# = s# s# at -1", -1, (section, ("s", 0, 0)), (section, split[0])),
-                ("aug-shift", "d_1 s# = s# d_0 at 0", 0, (split[0], ("d", 1, 1)), (aug, section)),
-            ]
-    return _concat(_delta_rows(T), (expect, tuple(totals), tuple(relations)))
+# Split structures: rigidity and pullback
 
 
 def gamma(A: BottomSplitSSet) -> SMap:

@@ -75,6 +75,8 @@ def is_2segal(X: TruncSSet, side: str = "both", name: str | None = None) -> Chec
     """Upper: dec_top is Segal; lower: dec_bottom is Segal."""
     from .decalage import dec
 
+    if side not in ("upper", "lower", "both"):
+        raise ValueError(f"unknown side {side!r}")
     name = name or f"is_2segal[{side}]"
     if X.trunc < 1:
         return CheckReport(name, coverage=[f"unverifiable:{name}:trunc<1"])
@@ -83,8 +85,6 @@ def is_2segal(X: TruncSSet, side: str = "both", name: str | None = None) -> Chec
         parts.append(is_segal(dec(X, "top"), f"{name}:upper"))
     if side in ("lower", "both"):
         parts.append(is_segal(dec(X, "bottom"), f"{name}:lower"))
-    if not parts:
-        raise ValueError(f"unknown side {side!r}")
     return CheckReport.conjunction(name, parts)
 
 
@@ -113,6 +113,8 @@ def stability(B, side: str = "both", name: str | None = None) -> CheckReport:
     A bulk without a (1, 1) level (truncation below 2) has no square to
     check; that is reported as zero coverage, never as a bare pass.
     """
+    if side not in ("upper", "lower", "both"):
+        raise ValueError(f"unknown side {side!r}")
     name = name or f"stability[{side}]"
     reports = []
     for (i, j) in _bulk_levels(B):

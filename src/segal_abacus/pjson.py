@@ -9,12 +9,13 @@ rejected on read with a ``ValueError`` that names the value.
 from __future__ import annotations
 
 import json
-from importlib import import_module
 
 from .presheaf import (
     BULK_KINDS,
     BiSSet,
+    BottomSplitSSet,
     DSet,
+    PointedSSet,
     SMap,
     SigmaSet,
     TruncSSet,
@@ -159,9 +160,7 @@ def split_to_dict(A) -> dict:
     }
 
 
-def split_from_dict(data: dict):
-    from .decalage import BottomSplitSSet
-
+def split_from_dict(data: dict) -> BottomSplitSSet:
     return BottomSplitSSet(
         _sset(data, "sset"),
         _unique(_field(data, "split", dict), int, _read_table, "split"),
@@ -174,47 +173,43 @@ def dset_from_dict(data: dict) -> DSet:
     return DSet(*_parse_grid(data, SHIFT))
 
 
-def pointed_from_dict(data: dict):
-    from .decalage import PointedSSet
-
+def pointed_from_dict(data: dict) -> PointedSSet:
     return PointedSSet(_sset(data, "sset"), *_pointing(data))
 
 
-# shape tag: (the module and name of its class, writer, reader).  The
-# classes of decalage come last and are imported only when reached, so a
-# presheaf is read or written without loading decalage.
+# shape tag: (its class, writer, reader), in the order ``shape_of`` tries them
 _SHAPES = {
-    "sset": ("presheaf", "TruncSSet", lambda X: _grid_to_dict(X, "sset"),
+    "sset": (TruncSSet, lambda X: _grid_to_dict(X, "sset"),
              lambda data: TruncSSet(*_parse_grid(data, ("d", "s")))),
-    "smap": ("presheaf", "SMap", smap_to_dict, smap_from_dict),
-    "bisset": ("presheaf", "BiSSet", lambda B: _grid_to_dict(B, "bisset"),
+    "smap": (SMap, smap_to_dict, smap_from_dict),
+    "bisset": (BiSSet, lambda B: _grid_to_dict(B, "bisset"),
                lambda data: BiSSet(*_parse_grid(data, BULK_KINDS))),
-    "dset": ("presheaf", "DSet", lambda B: _grid_to_dict(B, "dset"), dset_from_dict),
-    "sigmaset": ("presheaf", "SigmaSet",
+    "dset": (DSet, lambda B: _grid_to_dict(B, "dset"), dset_from_dict),
+    "sigmaset": (SigmaSet,
                  lambda A: _pointing_to_dict(A, "sigmaset", "bulk", _grid_to_dict(A.bulk, "bisset")),
                  lambda data: SigmaSet(BiSSet(*_parse_grid(_field(data, "bulk", dict), BULK_KINDS)),
                                        *_pointing(data))),
-    "pointed": ("decalage", "PointedSSet",
+    "pointed": (PointedSSet,
                 lambda P: _pointing_to_dict(P, "pointed", "sset", _grid_to_dict(P.sset, "sset")),
                 pointed_from_dict),
-    "split": ("decalage", "BottomSplitSSet", split_to_dict, split_from_dict),
+    "split": (BottomSplitSSet, split_to_dict, split_from_dict),
 }
 
 
 def shape_of(P) -> str:
     """The shape tag P is written with."""
-    for shape, (home, name, _, _) in _SHAPES.items():
-        if isinstance(P, getattr(import_module(f"{__package__}.{home}"), name)):
+    for shape, (cls, _, _) in _SHAPES.items():
+        if isinstance(P, cls):
             return shape
     raise TypeError(f"cannot serialize {type(P).__name__}")
 
 
 def to_dict(P) -> dict:
-    return _SHAPES[shape_of(P)][2](P)
+    return _SHAPES[shape_of(P)][1](P)
 
 
 def from_dict(data: dict):
-    return _SHAPES[_field(_typed(data, dict, "the document"), "shape", str)][3](data)
+    return _SHAPES[_field(_typed(data, dict, "the document"), "shape", str)][2](data)
 
 
 def dump(P, path: str):

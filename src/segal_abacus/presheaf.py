@@ -24,20 +24,23 @@ in ``delta_actions``, and every construction of a simplicial set fills
 its ``actions`` by walking that list.  Which levels and actions a
 truncated grid presheaf has is read off that table, through
 ``abacus.generators_into`` (``dset_levels``, ``bisset_actions``); nothing
-here lists abacus generators itself.  Every validator reads its
-category's identities as rows of table keys, computed once per
-truncation: ``_delta_rows`` for simplicial sets (and, prefixed, for the
-rows and columns of a bisimplicial set and the source and target of a
-map), ``_bisset_rows``, ``_smap_rows``, ``_relation_rows`` for the abacus
-category, ``decalage._coalgebra_rows`` for split structures, and
+here lists abacus generators itself.  Every file shape, validator and
+row table lives here, and no other module names a row helper.  A
+validator reads its shape's identities as rows of table keys, computed
+once per truncation: ``_delta_rows`` for simplicial sets (and, prefixed,
+for the rows and columns of a bisimplicial set and the source and target
+of a map), ``_bisset_rows``, ``_smap_rows``, ``_relation_rows`` for the
+abacus category, ``_coalgebra_rows`` for split structures, and
 ``_pointed_rows`` adds a pointing to any of them: its point set is one
 more level and the pointing one more totality row.  One element loop
 checks them all: ``_check_rows`` reports every level beyond the
-truncation or missing and every element listed twice and checks totality,
-then ``_compare_rows`` applies both sides of each identity to every
-element, and only looks tables up.  A construction that applies one map
-to a whole level also takes its tables once (``TruncSSet.act_tables``,
-the action keys of a monotone map cached per map in ``_act_steps``).
+truncation or missing, every element listed twice and every table no
+totality row names, and checks totality, then ``_compare_rows`` applies
+both sides of each identity to every element, and only looks tables up;
+``dset_iso_report`` runs it on ``_iso_rows``.  A construction that
+applies one map to a whole level also takes its tables once
+(``TruncSSet.act_tables``, the action keys of a monotone map cached per
+map in ``_act_steps``).
 
 Element order is canonical, by ``fmt_id``, and computed once: every level
 goes through ``_sorted_ids``, which formats each tuple part once per sort,
@@ -47,24 +50,24 @@ So a level re-indexed from an already sorted one (``dec``, ``row_sset``,
 ``sub_trunc``, ``r_star``) is neither formatted nor sorted again.
 
 A pullback is enumerated in one place, ``pullback_pairs`` (a hash join),
-an element is lifted through a pair of maps in one place, ``lift`` (the
-splittings that ``configurations.extend_sigma_to_d`` propagates and
-``decalage.pullback_coalgebra`` pulls back), and whether a map is a
-bijection onto a set is decided in one place, ``bijection_witnesses``.
-Every pullback the library builds (the levels of ``q_lower_star`` and the
-relative upper 2-Segal check, ``decalage.pointing_comparison``, nerve
-chains and composable pairs) and every pullback, unit, pointing,
-invertibility or isomorphism check goes through ``pullback_pairs`` and
-``bijection_witnesses``.  Checks decide first, with whole-level
-operations: ``is_pullback`` reads each of a square's four tables once
-over a whole level and compares two image lists, then decides the
-comparison map with one image set (its size, and whether it contains the
-pullback), as ``bijection_witnesses`` does before it walks the elements
-to name witnesses.  ``is_pullback`` explains a refuted square only when
-its report's witnesses are read (``CheckReport.refutation``): "does not
-commute" from the positions that differ, else ``bijection_witnesses``,
-both from lists taken at the decision, so a table changed later does not
-change them.
+and an element is lifted through a pair of maps in one place, ``lift``
+(the splittings that ``configurations.extend_sigma_to_d`` propagates and
+``decalage.pullback_coalgebra`` pulls back).  Every pullback the library
+builds (the levels of ``q_lower_star`` and the relative upper 2-Segal
+check, ``decalage.pointing_comparison``, nerve chains and composable
+pairs) goes through ``pullback_pairs``.  Every check decides whether a
+map is a bijection onto a set alike, with one image set (its size, and
+whether it contains the set); only a refuted map is walked element by
+element, by ``bijection_witnesses``, to name witnesses.
+``_decide_pullback`` decides its comparison map so inline, after reading
+each of a square's four tables once over a whole level and comparing two
+image lists, and explains a refuted square only when its report's
+witnesses are read (``CheckReport.refutation``): "does not commute" from
+the positions that differ, else ``bijection_witnesses``, both from lists
+taken at the decision, so a table changed later does not change them.
+``dset_iso_report`` and ``suites.dictionary_suite``'s ``bijective``
+column call ``bijection_witnesses("", "", ...)`` only to test whether it
+is empty; the other checks call it for its witnesses.
 
 Derived structures share their source's tables, so one check run can
 meet the same square many times: ``dec_map(F, "bottom")``'s d_k square
@@ -337,7 +340,8 @@ def _check_rows(name: str, tables, levels, rows) -> CheckReport:
     """Check a presheaf against its rows ``(expect, totals, relations)``.
     Phase 1 reports each level that is not an expected level
     ``(label, level)`` as beyond the truncation, each element a level lists
-    twice and each expected level missing, and checks that each totality
+    twice and each expected level missing, and each table that no totality
+    row names as not in the category; and it checks that each totality
     row's ``(label, key, source, target)`` table is defined on its source
     level and lands in its target level.  A witness from it stops the
     report there; else phase 2, ``_compare_rows``, can look up every table
@@ -349,12 +353,23 @@ def _check_rows(name: str, tables, levels, rows) -> CheckReport:
     witnesses += [Witness(f"level@{lv}", "element listed twice", (x,))
                   for lv, xs in levels.items() for x, n in Counter(xs).items() if n > 1]
     witnesses += [Witness(label, "level missing", ()) for label, lv in expect if lv not in levels]
+    named = {key for _, key, _, _ in totals}
+    witnesses += [Witness(_table_label(key), "table not in the category", ())
+                  for key in tables if key not in named]
     checked = 0
     for label, key, src, tgt in totals:
         checked += _check_total(tables.get(key), levels.get(src, ()), levels.get(tgt, ()), label, witnesses)
     if witnesses:
         return CheckReport.from_witnesses(name, witnesses, checked)
     return _compare_rows(name, checked, tables, levels, relations)
+
+
+def _table_label(key) -> str:
+    """The name a file gives the table keyed ``key``: ``d7@1``, ``split@4``,
+    and in a map's view ``source:d7@1``, ``target:d7@1`` and ``F@7``."""
+    if len(key) == 3:
+        return action_label(*key)
+    return f"F@{key[1]}" if key[0] == "M" else {"S": "source:", "T": "target:"}[key[0]] + action_label(*key[1])
 
 
 def _compare_rows(name: str, checked: int, tables, levels, relations) -> CheckReport:
@@ -468,8 +483,8 @@ class Square(Frozen):
         object.__setattr__(self, "b_to_c", b_to_c)
 
 
-# Inside ``deciding_once``: the squares found to be pullbacks, bucketed by
-# ``id(p_to_a)``; each entry keeps its square, so no id is reused meanwhile.
+# Inside ``deciding_once``: the squares found to be pullbacks, keyed by the ids
+# of their seven parts; each keeps its parts alive, so no id is reused meanwhile.
 _pullbacks = None
 
 
@@ -487,14 +502,6 @@ def deciding_once():
         _pullbacks = None
 
 
-def _same_square(seen: Square, sq: Square) -> bool:
-    """Whether two squares are made of the same objects; the names may differ."""
-    return (seen.p_to_a is sq.p_to_a and seen.p_to_b is sq.p_to_b
-            and seen.a_to_c is sq.a_to_c and seen.b_to_c is sq.b_to_c
-            and seen.p_elems is sq.p_elems and seen.a_elems is sq.a_elems
-            and seen.b_elems is sq.b_elems)
-
-
 def is_pullback(sq: Square) -> CheckReport:
     """Whether ``sq`` commutes and its comparison map is a bijection onto
     the strict pullback of ``a_to_c`` against ``b_to_c``.
@@ -504,11 +511,13 @@ def is_pullback(sq: Square) -> CheckReport:
     is decided by ``_decide_pullback``."""
     if _pullbacks is None:
         return _decide_pullback(sq)
-    if any(_same_square(seen, sq) for seen in _pullbacks.get(id(sq.p_to_a), ())):
+    key = (id(sq.p_elems), id(sq.a_elems), id(sq.b_elems),
+           id(sq.p_to_a), id(sq.p_to_b), id(sq.a_to_c), id(sq.b_to_c))
+    if key in _pullbacks:
         return CheckReport("is_pullback", [], 2 * len(sq.p_elems) or 1)
     report = _decide_pullback(sq)
     if report.passed:  # the verdict alone: a refutation is not explained here
-        _pullbacks.setdefault(id(sq.p_to_a), []).append(sq)
+        _pullbacks[key] = sq
     return report
 
 
@@ -794,7 +803,7 @@ def _relation_rows(trunc: int, with_aug: bool) -> tuple:
     a side by looking its tables up in turn.  Names, levels and keys are
     interned, so the rows hold no words or bead maps.
     """
-    from .abacus import SHIFT, DObject, generator_range, generators_into, relations_at
+    from .abacus import SHIFT, DObject, generators_into, relations_at
 
     interned: dict = {}
 
@@ -802,16 +811,14 @@ def _relation_rows(trunc: int, with_aug: bool) -> tuple:
         return interned.setdefault(v, v)
 
     def word_levels(word):
-        """Source-to-target object path of a generator word, or None if a
-        generator index does not exist where the word applies it."""
-        cur = word.source
-        path = [(cur.i, cur.j)]
-        for kind, k in word.tokens:
-            if k not in generator_range(kind, cur):
-                return None
+        """Source-to-target level path of a generator word; ``relations_at``
+        yields only words whose every generator exists where it applies."""
+        i, j = word.source.i, word.source.j
+        path = [(i, j)]
+        for kind, _ in word.tokens:
             di, dj = SHIFT[kind]
-            cur = DObject(cur.i + di, cur.j + dj)
-            path.append((cur.i, cur.j))
+            i, j = i + di, j + dj
+            path.append((i, j))
         return path
 
     expect = tuple((f"level@{lv}", lv) for lv in dset_levels(trunc, with_aug))
@@ -824,8 +831,6 @@ def _relation_rows(trunc: int, with_aug: bool) -> tuple:
     for source in sorted(levels):
         for rel_name, lhs, rhs in relations_at(DObject(*source)):
             path_l, path_r = word_levels(lhs), word_levels(rhs)
-            if path_l is None or path_r is None:
-                continue
             assert path_l[-1] == path_r[-1], f"{lhs} and {rhs} end apart"
             if not levels.issuperset(path_l + path_r):
                 continue
@@ -844,6 +849,45 @@ def _action_keys(word, path, intern) -> tuple:
     token ``idx`` acts out of level ``path[idx + 1]``."""
     keys = [intern((kind, k, intern(path[idx + 1]))) for idx, (kind, k) in enumerate(word.tokens)]
     return intern(tuple(reversed(keys)))
+
+
+def dset_iso_report(B1: DSet, B2: DSet, maps: dict, name: str = "dset_iso") -> CheckReport:
+    """Levelwise bijections commuting with every stored action of B1."""
+    witnesses = []
+    checked = 0
+    T = min(B1.trunc, B2.trunc)
+    aug = B1.has_aug_row() and B2.has_aug_row()
+    for lvl in dset_levels(T, with_aug_row=aug):
+        m = maps.get(lvl)
+        checked += 1
+        level = B2.level(*lvl)
+        # as many images as targets, none repeated and none missed: no image lies outside
+        if (m is None or set(m) != set(B1.level(*lvl)) or len(m) != len(level)
+                or bijection_witnesses("", "", ((x, (y,)) for x, y in m.items()), [(y,) for y in level])):
+            witnesses.append(Witness(f"level@{lvl}", "not a bijection", (lvl,)))
+    if witnesses:
+        return CheckReport.from_witnesses(name, witnesses, checked)
+    tables, levels = _map_view(B1.actions, B2.actions, maps, B1.levels, B2.levels)
+    rows = _iso_rows(T, aug)
+    # each row names its generator's table in B1 first on the left, in B2 last on the right
+    witnesses = [Witness(f"{side}:{site}", "action table missing", ())
+                 for site, _, _, lhs, rhs in rows
+                 for side, key in (("source", lhs[0]), ("target", rhs[-1])) if key not in tables]
+    if witnesses:
+        return CheckReport.from_witnesses(name, witnesses, checked)
+    return _compare_rows(name, checked, tables, levels, rows)
+
+
+@lru_cache(maxsize=None)
+def _iso_rows(T: int, aug: bool) -> tuple:
+    """Naturality rows of a map between ``T``-truncated abacus presheaves,
+    against every generator between their levels (``dset_levels``)."""
+    from .abacus import generators_into
+
+    return _naturality_rows(
+        (f"{kind}{'' if k is None else k}@{lvl}", "iso does not commute", (kind, k, lvl), lvl, tgt)
+        for lvl in dset_levels(T, with_aug_row=aug)
+        for kind, k, tgt, _ in generators_into(T)[lvl] if aug or tgt[0] >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -881,22 +925,104 @@ def _pointed_rows(rows, T: int, target) -> tuple:
     return _concat(rows(T), ((("level@point", "point"),), (("pointing", "pointing", "point", target),), ()))
 
 
-def validate(P, name: str | None = None) -> CheckReport:
-    """Validate any presheaf-like value against its index category."""
-    if isinstance(P, TruncSSet):
-        return validate_sset(P, name or "sset")
-    if isinstance(P, SMap):
-        return validate_smap(P, name or "smap")
-    if isinstance(P, DSet):
-        return validate_dset(P, name or "dset")
-    if isinstance(P, BiSSet):
-        return validate_bisset(P, name or "bisset")
-    if isinstance(P, SigmaSet):
-        return validate_sigmaset(P, name or "sigmaset")
-    from .decalage import AugBottomSplitSSet, BottomSplitSSet, PointedSSet, validate_coalgebra, validate_pointed
+# ---------------------------------------------------------------------------
+# Pointed and split simplicial sets
 
-    if isinstance(P, (BottomSplitSSet, AugBottomSplitSSet)):
-        return validate_coalgebra(P, name or "split")
-    if isinstance(P, PointedSSet):
-        return validate_pointed(P, name or "pointed")
+
+class PointedSSet:
+    """A simplicial set with a pointing a : C -> X_0."""
+
+    def __init__(self, sset: TruncSSet, point_set, pointing: dict):
+        self.sset = sset
+        self.point_set = _sorted_ids(point_set)
+        self.pointing = pointing
+
+
+def validate_pointed(P: PointedSSet, name: str = "pointed") -> CheckReport:
+    """The simplicial set's rows, and the pointing into level 0."""
+    return _check_rows(name, {**P.sset.actions, "pointing": P.pointing},
+                       {**P.sset.levels, "point": P.point_set}, _pointed_rows(_delta_rows, P.sset.trunc, 0))
+
+
+class BottomSplitSSet:
+    """A simplicial set with extra bottom sections s# : X_n -> X_{n+1}."""
+
+    def __init__(self, sset: TruncSSet, split: dict):
+        self.sset = sset
+        self.split = split  # n -> dict, for 0 <= n < trunc
+
+    @property
+    def trunc(self):
+        return self.sset.trunc
+
+
+class AugBottomSplitSSet:
+    """A bottom-split simplicial set with a split augmentation level."""
+
+    def __init__(self, sset: TruncSSet, split: dict, aug_level, aug: dict, aug_split: dict):
+        self.sset = sset
+        self.split = split
+        self.aug_level = _sorted_ids(aug_level)
+        self.aug = aug            # d_0 : X_0 -> X_{-1}
+        self.aug_split = aug_split  # s# : X_{-1} -> X_0
+
+
+def validate_coalgebra(A, name: str = "split") -> CheckReport:
+    """The simplicial identities and the split-simplicial ones; for
+    augmented input also the augmentation square and section."""
+    X = A.sset
+    augmented = isinstance(A, AugBottomSplitSSet)
+    tables = {**X.actions, **{("split", None, n): table for n, table in A.split.items()}}
+    levels = X.levels
+    if augmented:
+        tables["aug", None, 0], tables["aug-split", None, -1] = A.aug, A.aug_split
+        levels = {**X.levels, -1: A.aug_level}
+    return _check_rows(name, tables, levels, _coalgebra_rows(X.trunc, augmented))
+
+
+@lru_cache(maxsize=None)
+def _coalgebra_rows(T: int, augmented: bool) -> tuple:
+    """The rows of a bottom-split simplicial set truncated at T: the simplex
+    rows, the totality of the splitting ``("split", None, n)`` out of each
+    level n < T, and its identities; for ``augmented`` input also the
+    level -1, the totality of the augmentation ``("aug", None, 0)`` and its
+    section ``("aug-split", None, -1)`` out of level -1, and their
+    identities."""
+    split = [("split", None, n) for n in range(T)]
+    totals = [(f"split@{n}", split[n], n, n + 1) for n in range(T)]
+    relations = [(f"split-counit@{n}", "d_0 s# = id", n, (split[n], ("d", 0, n + 1)), ())
+                 for n in range(T)]
+    relations += [(f"split-face{k}@{n}", "d_k+1 s# = s# d_k", n,
+                   (split[n], ("d", k + 1, n + 1)), (("d", k, n), split[n - 1]))
+                  for n in range(1, T) for k in range(n + 1)]
+    relations += [(f"split-deg{k}@{n}", "s_k+1 s# = s# s_k", n,
+                   (split[n], ("s", k + 1, n + 1)), (("s", k, n), split[n + 1]))
+                  for n in range(T - 1) for k in range(n + 1)]
+    relations += [(f"split-coassoc@{n}", "s_0 s# = s# s#", n,
+                   (split[n], ("s", 0, n + 1)), (split[n], split[n + 1]))
+                  for n in range(T - 1)]
+    expect = ()
+    if augmented:
+        aug, section = ("aug", None, 0), ("aug-split", None, -1)
+        expect = (("level@-1", -1),)
+        totals += [("aug", aug, 0, -1), ("aug-split", section, -1, 0)]
+        relations.append(("aug-counit", "d_0 s# = id at -1", -1, (section, aug), ()))
+        if T >= 1:
+            relations += [
+                ("aug-split-face", "d_1 s# = s# d_0 at 0", -1, (section, split[0], ("d", 1, 1)), (section,)),
+                ("aug-split-coassoc", "s_0 s# = s# s# at -1", -1, (section, ("s", 0, 0)), (section, split[0])),
+                ("aug-shift", "d_1 s# = s# d_0 at 0", 0, (split[0], ("d", 1, 1)), (aug, section)),
+            ]
+    return _concat(_delta_rows(T), (expect, tuple(totals), tuple(relations)))
+
+
+def validate(P, name: str | None = None) -> CheckReport:
+    """Validate any presheaf-like value against its index category, named
+    ``name`` or its validator's default."""
+    for shape, check in ((TruncSSet, validate_sset), (SMap, validate_smap), (DSet, validate_dset),
+                         (BiSSet, validate_bisset), (SigmaSet, validate_sigmaset),
+                         ((BottomSplitSSet, AugBottomSplitSSet), validate_coalgebra),
+                         (PointedSSet, validate_pointed)):
+        if isinstance(P, shape):
+            return check(P, name) if name else check(P)
     raise TypeError(f"cannot validate {type(P).__name__}")

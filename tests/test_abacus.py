@@ -21,6 +21,7 @@ from segal_abacus.abacus import (
     presentation_suite,
     recompose,
     relation_instances,
+    relations_at,
     relation_suite,
     trapezium_instances,
     trapezium_suite,
@@ -103,6 +104,20 @@ def test_trapezium_instances():
 def test_relation_suite_bounds_2():
     rep = relation_suite(2, 2)
     assert rep.passed and rep.checked > 300
+
+
+def test_every_relation_word_applies_only_existing_generators():
+    """``presheaf._relation_rows`` reads a relation word's level path off
+    ``SHIFT`` alone.  That relies on every word of ``relations_at``
+    applying each generator where its index exists: ``_walk_word`` raises
+    on an illegal one.  Both sides of each relation end where ``SHIFT``
+    says they do."""
+    for source in objects_of_degree(9):
+        for _, lhs, rhs in relations_at(source):
+            for word in (lhs, rhs):
+                end = (source.i + sum(abacus.SHIFT[kind][0] for kind, _ in word.tokens),
+                       source.j + sum(abacus.SHIFT[kind][1] for kind, _ in word.tokens))
+                assert abacus._walk_word(word)[:2] == end, word
 
 
 def test_hom_counts():

@@ -267,6 +267,17 @@ def _sset_file(edit):
     return data
 
 
+def _dset_file(edit):
+    """The Kan extension of the identity of the nerve of the arrow at
+    truncation 2, as ``construct qstar`` writes it, with ``edit`` applied."""
+    from segal_abacus.configurations import q_lower_star
+    from segal_abacus.presheaf import identity_smap
+
+    data = pjson.to_dict(q_lower_star(identity_smap(nerve(chain_poset(1), 2))))
+    edit(data)
+    return data
+
+
 def _sigmaset_file(edit):
     """The pointed total decalage of the nerve of the arrow at truncation 3,
     as ``construct boors-tot`` writes it, with ``edit`` applied."""
@@ -327,6 +338,16 @@ MALFORMED = {
         lambda data: data["actions"].update({"d00@1": dict(data["actions"]["d1@1"])})),
     "smap level spelled twice": _smap_file(lambda data: data["levels"].update({"01": dict(data["levels"]["1"])})),
     "split level spelled twice": _split_file(lambda data: data["split"].update({"01": dict(data["split"]["1"])})),
+    # a table that no generator of the truncated category has, named as the file spells it
+    "sset face of no generator": _sset_file(
+        lambda data: data["actions"].update({"d7@1": {x: x for x in data["levels"]["1"]}})),
+    "sset degeneracy beyond the truncation": _sset_file(lambda data: data["actions"].update({"s0@9": {}})),
+    "smap level beyond the map's truncation": _smap_file(lambda data: data["levels"].update({"7": {}})),
+    "smap source face of no generator": _smap_file(
+        lambda data: data["source"]["actions"].update({"d7@1": dict(data["source"]["actions"]["d0@1"])})),
+    "dset splitting beyond the truncation": _dset_file(lambda data: data["actions"].update({"ssub@(0,1)": {}})),
+    "split level beyond the truncation": _split_file(lambda data: data["split"].update({"3": {}})),
+    "sigmaset bulk face of no generator": _sigmaset_file(lambda data: data["bulk"]["actions"].update({"e5@(0,0)": {}})),
 }
 
 # the witness that ``check validate`` reports, where a case pins it
@@ -339,7 +360,15 @@ WITNESSES = {"sset element listed twice": {"site": "level@0", "equation": "eleme
              "sigmaset pointing undefined": {"site": "pointing", "equation": "action undefined",
                                              "offenders": ["0"]},
              "pointed pointing off level 0": {"site": "pointing", "equation": "action leaves level",
-                                              "offenders": ["c", "zz"]}}
+                                              "offenders": ["c", "zz"]},
+             **{case: {"site": site, "equation": "table not in the category", "offenders": []}
+                for case, site in (("sset face of no generator", "d7@1"),
+                                   ("sset degeneracy beyond the truncation", "s0@9"),
+                                   ("smap level beyond the map's truncation", "F@7"),
+                                   ("smap source face of no generator", "source:d7@1"),
+                                   ("dset splitting beyond the truncation", "ssub@(0,1)"),
+                                   ("split level beyond the truncation", "split@3"),
+                                   ("sigmaset bulk face of no generator", "e5@(0,0)"))}}
 
 # files that cannot be read at all: every command says so on stderr
 UNREADABLE = {"sset action of unknown kind", "top level an array", "top level a string",
@@ -350,10 +379,11 @@ UNREADABLE = {"sset action of unknown kind", "top level an array", "top level a 
 # the checks run on each malformed shape besides validate
 _MALFORMED_CHECKS = {"split": ("coalgebra", "rigid"), "smap": ("lfib", "rel-upper-2segal"),
                      "bisset": ("stable", "double-segal"), "sset": ("segal", "2segal"),
-                     "sigmaset": ("boors",), "pointed": ("local-initial", "local-terminal")}
+                     "sigmaset": ("boors",), "pointed": ("local-initial", "local-terminal"),
+                     "dset": ("star", "bicomodule")}
 
 # the construction run on each malformed shape that has one
-_MALFORMED_CONSTRUCTS = {"smap": "qstar", "sigmaset": "extend"}
+_MALFORMED_CONSTRUCTS = {"smap": "qstar", "sigmaset": "extend", "dset": "M"}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -565,11 +595,11 @@ def test_full_device_stdout_is_invalid_output(tmp_path):
 def test_validation_checks_validate_once(tmp_path, monkeypatch):
     """``check validate`` and ``check coalgebra`` print the report of the
     validation that gates every check: the input is validated once."""
-    from segal_abacus import decalage, presheaf
+    from segal_abacus import presheaf
 
     # the check, its input, and the validator it runs, by module and name
     cases = (("validate", pjson.to_dict(nerve(chain_poset(1), 3)), presheaf, "validate"),
-             ("coalgebra", _split_file(lambda data: None), decalage, "validate_coalgebra"))
+             ("coalgebra", _split_file(lambda data: None), presheaf, "validate_coalgebra"))
     for check, data, module, validator in cases:
         calls = []
         original = getattr(module, validator)

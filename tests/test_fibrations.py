@@ -2,6 +2,7 @@ import copy
 from functools import cache
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,6 +126,17 @@ def test_stability_of_total_decalage():
     X = punctured_chain_sset(3, 5)
     TX = tot(X)
     assert not stability(TX, "both").passed
+
+
+@pytest.mark.parametrize("trunc", [0, 5])
+def test_unknown_side_is_an_error_at_any_truncation(trunc):
+    """An unknown ``side`` is refused before any work, never read as
+    vacuous: at trunc 0 both checks would otherwise report nothing
+    checkable."""
+    X = nerve(chain_poset(2), trunc)
+    for check, P in ((is_2segal, X), (stability, tot(nerve(chain_poset(2), trunc + 1)))):
+        with pytest.raises(ValueError, match="unknown side 'sideways'"):
+            check(P, "sideways")
 
 
 def test_reduced_stability_agrees_on_double_segal():

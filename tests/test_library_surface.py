@@ -104,6 +104,43 @@ def test_no_library_module_imports_dataclasses():
     assert importers == []
 
 
+# the helpers that build or run row tables, besides every ``_*_rows``
+ROW_HELPERS = {"_check_rows", "_compare_rows", "_concat", "_rekey", "_map_view", "_naturality_rows"}
+
+
+def _names(tree) -> set:
+    """Every name a module defines, loads, reads as an attribute or imports."""
+    names = {node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    return names | set(_uses(tree))
+
+
+def test_only_presheaf_names_a_row_helper():
+    """Every file shape, validator and row table lives in ``presheaf``,
+    next to the one element loop: no other module defines, imports or
+    reads a row helper."""
+    named = {path.name: sorted(name for name in _names(ast.parse(path.read_text()))
+                               if name in ROW_HELPERS or name.startswith("_") and name.endswith("_rows"))
+             for path in sorted(SRC.glob("*.py")) if path.name != "presheaf.py"}
+    assert {module: names for module, names in named.items() if names} == {}
+
+
+def test_presheaf_and_pjson_import_nothing_from_decalage():
+    """``presheaf`` and ``pjson`` hold every shape they validate or read,
+    so neither imports ``decalage``, at module level or inside a function,
+    by an import statement or by name at run time."""
+    for module in ("presheaf.py", "pjson.py"):
+        tree = ast.parse((SRC / module).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported |= {node.module or ""} | {alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+        assert not any(name.split(".")[-1] == "decalage" for name in imported), module
+        assert not {"import_module", "__import__"} & set(_uses(tree)), module
+
+
 def test_library_parses_as_python_3_10():
     """Every library module parses with the grammar of Python 3.10, the
     least version ``pyproject.toml`` declares.  This checks syntax only: a

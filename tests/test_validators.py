@@ -39,7 +39,6 @@ from segal_abacus.decalage import (
     h_lower,
     tot,
     validate_coalgebra,
-    validate_pointed,
 )
 from segal_abacus.presheaf import (
     BiSSet,
@@ -62,6 +61,7 @@ from segal_abacus.presheaf import (
     sub_trunc,
     validate_bisset,
     validate_dset,
+    validate_pointed,
     validate_sigmaset,
     validate_smap,
     validate_sset,
