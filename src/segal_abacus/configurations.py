@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from .abacus import generators_into
 from .decalage import (
+    _local_report,
     dec,
-    is_local_initial,
     is_local_terminal,
     pointing_comparison,
     tot,
@@ -47,6 +47,7 @@ from .presheaf import (
     bijection_witnesses,
     col_sset,
     colimit0,
+    deciding_once,
     delta_actions,
     dset_iso_report,
     dset_levels,
@@ -92,7 +93,7 @@ def q_lower_star(F: SMap) -> DSet:
             inc = Y.act_tables(MonotoneMap(i + 1, i + j + 2, tuple(range(i + 1))))
             ys = Y.level(i + 1 + j)
             levels[(i, j)] = _sorted_ids(pullback_pairs(
-                F.levels[i], {y: through(inc, y) for y in ys}, X.level(i), ys))
+                F.levels[i], {y: through(inc, y) for y in ys}, X.level(i), ys), (X.level(i), ys))
     actions = {}
     for (i, j), gens in generators_into(T).items():
         elems = levels[i, j]  # each element's x and y parts, read once per level
@@ -177,8 +178,13 @@ def condition_star(B: DSet) -> CheckReport:
 
 
 def unit_iso(B: DSet) -> CheckReport:
-    """Bijectivity of the unit comparison into the Kan-extension levels."""
-    witnesses = []
+    """Bijectivity of the unit comparison into the Kan-extension levels.
+
+    Decided level by level with one image set: the unit is a bijection
+    onto the pullback when its images are as many as its elements and
+    form the pullback's set.  The witnesses of a refuted level are named
+    only when the report's witnesses are read."""
+    refuted = []
     checked = 0
     rows = {i for (i, j) in B.levels}
     if -1 not in rows:
@@ -195,14 +201,22 @@ def unit_iso(B: DSet) -> CheckReport:
         top = _path_tables(B, (-1, i + 1 + j), [("d", k) for k in range(i + 1 + j, i, -1)])
         ys = B.level(-1, i + 1 + j)
         want = pullback_pairs(fx, {y: through(top, y) for y in ys}, B.level(i, -1), ys)
-        inside = set(want)
-        site = f"unit@({i},{j})"
         checked += len(eta)
-        witnesses += [Witness(site, "unit leaves the pullback", (b,)) for b, im in eta.items()
-                      if im not in inside]
-        witnesses += bijection_witnesses(
-            site, "unit", ((b, im) for b, im in eta.items() if im in inside), want)
-    return CheckReport.from_witnesses("unit_iso", witnesses, checked)
+        images = set(eta.values())
+        if len(images) != len(eta) or images != set(want):
+            refuted.append((f"unit@({i},{j})", eta, want))
+    if not refuted:
+        return CheckReport("unit_iso", [], checked)
+    return CheckReport.refutation("unit_iso", lambda: [
+        w for site, eta, want in refuted for w in _unit_witnesses(site, eta, want)], checked)
+
+
+def _unit_witnesses(site: str, eta: dict, want: list) -> list:
+    """Why the unit ``eta`` at one level is not a bijection onto ``want``."""
+    inside = set(want)
+    witnesses = [Witness(site, "unit leaves the pullback", (b,)) for b, im in eta.items() if im not in inside]
+    return witnesses + bijection_witnesses(
+        site, "unit", ((b, im) for b, im in eta.items() if im in inside), want)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +253,8 @@ def is_rel_upper_2segal(F: SMap) -> CheckReport:
         return CheckReport.precondition_failure("is_rel_upper_2segal", "needs trunc >= 3")
     levels = {}
     for n in range(T + 1):
-        levels[n] = _sorted_ids(
-            pullback_pairs(F.levels[n], Y.actions["d", n + 1, n + 1], X.level(n), Y.level(n + 1)))
+        xs, ys = X.level(n), Y.level(n + 1)
+        levels[n] = _sorted_ids(pullback_pairs(F.levels[n], Y.actions["d", n + 1, n + 1], xs, ys), (xs, ys))
     actions = {}
     for kind, k, n in delta_actions(T):
         x_table, y_table = X.actions[kind, k, n], Y.actions[kind, k, n + 1]
@@ -258,14 +272,22 @@ def dictionary_conditions(F: SMap) -> dict:
 
 
 def has_invertible_abacus(B: DSet) -> CheckReport:
-    """Every stored abacus action is a bijection onto its target level."""
-    witnesses = []
-    checked = 0
-    for lvl, table in B.abacus_tables("f"):
-        checked += 1
-        witnesses += bijection_witnesses(f"f@{lvl}", "abacus", ((x, (y,)) for x, y in table.items()),
-                                         [(y,) for y in B.level(*action_target("f", lvl))])
-    return CheckReport.from_witnesses("has_invertible_abacus", witnesses, checked)
+    """Every stored abacus action is a bijection onto its target level,
+    decided with one image set per table; the witnesses of a refuted table
+    are named only when the report's witnesses are read."""
+    refuted = []
+    tables = B.abacus_tables("f")
+    for lvl, table in tables:
+        level = B.level(*action_target("f", lvl))
+        images = set(table.values())
+        if len(images) != len(table) or not images.issuperset(level):
+            refuted.append((lvl, list(table.items()), level))
+    if not refuted:
+        return CheckReport("has_invertible_abacus", [], len(tables))
+    return CheckReport.refutation("has_invertible_abacus", lambda: [
+        w for lvl, items, level in refuted
+        for w in bijection_witnesses(f"f@{lvl}", "abacus", ((x, (y,)) for x, y in items), [(y,) for y in level])],
+        len(tables))
 
 
 # ---------------------------------------------------------------------------
@@ -300,28 +322,33 @@ def pointed_col0(A: SigmaSet) -> PointedSSet:
     return PointedSSet(col_sset(A.bulk, 0), A.point_set, A.pointing)
 
 
+@deciding_once()
 def boors_axioms(A: SigmaSet, half: bool = False) -> CheckReport:
     """Stability, double Segal, and the two pointing axioms.
 
     With ``half=True`` only the horizontal half is required: upper
     stability, Segal rows, and the pointing a local-initial structure on
     the zeroth row.
+
+    Runs inside ``presheaf.deciding_once``, so each square is decided
+    once per call: on a total decalage the stability, row-Segal and
+    column-Segal checks meet the very same squares.  The horizontal
+    pointing axiom decides ``_row0_comparison(A)``.
     """
+    horizontal = _local_report(pointed_row0(A), "bottom", "is_local_initial", lambda: _row0_comparison(A))
     if half:
         rows = {i: row_sset(A.bulk, i) for i in sorted({i for (i, j) in A.bulk.levels})}
         segal_rows = [is_segal(row, f"row{i}") for i, row in rows.items() if row.trunc >= 2]
         parts = [
             stability(A.bulk, "upper", "half:upper-stability"),
             CheckReport.conjunction("half:segal-rows", segal_rows),
-            CheckReport.conjunction("half:horizontal-pointing",
-                                    [is_local_initial(pointed_row0(A))]),
+            CheckReport.conjunction("half:horizontal-pointing", [horizontal]),
         ]
         return CheckReport.conjunction("half_boors_axioms", parts)
     parts = [
         stability(A.bulk, "both", "boors:stability"),
         is_double_segal(A.bulk, "boors:double-segal"),
-        CheckReport.conjunction("boors:horizontal-pointing",
-                                [is_local_initial(pointed_row0(A))]),
+        CheckReport.conjunction("boors:horizontal-pointing", [horizontal]),
         CheckReport.conjunction("boors:vertical-pointing",
                                 [is_local_terminal(pointed_col0(A))]),
     ]
@@ -332,13 +359,27 @@ def boors_axioms(A: SigmaSet, half: bool = False) -> CheckReport:
 # The extension from the pointing shape to the abacus shape
 
 
-def _pointing_sections(P: PointedSSet, side: str) -> dict:
-    """The inverse of ``decalage.pointing_comparison``, level by level:
+def _pointing_sections(compare: dict) -> dict:
+    """The inverse of a ``decalage.pointing_comparison``, level by level:
     ``{n: {x: (c, b)}}``.  Along row zero (side "bottom") that is the
     local-initial comparison, along column zero ("top") the local-terminal
     one; the caller has checked that it is a bijection (``boors_axioms``)."""
-    return {n: {x: pair for pair, x in compare.items()}
-            for n, compare in pointing_comparison(P, side).items()}
+    return {n: {x: pair for pair, x in level.items()} for n, level in compare.items()}
+
+
+# Inside ``extend_sigma_to_d``'s gate: the row-zero comparisons built, by input
+_row0_built = None
+
+
+def _row0_comparison(A: SigmaSet) -> dict:
+    """``decalage.pointing_comparison`` along A's row zero, the one the
+    horizontal pointing axiom decides.  Built inside an extension's gate,
+    it is kept for the extension, which inverts it for its first
+    splittings; it is kept nowhere else, so no later call reads it."""
+    compare = pointing_comparison(pointed_row0(A), "bottom")
+    if _row0_built is not None:
+        _row0_built[A] = compare
+    return compare
 
 
 def _extension_fails(site: str, equation: str, offenders: tuple) -> CheckReport:
@@ -356,12 +397,19 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
     Returns ``(B, report, axioms)``: the DSet (None when it cannot be
     built), its report, and the ``boors_axioms(A, half=half)`` report
     decided as the gate, so a caller that reports the axioms does not
-    decide them again.  A precondition report means the input fails the
+    decide them again.  The row-zero pointing comparison that the gate
+    decides is kept from it and inverted for the first splittings, so an
+    extension builds it once.  A precondition report means the input fails the
     pointing axioms or is too shallow; a splitting that cannot be built
     from an input meeting the axioms refutes the construction, so that
     report fails with a witness.
     """
-    axioms = boors_axioms(A, half=half)
+    global _row0_built
+    _row0_built = built = {}
+    try:
+        axioms = boors_axioms(A, half=half)
+    finally:
+        _row0_built = None
     if not axioms.passed:
         return None, CheckReport.precondition_failure(
             "extend_sigma_to_d", "pointing axioms fail"
@@ -373,8 +421,8 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
         return None, CheckReport.precondition_failure(
             "extend_sigma_to_d", "trunc too small"), axioms
 
-    # the axioms passed, so every pointing comparison inverted here is a bijection
-    row0 = _pointing_sections(pointed_row0(A), "bottom")
+    # the axioms passed, so the row-zero comparison their gate built is a bijection
+    row0 = _pointing_sections(built[A])
     srow = {0: {j: {b: inv[b][1] for b in bulk.level(0, j)} for j, inv in row0.items()}}
     for i in range(1, Tb + 1):
         srow[i] = {}
@@ -535,12 +583,10 @@ def build_M(B: DSet):
     projection lands in the nerve of the arrow.  Returns (M, proj SMap).
     """
     T = B.trunc
-    levels = {n: _sorted_ids(
-        ((i, j), x)
-        for (i, j) in B.levels
-        if i + 1 + j == n
-        for x in B.level(i, j)
-    ) for n in range(T + 1)}
+    slices = {n: [(lv, xs) for lv, xs in B.levels.items() if lv[0] + 1 + lv[1] == n] for n in range(T + 1)}
+    # each element tagged with its level's own key object, formatted once per level
+    levels = {n: _sorted_ids(((lv, x) for lv, xs in parts for x in xs), [xs for _, xs in parts])
+              for n, parts in slices.items()}
 
     def generator(kind, k, n):
         """M's generator ``(kind, k, n)``: on the slice level (i, j) the

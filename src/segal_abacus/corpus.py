@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .presheaf import SMap, TruncSSet, delta_actions, identity_smap, pullback_pairs
+from .presheaf import SMap, TruncSSet, _cut, delta_actions, identity_smap, pullback_pairs
 from .reports import Frozen
 
 
@@ -389,10 +389,8 @@ def punctured_chain_sset(n: int, trunc: int, max_distinct: int = 3) -> TruncSSet
         if lvl == 0:
             levels[0] = full.level(0)
         else:
-            levels[lvl] = tuple(
-                ch for ch in full.level(lvl)
-                if len({ch[0][0]} | {m[1] for m in ch}) <= max_distinct
-            )
+            chains = full.level(lvl)
+            levels[lvl] = _cut(chains, (len({ch[0][0]} | {m[1] for m in ch}) <= max_distinct for ch in chains))
     return _sset_acting(trunc, levels, lambda kind, k, n, ch: full.actions[kind, k, n][ch])
 
 

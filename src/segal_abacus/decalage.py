@@ -17,9 +17,8 @@ bottom-side pairs as levels, ``h_counit_map`` reads its bottom side off
 those levels, and ``configurations`` inverts it to start the extension's
 splittings.  It reads the counit off X's face tables, as ``counit``
 does, and builds no counit map and no second decalage.  An extension
-builds the row-zero comparison twice, once in its ``boors_axioms`` gate
-and once for its first splittings; sharing it would need a new
-parameter on ``boors_axioms``.
+builds the row-zero comparison once: its ``boors_axioms`` gate decides
+it through ``_local_report`` and hands it on to be inverted.
 """
 
 from __future__ import annotations
@@ -147,7 +146,10 @@ def sd(X: TruncSSet) -> TruncSSet:
 
 
 def sd_map(F: SMap) -> SMap:
-    S = sd(F.source)
+    """F's subdivision, up to F's own truncation: built on the source cut
+    to it, as ``gamma`` is, so a source deeper than the target is not read
+    past the map's levels."""
+    S = sd(sub_trunc(F.source, F.trunc))
     return SMap(S, sd(F.target), {n: F.levels[2 * n + 1] for n in range(S.trunc + 1)})
 
 
@@ -213,11 +215,14 @@ def pointing_comparison(P: PointedSSet, side: str) -> dict:
     }
 
 
-def _local_report(P: PointedSSet, side: str, name: str) -> CheckReport:
+def _local_report(P: PointedSSet, side: str, name: str, build=None) -> CheckReport:
+    """Whether P's comparison on ``side`` is a bijection at every level;
+    ``build()``, when given, builds that comparison for a caller that
+    keeps it."""
     X = P.sset
     if X.trunc < 1:
         return CheckReport.precondition_failure(name, "trunc too small")
-    compare = pointing_comparison(P, side)
+    compare = build() if build else pointing_comparison(P, side)
     witnesses = []
     checked = 0
     for n in sorted(compare):
@@ -252,7 +257,8 @@ def h_lower(P: PointedSSet) -> AugBottomSplitSSet:
     if X.trunc < 1:
         raise TruncationError("h_lower needs trunc >= 1")
     T = X.trunc - 1
-    levels = {n: _sorted_ids(pairs) for n, pairs in pointing_comparison(P, "bottom").items()}
+    levels = {n: _sorted_ids(pairs, (P.point_set, X.level(n + 1)))
+              for n, pairs in pointing_comparison(P, "bottom").items()}
     actions = {}
     for kind, k, n in delta_actions(T):
         table = X.actions[kind, k + 1, n + 1]

@@ -43,11 +43,18 @@ applies one map to a whole level also takes its tables once
 map in ``_act_steps``).
 
 Element order is canonical, by ``fmt_id``, and computed once: every level
-goes through ``_sorted_ids``, which formats each tuple part once per sort,
-marks the tuple it returns (nothing else makes the mark) and returns a
-marked tuple unchanged.
-So a level re-indexed from an already sorted one (``dec``, ``row_sset``,
-``sub_trunc``, ``r_star``) is neither formatted nor sorted again.
+goes through ``_sorted_ids``, which formats each tuple part once per sort
+and returns a ``_Canonical`` tuple, one that keeps its keys (the
+``fmt_id`` of each element) with it; a ``_Canonical`` tuple comes back
+unchanged.  So a level re-indexed from an already sorted one (``dec``,
+``row_sset``, ``sub_trunc``, ``r_star``) is neither formatted nor sorted
+again.  A composite level reuses its parts' keys: the pairs of
+``q_lower_star`` and of the relative upper 2-Segal check, the tagged
+elements of ``configurations.build_M`` and the levels of
+``decalage.h_lower`` are sorted with their canonical parts passed along,
+so each element formats only itself.  A cut of a canonical level kept in
+level order (``_cut``: ``colimit0``'s classes, ``corpus``'s punctured
+chains) is canonical already, and is never sorted again.
 
 A pullback is enumerated in one place, ``pullback_pairs`` (a hash join),
 and an element is lifted through a pair of maps in one place, ``lift``
@@ -71,14 +78,17 @@ is empty; the other checks call it for its witnesses.
 
 Derived structures share their source's tables, so one check run can
 meet the same square many times: ``dec_map(F, "bottom")``'s d_k square
-is F's d_{k+1} square.  Inside ``deciding_once`` (which
-``suites.cheatsheet_suite`` runs in) ``is_pullback`` decides a square
+is F's d_{k+1} square, and on a total decalage the stability, row-Segal
+and column-Segal squares are one another.  Inside ``deciding_once``
+(which ``suites.cheatsheet_suite`` and each call of
+``configurations.boors_axioms`` run in) ``is_pullback`` decides a square
 once: a square made of the very objects (``is``, never ``==``) of one
 already found to be a pullback in the block passes at once, with the
 report a fresh decision gives.  Only passing squares are kept: a
 failing square's witnesses carry its own ``name``, so it is decided
-again under each name.  Outside the block ``is_pullback`` keeps no
-state.
+again under each name.  The block is reentrant: a gate run inside the
+cheatsheet shares the cheatsheet's memo.  Outside any block
+``is_pullback`` keeps no state.
 
 Every checker reports relative to the truncation: verdicts are "pass up
 to T", with the checked instances counted, never silently vacuous.
@@ -89,6 +99,7 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from functools import lru_cache
+from itertools import compress
 from operator import itemgetter
 
 from .reports import CheckReport, Frozen, Record, TruncationError, Witness
@@ -103,29 +114,54 @@ def fmt_id(x) -> str:
 
 
 class _Canonical(tuple):
-    """A tuple of element ids in canonical order; only ``_sorted_ids`` makes one."""
+    """A tuple of element ids in canonical order, with ``keys``, the
+    ``fmt_id`` of each in turn; only ``_canonical`` makes one."""
 
-    __slots__ = ()
+
+def _canonical(ids, keys) -> _Canonical:
+    level = _Canonical(ids)
+    level.keys = tuple(keys)
+    return level
 
 
-def _sorted_ids(xs) -> tuple:
+def _sorted_ids(xs, parts=()) -> tuple:
     """The ids in canonical order (by ``fmt_id``), sorted once: a tuple this
-    returned comes back unchanged.  Slices and other copies are plain
-    tuples and are sorted again.  Each tuple is formatted once per call,
-    memoized by ``id``, not by value ((1,) == (True,) format apart); exact,
-    as ``sorted`` keeps every id, and so every part, alive until it ends."""
+    returned comes back unchanged, with its keys.  Slices and other copies
+    are plain tuples and are sorted again.  Each tuple is formatted once
+    per call, memoized by ``id``, not by value ((1,) == (True,) format
+    apart), and the memo starts from the keys of the canonical levels in
+    ``parts`` (others are ignored), so a pair built from their elements
+    formats only itself.  Exact, as the call keeps every id of ``xs`` and
+    of ``parts``, and so every part, alive until it ends."""
     if type(xs) is _Canonical:
         return xs
     memo = {}
+    for part in parts:
+        if type(part) is _Canonical:
+            memo.update(zip(map(id, part), part.keys))
 
     def key(x):
         if not isinstance(x, tuple):
             return str(x)
-        if id(x) not in memo:
-            memo[id(x)] = "(" + ",".join(map(key, x)) + ")"
-        return memo[id(x)]
+        k = memo.get(id(x))
+        if k is None:
+            k = memo[id(x)] = "(" + ",".join(map(key, x)) + ")"
+        return k
 
-    return _Canonical(sorted(xs, key=key))
+    xs = tuple(xs)
+    pairs = sorted(zip(map(key, xs), xs), key=itemgetter(0))
+    return _canonical(map(itemgetter(1), pairs), map(itemgetter(0), pairs))
+
+
+def _cut(level, keep) -> tuple:
+    """The ids of ``level`` where the flags ``keep`` are true, in level
+    order.  A cut of a canonical level is canonical, as a stable sort of a
+    subsequence of a sorted sequence leaves it in place: it keeps its
+    level's keys and is never sorted.  A cut of anything else is sorted."""
+    keep = list(keep)
+    if type(level) is not _Canonical:
+        return _sorted_ids(compress(level, keep))
+    return _canonical(compress(level, keep), compress(level.keys, keep))
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +529,13 @@ def deciding_once():
     """Within this block ``is_pullback`` decides a square once: a square
     whose seven parts are the very objects (``is``) of a square already
     found to be a pullback in the block passes without being read again.
-    The memo is dropped when the block ends, however it ends."""
+    The memo is dropped when the block ends, however it ends.  Reentrant: a
+    block inside another shares the outer block's memo and leaves it in
+    place when it ends."""
     global _pullbacks
+    if _pullbacks is not None:
+        yield
+        return
     _pullbacks = {}
     try:
         yield
@@ -596,7 +637,8 @@ def colimit0(X: TruncSSet):
 
     Each class is named by its first member in canonical order, the order
     of ``X.level(0)``: union by position keeps the least position as the
-    root.  The classes are those names in level order.
+    root.  The classes are those names in level order, a cut of the
+    level, which is never sorted again.
     """
     if X.trunc < 1:
         raise TruncationError("colimit0 needs at least one level above zero")
@@ -617,8 +659,7 @@ def colimit0(X: TruncSSet):
             parent[max(a, b)] = min(a, b)
     roots = [find(p) for p in range(len(level))]
     aug = {x: level[r] for x, r in zip(level, roots)}
-    classes = _sorted_ids(x for p, x in enumerate(level) if roots[p] == p)
-    return classes, aug
+    return _cut(level, (roots[p] == p for p in range(len(level)))), aug
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,29 @@ def test_cheatsheet_decides_each_passing_square_once(monkeypatch):
     assert (len(calls), len(decided)) == (5698, 2634)
 
 
+def test_boors_gates_decide_each_passing_square_once(monkeypatch):
+    """Each ``boors_axioms`` call runs inside ``deciding_once``: on a total
+    decalage its stability, row-Segal and column-Segal checks meet the very
+    same squares, so ``boors_suite(5)`` decides 378 squares in full where
+    deciding every meeting took 630.  The memo ends with each gate."""
+    from segal_abacus import configurations, presheaf
+
+    decided, after = [], []
+    real = presheaf._decide_pullback
+    monkeypatch.setattr(presheaf, "_decide_pullback", lambda sq: decided.append(sq.name) or real(sq))
+    gate = configurations.boors_axioms
+
+    def gated(*args, **kwargs):
+        report = gate(*args, **kwargs)
+        after.append(presheaf._pullbacks)
+        return report
+
+    monkeypatch.setattr(configurations, "boors_axioms", gated)
+    suites.boors_suite(trunc=5)
+    assert len(decided) == 378
+    assert len(after) == 21 and set(after) == {None}
+
+
 def test_cheatsheet_and_edgewise_explain_no_refutation(monkeypatch):
     """Both suites read only each check's verdict, so no refuted check is
     explained: they construct no ``Witness``."""
@@ -323,12 +346,37 @@ def test_cheatsheet_and_edgewise_explain_no_refutation(monkeypatch):
     assert (cheatsheet, len(built) - cheatsheet) == (0, 0)
 
 
+def test_dictionary_and_star_explain_no_refutation(monkeypatch):
+    """``has_invertible_abacus`` and ``unit_iso`` explain a refutation only
+    when it is read, and the suites read verdicts: ``star_suite(4)`` builds
+    no ``Witness`` (it built 20), and ``dictionary_suite(4)`` builds only
+    the 14 of its ``bijective`` column, which tests a witness list for
+    emptiness (it built 606)."""
+    from segal_abacus import reports
+
+    built = []
+    real = reports.Witness.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(reports.Witness, "__init__", counting)
+    dictionary_suite(trunc=4)
+    dictionary = len(built)
+    star_suite(trunc=4)
+    assert (dictionary, len(built) - dictionary) == (14, 0)
+
+
 def test_round_trips_build_each_object_once(monkeypatch):
     """Each round trip decides the pointing axioms once per input and side,
-    decides invertibility and derives the top splittings once, builds the
-    Kan extension of the identity at the extension's depth, and
-    each dictionary row builds its Kan extension and its conditions once."""
-    from segal_abacus import configurations
+    builds each pointing comparison once (the extension inverts the
+    row-zero one its gate decided: two per extension, where three were
+    built before), decides invertibility and derives the top splittings
+    once, builds the Kan extension of the identity at the extension's
+    depth, and each dictionary row builds its Kan extension and its
+    conditions once."""
+    from segal_abacus import configurations, decalage
 
     gates, kans, conds, extensions, pointings, decided = [], [], [], [], [], []
 
@@ -343,9 +391,9 @@ def test_round_trips_build_each_object_once(monkeypatch):
         gates, boors_axioms, lambda a, kw, _: (id(a[0]), kw.get("half", False))))
     monkeypatch.setattr(configurations, "extend_sigma_to_d", counting(
         extensions, configurations.extend_sigma_to_d, lambda a, kw, r: r[0]))
-    for side in ("is_local_initial", "is_local_terminal"):
-        monkeypatch.setattr(configurations, side, counting(
-            pointings, getattr(configurations, side), lambda a, kw, _, side=side: side))
+    comparing = counting(pointings, decalage.pointing_comparison, lambda a, kw, _: a[1])
+    for module in (configurations, decalage):
+        monkeypatch.setattr(module, "pointing_comparison", comparing)
     for name in ("has_invertible_abacus", "_top_splittings"):
         monkeypatch.setattr(configurations, name, counting(
             decided, getattr(configurations, name), lambda a, kw, _, name=name: name))
@@ -357,10 +405,11 @@ def test_round_trips_build_each_object_once(monkeypatch):
 
     X = nerve(chain_poset(2), 5)
     assert configurations.boors_roundtrip(X)["iso_with_kan"].holds is True
+    assert configurations._row0_built is None
     [B] = extensions
     [F] = kans
     assert len(gates) == 1
-    assert sorted(pointings) == ["is_local_initial", "is_local_terminal"]
+    assert sorted(pointings) == ["bottom", "top"]
     assert (F.source.trunc, F.target.trunc) == (B.trunc, B.trunc) == (3, 3)
     # invertibility is decided once, and t# = f^-1 s_0 derived once for
     # both splitting checks
@@ -372,7 +421,7 @@ def test_round_trips_build_each_object_once(monkeypatch):
     pointings.clear()
     configurations.half_roundtrip(identity_smap(X))
     assert [half for _, half in gates] == [True]
-    assert sorted(pointings) == ["is_local_initial", "is_local_terminal"]
+    assert sorted(pointings) == ["bottom", "top"]
 
     kans.clear()
     dictionary_suite(trunc=3)

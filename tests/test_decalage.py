@@ -34,6 +34,7 @@ from segal_abacus.decalage import (
     pointing_comparison,
     pullback_coalgebra,
     sd,
+    sd_map,
     tot,
     validate_coalgebra,
 )
@@ -44,6 +45,7 @@ from segal_abacus.fibrations import (
 )
 from segal_abacus.presheaf import (
     CheckReport,
+    SMap,
     TruncSSet,
     Witness,
     constant_sset,
@@ -487,3 +489,19 @@ def test_h_unit_holds_iff_rigid():
             assert h_unit_report(A).holds == rigid
             outcomes.add(rigid)
     assert outcomes == {True, False}
+
+
+def test_sd_map_of_a_map_shallower_than_its_source():
+    """A valid map whose source is truncated deeper than its target is
+    subdivided up to the map's own truncation: level n of ``sd_map(F)`` is
+    F's level 2n + 1, and nothing past F's levels is read."""
+    X, Y = nerve(chain_poset(2), 5), nerve(chain_poset(2), 3)
+    F = SMap(X, Y, {n: {x: x for x in X.level(n)} for n in range(4)})
+    assert validate(F).passed
+    G = sd_map(F)
+    assert validate(G).passed
+    assert (G.source.trunc, G.target.trunc) == (1, 1)
+    assert all(G.levels[n] is F.levels[2 * n + 1] for n in range(2))
+    # the other way round, a source shallower than its target
+    H = sd_map(SMap(Y, X, {n: {y: y for y in Y.level(n)} for n in range(4)}))
+    assert validate(H).passed and (H.source.trunc, H.target.trunc) == (1, 2)

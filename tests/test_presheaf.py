@@ -288,6 +288,85 @@ def test_sorted_ids_sorts_a_level_once(xs):
         assert _sorted_ids(copy_) == tuple(sorted(copy_, key=fmt_id))
 
 
+def _assert_keyed(level):
+    """``level`` is canonical and keeps the ``fmt_id`` of each element."""
+    assert type(level) is presheaf._Canonical
+    assert list(level.keys) == [fmt_id(x) for x in level]
+
+
+# atoms that tie, nest or prefix one another under ``fmt_id``: ``1`` and
+# ``"1"`` and ``True`` and ``"True"``, and strings holding ``(``, ``,``,
+# ``)`` and spaces
+_ADVERSARIAL_ATOMS = (st.sampled_from([1, "1", True, "True", 0, "0", "", " ", "(", ")", ",", "(1", "1)",
+                                       "(1,1)", "1,1", "1, 1", "a", "a ", "a,", "ab"])
+                      | st.text("(,) 1a", max_size=4))
+
+
+def _adversarial_ids(depth=2):
+    ids = _ADVERSARIAL_ATOMS
+    for _ in range(depth):
+        ids = ids | st.lists(ids, max_size=3).map(tuple)
+    return ids
+
+
+@st.composite
+def _pairs_over_levels(draw):
+    """Two canonical levels and the pairs, tagged pairs and triples of a
+    sort over them: each part is an element of a level (the very object)
+    or a fresh id, which may equal an element by value and format apart
+    from it (``(1,)`` beside ``(True,)``)."""
+    left = _sorted_ids(draw(st.lists(_adversarial_ids(), max_size=6)))
+    right = _sorted_ids(draw(st.lists(_adversarial_ids(), max_size=6)))
+
+    def part(level):
+        fresh = _adversarial_ids()
+        return st.sampled_from(level) | fresh if level else fresh
+
+    tag = st.sampled_from([(0, 1), (1, 0), "(0,1)"])
+    shapes = (st.tuples(part(left), part(right)) | st.tuples(tag, part(left))
+              | st.tuples(part(left), part(right), part(left)))
+    return left, right, draw(st.lists(shapes, max_size=12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pairs_over_levels())
+def test_sorted_ids_with_parts_matches_a_sort_without(drawn):
+    """Seeding the memo from the parts' keys changes nothing: the same
+    ids in the same order, element for element, with keys that are their
+    ``fmt_id``; a part that is not canonical is ignored."""
+    left, right, xs = drawn
+    want = _sorted_ids(xs)
+    _assert_keyed(want)
+    assert [repr(x) for x in want] == [repr(x) for x in sorted(xs, key=fmt_id)]
+    for parts in ((left, right), (right, left), (left, (), tuple(right)), ((), [*left])):
+        got = _sorted_ids(xs, parts)
+        _assert_keyed(got)
+        assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_adversarial_ids(), max_size=10), st.data())
+def test_a_cut_keeps_the_order_and_keys_of_its_level(xs, data):
+    """A cut of a canonical level is that level's sort of the kept ids, with
+    their keys; a cut of a plain tuple is sorted."""
+    keep = data.draw(st.lists(st.booleans(), min_size=len(xs), max_size=len(xs)))
+    kept = [x for x, k in zip(xs, keep) if k]
+    for level in (_sorted_ids(xs), tuple(xs)):
+        flags = keep if type(level) is tuple else [k for x, k in sorted(zip(xs, keep), key=lambda p: fmt_id(p[0]))]
+        cut = presheaf._cut(level, iter(flags))
+        _assert_keyed(cut)
+        assert [repr(x) for x in cut] == [repr(x) for x in sorted(kept, key=fmt_id)]
+        assert _sorted_ids(cut) is cut
+
+
+def test_a_sort_keeps_its_keys():
+    xs = [((1,), "z"), ((True,), "y"), "(1)", 1]
+    level = _sorted_ids(xs)
+    _assert_keyed(level)
+    assert level.keys == ("((1),z)", "((True),y)", "(1)", "1")
+    assert copy.deepcopy(level).keys == level.keys
+
+
 def _reference_is_pullback(sq):
     """``is_pullback`` by brute force over all |A| * |B| pairs."""
     witnesses = []
@@ -645,6 +724,27 @@ def test_the_memo_ends_with_the_block_however_it_ends():
     assert presheaf._pullbacks is None
     with pytest.raises(RuntimeError), deciding_once():
         raise RuntimeError
+    assert presheaf._pullbacks is None
+
+
+def test_a_nested_block_shares_the_outer_memo_and_leaves_it():
+    """An inner block decides against the outer block's memo, and when it
+    returns or raises the outer memo stays, with what the inner block
+    added; only the outer block's end drops it."""
+    first, second = _passing_square(), _passing_square()
+    with deciding_once(), _counting_decisions() as decided:
+        outer = presheaf._pullbacks
+        is_pullback(first)
+        with deciding_once():
+            assert presheaf._pullbacks is outer
+            is_pullback(first)
+            is_pullback(second)
+        assert presheaf._pullbacks is outer and len(outer) == 2
+        with pytest.raises(RuntimeError), deciding_once():
+            raise RuntimeError
+        assert presheaf._pullbacks is outer
+        is_pullback(_renamed(second, "again"))
+    assert decided == ["id", "id"]
     assert presheaf._pullbacks is None
 
 
