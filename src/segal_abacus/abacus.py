@@ -528,11 +528,6 @@ def _recompose_values(ab: GeneratorWord, simp: GeneratorWord) -> tuple:
     return _walk(i, j, vals, simp.tokens)
 
 
-def recompose(ab: GeneratorWord, simp: GeneratorWord) -> BeadMap:
-    """``simp`` after ``ab``, evaluated in one walk over both words."""
-    return _bead(ab.source, *_recompose_values(ab, simp))
-
-
 # ---------------------------------------------------------------------------
 # The presentation suite
 

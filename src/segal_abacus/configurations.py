@@ -42,9 +42,11 @@ from .presheaf import (
     TruncSSet,
     VERTICAL,
     Witness,
+    _cut,
     _sorted_ids,
     action_target,
     bijection_witnesses,
+    built_once,
     col_sset,
     colimit0,
     deciding_once,
@@ -367,49 +369,40 @@ def _pointing_sections(compare: dict) -> dict:
     return {n: {x: pair for pair, x in level.items()} for n, level in compare.items()}
 
 
-# Inside ``extend_sigma_to_d``'s gate: the row-zero comparisons built, by input
-_row0_built = None
-
-
 def _row0_comparison(A: SigmaSet) -> dict:
     """``decalage.pointing_comparison`` along A's row zero, the one the
-    horizontal pointing axiom decides.  Built inside an extension's gate,
-    it is kept for the extension, which inverts it for its first
-    splittings; it is kept nowhere else, so no later call reads it."""
-    compare = pointing_comparison(pointed_row0(A), "bottom")
-    if _row0_built is not None:
-        _row0_built[A] = compare
-    return compare
+    horizontal pointing axiom decides.  Built once per ``deciding_once``
+    block (``presheaf.built_once``), so the extension, which runs in one,
+    inverts for its first splittings the comparison its gate decided."""
+    return built_once(("row0", A), lambda: pointing_comparison(pointed_row0(A), "bottom"))
 
 
 def _extension_fails(site: str, equation: str, offenders: tuple) -> CheckReport:
     return CheckReport.from_witnesses("extend_sigma_to_d", [Witness(site, equation, offenders)], 1)
 
 
+@deciding_once()
 def extend_sigma_to_d(A: SigmaSet, half: bool = False):
     """Rebuild the abacus presheaf from a pointed bisimplicial set.
 
     Splittings propagate down the rows by upper stability; row-wise
     colimits build the augmentation column; column-wise colimits build
     the augmentation row (skipped for ``half=True``, which targets the
-    shape without the augmentation row).  The top splittings are not
-    built: they are t# = f^{-1} s_0 of the result (``_top_splittings``).
+    shape without the augmentation row).  Every abacus map is read off
+    the presentation's relation f = e_top ssub.  The top splittings are
+    not built: they are t# = f^{-1} s_0 of the result (``_top_splittings``).
     Returns ``(B, report, axioms)``: the DSet (None when it cannot be
     built), its report, and the ``boors_axioms(A, half=half)`` report
     decided as the gate, so a caller that reports the axioms does not
-    decide them again.  The row-zero pointing comparison that the gate
-    decides is kept from it and inverted for the first splittings, so an
-    extension builds it once.  A precondition report means the input fails the
+    decide them again.  The extension runs inside
+    ``presheaf.deciding_once``, its gate's block too, so the row-zero
+    pointing comparison the gate decides is built once and inverted for
+    the first splittings.  A precondition report means the input fails the
     pointing axioms or is too shallow; a splitting that cannot be built
     from an input meeting the axioms refutes the construction, so that
     report fails with a witness.
     """
-    global _row0_built
-    _row0_built = built = {}
-    try:
-        axioms = boors_axioms(A, half=half)
-    finally:
-        _row0_built = None
+    axioms = boors_axioms(A, half=half)
     if not axioms.passed:
         return None, CheckReport.precondition_failure(
             "extend_sigma_to_d", "pointing axioms fail"
@@ -422,7 +415,7 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
             "extend_sigma_to_d", "trunc too small"), axioms
 
     # the axioms passed, so the row-zero comparison their gate built is a bijection
-    row0 = _pointing_sections(built[A])
+    row0 = _pointing_sections(_row0_comparison(A))
     srow = {0: {j: {b: inv[b][1] for b in bulk.level(0, j)} for j, inv in row0.items()}}
     for i in range(1, Tb + 1):
         srow[i] = {}
@@ -438,7 +431,7 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
 
     # augmentation column: the pointing set in row zero, row colimits below;
     # augmentation row: column colimits
-    col_classes = {0: tuple(A.point_set)}
+    col_classes = {0: A.point_set}
     col_quot = {0: {b: row0[0][b][0] for b in bulk.level(0, 0)}}
     for i in range(1, TD + 1):
         col_classes[i], col_quot[i] = colimit0(row_sset(bulk, i))
@@ -462,23 +455,13 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
         else:
             levels[lvl] = bulk.level(i, j)
 
-    def bulk_f(i, j):
-        # e_top after the splitting, levelwise
-        if i >= 1:
-            return {b: bulk.actions["e", i, (i, j + 1)][srow[i][j][b]] for b in bulk.level(i, j)}
-        return {b: row_quot[j + 1][srow[0][j][b]] for b in bulk.level(0, j)}
-
-    def saug(i, z):
-        # the splitting section of the augmentation column
-        if i == 0:
-            return A.pointing[z]
-        return bulk.actions["d", 1, (i, 1)][srow[i][0][rep_col(i, z)]]
-
     def table(kind, k, lvl, tgt):
         i, j = lvl
+        if kind == "f":  # the relation f = e_top ssub
+            mid = action_target("ssub", lvl)
+            e_top = table("e", i, mid, tgt)
+            return {b: e_top[s] for b, s in table("ssub", None, lvl, mid).items()}
         if i >= 0 and j >= 0:  # bulk sources
-            if kind == "f":
-                return bulk_f(i, j)
             if kind == "ssub":
                 return srow[i][j]
             if kind == "e" and tgt[0] == -1:
@@ -490,11 +473,10 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
             if kind in ("e", "t"):
                 return {z: col_quot[tgt[0]][bulk.actions[kind, k, (i, 0)][rep_col(i, z)]]
                         for z in levels[lvl]}
-            if kind == "ssub":
-                return {z: saug(i, z) for z in levels[lvl]}
-            if i == 0:  # f
-                return {c: row_quot[0][A.pointing[c]] for c in levels[lvl]}
-            return {z: bulk.actions["e", i, (i, 0)][saug(i, z)] for z in levels[lvl]}
+            if i == 0:  # ssub: the pointing in row zero
+                return {c: A.pointing[c] for c in levels[lvl]}
+            d1 = bulk.actions["d", 1, (i, 1)]  # below it, d_1 after the splitting
+            return {z: d1[srow[i][0][z]] for z in levels[lvl]}
         # augmentation row sources: d and s
         return {z: row_quot[tgt[1]][bulk.actions[kind, k, (0, j)][z]] for z in levels[lvl]}
 
@@ -522,8 +504,6 @@ def splitting_checks(B: DSet) -> dict:
     witnesses = []
     checked = 0
     for (i, j), ssub in B.abacus_tables("ssub"):
-        if i < 0:
-            continue
         mid = action_target("ssub", (i, j))
         t_top = B.actions.get(("t", i, mid))
         if mid not in tsharp or t_top is None:
@@ -619,11 +599,14 @@ def build_M(B: DSet):
 
 
 def extract_from_M(M: TruncSSet, proj: SMap) -> dict:
-    """Recover the slice-shaped levels from the fibers of the projection."""
+    """Recover the slice-shaped levels from the fibers of the projection,
+    each a cut of ``M.level(n)`` in level order (``_cut``), never sorted."""
     T = M.trunc
     out_levels = {}
     for n in range(T + 1):
-        for m in M.level(n):
+        level = M.level(n)
+        lvls = []  # each element's slice level
+        for m in level:
             z = proj.at(n, m)
             if n == 0:
                 lvl = (0, -1) if z == 0 else (-1, 0)
@@ -632,8 +615,10 @@ def extract_from_M(M: TruncSSet, proj: SMap) -> dict:
                 ones = sum(1 for c in z if c == (1, 1))
                 cross = sum(1 for c in z if c == (0, 1))
                 lvl = (zeros, n - 1 - zeros) if cross else ((n, -1) if ones == 0 else (-1, n))
-            out_levels.setdefault(lvl, []).append(m)
-    return {lvl: _sorted_ids(xs) for lvl, xs in out_levels.items()}
+            lvls.append(lvl)
+        for lvl in dict.fromkeys(lvls):
+            out_levels[lvl] = _cut(level, (v == lvl for v in lvls))
+    return out_levels
 
 
 def m_2segal_dictionary(conds: dict, B: DSet) -> CheckReport:

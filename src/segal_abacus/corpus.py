@@ -309,10 +309,7 @@ def partial_monoid_sset(pt: PartialTable, trunc: int) -> TruncSSet:
         for a in range(len(tup)):
             prods[(a, a)] = tup[a]
             for b in range(a + 1, len(tup)):
-                prev = prods.get((a, b - 1))
-                if prev is None:
-                    return None
-                val = pt.mult(prev, tup[b])
+                val = pt.mult(prods[(a, b - 1)], tup[b])
                 if val is None:
                     return None
                 prods[(a, b)] = val

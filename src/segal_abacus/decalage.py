@@ -17,8 +17,10 @@ bottom-side pairs as levels, ``h_counit_map`` reads its bottom side off
 those levels, and ``configurations`` inverts it to start the extension's
 splittings.  It reads the counit off X's face tables, as ``counit``
 does, and builds no counit map and no second decalage.  An extension
-builds the row-zero comparison once: its ``boors_axioms`` gate decides
-it through ``_local_report`` and hands it on to be inverted.
+builds the row-zero comparison once: it runs inside
+``presheaf.deciding_once``, its ``boors_axioms`` gate decides the
+comparison through ``_local_report``, and ``presheaf.built_once`` keeps
+it in the block for the extension to invert.
 """
 
 from __future__ import annotations
@@ -39,11 +41,9 @@ from .presheaf import (
     cartesian_on,
     constant_sset,
     delta_actions,
-    lift,
     pullback_pairs,
     sub_trunc,
     through,
-    validate_coalgebra,
 )
 from .simplex import MonotoneMap
 
@@ -154,7 +154,7 @@ def sd_map(F: SMap) -> SMap:
 
 
 # ---------------------------------------------------------------------------
-# Split structures: rigidity and pullback
+# Split structures: rigidity
 
 
 def gamma(A: BottomSplitSSet) -> SMap:
@@ -163,34 +163,9 @@ def gamma(A: BottomSplitSSet) -> SMap:
     return SMap(sub_trunc(A.sset, D.trunc), D, {n: A.split[n] for n in range(D.trunc + 1)})
 
 
-def is_rigid(A: BottomSplitSSet, name: str = "is_rigid") -> CheckReport:
+def is_rigid(A: BottomSplitSSet) -> CheckReport:
     """Rigidity: the structure map is cartesian on every operator."""
-    return cartesian_on(gamma(A), "all", name)
-
-
-def pullback_coalgebra(F: SMap, C_split: dict, name: str = "pullback_coalgebra"):
-    """Pull a bottom splitting on the target back along a right fibration.
-
-    ``C_split[n]`` splits the target.  The source splitting lifts through
-    the d_0 pullback squares; returns (BottomSplitSSet, CheckReport).
-    """
-    from .fibrations import is_right_fibration
-
-    pre = is_right_fibration(F)
-    if not pre.passed:
-        return None, CheckReport.precondition_failure(name, "map is not a right fibration")
-    X, T = F.source, F.trunc
-    split = {}
-    witnesses = []
-    for n in range(T):
-        split[n], misses = lift(X.level(n + 1), X.actions["d", 0, n + 1], F.levels[n + 1],
-                                ((x, C_split[n][F.at(n, x)]) for x in X.level(n)))
-        witnesses += [Witness(f"lift@{n}", "no pullback lift", (x,)) for x in misses]
-    if witnesses:
-        return None, CheckReport.from_witnesses(name, witnesses, T)
-    A = BottomSplitSSet(sub_trunc(X, T), split)
-    rep = validate_coalgebra(A, name)
-    return A, rep
+    return cartesian_on(gamma(A), "all", "is_rigid")
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +263,7 @@ def h_counit_map(P: PointedSSet) -> SMap:
                 {n: {(c, x): faces[n][x] for c, x in pairs} for n, pairs in A.sset.levels.items()})
 
 
-def h_unit_report(A: AugBottomSplitSSet, name: str = "h_unit") -> CheckReport:
+def h_unit_report(A: AugBottomSplitSSet) -> CheckReport:
     """Bijectivity of the unit A -> h_lower(h_upper(A)), which holds exactly
     for rigid coalgebras."""
     B = h_lower(h_upper(A))
@@ -308,4 +283,4 @@ def h_unit_report(A: AugBottomSplitSSet, name: str = "h_unit") -> CheckReport:
                 witnesses.append(Witness(f"unit@{n}", "unit misses the pullback", (x,)))
         witnesses += bijection_witnesses(f"unit@{n}", "unit", images,
                                          [(z,) for z in B.sset.level(n)])
-    return CheckReport.from_witnesses(name, witnesses, checked)
+    return CheckReport.from_witnesses("h_unit", witnesses, checked)

@@ -151,8 +151,9 @@ def is_double_segal(B, name: str = "is_double_segal") -> CheckReport:
     return CheckReport.conjunction(name, reports)
 
 
-def reduced_stability(B, name: str = "reduced_stability") -> CheckReport:
+def reduced_stability(B) -> CheckReport:
     """For double-Segal input, stability reduces to the two (1,1) squares."""
+    name = "reduced_stability"
     pre = is_double_segal(B)
     if not pre.passed:
         return CheckReport.precondition_failure(name, "input is not double Segal")

@@ -37,7 +37,8 @@ checks them all: ``_check_rows`` reports every level beyond the
 truncation or missing, every element listed twice and every table no
 totality row names, and checks totality, then ``_compare_rows`` applies
 both sides of each identity to every element, and only looks tables up;
-``dset_iso_report`` runs it on ``_iso_rows``.  A construction that
+``dset_iso_report`` runs it on ``_iso_rows``, a naturality row for each
+totality row of ``_relation_rows``.  A construction that
 applies one map to a whole level also takes its tables once
 (``TruncSSet.act_tables``, the action keys of a monotone map cached per
 map in ``_act_steps``).
@@ -58,14 +59,14 @@ chains) is canonical already, and is never sorted again.
 
 A pullback is enumerated in one place, ``pullback_pairs`` (a hash join),
 and an element is lifted through a pair of maps in one place, ``lift``
-(the splittings that ``configurations.extend_sigma_to_d`` propagates and
-``decalage.pullback_coalgebra`` pulls back).  Every pullback the library
-builds (the levels of ``q_lower_star`` and the relative upper 2-Segal
-check, ``decalage.pointing_comparison``, nerve chains and composable
-pairs) goes through ``pullback_pairs``.  Every check decides whether a
-map is a bijection onto a set alike, with one image set (its size, and
-whether it contains the set); only a refuted map is walked element by
-element, by ``bijection_witnesses``, to name witnesses.
+(the splittings that ``configurations.extend_sigma_to_d`` propagates).
+Every pullback the library builds (the levels of ``q_lower_star`` and
+the relative upper 2-Segal check, ``decalage.pointing_comparison``,
+nerve chains and composable pairs) goes through ``pullback_pairs``.
+Every check decides whether a map is a bijection onto a set alike, with
+one image set (its size, and whether it contains the set); only a
+refuted map is walked element by element, by ``bijection_witnesses``,
+to name witnesses.
 ``_decide_pullback`` decides its comparison map so inline, after reading
 each of a square's four tables once over a whole level and comparing two
 image lists, and explains a refuted square only when its report's
@@ -81,14 +82,17 @@ meet the same square many times: ``dec_map(F, "bottom")``'s d_k square
 is F's d_{k+1} square, and on a total decalage the stability, row-Segal
 and column-Segal squares are one another.  Inside ``deciding_once``
 (which ``suites.cheatsheet_suite`` and each call of
-``configurations.boors_axioms`` run in) ``is_pullback`` decides a square
-once: a square made of the very objects (``is``, never ``==``) of one
-already found to be a pullback in the block passes at once, with the
-report a fresh decision gives.  Only passing squares are kept: a
-failing square's witnesses carry its own ``name``, so it is decided
-again under each name.  The block is reentrant: a gate run inside the
-cheatsheet shares the cheatsheet's memo.  Outside any block
-``is_pullback`` keeps no state.
+``configurations.extend_sigma_to_d`` and ``configurations.boors_axioms``
+run in) ``is_pullback`` decides a square once: a square made of the very
+objects (``is``, never ``==``) of one already found to be a pullback in
+the block passes at once, with the report a fresh decision gives.  Only
+passing squares are kept: a failing square's witnesses carry its own
+``name``, so it is decided again under each name.  The block also keeps
+what ``built_once`` builds, once per key: the row-zero pointing
+comparison that an extension's gate decides and the extension then
+inverts.  The block is reentrant: a gate run inside an extension or the
+cheatsheet shares its memo.  Outside any block ``is_pullback`` and
+``built_once`` keep no state.
 
 Every checker reports relative to the truncation: verdicts are "pass up
 to T", with the checked instances counted, never silently vacuous.
@@ -520,7 +524,8 @@ class Square(Frozen):
 
 
 # Inside ``deciding_once``: the squares found to be pullbacks, keyed by the ids
-# of their seven parts; each keeps its parts alive, so no id is reused meanwhile.
+# of their seven parts, and what ``built_once`` built, keyed by its inputs; each
+# entry keeps what its key names alive, so no id is reused meanwhile.
 _pullbacks = None
 
 
@@ -541,6 +546,17 @@ def deciding_once():
         yield
     finally:
         _pullbacks = None
+
+
+def built_once(key, build):
+    """``build()``, built once per ``deciding_once`` block and ``key``; the
+    key holds the value's inputs, so they stay alive while it is kept.
+    Outside any block every call builds."""
+    if _pullbacks is None:
+        return build()
+    if key not in _pullbacks:
+        _pullbacks[key] = build()
+    return _pullbacks[key]
 
 
 def is_pullback(sq: Square) -> CheckReport:
@@ -922,13 +938,12 @@ def dset_iso_report(B1: DSet, B2: DSet, maps: dict, name: str = "dset_iso") -> C
 @lru_cache(maxsize=None)
 def _iso_rows(T: int, aug: bool) -> tuple:
     """Naturality rows of a map between ``T``-truncated abacus presheaves,
-    against every generator between their levels (``dset_levels``)."""
-    from .abacus import generators_into
-
+    one per totality row of ``_relation_rows``: every generator between
+    their levels.  A site writes its level as a Python tuple, ``e0@(1, 0)``."""
+    _, totals, _ = _relation_rows(T, aug)
     return _naturality_rows(
         (f"{kind}{'' if k is None else k}@{lvl}", "iso does not commute", (kind, k, lvl), lvl, tgt)
-        for lvl in dset_levels(T, with_aug_row=aug)
-        for kind, k, tgt, _ in generators_into(T)[lvl] if aug or tgt[0] >= 0)
+        for _, (kind, k, lvl), _, tgt in totals)
 
 
 # ---------------------------------------------------------------------------

@@ -163,10 +163,10 @@ class CheckReport(_ReportFields):
         return {"pass": True, "fail": False}.get(self.verdict)
 
     @staticmethod
-    def from_witnesses(name: str, witnesses, checked: int, coverage=None) -> "CheckReport":
+    def from_witnesses(name: str, witnesses, checked: int) -> "CheckReport":
         """A report of the witnesses found, sorted by ``str`` when first read."""
         witnesses = list(witnesses)
-        return CheckReport(name, (lambda: witnesses) if witnesses else [], checked, sorted(coverage or []))
+        return CheckReport(name, (lambda: witnesses) if witnesses else [], checked)
 
     @staticmethod
     def refutation(name: str, explain, checked: int) -> "CheckReport":

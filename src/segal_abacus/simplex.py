@@ -52,12 +52,6 @@ class MonotoneMap(Frozen):
     def cod_n(self) -> int:
         return self.cod - 1
 
-    def __call__(self, k: int) -> int:
-        return self.values[k]
-
-    def is_identity(self) -> bool:
-        return self.dom == self.cod and self.values == tuple(range(self.dom))
-
     def __str__(self) -> str:
         return f"[{','.join(map(str, self.values))}]:{self.dom}->{self.cod}"
 

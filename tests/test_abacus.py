@@ -19,7 +19,6 @@ from segal_abacus.abacus import (
     objects_of_degree,
     parse_bead_word,
     presentation_suite,
-    recompose,
     relation_instances,
     relations_at,
     relation_suite,
@@ -37,6 +36,11 @@ from segal_abacus.simplex import (
     epi_mono_factor,
     identity,
 )
+
+
+def recompose(ab: GeneratorWord, simp: GeneratorWord) -> BeadMap:
+    """``simp`` after ``ab``, evaluated in one walk over both words."""
+    return abacus._bead(ab.source, *abacus._recompose_values(ab, simp))
 
 
 def test_dobject_validation():
@@ -512,7 +516,7 @@ def _reference_presentation_suite(bound: int = 4) -> dict:
 
     def factorizes(g):
         ab, simp = abacus.factorize(g)
-        return abacus.recompose(ab, simp) == g and len(ab) == g.whites_turned_black()
+        return recompose(ab, simp) == g and len(ab) == g.whites_turned_black()
 
     entries.append(_tally("presentation:factorization",
                           "every morphism splits as abacus word then color-preserving word",

@@ -42,7 +42,6 @@ from segal_abacus.decalage import (
     is_local_terminal,
     is_rigid,
     tot,
-    validate_coalgebra,
     BottomSplitSSet,
 )
 from segal_abacus.fibrations import (
@@ -63,6 +62,7 @@ from segal_abacus.presheaf import (
     pullback_pairs,
     sub_trunc,
     validate,
+    validate_coalgebra,
 )
 from segal_abacus.suites import (
     boors_suite,
@@ -308,23 +308,29 @@ def test_boors_gates_decide_each_passing_square_once(monkeypatch):
     """Each ``boors_axioms`` call runs inside ``deciding_once``: on a total
     decalage its stability, row-Segal and column-Segal checks meet the very
     same squares, so ``boors_suite(5)`` decides 378 squares in full where
-    deciding every meeting took 630.  The memo ends with each gate."""
+    deciding every meeting took 630.  Each gate runs inside its
+    extension's block, so the memo outlives the gate and ends with the
+    extension."""
     from segal_abacus import configurations, presheaf
 
-    decided, after = [], []
+    decided, after_gate, after = [], [], []
     real = presheaf._decide_pullback
     monkeypatch.setattr(presheaf, "_decide_pullback", lambda sq: decided.append(sq.name) or real(sq))
-    gate = configurations.boors_axioms
 
-    def gated(*args, **kwargs):
-        report = gate(*args, **kwargs)
-        after.append(presheaf._pullbacks)
-        return report
+    def recording(fn, memos):
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            memos.append(presheaf._pullbacks is None)
+            return result
+        return wrapped
 
-    monkeypatch.setattr(configurations, "boors_axioms", gated)
+    monkeypatch.setattr(configurations, "boors_axioms", recording(configurations.boors_axioms, after_gate))
+    monkeypatch.setattr(configurations, "extend_sigma_to_d",
+                        recording(configurations.extend_sigma_to_d, after))
     suites.boors_suite(trunc=5)
     assert len(decided) == 378
-    assert len(after) == 21 and set(after) == {None}
+    assert after_gate == [False] * 21
+    assert after == [True] * 21
 
 
 def test_cheatsheet_and_edgewise_explain_no_refutation(monkeypatch):
@@ -376,7 +382,7 @@ def test_round_trips_build_each_object_once(monkeypatch):
     once, builds the Kan extension of the identity at the extension's
     depth, and each dictionary row builds its Kan extension and its
     conditions once."""
-    from segal_abacus import configurations, decalage
+    from segal_abacus import configurations, decalage, presheaf
 
     gates, kans, conds, extensions, pointings, decided = [], [], [], [], [], []
 
@@ -405,7 +411,7 @@ def test_round_trips_build_each_object_once(monkeypatch):
 
     X = nerve(chain_poset(2), 5)
     assert configurations.boors_roundtrip(X)["iso_with_kan"].holds is True
-    assert configurations._row0_built is None
+    assert presheaf._pullbacks is None
     [B] = extensions
     [F] = kans
     assert len(gates) == 1

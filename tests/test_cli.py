@@ -778,11 +778,11 @@ def test_run_suite_presentation():
 def test_reports_are_deterministic(tmp_path):
     args = ["run-suite", "presentation", "--bound", "3"]
     assert run(args)[1] == run(args)[1]
-    x = str(tmp_path / "x.json")
-    run(["gen", "nerve-poset", "--size", "2", "--trunc", "3", "--out", x])
-    first = open(x).read()
-    run(["gen", "nerve-poset", "--size", "2", "--trunc", "3", "--out", x])
-    assert open(x).read() == first
+    x = tmp_path / "x.json"
+    run(["gen", "nerve-poset", "--size", "2", "--trunc", "3", "--out", str(x)])
+    first = x.read_text()
+    run(["gen", "nerve-poset", "--size", "2", "--trunc", "3", "--out", str(x)])
+    assert x.read_text() == first
 
 
 def test_fixture_env_dir(tmp_path, monkeypatch):
@@ -839,13 +839,13 @@ def test_json_roundtrip_all_shapes(tmp_path):
     ]
     for k, val in enumerate(values):
         assert hashlib.sha256(pjson.dumps(val).encode()).hexdigest() == digests[k]
-        path = str(tmp_path / f"v{k}.json")
-        pjson.dump(val, path)
-        back = pjson.load(path)
+        path = tmp_path / f"v{k}.json"
+        pjson.dump(val, str(path))
+        back = pjson.load(str(path))
         assert validate(back).passed
-        path2 = str(tmp_path / f"v{k}b.json")
-        pjson.dump(back, path2)
-        assert open(path).read() == open(path2).read()
+        path2 = tmp_path / f"v{k}b.json"
+        pjson.dump(back, str(path2))
+        assert path.read_text() == path2.read_text()
 
 
 def test_morphism_subcommand():

@@ -1,10 +1,11 @@
 import copy
 from functools import cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segal_abacus import presheaf
+from segal_abacus import configurations, presheaf
 from segal_abacus.abacus import generators_into
 from segal_abacus.configurations import (
     _pointing_sections,
@@ -1077,3 +1078,59 @@ def test_every_level_keeps_the_keys_of_its_elements(tmp_path, monkeypatch):
             found.append({"point": Q.point_set})
     for levels in found:
         _assert_levels_keyed(levels)
+
+
+def _changed_restriction(A: SigmaSet, part: str) -> SigmaSet:
+    """A with one level, its pointing or one action table changed."""
+    bulk = A.bulk
+    if part == "level":
+        levels = {**bulk.levels, (1, 0): bulk.level(1, 0)[1:]}
+        return SigmaSet(BiSSet(bulk.trunc, levels, bulk.actions), A.point_set, A.pointing)
+    if part == "pointing":
+        c = A.point_set[0]
+        other = next(b for b in bulk.level(0, 0) if b != A.pointing[c])
+        return SigmaSet(bulk, A.point_set, {**A.pointing, c: other})
+    key = ("d", 0, (0, 1))
+    x = bulk.level(0, 1)[0]
+    other = next(b for b in bulk.level(0, 0) if b != bulk.actions[key][x])
+    actions = {**bulk.actions, key: {**bulk.actions[key], x: other}}
+    return SigmaSet(BiSSet(bulk.trunc, bulk.levels, actions), A.point_set, A.pointing)
+
+
+@pytest.mark.parametrize("part", ["level", "pointing", "table"])
+def test_pointing_restriction_fails_on_a_changed_restriction(monkeypatch, part):
+    """``boors_roundtrip`` compares the extension's pointing restriction
+    with its input: a restriction that differs in one level, in the
+    pointing or in one action table reads ``pointing_restriction: fail``."""
+    X = nerve(chain_poset(2), 5)
+    assert boors_roundtrip(X)["pointing_restriction"].verdict == "pass"
+    real = configurations.j_upper_star
+    monkeypatch.setattr(configurations, "j_upper_star", lambda B: _changed_restriction(real(B), part))
+    assert boors_roundtrip(X)["pointing_restriction"].verdict == "fail"
+
+
+def test_half_roundtrip_stops_at_a_failed_gate():
+    """On a punctured chain, which is not 2-Segal, the half axioms fail, so
+    no extension is built and nothing after it is reported."""
+    out = half_roundtrip(identity_smap(punctured_chain_sset(3, 4)))
+    assert list(out) == ["half_axioms", "vertical_pointing", "extension_valid"]
+    assert out["half_axioms"].verdict == "fail"
+    assert out["extension_valid"].verdict == "precondition"
+
+
+def test_preconditions_name_what_is_missing():
+    """Each check says why it cannot decide: a pointed set with no level
+    above zero, a half extension with no augmentation row, and a map too
+    shallow for the relative upper 2-Segal check, beside which the
+    dictionary is undecided."""
+    P = PointedSSet(nerve(chain_poset(1), 0), (0,), {0: 0})
+    assert is_local_initial(P).precondition == "trunc too small"
+    X = nerve(chain_poset(2), 4)
+    Bh, rep, _ = extend_sigma_to_d(j_upper_star(q_lower_star(identity_smap(X))), half=True)
+    assert rep.passed
+    assert unit_iso(Bh).precondition == "no augmentation row"
+    F = identity_smap(nerve(chain_poset(2), 2))
+    assert is_rel_upper_2segal(F).precondition == "needs trunc >= 3"
+    dictionary = m_2segal_dictionary(dictionary_conditions(F), q_lower_star(F))
+    assert dictionary.verdict == "vacuous"
+    assert dictionary.coverage == ["unverifiable:m_2segal_dictionary:undecided-side"]

@@ -32,11 +32,9 @@ from segal_abacus.decalage import (
     is_local_terminal,
     is_rigid,
     pointing_comparison,
-    pullback_coalgebra,
     sd,
     sd_map,
     tot,
-    validate_coalgebra,
 )
 from segal_abacus.fibrations import (
     cartesian_on,
@@ -50,8 +48,10 @@ from segal_abacus.presheaf import (
     Witness,
     constant_sset,
     identity_smap,
+    lift,
     sub_trunc,
     validate,
+    validate_coalgebra,
 )
 
 
@@ -252,6 +252,29 @@ def test_h_unit_iff_rigid():
         for n in range(cm.source.trunc + 1)
     )
     assert not surj
+
+
+def pullback_coalgebra(F: SMap, C_split: dict, name: str = "pullback_coalgebra"):
+    """Pull a bottom splitting on the target back along a right fibration.
+
+    ``C_split[n]`` splits the target.  The source splitting lifts through
+    the d_0 pullback squares; returns (BottomSplitSSet, CheckReport).
+    """
+    pre = is_right_fibration(F)
+    if not pre.passed:
+        return None, CheckReport.precondition_failure(name, "map is not a right fibration")
+    X, T = F.source, F.trunc
+    split = {}
+    witnesses = []
+    for n in range(T):
+        split[n], misses = lift(X.level(n + 1), X.actions["d", 0, n + 1], F.levels[n + 1],
+                                ((x, C_split[n][F.at(n, x)]) for x in X.level(n)))
+        witnesses += [Witness(f"lift@{n}", "no pullback lift", (x,)) for x in misses]
+    if witnesses:
+        return None, CheckReport.from_witnesses(name, witnesses, T)
+    A = BottomSplitSSet(sub_trunc(X, T), split)
+    rep = validate_coalgebra(A, name)
+    return A, rep
 
 
 def test_pullback_coalgebra_along_right_fibration():

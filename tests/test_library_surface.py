@@ -1,5 +1,6 @@
-"""Every top-level name of the library has a use inside the library, and
-every imported name has a use in the module that imports it.
+"""Every top-level name of the library, and every method and property of
+its classes, has a use inside the library, and every imported name has a
+use in the module that imports it.
 
 A function that only tests call is a reference for those tests, not part
 of the calculator: it belongs in the test module that uses it.  A name
@@ -10,6 +11,7 @@ it, reads it as an attribute or imports it.
 import ast
 import importlib
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -22,11 +24,8 @@ KEEP = {
     "h_counit_map": "Carlier's h-counit, the bottom pointing_comparison as a map out of "
                     "h_lower(P); not yet a suite entry",
     "h_unit_report": "with h_lower/h_upper, the unit of the h-comparison; not yet a suite entry",
-    "pullback_coalgebra": "bottom splittings pull back along right fibrations; not yet a suite entry",
     "bead_identity": "the benchmark's reference word evaluator starts from it",
     "bead_compose": "the benchmark's abacus.bead_compose probe times it; the tests compose with it",
-    "recompose": "factorize's inverse as a validated bead map; presentation_suite walks the same "
-                 "words as carrier tuples through _recompose_values",
 }
 
 
@@ -41,6 +40,15 @@ def _definitions(tree):
                     yield target.id, node
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             yield node.target.id, node
+
+
+def _members(tree):
+    """``(name, node)`` for each method and property of a top-level class."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield node.name, node
 
 
 def _uses(node) -> Counter:
@@ -62,7 +70,7 @@ def test_every_library_name_is_used_in_the_library():
     unused = {
         name: module
         for module, tree in trees.items()
-        for name, node in _definitions(tree)
+        for name, node in chain(_definitions(tree), _members(tree))
         if not name.startswith("__") and uses[name] <= _uses(node)[name]
     }
     assert {name: module for name, module in unused.items() if name not in KEEP} == {}

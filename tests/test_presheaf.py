@@ -35,6 +35,7 @@ from segal_abacus.presheaf import (
     colimit0,
     bijection_witnesses,
     bisset_actions,
+    built_once,
     constant_sset,
     deciding_once,
     dset_levels,
@@ -724,6 +725,27 @@ def test_the_memo_ends_with_the_block_however_it_ends():
     with pytest.raises(RuntimeError), deciding_once():
         raise RuntimeError
     assert presheaf._pullbacks is None
+
+
+def test_built_once_builds_once_per_block():
+    """Inside a block the first call for a key builds and later calls,
+    nested blocks too, return that value; outside any block every call
+    builds, and nothing is kept."""
+    built = []
+
+    def build():
+        built.append(len(built))
+        return [len(built)]
+
+    key = ("value", object())
+    with deciding_once():
+        first = built_once(key, build)
+        with deciding_once():
+            assert built_once(key, build) is first
+        assert built_once(("value", object()), build) is not first
+    assert len(built) == 2 and presheaf._pullbacks is None
+    assert built_once(key, build) != built_once(key, build)
+    assert len(built) == 4
 
 
 def test_a_nested_block_shares_the_outer_memo_and_leaves_it():

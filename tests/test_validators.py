@@ -38,7 +38,6 @@ from segal_abacus.decalage import (
     dec,
     h_lower,
     tot,
-    validate_coalgebra,
 )
 from segal_abacus.presheaf import (
     BiSSet,
@@ -60,6 +59,7 @@ from segal_abacus.presheaf import (
     row_sset,
     sub_trunc,
     validate_bisset,
+    validate_coalgebra,
     validate_dset,
     validate_pointed,
     validate_sigmaset,
