@@ -28,7 +28,9 @@ stay carrier tuples too, valid because ``presentation_suite`` finds them
 equal to enumerated, validated maps.
 
 Each generator is stated once, in the table ``_GENERATORS``: where it
-lands, which indices it has at an object and its carrier there.
+lands, which indices it has at an object and its carrier there; and
+each relation family beyond the bisimplicial identities once, in
+``_RELATIONS``: its indices at an object and its two words there.
 ``SHIFT``, ``generator_range`` and ``bead_of_generator`` read that table,
 and nothing else lists generators.  From it ``generators_into`` builds the
 generators of a truncation, once: for each object, the generators that
@@ -269,10 +271,12 @@ def relation_instances(max_i: int, max_j: int):
 
 def relations_at(at: DObject):
     """The relation instances with source ``at``, in ``relation_instances``
-    order: the bisimplicial, then the abacus, then the split families."""
+    order: the bisimplicial identities, then the families of ``_RELATIONS``."""
     yield from _bisimplicial_relations(at)
-    yield from _abacus_relations(at)
-    yield from _split_relations(at)
+    for name, indices, words in _RELATIONS:
+        for k in indices(at.i, at.j):
+            lhs, rhs = words(k, at.i, at.j)
+            yield (f"{name}@{at}", _word(at, *lhs), _word(at, *rhs))
 
 
 def _cosimplicial_relations(at: DObject, face: str, degen: str, n: int):
@@ -318,93 +322,52 @@ def _bisimplicial_relations(at: DObject):
                         )
 
 
-def _abacus_relations(at: DObject):
-    i, j = at.i, at.j
-    # f d^k = d^{k-1} f, source [i,j], 1 <= k <= j+1
-    for k in range(1, j + 2):
-        yield (f"f.d@{at}", _word(at, ("d", k), ("f", None)), _word(at, ("f", None), ("d", k - 1)))
-    # f s^k = s^{k-1} f, source [i,j], needs s^k at [i,j] (k <= j-1) per ranges
-    for k in range(1, j):
-        yield (f"f.s@{at}", _word(at, ("s", k), ("f", None)), _word(at, ("f", None), ("s", k - 1)))
-    # e^k f = f e^k, source [i,j] with f first (j >= 0), 0 <= k <= i+1
-    if j >= 0:
-        for k in range(i + 2):
-            yield (f"e.f@{at}", _word(at, ("f", None), ("e", k)), _word(at, ("e", k), ("f", None)))
-    # the parallelogram e^top = f d^0
-    yield (f"e_top=f.d0@{at}", _word(at, ("e", i + 1)), _word(at, ("d", 0), ("f", None)))
-    # f s^0 = t^top f f, source [i,j] with j >= 1
-    if j >= 1:
-        yield (
-            f"f.s0@{at}",
-            _word(at, ("s", 0), ("f", None)),
-            _word(at, ("f", None), ("f", None), ("t", i + 1)),
-        )
-    # f t^k = t^k f, source [i,j] with j >= 0, 0 <= k <= i-1
-    if j >= 0:
-        for k in range(i):
-            yield (f"t.f@{at}", _word(at, ("f", None), ("t", k)), _word(at, ("t", k), ("f", None)))
-
-
-def _split_relations(at: DObject):
-    i, j = at.i, at.j
-    if i < 0:
-        return
-    # counit: ssub d^0 = id
-    yield (f"ssub.d0@{at}", _word(at, ("d", 0), ("ssub", None)), _word(at))
-    # shifts: ssub d^{k+1} = d^k ssub (source [i,j], j >= 0)
-    if j >= 0:
-        for k in range(j + 1):
-            yield (
-                f"ssub.d@{at}",
-                _word(at, ("d", k + 1), ("ssub", None)),
-                _word(at, ("ssub", None), ("d", k)),
-            )
-        # coassociativity: ssub s^0-style, as ssub ssub = ssub s^0 needs j >= 1
-    if j >= 1:
-        yield (
-            f"ssub.ssub@{at}",
-            _word(at, ("ssub", None), ("ssub", None)),
-            _word(at, ("s", 0), ("ssub", None)),
-        )
-        for k in range(j - 1):
-            yield (
-                f"ssub.s@{at}",
-                _word(at, ("s", k + 1), ("ssub", None)),
-                _word(at, ("ssub", None), ("s", k)),
-            )
+# The relation families beyond the bisimplicial identities, in
+# ``relations_at`` order: for each, its name, its indices k at [i, j]
+# (empty where it has no instance) and its two words at k, as token tuples
+# in application order.
+_F, _S = ("f", None), ("ssub", None)
+_RELATIONS = (
+    ("f.d", lambda i, j: range(1, j + 2),
+     lambda k, i, j: ((("d", k), _F), (_F, ("d", k - 1)))),
+    ("f.s", lambda i, j: range(1, j),
+     lambda k, i, j: ((("s", k), _F), (_F, ("s", k - 1)))),
+    ("e.f", lambda i, j: range(i + 2) if j >= 0 else [],
+     lambda k, i, j: ((_F, ("e", k)), (("e", k), _F))),
+    # the parallelogram
+    ("e_top=f.d0", lambda i, j: [None],
+     lambda k, i, j: ((("e", i + 1),), (("d", 0), _F))),
+    ("f.s0", lambda i, j: [None] if j >= 1 else [],
+     lambda k, i, j: ((("s", 0), _F), (_F, _F, ("t", i + 1)))),
+    ("t.f", lambda i, j: range(i) if j >= 0 else [],
+     lambda k, i, j: ((_F, ("t", k)), (("t", k), _F))),
+    # the splitting, never out of the augmentation row: its counit, shifts
+    # and coassociativity
+    ("ssub.d0", lambda i, j: [None] if i >= 0 else [],
+     lambda k, i, j: ((("d", 0), _S), ())),
+    ("ssub.d", lambda i, j: range(j + 1) if i >= 0 else [],
+     lambda k, i, j: ((("d", k + 1), _S), (_S, ("d", k)))),
+    ("ssub.ssub", lambda i, j: [None] if i >= 0 and j >= 1 else [],
+     lambda k, i, j: ((_S, _S), (("s", 0), _S))),
+    ("ssub.s", lambda i, j: range(j - 1) if i >= 0 else [],
+     lambda k, i, j: ((("s", k + 1), _S), (_S, ("s", k)))),
     # vertical compatibilities, top vertical coface excluded
-    if j >= 0:
-        for k in range(i + 1):
-            yield (
-                f"e.ssub@{at}",
-                _word(at, ("ssub", None), ("e", k)),
-                _word(at, ("e", k), ("ssub", None)),
-            )
-        for k in range(i):
-            yield (
-                f"t.ssub@{at}",
-                _word(at, ("ssub", None), ("t", k)),
-                _word(at, ("t", k), ("ssub", None)),
-            )
+    ("e.ssub", lambda i, j: range(i + 1) if j >= 0 else [],
+     lambda k, i, j: ((_S, ("e", k)), (("e", k), _S))),
+    ("t.ssub", lambda i, j: range(i) if j >= 0 else [],
+     lambda k, i, j: ((_S, ("t", k)), (("t", k), _S))),
     # the two presentations express each other
-    if j >= 0:
-        yield (
-            f"f=ssub.e_top@{at}",
-            _word(at, ("f", None)),
-            _word(at, ("e", i + 1), ("ssub", None)),
-        )
-        yield (
-            f"ssub=t_top.f@{at}",
-            _word(at, ("ssub", None)),
-            _word(at, ("f", None), ("t", i)),
-        )
+    ("f=ssub.e_top", lambda i, j: [None] if i >= 0 and j >= 0 else [],
+     lambda k, i, j: ((_F,), (("e", i + 1), _S))),
+    ("ssub=t_top.f", lambda i, j: [None] if i >= 0 and j >= 0 else [],
+     lambda k, i, j: ((_S,), (_F, ("t", i)))),
+)
 
 
 def trapezium_instances(degree_bound: int):
     """Yield (site, lhs_word, rhs_word) for each trapezium equation
     f^(m+n+1) d^m = e^(i+1) f^(m+n) from the source object [i-m, j+m], at
     every legal (i, j, m, n) with i+j <= degree_bound."""
-    fs = ("f", None)
     for i in range(-1, degree_bound + 2):
         for j in range(-1, degree_bound + 2):
             if not _legal(i, j) or i + j > degree_bound:
@@ -414,8 +377,8 @@ def trapezium_instances(degree_bound: int):
                     if _legal(i - m, j + m):
                         src = DObject(i - m, j + m)
                         yield (f"trapezium@{(i, j, m, n)}",
-                               _word(src, ("d", m), *([fs] * (m + n + 1))),
-                               _word(src, *([fs] * (m + n)), ("e", i + 1)))
+                               _word(src, ("d", m), *([_F] * (m + n + 1))),
+                               _word(src, *([_F] * (m + n)), ("e", i + 1)))
 
 
 def _equation_report(name: str, instances) -> CheckReport:

@@ -27,7 +27,9 @@ from .reports import EXIT_CODES, CheckReport, TruncationError
 # the least depth at which every construction it runs is defined; the
 # suite, given that module).  Below that depth a suite would stop on a
 # too-shallow decalage, subdivision or pointing restriction, so
-# ``run-suite`` refuses it.
+# ``run-suite`` refuses it, and it refuses the depth flag a suite does not
+# take.  A suite runs at its flag's default depth when the flag is not given.
+_DEFAULT_DEPTH = {"trunc": 5, "bound": 4}
 _SUITES = {
     "boors": ("suites", "trunc", 3, lambda m: m.boors_suite),
     "cheatsheet": ("suites", "trunc", 2, lambda m: m.cheatsheet_suite),
@@ -332,6 +334,9 @@ def _roundtrip(args) -> int:
             print(f"--trunc cuts the simplicial set of boors; {args.kind} runs at its input's depth",
                   file=sys.stderr)
             return 2
+        if args.trunc > P.trunc:
+            print(f"--trunc {args.trunc} is above the input's trunc {P.trunc}", file=sys.stderr)
+            return 2
         P = sub_trunc(P, args.trunc)
     if P.trunc < least:
         print(f"roundtrip {args.kind} needs an input of trunc at least {least}, got {P.trunc}",
@@ -389,7 +394,13 @@ def _morphism(args) -> int:
 
 def _run_suite(args) -> int:
     home, flag, least, suite = _SUITES[args.name]
-    if _below(flag, getattr(args, flag), least) or _below("max-size", args.max_size, 2):
+    other = "bound" if flag == "trunc" else "trunc"
+    if getattr(args, other) is not None:
+        print(f"run-suite {args.name} takes --{flag}, not --{other}", file=sys.stderr)
+        return 2
+    depth = getattr(args, flag)
+    depth = _DEFAULT_DEPTH[flag] if depth is None else depth
+    if _below(flag, depth, least) or _below("max-size", args.max_size, 2):
         return 2
     if args.name != "cheatsheet" and (args.seed is not None or args.max_size is not None):
         print(f"--seed and --max-size add the random corpus of cheatsheet; {args.name} has none",
@@ -398,7 +409,7 @@ def _run_suite(args) -> int:
     if args.max_size is not None and args.seed is None:
         print("--max-size needs --seed: it sizes the random corpus that --seed adds", file=sys.stderr)
         return 2
-    kwargs = {flag: getattr(args, flag)}
+    kwargs = {flag: depth}
     if args.name == "cheatsheet":
         kwargs["seed"] = args.seed
         if args.max_size is not None:
@@ -455,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("run-suite", help="run a named verification suite")
     s.add_argument("name", choices=SUITE_NAMES)
-    s.add_argument("--trunc", type=int, default=5)
-    s.add_argument("--bound", type=int, default=4)
+    s.add_argument("--trunc", type=int)
+    s.add_argument("--bound", type=int)
     s.add_argument("--max-size", type=int)
     s.add_argument("--seed", type=int)
     s.add_argument("--format", choices=["json", "text"], default="json")

@@ -54,6 +54,7 @@ from .presheaf import (
     dset_iso_report,
     dset_levels,
     identity_smap,
+    is_bijection,
     lift,
     pullback_pairs,
     restrict_actions,
@@ -281,8 +282,7 @@ def has_invertible_abacus(B: DSet) -> CheckReport:
     tables = B.abacus_tables("f")
     for lvl, table in tables:
         level = B.level(*action_target("f", lvl))
-        images = set(table.values())
-        if len(images) != len(table) or not images.issuperset(level):
+        if not is_bijection(table.values(), level):
             refuted.append((lvl, list(table.items()), level))
     if not refuted:
         return CheckReport("has_invertible_abacus", [], len(tables))

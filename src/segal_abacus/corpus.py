@@ -248,16 +248,19 @@ def upset_inclusion(cat: FinCat, base, trunc: int) -> SMap:
     The inclusion of a coslice: a discrete opfibration, so a left
     fibration of nerves.
     """
-    keep = {o for o in cat.objects if (base, o) in set(cat.morphisms)}
-    sub = poset_cat(f"{cat.name}>={base}", sorted(keep, key=str),
-                    lambda a, b: (a, b) in set(cat.morphisms))
-    return poset_inclusion(sub, cat, trunc)
+    return _bounded_inclusion(cat, base, trunc, ">=")
 
 
 def downset_inclusion(cat: FinCat, base, trunc: int) -> SMap:
-    keep = {o for o in cat.objects if (o, base) in set(cat.morphisms)}
-    sub = poset_cat(f"{cat.name}<={base}", sorted(keep, key=str),
-                    lambda a, b: (a, b) in set(cat.morphisms))
+    return _bounded_inclusion(cat, base, trunc, "<=")
+
+
+def _bounded_inclusion(cat: FinCat, base, trunc: int, side: str) -> SMap:
+    """The nerve of the objects ``side`` ``base`` (``">="`` or ``"<="``),
+    included into the whole poset; its arrows are read off one set."""
+    arrows = set(cat.morphisms)
+    keep = {o for o in cat.objects if ((base, o) if side == ">=" else (o, base)) in arrows}
+    sub = poset_cat(f"{cat.name}{side}{base}", sorted(keep, key=str), lambda a, b: (a, b) in arrows)
     return poset_inclusion(sub, cat, trunc)
 
 

@@ -41,6 +41,7 @@ from .presheaf import (
     cartesian_on,
     constant_sset,
     delta_actions,
+    is_bijection,
     pullback_pairs,
     sub_trunc,
     through,
@@ -191,21 +192,23 @@ def pointing_comparison(P: PointedSSet, side: str) -> dict:
 
 
 def _local_report(P: PointedSSet, side: str, name: str, build=None) -> CheckReport:
-    """Whether P's comparison on ``side`` is a bijection at every level;
-    ``build()``, when given, builds that comparison for a caller that
-    keeps it."""
+    """Whether P's comparison on ``side`` is a bijection at every level,
+    decided with one image set per level; the witnesses of a refuted level
+    are named only when the report's witnesses are read.  ``build()``, when
+    given, builds that comparison for a caller that keeps it."""
     X = P.sset
     if X.trunc < 1:
         return CheckReport.precondition_failure(name, "trunc too small")
     compare = build() if build else pointing_comparison(P, side)
-    witnesses = []
-    checked = 0
-    for n in sorted(compare):
-        checked += len(compare[n])
-        witnesses += bijection_witnesses(f"level@{n}", "comparison",
-                                         ((z, (x,)) for z, x in compare[n].items()),
-                                         [(x,) for x in X.level(n)])
-    return CheckReport.from_witnesses(name, witnesses, checked)
+    checked = sum(map(len, compare.values()))
+    refuted = [(n, list(compare[n].items()), X.level(n)) for n in sorted(compare)
+               if not is_bijection(compare[n].values(), X.level(n))]
+    if not refuted:
+        return CheckReport(name, [], checked)
+    return CheckReport.refutation(name, lambda: [
+        w for n, items, level in refuted
+        for w in bijection_witnesses(f"level@{n}", "comparison", ((z, (x,)) for z, x in items),
+                                     [(x,) for x in level])], checked)
 
 
 def is_local_initial(P: PointedSSet) -> CheckReport:

@@ -63,19 +63,19 @@ and an element is lifted through a pair of maps in one place, ``lift``
 Every pullback the library builds (the levels of ``q_lower_star`` and
 the relative upper 2-Segal check, ``decalage.pointing_comparison``,
 nerve chains and composable pairs) goes through ``pullback_pairs``.
-Every check decides whether a map is a bijection onto a set alike, with
-one image set (its size, and whether it contains the set); only a
-refuted map is walked element by element, by ``bijection_witnesses``,
-to name witnesses.
-``_decide_pullback`` decides its comparison map so inline, after reading
+Every check decides whether a map is a bijection onto a set one way,
+``is_bijection``, with one image set (its size, and whether it contains
+the set); only a refuted map is walked element by element, by
+``bijection_witnesses``, to name witnesses.
+``_decide_pullback`` decides its comparison map so, after reading
 each of a square's four tables once over a whole level and comparing two
 image lists, and explains a refuted square only when its report's
 witnesses are read (``CheckReport.refutation``): "does not commute" from
 the positions that differ, else ``bijection_witnesses``, both from lists
 taken at the decision, so a table changed later does not change them.
-``dset_iso_report`` and ``suites.dictionary_suite``'s ``bijective``
-column call ``bijection_witnesses("", "", ...)`` only to test whether it
-is empty; the other checks call it for its witnesses.
+``configurations.has_invertible_abacus`` and ``decalage``'s local checks
+explain on read alike; ``dset_iso_report`` and
+``suites.dictionary_suite``'s ``bijective`` column read the verdict only.
 
 Derived structures share their source's tables, so one check run can
 meet the same square many times: ``dec_map(F, "bottom")``'s d_k square
@@ -474,24 +474,26 @@ def lift(upper, first, second, wants) -> tuple:
     return lifts, misses
 
 
+def is_bijection(images, want) -> bool:
+    """Whether a map whose images, one per element, are the collection
+    ``images`` is a bijection onto the collection ``want``, decided with one
+    image set: it is injective when that set is as large as ``images``, and
+    onto ``want`` when it contains ``want``.  An image outside ``want`` is
+    not ruled out: a caller whose map may leave ``want`` checks that itself."""
+    distinct = set(images)
+    return len(distinct) == len(images) and distinct.issuperset(want)
+
+
 def bijection_witnesses(site: str, noun: str, pairs, want) -> list:
     """Why the map given by ``pairs``, ``(preimage, image)`` in turn, is not
-    a bijection onto the collection ``want``; empty when it is one.
-
-    Decided first with whole-collection operations: the map is injective
-    when its images form a set of ``len(pairs)`` elements, and onto
-    ``want`` when that set contains ``want``.  Only a map that fails is
-    walked element by element to explain it: a "``noun`` not injective"
-    witness ``(earlier, later)`` for each image met again, naming the
-    preimage that met it last, then a "``noun`` not surjective" witness for
-    each image of ``want`` never met, in ``want``'s order.  Images are
-    offender tuples, so a missed image is reported as it stands.  An image
-    outside ``want`` is neither: a caller whose map may leave ``want``
-    reports that itself."""
-    pairs = list(pairs)
-    images = set(map(itemgetter(1), pairs))
-    if len(images) == len(pairs) and images.issuperset(want):
-        return []
+    a bijection onto the collection ``want``; empty when it is one, which
+    ``is_bijection`` decides.  The map is walked element by element: a
+    "``noun`` not injective" witness ``(earlier, later)`` for each image met
+    again, naming the preimage that met it last, then a "``noun`` not
+    surjective" witness for each image of ``want`` never met, in ``want``'s
+    order.  Images are offender tuples, so a missed image is reported as it
+    stands.  An image outside ``want`` is neither: a caller whose map may
+    leave ``want`` reports that itself."""
     witnesses = []
     seen = {}
     for p, im in pairs:
@@ -581,9 +583,8 @@ def is_pullback(sq: Square) -> CheckReport:
 def _decide_pullback(sq: Square) -> CheckReport:
     """``is_pullback`` in full.  Each of the four tables is read once over
     a whole level, so commuting is one comparison of two image lists, with
-    ``checked`` ``|P|``.  A commuting square is then decided as
-    ``bijection_witnesses`` decides, with one image set, with ``checked``
-    ``2 |P|`` (at least 1).
+    ``checked`` ``|P|``.  A commuting square is then decided by
+    ``is_bijection``, with ``checked`` ``2 |P|`` (at least 1).
 
     A refuted square is explained only when its witnesses are read:
     "square does not commute" from the positions where the image lists
@@ -600,9 +601,7 @@ def _decide_pullback(sq: Square) -> CheckReport:
         return CheckReport.refutation("is_pullback", lambda: [
             Witness(name, "square does not commute", (p,))
             for p, c, d in zip(p_elems, via_a, via_b) if c != d], checked)
-    images = set(zip(to_a, to_b))
-    if len(images) == checked and images.issuperset(
-            pullback_pairs(sq.a_to_c, sq.b_to_c, a_elems, b_elems)):
+    if is_bijection(list(zip(to_a, to_b)), pullback_pairs(sq.a_to_c, sq.b_to_c, a_elems, b_elems)):
         return CheckReport("is_pullback", [], 2 * checked or 1)
     over_a = list(map(sq.a_to_c.__getitem__, a_elems))
     over_b = list(map(sq.b_to_c.__getitem__, b_elems))
@@ -920,7 +919,7 @@ def dset_iso_report(B1: DSet, B2: DSet, maps: dict, name: str = "dset_iso") -> C
         level = B2.level(*lvl)
         # as many images as targets, none repeated and none missed: no image lies outside
         if (m is None or set(m) != set(B1.level(*lvl)) or len(m) != len(level)
-                or bijection_witnesses("", "", ((x, (y,)) for x, y in m.items()), [(y,) for y in level])):
+                or not is_bijection(m.values(), level)):
             witnesses.append(Witness(f"level@{lvl}", "not a bijection", (lvl,)))
     if witnesses:
         return CheckReport.from_witnesses(name, witnesses, checked)

@@ -51,7 +51,7 @@ from .fibrations import (
     stability,
     vertical_active_row_maps,
 )
-from .presheaf import bijection_witnesses, deciding_once, identity_smap, validate
+from .presheaf import deciding_once, identity_smap, is_bijection, validate
 from .reports import _entry, _finish, _tally
 
 
@@ -229,11 +229,8 @@ def dictionary_suite(trunc: int = 4) -> dict:
             "lhs": None if None in holds else all(holds),
             "bicomodule": is_bicomodule_config(B).holds,
             "invertible": has_invertible_abacus(B).holds,
-            "bijective": not any(
-                bijection_witnesses("", "", ((x, (y,)) for x, y in F.levels[n].items()),
-                                    [(y,) for y in F.target.level(n)])
-                for n in range(F.trunc + 1)
-            ),
+            "bijective": all(is_bijection(F.levels[n].values(), F.target.level(n))
+                             for n in range(F.trunc + 1)),
             "m_dict": m_2segal_dictionary(conds, B).holds,
         })
     entries = [

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import dataclass
 
@@ -108,6 +109,17 @@ def test_trapezium_instances():
 def test_relation_suite_bounds_2():
     rep = relation_suite(2, 2)
     assert rep.passed and rep.checked > 300
+
+
+def test_relation_instances_are_pinned():
+    """Each relation instance's name, words and tokens, in order, for the
+    bounds 0..5: a renamed family, a changed word or a reordered row moves
+    the digest, where the presentation digests count instances only."""
+    h = hashlib.sha256()
+    for b in range(6):
+        for name, lhs, rhs in relation_instances(b, b):
+            h.update(repr((name, str(lhs), str(rhs), lhs.tokens, rhs.tokens)).encode())
+    assert h.hexdigest() == "3e2524c1ef17908a069b3b87280e338f8732ad1f4608210228728bb6dd644bf8"
 
 
 def test_every_relation_word_applies_only_existing_generators():

@@ -154,6 +154,10 @@ def test_check_invalid_input(tmp_path):
         ["run-suite", "edgewise", "--trunc", "-1"],
         ["run-suite", "presentation", "--bound", "-1"],
         ["roundtrip", "boors", x, "--trunc", "-1"],
+        ["roundtrip", "boors", x, "--trunc", "4"],  # x has trunc 3
+        # each suite takes one depth flag and refuses the other
+        ["run-suite", "presentation", "--bound", "1", "--trunc", "-3"],
+        ["run-suite", "star", "--trunc", "2", "--bound", "0"],
         ["construct", "tot", "--in", z0, "--out", out],
         ["construct", "boors-tot", "--in", z0, "--out", out],
         ["roundtrip", "boors", z0],
@@ -671,7 +675,8 @@ def test_construct_extend_validates_the_extension_once(tmp_path, monkeypatch):
 def test_roundtrip_refuses_a_too_shallow_input_before_any_work(tmp_path, monkeypatch):
     """Below its least depth (``cli._ROUNDTRIPS``: boors 3), after ``--trunc``
     cuts it, a round trip's input is refused with exit 2 and one line that
-    names that depth, before it is validated or any construction runs."""
+    names that depth, before it is validated or any construction runs.  So
+    is a ``--trunc`` above the input's depth, which cannot cut it."""
     import contextlib
     import io
 
@@ -690,6 +695,10 @@ def test_roundtrip_refuses_a_too_shallow_input_before_any_work(tmp_path, monkeyp
             code, text = run(["roundtrip", "boors", *argv])
         assert (code, text, err.getvalue()) == (
             2, "", f"roundtrip boors needs an input of trunc at least 3, got {depth}\n"), argv
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, text = run(["roundtrip", "boors", x2, "--trunc", "9"])
+    assert (code, text, err.getvalue()) == (2, "", "--trunc 9 is above the input's trunc 2\n")
     assert work == []
 
 
@@ -761,7 +770,7 @@ def test_suite_names_are_the_suites():
     assert cli.SUITE_NAMES == tuple(sorted(cli._SUITES))
     for name, (home, flag, least, suite) in cli._SUITES.items():
         assert flag in inspect.signature(suite(cli._library_module(home))).parameters, name
-        assert least >= 0, name
+        assert flag in cli._DEFAULT_DEPTH and least >= 0, name
 
 
 def test_run_suite_presentation():
