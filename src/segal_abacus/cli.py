@@ -2,8 +2,11 @@
 and theorem round trips.
 
 Each command but ``morphism`` dispatches from one table, which gives the
-parser its choices and names each entry's input shapes and library
-function.  This module imports only ``reports``; a command imports the
+parser its choices and names each entry's input shapes, library function
+and the flags it takes (a ``gen`` fixture takes ``--size`` where it has a
+size rule).  ``_given`` passes an entry only the flags it takes that were
+given, and refuses any other flag of its command with exit 2 before a file
+is read.  This module imports only ``reports``; a command imports the
 library modules it runs only when it runs (``check`` and ``run-suite``
 through ``_library_module``), so a fresh process loads only those.
 
@@ -23,21 +26,21 @@ import sys
 
 from .reports import EXIT_CODES, CheckReport, TruncationError
 
-# suite name: (the module that holds the suite; the depth flag it takes;
-# the least depth at which every construction it runs is defined; the
-# suite, given that module).  Below that depth a suite would stop on a
-# too-shallow decalage, subdivision or pointing restriction, so
-# ``run-suite`` refuses it, and it refuses the depth flag a suite does not
-# take.  A suite runs at its flag's default depth when the flag is not given.
+# suite name: (the module that holds the suite; the flags it takes, its
+# depth flag first; the least depth at which every construction it runs is
+# defined; the suite, given that module).  Below that depth a suite would
+# stop on a too-shallow decalage, subdivision or pointing restriction, so
+# ``run-suite`` refuses it.  A suite runs at its depth flag's default depth
+# when the flag is not given.
 _DEFAULT_DEPTH = {"trunc": 5, "bound": 4}
 _SUITES = {
-    "boors": ("suites", "trunc", 3, lambda m: m.boors_suite),
-    "cheatsheet": ("suites", "trunc", 2, lambda m: m.cheatsheet_suite),
-    "dictionary": ("suites", "trunc", 0, lambda m: m.dictionary_suite),
-    "edgewise": ("suites", "trunc", 1, lambda m: m.edgewise_suite),
-    "half-axioms": ("suites", "trunc", 3, lambda m: m.half_axioms_suite),
-    "presentation": ("abacus", "bound", 0, lambda m: m.presentation_suite),
-    "star": ("suites", "trunc", 0, lambda m: m.star_suite),
+    "boors": ("suites", ("trunc",), 3, lambda m: m.boors_suite),
+    "cheatsheet": ("suites", ("trunc", "seed", "max_size"), 2, lambda m: m.cheatsheet_suite),
+    "dictionary": ("suites", ("trunc",), 0, lambda m: m.dictionary_suite),
+    "edgewise": ("suites", ("trunc",), 1, lambda m: m.edgewise_suite),
+    "half-axioms": ("suites", ("trunc",), 3, lambda m: m.half_axioms_suite),
+    "presentation": ("abacus", ("bound",), 0, lambda m: m.presentation_suite),
+    "star": ("suites", ("trunc",), 0, lambda m: m.star_suite),
 }
 SUITE_NAMES = tuple(sorted(_SUITES))
 
@@ -91,6 +94,21 @@ def _below(flag: str, value, least: int = 0) -> bool:
         return False
     print(f"--{flag} must be at least {least}, got {value}", file=sys.stderr)
     return True
+
+
+def _given(args, what: str, takes: tuple, table: dict) -> dict:
+    """The flags of ``takes`` given in args, by name, for the entry ``what``
+    that takes them; ``table`` names each entry of the command with the flags
+    it takes.  A given flag that the entry does not take is refused, before
+    any file is read, with one line on stderr and exit 2, as argparse refuses
+    an unknown option."""
+    for flag in dict.fromkeys(flag for flags in table.values() for flag in flags):
+        if getattr(args, flag) is not None and flag not in takes:
+            users = ", ".join(name for name, flags in table.items() if flag in flags)
+            print(f"{what} takes no --{flag.replace('_', '-')} (it applies to: {users})",
+                  file=sys.stderr)
+            raise SystemExit(2)
+    return {flag: getattr(args, flag) for flag in takes if getattr(args, flag) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +172,6 @@ def _gen(args) -> int:
     from .presheaf import validate
 
     T, kind, size = args.trunc, args.kind, args.size
-    if _below("trunc", T):
-        return 2
     presets = [p for k, p in _FIXTURES if k == kind and p is not None]
     if args.preset is not None and args.preset not in presets:
         print(f"gen {kind} has no preset {args.preset!r} (presets: {', '.join(presets) or 'none'})",
@@ -163,10 +179,10 @@ def _gen(args) -> int:
         return 2
     preset = _DEFAULT_PRESET.get(kind) if args.preset is None else args.preset
     sizes, build = _FIXTURES[kind, preset]
-    if size is not None and sizes is None:
-        sized = (_fixture_name(*key) for key, (rule, _) in _FIXTURES.items() if rule is not None)
-        print(f"gen {_fixture_name(kind, args.preset)} takes no --size (it applies to: "
-              f"{', '.join(sized)})", file=sys.stderr)
+    takes = {_fixture_name(*key): () if rule is None else ("size",)
+             for key, (rule, _) in _FIXTURES.items()}
+    _given(args, f"gen {_fixture_name(kind, args.preset)}", takes[_fixture_name(kind, preset)], takes)
+    if _below("trunc", T):
         return 2
     if sizes is not None:
         if _below("size", size, sizes[0]):
@@ -203,29 +219,30 @@ def _wrong_shape(P, shapes, what: str) -> bool:
 SSET, SMAP, DSET, GRID = ("sset",), ("smap",), ("dset",), ("bisset", "dset")
 
 # check name: (the input shapes it accepts, None for any; the module that
-# holds the checker; the checker, given that module, None where the check is
-# validation itself, whose report the gate already has)
+# holds the checker; the checker, given that module, the input and its given
+# flags, None where the check is validation itself, whose report the gate
+# already has; the flags it takes)
 _CHECKS = {
-    "validate": (None, None, None),
-    "segal": (SSET, "fibrations", lambda m, P, a: m.is_segal(P)),
-    "2segal": (SSET, "fibrations", lambda m, P, a: m.is_2segal(P, a.side)),
-    "lfib": (SMAP, "fibrations", lambda m, P, a: m.is_left_fibration(P)),
-    "rfib": (SMAP, "fibrations", lambda m, P, a: m.is_right_fibration(P)),
-    "culf": (SMAP, "fibrations", lambda m, P, a: m.is_culf(P)),
-    "stable": (GRID, "fibrations", lambda m, P, a: m.stability(P, a.side)),
-    "double-segal": (GRID, "fibrations", lambda m, P, a: m.is_double_segal(P)),
-    "reduced-stable": (GRID, "fibrations", lambda m, P, a: m.reduced_stability(P)),
-    "star": (DSET, "configurations", lambda m, P, a: m.condition_star(P)),
-    "unit-iso": (DSET, "configurations", lambda m, P, a: m.unit_iso(P)),
-    "bicomodule": (DSET, "configurations", lambda m, P, a: m.is_bicomodule_config(P)),
-    "invertible-abacus": (DSET, "configurations", lambda m, P, a: m.has_invertible_abacus(P)),
-    "boors": (("sigmaset",), "configurations", lambda m, P, a: m.boors_axioms(P, half=a.half)),
-    "ts-compat": (DSET, "configurations", lambda m, P, a: m.splitting_checks(P)["ts_compat"]),
-    "rel-upper-2segal": (SMAP, "configurations", lambda m, P, a: m.is_rel_upper_2segal(P)),
-    "rigid": (("split",), "decalage", lambda m, P, a: m.is_rigid(P)),
-    "coalgebra": (("split",), None, None),
-    "local-initial": (("pointed",), "decalage", lambda m, P, a: m.is_local_initial(P)),
-    "local-terminal": (("pointed",), "decalage", lambda m, P, a: m.is_local_terminal(P)),
+    "validate": (None, None, None, ()),
+    "segal": (SSET, "fibrations", lambda m, P: m.is_segal(P), ()),
+    "2segal": (SSET, "fibrations", lambda m, P, **kw: m.is_2segal(P, **kw), ("side",)),
+    "lfib": (SMAP, "fibrations", lambda m, P: m.is_left_fibration(P), ()),
+    "rfib": (SMAP, "fibrations", lambda m, P: m.is_right_fibration(P), ()),
+    "culf": (SMAP, "fibrations", lambda m, P: m.is_culf(P), ()),
+    "stable": (GRID, "fibrations", lambda m, P, **kw: m.stability(P, **kw), ("side",)),
+    "double-segal": (GRID, "fibrations", lambda m, P: m.is_double_segal(P), ()),
+    "reduced-stable": (GRID, "fibrations", lambda m, P: m.reduced_stability(P), ()),
+    "star": (DSET, "configurations", lambda m, P: m.condition_star(P), ()),
+    "unit-iso": (DSET, "configurations", lambda m, P: m.unit_iso(P), ()),
+    "bicomodule": (DSET, "configurations", lambda m, P: m.is_bicomodule_config(P), ()),
+    "invertible-abacus": (DSET, "configurations", lambda m, P: m.has_invertible_abacus(P), ()),
+    "boors": (("sigmaset",), "configurations", lambda m, P, **kw: m.boors_axioms(P, **kw), ("half",)),
+    "ts-compat": (DSET, "configurations", lambda m, P: m.splitting_checks(P)["ts_compat"], ()),
+    "rel-upper-2segal": (SMAP, "configurations", lambda m, P: m.is_rel_upper_2segal(P), ()),
+    "rigid": (("split",), "decalage", lambda m, P: m.is_rigid(P), ()),
+    "coalgebra": (("split",), None, None, ()),
+    "local-initial": (("pointed",), "decalage", lambda m, P: m.is_local_initial(P), ()),
+    "local-terminal": (("pointed",), "decalage", lambda m, P: m.is_local_terminal(P), ()),
 }
 
 
@@ -237,8 +254,9 @@ def _library_module(name: str):
 def _check(args) -> int:
     from .presheaf import validate
 
+    shapes, home, checker, takes = _CHECKS[args.check]
+    given = _given(args, f"check {args.check}", takes, {k: row[3] for k, row in _CHECKS.items()})
     P = _load_or_none(args.file)
-    shapes, home, checker = _CHECKS[args.check]
     if P is None or _wrong_shape(P, shapes, f"check {args.check}"):
         return 2
     base = validate(P)
@@ -246,7 +264,7 @@ def _check(args) -> int:
         _emit({"name": args.check, "verdict": "invalid-input",
                "witnesses": [w.to_dict() for w in base.witnesses[:10]]}, args.format)
         return 2
-    rep = base if checker is None else checker(_library_module(home), P, args)
+    rep = base if checker is None else checker(_library_module(home), P, **given)
     return _report_exit(rep, args.format)
 
 
@@ -267,17 +285,17 @@ def _load_or_none(path: str):
 
 
 # construct op: (the input shapes it takes; the construction, given the
-# configurations module: the presheaf it writes, or for ``extend``, which
-# validates what it builds, that presheaf (None where it refused the input)
-# and its report)
+# configurations module, the input and its given flags: the presheaf it
+# writes, or for ``extend``, which validates what it builds, that presheaf
+# (None where it refused the input) and its report; the flags it takes)
 _CONSTRUCTS = {
-    "qstar": (SMAP, lambda cfg, P, a: cfg.q_lower_star(P)),
-    "tot": (SSET, lambda cfg, P, a: cfg.tot(P)),
-    "rtot": (SSET, lambda cfg, P, a: cfg.r_star(P)),
-    "boors-tot": (SSET, lambda cfg, P, a: cfg.p_star_tot(P)),
-    "extend": (("sigmaset",), lambda cfg, P, a: cfg.extend_sigma_to_d(P, half=a.half)[:2]),
-    "M": (("smap", "dset"), lambda cfg, P, a: cfg.build_M(
-        cfg.q_lower_star(P) if isinstance(P, cfg.SMap) else P)[1]),
+    "qstar": (SMAP, lambda cfg, P: cfg.q_lower_star(P), ()),
+    "tot": (SSET, lambda cfg, P: cfg.tot(P), ()),
+    "rtot": (SSET, lambda cfg, P: cfg.r_star(P), ()),
+    "boors-tot": (SSET, lambda cfg, P: cfg.p_star_tot(P), ()),
+    "extend": (("sigmaset",), lambda cfg, P, **kw: cfg.extend_sigma_to_d(P, **kw)[:2], ("half",)),
+    "M": (("smap", "dset"), lambda cfg, P: cfg.build_M(
+        cfg.q_lower_star(P) if isinstance(P, cfg.SMap) else P)[1], ()),
 }
 
 
@@ -285,14 +303,15 @@ def _construct(args) -> int:
     from . import configurations as cfg
     from .presheaf import validate
 
-    shapes, construction = _CONSTRUCTS[args.op]
+    shapes, construction, takes = _CONSTRUCTS[args.op]
+    given = _given(args, f"construct {args.op}", takes, {k: row[2] for k, row in _CONSTRUCTS.items()})
     P = _load_or_none(args.infile)
     if P is None or _wrong_shape(P, shapes, f"construct {args.op}"):
         return 2
     if not validate(P).passed:
         print("input does not validate", file=sys.stderr)
         return 2
-    out = construction(cfg, P, args)
+    out = construction(cfg, P, **given)
     out, rep = out if isinstance(out, tuple) else (out, validate(out))
     if out is None:
         return _report_exit(rep, args.format)
@@ -308,15 +327,16 @@ def _construct(args) -> int:
 
 # roundtrip kind: (the input shapes it takes; the least input depth at which
 # every construction it runs is defined; the round trip, given the
-# configurations module: its named reports).  boors extends its input's
-# pointed total decalage two levels lower (``p_star_tot``, then
-# ``extend_sigma_to_d``) and restricts the extension to its pointing, which
-# needs depth 1, so it needs 3; the constructions of star and M are defined
-# at every depth.  Below it ``roundtrip`` refuses the input before any work.
+# configurations module: its named reports; the flags it takes: ``--trunc``
+# cuts the input first).  boors extends its input's pointed total decalage two
+# levels lower (``p_star_tot``, then ``extend_sigma_to_d``) and restricts the
+# extension to its pointing, which needs depth 1, so it needs 3; the
+# constructions of star and M are defined at every depth.  Below it
+# ``roundtrip`` refuses the input before any work.
 _ROUNDTRIPS = {
-    "boors": (SSET, 3, lambda cfg, P: cfg.boors_roundtrip(P)),
-    "star": (SMAP, 0, lambda cfg, P: cfg.star_roundtrip(P)),
-    "M": (("smap", "dset"), 0, lambda cfg, P: cfg.m_roundtrip(P)),
+    "boors": (SSET, 3, lambda cfg, P: cfg.boors_roundtrip(P), ("trunc",)),
+    "star": (SMAP, 0, lambda cfg, P: cfg.star_roundtrip(P), ()),
+    "M": (("smap", "dset"), 0, lambda cfg, P: cfg.m_roundtrip(P), ()),
 }
 
 
@@ -324,16 +344,13 @@ def _roundtrip(args) -> int:
     from . import configurations as cfg
     from .presheaf import sub_trunc, validate
 
-    shapes, least, roundtrip = _ROUNDTRIPS[args.kind]
+    shapes, least, roundtrip, takes = _ROUNDTRIPS[args.kind]
+    _given(args, f"roundtrip {args.kind}", takes, {k: row[3] for k, row in _ROUNDTRIPS.items()})
     P = _load_or_none(args.file)
     if (P is None or _wrong_shape(P, shapes, f"roundtrip {args.kind}")
             or _below("trunc", args.trunc)):
         return 2
     if args.trunc is not None:
-        if args.kind != "boors":
-            print(f"--trunc cuts the simplicial set of boors; {args.kind} runs at its input's depth",
-                  file=sys.stderr)
-            return 2
         if args.trunc > P.trunc:
             print(f"--trunc {args.trunc} is above the input's trunc {P.trunc}", file=sys.stderr)
             return 2
@@ -393,28 +410,15 @@ def _morphism(args) -> int:
 
 
 def _run_suite(args) -> int:
-    home, flag, least, suite = _SUITES[args.name]
-    other = "bound" if flag == "trunc" else "trunc"
-    if getattr(args, other) is not None:
-        print(f"run-suite {args.name} takes --{flag}, not --{other}", file=sys.stderr)
-        return 2
-    depth = getattr(args, flag)
-    depth = _DEFAULT_DEPTH[flag] if depth is None else depth
-    if _below(flag, depth, least) or _below("max-size", args.max_size, 2):
-        return 2
-    if args.name != "cheatsheet" and (args.seed is not None or args.max_size is not None):
-        print(f"--seed and --max-size add the random corpus of cheatsheet; {args.name} has none",
-              file=sys.stderr)
+    home, takes, least, suite = _SUITES[args.name]
+    given = _given(args, f"run-suite {args.name}", takes, {k: row[1] for k, row in _SUITES.items()})
+    depth = given.setdefault(takes[0], _DEFAULT_DEPTH[takes[0]])
+    if _below(takes[0], depth, least) or _below("max-size", args.max_size, 2):
         return 2
     if args.max_size is not None and args.seed is None:
         print("--max-size needs --seed: it sizes the random corpus that --seed adds", file=sys.stderr)
         return 2
-    kwargs = {flag: depth}
-    if args.name == "cheatsheet":
-        kwargs["seed"] = args.seed
-        if args.max_size is not None:
-            kwargs["max_size"] = args.max_size
-    rep = suite(_library_module(home))(**kwargs)
+    rep = suite(_library_module(home))(**given)
     _emit(rep, args.format)
     return EXIT_CODES[rep["verdict"]]
 
@@ -433,35 +437,30 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--preset")
     g.add_argument("--trunc", type=int, default=5)
     g.add_argument("--out", required=True)
-    g.add_argument("--format", choices=["json", "text"], default="json")
     g.set_defaults(fn=_gen)
 
     c = sub.add_parser("check", help="run one checker on a fixture file")
     c.add_argument("check", choices=list(_CHECKS))
     c.add_argument("file")
-    c.add_argument("--side", choices=["upper", "lower", "both"], default="both")
-    c.add_argument("--half", action="store_true")
-    c.add_argument("--format", choices=["json", "text"], default="json")
+    c.add_argument("--side", choices=["upper", "lower", "both"])
+    c.add_argument("--half", action="store_true", default=None)
     c.set_defaults(fn=_check)
 
     b = sub.add_parser("construct", help="run a construction on a fixture file")
     b.add_argument("op", choices=list(_CONSTRUCTS))
     b.add_argument("--in", dest="infile", required=True)
     b.add_argument("--out", required=True)
-    b.add_argument("--half", action="store_true")
-    b.add_argument("--format", choices=["json", "text"], default="json")
+    b.add_argument("--half", action="store_true", default=None)
     b.set_defaults(fn=_construct)
 
     r = sub.add_parser("roundtrip", help="run an equivalence round trip")
     r.add_argument("kind", choices=list(_ROUNDTRIPS))
     r.add_argument("file")
     r.add_argument("--trunc", type=int)
-    r.add_argument("--format", choices=["json", "text"], default="json")
     r.set_defaults(fn=_roundtrip)
 
     m = sub.add_parser("morphism", help="parse and normalize a morphism string")
     m.add_argument("text", help='e.g. "[0,0,2]:3->3", "d1.s0@[2]", or "f.d0@[0,0]"')
-    m.add_argument("--format", choices=["json", "text"], default="json")
     m.set_defaults(fn=_morphism)
 
     s = sub.add_parser("run-suite", help="run a named verification suite")
@@ -470,9 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--bound", type=int)
     s.add_argument("--max-size", type=int)
     s.add_argument("--seed", type=int)
-    s.add_argument("--format", choices=["json", "text"], default="json")
     s.set_defaults(fn=_run_suite)
 
+    for parser in sub.choices.values():
+        parser.add_argument("--format", choices=["json", "text"], default="json")
     return ap
 
 

@@ -113,6 +113,70 @@ def test_gen_fixtures_and_refusals_are_pinned(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+# the entries that take each flag of a command's table, as the refusal of
+# that flag names them, by (command, flag)
+FLAG_USERS = {
+    ("gen", "size"): _SIZED,
+    ("check", "side"): "2segal, stable",
+    ("check", "half"): "boors",
+    ("construct", "half"): "extend",
+    ("roundtrip", "trunc"): "boors",
+    ("run-suite", "trunc"): "boors, cheatsheet, dictionary, edgewise, half-axioms, star",
+    ("run-suite", "bound"): "presentation",
+    ("run-suite", "seed"): "cheatsheet",
+    ("run-suite", "max_size"): "cheatsheet",
+}
+
+# a value given with each flag; --half is a switch
+_FLAG_VALUES = {"size": ["3"], "side": ["upper"], "half": [], "trunc": ["1"], "bound": ["1"],
+                "seed": ["3"], "max_size": ["4"]}
+
+
+def test_every_flag_is_read_or_refused(tmp_path):
+    """Every entry of the gen, check, construct, roundtrip and run-suite
+    tables refuses each flag of its command that it does not take, with exit
+    2, nothing on stdout and one line on stderr naming the entries that take
+    it, before its input (a path that does not exist) is read; a flag that
+    it takes is never refused."""
+    import contextlib
+    import io
+
+    from segal_abacus import cli
+
+    missing = str(tmp_path / "missing" / "in.json")
+    # command: {entry name: the arguments that choose it}; each command
+    # stops at a missing file or, where it reads none, at a depth of -1,
+    # which every depth flag given after the flag under test overrides
+    entries = {
+        "gen": {cli._fixture_name(kind, preset): [kind, *(["--preset", preset] if preset else []),
+                                                  "--out", missing, "--trunc", "-1"]
+                for kind, preset in cli._FIXTURES},
+        "check": {name: [name, missing] for name in cli._CHECKS},
+        "construct": {name: [name, "--in", missing, "--out", missing] for name in cli._CONSTRUCTS},
+        "roundtrip": {name: [name, missing] for name in cli._ROUNDTRIPS},
+        "run-suite": {name: [name, *(["--bound"] if name == "presentation" else ["--trunc"]), "-1"]
+                      for name in cli._SUITES},
+    }
+    assert {cmd for cmd, _ in FLAG_USERS} == set(entries)
+    # the flag column of each table names no flag beyond those walked here
+    for cmd, table, column in (("check", cli._CHECKS, 3), ("construct", cli._CONSTRUCTS, 2),
+                               ("roundtrip", cli._ROUNDTRIPS, 3), ("run-suite", cli._SUITES, 1)):
+        assert {flag for row in table.values() for flag in row[column]} == {
+            flag for c, flag in FLAG_USERS if c == cmd}, cmd
+    for (cmd, flag), users in FLAG_USERS.items():
+        for name, args in entries[cmd].items():
+            argv = [cmd, f"--{flag.replace('_', '-')}", *_FLAG_VALUES[flag], *args]
+            refusal = f"{cmd} {name} takes no --{flag.replace('_', '-')} (it applies to: {users})\n"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, text = run(argv)
+            if name in users.split(", "):
+                assert refusal not in err.getvalue(), argv
+            else:
+                assert (code, text, err.getvalue()) == (2, "", refusal), argv
+    assert not (tmp_path / "missing").exists()
+
+
 def test_check_exit_codes(tmp_path):
     pm = str(tmp_path / "pm.json")
     assert run(["gen", "partial-monoid", "--trunc", "4", "--out", pm])[0] == 0
@@ -729,7 +793,7 @@ def test_roundtrip_m_from_smap(tmp_path):
 
 def test_roundtrip_trunc_cuts_only_boors(tmp_path):
     """``--trunc`` cuts the simplicial set of ``roundtrip boors``; the round
-    trips of a map or abacus presheaf reject it (exit 2, one line)."""
+    trips of a map or abacus presheaf refuse it (exit 2, one line)."""
     import contextlib
     import io
 
@@ -742,7 +806,7 @@ def test_roundtrip_trunc_cuts_only_boors(tmp_path):
         with contextlib.redirect_stderr(err):
             code, text = run(["roundtrip", kind, f, "--trunc", "2"])
         assert (code, text, err.getvalue()) == (
-            2, "", f"--trunc cuts the simplicial set of boors; {kind} runs at its input's depth\n")
+            2, "", f"roundtrip {kind} takes no --trunc (it applies to: boors)\n")
     x = str(tmp_path / "x.json")
     pjson.dump(nerve(chain_poset(1), 5), x)
     code, text = run(["roundtrip", "boors", x, "--trunc", "4"])
@@ -761,16 +825,32 @@ def test_reduced_stability_says_what_truncation_2_cannot_check(tmp_path):
         "name": "reduced_stability", "verdict": "vacuous", "witnesses": []})
 
 
+def test_2segal_reads_its_side_at_truncation_0(tmp_path):
+    """At truncation 0 neither decalage has a level to check: ``check
+    2segal`` is vacuous (exit 3) and names the side it was given, ``both``
+    where ``--side`` is not given."""
+    x = str(tmp_path / "x.json")
+    assert run(["gen", "nerve-poset", "--trunc", "0", "--out", x])[0] == 0
+    for side, flag in (("both", []), ("upper", ["--side", "upper"]), ("lower", ["--side", "lower"]),
+                       ("both", ["--side", "both"])):
+        code, text = run(["check", "2segal", x, *flag])
+        assert (code, json.loads(text)) == (3, {
+            "checked": 0, "coverage": [f"unverifiable:is_2segal[{side}]:trunc<1"],
+            "name": f"is_2segal[{side}]", "verdict": "vacuous", "witnesses": []}), flag
+
+
 def test_suite_names_are_the_suites():
-    # each named suite is a function of its module that takes its depth flag
+    # each named suite is a function of its module that takes every flag of
+    # its row, the first its depth flag
     import inspect
 
     from segal_abacus import cli
 
     assert cli.SUITE_NAMES == tuple(sorted(cli._SUITES))
-    for name, (home, flag, least, suite) in cli._SUITES.items():
-        assert flag in inspect.signature(suite(cli._library_module(home))).parameters, name
-        assert flag in cli._DEFAULT_DEPTH and least >= 0, name
+    for name, (home, flags, least, suite) in cli._SUITES.items():
+        parameters = inspect.signature(suite(cli._library_module(home))).parameters
+        assert all(flag in parameters for flag in flags), name
+        assert flags[0] in cli._DEFAULT_DEPTH and least >= 0, name
 
 
 def test_run_suite_presentation():
@@ -869,6 +949,11 @@ def test_morphism_subcommand():
     payload = json.loads(text)
     assert payload["abacus_word"] == "f@[0,1]"
     assert payload["simplicial_word"] == "t0@[1,0]"
+    # an empty bead word, spelled or not, is the identity of its source
+    for text in ("id@[1,0]", "@[1,0]"):
+        code, out = run(["morphism", text])
+        payload = json.loads(out)
+        assert (code, payload["abacus_word"], payload["carrier"]) == (0, "id@[1,0]", "[0,1,2]:3->3"), text
     assert run(["morphism", "nonsense"])[0] == 2
 
 
