@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from .reports import CheckReport, Frozen, Witness, _entry, _entry_from_report, _finish, _tally
 from .simplex import (
     GeneratorWord,
@@ -49,7 +50,6 @@ from .simplex import (
     codegeneracy,
     coface,
     compose_monotone,
-    enumerate_monotone,
     epi_mono_indices,
     identity,
 )
@@ -411,12 +411,14 @@ def trapezium_suite(degree_bound: int) -> CheckReport:
 
 
 def hom_enumerate(src: DObject, tgt: DObject) -> list[BeadMap]:
-    """All bead maps src -> tgt, by filtering monotone carriers: those whose
-    last black bead (and so every black bead) lands black.  Each is built
-    and validated."""
+    """All bead maps src -> tgt, by filtering the weakly increasing carrier
+    values, in ``simplex.enumerate_monotone``'s order: those whose last
+    black bead (and so every black bead) lands black.  Only the kept ones
+    are built and validated."""
     blacks, top = src.blacks, tgt.blacks
-    return [BeadMap(src, tgt, f) for f in enumerate_monotone(src.size - 1, tgt.size - 1)
-            if not blacks or f.values[blacks - 1] < top]
+    return [BeadMap(src, tgt, MonotoneMap(src.size, tgt.size, vals))
+            for vals in combinations_with_replacement(range(tgt.size), src.size)
+            if not blacks or vals[blacks - 1] < top]
 
 
 def objects_of_degree(max_degree: int) -> list[DObject]:

@@ -398,7 +398,8 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
     ``presheaf.deciding_once``, its gate's block too, so the row-zero
     pointing comparison the gate decides is built once and inverted for
     the first splittings.  A precondition report means the input fails the
-    pointing axioms or is too shallow; a splitting that cannot be built
+    pointing axioms, as every bulk of truncation 0 does, its zeroth row
+    being too shallow to point; a splitting that cannot be built
     from an input meeting the axioms refutes the construction, so that
     report fails with a witness.
     """
@@ -410,9 +411,6 @@ def extend_sigma_to_d(A: SigmaSet, half: bool = False):
     bulk = A.bulk
     Tb = bulk.trunc
     TD = Tb - 1
-    if TD < 0:
-        return None, CheckReport.precondition_failure(
-            "extend_sigma_to_d", "trunc too small"), axioms
 
     # the axioms passed, so the row-zero comparison their gate built is a bijection
     row0 = _pointing_sections(_row0_comparison(A))

@@ -3,11 +3,22 @@
 Everything here emits validated presheaves; the generators are the
 positive corpus for the checker suites, the graph and crafted partial
 tables are the negative corpus.
+
+The standard fixtures (``standard_nerve_corpus``, ``standard_map_corpus``)
+depend only on the truncation, so they come from one table per
+truncation, which builds each nerve the first time a caller asks for it.
+The nerve maps of the map corpus take their source and target from that
+table, so a map's nerves are the very objects of the nerve corpus.  Only
+the most recently asked truncation is held.  Each call returns a fresh
+list, but its entries are shared between calls and suites, so a caller
+may extend the list and must never mutate an entry.  The random corpus is
+never shared: each call builds its own nerves.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .presheaf import SMap, TruncSSet, _cut, delta_actions, identity_smap, pullback_pairs
@@ -214,18 +225,23 @@ class FinFunctor(Frozen):
 
 
 def nerve_map(fun: FinFunctor, trunc: int) -> SMap:
-    X = nerve(fun.source, trunc)
-    Y = nerve(fun.target, trunc)
+    return _functor_map(fun, nerve(fun.source, trunc), nerve(fun.target, trunc))
+
+
+def _functor_map(fun: FinFunctor, X: TruncSSet, Y: TruncSSet) -> SMap:
+    """The map of nerves ``X -> Y`` that ``fun`` induces."""
     levels = {0: {o: fun.on_obj[o] for o in X.level(0)}}
-    for n in range(1, trunc + 1):
+    for n in range(1, X.trunc + 1):
         levels[n] = {ch: tuple(fun.on_mor[m] for m in ch) for ch in X.level(n)}
     return SMap(X, Y, levels)
 
 
 def poset_inclusion(sub: FinCat, sup: FinCat, trunc: int) -> SMap:
-    on_obj = {o: o for o in sub.objects}
-    on_mor = {m: m for m in sub.morphisms}
-    return nerve_map(FinFunctor("incl", sub, sup, on_obj, on_mor), trunc)
+    return nerve_map(_inclusion_functor(sub, sup), trunc)
+
+
+def _inclusion_functor(sub: FinCat, sup: FinCat) -> FinFunctor:
+    return FinFunctor("incl", sub, sup, {o: o for o in sub.objects}, {m: m for m in sub.morphisms})
 
 
 def projection_functor(c1: FinCat, c2: FinCat) -> FinFunctor:
@@ -432,29 +448,63 @@ def standard_cats() -> list[FinCat]:
 
 
 def standard_nerve_corpus(trunc: int = 5) -> list[tuple[str, TruncSSet]]:
-    out = [(c.name, nerve(c, trunc)) for c in standard_cats()]
-    out.append(("partial-ea", two_segal_partial_monoid(trunc)))
-    return out
+    return list(_standard(trunc).nerves)
 
 
 def standard_map_corpus(trunc: int = 4) -> list[tuple[str, SMap]]:
-    maps = []
-    c2, c3 = chain_poset(2), chain_poset(3)
-    maps.append(("id-chain2", identity_smap(nerve(c2, trunc))))
-    maps.append(("id-partial", identity_smap(two_segal_partial_monoid(trunc))))
-    maps.append(("id-walkiso", identity_smap(nerve(walking_iso_cat(), trunc))))
-    maps.append(("incl-chain12", poset_inclusion(chain_poset(1), c2, trunc)))
-    maps.append(("incl-chain23", poset_inclusion(c2, c3, trunc)))
-    maps.append(("proj-c1xc1", nerve_map(projection_functor(chain_poset(1), chain_poset(1)), trunc)))
-    maps.append(("proj-c2xc1", nerve_map(projection_functor(c2, chain_poset(1)), trunc)))
-    maps.append(("collapse-diamond", nerve_map(collapse_functor(diamond_poset()), trunc)))
-    maps.append(("collapse-z2", nerve_map(collapse_functor(cyclic_monoid(2)), trunc)))
-    maps.append(("upset-chain2", upset_inclusion(c2, 1, trunc)))
-    maps.append(("downset-chain2", downset_inclusion(c2, 1, trunc)))
-    maps.append(("z2-to-z1", nerve_map(
-        FinFunctor("mod", cyclic_monoid(2), cyclic_monoid(1),
-                   {"*": "*"}, {0: 0, 1: 0}).check(), trunc)))
-    return maps
+    return list(_standard(trunc).maps)
+
+
+@lru_cache(maxsize=1)
+def _standard(trunc: int) -> _Standard:
+    """The standard fixtures of the most recently asked truncation."""
+    return _Standard(trunc)
+
+
+class _Standard:
+    """The standard fixtures of one truncation.  Its table holds each
+    nerve by its category's name, built the first time it is asked for."""
+
+    def __init__(self, trunc: int):
+        self.trunc = trunc
+        self.table = {}
+
+    def nerve_of(self, cat: FinCat) -> TruncSSet:
+        if cat.name not in self.table:
+            self.table[cat.name] = nerve(cat, self.trunc)
+        return self.table[cat.name]
+
+    @cached_property
+    def partial(self) -> TruncSSet:
+        return two_segal_partial_monoid(self.trunc)
+
+    @cached_property
+    def nerves(self) -> tuple:
+        return (*((c.name, self.nerve_of(c)) for c in standard_cats()), ("partial-ea", self.partial))
+
+    @cached_property
+    def maps(self) -> tuple:
+        N, trunc = self.nerve_of, self.trunc
+
+        def along(fun: FinFunctor) -> SMap:
+            return _functor_map(fun, N(fun.source), N(fun.target))
+
+        c1, c2, c3 = chain_poset(1), chain_poset(2), chain_poset(3)
+        return (
+            ("id-chain2", identity_smap(N(c2))),
+            ("id-partial", identity_smap(self.partial)),
+            ("id-walkiso", identity_smap(N(walking_iso_cat()))),
+            ("incl-chain12", along(_inclusion_functor(c1, c2))),
+            ("incl-chain23", along(_inclusion_functor(c2, c3))),
+            ("proj-c1xc1", along(projection_functor(c1, c1))),
+            ("proj-c2xc1", along(projection_functor(c2, c1))),
+            ("collapse-diamond", along(collapse_functor(diamond_poset()))),
+            ("collapse-z2", along(collapse_functor(cyclic_monoid(2)))),
+            ("upset-chain2", upset_inclusion(c2, 1, trunc)),
+            ("downset-chain2", downset_inclusion(c2, 1, trunc)),
+            ("z2-to-z1", along(FinFunctor("mod", cyclic_monoid(2), cyclic_monoid(1),
+                                          {"*": "*"}, {0: 0, 1: 0}).check())),
+        )
 
 
 def random_poset(n: int, rng: random.Random) -> FinCat:

@@ -285,7 +285,8 @@ def test_cheatsheet_decides_each_passing_square_once(monkeypatch):
     """Of the squares ``cheatsheet_suite(5, seed=3)`` checks, only the first
     meeting of a passing square and every meeting of a failing one reach
     the full decision; the rest are the same objects as a square already
-    found to be a pullback."""
+    found to be a pullback.  The nerve maps of the map corpus have the
+    nerve corpus's own nerves as ends, so their squares are among them."""
     from segal_abacus import fibrations, presheaf
 
     calls, decided = [], []
@@ -301,7 +302,7 @@ def test_cheatsheet_decides_each_passing_square_once(monkeypatch):
     monkeypatch.setattr(presheaf, "is_pullback", checking)
     monkeypatch.setattr(fibrations, "is_pullback", checking)
     cheatsheet_suite(trunc=5, seed=3)
-    assert (len(calls), len(decided)) == (5698, 2634)
+    assert (len(calls), len(decided)) == (5698, 2568)
 
 
 def test_boors_gates_decide_each_passing_square_once(monkeypatch):

@@ -1134,3 +1134,32 @@ def test_preconditions_name_what_is_missing():
     dictionary = m_2segal_dictionary(dictionary_conditions(F), q_lower_star(F))
     assert dictionary.verdict == "vacuous"
     assert dictionary.coverage == ["unverifiable:m_2segal_dictionary:undecided-side"]
+
+
+def test_extension_of_a_bulk_at_truncation_0_fails_the_pointing_axioms():
+    """A bulk of truncation 0 has a zeroth row too shallow to point, so its
+    axioms gate stops the extension, with or without the augmentation
+    row: on every nerve of ``standard_nerve_corpus(1)`` the horizontal
+    pointing reports "trunc too small" and the extension the failed
+    axioms."""
+    cases = [(p_star_tot(X), half) for _, X in standard_nerve_corpus(1) for half in (False, True)]
+    assert len(cases) == 42
+    for A, half in cases:
+        assert A.bulk.trunc == 0
+        B, rep, axioms = extend_sigma_to_d(A, half=half)
+        assert B is None
+        assert rep.precondition == "pointing axioms fail"
+        assert axioms.precondition == "trunc too small"
+
+
+def test_dictionary_names_the_two_sides_that_disagree():
+    """``m_2segal_dictionary`` compares the conditions it is handed with the
+    total space of the configuration it is handed: the conditions of the
+    identity of a chain's nerve hold, but the total space of a punctured
+    chain is not 2-Segal, so it fails and names both sides."""
+    conds = dictionary_conditions(identity_smap(nerve(chain_poset(2), 4)))
+    report = m_2segal_dictionary(conds, q_lower_star(identity_smap(punctured_chain_sset(4, 4))))
+    assert report.verdict == "fail"
+    assert [(w.site, w.equation, w.offenders) for w in report.witnesses] == [
+        ("m_2segal_dictionary", "conditions on F match 2-Segal total space",
+         ("conditions=True", "total=False"))]

@@ -26,6 +26,8 @@ KEEP = {
     "h_unit_report": "with h_lower/h_upper, the unit of the h-comparison; not yet a suite entry",
     "bead_identity": "the benchmark's reference word evaluator starts from it",
     "bead_compose": "the benchmark's abacus.bead_compose probe times it; the tests compose with it",
+    "enumerate_monotone": "the benchmark's simplex probes enumerate their maps with it; "
+                          "hom_enumerate filters carrier values before building maps",
 }
 
 
