@@ -44,6 +44,7 @@ from .presheaf import (
     Witness,
     _cut,
     _sorted_ids,
+    _through_each,
     action_target,
     bijection_witnesses,
     built_once,
@@ -68,13 +69,6 @@ from .simplex import MonotoneMap
 
 # ---------------------------------------------------------------------------
 # The right Kan extension of a simplicial map
-
-
-def _through_each(tables, xs):
-    """``through(tables, x)`` for each x of ``xs``, lazily, in turn."""
-    for table in tables:
-        xs = map(table.__getitem__, xs)
-    return xs
 
 
 def q_lower_star(F: SMap) -> DSet:

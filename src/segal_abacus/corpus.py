@@ -264,20 +264,19 @@ def upset_inclusion(cat: FinCat, base, trunc: int) -> SMap:
     The inclusion of a coslice: a discrete opfibration, so a left
     fibration of nerves.
     """
-    return _bounded_inclusion(cat, base, trunc, ">=")
+    return poset_inclusion(_bounded(cat, base, ">="), cat, trunc)
 
 
 def downset_inclusion(cat: FinCat, base, trunc: int) -> SMap:
-    return _bounded_inclusion(cat, base, trunc, "<=")
+    return poset_inclusion(_bounded(cat, base, "<="), cat, trunc)
 
 
-def _bounded_inclusion(cat: FinCat, base, trunc: int, side: str) -> SMap:
-    """The nerve of the objects ``side`` ``base`` (``">="`` or ``"<="``),
-    included into the whole poset; its arrows are read off one set."""
+def _bounded(cat: FinCat, base, side: str) -> FinCat:
+    """The full subposet of the objects ``side`` ``base`` (``">="`` or
+    ``"<="``); its arrows are read off one set."""
     arrows = set(cat.morphisms)
     keep = {o for o in cat.objects if ((base, o) if side == ">=" else (o, base)) in arrows}
-    sub = poset_cat(f"{cat.name}{side}{base}", sorted(keep, key=str), lambda a, b: (a, b) in arrows)
-    return poset_inclusion(sub, cat, trunc)
+    return poset_cat(f"{cat.name}{side}{base}", sorted(keep, key=str), lambda a, b: (a, b) in arrows)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +483,7 @@ class _Standard:
 
     @cached_property
     def maps(self) -> tuple:
-        N, trunc = self.nerve_of, self.trunc
+        N = self.nerve_of
 
         def along(fun: FinFunctor) -> SMap:
             return _functor_map(fun, N(fun.source), N(fun.target))
@@ -500,8 +499,8 @@ class _Standard:
             ("proj-c2xc1", along(projection_functor(c2, c1))),
             ("collapse-diamond", along(collapse_functor(diamond_poset()))),
             ("collapse-z2", along(collapse_functor(cyclic_monoid(2)))),
-            ("upset-chain2", upset_inclusion(c2, 1, trunc)),
-            ("downset-chain2", downset_inclusion(c2, 1, trunc)),
+            ("upset-chain2", along(_inclusion_functor(_bounded(c2, 1, ">="), c2))),
+            ("downset-chain2", along(_inclusion_functor(_bounded(c2, 1, "<="), c2))),
             ("z2-to-z1", along(FinFunctor("mod", cyclic_monoid(2), cyclic_monoid(1),
                                           {"*": "*"}, {0: 0, 1: 0}).check())),
         )

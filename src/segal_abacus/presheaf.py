@@ -32,16 +32,25 @@ for the rows and columns of a bisimplicial set and the source and target
 of a map), ``_bisset_rows``, ``_smap_rows``, ``_relation_rows`` for the
 abacus category, ``_coalgebra_rows`` for split structures, and
 ``_pointed_rows`` adds a pointing to any of them: its point set is one
-more level and the pointing one more totality row.  One element loop
-checks them all: ``_check_rows`` reports every level beyond the
-truncation or missing, every element listed twice and every table no
-totality row names, and checks totality, then ``_compare_rows`` applies
-both sides of each identity to every element, and only looks tables up;
-``dset_iso_report`` runs it on ``_iso_rows``, a naturality row for each
-totality row of ``_relation_rows``.  A construction that
-applies one map to a whole level also takes its tables once
-(``TruncSSet.act_tables``, the action keys of a monotone map cached per
-map in ``_act_steps``).
+more level and the pointing one more totality row.  A row set's levels
+and totality rows are built at once, its relation rows when first read
+(``_Later``).  One element loop checks them all, in two phases.  Phase 1,
+``_check_rows``, reports every level beyond the truncation or missing,
+every element listed twice and every table no totality row names, and
+reads each table once over its source level, one lookup per element: it
+reports what the table leaves undefined or sends off its target level,
+and else keeps the table as positions, the index in the target level of
+each image.  Input refused there costs no relation row.  Phase 2,
+``_compare_rows``, pushes ``range(len(level))`` through the position
+lists of both sides of each identity as lazy ``map`` chains
+(``_through_each``) and compares them pairwise, hashing no element:
+positions are equal exactly when elements are, as phase 1 passed.
+``dset_iso_report`` runs the same loop from the elements, through their
+tables, on ``_iso_rows``, a naturality row for each totality row of
+``_relation_rows``.  A construction that applies one map to a whole level
+also takes its tables once (``TruncSSet.act_tables``, the action keys of
+a monotone map cached per map in ``_act_steps``) and walks the level
+through them with ``_through_each``.
 
 Element order is canonical, by ``fmt_id``, and computed once: every level
 goes through ``_sorted_ids``, which formats each tuple part once per sort
@@ -102,9 +111,9 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import contextmanager
-from functools import lru_cache
-from itertools import compress
-from operator import itemgetter
+from functools import cached_property, lru_cache
+from itertools import chain, compress, repeat
+from operator import itemgetter, ne
 
 from .reports import CheckReport, Frozen, Record, TruncationError, Witness
 from .simplex import MonotoneMap, epi_mono_indices
@@ -290,43 +299,33 @@ def _delta_rows(T: int) -> tuple:
     """The rows of the simplex category truncated at degree T, keyed like
     ``TruncSSet.actions``: every level, the totality of every face and
     degeneracy, and the simplicial identities.  For ``i`` in ``{j, j + 1}``
-    the face-degeneracy identity ``d_i s_j = id`` has an empty right side."""
+    the face-degeneracy identity ``d_i s_j = id`` has an empty right side.
+    The identities are built when first read (``_Later``)."""
     expect = tuple((f"level@{n}", n) for n in range(T + 1))
     totals = tuple((action_label(kind, k, n), (kind, k, n), n, _delta_target(kind, n))
                    for kind, k, n in delta_actions(T))
-    relations = [(f"dd(i={i},j={j})@{n}", "d_i d_j = d_(j-1) d_i", n,
-                  (("d", j, n), ("d", i, n - 1)), (("d", i, n), ("d", j - 1, n - 1)))
-                 for n in range(2, T + 1) for j in range(n + 1) for i in range(j)]
-    relations += [(f"ss(i={i},j={j})@{n}", "s_j+1 s_i = s_i s_j", n,
-                   (("s", i, n), ("s", j + 1, n + 1)), (("s", j, n), ("s", i, n + 1)))
-                  for n in range(T - 1) for j in range(n + 1) for i in range(j + 1)]
-    for n in range(T):
-        for j in range(n + 1):
-            for i in range(n + 2):
-                if i < j:
-                    rhs = (("d", i, n), ("s", j - 1, n - 1))
-                elif i <= j + 1:
-                    rhs = ()
-                else:
-                    rhs = (("d", i - 1, n), ("s", j, n - 1))
-                relations.append((f"ds(i={i},j={j})@{n}", "face-degeneracy identity", n,
-                                  (("s", j, n), ("d", i, n + 1)), rhs))
-    return expect, totals, tuple(relations)
 
+    def relations():
+        rows = [(f"dd(i={i},j={j})@{n}", "d_i d_j = d_(j-1) d_i", n,
+                 (("d", j, n), ("d", i, n - 1)), (("d", i, n), ("d", j - 1, n - 1)))
+                for n in range(2, T + 1) for j in range(n + 1) for i in range(j)]
+        rows += [(f"ss(i={i},j={j})@{n}", "s_j+1 s_i = s_i s_j", n,
+                  (("s", i, n), ("s", j + 1, n + 1)), (("s", j, n), ("s", i, n + 1)))
+                 for n in range(T - 1) for j in range(n + 1) for i in range(j + 1)]
+        for n in range(T):
+            for j in range(n + 1):
+                for i in range(n + 2):
+                    if i < j:
+                        rhs = (("d", i, n), ("s", j - 1, n - 1))
+                    elif i <= j + 1:
+                        rhs = ()
+                    else:
+                        rhs = (("d", i - 1, n), ("s", j, n - 1))
+                    rows.append((f"ds(i={i},j={j})@{n}", "face-degeneracy identity", n,
+                                 (("s", j, n), ("d", i, n + 1)), rhs))
+        return rows
 
-def _check_total(table, src, tgt, label, witnesses) -> int:
-    if table is None:
-        witnesses.append(Witness(label, "action table missing", ()))
-        return 0
-    tgt_set = set(tgt)
-    n = 0
-    for x in src:
-        n += 1
-        if x not in table:
-            witnesses.append(Witness(label, "action undefined", (x,)))
-        elif table[x] not in tgt_set:
-            witnesses.append(Witness(label, "action leaves level", (x, table[x])))
-    return n
+    return expect, totals, _Later(relations)
 
 
 def validate_smap(F: SMap, name: str = "smap") -> CheckReport:
@@ -375,33 +374,60 @@ def _naturality_rows(gens) -> tuple:
 # ---------------------------------------------------------------------------
 # The element loop
 
+# what a table gives for an element it leaves undefined; no element is it
+_UNDEFINED = object()
+
 
 def _check_rows(name: str, tables, levels, rows) -> CheckReport:
     """Check a presheaf against its rows ``(expect, totals, relations)``.
+
     Phase 1 reports each level that is not an expected level
     ``(label, level)`` as beyond the truncation, each element a level lists
     twice and each expected level missing, and each table that no totality
-    row names as not in the category; and it checks that each totality
-    row's ``(label, key, source, target)`` table is defined on its source
-    level and lands in its target level.  A witness from it stops the
-    report there; else phase 2, ``_compare_rows``, can look up every table
-    its relation rows name."""
+    row names as not in the category; and it reads each totality row's
+    ``(label, key, source, target)`` table once over its source level, with
+    one lookup per element, reporting in source order each element it
+    leaves undefined and each image outside the target level.  So each
+    table becomes its list of positions: the index, in the target level,
+    of the image of each source element in turn.
+
+    A witness from phase 1 stops the report there, before any relation row
+    is built.  Else every table is total, every image lies in its level and
+    no level repeats an element, so two images are equal exactly when
+    their positions are, and phase 2, ``_compare_rows``, compares the
+    identities on positions, starting each level from
+    ``range(len(level))``: it hashes no element."""
     expect, totals, relations = rows
     expected = {lv for _, lv in expect}
     witnesses = [Witness(f"level@{lv}", "level beyond the truncation", ())
                  for lv in levels if lv not in expected]
+    index = {lv: dict(zip(xs, range(len(xs)))) for lv, xs in levels.items()}
     witnesses += [Witness(f"level@{lv}", "element listed twice", (x,))
-                  for lv, xs in levels.items() for x, n in Counter(xs).items() if n > 1]
+                  for lv, xs in levels.items() if len(index[lv]) < len(xs)
+                  for x, n in Counter(xs).items() if n > 1]
     witnesses += [Witness(label, "level missing", ()) for label, lv in expect if lv not in levels]
     named = {key for _, key, _, _ in totals}
     witnesses += [Witness(_table_label(key), "table not in the category", ())
                   for key in tables if key not in named]
     checked = 0
+    positions = {}
     for label, key, src, tgt in totals:
-        checked += _check_total(tables.get(key), levels.get(src, ()), levels.get(tgt, ()), label, witnesses)
+        table = tables.get(key)
+        if table is None:
+            witnesses.append(Witness(label, "action table missing", ()))
+            continue
+        xs = levels.get(src, ())
+        checked += len(xs)
+        images = list(map(table.get, xs, repeat(_UNDEFINED)))
+        positions[key] = at = list(map(index.get(tgt, {}).get, images))
+        if None in at:
+            witnesses += [Witness(label, "action undefined", (x,)) if y is _UNDEFINED
+                          else Witness(label, "action leaves level", (x, y))
+                          for x, y, p in zip(xs, images, at) if p is None]
     if witnesses:
         return CheckReport.from_witnesses(name, witnesses, checked)
-    return _compare_rows(name, checked, tables, levels, relations)
+    starts = {lv: range(len(xs)) for lv, xs in levels.items()}
+    return _compare_rows(name, checked, positions, levels, starts, relations)
 
 
 def _table_label(key) -> str:
@@ -412,20 +438,51 @@ def _table_label(key) -> str:
     return f"F@{key[1]}" if key[0] == "M" else {"S": "source:", "T": "target:"}[key[0]] + action_label(*key[1])
 
 
-def _compare_rows(name: str, checked: int, tables, levels, relations) -> CheckReport:
-    """The one loop that compares identities element by element: for each
-    relation row ``(site, equation, level, lhs keys, rhs keys)`` and each
-    element of the level, both sides applied through their tables in turn.
-    A row whose sides differ on x gives the witness ``(site, equation, (x,))``."""
+def _compare_rows(name: str, checked: int, tables, levels, starts, relations) -> CheckReport:
+    """The one loop that compares identities: for each relation row
+    ``(site, equation, level, lhs keys, rhs keys)``, the start members of
+    the level, ``starts[level]``, pushed through each side's tables in turn
+    as lazy ``map`` chains (``_through_each``) and compared pairwise.  Where
+    the sides differ on the start member of the level's element x (its
+    position, or x itself), the row gives the witness
+    ``(site, equation, (x,))``.
+
+    The validators start from positions, with the position lists of
+    ``_check_rows``; ``dset_iso_report`` starts from the elements, with
+    their tables, so each element goes through the left side and then the
+    right side before the next one, and a missing entry raises where it is
+    met."""
     witnesses = []
     for site, equation, lv, lhs, rhs in relations:
-        xs = levels.get(lv, ())
-        lhs_tables = [tables[key] for key in lhs]
-        rhs_tables = [tables[key] for key in rhs]
+        xs, start = levels.get(lv, ()), starts.get(lv, ())
+        left = _through_each(map(tables.__getitem__, lhs), start)
+        right = _through_each(map(tables.__getitem__, rhs), start)
         checked += len(xs)
-        witnesses += [Witness(site, equation, (x,)) for x in xs
-                      if through(lhs_tables, x) != through(rhs_tables, x)]
+        witnesses += [Witness(site, equation, (x,)) for x in compress(xs, map(ne, left, right))]
     return CheckReport.from_witnesses(name, witnesses, checked)
+
+
+def _through_each(tables, xs):
+    """``through(tables, x)`` for each x of ``xs``, lazily, in turn."""
+    for table in tables:
+        xs = map(table.__getitem__, xs)
+    return xs
+
+
+class _Later:
+    """Relation rows built when first read, then kept.  Phase 1 of
+    ``_check_rows`` never reads them, so input it refuses costs no
+    identity row, whatever its truncation."""
+
+    def __init__(self, build):
+        self.build = build
+
+    @cached_property
+    def rows(self) -> tuple:
+        return tuple(self.build())
+
+    def __iter__(self):
+        return iter(self.rows)
 
 
 def _rekey(rows, prefix: str, key, level) -> tuple:
@@ -434,13 +491,15 @@ def _rekey(rows, prefix: str, key, level) -> tuple:
     expect, totals, relations = rows
     return (tuple((prefix + label, level(lv)) for label, lv in expect),
             tuple((prefix + label, key(k), level(src), level(tgt)) for label, k, src, tgt in totals),
-            tuple((prefix + site, equation, level(lv), tuple(map(key, lhs)), tuple(map(key, rhs)))
-                  for site, equation, lv, lhs, rhs in relations))
+            _Later(lambda: ((prefix + site, equation, level(lv), tuple(map(key, lhs)), tuple(map(key, rhs)))
+                            for site, equation, lv, lhs, rhs in relations)))
 
 
 def _concat(*rows) -> tuple:
     """Several row sets as one, part by part."""
-    return tuple(tuple(row for part in parts for row in part) for parts in zip(*rows))
+    expect, totals, relations = zip(*rows)
+    return (tuple(chain.from_iterable(expect)), tuple(chain.from_iterable(totals)),
+            _Later(lambda: chain.from_iterable(relations)))
 
 
 # ---------------------------------------------------------------------------
@@ -790,18 +849,22 @@ def _bisset_rows(T: int) -> tuple:
     expect = tuple((f"level@{lv}", lv) for lv in into)
     totals = tuple((action_label(kind, k, lv), (kind, k, lv), lv, tgt)
                    for lv, gens in into.items() for kind, k, tgt in gens)
-    lines = [_rekey(_delta_rows(T - i), f"row{i}:", lambda key, i=i: (key[0], key[1], (i, key[2])),
-                    lambda n, i=i: (i, n)) for i in range(T + 1)]
-    lines += [_rekey(_delta_rows(T - j), f"col{j}:", lambda key, j=j: (VERTICAL[key[0]], key[1], (key[2], j)),
-                     lambda n, j=j: (n, j)) for j in range(T + 1)]
-    commute = tuple(
-        (f"{vkind}{vk}.{hkind}{hk}@({lv[0]},{lv[1]})", "directions commute", lv,
-         ((vkind, vk, lv), (hkind, hk, vtgt)), ((hkind, hk, lv), (vkind, vk, htgt)))
-        for lv, gens in into.items()
-        for vkind, vk, vtgt in gens if vkind in ("e", "t")
-        for hkind, hk, htgt in gens if hkind in ("d", "s") and sum(action_target(hkind, vtgt)) <= T)
-    # a row's or column's tables are the grid's own, whose totality is above
-    return expect, totals, tuple(row for _, _, relations in lines for row in relations) + commute
+
+    def relations():
+        lines = [_rekey(_delta_rows(T - i), f"row{i}:", lambda key, i=i: (key[0], key[1], (i, key[2])),
+                        lambda n, i=i: (i, n)) for i in range(T + 1)]
+        lines += [_rekey(_delta_rows(T - j), f"col{j}:", lambda key, j=j: (VERTICAL[key[0]], key[1], (key[2], j)),
+                         lambda n, j=j: (n, j)) for j in range(T + 1)]
+        commute = (
+            (f"{vkind}{vk}.{hkind}{hk}@({lv[0]},{lv[1]})", "directions commute", lv,
+             ((vkind, vk, lv), (hkind, hk, vtgt)), ((hkind, hk, lv), (vkind, vk, htgt)))
+            for lv, gens in into.items()
+            for vkind, vk, vtgt in gens if vkind in ("e", "t")
+            for hkind, hk, htgt in gens if hkind in ("d", "s") and sum(action_target(hkind, vtgt)) <= T)
+        # a row's or column's tables are the grid's own, whose totality is above
+        return chain((row for _, _, line in lines for row in line), commute)
+
+    return expect, totals, _Later(relations)
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +920,8 @@ def _relation_rows(trunc: int, with_aug: bool) -> tuple:
     words stay on those levels, generated only from sources on them.  The
     keys are ``actions`` keys in contravariant order, so a presheaf applies
     a side by looking its tables up in turn.  Names, levels and keys are
-    interned, so the rows hold no words or bead maps.
+    interned, so the rows hold no words or bead maps.  The relation rows
+    are built when first read (``_Later``).
     """
     from .abacus import SHIFT, DObject, generators_into, relations_at
 
@@ -882,22 +946,18 @@ def _relation_rows(trunc: int, with_aug: bool) -> tuple:
     totals = tuple((action_label(kind, k, lv), (kind, k, lv), lv, tgt)
                    for _, lv in expect for kind, k, tgt, _ in into[lv] if with_aug or tgt[0] >= 0)
     levels = {lv for _, lv in expect}
-    rows = []
-    # relation_instances' order; a source off the levels starts no row
-    for source in sorted(levels):
-        for rel_name, lhs, rhs in relations_at(DObject(*source)):
-            path_l, path_r = word_levels(lhs), word_levels(rhs)
-            assert path_l[-1] == path_r[-1], f"{lhs} and {rhs} end apart"
-            if not levels.issuperset(path_l + path_r):
-                continue
-            rows.append((
-                intern(rel_name),
-                f"{lhs} = {rhs}",
-                intern(path_l[-1]),
-                _action_keys(lhs, path_l, intern),
-                _action_keys(rhs, path_r, intern),
-            ))
-    return expect, totals, tuple(rows)
+
+    def relations():
+        # relation_instances' order; a source off the levels starts no row
+        for source in sorted(levels):
+            for rel_name, lhs, rhs in relations_at(DObject(*source)):
+                path_l, path_r = word_levels(lhs), word_levels(rhs)
+                assert path_l[-1] == path_r[-1], f"{lhs} and {rhs} end apart"
+                if levels.issuperset(path_l + path_r):
+                    yield (intern(rel_name), f"{lhs} = {rhs}", intern(path_l[-1]),
+                           _action_keys(lhs, path_l, intern), _action_keys(rhs, path_r, intern))
+
+    return expect, totals, _Later(relations)
 
 
 def _action_keys(word, path, intern) -> tuple:
@@ -931,7 +991,7 @@ def dset_iso_report(B1: DSet, B2: DSet, maps: dict, name: str = "dset_iso") -> C
                  for side, key in (("source", lhs[0]), ("target", rhs[-1])) if key not in tables]
     if witnesses:
         return CheckReport.from_witnesses(name, witnesses, checked)
-    return _compare_rows(name, checked, tables, levels, rows)
+    return _compare_rows(name, checked, tables, levels, levels, rows)
 
 
 @lru_cache(maxsize=None)

@@ -302,7 +302,7 @@ def test_cheatsheet_decides_each_passing_square_once(monkeypatch):
     monkeypatch.setattr(presheaf, "is_pullback", checking)
     monkeypatch.setattr(fibrations, "is_pullback", checking)
     cheatsheet_suite(trunc=5, seed=3)
-    assert (len(calls), len(decided)) == (5698, 2568)
+    assert (len(calls), len(decided)) == (5698, 2548)
 
 
 def test_boors_gates_decide_each_passing_square_once(monkeypatch):

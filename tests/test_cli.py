@@ -559,7 +559,7 @@ def _mutants(draw, docs):
         node[draw(st.sampled_from(sorted(node)))] = "foreign"
     else:
         node = draw(st.sampled_from([n for _, n in nodes if isinstance(n, dict) and "trunc" in n]))
-        node["trunc"] = draw(st.integers(0, 8))
+        node["trunc"] = draw(st.integers(0, 30))
     return name, mutation, doc
 
 
@@ -568,10 +568,9 @@ def _mutants(draw, docs):
 def test_mutated_pipeline_files_never_exit_4(pipeline_files, data):
     """Every ``check``, ``construct`` and ``roundtrip`` on a randomly mutated
     README pipeline file exits 0-3: a verdict or invalid input, never an
-    internal error.  A mutated ``trunc`` stays within 0-8, which keeps the
-    budget small and leaves out a known defect: a file that declares a large
-    truncation but lists few levels makes validation build every identity
-    row first, and at trunc 200 that ends in a MemoryError (exit 4)."""
+    internal error.  A mutated ``trunc`` stays within 0-30, which keeps the
+    budget small: the generator table of an abacus truncation grows with
+    its cube."""
     import contextlib
     import io
 
@@ -591,6 +590,26 @@ def test_mutated_pipeline_files_never_exit_4(pipeline_files, data):
             code, _ = run(argv)
         assert code in (0, 1, 2, 3), (name, mutation, argv[:2])
 
+
+
+def test_a_deep_file_is_refused_before_any_identity_row(tmp_path):
+    """A 70-byte ``sset`` file that declares truncation 200 but lists only
+    level 0 fails validation on its missing levels and tables alone: no
+    identity row is built, so it answers within a second in process, where
+    building the rows first ended in a MemoryError, and ``check validate``
+    exits 1."""
+    import time
+
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"shape": "sset", "trunc": 200, "levels": {"0": ["a"]}, "actions": {}}))
+    assert len(path.read_bytes()) == 70
+    start = time.perf_counter()
+    report = validate(pjson.load(str(path)))
+    assert report.holds is False
+    assert time.perf_counter() - start < 1.0
+    assert report.checked == 0
+    assert {w.equation for w in report.witnesses} == {"level missing", "action table missing"}
+    assert run(["check", "validate", str(path)])[0] == 1
 
 def test_unwritable_out_is_invalid_input(tmp_path):
     """``gen`` and ``construct`` say which --out they cannot write (exit 2)."""

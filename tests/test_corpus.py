@@ -101,6 +101,7 @@ def test_standard_fixtures_are_shared_and_never_changed(monkeypatch):
     assert maps["id-chain2"].source is nerves["chain2"]
     assert maps["id-partial"].source is nerves["partial-ea"]
     assert maps["incl-chain12"].target is nerves["chain2"]
+    assert maps["upset-chain2"].target is nerves["chain2"]
     for corpus in (standard_nerve_corpus, standard_map_corpus):
         first, again = corpus(5), corpus(5)
         assert first is not again

@@ -28,6 +28,10 @@ KEEP = {
     "bead_compose": "the benchmark's abacus.bead_compose probe times it; the tests compose with it",
     "enumerate_monotone": "the benchmark's simplex probes enumerate their maps with it; "
                           "hom_enumerate filters carrier values before building maps",
+    "upset_inclusion": "the benchmark's corpus.build layer names it; the map corpus builds "
+                       "its up-set map into the shared chain2, and the tests build inclusions with it",
+    "downset_inclusion": "the benchmark's corpus.build layer names it; the map corpus builds "
+                         "its down-set map into the shared chain2, and the tests build inclusions with it",
 }
 
 
@@ -115,7 +119,8 @@ def test_no_library_module_imports_dataclasses():
 
 
 # the helpers that build or run row tables, besides every ``_*_rows``
-ROW_HELPERS = {"_check_rows", "_compare_rows", "_concat", "_rekey", "_map_view", "_naturality_rows"}
+ROW_HELPERS = {"_check_rows", "_compare_rows", "_concat", "_rekey", "_map_view", "_naturality_rows",
+               "_Later"}
 
 
 def _names(tree) -> set:

@@ -27,7 +27,6 @@ from segal_abacus.presheaf import (
     Square,
     TruncSSet,
     Witness,
-    _check_total,
     _relation_rows,
     _sorted_ids,
     action_label,
@@ -50,6 +49,8 @@ from segal_abacus.presheaf import (
     validate_dset,
 )
 from segal_abacus.simplex import MonotoneMap, coface, enumerate_monotone, identity
+
+from reference import check_total
 
 
 def corrupt_face(X, n, k):
@@ -1026,7 +1027,7 @@ def _reference_validate_dset(B, name="dset"):
         for kind, k, tgt in _ref_dset_action_ranges(lvl[0], lvl[1], B.trunc):
             if not with_aug and tgt[0] == -1:
                 continue
-            checked += _check_total(B.actions.get((kind, k, lvl)), B.level(*lvl), B.level(*tgt),
+            checked += check_total(B.actions.get((kind, k, lvl)), B.level(*lvl), B.level(*tgt),
                                     action_label(kind, k, lvl), witnesses)
     if witnesses:
         return CheckReport.from_witnesses(name, witnesses, checked)
@@ -1087,6 +1088,37 @@ def test_validate_dset_matches_per_element_walk(data):
     got, want = validate_dset(B), _reference_validate_dset(B)
     want_witnesses = sorted(want.witnesses + missing, key=str)
     assert (got.verdict, got.checked, got.witnesses) == (want.verdict, want.checked, want_witnesses)
+
+
+class _CountingTable(dict):
+    """An action table that counts its lookups, by ``get`` or by index."""
+
+    lookups = 0
+
+    def get(self, *args):
+        self.lookups += 1
+        return super().get(*args)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_validate_looks_each_element_up_once_per_table():
+    """``validate`` reads each action table once over its source level, with
+    one lookup per element, and compares the identities on positions: on a
+    Kan extension and on a nerve, each table is looked up as often as its
+    source level has elements, and the report is the one the plain tables
+    give."""
+    F = dict(standard_map_corpus(3))["incl-chain12"]
+    for P in (q_lower_star(F), nerve(diamond_poset(), 4)):
+        counted = copy.copy(P)
+        counted.actions = {key: _CountingTable(table) for key, table in P.actions.items()}
+        report, want = validate(counted), validate(P)
+        assert want.holds is True
+        assert report.to_dict() == want.to_dict()
+        assert {key: table.lookups for key, table in counted.actions.items()} == \
+            {key: len(P.levels[key[2]]) for key in P.actions}
 
 
 def test_levels_beyond_the_truncation_fail_validation():

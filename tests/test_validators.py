@@ -47,7 +47,6 @@ from segal_abacus.presheaf import (
     SigmaSet,
     TruncSSet,
     Witness,
-    _check_total,
     action_label,
     action_target,
     bisset_actions,
@@ -67,6 +66,8 @@ from segal_abacus.presheaf import (
     validate_sset,
 )
 
+from reference import check_total
+
 JUNK = "junk"
 
 
@@ -82,11 +83,11 @@ def _reference_validate_sset(X, name="sset"):
             witnesses.append(Witness(f"level@{n}", "level missing", ()))
     for n in range(1, X.trunc + 1):
         for k in range(n + 1):
-            checked += _check_total(X.actions.get(("d", k, n)), X.level(n), X.level(n - 1),
+            checked += check_total(X.actions.get(("d", k, n)), X.level(n), X.level(n - 1),
                                     f"d{k}@{n}", witnesses)
     for n in range(X.trunc):
         for k in range(n + 1):
-            checked += _check_total(X.actions.get(("s", k, n)), X.level(n), X.level(n + 1),
+            checked += check_total(X.actions.get(("s", k, n)), X.level(n), X.level(n + 1),
                                     f"s{k}@{n}", witnesses)
     if witnesses:
         return CheckReport.from_witnesses(name, witnesses, checked)
@@ -128,7 +129,7 @@ def _reference_validate_smap(F, name="smap"):
     checked = 0
     for n in range(min(X.trunc, Y.trunc) + 1):
         table = F.levels.get(n)
-        checked += _check_total(table, X.level(n), Y.level(n), f"F@{n}", witnesses)
+        checked += check_total(table, X.level(n), Y.level(n), f"F@{n}", witnesses)
     if witnesses:
         return CheckReport.from_witnesses(name, witnesses, checked)
     for n in range(1, min(X.trunc, Y.trunc) + 1):
@@ -156,7 +157,7 @@ def _reference_validate_bisset(B, name="bisset"):
         if lvl not in B.levels:
             continue
         for kind, k, tgt in gens:
-            checked += _check_total(A.get((kind, k, lvl)), B.levels[lvl], B.level(*tgt),
+            checked += check_total(A.get((kind, k, lvl)), B.levels[lvl], B.level(*tgt),
                                     action_label(kind, k, lvl), witnesses)
     if witnesses:
         return CheckReport.from_witnesses(name, witnesses, checked)
@@ -202,7 +203,7 @@ def _with_pointing(rep, totality, pointing, level):
     before the identities, and the pointing's totality into ``level``: a
     bad pointing leaves only the totality witnesses and instances."""
     witnesses = []
-    points = _check_total(pointing.pointing, pointing.point_set, level, "pointing", witnesses)
+    points = check_total(pointing.pointing, pointing.point_set, level, "pointing", witnesses)
     if not witnesses:
         return CheckReport.from_witnesses(rep.name, rep.witnesses, rep.checked + points)
     before = [w for w in rep.witnesses if w.equation in _TOTALITY]
