@@ -126,10 +126,8 @@ _DEFAULT_PRESET = {"graph": "glued", "nerve-category": "walkiso"}
 _FIXTURES = {
     ("nerve-poset", None): ((0, 2), lambda c, n, T: c.nerve(c.chain_poset(n), T)),
     ("nerve-poset", "diamond"): (None, lambda c, n, T: c.nerve(c.diamond_poset(), T)),
-    ("nerve-poset", "vee"): (None, lambda c, n, T: c.nerve(
-        c.poset_cat("vee", ["a", "b", "c"], lambda x, y: x == y or x == "a"), T)),
-    ("nerve-poset", "wedge"): (None, lambda c, n, T: c.nerve(
-        c.poset_cat("wedge", ["a", "b", "c"], lambda x, y: x == y or y == "c"), T)),
+    ("nerve-poset", "vee"): (None, lambda c, n, T: c.nerve(c.vee_poset(), T)),
+    ("nerve-poset", "wedge"): (None, lambda c, n, T: c.nerve(c.wedge_poset(), T)),
     ("nerve-category", "walkiso"): (None, lambda c, n, T: c.nerve(c.walking_iso_cat(), T)),
     ("nerve-category", "parallel"): (None, lambda c, n, T: c.nerve(c.parallel_arrows_cat(), T)),
     ("nerve-monoid", None): ((1, 2), lambda c, n, T: c.nerve(c.cyclic_monoid(n), T)),
@@ -284,18 +282,29 @@ def _load_or_none(path: str):
 # construct
 
 
+def _m_projection(cfg, P):
+    """The projection of ``build_M``'s total space over the arrow, from an
+    abacus presheaf or from a simplicial map's Kan extension; an abacus
+    presheaf without an augmentation row, which ``build_M`` reads, is
+    refused with that precondition."""
+    B = cfg.q_lower_star(P) if isinstance(P, cfg.SMap) else P
+    if not B.has_aug_row():
+        return None, CheckReport.precondition_failure("build_M", "no augmentation row")
+    return cfg.build_M(B)[1]
+
+
 # construct op: (the input shapes it takes; the construction, given the
 # configurations module, the input and its given flags: the presheaf it
 # writes, or for ``extend``, which validates what it builds, that presheaf
-# (None where it refused the input) and its report; the flags it takes)
+# (None where it refused the input) and its report, and for ``M`` None and
+# the precondition where it refuses the input; the flags it takes)
 _CONSTRUCTS = {
     "qstar": (SMAP, lambda cfg, P: cfg.q_lower_star(P), ()),
     "tot": (SSET, lambda cfg, P: cfg.tot(P), ()),
     "rtot": (SSET, lambda cfg, P: cfg.r_star(P), ()),
     "boors-tot": (SSET, lambda cfg, P: cfg.p_star_tot(P), ()),
     "extend": (("sigmaset",), lambda cfg, P, **kw: cfg.extend_sigma_to_d(P, **kw)[:2], ("half",)),
-    "M": (("smap", "dset"), lambda cfg, P: cfg.build_M(
-        cfg.q_lower_star(P) if isinstance(P, cfg.SMap) else P)[1], ()),
+    "M": (("smap", "dset"), _m_projection, ()),
 }
 
 

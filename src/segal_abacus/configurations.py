@@ -181,11 +181,10 @@ def unit_iso(B: DSet) -> CheckReport:
     onto the pullback when its images are as many as its elements and
     form the pullback's set.  The witnesses of a refuted level are named
     only when the report's witnesses are read."""
+    if not B.has_aug_row():
+        return CheckReport.precondition_failure("unit_iso", "no augmentation row")
     refuted = []
     checked = 0
-    rows = {i for (i, j) in B.levels}
-    if -1 not in rows:
-        return CheckReport.precondition_failure("unit_iso", "no augmentation row")
     for (i, j) in sorted(B.levels, key=lambda lv: (lv[0] + 1 + lv[1], lv)):
         if i < 0 or j < 0:
             continue
@@ -230,7 +229,11 @@ def aug_col_map(B: DSet) -> SMap:
 
 
 def is_bicomodule_config(B: DSet) -> CheckReport:
-    """Stable, double Segal, 2-Segal augmentations, culf augmentation maps."""
+    """Stable, double Segal, 2-Segal augmentations, culf augmentation maps.
+    The augmentation row is read, so a presheaf without one (the half
+    shape) fails that precondition."""
+    if not B.has_aug_row():
+        return CheckReport.precondition_failure("is_bicomodule_config", "no augmentation row")
     parts = [
         stability(B, "both", "bicomodule:stability"),
         is_double_segal(B, "bicomodule:double-segal"),
@@ -717,9 +720,12 @@ def m_roundtrip(P) -> dict:
     P is an abacus presheaf, or a simplicial map standing for its Kan
     extension.  Returns named CheckReports: validity of the total space M
     and of its projection, and exact recovery of every level from the
-    projection's fibres.
+    projection's fibres.  ``build_M`` reads the augmentation row, so an
+    abacus presheaf without one gives only that precondition, as "build_M".
     """
     B = q_lower_star(P) if isinstance(P, SMap) else P
+    if not B.has_aug_row():
+        return {"build_M": CheckReport.precondition_failure("build_M", "no augmentation row")}
     M, proj = build_M(B)
     fib = extract_from_M(M, proj)
     differ = tuple(lvl for lvl in B.levels

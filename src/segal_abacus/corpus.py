@@ -101,6 +101,16 @@ def diamond_poset() -> FinCat:
     return poset_cat("diamond", ["0", "1", "a", "b"], lambda x, y: (x, y) in order)
 
 
+def vee_poset() -> FinCat:
+    """a below b and c."""
+    return poset_cat("vee", ["a", "b", "c"], lambda x, y: x == y or x == "a")
+
+
+def wedge_poset() -> FinCat:
+    """a and b below c."""
+    return poset_cat("wedge", ["a", "b", "c"], lambda x, y: x == y or y == "c")
+
+
 def antichain(n: int) -> FinCat:
     return poset_cat(f"antichain{n}", [f"p{k}" for k in range(n)], lambda a, b: a == b)
 
@@ -388,10 +398,10 @@ def glued_edges_sset(trunc: int) -> TruncSSet:
     return graph_sset(("u", "v", "w"), {("u", "v"), ("v", "w")}, trunc)
 
 
-def punctured_chain_sset(n: int, trunc: int, max_distinct: int = 3) -> TruncSSet:
+def punctured_chain_sset(n: int, trunc: int) -> TruncSSet:
     """The nerve of a chain with all long chains removed.
 
-    Keeping only chains with at most ``max_distinct`` distinct vertices is
+    Keeping only chains with at most 3 distinct vertices is
     closed under faces and degeneracies, but the missing top chains break
     the decomposition gluing: for n >= 3 the result is not 2-Segal.
     """
@@ -405,7 +415,7 @@ def punctured_chain_sset(n: int, trunc: int, max_distinct: int = 3) -> TruncSSet
             levels[0] = full.level(0)
         else:
             chains = full.level(lvl)
-            levels[lvl] = _cut(chains, (len({ch[0][0]} | {m[1] for m in ch}) <= max_distinct for ch in chains))
+            levels[lvl] = _cut(chains, (len({ch[0][0]} | {m[1] for m in ch}) <= 3 for ch in chains))
     return _sset_acting(trunc, levels, lambda kind, k, n, ch: full.actions[kind, k, n][ch])
 
 
@@ -429,8 +439,8 @@ def standard_cats() -> list[FinCat]:
         diamond_poset(),
         boolean_lattice(1),
         boolean_lattice(2),
-        poset_cat("vee", ["a", "b", "c"], lambda x, y: x == y or x == "a"),
-        poset_cat("wedge", ["a", "b", "c"], lambda x, y: x == y or y == "c"),
+        vee_poset(),
+        wedge_poset(),
         cyclic_monoid(2),
         cyclic_monoid(3),
         idempotent_monoid(),

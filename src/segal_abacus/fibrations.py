@@ -12,7 +12,6 @@ from __future__ import annotations
 from .presheaf import (
     CheckReport,
     SMap,
-    Square,
     TruncSSet,
     cartesian_on,
     col_sset,
@@ -20,18 +19,6 @@ from .presheaf import (
     row_sset,
     sub_trunc,
 )
-
-__all__ = [
-    "cartesian_on",
-    "is_left_fibration",
-    "is_right_fibration",
-    "is_culf",
-    "is_segal",
-    "is_2segal",
-    "stability",
-    "reduced_stability",
-    "is_double_segal",
-]
 
 
 def is_left_fibration(F: SMap) -> CheckReport:
@@ -56,13 +43,12 @@ def is_segal(X: TruncSSet, name: str = "is_segal") -> CheckReport:
         return _unverifiable(name)
     reports = []
     for n in range(2, X.trunc + 1):
-        sq = Square(
+        reports.append(is_pullback(
             f"segal@{n}",
             X.level(n), X.level(n - 1), X.level(n - 1),
             X.actions["d", n, n], X.actions["d", 0, n],
             X.actions["d", 0, n - 1], X.actions["d", n - 1, n - 1],
-        )
-        reports.append(is_pullback(sq))
+        ))
     return CheckReport.conjunction(name, reports)
 
 
@@ -88,9 +74,10 @@ def is_2segal(X: TruncSSet, side: str = "both", name: str | None = None) -> Chec
     return CheckReport.conjunction(name, parts)
 
 
-def _bulk_square(B, i, j, vk, hk, name) -> Square:
+def _bulk_pullback(B, i, j, vk, hk, name) -> CheckReport:
+    """Whether B's square of e_vk against d_hk at level (i, j) is a pullback."""
     A = B.actions
-    return Square(
+    return is_pullback(
         name,
         B.level(i, j), B.level(i, j - 1), B.level(i - 1, j),
         A["d", hk, (i, j)], A["e", vk, (i, j)],
@@ -121,9 +108,9 @@ def stability(B, side: str = "both", name: str | None = None) -> CheckReport:
         if i < 1 or j < 1:
             continue
         if side in ("upper", "both"):
-            reports.append(is_pullback(_bulk_square(B, i, j, 0, 0, f"upper@({i},{j})")))
+            reports.append(_bulk_pullback(B, i, j, 0, 0, f"upper@({i},{j})"))
         if side in ("lower", "both"):
-            reports.append(is_pullback(_bulk_square(B, i, j, i, j, f"lower@({i},{j})")))
+            reports.append(_bulk_pullback(B, i, j, i, j, f"lower@({i},{j})"))
     if not reports:
         return _unverifiable(name)
     return CheckReport.conjunction(name, reports)
@@ -159,8 +146,8 @@ def reduced_stability(B) -> CheckReport:
         return CheckReport.precondition_failure(name, "input is not double Segal")
     if (1, 1) not in B.levels:
         return _unverifiable(name)
-    upper = is_pullback(_bulk_square(B, 1, 1, 0, 0, "upper@(1,1)"))
-    lower = is_pullback(_bulk_square(B, 1, 1, 1, 1, "lower@(1,1)"))
+    upper = _bulk_pullback(B, 1, 1, 0, 0, "upper@(1,1)")
+    lower = _bulk_pullback(B, 1, 1, 1, 1, "lower@(1,1)")
     return CheckReport.conjunction(name, [upper, lower])
 
 

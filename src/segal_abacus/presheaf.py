@@ -12,8 +12,8 @@ Presheaves are plain classes, not changed after construction: nothing
 here mutates them, and all checkers are read-only.  So a derived
 structure (decalage, row, restriction, map, pointing, extension) whose
 table is an existing table holds that table object, never a copy; a
-caller that mutates one copies it first.  ``SMap`` and ``Square`` are
-records (``reports.Record``); a ``Square`` is frozen.
+caller that mutates one copies it first.  ``SMap`` is a record
+(``reports.Record``); a square is passed to ``is_pullback`` as its parts.
 The abacus category is imported only by the functions of grid
 presheaves that read its generator table, so a simplicial set is built,
 validated and checked without it.
@@ -115,7 +115,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, compress, repeat
 from operator import itemgetter, ne
 
-from .reports import CheckReport, Frozen, Record, TruncationError, Witness
+from .reports import CheckReport, Record, TruncationError, Witness
 from .simplex import MonotoneMap, epi_mono_indices
 
 
@@ -563,27 +563,6 @@ def bijection_witnesses(site: str, noun: str, pairs, want) -> list:
     return witnesses
 
 
-class Square(Frozen):
-    """A commuting square candidate, checked via its comparison map.
-
-    ``p -> a -> c`` and ``p -> b -> c``; it is a pullback when
-    ``p -> {(a, b) : a_to_c(a) = b_to_c(b)}`` is a bijection.
-    """
-
-    __slots__ = ("name", "p_elems", "a_elems", "b_elems", "p_to_a", "p_to_b", "a_to_c", "b_to_c")
-
-    def __init__(self, name: str, p_elems: tuple, a_elems: tuple, b_elems: tuple,
-                 p_to_a: dict, p_to_b: dict, a_to_c: dict, b_to_c: dict):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "p_elems", p_elems)
-        object.__setattr__(self, "a_elems", a_elems)
-        object.__setattr__(self, "b_elems", b_elems)
-        object.__setattr__(self, "p_to_a", p_to_a)
-        object.__setattr__(self, "p_to_b", p_to_b)
-        object.__setattr__(self, "a_to_c", a_to_c)
-        object.__setattr__(self, "b_to_c", b_to_c)
-
-
 # Inside ``deciding_once``: the squares found to be pullbacks, keyed by the ids
 # of their seven parts, and what ``built_once`` built, keyed by its inputs; each
 # entry keeps what its key names alive, so no id is reused meanwhile.
@@ -620,50 +599,55 @@ def built_once(key, build):
     return _pullbacks[key]
 
 
-def is_pullback(sq: Square) -> CheckReport:
-    """Whether ``sq`` commutes and its comparison map is a bijection onto
-    the strict pullback of ``a_to_c`` against ``b_to_c``.
+def is_pullback(name: str, p_elems: tuple, a_elems: tuple, b_elems: tuple,
+                p_to_a: dict, p_to_b: dict, a_to_c: dict, b_to_c: dict) -> CheckReport:
+    """Whether the square ``p -> a -> c``, ``p -> b -> c`` commutes and its
+    comparison map ``p -> {(a, b) : a_to_c(a) = b_to_c(b)}`` is a bijection
+    onto that strict pullback; witnesses carry ``name``.
 
     Inside ``deciding_once`` a square already found to be a pullback
     passes at once, with the report a fresh decision gives; anything else
     is decided by ``_decide_pullback``."""
+    parts = (p_elems, a_elems, b_elems, p_to_a, p_to_b, a_to_c, b_to_c)
     if _pullbacks is None:
-        return _decide_pullback(sq)
-    key = (id(sq.p_elems), id(sq.a_elems), id(sq.b_elems),
-           id(sq.p_to_a), id(sq.p_to_b), id(sq.a_to_c), id(sq.b_to_c))
+        return _decide_pullback(name, *parts)
+    # unpacked, not ``tuple(map(...))``, which allocates ten slots and
+    # shrinks them: each such key freed would leave one more 7-tuple unused
+    # on the interpreter's free list, up to its cap of 2,000
+    key = (*map(id, parts),)
     if key in _pullbacks:
-        return CheckReport("is_pullback", [], 2 * len(sq.p_elems) or 1)
-    report = _decide_pullback(sq)
+        return CheckReport("is_pullback", [], 2 * len(p_elems) or 1)
+    report = _decide_pullback(name, *parts)
     if report.passed:  # the verdict alone: a refutation is not explained here
-        _pullbacks[key] = sq
+        _pullbacks[key] = parts
     return report
 
 
-def _decide_pullback(sq: Square) -> CheckReport:
-    """``is_pullback`` in full.  Each of the four tables is read once over
-    a whole level, so commuting is one comparison of two image lists, with
-    ``checked`` ``|P|``.  A commuting square is then decided by
-    ``is_bijection``, with ``checked`` ``2 |P|`` (at least 1).
+def _decide_pullback(name: str, p_elems: tuple, a_elems: tuple, b_elems: tuple,
+                     p_to_a: dict, p_to_b: dict, a_to_c: dict, b_to_c: dict) -> CheckReport:
+    """``is_pullback`` in full, on the same parts.  Each of the four tables
+    is read once over a whole level, so commuting is one comparison of two
+    image lists, with ``checked`` ``|P|``.  A commuting square is then
+    decided by ``is_bijection``, with ``checked`` ``2 |P|`` (at least 1).
 
     A refuted square is explained only when its witnesses are read:
     "square does not commute" from the positions where the image lists
     differ, else ``bijection_witnesses``.  The explanation reads lists
     taken here, never the square's tables, so a table changed after the
     decision does not change it."""
-    name, p_elems, a_elems, b_elems = sq.name, sq.p_elems, sq.a_elems, sq.b_elems
-    to_a = list(map(sq.p_to_a.__getitem__, p_elems))
-    to_b = list(map(sq.p_to_b.__getitem__, p_elems))
-    via_a = list(map(sq.a_to_c.__getitem__, to_a))
-    via_b = list(map(sq.b_to_c.__getitem__, to_b))
+    to_a = list(map(p_to_a.__getitem__, p_elems))
+    to_b = list(map(p_to_b.__getitem__, p_elems))
+    via_a = list(map(a_to_c.__getitem__, to_a))
+    via_b = list(map(b_to_c.__getitem__, to_b))
     checked = len(p_elems)
     if via_a != via_b:
         return CheckReport.refutation("is_pullback", lambda: [
             Witness(name, "square does not commute", (p,))
             for p, c, d in zip(p_elems, via_a, via_b) if c != d], checked)
-    if is_bijection(list(zip(to_a, to_b)), pullback_pairs(sq.a_to_c, sq.b_to_c, a_elems, b_elems)):
+    if is_bijection(list(zip(to_a, to_b)), pullback_pairs(a_to_c, b_to_c, a_elems, b_elems)):
         return CheckReport("is_pullback", [], 2 * checked or 1)
-    over_a = list(map(sq.a_to_c.__getitem__, a_elems))
-    over_b = list(map(sq.b_to_c.__getitem__, b_elems))
+    over_a = list(map(a_to_c.__getitem__, a_elems))
+    over_b = list(map(b_to_c.__getitem__, b_elems))
     return CheckReport.refutation("is_pullback", lambda: bijection_witnesses(
         name, "comparison", zip(p_elems, zip(to_a, to_b)),
         pullback_pairs(dict(zip(a_elems, over_a)), dict(zip(b_elems, over_b)), a_elems, b_elems)),
@@ -693,12 +677,11 @@ def cartesian_on(F: SMap, cls: str, name: str | None = None) -> CheckReport:
         if in_class(*key):
             n = key[2]
             tgt = _delta_target(key[0], n)
-            sq = Square(
+            reports.append(is_pullback(
                 action_label(*key),
                 X.level(n), X.level(tgt), Y.level(n),
                 X.actions[key], F.levels[n], F.levels[tgt], Y.actions[key],
-            )
-            reports.append(is_pullback(sq))
+            ))
     return CheckReport.conjunction(name or f"cartesian_on[{cls}]", reports)
 
 

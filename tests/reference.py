@@ -5,7 +5,13 @@ against a reference built on these keeps checking the earlier behaviour
 after the validator's own loop changes.
 """
 
+from collections import namedtuple
+
 from segal_abacus.presheaf import Witness
+
+# A square as its parts, in the order ``presheaf.is_pullback`` takes them:
+# ``p -> a -> c`` and ``p -> b -> c``; ``is_pullback(*sq)`` decides it.
+Square = namedtuple("Square", "name p_elems a_elems b_elems p_to_a p_to_b a_to_c b_to_c")
 
 
 def check_total(table, src, tgt, label, witnesses) -> int:

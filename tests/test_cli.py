@@ -499,6 +499,7 @@ _PIPELINE = [
     ["gen", "partial-monoid", "--out", "P.json"],
     ["construct", "boors-tot", "--in", "N.json", "--out", "A.json"],
     ["construct", "extend", "--in", "A.json", "--out", "B.json"],
+    ["construct", "extend", "--half", "--in", "A.json", "--out", "Bh.json"],
     ["construct", "rtot", "--in", "N.json", "--out", "R.json"],
 ]
 
@@ -574,21 +575,53 @@ def test_mutated_pipeline_files_never_exit_4(pipeline_files, data):
     import contextlib
     import io
 
-    from segal_abacus.cli import _CHECKS, _CONSTRUCTS, _ROUNDTRIPS
-
     where, docs = pipeline_files
     name, mutation, doc = data.draw(_mutants(docs))
     path = str(where / "mutant.json")
     with open(path, "w") as fh:
         json.dump(doc, fh)
-    commands = ([["check", check, path] for check in _CHECKS]
-                + [["construct", op, "--in", path, "--out", str(where / "out.json")]
-                   for op in _CONSTRUCTS]
-                + [["roundtrip", kind, path] for kind in _ROUNDTRIPS])
-    for argv in commands:
+    for argv in _file_commands(path, str(where / "out.json")):
         with contextlib.redirect_stderr(io.StringIO()):
             code, _ = run(argv)
         assert code in (0, 1, 2, 3), (name, mutation, argv[:2])
+
+
+def _file_commands(path: str, out: str) -> list:
+    """Every ``check``, ``construct`` and ``roundtrip`` row, on the file at
+    ``path``, a construction writing to ``out``."""
+    from segal_abacus.cli import _CHECKS, _CONSTRUCTS, _ROUNDTRIPS
+
+    return ([["check", check, path] for check in _CHECKS]
+            + [["construct", op, "--in", path, "--out", out] for op in _CONSTRUCTS]
+            + [["roundtrip", kind, path] for kind in _ROUNDTRIPS])
+
+
+_READ_THE_AUG_ROW = ("check unit-iso", "check bicomodule", "construct M", "roundtrip M")
+
+
+def test_pipeline_files_never_exit_4(pipeline_files, tmp_path):
+    """Every ``check``, ``construct`` and ``roundtrip`` row on each README
+    pipeline file as written exits 0-3.  The half extension ``Bh.json`` has
+    no augmentation row: ``check bicomodule``, ``construct M`` and
+    ``roundtrip M`` read it, so they report that precondition with exit 2,
+    as ``check unit-iso`` does, and ``construct M`` writes nothing."""
+    import contextlib
+    import io
+
+    where, docs = pipeline_files
+    out = tmp_path / "out.json"
+    refused = {}
+    for name in docs:
+        for argv in _file_commands(str(where / name), str(out)):
+            out.unlink(missing_ok=True)
+            with contextlib.redirect_stderr(io.StringIO()):
+                code, text = run(argv)
+            assert code in (0, 1, 2, 3), (name, argv[:2])
+            command = " ".join(argv[:2])
+            if name == "Bh.json" and command in _READ_THE_AUG_ROW:
+                report = json.loads(text)
+                refused[command] = (code, report.get("build_M", report)["precondition"], out.exists())
+    assert refused == {command: (2, "no augmentation row", False) for command in _READ_THE_AUG_ROW}
 
 
 

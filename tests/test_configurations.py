@@ -267,14 +267,14 @@ def test_boors_axioms_say_what_truncation_2_cannot_check():
     # at truncation 2 the bulk of p_*tot has no (1, 1) level and no row or
     # column of truncation 2: the pass rests on the pointings alone, and the
     # two bulk checks say so
-    rep = boors_axioms(p_star_tot(punctured_chain_sset(3, 2, 3)))
+    rep = boors_axioms(p_star_tot(punctured_chain_sset(3, 2)))
     assert (rep.verdict, rep.checked) == ("pass", 20)
     assert rep.coverage == ["unverifiable:boors:double-segal:trunc<2",
                             "unverifiable:boors:stability:trunc<2"]
-    half = boors_axioms(p_star_tot(punctured_chain_sset(3, 2, 3)), half=True)
+    half = boors_axioms(p_star_tot(punctured_chain_sset(3, 2)), half=True)
     assert half.coverage == ["unverifiable:half:upper-stability:trunc<2"]
     # from truncation 3 on the squares see the defect, with no such line
-    rep = boors_axioms(p_star_tot(punctured_chain_sset(3, 3, 3)))
+    rep = boors_axioms(p_star_tot(punctured_chain_sset(3, 3)))
     assert (rep.verdict, rep.checked, rep.coverage) == ("fail", 332, [])
     assert {w.site for w in rep.witnesses} == {"segal@2", "lower@(1,1)", "upper@(1,1)"}
 

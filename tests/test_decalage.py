@@ -14,6 +14,7 @@ from segal_abacus.corpus import (
     random_poset_corpus,
     two_segal_partial_monoid,
     upset_inclusion,
+    vee_poset,
 )
 from segal_abacus.decalage import (
     AugBottomSplitSSet,
@@ -54,9 +55,7 @@ from segal_abacus.presheaf import (
     validate_coalgebra,
 )
 
-
-def vee_poset():
-    return poset_cat("vee", ["a", "b", "c"], lambda x, y: x == y or x == "a")
+from reference import Square
 
 
 def test_dec_levels_and_counts():
@@ -350,7 +349,7 @@ def test_left_fibration_of_split_sets_is_cartesian_with_aug_square():
     g = gamma_map(BS)
     assert is_left_fibration(g).passed
     assert cartesian_on(g, "all").passed
-    from segal_abacus.presheaf import Square, colimit0, is_pullback
+    from segal_abacus.presheaf import colimit0, is_pullback
 
     src_cls, src_aug = colimit0(g.source)
     tgt_cls, tgt_aug = colimit0(g.target)
@@ -362,7 +361,7 @@ def test_left_fibration_of_split_sets_is_cartesian_with_aug_square():
         src_aug, {x: g.at(0, x) for x in g.source.level(0)},
         cls_map, tgt_aug,
     )
-    assert is_pullback(sq).passed
+    assert is_pullback(*sq).passed
 
 
 def gamma_map(BS):
@@ -374,7 +373,7 @@ def gamma_map(BS):
 def test_right_fibration_cartesian_on_splittings():
     # right fibrations of split sets form pullbacks against every splitting
     from segal_abacus.corpus import downset_inclusion
-    from segal_abacus.presheaf import Square, is_pullback
+    from segal_abacus.presheaf import is_pullback
 
     G = downset_inclusion(chain_poset(2), 1, 5)
     assert is_right_fibration(G).passed
@@ -389,7 +388,7 @@ def test_right_fibration_cartesian_on_splittings():
             src.split[n], {x: G.at(n, x) for x in src.sset.level(n)},
             {z: G.at(n + 1, z) for z in src.sset.level(n + 1)}, tgt_split[n],
         )
-        assert is_pullback(sq).passed
+        assert is_pullback(*sq).passed
 
 
 def _reference_pullback_coalgebra(F, C_split, name="pullback_coalgebra"):

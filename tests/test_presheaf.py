@@ -24,7 +24,6 @@ from segal_abacus.corpus import (
 from segal_abacus.presheaf import (
     CheckReport,
     SMap,
-    Square,
     TruncSSet,
     Witness,
     _relation_rows,
@@ -50,7 +49,7 @@ from segal_abacus.presheaf import (
 )
 from segal_abacus.simplex import MonotoneMap, coface, enumerate_monotone, identity
 
-from reference import check_total
+from reference import Square, check_total
 
 
 def corrupt_face(X, n, k):
@@ -139,7 +138,7 @@ def test_is_pullback_identity_square():
     elems = ("x", "y")
     ident = {e: e for e in elems}
     sq = Square("id", elems, elems, elems, ident, ident, ident, ident)
-    assert is_pullback(sq).passed
+    assert is_pullback(*sq).passed
 
 
 def test_is_pullback_witnesses():
@@ -154,7 +153,7 @@ def test_is_pullback_witnesses():
         {"a1": "c", "a2": "c"},
         {"b": "c"},
     )
-    rep = is_pullback(sq)
+    rep = is_pullback(*sq)
     assert not rep.passed
     assert any("not surjective" in w.equation for w in rep.witnesses)
 
@@ -170,14 +169,14 @@ def test_is_pullback_noncommuting_is_its_own_failure():
         {"a": "c1"},
         {"b": "c2"},
     )
-    rep = is_pullback(sq)
+    rep = is_pullback(*sq)
     assert not rep.passed
     assert any("does not commute" in w.equation for w in rep.witnesses)
 
 
 def pullback_universal_check(sq: Square, cone_sizes=(1, 2, 3)) -> bool:
     """Brute-force universal property over all cones from small index sets."""
-    rep = is_pullback(sq)
+    rep = is_pullback(*sq)
     comparison_ok = rep.passed
     for size in cone_sizes:
         idx = tuple(range(size))
@@ -226,7 +225,7 @@ def test_pullback_agrees_with_universal_property():
         g = {b: rng.choice(C) for b in B}
         P, pa, pb = pullback_sets(f, g, A, B)
         sq = Square("rand", P, tuple(A), tuple(B), pa, pb, f, g)
-        assert is_pullback(sq).passed
+        assert is_pullback(*sq).passed
         assert pullback_universal_check(sq, cone_sizes=(1, 2))
 
 
@@ -414,7 +413,7 @@ def _squares(draw):
 @settings(max_examples=150, deadline=None)
 @given(_squares())
 def test_pullbacks_match_brute_force(sq):
-    got, ref = is_pullback(sq), _reference_is_pullback(sq)
+    got, ref = is_pullback(*sq), _reference_is_pullback(sq)
     assert (got.verdict, got.checked, got.witnesses) == (ref.verdict, ref.checked, ref.witnesses)
     # the join: a-major, each side in the order given
     want = [(a, b) for a in sq.a_elems for b in sq.b_elems if sq.a_to_c[a] == sq.b_to_c[b]]
@@ -560,7 +559,7 @@ def _outcome(check, *args):
 @settings(max_examples=200, deadline=None)
 @given(_rough_squares())
 def test_is_pullback_matches_the_element_walk(sq):
-    assert _outcome(is_pullback, sq) == _outcome(_walk_is_pullback, sq)
+    assert _outcome(is_pullback, *sq) == _outcome(_walk_is_pullback, sq)
 
 
 def _eager_decide_pullback(sq):
@@ -611,10 +610,10 @@ def test_a_refutation_explains_the_square_as_it_was_decided():
     def check(sq, data):
         before = _outcome(_eager_decide_pullback, sq)
         if not isinstance(before, tuple):  # a table misses a key: the same error
-            assert _outcome(is_pullback, sq) is before
+            assert _outcome(is_pullback, *sq) is before
             return
         with _counting_explanations() as explained:
-            rep = is_pullback(sq)
+            rep = is_pullback(*sq)
             assert explained == [] and rep.holds == (not before[1])
             # an entry the decision read: one of a table's level
             parts = [(table, level) for table, level in ((sq.p_to_a, sq.p_elems), (sq.p_to_b, sq.p_elems),
@@ -638,12 +637,12 @@ def test_a_refutation_explains_the_square_as_it_was_decided():
 # ---------------------------------------------------------------------------
 # Deciding each square once inside ``deciding_once``
 
-_SQUARE_PARTS = ("p_elems", "a_elems", "b_elems", "p_to_a", "p_to_b", "a_to_c", "b_to_c")
+_SQUARE_PARTS = Square._fields[1:]  # the seven parts, after the name
 
 
 def _renamed(sq, name, **parts):
     """``sq`` under another name, with any of its parts replaced."""
-    return Square(name, *(parts.get(part, getattr(sq, part)) for part in _SQUARE_PARTS))
+    return sq._replace(name=name, **parts)
 
 
 def _equal_copy(part):
@@ -667,9 +666,9 @@ def _counting_decisions():
     decided = []
     real = presheaf._decide_pullback
 
-    def counting(sq):
-        decided.append(sq.name)
-        return real(sq)
+    def counting(*args):
+        decided.append(args[0])  # the square's name
+        return real(*args)
 
     with mock.patch.object(presheaf, "_decide_pullback", counting):
         yield decided
@@ -680,10 +679,10 @@ def _counting_decisions():
 def test_a_memo_hit_equals_a_fresh_decision(sq):
     """Within the block a repeat of a passing square is not decided again,
     and every report, ``checked`` included, is the fresh decision's."""
-    fresh, again = _outcome(is_pullback, sq), _outcome(is_pullback, _renamed(sq, "again"))
+    fresh, again = _outcome(is_pullback, *sq), _outcome(is_pullback, *_renamed(sq, "again"))
     with deciding_once(), _counting_decisions() as decided:
-        assert _outcome(is_pullback, sq) == fresh
-        assert _outcome(is_pullback, _renamed(sq, "again")) == again
+        assert _outcome(is_pullback, *sq) == fresh
+        assert _outcome(is_pullback, *_renamed(sq, "again")) == again
     passed = isinstance(fresh, tuple) and not fresh[1]
     assert decided == (["sq"] if passed else ["sq", "again"])
 
@@ -691,10 +690,10 @@ def test_a_memo_hit_equals_a_fresh_decision(sq):
 def test_a_square_of_equal_copies_is_decided_in_full():
     sq = _passing_square()
     with deciding_once(), _counting_decisions() as decided:
-        assert is_pullback(sq).holds
+        assert is_pullback(*sq).holds
         for part in _SQUARE_PARTS:
             copy_sq = _renamed(sq, part, **{part: _equal_copy(getattr(sq, part))})
-            assert is_pullback(copy_sq) == is_pullback(sq)
+            assert is_pullback(*copy_sq) == is_pullback(*sq)
     assert decided == ["id", *_SQUARE_PARTS]
 
 
@@ -702,25 +701,25 @@ def test_a_failing_square_reports_each_names_witnesses():
     first = _failing_square("first")
     second = _renamed(first, "second")  # the very objects of ``first``
     with deciding_once(), _counting_decisions() as decided:
-        reports = [is_pullback(first), is_pullback(second)]
+        reports = [is_pullback(*first), is_pullback(*second)]
     assert decided == ["first", "second"]
     assert [{w.site for w in rep.witnesses} for rep in reports] == [{"first"}, {"second"}]
-    assert reports == [is_pullback(first), is_pullback(second)]
+    assert reports == [is_pullback(*first), is_pullback(*second)]
 
 
 def test_is_pullback_keeps_no_state_outside_the_block():
     sq = _passing_square()
     with _counting_decisions() as decided:
-        assert is_pullback(sq).holds
+        assert is_pullback(*sq).holds
         assert presheaf._pullbacks is None
         sq.b_to_c["y"] = "x"  # now the square does not commute
-        assert not is_pullback(sq).holds
+        assert not is_pullback(*sq).holds
     assert decided == ["id", "id"]
 
 
 def test_the_memo_ends_with_the_block_however_it_ends():
     with deciding_once():
-        is_pullback(_passing_square())
+        is_pullback(*_passing_square())
         assert len(presheaf._pullbacks) == 1
     assert presheaf._pullbacks is None
     with pytest.raises(RuntimeError), deciding_once():
@@ -756,16 +755,16 @@ def test_a_nested_block_shares_the_outer_memo_and_leaves_it():
     first, second = _passing_square(), _passing_square()
     with deciding_once(), _counting_decisions() as decided:
         outer = presheaf._pullbacks
-        is_pullback(first)
+        is_pullback(*first)
         with deciding_once():
             assert presheaf._pullbacks is outer
-            is_pullback(first)
-            is_pullback(second)
+            is_pullback(*first)
+            is_pullback(*second)
         assert presheaf._pullbacks is outer and len(outer) == 2
         with pytest.raises(RuntimeError), deciding_once():
             raise RuntimeError
         assert presheaf._pullbacks is outer
-        is_pullback(_renamed(second, "again"))
+        is_pullback(*_renamed(second, "again"))
     assert decided == ["id", "id"]
     assert presheaf._pullbacks is None
 

@@ -116,18 +116,6 @@ class SMap:
 
 
 @dataclass(frozen=True)
-class Square:
-    name: str
-    p_elems: tuple
-    a_elems: tuple
-    b_elems: tuple
-    p_to_a: dict
-    p_to_b: dict
-    a_to_c: dict
-    b_to_c: dict
-
-
-@dataclass(frozen=True)
 class FinCat:
     name: str
     objects: tuple
@@ -153,7 +141,7 @@ LIBRARY = SimpleNamespace(
     Witness=reports.Witness, CheckReport=reports.CheckReport,
     MonotoneMap=simplex.MonotoneMap, GeneratorWord=simplex.GeneratorWord,
     DObject=abacus.DObject, BeadMap=abacus.BeadMap,
-    SMap=presheaf.SMap, Square=presheaf.Square,
+    SMap=presheaf.SMap,
     FinCat=corpus.FinCat, FinFunctor=corpus.FinFunctor,
 )
 
@@ -180,8 +168,6 @@ SAMPLES = {
     "BeadMap": [lambda m: m.BeadMap(m.DObject(0, 0), m.DObject(1, -1), m.MonotoneMap(2, 2, (0, 1))),
                 lambda m: m.BeadMap(m.DObject(0, 0), m.DObject(0, 0), m.MonotoneMap(2, 2, (0, 1)))],
     "SMap": [lambda m: m.SMap("X", "Y", {0: {"a": "b"}}), lambda m: m.SMap("X", "X", {})],
-    "Square": [lambda m: m.Square("sq", ("p",), ("a",), ("b",), {"p": "a"}, {"p": "b"}, {"a": "c"}, {"b": "c"}),
-               lambda m: m.Square("sq", (), (), (), {}, {}, {}, {})],
     "FinCat": [_fincat, lambda m: _fincat(m, "other")],
     "FinFunctor": [lambda m: m.FinFunctor("id", _fincat(m), _fincat(m), {"a": "a"}, {"1a": "1a"})],
 }
